@@ -3,9 +3,8 @@
 //! Every entry executes the *same* pre-planned (analyzed, provenance-rewritten, optimized)
 //! plan through `Executor::execute_parallel` on worker pools of 1, 2, 4 and 8 workers, so the
 //! measured difference is purely the parallelism degree: morsel scheduling, the partitioned
-//! hash-join build/probe and partitioned aggregation. The 1-worker pool runs the whole morsel
-//! machinery on the calling thread, which doubles as the overhead baseline against the
-//! single-threaded vectorized pipeline (see the `vectorized_scan` bench).
+//! hash-join build/probe and partitioned aggregation. The 1-worker pool runs every morsel on
+//! the calling thread — it is what `Executor::execute` does, and so the sequential baseline.
 
 use std::time::Duration;
 

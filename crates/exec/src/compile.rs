@@ -14,19 +14,21 @@
 //!   pre-evaluated value slice otherwise),
 //! * function argument buffers for the common arities are stack-allocated.
 //!
-//! Evaluation then performs no allocation for predicates and exactly one `Vec` allocation per
-//! projected output row.
+//! The engine evaluates compiled expressions column-wise (`CompiledExpr::eval_array`, in
+//! `vector.rs`); [`CompiledExpr::eval`] is the per-row fallback those kernels use for lazily
+//! evaluated forms (`CASE`, non-constant `IN` lists) and for per-pair join conditions.
 
 use std::collections::HashSet;
 
 use perm_algebra::{
-    AggregateExpr, BinaryOperator, DataType, ScalarExpr, ScalarFunction, SublinkKind, Tuple,
-    UnaryOperator, Value,
+    AggregateExpr, BinaryOperator, DataChunk, DataType, ScalarExpr, ScalarFunction, SublinkKind,
+    Tuple, UnaryOperator, Value,
 };
 
 use crate::error::ExecError;
 use crate::eval::{binary_op_values, evaluate_function, logical_combine, unary_op_value};
 use crate::executor::{ExecContext, Executor};
+use crate::parallel::WorkerPool;
 
 /// Which value types occur among an [`CompiledExpr::InSet`]'s candidates; used to reproduce the
 /// three-valued `IN` semantics for needles that are incomparable with some candidate
@@ -92,12 +94,13 @@ pub(crate) enum CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Compile `expr`, resolving any uncorrelated sublinks by executing their plans once through
-    /// `executor` under `ctx`'s resource limits.
+    /// Compile `expr`, resolving any uncorrelated sublinks by running their plans once through
+    /// the engine — same `executor`, `pool` and `ctx` (resource limits) as the enclosing query.
     pub(crate) fn compile(
         expr: &ScalarExpr,
         executor: &Executor,
         ctx: &ExecContext,
+        pool: &WorkerPool,
     ) -> Result<CompiledExpr, ExecError> {
         Ok(match expr {
             ScalarExpr::Column { index, .. } => CompiledExpr::Column(*index),
@@ -106,8 +109,8 @@ impl CompiledExpr {
             // execution, so a prepared plan re-executes with new bindings at literal speed.
             ScalarExpr::Parameter { index } => CompiledExpr::Literal(executor.param(*index)?),
             ScalarExpr::BinaryOp { op, left, right } => {
-                let left = Box::new(CompiledExpr::compile(left, executor, ctx)?);
-                let right = Box::new(CompiledExpr::compile(right, executor, ctx)?);
+                let left = Box::new(CompiledExpr::compile(left, executor, ctx, pool)?);
+                let right = Box::new(CompiledExpr::compile(right, executor, ctx, pool)?);
                 if matches!(op, BinaryOperator::And | BinaryOperator::Or) {
                     CompiledExpr::Logical { op: *op, left, right }
                 } else {
@@ -116,40 +119,40 @@ impl CompiledExpr {
             }
             ScalarExpr::UnaryOp { op, expr } => CompiledExpr::Unary {
                 op: *op,
-                expr: Box::new(CompiledExpr::compile(expr, executor, ctx)?),
+                expr: Box::new(CompiledExpr::compile(expr, executor, ctx, pool)?),
             },
             ScalarExpr::Function { func, args } => CompiledExpr::Function {
                 func: *func,
                 args: args
                     .iter()
-                    .map(|a| CompiledExpr::compile(a, executor, ctx))
+                    .map(|a| CompiledExpr::compile(a, executor, ctx, pool))
                     .collect::<Result<_, _>>()?,
             },
             ScalarExpr::Case { operand, branches, else_expr } => CompiledExpr::Case {
                 operand: operand
                     .as_ref()
-                    .map(|o| CompiledExpr::compile(o, executor, ctx).map(Box::new))
+                    .map(|o| CompiledExpr::compile(o, executor, ctx, pool).map(Box::new))
                     .transpose()?,
                 branches: branches
                     .iter()
                     .map(|(w, t)| {
                         Ok((
-                            CompiledExpr::compile(w, executor, ctx)?,
-                            CompiledExpr::compile(t, executor, ctx)?,
+                            CompiledExpr::compile(w, executor, ctx, pool)?,
+                            CompiledExpr::compile(t, executor, ctx, pool)?,
                         ))
                     })
                     .collect::<Result<_, ExecError>>()?,
                 else_expr: else_expr
                     .as_ref()
-                    .map(|e| CompiledExpr::compile(e, executor, ctx).map(Box::new))
+                    .map(|e| CompiledExpr::compile(e, executor, ctx, pool).map(Box::new))
                     .transpose()?,
             },
             ScalarExpr::Cast { expr, data_type } => CompiledExpr::Cast {
-                expr: Box::new(CompiledExpr::compile(expr, executor, ctx)?),
+                expr: Box::new(CompiledExpr::compile(expr, executor, ctx, pool)?),
                 data_type: *data_type,
             },
             ScalarExpr::InList { expr, list, negated } => {
-                let expr = Box::new(CompiledExpr::compile(expr, executor, ctx)?);
+                let expr = Box::new(CompiledExpr::compile(expr, executor, ctx, pool)?);
                 if list.iter().all(|e| matches!(e, ScalarExpr::Literal(_))) {
                     let values: Vec<Value> = list
                         .iter()
@@ -164,39 +167,36 @@ impl CompiledExpr {
                         expr,
                         list: list
                             .iter()
-                            .map(|e| CompiledExpr::compile(e, executor, ctx))
+                            .map(|e| CompiledExpr::compile(e, executor, ctx, pool))
                             .collect::<Result<_, _>>()?,
                         negated: *negated,
                     }
                 }
             }
+            // The limit hint is how many rows decide the sublink; like a `LIMIT`, it lets the
+            // sub-plan's top operator stop early.
             ScalarExpr::Sublink { kind, operand, negated, plan } => match kind {
                 SublinkKind::Exists => {
-                    // Only existence matters: pull at most one row from the sub-plan.
-                    let mut stream = executor.stream(plan, ctx)?;
-                    let non_empty = stream.next().transpose()?.is_some();
+                    let chunks = executor.par_chunks(plan, ctx, pool, Some(1))?;
+                    let non_empty = chunks.iter().any(|c| !c.is_empty());
                     CompiledExpr::Literal(Value::Bool(non_empty != *negated))
                 }
                 SublinkKind::Scalar => {
-                    let mut stream = executor.stream(plan, ctx)?;
-                    let first = stream.next().transpose()?;
-                    if stream.next().transpose()?.is_some() {
+                    let chunks = executor.par_chunks(plan, ctx, pool, Some(2))?;
+                    let mut values = first_column(&chunks);
+                    let value = values.next().unwrap_or(Value::Null);
+                    if values.next().is_some() {
                         return Err(ExecError::ScalarSubqueryTooManyRows);
                     }
-                    let value = first.and_then(|t| t.get(0).cloned()).unwrap_or(Value::Null);
                     CompiledExpr::Literal(value)
                 }
                 SublinkKind::InSubquery => {
                     let operand = operand.as_ref().ok_or_else(|| {
                         ExecError::Internal("IN sublink without an operand".into())
                     })?;
-                    let operand = Box::new(CompiledExpr::compile(operand, executor, ctx)?);
-                    let mut values = Vec::new();
-                    for row in executor.stream(plan, ctx)? {
-                        let row = row?;
-                        values.push(row.get(0).cloned().unwrap_or(Value::Null));
-                    }
-                    compile_in_constants(operand, values, *negated)
+                    let operand = Box::new(CompiledExpr::compile(operand, executor, ctx, pool)?);
+                    let chunks = executor.par_chunks(plan, ctx, pool, None)?;
+                    compile_in_constants(operand, first_column(&chunks).collect(), *negated)
                 }
             },
         })
@@ -281,8 +281,21 @@ impl CompiledExpr {
     }
 }
 
-/// Probe a pre-built `IN` hash set with full three-valued semantics (shared by the row and the
-/// vectorized evaluation paths).
+/// The first-column values of a sublink result, row by row (NULL for a zero-width result).
+fn first_column(chunks: &[DataChunk]) -> impl Iterator<Item = Value> + '_ {
+    chunks.iter().flat_map(|chunk| {
+        (0..chunk.num_rows()).map(move |row| {
+            if chunk.num_columns() == 0 {
+                Value::Null
+            } else {
+                chunk.column(0).value(row)
+            }
+        })
+    })
+}
+
+/// Probe a pre-built `IN` hash set with full three-valued semantics (shared by the vectorized
+/// kernel and its per-row fallback).
 pub(crate) fn in_set_lookup(
     needle: &Value,
     set: &HashSet<Value>,
@@ -374,8 +387,10 @@ impl CompiledAggregate {
         agg: &AggregateExpr,
         executor: &Executor,
         ctx: &ExecContext,
+        pool: &WorkerPool,
     ) -> Result<CompiledAggregate, ExecError> {
-        let arg = agg.arg.as_ref().map(|e| CompiledExpr::compile(e, executor, ctx)).transpose()?;
+        let arg =
+            agg.arg.as_ref().map(|e| CompiledExpr::compile(e, executor, ctx, pool)).transpose()?;
         Ok(CompiledAggregate { spec: agg.clone(), arg })
     }
 }

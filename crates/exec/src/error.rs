@@ -28,8 +28,8 @@ pub enum ExecError {
     },
     /// The query was cancelled (client request, session shutdown or a dropped stream).
     ///
-    /// Raised cooperatively: every pipeline checks its [`crate::CancelToken`] at
-    /// morsel/chunk/row-batch boundaries, so cancellation lands within one scheduling quantum
+    /// Raised cooperatively: the engine checks its [`crate::CancelToken`] at morsel
+    /// boundaries and join probe strides, so cancellation lands within one scheduling quantum
     /// and never mid-operator.
     Cancelled,
     /// A memory reservation was denied by the resource governor.
@@ -39,9 +39,10 @@ pub enum ExecError {
     ResourceExhausted(String),
     /// Integer arithmetic overflowed the 64-bit value range.
     ///
-    /// All three execution pipelines (row-at-a-time, vectorized and parallel) surface integer
-    /// overflow as this error with the same payload, so differential tests can assert identical
-    /// failure behaviour; silent wrapping would instead produce pipeline-dependent results.
+    /// The engine (typed kernels and per-row fallback alike) and the reference evaluator
+    /// surface integer overflow as this error with the same payload, so differential tests can
+    /// assert identical failure behaviour; silent wrapping would instead produce
+    /// path-dependent results.
     ArithmeticOverflow {
         /// The operation that overflowed ("addition", "multiplication", ...).
         operation: String,
@@ -105,7 +106,7 @@ impl From<AlgebraError> for ExecError {
     fn from(e: AlgebraError) -> Self {
         match e {
             // Checked `Value` arithmetic reports overflow through the algebra layer; surface it
-            // as the dedicated executor error so every pipeline raises the identical value.
+            // as the dedicated executor error so kernels and fallbacks raise the identical value.
             AlgebraError::ArithmeticOverflow { operation } => {
                 ExecError::ArithmeticOverflow { operation }
             }

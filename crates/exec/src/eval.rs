@@ -1,4 +1,6 @@
-//! Scalar expression evaluation with SQL three-valued logic.
+//! Scalar expression evaluation with SQL three-valued logic: the tree-walking interpreter of
+//! the reference evaluator ([`evaluate`]), and the per-value operator, function and `LIKE`
+//! semantics the engine's compiled kernels share with it.
 
 use perm_algebra::value::{add_months_to_days, civil_from_days};
 use perm_algebra::{BinaryOperator, ScalarExpr, ScalarFunction, Tuple, UnaryOperator, Value};

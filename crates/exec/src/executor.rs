@@ -1,34 +1,14 @@
-//! The query executor: evaluates logical plans against a catalog as a pull-based pipeline.
+//! The [`Executor`] front end: execution options, the per-query context, and the
+//! pool-independent operator logic (equi-key extraction, aggregate accumulators, set-operation
+//! multiset algebra) shared by the engine in [`crate::parallel`] and the oracle in
+//! [`crate::reference`].
 //!
-//! The primary pipeline is **vectorized**: operators exchange [`perm_algebra::DataChunk`]
-//! batches of up to [`perm_algebra::DEFAULT_CHUNK_SIZE`] columnar rows via `next_chunk()`-style
-//! iterators (see [`crate::vector`]). This module keeps the original tuple-at-a-time pipeline
-//! as [`Executor::execute_streaming`] — every operator compiled into a
-//! `Box<dyn Iterator<Item = Result<Tuple, ExecError>>>` — both as a second differential-testing
-//! target against the reference evaluator and as the baseline the `vectorized_scan` benchmark
-//! compares against.
-//!
-//! In both pipelines, selection, projection, limit, subquery aliases and provenance annotations
-//! **stream**: they pull one batch (or tuple) at a time from their input and never materialize
-//! intermediate relations. Only the true pipeline breakers materialize — sort, aggregation, set
-//! operations and the build side of a hash join. `LIMIT` short-circuits: once it has produced
-//! `limit` rows it stops pulling, so the operators beneath it stop doing work (and stop being
-//! charged against the row budget).
-//!
-//! Scalar expressions are compiled once per operator into [`crate::compile::CompiledExpr`]
-//! (uncorrelated sublinks executed exactly once, `IN (SELECT ...)` turned into a hash-set
-//! probe). The expensive operators are hash-based: equi-joins build a hash table on the right
-//! input, aggregation and DISTINCT group through hash maps — mirroring what the rewritten
-//! provenance queries of the paper rely on from PostgreSQL (rules R5–R9 introduce equi-joins on
-//! grouping / original attributes).
-//!
-//! Execution can be bounded with [`ExecOptions`] (row budget / wall-clock timeout) to reproduce
-//! the paper's behaviour of stopping runaway provenance queries (black cells in Figures 10/11).
-//! Budgets are enforced *incrementally* by the row-creating operators (scans, joins, set
-//! operations) as tuples flow, not after an operator has already materialized its output.
-//!
-//! A deliberately naive materializing evaluator is kept in [`crate::reference`] as the
-//! executable specification; property tests assert both paths produce identical relations.
+//! There is one engine. [`Executor::execute`] runs the morsel executor at degree 1 on the
+//! calling thread; [`Executor::execute_parallel`] runs the same code on a shared
+//! [`crate::WorkerPool`]. Every operator materializes its output as a chunk list, results and
+//! errors are identical at every degree, and [`ExecOptions`] bounds an execution by rows,
+//! wall-clock time, cancellation and memory — see [`ExecOptions::row_budget`] for the budget
+//! rule and the [`crate::parallel`] module docs for the operators.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -36,21 +16,20 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use perm_algebra::{
-    BinaryOperator, DataChunk, JoinKind, LogicalPlan, ScalarExpr, Schema, SetOpKind, SetSemantics,
-    SortOrder, Tuple, Value,
+    BinaryOperator, DataChunk, LogicalPlan, ScalarExpr, Schema, SetOpKind, SetSemantics, Tuple,
+    Value,
 };
 use perm_storage::{Catalog, CatalogSnapshot, Relation};
 
-use crate::compile::{CompiledAggregate, CompiledExpr};
 use crate::error::ExecError;
 
 /// A cooperative cancellation flag shared between a running query and whoever controls it
 /// (the wire server's `cancel` request, a dropped stream, the governor shedding a query, or
 /// graceful shutdown).
 ///
-/// Cancellation is *checked*, never forced: every pipeline polls the token at its existing
-/// deadline checkpoints (row batches, morsel boundaries, join probe strides), so a cancel lands
-/// within one scheduling quantum and operators always unwind through normal error paths.
+/// Cancellation is *checked*, never forced: the engine polls the token at its deadline
+/// checkpoints (morsel boundaries, join probe strides), so a cancel lands within one scheduling
+/// quantum and operators always unwind through normal error paths.
 #[derive(Debug, Default)]
 pub struct CancelToken {
     /// 0 = live, 1 = cancelled, 2 = shed by the governor (resource exhausted).
@@ -111,7 +90,12 @@ pub trait QueryMemory: Send + Sync + std::fmt::Debug {
 /// Resource limits applied to a single plan execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Maximum number of intermediate/output rows any single operator may produce.
+    /// No operator may materialize more than this many output rows. Each operator's output is
+    /// charged in morsel-index order — the rule `LIMIT` uses — so a plan under a budget ends in
+    /// the same `Ok` or [`ExecError::RowBudgetExceeded`] at every parallelism degree. A join
+    /// stops probing as soon as it is over budget, and a `LIMIT` directly above a join or
+    /// filter stops it once satisfied; everything below a materializing operator (sort,
+    /// aggregation, set operation, DISTINCT, a join's inputs) is produced and charged in full.
     pub row_budget: Option<usize>,
     /// Wall-clock timeout.
     pub timeout: Option<Duration>,
@@ -120,7 +104,7 @@ pub struct ExecOptions {
     /// Memory-accounting hook charged at materialization points.
     pub memory: Option<Arc<dyn QueryMemory>>,
     /// Per-operator instrumentation sink (`EXPLAIN ANALYZE`); `None` means no profiling, and
-    /// the pipelines then pay only one `Option` check per operator at construction.
+    /// the engine then pays only one `Option` check per operator.
     pub profile: Option<Arc<crate::profile::ProfileSink>>,
 }
 
@@ -162,8 +146,8 @@ impl ExecOptions {
 }
 
 /// Per-execution limits, resolved once per [`Executor::execute`] call and passed *by
-/// reference* down the operator tree; operators that outlive the call (iterators, parallel
-/// closures) keep a clone — two words plus two optional `Arc`s.
+/// reference* down the operator tree; morsel tasks keep a clone — two words plus a few
+/// optional `Arc`s.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecContext {
     row_budget: Option<usize>,
@@ -192,15 +176,27 @@ impl ExecContext {
         }
     }
 
-    /// The row budget, if any (the chunked pipeline caps its batch size at the budget so that
-    /// budget overruns are detected at the same row counts as in tuple-at-a-time execution).
-    pub(crate) fn row_budget(&self) -> Option<usize> {
-        self.row_budget
+    /// Charge one operator's materialized output against the row budget.
+    pub(crate) fn charge_rows(&self, output: &[DataChunk]) -> Result<(), ExecError> {
+        match self.row_budget {
+            Some(budget) if output.iter().map(DataChunk::num_rows).sum::<usize>() > budget => {
+                Err(ExecError::RowBudgetExceeded { budget })
+            }
+            _ => Ok(()),
+        }
     }
 
-    /// Check the wall-clock deadline *and* the cancellation token. Every pre-existing deadline
-    /// checkpoint in the four pipelines doubles as a cancellation point, so cancel latency is
-    /// bounded by the same strides that bound timeout latency.
+    /// The output-row count at which a row-creating morsel region may stop: a downstream
+    /// `LIMIT`'s target, or one row past the budget (enough for [`Self::charge_rows`] to fail
+    /// the operator), whichever comes first.
+    pub(crate) fn region_stop(&self, limit: Option<usize>) -> Option<usize> {
+        let over_budget = self.row_budget.map(|budget| budget.saturating_add(1));
+        limit.into_iter().chain(over_budget).min()
+    }
+
+    /// Check the wall-clock deadline *and* the cancellation token: every deadline checkpoint
+    /// doubles as a cancellation point, so cancel latency is bounded by the same strides that
+    /// bound timeout latency.
     pub(crate) fn check_deadline(&self) -> Result<(), ExecError> {
         if let Some(cancel) = &self.cancel {
             cancel.check()?;
@@ -241,82 +237,8 @@ impl ExecContext {
     }
 }
 
-/// An attached profile sink, cloned into operator iterators that outlive the context borrow.
+/// An attached profile sink.
 pub(crate) type ProfileHandle = Arc<crate::profile::ProfileSink>;
-
-/// Incremental row-budget / timeout enforcement for one operator's output.
-///
-/// The budget check fires on every produced row; the (comparatively expensive) deadline check
-/// fires every 256 rows.
-#[derive(Debug)]
-pub(crate) struct RowGuard {
-    produced: usize,
-    ctx: ExecContext,
-}
-
-impl RowGuard {
-    pub(crate) fn new(ctx: &ExecContext) -> RowGuard {
-        RowGuard { produced: 0, ctx: ctx.clone() }
-    }
-
-    #[inline]
-    fn tick(&mut self) -> Result<(), ExecError> {
-        self.produced += 1;
-        if let Some(budget) = self.ctx.row_budget {
-            if self.produced > budget {
-                return Err(ExecError::RowBudgetExceeded { budget });
-            }
-        }
-        if self.produced & 0xFF == 0 {
-            self.ctx.check_deadline()?;
-        }
-        Ok(())
-    }
-
-    /// Charge a whole batch of rows at once (the chunked pipeline's equivalent of per-row
-    /// ticking: budget totals are identical, the deadline is checked once per batch).
-    #[inline]
-    pub(crate) fn tick_many(&mut self, rows: usize) -> Result<(), ExecError> {
-        self.produced += rows;
-        if let Some(budget) = self.ctx.row_budget {
-            if self.produced > budget {
-                return Err(ExecError::RowBudgetExceeded { budget });
-            }
-        }
-        self.ctx.check_deadline()
-    }
-}
-
-/// The item stream flowing between operators.
-pub(crate) type TupleIter<'a> = Box<dyn Iterator<Item = Result<Tuple, ExecError>> + 'a>;
-
-/// A pull-based stream of result [`DataChunk`]s from [`Executor::execute_chunked`], carrying
-/// the plan's output schema so consumers can describe results before the first chunk arrives.
-pub struct ChunkStream<'a> {
-    schema: Schema,
-    inner: crate::vector::ChunkIter<'a>,
-}
-
-impl ChunkStream<'_> {
-    /// The output schema of the plan this stream executes.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-}
-
-impl Iterator for ChunkStream<'_> {
-    type Item = Result<DataChunk, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
-impl std::fmt::Debug for ChunkStream<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkStream").field("schema", &self.schema).finish_non_exhaustive()
-    }
-}
 
 /// Executes logical plans against a [`Catalog`].
 ///
@@ -366,45 +288,15 @@ impl Executor {
         self.params.get(index).cloned().ok_or(ExecError::UnboundParameter { index })
     }
 
-    /// Resolve this executor's options into a per-execution context (shared by the vectorized,
-    /// streaming and parallel pipelines).
+    /// Resolve this executor's options into a per-execution context.
     pub(crate) fn context(&self) -> ExecContext {
         ExecContext::new(&self.options)
     }
 
-    /// Execute a plan through the vectorized chunk pipeline, returning the result as a
-    /// chunk-backed [`Relation`] (rows are only boxed into tuples if a caller asks for them).
+    /// Execute a plan on the calling thread: the morsel engine at degree 1 (an inline pool
+    /// spawns no threads and takes no locks), returning a chunk-backed [`Relation`].
     pub fn execute(&self, plan: &LogicalPlan) -> Result<Relation, ExecError> {
-        let ctx = ExecContext::new(&self.options);
-        let schema = plan.schema();
-        let chunks = self.stream_chunks(plan, &ctx)?.collect::<Result<Vec<_>, _>>()?;
-        Ok(Relation::from_chunks(schema, chunks))
-    }
-
-    /// Execute a plan through the vectorized chunk pipeline, returning a pull-based stream of
-    /// result chunks instead of a materialized [`Relation`]. Blocking operators (sorts,
-    /// aggregations, join builds) still materialize internally, but pipeline-able results are
-    /// produced one [`DataChunk`] at a time, so a consumer that forwards chunks as it pulls them
-    /// holds O(chunk) memory regardless of result size. This is the execution entry point behind
-    /// the service layer's streaming result API.
-    pub fn execute_chunked<'a>(
-        &'a self,
-        plan: &'a LogicalPlan,
-    ) -> Result<ChunkStream<'a>, ExecError> {
-        let ctx = ExecContext::new(&self.options);
-        let schema = plan.schema();
-        let inner = self.stream_chunks(plan, &ctx)?;
-        Ok(ChunkStream { schema, inner })
-    }
-
-    /// Execute a plan through the tuple-at-a-time streaming pipeline. Kept as a second
-    /// independently implemented execution path for differential tests and as the
-    /// row-versus-chunk baseline of the `vectorized_scan` benchmark.
-    pub fn execute_streaming(&self, plan: &LogicalPlan) -> Result<Relation, ExecError> {
-        let ctx = ExecContext::new(&self.options);
-        let schema = plan.schema();
-        let tuples = self.stream(plan, &ctx)?.collect::<Result<Vec<_>, _>>()?;
-        Ok(Relation::from_parts(schema, tuples))
+        self.execute_parallel(plan, &crate::parallel::WorkerPool::new(1))
     }
 
     /// Execute a plan with the naive materializing reference evaluator (the executable
@@ -413,298 +305,16 @@ impl Executor {
     pub fn execute_reference(&self, plan: &LogicalPlan) -> Result<Relation, ExecError> {
         crate::reference::execute_reference(&self.catalog, plan)
     }
-
-    /// Build the iterator pipeline for `plan`.
-    pub(crate) fn stream<'a>(
-        &'a self,
-        plan: &'a LogicalPlan,
-        ctx: &ExecContext,
-    ) -> Result<TupleIter<'a>, ExecError> {
-        Ok(match plan {
-            LogicalPlan::BaseRelation { name, schema, .. } => {
-                Box::new(self.scan(name, schema, None, None, ctx)?)
-            }
-            LogicalPlan::Values { rows, .. } => {
-                let mut guard = RowGuard::new(ctx);
-                Box::new(rows.iter().map(move |t| {
-                    guard.tick()?;
-                    Ok(t.clone())
-                }))
-            }
-            LogicalPlan::Selection { input, predicate } => {
-                let predicate = CompiledExpr::compile(predicate, self, ctx)?;
-                // Fuse a selection directly over a base relation into the scan: the predicate is
-                // evaluated against the *stored* tuple and only matches are cloned.
-                if let LogicalPlan::BaseRelation { name, schema, .. } = strip_transparent(input) {
-                    return Ok(Box::new(self.scan(name, schema, Some(predicate), None, ctx)?));
-                }
-                let child = self.stream(input, ctx)?;
-                Box::new(child.filter_map(move |r| match r {
-                    Ok(t) => match predicate.eval_predicate(&t) {
-                        Ok(true) => Some(Ok(t)),
-                        Ok(false) => None,
-                        Err(e) => Some(Err(e)),
-                    },
-                    Err(e) => Some(Err(e)),
-                }))
-            }
-            LogicalPlan::Projection { input, exprs, distinct } => {
-                let exprs: Vec<CompiledExpr> = exprs
-                    .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                // Fuse projection (and an optional selection) over a base relation: expressions
-                // read the stored tuple, so only the projected values are ever cloned.
-                let fused: Option<TupleIter<'a>> = match strip_transparent(input) {
-                    LogicalPlan::BaseRelation { name, schema, .. } => {
-                        Some(Box::new(self.scan(name, schema, None, Some(exprs.clone()), ctx)?))
-                    }
-                    LogicalPlan::Selection { input: sel_input, predicate }
-                        if matches!(
-                            strip_transparent(sel_input),
-                            LogicalPlan::BaseRelation { .. }
-                        ) =>
-                    {
-                        let LogicalPlan::BaseRelation { name, schema, .. } =
-                            strip_transparent(sel_input)
-                        else {
-                            unreachable!("matched above");
-                        };
-                        let predicate = CompiledExpr::compile(predicate, self, ctx)?;
-                        Some(Box::new(self.scan(
-                            name,
-                            schema,
-                            Some(predicate),
-                            Some(exprs.clone()),
-                            ctx,
-                        )?))
-                    }
-                    _ => None,
-                };
-                let mapped: TupleIter<'a> = match fused {
-                    Some(iter) => iter,
-                    None => {
-                        let child = self.stream(input, ctx)?;
-                        Box::new(child.map(move |r| project_tuple(&exprs, &r?)))
-                    }
-                };
-                if *distinct {
-                    Box::new(DistinctIter { inner: mapped, seen: std::collections::HashSet::new() })
-                } else {
-                    mapped
-                }
-            }
-            LogicalPlan::Join { left, right, kind, condition } => {
-                let left_arity = left.output_arity();
-                let right_arity = right.output_arity();
-                // The build side materializes (pipeline breaker); the probe side streams.
-                let right_rows: Vec<Tuple> = self.stream(right, ctx)?.collect::<Result<_, _>>()?;
-                let (equi_keys, residual) = match condition {
-                    Some(c) => split_equi_join_condition(c, left_arity),
-                    None => (Vec::new(), Vec::new()),
-                };
-                let (mode, filter) = if equi_keys.is_empty() {
-                    let filter = condition
-                        .as_ref()
-                        .map(|c| CompiledExpr::compile(c, self, ctx))
-                        .transpose()?;
-                    (JoinMode::nested_loop(&right_rows), filter)
-                } else {
-                    let filter = if residual.is_empty() {
-                        None
-                    } else {
-                        Some(CompiledExpr::compile(
-                            &ScalarExpr::conjunction(residual.into_iter().cloned().collect()),
-                            self,
-                            ctx,
-                        )?)
-                    };
-                    (JoinMode::hash(&right_rows, equi_keys, left_arity)?, filter)
-                };
-                let mut guard = RowGuard::new(ctx);
-                let join = JoinIter {
-                    left: self.stream(left, ctx)?,
-                    right: right_rows,
-                    kind: *kind,
-                    left_arity,
-                    right_arity,
-                    mode,
-                    filter,
-                    right_matched: Vec::new(),
-                    cur: None,
-                    cur_matched: false,
-                    cursor: Cursor::Index(0),
-                    drain: 0,
-                    probing: true,
-                    evals: 0,
-                    ctx: ctx.clone(),
-                };
-                Box::new(join.map(move |r| {
-                    let t = r?;
-                    guard.tick()?;
-                    Ok(t)
-                }))
-            }
-            LogicalPlan::Aggregation { input, group_by, aggregates } => {
-                let group_by: Vec<CompiledExpr> = group_by
-                    .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                let aggregates: Vec<CompiledAggregate> = aggregates
-                    .iter()
-                    .map(|(a, _)| CompiledAggregate::compile(a, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                let rows = aggregate_stream(self.stream(input, ctx)?, &group_by, &aggregates)?;
-                Box::new(rows.into_iter().map(Ok))
-            }
-            LogicalPlan::SetOp { left, right, kind, semantics } => {
-                let left_rows: Vec<Tuple> = self.stream(left, ctx)?.collect::<Result<_, _>>()?;
-                let right_rows: Vec<Tuple> = self.stream(right, ctx)?.collect::<Result<_, _>>()?;
-                let out = set_operation(left_rows, right_rows, *kind, *semantics);
-                let mut guard = RowGuard::new(ctx);
-                Box::new(out.into_iter().map(move |t| {
-                    guard.tick()?;
-                    Ok(t)
-                }))
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let compiled: Vec<(CompiledExpr, SortOrder)> = keys
-                    .iter()
-                    .map(|k| Ok((CompiledExpr::compile(&k.expr, self, ctx)?, k.order)))
-                    .collect::<Result<_, ExecError>>()?;
-                let mut rows: Vec<Tuple> = self.stream(input, ctx)?.collect::<Result<_, _>>()?;
-                sort_rows(&mut rows, &compiled)?;
-                Box::new(rows.into_iter().map(Ok))
-            }
-            LogicalPlan::Limit { input, limit, offset } => {
-                // Streaming limit: stop pulling from the input once satisfied, so the operators
-                // beneath do no further work.
-                let mut child = self.stream(input, ctx)?;
-                let mut to_skip = *offset;
-                let mut remaining = limit.unwrap_or(usize::MAX);
-                Box::new(std::iter::from_fn(move || loop {
-                    if remaining == 0 {
-                        return None;
-                    }
-                    match child.next()? {
-                        Err(e) => return Some(Err(e)),
-                        Ok(t) => {
-                            if to_skip > 0 {
-                                to_skip -= 1;
-                                continue;
-                            }
-                            remaining -= 1;
-                            return Some(Ok(t));
-                        }
-                    }
-                }))
-            }
-            LogicalPlan::SubqueryAlias { input, .. } => self.stream(input, ctx)?,
-            LogicalPlan::ProvenanceAnnotation { input, .. } => self.stream(input, ctx)?,
-        })
-    }
-
-    /// A (possibly filtered / projected) scan over a zero-copy snapshot of a base relation.
-    /// The row guard ticks per *scanned* row, preserving the pre-streaming budget semantics for
-    /// base-relation reads even when a selection or projection is fused into the scan.
-    fn scan(
-        &self,
-        name: &str,
-        schema: &Schema,
-        predicate: Option<CompiledExpr>,
-        exprs: Option<Vec<CompiledExpr>>,
-        ctx: &ExecContext,
-    ) -> Result<ScanIter, ExecError> {
-        let rel = self.snapshot.table(name)?;
-        if rel.schema().arity() != schema.arity() {
-            return Err(ExecError::Internal(format!(
-                "stored table '{name}' has arity {} but the plan expects {}",
-                rel.schema().arity(),
-                schema.arity()
-            )));
-        }
-        Ok(ScanIter { rel, idx: 0, predicate, exprs, guard: RowGuard::new(ctx) })
-    }
 }
 
 /// Strip operators that are transparent to execution (aliases, provenance annotations). Shared
 /// with the optimizer's column-pruning pass, whose notion of a "fusible leaf" must stay in
-/// lockstep with the scan fusion here.
+/// lockstep with the engine's filter/project fusion.
 pub(crate) fn strip_transparent(plan: &LogicalPlan) -> &LogicalPlan {
     match plan {
         LogicalPlan::SubqueryAlias { input, .. }
         | LogicalPlan::ProvenanceAnnotation { input, .. } => strip_transparent(input),
         other => other,
-    }
-}
-
-/// Evaluate projection expressions against a tuple, producing the output tuple.
-pub(crate) fn project_tuple(exprs: &[CompiledExpr], tuple: &Tuple) -> Result<Tuple, ExecError> {
-    let mut values = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        values.push(e.eval(tuple)?);
-    }
-    Ok(Tuple::new(values))
-}
-
-/// Streaming scan over an [`Arc`] snapshot of a stored relation, with optional fused selection
-/// and projection. Tuples are cloned (or projected) only after the predicate passes.
-struct ScanIter {
-    rel: Arc<Relation>,
-    idx: usize,
-    predicate: Option<CompiledExpr>,
-    exprs: Option<Vec<CompiledExpr>>,
-    guard: RowGuard,
-}
-
-impl Iterator for ScanIter {
-    type Item = Result<Tuple, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.idx >= self.rel.num_rows() {
-                return None;
-            }
-            let tuple = &self.rel.tuples()[self.idx];
-            self.idx += 1;
-            if let Err(e) = self.guard.tick() {
-                return Some(Err(e));
-            }
-            if let Some(predicate) = &self.predicate {
-                match predicate.eval_predicate(tuple) {
-                    Ok(true) => {}
-                    Ok(false) => continue,
-                    Err(e) => return Some(Err(e)),
-                }
-            }
-            return Some(match &self.exprs {
-                None => Ok(tuple.clone()),
-                Some(exprs) => project_tuple(exprs, tuple),
-            });
-        }
-    }
-}
-
-/// Streaming duplicate elimination (DISTINCT) preserving first-occurrence order.
-struct DistinctIter<'a> {
-    inner: TupleIter<'a>,
-    seen: std::collections::HashSet<Tuple>,
-}
-
-impl Iterator for DistinctIter<'_> {
-    type Item = Result<Tuple, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match self.inner.next()? {
-                Err(e) => return Some(Err(e)),
-                Ok(t) => {
-                    if self.seen.insert(t.clone()) {
-                        return Some(Ok(t));
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -749,9 +359,6 @@ pub(crate) fn split_equi_join_condition(
     (keys, residual)
 }
 
-/// Sentinel terminating a hash-join bucket chain.
-const CHAIN_END: u32 = u32::MAX;
-
 /// Can `v` participate in hash-key matching for an equi-join key? Under plain `=` a NULL key
 /// never matches, and neither does a float NaN (`sql_eq` on NaN is unknown) — but grouping
 /// equality, which the hash table uses, would match NaN to NaN, so NaN keys must be excluded
@@ -760,238 +367,6 @@ const CHAIN_END: u32 = u32::MAX;
 /// NaN match themselves.
 pub(crate) fn hash_joinable(v: &Value, null_safe: bool) -> bool {
     null_safe || !(v.is_null() || matches!(v, Value::Float(f) if f.is_nan()))
-}
-
-/// The probe strategy of a join: hash buckets over the build side, or plain nested loops.
-enum JoinMode {
-    /// Hash join: `head` maps a key to the first matching build-row index; `next[i]` chains to
-    /// the following build row with the same key (in increasing index order, so output order
-    /// matches the nested-loop order).
-    Hash {
-        keys: Vec<EquiKey>,
-        single: Option<HashMap<Value, u32>>,
-        multi: Option<HashMap<Tuple, u32>>,
-        next: Vec<u32>,
-    },
-    /// Nested loop over the whole build side.
-    Loop,
-}
-
-impl JoinMode {
-    fn nested_loop(_right_rows: &[Tuple]) -> JoinMode {
-        JoinMode::Loop
-    }
-
-    fn hash(
-        right_rows: &[Tuple],
-        keys: Vec<EquiKey>,
-        left_arity: usize,
-    ) -> Result<JoinMode, ExecError> {
-        let mut next = vec![CHAIN_END; right_rows.len()];
-        // Build in reverse so each bucket chain runs in increasing row order.
-        if keys.len() == 1 {
-            let key = keys[0];
-            let mut single: HashMap<Value, u32> = HashMap::with_capacity(right_rows.len());
-            for (i, row) in right_rows.iter().enumerate().rev() {
-                let Some(v) = row.get(key.right - left_arity) else { continue };
-                if !hash_joinable(v, key.null_safe) {
-                    continue;
-                }
-                if let Some(prev) = single.insert(v.clone(), i as u32) {
-                    next[i] = prev;
-                }
-            }
-            Ok(JoinMode::Hash { keys, single: Some(single), multi: None, next })
-        } else {
-            let mut multi: HashMap<Tuple, u32> = HashMap::with_capacity(right_rows.len());
-            for (i, row) in right_rows.iter().enumerate().rev() {
-                let Some(k) = join_key(row, &keys, |k| k.right - left_arity, |k| k.null_safe)
-                else {
-                    continue;
-                };
-                if let Some(prev) = multi.insert(k, i as u32) {
-                    next[i] = prev;
-                }
-            }
-            Ok(JoinMode::Hash { keys, single: None, multi: Some(multi), next })
-        }
-    }
-
-    /// The bucket-chain start (hash) or full-scan start (loop) for a probe row.
-    fn cursor_for(&self, left_row: &Tuple) -> Cursor {
-        match self {
-            JoinMode::Loop => Cursor::Index(0),
-            JoinMode::Hash { keys, single, multi, .. } => {
-                if let Some(single) = single {
-                    let key = keys[0];
-                    let start = match left_row.get(key.left) {
-                        Some(v) if hash_joinable(v, key.null_safe) => {
-                            single.get(v).copied().unwrap_or(CHAIN_END)
-                        }
-                        _ => CHAIN_END,
-                    };
-                    Cursor::Chain(start)
-                } else {
-                    // A hash mode without a single-key table always carries the multi-key
-                    // table; an absent table probes as "no match".
-                    let start = multi
-                        .as_ref()
-                        .and_then(|m| {
-                            join_key(left_row, keys, |k| k.left, |k| k.null_safe)
-                                .and_then(|k| m.get(&k).copied())
-                        })
-                        .unwrap_or(CHAIN_END);
-                    Cursor::Chain(start)
-                }
-            }
-        }
-    }
-}
-
-/// Probe-side position within the current left row's candidates.
-enum Cursor {
-    /// Hash mode: next build-row index in the bucket chain ([`CHAIN_END`] = exhausted).
-    Chain(u32),
-    /// Loop mode: next build-row index.
-    Index(usize),
-}
-
-/// Streaming join: pulls left (probe) rows one at a time; the right (build) side is
-/// materialized. Handles inner, cross and all outer joins; right/full outer joins drain their
-/// null-padded unmatched build rows after the probe side is exhausted.
-struct JoinIter<'a> {
-    left: TupleIter<'a>,
-    right: Vec<Tuple>,
-    kind: JoinKind,
-    left_arity: usize,
-    right_arity: usize,
-    mode: JoinMode,
-    /// Residual predicate (hash mode) or the full join condition (loop mode).
-    filter: Option<CompiledExpr>,
-    right_matched: Vec<bool>,
-    cur: Option<Tuple>,
-    cur_matched: bool,
-    cursor: Cursor,
-    drain: usize,
-    probing: bool,
-    /// Candidate evaluations since the last deadline check. A join can evaluate its condition
-    /// arbitrarily often without *producing* a row (selective nested loops), so the timeout must
-    /// be checked against work done, not rows emitted.
-    evals: usize,
-    ctx: ExecContext,
-}
-
-impl JoinIter<'_> {
-    /// The next candidate build-row index for the current probe row.
-    fn advance(&mut self) -> Option<usize> {
-        match &mut self.cursor {
-            Cursor::Chain(pos) => {
-                if *pos == CHAIN_END {
-                    return None;
-                }
-                let i = *pos as usize;
-                let JoinMode::Hash { next, .. } = &self.mode else {
-                    unreachable!("chain cursor implies hash mode");
-                };
-                *pos = next[i];
-                Some(i)
-            }
-            Cursor::Index(pos) => {
-                if *pos >= self.right.len() {
-                    return None;
-                }
-                let i = *pos;
-                *pos += 1;
-                Some(i)
-            }
-        }
-    }
-}
-
-impl Iterator for JoinIter<'_> {
-    type Item = Result<Tuple, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.right_matched.is_empty() && !self.right.is_empty() {
-            self.right_matched = vec![false; self.right.len()];
-        }
-        while self.probing {
-            if self.cur.is_none() {
-                match self.left.next() {
-                    None => {
-                        self.probing = false;
-                        break;
-                    }
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(t)) => {
-                        self.cursor = self.mode.cursor_for(&t);
-                        self.cur = Some(t);
-                        self.cur_matched = false;
-                    }
-                }
-            }
-            while let Some(ri) = self.advance() {
-                self.evals += 1;
-                if self.evals & 0x3FF == 0 {
-                    if let Err(e) = self.ctx.check_deadline() {
-                        return Some(Err(e));
-                    }
-                }
-                // `advance` only yields candidates while a current row is loaded.
-                let Some(left_row) = self.cur.as_ref() else { break };
-                let combined = left_row.concat(&self.right[ri]);
-                let keep = match &self.filter {
-                    Some(f) => match f.eval_predicate(&combined) {
-                        Ok(keep) => keep,
-                        Err(e) => return Some(Err(e)),
-                    },
-                    None => true,
-                };
-                if keep {
-                    self.cur_matched = true;
-                    self.right_matched[ri] = true;
-                    return Some(Ok(combined));
-                }
-            }
-            if let Some(left_row) = self.cur.take() {
-                if !self.cur_matched
-                    && matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter)
-                {
-                    return Some(Ok(left_row.concat(&Tuple::nulls(self.right_arity))));
-                }
-            }
-        }
-        // Drain unmatched build rows for right/full outer joins.
-        if matches!(self.kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-            while self.drain < self.right.len() {
-                let ri = self.drain;
-                self.drain += 1;
-                if !self.right_matched.get(ri).copied().unwrap_or(false) {
-                    return Some(Ok(Tuple::nulls(self.left_arity).concat(&self.right[ri])));
-                }
-            }
-        }
-        None
-    }
-}
-
-/// Build a hash key for a row; `None` when a non-null-safe key column is NULL or NaN (such rows
-/// cannot match under SQL equality — see [`hash_joinable`]).
-pub(crate) fn join_key(
-    row: &Tuple,
-    keys: &[EquiKey],
-    index_of: impl Fn(&EquiKey) -> usize,
-    null_safe: impl Fn(&EquiKey) -> bool,
-) -> Option<Tuple> {
-    let mut values = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = row.get(index_of(k))?.clone();
-        if !hash_joinable(&v, null_safe(k)) {
-            return None;
-        }
-        values.push(v);
-    }
-    Some(Tuple::new(values))
 }
 
 pub(crate) fn dedupe(rows: Vec<Tuple>) -> Vec<Tuple> {
@@ -1124,62 +499,6 @@ impl Accumulator {
     }
 }
 
-/// Hash aggregation, consuming the input stream row by row (grouping state is the only
-/// materialization).
-fn aggregate_stream(
-    input: TupleIter<'_>,
-    group_by: &[CompiledExpr],
-    aggregates: &[CompiledAggregate],
-) -> Result<Vec<Tuple>, ExecError> {
-    // Group keys in first-seen order so results are deterministic.
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut groups: HashMap<Tuple, Vec<Accumulator>> = HashMap::new();
-    let mut saw_rows = false;
-
-    for row in input {
-        let row = row?;
-        saw_rows = true;
-        let mut key_values = Vec::with_capacity(group_by.len());
-        for e in group_by {
-            key_values.push(e.eval(&row)?);
-        }
-        let key = Tuple::new(key_values);
-        let accs = match groups.get_mut(&key) {
-            Some(a) => a,
-            None => {
-                order.push(key.clone());
-                groups.entry(key).or_insert_with(|| {
-                    aggregates.iter().map(|a| Accumulator::new(&a.spec)).collect()
-                })
-            }
-        };
-        for (agg, acc) in aggregates.iter().zip(accs.iter_mut()) {
-            let value = match &agg.arg {
-                Some(e) => Some(e.eval(&row)?),
-                None => None,
-            };
-            acc.update(value)?;
-        }
-    }
-
-    // A global aggregation (no GROUP BY) over an empty input still yields one row.
-    if group_by.is_empty() && !saw_rows {
-        let accs: Vec<Accumulator> = aggregates.iter().map(|a| Accumulator::new(&a.spec)).collect();
-        let values: Vec<Value> = accs.into_iter().map(Accumulator::finish).collect();
-        return Ok(vec![Tuple::new(values)]);
-    }
-
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        // `order` records exactly the keys inserted into `groups`.
-        let Some(accs) = groups.remove(&key) else { continue };
-        let mut values = key.into_values();
-        values.extend(accs.into_iter().map(Accumulator::finish));
-        out.push(Tuple::new(values));
-    }
-    Ok(out)
-}
-
 pub(crate) fn set_operation(
     left: Vec<Tuple>,
     right: Vec<Tuple>,
@@ -1245,42 +564,6 @@ fn counts(rows: Vec<Tuple>) -> HashMap<Tuple, usize> {
         *m.entry(t).or_insert(0) += 1;
     }
     m
-}
-
-/// Sort rows by pre-compiled keys.
-///
-/// Keys are evaluated once per row into *key columns*, the permutation is found with
-/// `sort_unstable_by` over row indices (bag semantics — tie order is unspecified) and applied
-/// by moving rows into place, so no row is ever cloned.
-fn sort_rows(rows: &mut Vec<Tuple>, keys: &[(CompiledExpr, SortOrder)]) -> Result<(), ExecError> {
-    let mut key_cols: Vec<Vec<Value>> = Vec::with_capacity(keys.len());
-    for (e, _) in keys {
-        let mut col = Vec::with_capacity(rows.len());
-        for row in rows.iter() {
-            col.push(e.eval(row)?);
-        }
-        key_cols.push(col);
-    }
-    let mut permutation: Vec<u32> = (0..rows.len() as u32).collect();
-    permutation.sort_unstable_by(|&a, &b| {
-        for (idx, (_, order)) in keys.iter().enumerate() {
-            let ord = key_cols[idx][a as usize].cmp(&key_cols[idx][b as usize]);
-            let ord = match order {
-                SortOrder::Ascending => ord,
-                SortOrder::Descending => ord.reverse(),
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    let mut sorted = Vec::with_capacity(rows.len());
-    for &source in &permutation {
-        sorted.push(std::mem::take(&mut rows[source as usize]));
-    }
-    *rows = sorted;
-    Ok(())
 }
 
 /// Convenience: execute a plan against a catalog with default options.
@@ -1354,8 +637,8 @@ mod tests {
     use super::test_fixtures::paper_example_catalog;
     use super::*;
     use perm_algebra::{
-        tuple, AggregateExpr, AggregateFunction, Attribute, DataType, PlanBuilder, SortKey,
-        SublinkKind,
+        tuple, AggregateExpr, AggregateFunction, Attribute, DataType, JoinKind, PlanBuilder,
+        SortKey, SublinkKind,
     };
 
     fn scan(catalog: &Catalog, table: &str, ref_id: usize) -> PlanBuilder {
@@ -1648,26 +931,29 @@ mod tests {
     }
 
     #[test]
-    fn limit_short_circuits_its_input() {
-        // sales³ = 125 rows; a row budget of 20 would abort a materializing executor (and did,
-        // before streaming — see `row_budget_aborts_large_results`). With a streaming LIMIT the
-        // joins only ever produce the 5 rows that are pulled, so the budget is never hit.
+    fn limit_short_circuits_the_join_feeding_it() {
+        // sales³ = 125 rows, over the budget of 25 (see `row_budget_aborts_large_results`).
+        // The LIMIT stops the join directly beneath it after 5 rows, so that join is never
+        // charged for 125; its probe input — the inner 25-row join — materializes in full and
+        // must fit the budget.
         let catalog = paper_example_catalog();
         let plan = scan(&catalog, "sales", 0)
             .cross_join(scan(&catalog, "sales", 1))
             .cross_join(scan(&catalog, "sales", 2))
             .limit(Some(5), 0)
             .build();
-        let options = ExecOptions::default().with_row_budget(20);
+        let options = ExecOptions::default().with_row_budget(25);
         let result = execute_plan_with_options(&catalog, &plan, options).unwrap();
         assert_eq!(result.num_rows(), 5);
+        let options = ExecOptions::default().with_row_budget(24);
+        let err = execute_plan_with_options(&catalog, &plan, options).unwrap_err();
+        assert!(matches!(err, ExecError::RowBudgetExceeded { budget: 24 }));
     }
 
     #[test]
-    fn limit_zero_pulls_nothing() {
-        // The build (right) side of a join always materializes — it is a pipeline breaker — so
-        // the budget must cover its 5 rows; the probe side and the 25-row cross product are
-        // never produced because LIMIT 0 pulls nothing.
+    fn limit_zero_probes_nothing() {
+        // Both join inputs materialize, so the budget must cover their 5 rows each; the
+        // 25-row cross product is never produced because LIMIT 0 claims no probe morsel.
         let catalog = paper_example_catalog();
         let plan = scan(&catalog, "sales", 0)
             .cross_join(scan(&catalog, "sales", 1))
@@ -1764,8 +1050,8 @@ mod tests {
     #[test]
     fn exists_sublink_short_circuits() {
         let catalog = paper_example_catalog();
-        // EXISTS over a cross join that would exceed the row budget if fully executed: the
-        // streaming compiler pulls a single row, so the budget is never charged.
+        // EXISTS over a cross join that would exceed the row budget if fully executed: one row
+        // decides the sublink, so the join stops after its first row and is charged for one.
         let big = scan(&catalog, "sales", 1).cross_join(scan(&catalog, "sales", 2)).build();
         let shop = scan(&catalog, "shop", 0);
         let plan = shop.filter(sublink(SublinkKind::Exists, None, big)).build();
@@ -1776,8 +1062,8 @@ mod tests {
 
     #[test]
     fn timeout_fires_inside_selective_nested_loop_joins() {
-        // A nested-loop join with an always-false condition produces no rows, so output-side
-        // guards never tick; the deadline must still fire from inside the probe loop.
+        // A nested-loop join with an always-false condition produces no rows; the deadline is
+        // checked against work done (per morsel and per probe row), not rows emitted.
         let catalog = Catalog::new();
         let schema = Schema::from_pairs(&[("x", DataType::Int)]);
         let rows: Vec<Tuple> = (0..100).map(|i| tuple![i]).collect();
@@ -1798,8 +1084,6 @@ mod tests {
         let plan = scan(&catalog, "a", 0)
             .join(scan(&catalog, "b", 1), JoinKind::Inner, Some(cond))
             .build();
-        // Both inputs are under 256 rows, so no scan-side deadline check happens either; only
-        // the join's per-evaluation check can notice the already-expired deadline.
         let options = ExecOptions::default().with_timeout(Duration::from_millis(0));
         let err = execute_plan_with_options(&catalog, &plan, options).unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }), "expected a timeout, got {err:?}");
@@ -1826,10 +1110,10 @@ mod tests {
             };
             let plan = t.filter(pred).build();
             let executor = Executor::new(catalog.clone());
-            let streaming = executor.execute(&plan).unwrap();
+            let result = executor.execute(&plan).unwrap();
             let reference = executor.execute_reference(&plan).unwrap();
-            assert_eq!(streaming.num_rows(), 0, "negated={negated}: NULL predicate keeps no rows");
-            assert!(streaming.bag_eq(&reference), "negated={negated}");
+            assert_eq!(result.num_rows(), 0, "negated={negated}: NULL predicate keeps no rows");
+            assert!(result.bag_eq(&reference), "negated={negated}");
         }
         // A NaN needle compares unknown against every candidate: IN and NOT IN are both NULL
         // (row dropped) whenever any candidate exists, matching the linear `sql_eq` path — the
@@ -1879,7 +1163,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_reference_on_the_paper_example() {
+    fn engine_matches_reference_on_the_paper_example() {
         let catalog = paper_example_catalog();
         let prod = scan(&catalog, "shop", 0)
             .cross_join(scan(&catalog, "sales", 1))
@@ -1888,8 +1172,8 @@ mod tests {
         let sname = prod.col("sales.sname").unwrap();
         let plan = prod.filter(name.eq(sname)).build();
         let executor = Executor::new(catalog);
-        let streaming = executor.execute(&plan).unwrap();
+        let result = executor.execute(&plan).unwrap();
         let reference = executor.execute_reference(&plan).unwrap();
-        assert!(streaming.bag_eq(&reference));
+        assert!(result.bag_eq(&reference));
     }
 }

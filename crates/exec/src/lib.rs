@@ -1,29 +1,25 @@
 //! # perm-exec
 //!
-//! Expression evaluation, query execution and rule-based optimization for the Perm provenance
-//! system — the "planner + executor" substrate that the paper obtains from PostgreSQL.
+//! Query execution and optimization for the Perm provenance system — the "planner + executor"
+//! substrate that the paper obtains from PostgreSQL. A provenance query `q⁺` is an ordinary
+//! plan, so it runs through the same single engine as any other query.
 //!
-//! The crate provides:
+//! Exactly two things evaluate a plan:
 //!
-//! * [`eval`] — scalar expression evaluation with SQL three-valued logic, `LIKE`, `CASE`,
-//!   date/interval arithmetic and the scalar function library (the tree-walking interpreter;
-//!   the executor runs compiled expressions instead, see [`executor`]).
-//! * [`executor`] — a pull-based executor for [`perm_algebra::LogicalPlan`] with compiled
-//!   expressions, hash joins, hash aggregation, outer joins, bag/set operations and a
-//!   short-circuiting `LIMIT`, plus resource limits (row budget, timeout) used by the
-//!   benchmark harness to reproduce the paper's query-timeout behaviour. The primary path is
-//!   the **vectorized** columnar pipeline (operators exchange [`perm_algebra::DataChunk`]
-//!   batches, see the private `vector` module); the tuple-at-a-time pipeline is retained as
-//!   `Executor::execute_streaming` for differential testing and benchmarking.
-//! * [`parallel`] — morsel-driven parallel execution over the vectorized pipeline: a shared
-//!   [`WorkerPool`] plus `Executor::execute_parallel`, with partitioned hash joins,
-//!   partitioned parallel aggregation and parallel sort runs (see the module docs for the
-//!   determinism guarantees).
-//! * [`reference`] — a naive, fully materializing evaluator kept as the executable
-//!   specification; property tests assert it agrees with the streaming executor.
-//! * [`optimizer`] — predicate pushdown, cross-product→join conversion, constant folding and
-//!   projection pushdown (column pruning), so that both normal and provenance-rewritten queries
-//!   execute with sensible join strategies and narrow intermediate tuples.
+//! * the **engine** ([`parallel`], entered through [`Executor`]): morsel-driven execution over
+//!   columnar [`perm_algebra::DataChunk`] lists with compiled, vectorized expressions,
+//!   partitioned hash joins and aggregation, merge sort and resource limits (row budget,
+//!   timeout, cancellation, memory accounting). `Executor::execute` is degree 1 of it — the
+//!   same code on an inline pool — and `Executor::execute_parallel` runs it on a shared
+//!   [`WorkerPool`]; results and errors are identical at every degree.
+//! * the **oracle** ([`mod@reference`]): a naive, fully materializing evaluator over the
+//!   tree-walking interpreter in [`eval`], kept as the executable specification that
+//!   differential tests compare the engine against.
+//!
+//! Around them: [`optimizer`] (predicate pushdown, cross-product→join conversion, constant
+//! folding, column pruning) with the statistics-driven join ordering in [`reorder`] and
+//! [`stats`], per-operator profiling for `EXPLAIN ANALYZE` in [`profile`], fault injection in
+//! [`faults`] and structured logging in [`log`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,8 +44,7 @@ mod vector;
 pub use error::ExecError;
 pub use eval::{evaluate, evaluate_predicate, like_match};
 pub use executor::{
-    execute_plan, execute_plan_with_options, CancelToken, ChunkStream, ExecOptions, Executor,
-    QueryMemory,
+    execute_plan, execute_plan_with_options, CancelToken, ExecOptions, Executor, QueryMemory,
 };
 pub use log::{Level, QueryIdGuard};
 pub use optimizer::{fold_expr, Optimizer, OptimizerReport};

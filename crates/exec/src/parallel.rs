@@ -1,48 +1,48 @@
-//! Morsel-driven parallel execution over the vectorized [`DataChunk`] pipeline.
+//! The engine: morsel-driven execution over columnar [`DataChunk`] lists.
 //!
-//! [`Executor::execute_parallel`] evaluates a plan with intra-query parallelism on a shared
-//! [`WorkerPool`]: the chunk lists flowing between operators are split into *morsels* (one
-//! stored chunk each, up to [`DEFAULT_CHUNK_SIZE`] rows) that idle workers pull from a shared
-//! claim counter — the scheduling model of Leis et al.'s morsel-driven HyPer executor, applied
-//! to the provenance workload of this reproduction (rewrite rules R5–R9 produce wide,
-//! join-heavy plans that do a multiple of the original query's work, so single-core execution
-//! leaves most of the machine idle exactly on the queries that need it most).
+//! [`Executor::execute_parallel`] evaluates a plan on a shared [`WorkerPool`]; sequential
+//! execution ([`Executor::execute`]) is the same code on a degree-1 pool, which runs every
+//! morsel inline on the calling thread. Each operator materializes its output as a chunk list;
+//! the chunk lists flowing between operators are split into *morsels* (one chunk each, up to
+//! [`DEFAULT_CHUNK_SIZE`] rows) that idle workers pull from a shared claim counter — the
+//! scheduling model of Leis et al.'s morsel-driven HyPer executor, applied to the provenance
+//! workload of this reproduction (rewrite rules R5–R9 produce wide, join-heavy plans that do a
+//! multiple of the original query's work).
 //!
 //! Per operator:
 //!
-//! * **scan → filter → project** pipelines run embarrassingly parallel: every worker masks,
-//!   compacts and projects its own morsels; results are stitched back together in morsel order,
-//!   so the output chunk sequence equals the single-threaded one.
-//! * **hash join** builds *partitioned*: build-side key hashes are computed morsel-parallel,
-//!   then every worker builds the hash table of one key-hash partition; the probe phase runs
-//!   morsel-parallel over the probe side, routing each probe key to its partition. Bucket
-//!   chains preserve build-row order, so each probe row sees candidates in exactly the
-//!   nested-loop order.
-//! * **hash aggregation** also partitions by key hash: group-key and argument columns are
-//!   evaluated morsel-parallel, then every worker owns the groups of one partition and folds
-//!   *all* morsels' rows of that partition **in global row order** — each group's accumulator
-//!   sees its values in exactly the sequential order, so float sums are bit-identical and
-//!   integer-overflow errors fire at the identical row. Group output is restored to global
-//!   first-seen order.
-//! * **sort** extracts key columns and sorts a run per morsel in parallel, then merges the
-//!   sorted runs (ties broken by global row index, so the permutation is deterministic).
-//! * **LIMIT** stays globally correct through a shared atomic row counter: workers claim
-//!   morsels in index order and stop claiming once the completed prefix covers the limit, and
-//!   the coordinator re-applies the exact lazy-pipeline visibility rule (an error in a morsel
-//!   is observed iff the morsels before it did not already satisfy the limit).
-//! * **row budgets** are enforced by falling back to the single-threaded vectorized pipeline:
-//!   the budget contract ("no operator may produce more than N rows, counted as the lazy
-//!   pipeline schedules work") is defined in terms of sequential pull order, which parallel
-//!   execution does not preserve. Timeouts stay active everywhere — every worker checks the
-//!   shared deadline per morsel and per 1024 join candidates.
+//! * **scan → filter → project** pipelines run one morsel per chunk: a base relation hands out
+//!   its stored chunks (an `Arc` bump each), every worker masks, compacts and projects its own
+//!   morsels, and results are stitched back together in morsel order.
+//! * **hash join** builds *partitioned*: build-side key hashes are computed per morsel, then
+//!   every worker builds the hash table of one key-hash partition (never more partitions than
+//!   build morsels); the probe phase runs one morsel per probe chunk, routing each probe key
+//!   to its partition. Bucket chains preserve build-row order, so each probe row sees
+//!   candidates in exactly the nested-loop order.
+//! * **hash aggregation** also partitions by key hash (at most one partition per input
+//!   morsel): group-key and argument columns are evaluated per morsel, then every worker owns
+//!   the groups of one partition and folds *all* morsels' rows of that partition **in global
+//!   row order** — float sums are bit-identical and integer-overflow errors fire at the
+//!   identical row at every degree. Group output is restored to global first-seen order.
+//! * **sort** extracts key columns and sorts a run per morsel, then merges the sorted runs
+//!   (ties broken by global row index, so the permutation is deterministic).
+//! * **LIMIT** hands its row target to the region directly feeding it (a join probe or a
+//!   filter/projection): workers claim morsels in index order and stop claiming once the
+//!   completed prefix covers the target, and the coordinator replays the morsels in index order
+//!   — output and errors behind the morsel that satisfies the limit are never observed.
+//!   Everything *below* a materializing operator (sort, aggregation, set operation, DISTINCT,
+//!   a join's inputs) is evaluated in full, so a runtime error there surfaces even when the
+//!   `LIMIT` would have discarded the offending row — as it does in [`crate::reference`],
+//!   which evaluates everything.
+//! * **row budgets** ([`crate::ExecOptions::row_budget`]) use the same replay: every
+//!   operator's output is charged against the budget, and a join — the one operator that can
+//!   multiply rows — treats "one row over budget" as a stop target, both across morsels and
+//!   inside one, so a runaway join fails after producing about a budget's worth of rows
+//!   instead of materializing its whole output first.
 //!
-//! Error behaviour is deterministic: a failing region reports the error of the *lowest* morsel
-//! index (the one sequential execution would have hit first), and partitioned aggregation
-//! reports the error of the globally first failing row. The one intentional divergence from
-//! the lazy pipelines: parallel execution may evaluate input a `LIMIT` would have cut off
-//! below a pipeline breaker, so a runtime error hiding in that never-consumed remainder can
-//! surface here while the lazy pipelines return early — the differential suite therefore
-//! compares error behaviour on plans without that shape.
+//! Results and errors do not depend on the degree: a failing region reports the error of the
+//! *lowest* morsel index, and partitioned aggregation reports the error of the globally first
+//! failing row. Timeouts and cancellation are checked per morsel and per 1024 join candidates.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -362,9 +362,9 @@ fn finish_morsel<T>(region: &Region<T>) {
     }
 }
 
-/// Fold a region's slots back into sequential-pipeline semantics: walk morsels in index order,
-/// stop once `stop_rows` output rows are covered (anything after is unobservable, exactly like
-/// batches a lazy LIMIT never pulls), and surface the first error. Unclaimed (`None`) slots
+/// Replay a region's slots in morsel-index order — the rule that makes results independent of
+/// the degree: stop once `stop_rows` output rows are covered (anything after is unobservable,
+/// whether or not some worker got to it), and surface the first error. Unclaimed (`None`) slots
 /// are always behind either the stop point or an earlier error, so hitting one is unreachable
 /// once neither applies.
 fn collect_region<T>(
@@ -405,43 +405,44 @@ fn stable_hash(key: &impl Hash) -> u64 {
 
 impl Executor {
     /// Execute a plan with morsel-driven parallelism on `pool`, returning a chunk-backed
-    /// [`Relation`] observably identical to [`Executor::execute`] (see the module docs for the
-    /// exact determinism guarantees). Queries with a row budget fall back to the
-    /// single-threaded vectorized pipeline, whose lazy pull order defines budget semantics.
+    /// [`Relation`]. The result — rows, row order and any error — is the same at every pool
+    /// degree (see the module docs).
     pub fn execute_parallel(
         &self,
         plan: &LogicalPlan,
         pool: &WorkerPool,
     ) -> Result<Relation, ExecError> {
         let ctx = self.context();
-        if ctx.row_budget().is_some() {
-            return self.execute(plan);
-        }
         let schema = plan.schema();
         let chunks = self.par_chunks(plan, &ctx, pool, None)?;
         Ok(Relation::from_chunks(schema, chunks))
     }
 
-    /// Evaluate `plan` to a materialized chunk list, parallelizing every operator. `limit`
-    /// carries a downstream LIMIT's row target into the directly-feeding morsel region so it
-    /// can stop claiming morsels early (shared atomic counter; see [`Region`]).
+    /// Evaluate `plan` to a materialized chunk list, charged against the row budget. `limit`
+    /// carries a downstream LIMIT's row target (or a sublink's decisive row count) into the
+    /// directly-feeding morsel region so it can stop claiming morsels early (shared atomic
+    /// counter; see [`Region`]).
     ///
     /// With a profile sink attached (`EXPLAIN ANALYZE`) each operator records its inclusive
     /// wall time and materialized output — one timestamp pair and two relaxed increments per
-    /// *operator*, since this pipeline materializes per node anyway. Without a sink the cost
-    /// is one `Option` check per operator.
-    fn par_chunks(
+    /// *operator*. Without a sink the cost is one `Option` check per operator.
+    pub(crate) fn par_chunks(
         &self,
         plan: &LogicalPlan,
         ctx: &ExecContext,
         pool: &WorkerPool,
         limit: Option<usize>,
     ) -> Result<Vec<DataChunk>, ExecError> {
+        let run = || {
+            let chunks = self.par_chunks_inner(plan, ctx, pool, limit)?;
+            ctx.charge_rows(&chunks)?;
+            Ok(chunks)
+        };
         let Some((sink, idx)) = ctx.profile_op(plan) else {
-            return self.par_chunks_inner(plan, ctx, pool, limit);
+            return run();
         };
         let started = Instant::now();
-        let result = self.par_chunks_inner(plan, ctx, pool, limit);
+        let result = run();
         sink.add_nanos(idx, started.elapsed().as_nanos() as u64);
         if let Ok(chunks) = &result {
             let rows: u64 = chunks.iter().map(|c| c.num_rows() as u64).sum();
@@ -475,20 +476,19 @@ impl Executor {
                 Ok(rows_to_chunks(rows, plan.output_arity()))
             }
             LogicalPlan::Selection { input, predicate } => {
-                let predicate = CompiledExpr::compile(predicate, self, ctx)?;
+                let predicate = CompiledExpr::compile(predicate, self, ctx, pool)?;
                 let source = self.par_source(input, ctx, pool)?;
                 map_region(pool, ctx, source, Some(predicate), None, limit)
             }
             LogicalPlan::Projection { input, exprs, distinct } => {
                 let exprs: Vec<CompiledExpr> = exprs
                     .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
+                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx, pool))
                     .collect::<Result<_, _>>()?;
-                // Fuse a selection below the projection into the same morsel task, mirroring
-                // the scan fusion of the sequential pipelines.
+                // Fuse a selection below the projection into the same morsel task.
                 let (source, predicate) = match strip_transparent(input) {
                     LogicalPlan::Selection { input: sel_input, predicate } => {
-                        let predicate = CompiledExpr::compile(predicate, self, ctx)?;
+                        let predicate = CompiledExpr::compile(predicate, self, ctx, pool)?;
                         (self.par_source(sel_input, ctx, pool)?, Some(predicate))
                     }
                     _ => (self.par_source(input, ctx, pool)?, None),
@@ -509,11 +509,11 @@ impl Executor {
             LogicalPlan::Aggregation { input, group_by, aggregates } => {
                 let group_by: Vec<CompiledExpr> = group_by
                     .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
+                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx, pool))
                     .collect::<Result<_, _>>()?;
                 let aggregates: Vec<CompiledAggregate> = aggregates
                     .iter()
-                    .map(|(a, _)| CompiledAggregate::compile(a, self, ctx))
+                    .map(|(a, _)| CompiledAggregate::compile(a, self, ctx, pool))
                     .collect::<Result<_, _>>()?;
                 let input = self.par_chunks(input, ctx, pool, None)?;
                 let rows = par_aggregate(pool, ctx, input, group_by, aggregates)?;
@@ -528,7 +528,7 @@ impl Executor {
             LogicalPlan::Sort { input, keys } => {
                 let compiled: Vec<(CompiledExpr, SortOrder)> = keys
                     .iter()
-                    .map(|k| Ok((CompiledExpr::compile(&k.expr, self, ctx)?, k.order)))
+                    .map(|k| Ok((CompiledExpr::compile(&k.expr, self, ctx, pool)?, k.order)))
                     .collect::<Result<_, ExecError>>()?;
                 let chunks = self.par_chunks(input, ctx, pool, None)?;
                 ctx.record_buffered(plan, chunks.iter().map(DataChunk::byte_size).sum());
@@ -609,7 +609,7 @@ impl Executor {
         let (mode, filter) = if equi_keys.is_empty() {
             let filter = match condition {
                 Some(c) => Some(JoinFilter::new(
-                    CompiledExpr::compile(c, self, ctx)?,
+                    CompiledExpr::compile(c, self, ctx, pool)?,
                     c,
                     left_arity,
                     right_arity,
@@ -623,7 +623,7 @@ impl Executor {
             } else {
                 let source = ScalarExpr::conjunction(residual.into_iter().cloned().collect());
                 Some(JoinFilter::new(
-                    CompiledExpr::compile(&source, self, ctx)?,
+                    CompiledExpr::compile(&source, self, ctx, pool)?,
                     &source,
                     left_arity,
                     right_arity,
@@ -643,12 +643,15 @@ impl Executor {
             matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter)
                 .then(|| Arc::new((0..build.num_rows()).map(|_| AtomicBool::new(false)).collect()));
 
+        // The probe stops — across morsels and inside one — at the LIMIT target or one row
+        // over budget, whichever is lower.
+        let stop = ctx.region_stop(limit);
         let task_probe = probe_chunks.clone();
         let task_build = build.clone();
         let task_mode = mode;
         let task_matched = matched.clone();
         let task_ctx = ctx.clone();
-        let slots = pool.run_region(probe_chunks.len(), limit, move |i| {
+        let slots = pool.run_region(probe_chunks.len(), stop, move |i| {
             let out = probe_morsel(
                 &task_probe[i],
                 &task_build,
@@ -656,21 +659,22 @@ impl Executor {
                 filter.as_ref(),
                 kind,
                 task_matched.as_deref().map(|v| &**v),
+                stop.unwrap_or(usize::MAX),
                 &task_ctx,
             )?;
             let rows = out.iter().map(DataChunk::num_rows).sum();
             Ok((out, rows))
         });
-        let batches = collect_region(slots, limit, |b: &Vec<DataChunk>| {
+        let batches = collect_region(slots, stop, |b: &Vec<DataChunk>| {
             b.iter().map(DataChunk::num_rows).sum()
         })?;
         let mut out: Vec<DataChunk> = batches.into_iter().flatten().collect();
 
-        // Drain null-padded unmatched build rows — unless a satisfied LIMIT means the lazy
-        // pipeline would never have reached the drain phase.
+        // Drain null-padded unmatched build rows — unless the probe phase alone already
+        // covered the stop target (a truncated probe has not seen every match).
         if let Some(matched) = matched {
             let probe_rows: usize = out.iter().map(DataChunk::num_rows).sum();
-            if limit.is_none_or(|needed| probe_rows < needed) {
+            if stop.is_none_or(|needed| probe_rows < needed) {
                 let mut indices: Vec<u32> = Vec::new();
                 for (i, flag) in matched.iter().enumerate() {
                     if !flag.load(AtomicOrdering::Relaxed) {
@@ -788,7 +792,7 @@ enum ParKeyMaps {
 
 /// A hash-join table built partition-parallel: build rows are routed to `maps.len()` key-hash
 /// partitions, each built by one worker. `next` chains same-key rows in increasing build-row
-/// order (the nested-loop candidate order), exactly like the sequential pipelines.
+/// order (the nested-loop candidate order).
 struct ParHashTable {
     keys: Vec<EquiKey>,
     maps: ParKeyMaps,
@@ -865,7 +869,8 @@ fn build_partitioned_table(
     // (already reserved) build chunk itself.
     ctx.reserve_memory(rows.saturating_mul(12))?;
     let keys = Arc::new(keys);
-    let nparts = pool.workers();
+    // Never more partitions than build morsels: a small build side is not worth a fan-out.
+    let nparts = pool.workers().min(rows.div_ceil(DEFAULT_CHUNK_SIZE)).max(1);
     let hashes = Arc::new(build_key_hashes(pool, ctx, build, &keys, nparts)?);
     let single = keys.len() == 1;
 
@@ -979,7 +984,9 @@ impl ParHashTable {
 
 /// Probe one morsel (one probe chunk) against the shared build side, emitting gathered output
 /// batches. Candidate order per probe row is build-row order, so the output row sequence
-/// equals the sequential pipelines'.
+/// equals a nested loop's. The morsel stops once it has emitted `stop_rows` rows: on its own
+/// it then covers the region's stop target, so nothing behind that row is ever observed.
+#[allow(clippy::too_many_arguments)]
 fn probe_morsel(
     probe: &DataChunk,
     build: &DataChunk,
@@ -987,6 +994,7 @@ fn probe_morsel(
     filter: Option<&JoinFilter>,
     kind: JoinKind,
     matched: Option<&[AtomicBool]>,
+    stop_rows: usize,
     ctx: &ExecContext,
 ) -> Result<Vec<DataChunk>, ExecError> {
     let left_arity = probe.num_columns();
@@ -996,6 +1004,7 @@ fn probe_morsel(
     let mut right_idx: Vec<u32> = Vec::new();
     let mut pads = 0usize;
     let mut evals = 0usize;
+    let mut emitted = 0usize;
 
     let flush = |left_idx: &mut Vec<u32>,
                  right_idx: &mut Vec<u32>,
@@ -1029,6 +1038,9 @@ fn probe_morsel(
 
     let mut chain: Vec<u32> = Vec::new();
     for row in 0..probe.num_rows() {
+        if emitted >= stop_rows {
+            break;
+        }
         // Loop mode with a filter and long filtered hash chains evaluate the condition
         // vectorized for the whole probe row (see `JoinFilter`); short chains stay lazy.
         let mut cursor: ProbeCursor = match (mode, filter) {
@@ -1102,12 +1114,17 @@ fn probe_morsel(
                 if left_idx.len() >= DEFAULT_CHUNK_SIZE {
                     flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
                 }
+                emitted += 1;
+                if emitted >= stop_rows {
+                    break;
+                }
             }
         }
         if !row_matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
             left_idx.push(row as u32);
             right_idx.push(u32::MAX);
             pads += 1;
+            emitted += 1;
             if left_idx.len() >= DEFAULT_CHUNK_SIZE {
                 flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
             }
@@ -1167,7 +1184,8 @@ fn par_aggregate(
     // morsel buffers (key/argument arrays plus hashes) scale with the input, so charge the
     // input size against the query's memory grant up front.
     ctx.reserve_memory(input.iter().map(DataChunk::byte_size).sum())?;
-    let nparts = pool.workers();
+    // Never more partitions than input morsels: a small input is not worth a fan-out.
+    let nparts = pool.workers().min(input.len());
     let source = Arc::new(input);
     let task_source = source.clone();
     let task_group_by = Arc::new(group_by);
@@ -1404,20 +1422,23 @@ mod tests {
         catalog
     }
 
+    /// Degree `workers` must equal degree 1 row for row, and the oracle as a bag.
     fn assert_parallel_matches(catalog: &Catalog, plan: &LogicalPlan, workers: usize) {
         let pool = WorkerPool::new(workers);
         let executor = Executor::new(catalog.clone());
         let parallel = executor.execute_parallel(plan, &pool).unwrap();
-        let vectorized = executor.execute(plan).unwrap();
+        let sequential = executor.execute(plan).unwrap();
         assert_eq!(
             parallel.tuples(),
-            vectorized.tuples(),
-            "parallel != vectorized at {workers} workers on\n{plan}"
+            sequential.tuples(),
+            "degree {workers} != degree 1 on\n{plan}"
         );
+        let reference = executor.execute_reference(plan).unwrap();
+        assert!(parallel.bag_eq(&reference), "degree {workers} != reference on\n{plan}");
     }
 
     #[test]
-    fn filter_project_pipeline_matches_vectorized() {
+    fn filter_project_pipeline_matches_at_every_degree() {
         let catalog = big_catalog(5000);
         let t = scan(&catalog, "t", 0);
         let pred = t.col("k").unwrap().eq(ScalarExpr::literal(7i64));
@@ -1428,7 +1449,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_and_outer_joins_match_vectorized() {
+    fn hash_join_and_outer_joins_match_at_every_degree() {
         let catalog = big_catalog(3000);
         for kind in
             [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::RightOuter, JoinKind::FullOuter]
@@ -1444,7 +1465,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_sort_setop_and_limit_match_vectorized() {
+    fn aggregation_sort_setop_and_limit_match_at_every_degree() {
         let catalog = big_catalog(4000);
         let agg = scan(&catalog, "t", 0)
             .aggregate(
@@ -1481,7 +1502,7 @@ mod tests {
     }
 
     #[test]
-    fn provenance_example_matches_vectorized() {
+    fn provenance_example_matches_at_every_degree() {
         let catalog = paper_example_catalog();
         let prod = scan(&catalog, "shop", 0)
             .cross_join(scan(&catalog, "sales", 1))
@@ -1504,7 +1525,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_error_is_identical_across_pipelines() {
+    fn overflow_error_is_identical_at_every_degree() {
         let catalog = Catalog::new();
         let schema = Schema::from_pairs(&[("x", DataType::Int)]);
         let rows: Vec<Tuple> =
@@ -1525,20 +1546,28 @@ mod tests {
         let pool = WorkerPool::new(4);
         let expected = ExecError::ArithmeticOverflow { operation: "addition".into() };
         assert_eq!(executor.execute(&plan).unwrap_err(), expected);
-        assert_eq!(executor.execute_streaming(&plan).unwrap_err(), expected);
         assert_eq!(executor.execute_parallel(&plan, &pool).unwrap_err(), expected);
+        assert_eq!(executor.execute_reference(&plan).unwrap_err(), expected);
     }
 
     #[test]
-    fn row_budget_falls_back_to_vectorized_semantics() {
-        let catalog = big_catalog(2000);
-        let plan = scan(&catalog, "t", 0).build();
+    fn row_budget_is_enforced_at_every_degree() {
+        // A 3000 x 3000 self-join on k (97 keys) would emit ~93k rows; with a budget of 5000
+        // the probe stops one row over budget instead of materializing them, and the outcome
+        // does not depend on how many workers raced for morsels.
+        let catalog = big_catalog(3000);
+        let cond = ScalarExpr::column(0, "k").eq(ScalarExpr::column(2, "k"));
+        let plan = scan(&catalog, "t", 0)
+            .join(scan(&catalog, "t", 1), JoinKind::Inner, Some(cond))
+            .build();
         let executor =
-            Executor::with_options(catalog.clone(), ExecOptions::default().with_row_budget(100));
-        let pool = WorkerPool::new(4);
-        let parallel = executor.execute_parallel(&plan, &pool);
-        let vectorized = executor.execute(&plan);
-        assert_eq!(parallel.unwrap_err(), vectorized.unwrap_err());
+            Executor::with_options(catalog.clone(), ExecOptions::default().with_row_budget(5000));
+        let expected = ExecError::RowBudgetExceeded { budget: 5000 };
+        assert_eq!(executor.execute(&plan).unwrap_err(), expected);
+        for workers in [2, 8] {
+            let pool = WorkerPool::new(workers);
+            assert_eq!(executor.execute_parallel(&plan, &pool).unwrap_err(), expected);
+        }
     }
 
     #[test]

@@ -4,18 +4,18 @@
 //! where a provenance query spends its time is to instrument the rewritten plan itself — the
 //! join stack the rewrite produced, not the query the user typed. A [`ProfileSink`] is built
 //! from the optimized [`LogicalPlan`] by a pre-order walk and attached to the executor through
-//! `ExecOptions::with_profile`; both the vectorized and the morsel-parallel pipelines then
-//! record per-operator wall time, output rows, chunks and peak buffered bytes into it.
+//! `ExecOptions::with_profile`; the engine then records per-operator wall time, output rows,
+//! chunks and peak buffered bytes into it.
 //!
 //! Attribution is by **node identity**: plan nodes live behind `Arc`s inside the prepared
 //! plan, so their addresses are stable for the lifetime of a query, and the sink maps each
-//! node's address to a slot. Operators the executor fuses away (a `Selection` absorbed into a
-//! fused scan, for example) are never looked up and render as `(fused into parent)` — the
+//! node's address to a slot. Operators the executor fuses away (a `Selection` absorbed into
+//! the projection above it, for example) are never looked up and render as `(fused into parent)` — the
 //! annotated tree is honest about what actually ran.
 //!
-//! Recording is deliberately off the per-row hot path: the pipelines bump the atomics once per
-//! chunk / per operator, never per row, and a query that does not profile pays only one
-//! `Option` check per operator at pipeline construction.
+//! Recording is deliberately off the per-row hot path: the engine bumps the atomics once per
+//! operator, never per row, and a query that does not profile pays only one `Option` check
+//! per operator.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

@@ -1,13 +1,14 @@
 //! A deliberately naive, fully materializing reference evaluator.
 //!
-//! This module is the *executable specification* of operator semantics: every operator
-//! materializes its complete input before producing output, every join is a nested loop, and
-//! expressions are evaluated by the tree-walking interpreter in [`crate::eval`] — no hash
-//! tables, no compiled expressions, no streaming, no fusion. Property tests assert that the
-//! optimized streaming executor ([`crate::executor::Executor`]) produces bag-identical relations
-//! on arbitrary plans, including provenance-rewritten ones.
+//! This module is the *executable specification* of operator semantics — the oracle: every
+//! operator materializes its complete input as rows before producing output, every join is a
+//! nested loop, and expressions are evaluated by the tree-walking interpreter in
+//! [`crate::eval`] — no hash tables, no compiled expressions, no chunks, no morsels, no fusion.
+//! Property tests assert that the engine ([`crate::executor::Executor`], at every degree)
+//! produces bag-identical relations on arbitrary plans, including provenance-rewritten ones.
 //!
-//! Resource limits are deliberately not enforced here; the reference path exists for
+//! Resource limits are deliberately not enforced here, and a `LIMIT` never cuts evaluation
+//! short (so a runtime error anywhere in the plan surfaces); the reference path exists for
 //! correctness comparison, not production execution.
 
 use perm_algebra::{
@@ -185,7 +186,7 @@ fn run(catalog: &Catalog, plan: &LogicalPlan) -> Result<Vec<Tuple>, ExecError> {
             decorated.into_iter().map(|(_, row)| row).collect()
         }
         LogicalPlan::Limit { input, limit, offset } => {
-            // The contrast to the streaming executor: the input is fully materialized first.
+            // The contrast to the engine: the limit never reaches into the input's evaluation.
             let rows = run(catalog, input)?;
             rows.into_iter().skip(*offset).take(limit.unwrap_or(usize::MAX)).collect()
         }

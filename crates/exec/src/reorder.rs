@@ -21,9 +21,9 @@
 //!   so the hash table is always built on the estimated-smaller side even when full
 //!   reordering is disabled.
 //!
-//! Both passes change plan *shape* only — never results. The four-way differential suite
-//! (reference / vectorized / streaming / parallel) runs the same reordered plan and stays
-//! bit-identical by construction; randomized join-graph tests enforce it.
+//! Both passes change plan *shape* only — never results. The differential suite (reference vs
+//! the engine at degrees 1/2/8) runs the same reordered plan; randomized join-graph tests
+//! enforce it.
 
 use std::cell::Cell;
 use std::sync::Arc;

@@ -1,55 +1,24 @@
-//! The vectorized execution pipeline: operators exchange columnar [`DataChunk`] batches.
+//! Vectorized expression kernels: how the engine in [`crate::parallel`] evaluates scalar
+//! expressions and join conditions over columnar [`DataChunk`] batches.
 //!
-//! This is the executor's primary path (see [`Executor::execute`]). Every operator is compiled
-//! into a `Box<dyn Iterator<Item = Result<DataChunk, ExecError>>>` pulling batches of up to
-//! [`DEFAULT_CHUNK_SIZE`] rows:
-//!
-//! * **scans** hand out the storage layer's cached columnar chunks (an `Arc` bump per chunk —
-//!   no per-row work at all), with fused selections and projections applied column-wise;
-//! * **selection** evaluates the predicate over a whole chunk into a filter mask and compacts
-//!   the surviving rows in one pass per column;
-//! * **projection** is a column gather: a bare column reference forwards the input column by
-//!   refcount, computed expressions are evaluated by vectorized kernels;
-//! * **hash joins** build on the flattened build-side key columns and probe chunk-wise,
-//!   emitting gathered output batches (`take` on the probe columns, `take_opt` with NULL
-//!   padding on the build columns for outer joins);
-//! * **aggregation, sort and set operations** consume chunk streams and materialize only their
-//!   own state (sort computes key columns once and sorts a row-index permutation with
-//!   `sort_unstable_by` — bag semantics, no row clones).
-//!
-//! Scalar expressions are evaluated by [`CompiledExpr::eval_array`]: typed kernels over native
-//! value slices for comparisons and arithmetic on Int/Float/Date/Text columns, selective
-//! (mask-directed) evaluation for `AND`/`OR` so short-circuit error semantics match the row
-//! pipeline, and a per-row fallback for the long tail (`CASE`, functions, casts). Row budgets
-//! and timeouts are enforced per batch at the same row counts as tuple-at-a-time execution;
-//! when a budget is smaller than the default chunk size, batches shrink to the budget so
-//! overruns are detected at identical points.
+//! [`CompiledExpr::eval_array`] runs typed kernels over native value slices for comparisons
+//! and arithmetic on Int/Float/Date/Text columns, selective (mask-directed) evaluation for
+//! `AND`/`OR` so a decisive left operand shields the right one from evaluation, and a per-row
+//! fallback through [`CompiledExpr::eval`] for the long tail (`CASE`, non-constant `IN`).
+//! [`project_chunk`] is projection as a column gather (a bare column reference forwards the
+//! input column by refcount), [`JoinFilter`] decides join matches while touching only the
+//! columns the condition reads, and [`gather_build`] factorizes wide build-side columns into
+//! dictionary views instead of copying them per output row.
 
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use perm_algebra::{
-    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, JoinKind, LogicalPlan, ScalarExpr,
-    Schema, SortOrder, Tuple, UnaryOperator, Value, DEFAULT_CHUNK_SIZE,
+    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, ScalarExpr, Tuple, UnaryOperator, Value,
 };
 
-use crate::compile::{in_set_lookup, in_values, CompiledAggregate, CompiledExpr};
+use crate::compile::{in_set_lookup, in_values, CompiledExpr};
 use crate::error::ExecError;
 use crate::eval::{binary_op_values, evaluate_function, logical_combine, unary_op_value};
-use crate::executor::{
-    hash_joinable, set_operation, split_equi_join_condition, strip_transparent, Accumulator,
-    EquiKey, ExecContext, Executor, ProfileHandle, RowGuard,
-};
-
-/// The batch stream flowing between vectorized operators.
-pub(crate) type ChunkIter<'a> = Box<dyn Iterator<Item = Result<DataChunk, ExecError>> + 'a>;
-
-/// The batch size of this execution: the default chunk size, shrunk to the row budget (if any)
-/// so that budget overruns surface at the same row counts as in tuple-at-a-time execution.
-fn chunk_capacity(ctx: &ExecContext) -> usize {
-    ctx.row_budget().map_or(DEFAULT_CHUNK_SIZE, |b| b.clamp(1, DEFAULT_CHUNK_SIZE))
-}
 
 /// Build a chunk from computed columns, preserving the row count even when there are no
 /// columns (zero-width chunks keep flowing through the pipeline).
@@ -58,333 +27,6 @@ pub(crate) fn chunk_from_columns(columns: Vec<Arc<Array>>, rows: usize) -> DataC
         DataChunk::zero_width(rows)
     } else {
         DataChunk::new(columns)
-    }
-}
-
-/// One operator's stream with `EXPLAIN ANALYZE` instrumentation: times every pull (inclusive
-/// of children, which are themselves wrapped) and counts rows/chunks per produced batch.
-struct ProfiledIter<'a> {
-    inner: ChunkIter<'a>,
-    sink: ProfileHandle,
-    idx: usize,
-}
-
-impl Iterator for ProfiledIter<'_> {
-    type Item = Result<DataChunk, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let started = Instant::now();
-        let item = self.inner.next();
-        self.sink.add_nanos(self.idx, started.elapsed().as_nanos() as u64);
-        if let Some(Ok(chunk)) = &item {
-            self.sink.add_output(self.idx, chunk.num_rows() as u64, 1);
-        }
-        item
-    }
-}
-
-/// Drop empty batches from a stream (errors always pass through).
-fn skip_empty(iter: ChunkIter<'_>) -> ChunkIter<'_> {
-    Box::new(iter.filter(|r| match r {
-        Ok(chunk) => !chunk.is_empty(),
-        Err(_) => true,
-    }))
-}
-
-impl Executor {
-    /// Build the vectorized iterator pipeline for `plan`.
-    ///
-    /// When a profile sink is attached (`EXPLAIN ANALYZE`), each operator's stream is wrapped
-    /// to record wall time per pull and rows/chunks per produced batch — one timestamp pair and
-    /// two relaxed increments per *chunk*, nothing per row. Without a sink the only cost is the
-    /// `Option` check below, once per operator at pipeline construction.
-    pub(crate) fn stream_chunks<'a>(
-        &'a self,
-        plan: &'a LogicalPlan,
-        ctx: &ExecContext,
-    ) -> Result<ChunkIter<'a>, ExecError> {
-        let Some((sink, idx)) = ctx.profile_op(plan) else {
-            return self.stream_chunks_inner(plan, ctx);
-        };
-        // Construction time covers eager work (join build sides, sort buffers) done before the
-        // first pull; per-pull time is added by the wrapper. Both are inclusive of children.
-        let started = Instant::now();
-        let inner = self.stream_chunks_inner(plan, ctx)?;
-        sink.add_nanos(idx, started.elapsed().as_nanos() as u64);
-        Ok(Box::new(ProfiledIter { inner, sink, idx }))
-    }
-
-    fn stream_chunks_inner<'a>(
-        &'a self,
-        plan: &'a LogicalPlan,
-        ctx: &ExecContext,
-    ) -> Result<ChunkIter<'a>, ExecError> {
-        Ok(match plan {
-            LogicalPlan::BaseRelation { name, schema, .. } => {
-                Box::new(self.chunk_scan(name, schema, None, None, ctx)?)
-            }
-            LogicalPlan::Values { rows, .. } => {
-                let arity = plan.output_arity();
-                let mut guard = RowGuard::new(ctx);
-                Box::new(rows.chunks(chunk_capacity(ctx)).map(move |batch| {
-                    guard.tick_many(batch.len())?;
-                    Ok(DataChunk::from_tuples(arity, batch))
-                }))
-            }
-            LogicalPlan::Selection { input, predicate } => {
-                let predicate = CompiledExpr::compile(predicate, self, ctx)?;
-                // Fuse a selection directly over a base relation into the scan: the mask is
-                // computed against the *stored* columns and only matches are compacted out.
-                if let LogicalPlan::BaseRelation { name, schema, .. } = strip_transparent(input) {
-                    return Ok(Box::new(self.chunk_scan(
-                        name,
-                        schema,
-                        Some(predicate),
-                        None,
-                        ctx,
-                    )?));
-                }
-                let child = self.stream_chunks(input, ctx)?;
-                skip_empty(Box::new(child.map(move |r| {
-                    let chunk = r?;
-                    let mask = predicate.eval_mask(&chunk)?;
-                    Ok(chunk.filter(&mask))
-                })))
-            }
-            LogicalPlan::Projection { input, exprs, distinct } => {
-                let exprs: Vec<CompiledExpr> = exprs
-                    .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                // Fuse projection (and an optional selection) over a base relation, mirroring
-                // the row pipeline's scan fusion.
-                let fused: Option<ChunkIter<'a>> = match strip_transparent(input) {
-                    LogicalPlan::BaseRelation { name, schema, .. } => Some(Box::new(
-                        self.chunk_scan(name, schema, None, Some(exprs.clone()), ctx)?,
-                    )),
-                    LogicalPlan::Selection { input: sel_input, predicate }
-                        if matches!(
-                            strip_transparent(sel_input),
-                            LogicalPlan::BaseRelation { .. }
-                        ) =>
-                    {
-                        let LogicalPlan::BaseRelation { name, schema, .. } =
-                            strip_transparent(sel_input)
-                        else {
-                            unreachable!("matched above");
-                        };
-                        let predicate = CompiledExpr::compile(predicate, self, ctx)?;
-                        Some(Box::new(self.chunk_scan(
-                            name,
-                            schema,
-                            Some(predicate),
-                            Some(exprs.clone()),
-                            ctx,
-                        )?))
-                    }
-                    _ => None,
-                };
-                let mapped: ChunkIter<'a> = match fused {
-                    Some(iter) => iter,
-                    None => {
-                        let child = self.stream_chunks(input, ctx)?;
-                        Box::new(child.map(move |r| {
-                            let chunk = r?;
-                            project_chunk(&exprs, &chunk)
-                        }))
-                    }
-                };
-                if *distinct {
-                    skip_empty(Box::new(ChunkDistinctIter {
-                        inner: mapped,
-                        seen: std::collections::HashSet::new(),
-                    }))
-                } else {
-                    mapped
-                }
-            }
-            LogicalPlan::Join { left, right, kind, condition } => {
-                let left_arity = left.output_arity();
-                let right_arity = right.output_arity();
-                // The build side materializes (pipeline breaker) and is flattened column-wise;
-                // the probe side streams chunk by chunk.
-                let build_chunks: Vec<DataChunk> =
-                    self.stream_chunks(right, ctx)?.collect::<Result<_, _>>()?;
-                crate::faults::fire("join-build")?;
-                let build_bytes: usize = build_chunks.iter().map(DataChunk::byte_size).sum();
-                ctx.record_buffered(plan, build_bytes);
-                ctx.reserve_memory(build_bytes)?;
-                let build = DataChunk::concat(right_arity, &build_chunks);
-                let (equi_keys, residual) = match condition {
-                    Some(c) => split_equi_join_condition(c, left_arity),
-                    None => (Vec::new(), Vec::new()),
-                };
-                let (mode, filter) = if equi_keys.is_empty() {
-                    let filter = match condition {
-                        Some(c) => Some(JoinFilter::new(
-                            CompiledExpr::compile(c, self, ctx)?,
-                            c,
-                            left_arity,
-                            right_arity,
-                        )),
-                        None => None,
-                    };
-                    (ChunkJoinMode::Loop, filter)
-                } else {
-                    let filter = if residual.is_empty() {
-                        None
-                    } else {
-                        let source =
-                            ScalarExpr::conjunction(residual.into_iter().cloned().collect());
-                        Some(JoinFilter::new(
-                            CompiledExpr::compile(&source, self, ctx)?,
-                            &source,
-                            left_arity,
-                            right_arity,
-                        ))
-                    };
-                    (ChunkJoinMode::hash(&build, equi_keys, left_arity), filter)
-                };
-                let build_rows = build.num_rows();
-                Box::new(ChunkJoinIter {
-                    left: self.stream_chunks(left, ctx)?,
-                    build,
-                    kind: *kind,
-                    left_arity,
-                    right_arity,
-                    mode,
-                    filter,
-                    build_matched: vec![false; build_rows],
-                    probe: None,
-                    probe_row: 0,
-                    row_matched: false,
-                    cursor: Cursor::Index(0),
-                    left_idx: Vec::new(),
-                    right_idx: Vec::new(),
-                    pads: 0,
-                    drain: 0,
-                    probing: true,
-                    evals: 0,
-                    capacity: chunk_capacity(ctx),
-                    guard: RowGuard::new(ctx),
-                    ctx: ctx.clone(),
-                })
-            }
-            LogicalPlan::Aggregation { input, group_by, aggregates } => {
-                let group_by: Vec<CompiledExpr> = group_by
-                    .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                let aggregates: Vec<CompiledAggregate> = aggregates
-                    .iter()
-                    .map(|(a, _)| CompiledAggregate::compile(a, self, ctx))
-                    .collect::<Result<_, _>>()?;
-                let rows =
-                    aggregate_chunks(self.stream_chunks(input, ctx)?, &group_by, &aggregates)?;
-                let arity = plan.output_arity();
-                Box::new(ChunkedRows::new(rows, arity, chunk_capacity(ctx)))
-            }
-            LogicalPlan::SetOp { left, right, kind, semantics } => {
-                let left_rows = collect_tuples(self.stream_chunks(left, ctx)?, ctx)?;
-                let right_rows = collect_tuples(self.stream_chunks(right, ctx)?, ctx)?;
-                let out = set_operation(left_rows, right_rows, *kind, *semantics);
-                let arity = plan.output_arity();
-                let capacity = chunk_capacity(ctx);
-                let mut guard = RowGuard::new(ctx);
-                let mut pending = ChunkedRows::new(out, arity, capacity);
-                Box::new(std::iter::from_fn(move || {
-                    let chunk = pending.next()?;
-                    let chunk = match chunk {
-                        Ok(c) => c,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    if let Err(e) = guard.tick_many(chunk.num_rows()) {
-                        return Some(Err(e));
-                    }
-                    Some(Ok(chunk))
-                }))
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let compiled: Vec<(CompiledExpr, SortOrder)> = keys
-                    .iter()
-                    .map(|k| Ok((CompiledExpr::compile(&k.expr, self, ctx)?, k.order)))
-                    .collect::<Result<_, ExecError>>()?;
-                let chunks: Vec<DataChunk> =
-                    self.stream_chunks(input, ctx)?.collect::<Result<_, _>>()?;
-                crate::faults::fire("sort")?;
-                let sort_bytes: usize = chunks.iter().map(DataChunk::byte_size).sum();
-                ctx.record_buffered(plan, sort_bytes);
-                ctx.reserve_memory(sort_bytes)?;
-                let arity = plan.output_arity();
-                let sorted = sort_chunks(arity, chunks, &compiled, chunk_capacity(ctx))?;
-                Box::new(sorted.into_iter().map(Ok))
-            }
-            LogicalPlan::Limit { input, limit, offset } => {
-                // Streaming limit: stop pulling batches once satisfied; the boundary batch is
-                // sliced so exactly `limit` rows flow downstream.
-                let mut child = self.stream_chunks(input, ctx)?;
-                let mut to_skip = *offset;
-                let mut remaining = limit.unwrap_or(usize::MAX);
-                Box::new(std::iter::from_fn(move || loop {
-                    if remaining == 0 {
-                        return None;
-                    }
-                    let chunk = match child.next()? {
-                        Ok(c) => c,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    let mut chunk = chunk;
-                    if to_skip > 0 {
-                        if to_skip >= chunk.num_rows() {
-                            to_skip -= chunk.num_rows();
-                            continue;
-                        }
-                        chunk = chunk.slice(to_skip, chunk.num_rows() - to_skip);
-                        to_skip = 0;
-                    }
-                    if chunk.num_rows() > remaining {
-                        chunk = chunk.slice(0, remaining);
-                    }
-                    remaining -= chunk.num_rows();
-                    if chunk.is_empty() {
-                        continue;
-                    }
-                    return Some(Ok(chunk));
-                }))
-            }
-            LogicalPlan::SubqueryAlias { input, .. } => self.stream_chunks(input, ctx)?,
-            LogicalPlan::ProvenanceAnnotation { input, .. } => self.stream_chunks(input, ctx)?,
-        })
-    }
-
-    /// A (possibly filtered / projected) chunked scan over the cached columnar view of a base
-    /// relation. Emitting an unfiltered chunk is an `Arc` bump per column; the row guard ticks
-    /// per *scanned* row, exactly like the row pipeline's scan.
-    fn chunk_scan(
-        &self,
-        name: &str,
-        schema: &Schema,
-        predicate: Option<CompiledExpr>,
-        exprs: Option<Vec<CompiledExpr>>,
-        ctx: &ExecContext,
-    ) -> Result<ChunkScanIter, ExecError> {
-        let rel = self.snapshot().table(name)?;
-        if rel.schema().arity() != schema.arity() {
-            return Err(ExecError::Internal(format!(
-                "stored table '{name}' has arity {} but the plan expects {}",
-                rel.schema().arity(),
-                schema.arity()
-            )));
-        }
-        Ok(ChunkScanIter {
-            chunks: rel.chunks(),
-            pos: 0,
-            offset: 0,
-            capacity: chunk_capacity(ctx),
-            predicate,
-            exprs,
-            guard: RowGuard::new(ctx),
-        })
     }
 }
 
@@ -400,129 +42,6 @@ pub(crate) fn project_chunk(
     }
     Ok(chunk_from_columns(columns, chunk.num_rows()))
 }
-
-/// Collect a chunk stream into tuples (the compatibility edge used by set operations, whose
-/// hash-multiset algebra is row-shaped). Reserves governed memory chunk-wise as the
-/// materialization grows.
-fn collect_tuples(iter: ChunkIter<'_>, ctx: &ExecContext) -> Result<Vec<Tuple>, ExecError> {
-    let mut out = Vec::new();
-    for chunk in iter {
-        let chunk = chunk?;
-        ctx.reserve_memory(chunk.byte_size())?;
-        out.extend(chunk.iter_tuples());
-    }
-    Ok(out)
-}
-
-/// Re-chunk a materialized row vector into capacity-sized batches.
-struct ChunkedRows {
-    rows: Vec<Tuple>,
-    arity: usize,
-    capacity: usize,
-    pos: usize,
-}
-
-impl ChunkedRows {
-    fn new(rows: Vec<Tuple>, arity: usize, capacity: usize) -> ChunkedRows {
-        ChunkedRows { rows, arity, capacity, pos: 0 }
-    }
-}
-
-impl Iterator for ChunkedRows {
-    type Item = Result<DataChunk, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.rows.len() {
-            return None;
-        }
-        let end = (self.pos + self.capacity).min(self.rows.len());
-        let chunk = DataChunk::from_tuples(self.arity, &self.rows[self.pos..end]);
-        self.pos = end;
-        Some(Ok(chunk))
-    }
-}
-
-/// Chunked scan over the cached columnar view of a stored relation, with optional fused
-/// selection (mask + compaction) and projection (vectorized expression evaluation).
-struct ChunkScanIter {
-    chunks: Arc<Vec<DataChunk>>,
-    /// Next chunk index.
-    pos: usize,
-    /// Row offset within the current chunk (non-zero only when a row budget shrinks batches
-    /// below the stored chunk size).
-    offset: usize,
-    capacity: usize,
-    predicate: Option<CompiledExpr>,
-    exprs: Option<Vec<CompiledExpr>>,
-    guard: RowGuard,
-}
-
-impl Iterator for ChunkScanIter {
-    type Item = Result<DataChunk, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let stored = self.chunks.get(self.pos)?;
-            let piece = if self.offset == 0 && stored.num_rows() <= self.capacity {
-                self.pos += 1;
-                stored.clone()
-            } else {
-                let len = (stored.num_rows() - self.offset).min(self.capacity);
-                let piece = stored.slice(self.offset, len);
-                self.offset += len;
-                if self.offset >= stored.num_rows() {
-                    self.offset = 0;
-                    self.pos += 1;
-                }
-                piece
-            };
-            if let Err(e) = self.guard.tick_many(piece.num_rows()) {
-                return Some(Err(e));
-            }
-            let filtered = match &self.predicate {
-                Some(predicate) => {
-                    let mask = match predicate.eval_mask(&piece) {
-                        Ok(mask) => mask,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    piece.filter(&mask)
-                }
-                None => piece,
-            };
-            if filtered.is_empty() {
-                continue;
-            }
-            return Some(match &self.exprs {
-                None => Ok(filtered),
-                Some(exprs) => project_chunk(exprs, &filtered),
-            });
-        }
-    }
-}
-
-/// Chunk-wise duplicate elimination (DISTINCT) preserving first-occurrence order.
-struct ChunkDistinctIter<'a> {
-    inner: ChunkIter<'a>,
-    seen: std::collections::HashSet<Tuple>,
-}
-
-impl Iterator for ChunkDistinctIter<'_> {
-    type Item = Result<DataChunk, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.inner.next()? {
-            Err(e) => Some(Err(e)),
-            Ok(chunk) => {
-                let mask: Vec<bool> =
-                    (0..chunk.num_rows()).map(|i| self.seen.insert(chunk.tuple_at(i))).collect();
-                Some(Ok(chunk.filter(&mask)))
-            }
-        }
-    }
-}
-
-/// Sentinel terminating a hash-join bucket chain.
-const CHAIN_END: u32 = u32::MAX;
 
 /// Candidate count at which a join filter switches from per-pair tuple evaluation to the
 /// vectorized path: below this the per-call chunk assembly costs more than it saves.
@@ -632,251 +151,6 @@ impl JoinFilter {
     }
 }
 
-/// The probe strategy of a vectorized join: hash buckets over the flattened build-side key
-/// columns, or plain nested loops.
-enum ChunkJoinMode {
-    /// Hash join; chains run in increasing build-row order so output order matches the
-    /// nested-loop order.
-    Hash {
-        keys: Vec<EquiKey>,
-        single: Option<HashMap<Value, u32>>,
-        multi: Option<HashMap<Tuple, u32>>,
-        next: Vec<u32>,
-    },
-    /// Nested loop over the whole build side.
-    Loop,
-}
-
-impl ChunkJoinMode {
-    /// Build the hash table directly on the build side's key column slices.
-    fn hash(build: &DataChunk, keys: Vec<EquiKey>, left_arity: usize) -> ChunkJoinMode {
-        let rows = build.num_rows();
-        let mut next = vec![CHAIN_END; rows];
-        // Build in reverse so each bucket chain runs in increasing row order.
-        if keys.len() == 1 {
-            let key = keys[0];
-            let col = build.column(key.right - left_arity).clone();
-            let mut single: HashMap<Value, u32> = HashMap::with_capacity(rows);
-            for i in (0..rows).rev() {
-                let v = col.value(i);
-                if !hash_joinable(&v, key.null_safe) {
-                    continue;
-                }
-                if let Some(prev) = single.insert(v, i as u32) {
-                    next[i] = prev;
-                }
-            }
-            ChunkJoinMode::Hash { keys, single: Some(single), multi: None, next }
-        } else {
-            let cols: Vec<Arc<Array>> =
-                keys.iter().map(|k| build.column(k.right - left_arity).clone()).collect();
-            let mut multi: HashMap<Tuple, u32> = HashMap::with_capacity(rows);
-            'rows: for i in (0..rows).rev() {
-                let mut values = Vec::with_capacity(keys.len());
-                for (k, col) in keys.iter().zip(&cols) {
-                    let v = col.value(i);
-                    if !hash_joinable(&v, k.null_safe) {
-                        continue 'rows;
-                    }
-                    values.push(v);
-                }
-                if let Some(prev) = multi.insert(Tuple::new(values), i as u32) {
-                    next[i] = prev;
-                }
-            }
-            ChunkJoinMode::Hash { keys, single: None, multi: Some(multi), next }
-        }
-    }
-
-    /// The bucket-chain start (hash) or full-scan start (loop) for probe row `row` of `probe`.
-    fn cursor_for(&self, probe: &DataChunk, row: usize) -> Cursor {
-        match self {
-            ChunkJoinMode::Loop => Cursor::Index(0),
-            ChunkJoinMode::Hash { keys, single, multi, .. } => {
-                if let Some(single) = single {
-                    let key = keys[0];
-                    let v = probe.column(key.left).value(row);
-                    let start = if hash_joinable(&v, key.null_safe) {
-                        single.get(&v).copied().unwrap_or(CHAIN_END)
-                    } else {
-                        CHAIN_END
-                    };
-                    Cursor::Chain(start)
-                } else {
-                    // A hash mode without a single-key table always carries the multi-key
-                    // table; an absent table probes as "no match".
-                    let Some(multi) = multi.as_ref() else { return Cursor::Chain(CHAIN_END) };
-                    let mut values = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        let v = probe.column(k.left).value(row);
-                        if !hash_joinable(&v, k.null_safe) {
-                            return Cursor::Chain(CHAIN_END);
-                        }
-                        values.push(v);
-                    }
-                    let start = multi.get(&Tuple::new(values)).copied().unwrap_or(CHAIN_END);
-                    Cursor::Chain(start)
-                }
-            }
-        }
-    }
-}
-
-/// Probe-side position within the current probe row's candidates.
-enum Cursor {
-    /// Hash mode: next build-row index in the bucket chain ([`CHAIN_END`] = exhausted).
-    Chain(u32),
-    /// Loop mode: next build-row index.
-    Index(usize),
-    /// Pre-filtered matches: build rows that already passed the vectorized join filter.
-    Matches(std::vec::IntoIter<u32>),
-}
-
-/// Vectorized join: the probe side streams chunk-wise, the build side is flattened column-wise.
-/// Matching (probe row, build row) index pairs accumulate until a full output batch can be
-/// gathered; the iterator suspends mid-probe-row when a batch fills, so downstream `LIMIT`s
-/// stop it after at most one extra batch of work.
-struct ChunkJoinIter<'a> {
-    left: ChunkIter<'a>,
-    build: DataChunk,
-    kind: JoinKind,
-    left_arity: usize,
-    right_arity: usize,
-    mode: ChunkJoinMode,
-    /// Residual predicate (hash mode) or the full join condition (loop mode).
-    filter: Option<JoinFilter>,
-    build_matched: Vec<bool>,
-    /// Current probe chunk and scan position within it.
-    probe: Option<DataChunk>,
-    probe_row: usize,
-    row_matched: bool,
-    cursor: Cursor,
-    /// Accumulated output pairs: indices into `probe` / `build` (`u32::MAX` = NULL padding).
-    left_idx: Vec<u32>,
-    right_idx: Vec<u32>,
-    /// Number of NULL-padding sentinels currently in `right_idx`.
-    pads: usize,
-    drain: usize,
-    probing: bool,
-    /// Candidate evaluations since the last deadline check (a selective join can do unbounded
-    /// work without producing rows, so the timeout is checked against work done).
-    evals: usize,
-    capacity: usize,
-    guard: RowGuard,
-    ctx: ExecContext,
-}
-
-impl<'a> ChunkJoinIter<'a> {
-    /// The next candidate build-row index for the current probe row.
-    fn advance(&mut self) -> Option<usize> {
-        match &mut self.cursor {
-            Cursor::Chain(pos) => {
-                if *pos == CHAIN_END {
-                    return None;
-                }
-                let i = *pos as usize;
-                let ChunkJoinMode::Hash { next, .. } = &self.mode else {
-                    unreachable!("chain cursor implies hash mode");
-                };
-                *pos = next[i];
-                Some(i)
-            }
-            Cursor::Index(pos) => {
-                if *pos >= self.build.num_rows() {
-                    return None;
-                }
-                let i = *pos;
-                *pos += 1;
-                Some(i)
-            }
-            Cursor::Matches(matches) => matches.next().map(|i| i as usize),
-        }
-    }
-
-    /// Position the cursor at probe row `row`'s candidates. Loop mode with a filter and long
-    /// filtered hash chains evaluate the condition vectorized up front (the cursor then walks
-    /// the precomputed matches); short chains keep the lazy per-candidate cursor.
-    fn start_row(&mut self, probe: &DataChunk, row: usize) -> Result<(), ExecError> {
-        if let Some(f) = &self.filter {
-            match &self.mode {
-                ChunkJoinMode::Loop => {
-                    self.ctx.check_deadline()?;
-                    self.cursor = Cursor::Matches(
-                        f.matches_vectorized(probe, row, &self.build, None)?.into_iter(),
-                    );
-                    return Ok(());
-                }
-                ChunkJoinMode::Hash { next, .. } => {
-                    let Cursor::Chain(start) = self.mode.cursor_for(probe, row) else {
-                        unreachable!("hash mode yields chain cursors");
-                    };
-                    let mut chain: Vec<u32> = Vec::new();
-                    let mut pos = start;
-                    while pos != CHAIN_END {
-                        chain.push(pos);
-                        pos = next[pos as usize];
-                    }
-                    if chain.len() >= VECTORIZED_FILTER_THRESHOLD {
-                        self.ctx.check_deadline()?;
-                        self.cursor = Cursor::Matches(
-                            f.matches_vectorized(probe, row, &self.build, Some(&chain))?
-                                .into_iter(),
-                        );
-                    } else {
-                        self.cursor = Cursor::Chain(start);
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        self.cursor = self.mode.cursor_for(probe, row);
-        Ok(())
-    }
-
-    /// Gather the accumulated index pairs into an output chunk and charge the row guard.
-    fn emit(&mut self) -> Result<DataChunk, ExecError> {
-        let probe = self.probe.as_ref().ok_or_else(|| {
-            ExecError::Internal("hash join emitted output outside a probe chunk".into())
-        })?;
-        let rows = self.left_idx.len();
-        self.guard.tick_many(rows)?;
-        let mut columns = Vec::with_capacity(self.left_arity + self.right_arity);
-        for c in 0..self.left_arity {
-            columns.push(Arc::new(probe.column(c).take(&self.left_idx)));
-        }
-        if self.pads == 0 {
-            // Pure-match batch (every inner join): gather the build columns, factorizing the
-            // wide ones into dictionary views instead of materializing duplicates.
-            for c in 0..self.right_arity {
-                columns.push(Arc::new(gather_build(self.build.column(c), &self.right_idx)));
-            }
-        } else {
-            let opt: Vec<Option<u32>> =
-                self.right_idx.iter().map(|&i| (i != u32::MAX).then_some(i)).collect();
-            for c in 0..self.right_arity {
-                columns.push(Arc::new(self.build.column(c).take_opt(&opt)));
-            }
-        }
-        self.left_idx.clear();
-        self.right_idx.clear();
-        self.pads = 0;
-        Ok(chunk_from_columns(columns, rows))
-    }
-
-    /// Null-padded unmatched build rows for right/full outer joins, in build order.
-    fn emit_drained(&mut self, indices: &[u32]) -> Result<DataChunk, ExecError> {
-        self.guard.tick_many(indices.len())?;
-        let mut columns = Vec::with_capacity(self.left_arity + self.right_arity);
-        for _ in 0..self.left_arity {
-            columns.push(Arc::new(Array::Null { len: indices.len() }));
-        }
-        for c in 0..self.right_arity {
-            columns.push(Arc::new(self.build.column(c).take(indices)));
-        }
-        Ok(chunk_from_columns(columns, indices.len()))
-    }
-}
-
 /// Build-side join gather. Provenance rewrites duplicate whole source tuples through joins, so
 /// columns whose copies are expensive (text, boxed values) — or that are already dictionary
 /// views from an upstream join — become [`Array::Dict`] views sharing the build column as the
@@ -889,264 +163,6 @@ pub(crate) fn gather_build(col: &Arc<Array>, indices: &[u32]) -> Array {
         }
         _ => col.take(indices),
     }
-}
-
-impl Iterator for ChunkJoinIter<'_> {
-    type Item = Result<DataChunk, ExecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.probing {
-            let Some(probe) = self.probe.as_ref() else {
-                match self.left.next() {
-                    None => {
-                        self.probing = false;
-                        break;
-                    }
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(chunk)) => {
-                        if chunk.is_empty() {
-                            continue;
-                        }
-                        if let Err(e) = crate::faults::fire("join-probe") {
-                            return Some(Err(e));
-                        }
-                        if let Err(e) = self.start_row(&chunk, 0) {
-                            return Some(Err(e));
-                        }
-                        self.row_matched = false;
-                        self.probe_row = 0;
-                        self.probe = Some(chunk);
-                        continue;
-                    }
-                }
-            };
-            let probe = probe.clone();
-            while self.probe_row < probe.num_rows() {
-                let i = self.probe_row;
-                while let Some(ri) = self.advance() {
-                    self.evals += 1;
-                    if self.evals & 0x3FF == 0 {
-                        if let Err(e) = self.ctx.check_deadline() {
-                            return Some(Err(e));
-                        }
-                    }
-                    let prefiltered = matches!(self.cursor, Cursor::Matches(_));
-                    let keep = match &self.filter {
-                        Some(f) if !prefiltered => {
-                            match f.matches_pair(&probe, i, &self.build, ri) {
-                                Ok(keep) => keep,
-                                Err(e) => return Some(Err(e)),
-                            }
-                        }
-                        _ => true,
-                    };
-                    if keep {
-                        self.row_matched = true;
-                        self.build_matched[ri] = true;
-                        self.left_idx.push(i as u32);
-                        self.right_idx.push(ri as u32);
-                        if self.left_idx.len() >= self.capacity {
-                            // Batch full: emit now, resume this probe row's chain on the next
-                            // pull (the cursor state survives in `self`).
-                            return Some(self.emit());
-                        }
-                    }
-                }
-                if !self.row_matched
-                    && matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter)
-                {
-                    self.left_idx.push(i as u32);
-                    self.right_idx.push(u32::MAX);
-                    self.pads += 1;
-                }
-                self.probe_row += 1;
-                self.row_matched = false;
-                if self.probe_row < probe.num_rows() {
-                    if let Err(e) = self.start_row(&probe, self.probe_row) {
-                        return Some(Err(e));
-                    }
-                }
-                if self.left_idx.len() >= self.capacity {
-                    return Some(self.emit());
-                }
-            }
-            // Probe chunk exhausted: flush the partial batch (its indices point into this
-            // chunk) before pulling the next one.
-            let flush = !self.left_idx.is_empty();
-            let result = if flush { Some(self.emit()) } else { None };
-            self.probe = None;
-            if let Some(r) = result {
-                return Some(r);
-            }
-        }
-        // Drain unmatched build rows for right/full outer joins.
-        if matches!(self.kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-            let mut indices = Vec::new();
-            while self.drain < self.build.num_rows() && indices.len() < self.capacity {
-                if !self.build_matched[self.drain] {
-                    indices.push(self.drain as u32);
-                }
-                self.drain += 1;
-            }
-            if !indices.is_empty() {
-                return Some(self.emit_drained(&indices));
-            }
-        }
-        None
-    }
-}
-
-/// Hash aggregation over a chunk stream: group keys and aggregate arguments are evaluated
-/// vectorized per chunk, accumulators update per row, results come back as rows.
-fn aggregate_chunks(
-    input: ChunkIter<'_>,
-    group_by: &[CompiledExpr],
-    aggregates: &[CompiledAggregate],
-) -> Result<Vec<Tuple>, ExecError> {
-    // Group keys in first-seen order so results are deterministic.
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut groups: HashMap<Tuple, Vec<Accumulator>> = HashMap::new();
-    let mut saw_rows = false;
-
-    for chunk in input {
-        let chunk = chunk?;
-        if chunk.is_empty() {
-            continue;
-        }
-        saw_rows = true;
-        let key_arrays: Vec<Arc<Array>> =
-            group_by.iter().map(|e| e.eval_array(&chunk)).collect::<Result<_, _>>()?;
-        let arg_arrays: Vec<Option<Arc<Array>>> = aggregates
-            .iter()
-            .map(|a| a.arg.as_ref().map(|e| e.eval_array(&chunk)).transpose())
-            .collect::<Result<_, _>>()?;
-        for i in 0..chunk.num_rows() {
-            let key = Tuple::new(key_arrays.iter().map(|a| a.value(i)).collect());
-            let accs = match groups.get_mut(&key) {
-                Some(a) => a,
-                None => {
-                    order.push(key.clone());
-                    groups.entry(key).or_insert_with(|| {
-                        aggregates.iter().map(|a| Accumulator::new(&a.spec)).collect()
-                    })
-                }
-            };
-            for (arg, acc) in arg_arrays.iter().zip(accs.iter_mut()) {
-                acc.update(arg.as_ref().map(|a| a.value(i)))?;
-            }
-        }
-    }
-
-    // A global aggregation (no GROUP BY) over an empty input still yields one row.
-    if group_by.is_empty() && !saw_rows {
-        let accs: Vec<Accumulator> = aggregates.iter().map(|a| Accumulator::new(&a.spec)).collect();
-        let values: Vec<Value> = accs.into_iter().map(Accumulator::finish).collect();
-        return Ok(vec![Tuple::new(values)]);
-    }
-
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        // `order` records exactly the keys inserted into `groups`.
-        let Some(accs) = groups.remove(&key) else { continue };
-        let mut values = key.into_values();
-        values.extend(accs.into_iter().map(Accumulator::finish));
-        out.push(Tuple::new(values));
-    }
-    Ok(out)
-}
-
-/// Order-preserving `(valid, bits)` encoding of a native single-column sort key, matching
-/// [`Array::compare`]'s total order: NULLs first, then values, NaN last among floats. Lets the
-/// hot single-key sort run on plain integer comparisons instead of the polymorphic comparator.
-fn encoded_sort_keys(col: &Array) -> Option<Vec<(bool, u64)>> {
-    const SIGN: u64 = 1 << 63;
-    match col {
-        Array::Int { values, validity } => Some(
-            values.iter().enumerate().map(|(i, &v)| (validity.get(i), (v as u64) ^ SIGN)).collect(),
-        ),
-        Array::Date { values, validity } => Some(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (validity.get(i), (v as i64 as u64) ^ SIGN))
-                .collect(),
-        ),
-        Array::Float { values, validity } => Some(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    let enc = if v.is_nan() {
-                        u64::MAX
-                    } else {
-                        let bits = v.to_bits();
-                        if bits & SIGN != 0 {
-                            !bits
-                        } else {
-                            bits | SIGN
-                        }
-                    };
-                    (validity.get(i), enc)
-                })
-                .collect(),
-        ),
-        _ => None,
-    }
-}
-
-/// Columnar sort: flatten the input chunks, evaluate the key expressions once into key columns,
-/// sort a row-index permutation with `sort_unstable_by` (bag semantics — tie order is
-/// unspecified) and gather the output batches. No row is ever materialized.
-fn sort_chunks(
-    arity: usize,
-    chunks: Vec<DataChunk>,
-    keys: &[(CompiledExpr, SortOrder)],
-    capacity: usize,
-) -> Result<Vec<DataChunk>, ExecError> {
-    let rows: usize = chunks.iter().map(DataChunk::num_rows).sum();
-    if rows == 0 {
-        return Ok(Vec::new());
-    }
-    let flat = DataChunk::concat(arity, &chunks);
-    let key_cols: Vec<Arc<Array>> =
-        keys.iter().map(|(e, _)| e.eval_array(&flat)).collect::<Result<_, _>>()?;
-    let mut permutation: Vec<u32> = (0..rows as u32).collect();
-    let encoded = match keys {
-        [(_, order)] => encoded_sort_keys(&key_cols[0]).map(|enc| (*order, enc)),
-        _ => None,
-    };
-    match encoded {
-        // Single native key: sort on a precomputed order-preserving integer encoding instead
-        // of the polymorphic comparator.
-        Some((SortOrder::Ascending, enc)) => {
-            permutation.sort_unstable_by_key(|&i| enc[i as usize]);
-        }
-        Some((SortOrder::Descending, enc)) => {
-            permutation.sort_unstable_by_key(|&i| std::cmp::Reverse(enc[i as usize]));
-        }
-        None => permutation.sort_unstable_by(|&a, &b| {
-            for (col, (_, order)) in key_cols.iter().zip(keys) {
-                let ord = col.compare(a as usize, col, b as usize);
-                let ord = match order {
-                    SortOrder::Ascending => ord,
-                    SortOrder::Descending => ord.reverse(),
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        }),
-    }
-    // Emit each output batch as dictionary views over the flattened columns: re-chunking the
-    // wide sorted payload costs a u32 index per cell instead of cloning every value.
-    Ok(permutation
-        .chunks(capacity)
-        .map(|batch| {
-            let columns = flat.columns().iter().map(|col| Arc::new(col.take_view(batch))).collect();
-            chunk_from_columns(columns, batch.len())
-        })
-        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1418,8 +434,8 @@ fn arith_kernel<T: Copy, U: Copy, O: Default>(
 }
 
 /// Checked integer-arithmetic kernel: stops at the first overflowing row with the same
-/// [`ExecError::ArithmeticOverflow`] the row-at-a-time pipeline raises through checked
-/// [`Value`] arithmetic.
+/// [`ExecError::ArithmeticOverflow`] per-row evaluation raises through checked [`Value`]
+/// arithmetic.
 fn checked_arith_kernel<T: Copy, U: Copy, O: Default>(
     a: &[T],
     va: &Bitmap,

@@ -278,7 +278,7 @@ impl Engine {
     ///
     /// This is the materializing convenience wrapper over
     /// [`run_plan_streaming`](Engine::run_plan_streaming): it collects the stream before it
-    /// starts, which runs the parallel executor inline.
+    /// starts, which runs the engine inline.
     pub fn execute_prepared_plan(
         &self,
         prepared: &PreparedPlan,
@@ -296,12 +296,10 @@ impl Engine {
     /// Execute an already-planned query as a [`QueryStream`] of result chunks.
     ///
     /// The stream is lazy: no execution work happens until the first chunk is pulled (or the
-    /// stream is collected). Single-worker engines and sessions with a row budget stream
-    /// through the executor's pull-based chunk pipeline, which holds
-    /// O(window × chunk size) memory end to end regardless of result size; multi-worker
-    /// engines execute in parallel inside the stream's producer thread and feed the result out
-    /// chunk-wise. **`SELECT ... INTO` is not handled here** — callers that support it
-    /// materialize first (see [`Session::execute_streaming`]).
+    /// stream is collected). Pulling runs the engine on the worker pool inside the stream's
+    /// producer thread and feeds the result out chunk-wise through a bounded channel.
+    /// **`SELECT ... INTO` is not handled here** — callers that support it materialize first
+    /// (see [`Session::execute_streaming`]).
     pub fn run_plan_streaming(
         &self,
         prepared: Arc<PreparedPlan>,
@@ -318,13 +316,11 @@ impl Engine {
                 return Err(e);
             }
         };
-        let pull = self.workers <= 1 || options.row_budget.is_some();
         let executor = Executor::with_options(self.catalog.clone(), options).with_params(params);
         Ok(QueryStream::pending(
             executor,
             prepared,
             self.worker_pool().clone(),
-            pull,
             self.stream_buffered.clone(),
             token,
             ticket,
@@ -333,9 +329,8 @@ impl Engine {
 
     /// Execute a bound plan as-is (no optimization) under `options` with `params` bound.
     ///
-    /// Execution is morsel-driven parallel on the engine's shared [`WorkerPool`]; queries with
-    /// a row budget run on the single-threaded vectorized pipeline, whose lazy pull order
-    /// defines the budget semantics (see `perm_exec::parallel`).
+    /// Execution is morsel-driven on the engine's shared [`WorkerPool`] (see
+    /// `perm_exec::parallel`).
     pub fn run_plan(
         &self,
         plan: &LogicalPlan,

@@ -3,17 +3,11 @@
 //!
 //! A stream starts *pending*: planning has happened but no execution work has been done, so a
 //! caller that wants the whole result materialized ([`QueryStream::collect_relation`], the path
-//! behind the convenience `Session::execute`) runs the morsel-driven parallel executor inline —
-//! exactly the pre-streaming behavior, at zero extra cost. Pulling the first chunk instead
-//! promotes the stream to *running*: a producer thread executes the plan and hands chunks over
-//! a bounded channel, so a consumer that forwards chunks as it pulls them (the wire server)
-//! holds at most `window` chunks in memory no matter how large the result is.
-//!
-//! On the truly incremental path (single-worker pools, or any session with a row budget) the
-//! producer drives `Executor::execute_chunked`, the executor's pull-based pipeline; with a
-//! multi-worker pool the producer runs the parallel executor — the result is materialized
-//! inside the producer, but the consumer still sees bounded chunks and wire backpressure still
-//! applies.
+//! behind the convenience `Session::execute`) runs the engine inline on the engine's worker
+//! pool. Pulling the first chunk instead promotes the stream to *running*: a producer thread
+//! runs the same engine on the same pool — the result is materialized inside the producer —
+//! and hands chunks over a bounded channel, so a consumer that forwards chunks as it pulls
+//! them (the wire server) buffers at most `window` chunks and wire backpressure applies.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -35,7 +29,7 @@ pub const STREAM_CHANNEL_WINDOW: usize = 4;
 ///
 /// Dropping the stream mid-way cancels the producer at its next chunk boundary; collecting it
 /// ([`collect_relation`](QueryStream::collect_relation)) before the first pull runs the
-/// parallel executor inline instead of spawning a producer.
+/// engine inline instead of spawning a producer.
 pub struct QueryStream {
     schema: Schema,
     state: State,
@@ -56,7 +50,7 @@ pub struct QueryStream {
 
 enum State {
     /// Planned but not started; holds everything needed to execute.
-    Pending { executor: Executor, prepared: Arc<PreparedPlan>, pool: Arc<WorkerPool>, pull: bool },
+    Pending { executor: Executor, prepared: Arc<PreparedPlan>, pool: Arc<WorkerPool> },
     /// Producer thread running; chunks arrive over the bounded channel. The handle is `None`
     /// only when spawning the thread itself failed (the error is queued in the channel).
     Running { rx: Receiver<Result<DataChunk, ServiceError>>, producer: Option<JoinHandle<()>> },
@@ -84,21 +78,17 @@ impl std::fmt::Debug for QueryStream {
 
 impl QueryStream {
     /// A pending stream over a planned query (started lazily on the first chunk pull).
-    ///
-    /// `pull` selects the producer's execution mode: `true` drives the executor's pull-based
-    /// chunk pipeline (bounded memory end to end), `false` the parallel executor.
     pub(crate) fn pending(
         executor: Executor,
         prepared: Arc<PreparedPlan>,
         pool: Arc<WorkerPool>,
-        pull: bool,
         buffered: Arc<AtomicUsize>,
         token: Arc<CancelToken>,
         ticket: QueryTicket,
     ) -> QueryStream {
         QueryStream {
             schema: prepared.plan.schema(),
-            state: State::Pending { executor, prepared, pool, pull },
+            state: State::Pending { executor, prepared, pool },
             buffered,
             cancel: Arc::new(AtomicBool::new(false)),
             token: Some(token),
@@ -171,14 +161,11 @@ impl QueryStream {
             match &mut self.state {
                 State::Pending { .. } => {
                     let state = std::mem::replace(&mut self.state, State::Done);
-                    let State::Pending { executor, prepared, pool, pull } = state else {
-                        unreachable!()
-                    };
+                    let State::Pending { executor, prepared, pool } = state else { unreachable!() };
                     self.state = spawn_producer(
                         executor,
                         prepared,
                         pool,
-                        pull,
                         self.buffered.clone(),
                         self.cancel.clone(),
                         self.query_id(),
@@ -251,15 +238,12 @@ impl QueryStream {
 
     /// Drain the stream into a materialized [`Relation`].
     ///
-    /// On a stream that has not started yet this runs the parallel executor inline — the exact
-    /// code path (and performance) of the pre-streaming API; otherwise it concatenates the
-    /// remaining chunks.
+    /// On a stream that has not started yet this runs the engine inline (no producer thread);
+    /// otherwise it concatenates the remaining chunks.
     pub fn collect_relation(mut self) -> Result<Relation, ServiceError> {
         if let State::Pending { .. } = &self.state {
             let state = std::mem::replace(&mut self.state, State::Done);
-            let State::Pending { executor, prepared, pool, .. } = state else { unreachable!() };
-            // The parallel executor handles the row-budget fallback internally; this is the
-            // exact pre-streaming execution path.
+            let State::Pending { executor, prepared, pool } = state else { unreachable!() };
             return match executor.execute_parallel(&prepared.plan, &pool) {
                 Ok(relation) => {
                     self.rows = relation.num_rows() as u64;
@@ -309,7 +293,6 @@ fn spawn_producer(
     executor: Executor,
     prepared: Arc<PreparedPlan>,
     pool: Arc<WorkerPool>,
-    pull: bool,
     buffered: Arc<AtomicUsize>,
     cancel: Arc<AtomicBool>,
     qid: u64,
@@ -320,7 +303,7 @@ fn spawn_producer(
         // query's id.
         let _qid_guard = perm_exec::QueryIdGuard::new(qid);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            produce(&executor, &prepared, &pool, pull, &tx, &buffered, &cancel)
+            produce(&executor, &prepared, &pool, &tx, &buffered, &cancel)
         }));
         if let Err(payload) = outcome {
             // Errors carry no buffered bytes, so no gauge accounting is needed here; the
@@ -359,7 +342,6 @@ fn produce(
     executor: &Executor,
     prepared: &PreparedPlan,
     pool: &WorkerPool,
-    pull: bool,
     tx: &SyncSender<Result<DataChunk, ServiceError>>,
     buffered: &AtomicUsize,
     cancel: &AtomicBool,
@@ -374,51 +356,21 @@ fn produce(
         }
         true
     };
-    if pull {
-        // Pull-based pipeline: chunks leave the executor one at a time; with the bounded
-        // channel this caps producer-side memory at O(window × chunk size) for pipelined
-        // plans.
-        let chunks = match executor.execute_chunked(&prepared.plan) {
-            Ok(chunks) => chunks,
-            Err(e) => {
-                send(Err(e.into()));
-                return;
-            }
-        };
-        for item in chunks {
-            if cancel.load(Ordering::Relaxed) {
-                return;
-            }
-            match item {
-                Ok(chunk) if chunk.is_empty() => continue,
-                Ok(chunk) => {
-                    if !send(Ok(chunk)) {
-                        return;
-                    }
+    // The engine materializes the result inside this thread; it is then fed out chunk-wise
+    // (the consumer gets bounded buffering and wire backpressure).
+    match executor.execute_parallel(&prepared.plan, pool) {
+        Ok(relation) => {
+            for chunk in relation.chunks().iter() {
+                if chunk.is_empty() {
+                    continue;
                 }
-                Err(e) => {
-                    send(Err(e.into()));
+                if cancel.load(Ordering::Relaxed) || !send(Ok(chunk.clone())) {
                     return;
                 }
             }
         }
-    } else {
-        // Parallel execution materializes the result inside this thread, then feeds it out
-        // chunk-wise (the consumer still gets bounded buffering and wire backpressure).
-        match executor.execute_parallel(&prepared.plan, pool) {
-            Ok(relation) => {
-                for chunk in relation.chunks().iter() {
-                    if chunk.is_empty() {
-                        continue;
-                    }
-                    if cancel.load(Ordering::Relaxed) || !send(Ok(chunk.clone())) {
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                send(Err(e.into()));
-            }
+        Err(e) => {
+            send(Err(e.into()));
         }
     }
 }

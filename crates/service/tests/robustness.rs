@@ -67,8 +67,8 @@ fn dropped_stream_mid_iteration_releases_gauge_and_reservations() {
     drop(stream);
     assert_quiescent(&engine);
 
-    // The same holds on the pull-based pipeline (row budgets force it) when the producer
-    // *errors* mid-stream rather than being abandoned.
+    // The same holds when the producer ends in an *error* (here: the row budget) rather than
+    // being abandoned.
     let mut session = engine.session();
     session.set_row_budget(Some(DEFAULT_CHUNK_SIZE * 2));
     let mut stream = session.execute_streaming("SELECT * FROM big").unwrap();
@@ -80,7 +80,7 @@ fn dropped_stream_mid_iteration_releases_gauge_and_reservations() {
             break;
         }
     }
-    assert!(saw_error, "the row budget must trip mid-stream");
+    assert!(saw_error, "the row budget must fail the stream");
     drop(stream);
     assert_quiescent(&engine);
 

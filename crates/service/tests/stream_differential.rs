@@ -1,14 +1,17 @@
-//! Differential test for the streaming result path: the concatenation of streamed chunks —
-//! after a full round-trip through the wire codec's factorized (dict/RLE) encoding — must be
-//! bit-identical to the materialized `Relation` produced by every execution pipeline, at result
-//! sizes straddling the chunk-size boundary (1, 1023, 1024, 1025 rows).
+//! Differential test for the streaming result path: the concatenation of the chunks a
+//! `QueryStream` delivers — after a full round-trip through the wire codec's factorized
+//! (dict/RLE) encoding — must be bit-identical to the materialized `Relation` the engine
+//! returns at degrees 1 and 4 and to the reference evaluator, at result sizes straddling the
+//! chunk-size boundary (1, 1023, 1024, 1025 rows).
 
 use perm_algebra::{
     BinaryOperator, DataType, JoinKind, PlanBuilder, ScalarExpr, Schema, Tuple, Value,
     DEFAULT_CHUNK_SIZE,
 };
-use perm_exec::{Executor, WorkerPool};
-use perm_service::codec;
+use std::sync::Arc;
+
+use perm_exec::{ExecOptions, Executor, WorkerPool};
+use perm_service::{codec, Engine, PreparedPlan};
 use perm_storage::{Catalog, Relation};
 
 /// probe(x, k) joined to build(k, payload, weight): every probe row matches exactly one build
@@ -54,8 +57,8 @@ fn plan_with_result_size(catalog: &Catalog, n: i64) -> perm_algebra::LogicalPlan
         .build()
 }
 
-/// Flatten a relation to plain row-major values — the common denominator every pipeline and
-/// the decoded wire chunks are compared through.
+/// Flatten a relation to plain row-major values — the common denominator the engine, the
+/// oracle and the decoded wire chunks are compared through.
 fn rows_of(relation: &Relation) -> Vec<Vec<Value>> {
     let mut rows = Vec::with_capacity(relation.num_rows());
     for chunk in relation.chunks().iter() {
@@ -67,7 +70,7 @@ fn rows_of(relation: &Relation) -> Vec<Vec<Value>> {
 }
 
 #[test]
-fn streamed_chunks_match_every_materializing_pipeline() {
+fn streamed_chunks_match_the_materialized_result_at_every_degree() {
     let catalog = catalog();
     let pool = WorkerPool::new(4);
 
@@ -80,54 +83,68 @@ fn streamed_chunks_match_every_materializing_pipeline() {
         assert_eq!(reference.num_rows() as i64, n, "join sizes the result to n rows");
         let expected = rows_of(&reference);
 
-        // Materializing pipelines: vectorized collect, tuple-iterator path, morsel-parallel.
+        // Materialized: the engine at degree 1 and on a 4-worker pool.
         let materialized = executor.execute(&plan).unwrap();
-        assert_eq!(rows_of(&materialized), expected, "vectorized execute, n={n}");
-        let tuple_path = executor.execute_streaming(&plan).unwrap();
-        assert_eq!(rows_of(&tuple_path), expected, "tuple-iterator path, n={n}");
+        assert_eq!(rows_of(&materialized), expected, "degree 1, n={n}");
         let parallel = executor.execute_parallel(&plan, &pool).unwrap();
-        assert_eq!(rows_of(&parallel), expected, "morsel-parallel path, n={n}");
+        assert_eq!(rows_of(&parallel), expected, "degree 4, n={n}");
 
-        // The streamed path: pull chunks, push each through the wire codec (encode → decode),
-        // and concatenate the decoded chunks back into a relation.
-        let stream = executor.execute_chunked(&plan).unwrap();
-        let schema_frame = codec::encode_schema(stream.schema());
-        let schema = codec::decode_schema(&schema_frame[1..]).unwrap();
-        // The wire schema carries names and types (qualifiers are a planner concern).
-        assert_eq!(
-            schema.attribute_names(),
-            materialized.schema().attribute_names(),
-            "schema frame round-trips names, n={n}"
-        );
-        assert_eq!(
-            schema.attributes().iter().map(|a| a.data_type).collect::<Vec<_>>(),
-            materialized.schema().attributes().iter().map(|a| a.data_type).collect::<Vec<_>>(),
-            "schema frame round-trips types, n={n}"
-        );
+        // The streamed path, per degree: pull chunks from a `QueryStream`, push each through
+        // the wire codec (encode → decode), and concatenate the decoded chunks back into a
+        // relation.
+        for workers in [1usize, 4] {
+            let engine = Engine::with_catalog(catalog.clone()).with_workers(workers);
+            let prepared = Arc::new(PreparedPlan {
+                plan: plan.clone(),
+                into: None,
+                param_count: 0,
+                sql: String::new(),
+            });
+            let stream =
+                engine.run_plan_streaming(prepared, ExecOptions::default(), Vec::new()).unwrap();
+            let schema_frame = codec::encode_schema(stream.schema());
+            let schema = codec::decode_schema(&schema_frame[1..]).unwrap();
+            // The wire schema carries names and types (qualifiers are a planner concern).
+            assert_eq!(
+                schema.attribute_names(),
+                materialized.schema().attribute_names(),
+                "schema frame round-trips names, n={n}"
+            );
+            assert_eq!(
+                schema.attributes().iter().map(|a| a.data_type).collect::<Vec<_>>(),
+                materialized.schema().attributes().iter().map(|a| a.data_type).collect::<Vec<_>>(),
+                "schema frame round-trips types, n={n}"
+            );
 
-        let mut decoded_chunks = Vec::new();
-        let mut streamed_rows = 0usize;
-        let mut encoded_on_wire = false;
-        for chunk in stream {
-            let chunk = chunk.unwrap();
-            assert!(chunk.num_rows() <= DEFAULT_CHUNK_SIZE, "chunks respect the chunk size");
-            let frame = codec::encode_chunk(&chunk);
-            let decoded = codec::decode_chunk(&frame[1..]).unwrap();
-            streamed_rows += decoded.num_rows();
-            encoded_on_wire |= (0..decoded.num_columns()).any(|c| decoded.column(c).is_encoded());
-            decoded_chunks.push(decoded);
-        }
-        assert_eq!(streamed_rows as i64, n, "stream delivers every row exactly once");
-        let expected_chunks = (n as usize).div_ceil(DEFAULT_CHUNK_SIZE);
-        assert_eq!(decoded_chunks.len(), expected_chunks, "boundary chunking at n={n}");
-        if n > 1 {
-            assert!(
-                encoded_on_wire,
-                "repeating join payloads ride the wire in factorized form, n={n}"
+            let mut decoded_chunks = Vec::new();
+            let mut streamed_rows = 0usize;
+            let mut encoded_on_wire = false;
+            for chunk in stream {
+                let chunk = chunk.unwrap();
+                assert!(chunk.num_rows() <= DEFAULT_CHUNK_SIZE, "chunks respect the chunk size");
+                let frame = codec::encode_chunk(&chunk);
+                let decoded = codec::decode_chunk(&frame[1..]).unwrap();
+                streamed_rows += decoded.num_rows();
+                encoded_on_wire |=
+                    (0..decoded.num_columns()).any(|c| decoded.column(c).is_encoded());
+                decoded_chunks.push(decoded);
+            }
+            assert_eq!(streamed_rows as i64, n, "stream delivers every row exactly once");
+            let expected_chunks = (n as usize).div_ceil(DEFAULT_CHUNK_SIZE);
+            assert_eq!(decoded_chunks.len(), expected_chunks, "boundary chunking at n={n}");
+            if n > 1 {
+                assert!(
+                    encoded_on_wire,
+                    "repeating join payloads ride the wire in factorized form, n={n}"
+                );
+            }
+
+            let streamed = Relation::from_chunks(schema, decoded_chunks);
+            assert_eq!(
+                rows_of(&streamed),
+                expected,
+                "streamed wire round-trip at {workers} workers, n={n}"
             );
         }
-
-        let streamed = Relation::from_chunks(schema, decoded_chunks);
-        assert_eq!(rows_of(&streamed), expected, "streamed wire round-trip, n={n}");
     }
 }

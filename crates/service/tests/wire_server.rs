@@ -178,24 +178,47 @@ fn unsupported_hello_version_is_refused_with_the_supported_version() {
 
 /// An error frame after partial RESULT frames must invalidate the partial result: the
 /// buffering client discards the rows, and the incremental shell prints an explicit
-/// invalidation notice.
+/// invalidation notice. The engine reports execution errors before its first chunk, so only a
+/// cancellation or a lost producer can fail a real stream midway; a scripted server stands in
+/// here to put the error frame at a fixed point behind one acknowledged chunk.
 #[test]
 fn mid_stream_errors_invalidate_partial_results() {
-    let engine = provenance_engine();
-    let handle = serve(engine, "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
+    use perm_algebra::{DataChunk, DataType, Schema, Tuple, Value};
+    use perm_service::codec;
 
-    client.roundtrip("query CREATE TABLE big (x INT)").unwrap().unwrap();
-    for batch in 0..4 {
-        let values: Vec<String> = (0..1000).map(|i| format!("({})", batch * 1000 + i)).collect();
-        client
-            .roundtrip(&format!("query INSERT INTO big VALUES {}", values.join(", ")))
-            .unwrap()
-            .unwrap();
-    }
-    // A budget larger than one chunk but smaller than the result: the stream delivers at
-    // least one RESULT frame and then aborts.
-    client.roundtrip("set budget 2500").unwrap().unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let schema = Schema::from_pairs(&[("x", DataType::Int)]);
+        let rows: Vec<Tuple> = (0..3).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
+        loop {
+            let mut len = [0u8; 4];
+            if stream.read_exact(&mut len).is_err() {
+                return; // client hung up
+            }
+            let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
+            stream.read_exact(&mut request).unwrap();
+            if request.starts_with(b"hello") {
+                write_raw_frame(&mut stream, b"+hello 2");
+            } else if request.starts_with(b"query") {
+                write_raw_frame(&mut stream, &codec::encode_schema(&schema));
+                write_raw_frame(
+                    &mut stream,
+                    &codec::encode_chunk(&DataChunk::from_tuples(1, &rows)),
+                );
+                assert_eq!(read_raw_frame(&mut stream), b"ack");
+                write_raw_frame(
+                    &mut stream,
+                    b"-execution aborted: result exceeded row budget of 2",
+                );
+            } else {
+                write_raw_frame(&mut stream, b"+pong");
+            }
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+
     let err = client.roundtrip("query SELECT x FROM big").unwrap().unwrap_err();
     assert!(err.contains("row budget"), "mid-stream error surfaces: {err}");
 
@@ -209,22 +232,22 @@ fn mid_stream_errors_invalidate_partial_results() {
     let text = String::from_utf8(output).unwrap();
     assert!(text.contains("row budget"), "error message printed: {text}");
     assert!(
-        text.contains("result invalid") && text.contains("disregard"),
+        text.contains("result invalid") && text.contains("disregard the 3 row(s)"),
         "explicit invalidation notice: {text}"
     );
 
     // The connection stays usable after both shapes of failed stream.
-    client.roundtrip("set budget none").unwrap().unwrap();
     assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong");
-    handle.shutdown();
+    drop(client);
+    server.join().unwrap();
 }
 
 /// The server must stop sending RESULT frames once the backpressure window is full of
 /// unacknowledged chunks, and resume when the client acks.
 #[test]
 fn server_respects_the_backpressure_window() {
-    // A single-worker engine streams through the executor's pull pipeline with deterministic
-    // 1024-row chunks: 100 × 100 cross-joined rows = 10 chunks, more than the window of 8.
+    // A single-worker engine emits deterministic 1024-row chunks: 100 × 100 cross-joined rows
+    // = 10 chunks, more than the window of 8.
     let engine =
         Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())).with_workers(1));
     let handle = serve(engine, "127.0.0.1:0").unwrap();

@@ -317,7 +317,7 @@ impl Catalog {
     /// A zero-copy snapshot of a table's contents.
     ///
     /// The returned [`Arc`] observes the table as of the call; later inserts or overwrites do
-    /// not affect it (copy-on-write). This is what the streaming executor scans from, so reading
+    /// not affect it (copy-on-write). This is what the executor scans from, so reading
     /// a base relation costs a refcount bump instead of cloning every tuple.
     pub fn table_arc(&self, name: &str) -> Result<Arc<Relation>, CatalogError> {
         let key = Self::normalize(name);

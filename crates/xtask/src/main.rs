@@ -59,6 +59,7 @@ mod lint {
     const RULE_INSTANT_IN_LOOP: &str = "instant-in-loop";
     const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
     const RULE_DENY_UNWRAP: &str = "deny-unwrap-header";
+    const RULE_LISTED_FILE: &str = "listed-file-missing";
 
     /// Vectorized kernel files: integer arithmetic here must go through checked kernels
     /// (`i64::checked_add` & friends), never plain `+`/`-`/`*` closures or `wrapping_*`.
@@ -81,9 +82,11 @@ mod lint {
         let mut violations = Vec::new();
 
         let sources = workspace_sources(&root)?;
-        for file in &sources {
+        let scanned: Vec<&Path> =
+            sources.iter().map(|file| file.strip_prefix(&root).unwrap_or(file)).collect();
+        check_listed_files(&scanned, &mut violations);
+        for (file, &rel) in sources.iter().zip(&scanned) {
             let text = std::fs::read_to_string(file)?;
-            let rel = file.strip_prefix(&root).unwrap_or(file);
             scan_expect(rel, &text, &mut violations);
             if KERNEL_FILES.iter().any(|k| rel == Path::new(k)) {
                 scan_kernel_arith(rel, &text, &mut violations);
@@ -102,6 +105,26 @@ mod lint {
             eprintln!("{v}");
         }
         Ok(violations.len())
+    }
+
+    /// Rule `listed-file-missing`: every path in [`KERNEL_FILES`] and [`HOT_PATH_FILES`] must
+    /// be among the scanned sources. The per-file rules only run on listed paths, so a rename
+    /// or delete would otherwise switch them off without a word.
+    fn check_listed_files(scanned: &[&Path], out: &mut Vec<Violation>) {
+        for (list, files) in [("KERNEL_FILES", KERNEL_FILES), ("HOT_PATH_FILES", HOT_PATH_FILES)] {
+            for listed in files {
+                if !scanned.contains(&Path::new(listed)) {
+                    out.push(Violation {
+                        file: PathBuf::from(listed),
+                        line: 1,
+                        rule: RULE_LISTED_FILE,
+                        message: format!(
+                            "listed in {list} but not among the workspace sources: update the list in crates/xtask/src/main.rs"
+                        ),
+                    });
+                }
+            }
+        }
     }
 
     /// The workspace root: `cargo xtask` runs with the manifest dir of the xtask crate.
@@ -408,6 +431,27 @@ mod lint {
                     "crate root is missing `#![deny(clippy::unwrap_used, clippy::expect_used)]` (tests are exempt via clippy.toml)"
                         .into(),
             });
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn a_listed_file_that_is_not_scanned_is_a_violation() {
+            let all: Vec<&Path> =
+                KERNEL_FILES.iter().chain(HOT_PATH_FILES).map(Path::new).collect();
+            let mut violations = Vec::new();
+            check_listed_files(&all, &mut violations);
+            assert!(violations.is_empty(), "every listed file present: no violation");
+
+            // Drop one file, as a rename or delete would.
+            let gone = Path::new(HOT_PATH_FILES[0]);
+            let remaining: Vec<&Path> = all.iter().copied().filter(|p| *p != gone).collect();
+            check_listed_files(&remaining, &mut violations);
+            assert!(!violations.is_empty());
+            assert!(violations.iter().all(|v| v.rule == RULE_LISTED_FILE && v.file == gone));
         }
     }
 }

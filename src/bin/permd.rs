@@ -4,7 +4,7 @@
 //! over a TCP socket using the length-prefixed text protocol of [`perm_service::wire`]. One
 //! thread per connection, each with its own session (settings and prepared statements); all
 //! sessions share one engine: catalog, provenance rewriter, optimizer and plan cache. Query
-//! results flow out of the vectorized executor as columnar chunks and are rendered onto the
+//! results flow out of the engine as columnar chunks and are rendered onto the
 //! wire chunk-wise.
 //!
 //! ```text
