@@ -182,12 +182,11 @@ impl CuiWidomTracer {
         let plan = LogicalPlan::Projection { input: Arc::new(selected), exprs, distinct: true };
         let plan = Optimizer::new().optimize(&plan)?;
         let matches = Executor::new(self.catalog.clone()).execute(&plan)?;
-        let match_set: std::collections::HashSet<&Tuple> = matches.tuples().iter().collect();
+        let match_set: std::collections::HashSet<Tuple> = matches.iter().collect();
         // ...materialised as the subset of the base relation (bag semantics: contributing tuples
         // keep their multiplicity in the base relation, cf. footnote 1 of the paper's §III-B).
         let base = self.catalog.table(&view.relations[target_index])?;
-        let contributing: Vec<Tuple> =
-            base.tuples().iter().filter(|t| match_set.contains(t)).cloned().collect();
+        let contributing: Vec<Tuple> = base.iter().filter(|t| match_set.contains(t)).collect();
         Ok(Relation::from_parts(base.schema().clone(), contributing))
     }
 
@@ -248,17 +247,19 @@ pub fn perm_matches_oracle(
         return false;
     }
 
+    let witnesses: Vec<Tuple> = perm_result
+        .iter()
+        .filter(|t| (0..original_arity).all(|i| t.get(i) == original.get(i)))
+        .collect();
     for (group, expected) in groups.iter().zip(oracle) {
-        let mut actual: Vec<Tuple> = perm_result
-            .tuples()
+        let mut actual: Vec<Tuple> = witnesses
             .iter()
-            .filter(|t| (0..original_arity).all(|i| t.get(i) == original.get(i)))
             .map(|t| t.project(group))
             .filter(|t| !t.values().iter().all(|v| v.is_null()))
             .collect();
         actual.sort();
         actual.dedup();
-        let mut expected_tuples: Vec<Tuple> = expected.tuples().to_vec();
+        let mut expected_tuples: Vec<Tuple> = expected.tuples();
         expected_tuples.sort();
         expected_tuples.dedup();
         if actual != expected_tuples {
@@ -363,9 +364,9 @@ mod tests {
         let perm_result = execute_plan(&catalog, &rewritten).unwrap();
         let original = tracer.evaluate_view(&view).unwrap();
         for t in original.tuples() {
-            let oracle = tracer.lineage(&view, t).unwrap();
+            let oracle = tracer.lineage(&view, &t).unwrap();
             assert!(
-                perm_matches_oracle(&perm_result, original.arity(), t, &oracle),
+                perm_matches_oracle(&perm_result, original.arity(), &t, &oracle),
                 "Perm provenance and Cui-Widom lineage disagree for {t}"
             );
         }

@@ -136,14 +136,14 @@ impl TrioStyleDb {
             if !source_indexes.contains_key(table) {
                 let rel = self.db.catalog().table(table)?;
                 let mut index = HashMap::new();
-                for (i, t) in rel.tuples().iter().enumerate() {
-                    index.entry(t.clone()).or_insert(i);
+                for (i, t) in rel.iter().enumerate() {
+                    index.entry(t).or_insert(i);
                 }
                 source_indexes.insert(table.clone(), index);
             }
         }
 
-        for row in annotated.tuples() {
+        for row in annotated.iter() {
             let original = row.project(&normal_positions);
             let result_row = match row_index.get(&original) {
                 Some(&i) => i,
@@ -226,7 +226,7 @@ impl TrioStyleDb {
                     lineage_table_name(&current_table)
                 );
                 let entries = self.db.execute_sql(&lineage_sql)?;
-                for entry in entries.tuples() {
+                for entry in entries.iter() {
                     let source_table = entry[0].to_string();
                     let source_row = entry[1].as_i64().unwrap_or(0) as usize;
                     frontier.push((source_table, source_row));
@@ -235,9 +235,7 @@ impl TrioStyleDb {
                 // A base table: fetch the tuple itself (tuple-at-a-time, as Trio does).
                 let rel = self.db.catalog().table(&current_table)?;
                 let tuple = rel
-                    .tuples()
-                    .get(current_row)
-                    .cloned()
+                    .tuple_at(current_row)
                     .ok_or_else(|| PermError::Other(format!(
                         "lineage points to row {current_row} of '{current_table}', which does not exist"
                     )))?;

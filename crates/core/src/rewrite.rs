@@ -900,13 +900,12 @@ mod tests {
         let result = execute_plan(&catalog, &rewritten).unwrap().sorted();
         // x=1 stems only from a, x=3 only from b, x=2 from both sides (one row per side and
         // original occurrence).
-        let ones: Vec<_> =
-            result.tuples().iter().filter(|t| t[0] == perm_algebra::Value::Int(1)).collect();
+        let ones: Vec<_> = result.iter().filter(|t| t[0] == perm_algebra::Value::Int(1)).collect();
         assert_eq!(ones.len(), 1);
         assert_eq!(ones[0].values()[1], perm_algebra::Value::Int(1));
         assert!(ones[0].values()[2].is_null());
         let threes: Vec<_> =
-            result.tuples().iter().filter(|t| t[0] == perm_algebra::Value::Int(3)).collect();
+            result.iter().filter(|t| t[0] == perm_algebra::Value::Int(3)).collect();
         assert_eq!(threes.len(), 1);
         assert!(threes[0].values()[1].is_null());
         assert_eq!(threes[0].values()[2], perm_algebra::Value::Int(3));
@@ -1005,16 +1004,13 @@ mod tests {
             ]
         );
         let result = execute_plan(&catalog, &rewritten).unwrap();
-        let merdies: Vec<_> = result
-            .tuples()
-            .iter()
-            .filter(|t| t[0] == perm_algebra::Value::text("Merdies"))
-            .collect();
+        let merdies: Vec<_> =
+            result.iter().filter(|t| t[0] == perm_algebra::Value::text("Merdies")).collect();
         // All five sales tuples contribute to Merdies because the condition is true regardless
         // of the sublink.
         assert_eq!(merdies.len(), 5);
         let joba: Vec<_> =
-            result.tuples().iter().filter(|t| t[0] == perm_algebra::Value::text("Joba")).collect();
+            result.iter().filter(|t| t[0] == perm_algebra::Value::text("Joba")).collect();
         // Joba only qualifies through the IN condition: its provenance are the matching tuples.
         assert_eq!(joba.len(), 2);
         assert!(joba.iter().all(|t| t[3] == perm_algebra::Value::text("Joba")));

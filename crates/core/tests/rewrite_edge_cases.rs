@@ -118,7 +118,7 @@ fn multiple_sublinks_in_one_predicate() {
     assert_eq!(normal.num_rows(), 2);
     // Every original tuple is still present among the provenance rows.
     for t in normal.tuples() {
-        assert!(result.tuples().iter().any(|p| p.get(0) == t.get(0)));
+        assert!(result.iter().any(|p| p.get(0) == t.get(0)));
     }
 }
 
@@ -140,7 +140,7 @@ fn provenance_of_union_query_via_sql() {
         assert!(from_shop || from_sales, "at least one side contributes per row: {t}");
     }
     assert!(
-        result.tuples().iter().any(|t| !t[1].is_null() && !t[3].is_null()),
+        result.iter().any(|t| !t[1].is_null() && !t[3].is_null()),
         "names present in both inputs carry witnesses from both sides"
     );
 }

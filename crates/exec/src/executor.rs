@@ -736,7 +736,7 @@ mod tests {
         let result = execute_plan(&catalog, &plan).unwrap();
         // id=1 matches twice, ids 2 and 3 are padded with NULLs.
         assert_eq!(result.num_rows(), 4);
-        let padded: Vec<_> = result.tuples().iter().filter(|t| t[1].is_null()).collect();
+        let padded: Vec<_> = result.iter().filter(|t| t[1].is_null()).collect();
         assert_eq!(padded.len(), 2);
     }
 

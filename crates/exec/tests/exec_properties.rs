@@ -69,7 +69,7 @@ proptest! {
             let tuple = Tuple::new(vec![Value::Int(t.0), Value::Int(t.1)]);
             let n = multiplicity(&a, t);
             let m = multiplicity(&b, t);
-            let count_in = |rel: &Relation| rel.tuples().iter().filter(|x| **x == tuple).count();
+            let count_in = |rel: &Relation| rel.iter().filter(|x| *x == tuple).count();
             prop_assert_eq!(count_in(&union), n + m, "union multiplicity for {:?}", t);
             prop_assert_eq!(count_in(&intersect), n.min(m), "intersect multiplicity for {:?}", t);
             prop_assert_eq!(count_in(&difference), n.saturating_sub(m), "difference multiplicity for {:?}", t);
@@ -120,7 +120,7 @@ proptest! {
         let unmatched = a.iter().filter(|(k, _)| !matched_left_keys.contains(k)).count();
         prop_assert_eq!(left.num_rows(), inner.num_rows() + unmatched);
         // All padded rows have NULLs on the right side.
-        let padded = left.tuples().iter().filter(|t| t[2].is_null() && t[3].is_null()).count();
+        let padded = left.iter().filter(|t| t[2].is_null() && t[3].is_null()).count();
         prop_assert_eq!(padded, unmatched);
     }
 
@@ -169,7 +169,6 @@ proptest! {
         let grouped_result = execute_plan(&catalog, &grouped.build()).unwrap();
         let total_result = execute_plan(&catalog, &total.build()).unwrap();
         let group_sum: i64 = grouped_result
-            .tuples()
             .iter()
             .filter_map(|t| t[1].as_i64())
             .sum();

@@ -398,7 +398,7 @@ impl Engine {
             AnalyzedStatement::InsertFromQuery { table, plan } => {
                 let plan = if optimize { self.optimize_plan(&plan)? } else { plan };
                 let result = self.run_plan(&plan, options, Vec::new())?;
-                self.catalog.insert(&table, result.into_tuples())?;
+                self.catalog.insert_chunks(&table, &result.chunks())?;
                 Ok(empty())
             }
             AnalyzedStatement::Query { plan, into } => {

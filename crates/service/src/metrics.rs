@@ -558,8 +558,8 @@ pub fn render_stats_text(snap: &StatsSnapshot, window: usize) -> String {
     for table in &snap.tables {
         let _ = write!(
             text,
-            "\ntable {} rows={} stats_version={}",
-            table.name, table.rows, table.modified_version,
+            "\ntable {} rows={} bytes={} stats_version={}",
+            table.name, table.rows, table.bytes, table.modified_version,
         );
     }
     text
@@ -737,6 +737,11 @@ pub fn render_prometheus(snap: &StatsSnapshot) -> String {
         for t in &snap.tables {
             let _ = writeln!(out, "perm_table_rows{{table=\"{}\"}} {}", t.name, t.rows);
         }
+        let _ = writeln!(out, "# HELP perm_table_bytes Resident bytes of each table's chunks.");
+        let _ = writeln!(out, "# TYPE perm_table_bytes gauge");
+        for t in &snap.tables {
+            let _ = writeln!(out, "perm_table_bytes{{table=\"{}\"}} {}", t.name, t.bytes);
+        }
         let _ = writeln!(
             out,
             "# HELP perm_table_stats_version Catalog version of each table's last mutation \
@@ -840,7 +845,12 @@ mod tests {
             },
             stream_buffered: 0,
             metrics: metrics.snapshot(),
-            tables: vec![TableInfo { name: "r".to_string(), rows: 42, modified_version: 3 }],
+            tables: vec![TableInfo {
+                name: "r".to_string(),
+                rows: 42,
+                bytes: 336,
+                modified_version: 3,
+            }],
         };
         let text = render_prometheus(&snap);
         assert!(text.contains("# TYPE perm_queries_total counter"));
@@ -858,12 +868,13 @@ mod tests {
         }
         assert!(text.contains("perm_optimizer_joins_reordered_total 0"));
         assert!(text.contains("perm_table_rows{table=\"r\"} 42"));
+        assert!(text.contains("perm_table_bytes{table=\"r\"} 336"));
         assert!(text.contains("perm_table_stats_version{table=\"r\"} 3"));
         let stats = render_stats_text(&snap, 8);
         assert!(stats.contains("plan_cache hits=0"));
         assert!(stats.contains("queries active=0 ok=1"));
         assert!(stats.contains("optimizer reordered=0 build_swaps=0 estimator_calls=0"));
-        assert!(stats.contains("table r rows=42 stats_version=3"));
+        assert!(stats.contains("table r rows=42 bytes=336 stats_version=3"));
     }
 
     #[test]

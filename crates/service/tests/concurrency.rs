@@ -154,3 +154,39 @@ fn multi_table_commits_are_atomic_for_readers() {
     stop.store(true, Ordering::SeqCst);
     writer.join().unwrap();
 }
+
+/// `INSERT … SELECT` commits the result's chunks as chunks: the snapshot a reader holds is
+/// untouched, the new version shares the full chunks already stored, and what lands in the
+/// table is the query's result, row for row.
+#[test]
+fn insert_select_appends_the_result_chunks_under_a_reader() {
+    use perm_algebra::{tuple, DEFAULT_CHUNK_SIZE};
+
+    let engine = provenance_engine();
+    let session = engine.session();
+    session.execute("CREATE TABLE src (id INT, payload TEXT)").unwrap();
+    session.execute("CREATE TABLE dst (id INT, payload TEXT)").unwrap();
+    let source: Vec<_> = (0..3000i64).map(|i| tuple![i, format!("p{}", i % 13)]).collect();
+    engine.catalog().insert("src", source.clone()).unwrap();
+    session.execute("INSERT INTO dst VALUES (-1, 'seed')").unwrap();
+
+    let reader = engine.catalog().table_arc("dst").unwrap();
+    session.execute("INSERT INTO dst SELECT id, payload FROM src WHERE id >= 0").unwrap();
+    assert_eq!(reader.tuples(), vec![tuple![-1, "seed"]], "the reader's snapshot is unchanged");
+
+    let first = engine.catalog().table_arc("dst").unwrap();
+    assert_eq!(first.num_rows(), 3001);
+    let sizes: Vec<usize> = first.chunks().iter().map(|c| c.num_rows()).collect();
+    assert_eq!(sizes, [DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE, 3001 - 2 * DEFAULT_CHUNK_SIZE]);
+    let mut expected = vec![tuple![-1, "seed"]];
+    expected.extend(source);
+    assert_eq!(first.sorted().tuples(), expected);
+
+    // A second commit under `first` tops up the tail and leaves the full chunks shared.
+    session.execute("INSERT INTO dst SELECT id, payload FROM src WHERE id < 100").unwrap();
+    let second = engine.catalog().table_arc("dst").unwrap();
+    assert_eq!((first.num_rows(), second.num_rows()), (3001, 3101));
+    for (old, new) in first.chunks().iter().zip(second.chunks().iter()).take(2) {
+        assert!(Arc::ptr_eq(old.column(0), new.column(0)), "full chunks are shared, not copied");
+    }
+}

@@ -142,7 +142,6 @@ fn explain_analyze_row_counts_match_direct_execution() {
 
         let profile = session.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         let lines: Vec<String> = profile
-            .tuples()
             .iter()
             .map(|t| match &t.values()[0] {
                 Value::Text(s) => s.to_string(),
@@ -188,7 +187,6 @@ fn explain_shows_estimated_rows_without_executing() {
     let plan = session.execute("EXPLAIN SELECT * FROM big WHERE id < 1500").unwrap();
     assert_eq!(plan.schema().attributes()[0].name, "QUERY PLAN");
     let text = plan
-        .tuples()
         .iter()
         .map(|t| match &t.values()[0] {
             Value::Text(s) => s.to_string(),
@@ -212,7 +210,6 @@ fn explain_shows_estimated_rows_without_executing() {
         .execute("EXPLAIN ANALYZE SELECT PROVENANCE t.id FROM tiny t, tiny u WHERE t.id = u.id")
         .unwrap();
     let text = profile
-        .tuples()
         .iter()
         .map(|t| match &t.values()[0] {
             Value::Text(s) => s.to_string(),
@@ -237,6 +234,9 @@ fn stats_snapshot_reports_tables_and_optimizer_counters() {
     let tiny = snap.tables.iter().find(|t| t.name == "tiny").expect("tiny table listed");
     assert_eq!(big.rows, BIG_ROWS);
     assert_eq!(tiny.rows, 3);
+    // Resident bytes are the stored chunks' own accounting: 8 per Int plus the text column.
+    assert_eq!(big.bytes, engine.catalog().table_arc("big").unwrap().byte_size());
+    assert!(big.bytes > BIG_ROWS * 8 && tiny.bytes >= 3 * 8, "{big:?} {tiny:?}");
 
     // A join whose build side (the right input) is the larger table: planning must consult
     // the estimator and swap the build side so `tiny` is built and `big` is probed.
@@ -247,7 +247,21 @@ fn stats_snapshot_reports_tables_and_optimizer_counters() {
 
     // The per-table lines surface in the human-readable stats rendering too.
     let text = perm_service::render_stats_text(&snap, 16);
-    assert!(text.contains("table big rows=40000"), "{text}");
-    assert!(text.contains("table tiny rows=3"), "{text}");
+    assert!(text.contains(&format!("table big rows=40000 bytes={} ", big.bytes)), "{text}");
+    assert!(text.contains("table tiny rows=3 bytes="), "{text}");
+    // ...and in the Prometheus exposition, next to the row and freshness families.
+    let prom = perm_service::metrics::render_prometheus(&snap);
+    for family in ["perm_table_rows", "perm_table_bytes", "perm_table_stats_version"] {
+        assert!(prom.contains(&format!("# TYPE {family} gauge")), "{prom}");
+        for table in ["big", "tiny"] {
+            let sample = prom
+                .lines()
+                .find(|l| l.starts_with(&format!("{family}{{table=\"{table}\"}} ")))
+                .unwrap_or_else(|| panic!("no {family} sample for {table}:\n{prom}"));
+            let (_, value) = sample.rsplit_once(' ').unwrap();
+            assert!(value.parse::<u64>().is_ok(), "{sample}");
+        }
+    }
+    assert!(prom.contains(&format!("perm_table_bytes{{table=\"big\"}} {}", big.bytes)), "{prom}");
     wait_for_zero_gauges(&engine);
 }

@@ -72,7 +72,6 @@ fn explain_carries_inferred_types() {
     let session = engine.session();
     let plan = session.execute("EXPLAIN SELECT name FROM shop WHERE numEmpl > 5").unwrap();
     let text = plan
-        .tuples()
         .iter()
         .map(|t| match &t.values()[0] {
             Value::Text(s) => s.to_string(),

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use perm_algebra::{AlgebraError, Schema, Tuple};
+use perm_algebra::{AlgebraError, DataChunk, Schema, Tuple};
 
 use crate::relation::Relation;
 
@@ -52,12 +52,12 @@ pub struct ViewDef {
     pub sql: String,
 }
 
-/// A base table: schema plus stored tuples.
+/// A base table: schema plus stored rows.
 ///
 /// The relation is held behind an [`Arc`] so that executors can take a zero-copy snapshot of a
-/// table ([`Catalog::table_arc`]) and stream from it without cloning every stored tuple.
-/// Mutating operations use copy-on-write ([`Arc::make_mut`]); a snapshot taken before a mutation
-/// keeps observing the pre-mutation contents.
+/// table ([`Catalog::table_arc`]). Mutating operations use copy-on-write ([`Arc::make_mut`]):
+/// the new version shares every full chunk with the old one and rebuilds only the tail, and a
+/// snapshot taken before a mutation keeps observing the pre-mutation contents.
 #[derive(Debug, Clone)]
 pub struct TableEntry {
     /// Table name.
@@ -78,6 +78,9 @@ pub struct TableInfo {
     pub name: String,
     /// Current row count.
     pub rows: usize,
+    /// Resident size of the stored chunks ([`Relation::byte_size`]) — the number to hold against
+    /// the process's RSS.
+    pub bytes: usize,
     /// Catalog version at which the contents (and therefore the statistics) last changed.
     pub modified_version: u64,
 }
@@ -206,18 +209,35 @@ impl Catalog {
         Ok(())
     }
 
-    /// Insert tuples into an existing table.
-    pub fn insert(&self, name: &str, tuples: Vec<Tuple>) -> Result<usize, CatalogError> {
+    /// One append commit on `name`: copy-on-write the relation, apply `append`, bump versions.
+    fn append_to(
+        &self,
+        name: &str,
+        append: impl FnOnce(&mut Relation) -> Result<(), AlgebraError>,
+    ) -> Result<(), CatalogError> {
         let key = Self::normalize(name);
         let mut inner = self.inner.write();
         let version = inner.version + 1;
         let entry =
             inner.tables.get_mut(&key).ok_or_else(|| CatalogError::NotFound(name.to_string()))?;
-        let n = tuples.len();
-        Arc::make_mut(&mut entry.relation).extend(tuples)?;
+        append(Arc::make_mut(&mut entry.relation))?;
         entry.modified_version = version;
         inner.version = version;
+        Ok(())
+    }
+
+    /// Insert tuples into an existing table.
+    pub fn insert(&self, name: &str, tuples: Vec<Tuple>) -> Result<usize, CatalogError> {
+        let n = tuples.len();
+        self.append_to(name, |relation| relation.extend(tuples))?;
         Ok(n)
+    }
+
+    /// Append columnar chunks (a query result) to an existing table: the `INSERT … SELECT`
+    /// commit, which never boxes the result into tuples.
+    pub fn insert_chunks(&self, name: &str, chunks: &[DataChunk]) -> Result<usize, CatalogError> {
+        self.append_to(name, |relation| relation.append_chunks(chunks))?;
+        Ok(chunks.iter().map(DataChunk::num_rows).sum())
     }
 
     /// Insert tuples into several tables as **one atomic commit**: a concurrent
@@ -309,7 +329,7 @@ impl Catalog {
         Ok(())
     }
 
-    /// A snapshot of a table's contents (deep copy; prefer [`Catalog::table_arc`] on hot paths).
+    /// A snapshot of a table's contents, as an owned relation sharing the stored chunks.
     pub fn table(&self, name: &str) -> Result<Relation, CatalogError> {
         self.table_arc(name).map(|r| (*r).clone())
     }
@@ -317,8 +337,7 @@ impl Catalog {
     /// A zero-copy snapshot of a table's contents.
     ///
     /// The returned [`Arc`] observes the table as of the call; later inserts or overwrites do
-    /// not affect it (copy-on-write). This is what the executor scans from, so reading
-    /// a base relation costs a refcount bump instead of cloning every tuple.
+    /// not affect it (copy-on-write). This is what the executor scans from.
     pub fn table_arc(&self, name: &str) -> Result<Arc<Relation>, CatalogError> {
         let key = Self::normalize(name);
         let inner = self.inner.read();
@@ -407,8 +426,8 @@ impl Catalog {
         self.inner.read().tables.values().map(|e| e.relation.num_rows()).sum()
     }
 
-    /// Per-table row counts and statistics freshness, sorted by name. One read lock: every
-    /// entry describes the same catalog instant, alongside the current [`Catalog::version`]
+    /// Per-table row counts, resident bytes and statistics freshness, sorted by name. One read
+    /// lock: every entry describes the same catalog instant, alongside [`Catalog::version`]
     /// (a table whose `modified_version` equals the current version changed in the latest
     /// commit; older values tell exactly how stale a cached estimate could be).
     pub fn table_infos(&self) -> Vec<TableInfo> {
@@ -419,6 +438,7 @@ impl Catalog {
             .map(|e| TableInfo {
                 name: e.name.clone(),
                 rows: e.relation.num_rows(),
+                bytes: e.relation.byte_size(),
                 modified_version: e.modified_version,
             })
             .collect()
@@ -428,7 +448,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perm_algebra::{tuple, DataType};
+    use perm_algebra::{tuple, DataType, DEFAULT_CHUNK_SIZE};
 
     fn items_schema() -> Schema {
         Schema::from_pairs(&[("id", DataType::Int), ("price", DataType::Int)])
@@ -546,6 +566,8 @@ mod tests {
         let b = infos.iter().find(|i| i.name == "b").unwrap();
         assert_eq!(a.rows, 1);
         assert_eq!(b.rows, 0);
+        assert_eq!(a.bytes, catalog.table_arc("a").unwrap().byte_size());
+        assert!(a.bytes > 0 && b.bytes == 0);
         assert_eq!(a.modified_version, catalog.version(), "a changed in the latest commit");
         assert!(b.modified_version < a.modified_version, "b is stale relative to a");
         // A view commit bumps the catalog version but no table's freshness.
@@ -591,5 +613,88 @@ mod tests {
         assert_eq!(catalog.table_row_count("a").unwrap(), 1);
         assert_eq!(catalog.version(), v);
         assert!(catalog.insert_many(vec![("ghost", vec![])]).is_err());
+    }
+
+    fn items(range: std::ops::Range<usize>) -> Vec<Tuple> {
+        range.map(|i| tuple![i as i64, (i % 7) as i64]).collect()
+    }
+
+    /// A copy-on-write commit under a reader is O(chunks): the reader's snapshot is unchanged,
+    /// the new version shares every full chunk by pointer and rebuilds only the tail.
+    #[test]
+    fn insert_under_a_reader_shares_full_chunks_and_rebuilds_the_tail() {
+        let rows = 9 * DEFAULT_CHUNK_SIZE + 500;
+        let catalog = Catalog::new();
+        catalog
+            .create_table_with_data("t", Relation::from_parts(items_schema(), items(0..rows)))
+            .unwrap();
+        let reader = catalog.table_arc("t").unwrap();
+        let before = reader.chunks();
+        assert_eq!(before.len(), 10);
+
+        catalog.insert("t", vec![tuple![-1, -1]]).unwrap();
+
+        assert_eq!(reader.num_rows(), rows);
+        assert!(Arc::ptr_eq(&before, &reader.chunks()));
+        assert_eq!(before[9].num_rows(), 500);
+        let after = catalog.table_arc("t").unwrap().chunks();
+        assert_eq!(after.len(), 10);
+        for (old, new) in before.iter().zip(after.iter()).take(9) {
+            for (a, b) in old.columns().iter().zip(new.columns()) {
+                assert!(Arc::ptr_eq(a, b), "full chunks are shared, not copied");
+            }
+        }
+        assert!(!Arc::ptr_eq(before[9].column(0), after[9].column(0)));
+        assert_eq!(after[9].num_rows(), 501);
+        assert_eq!(after[9].tuple_at(500), tuple![-1, -1]);
+    }
+
+    /// The `INSERT … SELECT` commit takes the result's chunks as they are.
+    #[test]
+    fn insert_chunks_appends_a_result_without_rows() {
+        let catalog = Catalog::new();
+        catalog.create_table("t", items_schema()).unwrap();
+        catalog.insert("t", items(0..10)).unwrap();
+        let result = Relation::from_parts(items_schema(), items(10..3010));
+        let v = catalog.version();
+        assert_eq!(catalog.insert_chunks("t", &result.chunks()).unwrap(), 3000);
+        assert_eq!(catalog.version(), v + 1);
+        let stored = catalog.table_arc("t").unwrap();
+        assert_eq!(stored.num_rows(), 3010);
+        assert_eq!(
+            *stored.chunks(),
+            *Relation::from_parts(items_schema(), items(0..3010)).chunks()
+        );
+        // Wrong arity and unknown tables fail without committing.
+        let narrow = Relation::from_parts(Schema::from_pairs(&[("x", DataType::Int)]), vec![]);
+        assert!(catalog.insert_chunks("ghost", &narrow.chunks()).is_err());
+        let narrow = Relation::new(narrow.schema().clone(), vec![tuple![1]]).unwrap();
+        assert!(catalog.insert_chunks("t", &narrow.chunks()).is_err());
+        assert_eq!(catalog.version(), v + 1);
+        assert_eq!(catalog.table_row_count("t").unwrap(), 3010);
+    }
+
+    /// `insert` / `insert_many` across the 1023 / 1024 / 1025 boundary store the same chunks,
+    /// row for row, as a table loaded in one go, and drop the statistics.
+    #[test]
+    fn inserts_across_the_chunk_boundary_match_a_bulk_load() {
+        for total in [DEFAULT_CHUNK_SIZE - 1, DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE + 1] {
+            let bulk = Relation::from_parts(items_schema(), items(0..total));
+            let catalog = Catalog::new();
+            for table in ["a", "b"] {
+                let seed = Relation::from_parts(items_schema(), items(0..total - 2));
+                catalog.create_table_with_data(table, seed).unwrap();
+            }
+            catalog.analyze();
+            catalog.insert("a", items(total - 2..total - 1)).unwrap();
+            catalog.insert("a", items(total - 1..total)).unwrap();
+            catalog.insert_many(vec![("b", items(total - 2..total))]).unwrap();
+            for table in ["a", "b"] {
+                let stored = catalog.table_arc(table).unwrap();
+                assert_eq!(stored.num_rows(), total);
+                assert_eq!(*stored.chunks(), *bulk.chunks(), "{table} at {total} rows");
+                assert_eq!(stored.stats().row_count, total as u64, "statistics were recollected");
+            }
+        }
     }
 }

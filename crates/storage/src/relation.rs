@@ -1,6 +1,6 @@
-//! Materialised bag-semantic relations with a dual row/columnar representation.
+//! Materialised bag-semantic relations, stored as a list of columnar chunks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -14,75 +14,63 @@ use crate::stats::TableStats;
 /// occurrences. This is exactly the representation the Perm provenance representation needs: a
 /// result tuple is duplicated once per combination of contributing source tuples.
 ///
-/// Rows are stored in one of two interchangeable representations — a `Vec<Tuple>` row view and
-/// a columnar view of [`DataChunk`]s of up to [`DEFAULT_CHUNK_SIZE`] rows — and each view is
-/// materialised lazily from the other on first access, then cached. The vectorized executor
-/// scans [`Relation::chunks`] (base tables convert to columns once, not once per query) and
-/// produces chunk-backed results, so a query's rows are never boxed into tuples unless a caller
-/// actually asks for [`Relation::tuples`]. Mutation goes through the row view and invalidates
-/// the columnar cache.
+/// Rows are stored once, as [`DataChunk`]s of up to [`DEFAULT_CHUNK_SIZE`] rows — what the
+/// engine scans and produces. The row-shaped accessors ([`Relation::tuples`] and friends) are an
+/// on-demand view for the oracle, the baselines and tests: they box rows on every call and cache
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
-    /// Row view; lazily materialised from `chunks` when the relation was built columnar.
-    tuples: OnceLock<Vec<Tuple>>,
-    /// Columnar view; lazily built (and cached) from `tuples` on first chunked scan.
-    chunks: OnceLock<Arc<Vec<DataChunk>>>,
-    /// Per-column statistics; lazily collected from the columnar view on first request and
-    /// dropped by any mutation (see [`crate::stats`]).
+    /// Shared with every reader that took [`Relation::chunks`]; appends copy the chunk *list*
+    /// (refcount bumps), never the chunks.
+    chunks: Arc<Vec<DataChunk>>,
+    /// Per-column statistics; lazily collected on first request and dropped by any mutation
+    /// (see [`crate::stats`]).
     stats: OnceLock<Arc<TableStats>>,
-    /// Total row count, tracked eagerly so neither view has to materialise to answer it.
+    /// Total row count.
     rows: usize,
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.tuples() == other.tuples()
+        self.schema == other.schema && self.rows == other.rows && self.iter().eq(other.iter())
     }
 }
 
-impl Relation {
-    fn from_tuple_vec(schema: Schema, tuples: Vec<Tuple>) -> Relation {
-        let rows = tuples.len();
-        let lock = OnceLock::new();
-        let _ = lock.set(tuples);
-        Relation { schema, tuples: lock, chunks: OnceLock::new(), stats: OnceLock::new(), rows }
-    }
+fn arity_mismatch(got: usize, schema: &Schema) -> AlgebraError {
+    AlgebraError::Internal(format!(
+        "tuple arity {got} does not match schema arity {}",
+        schema.arity()
+    ))
+}
 
+impl Relation {
     /// Create an empty relation with the given schema.
     pub fn empty(schema: Schema) -> Relation {
-        Relation::from_tuple_vec(schema, Vec::new())
+        Relation::from_chunks(schema, Vec::new())
     }
 
     /// Create a relation from a schema and tuples.
     ///
     /// Every tuple must have the same arity as the schema.
     pub fn new(schema: Schema, tuples: Vec<Tuple>) -> Result<Relation, AlgebraError> {
-        for t in &tuples {
-            if t.arity() != schema.arity() {
-                return Err(AlgebraError::Internal(format!(
-                    "tuple arity {} does not match schema arity {}",
-                    t.arity(),
-                    schema.arity()
-                )));
-            }
-        }
-        Ok(Relation::from_tuple_vec(schema, tuples))
+        let mut relation = Relation::empty(schema);
+        relation.extend(tuples)?;
+        Ok(relation)
     }
 
-    /// Create a relation without checking tuple arities (used by the executor on data it has
-    /// produced itself).
+    /// Create a relation without checking tuple arities (used on rows the caller has produced
+    /// itself). The rows are consumed batch by batch, so a large input is never resident twice.
     pub fn from_parts(schema: Schema, tuples: Vec<Tuple>) -> Relation {
-        Relation::from_tuple_vec(schema, tuples)
+        let mut relation = Relation::empty(schema);
+        relation.append_rows(tuples);
+        relation
     }
 
-    /// Create a relation directly from columnar chunks (what the vectorized executor returns).
-    /// The row view is materialised only if a caller asks for tuples.
+    /// Create a relation directly from columnar chunks (what the engine returns).
     pub fn from_chunks(schema: Schema, chunks: Vec<DataChunk>) -> Relation {
         let rows = chunks.iter().map(|c| c.num_rows()).sum();
-        let lock = OnceLock::new();
-        let _ = lock.set(Arc::new(chunks));
-        Relation { schema, tuples: OnceLock::new(), chunks: lock, stats: OnceLock::new(), rows }
+        Relation { schema, chunks: Arc::new(chunks), stats: OnceLock::new(), rows }
     }
 
     /// The schema.
@@ -90,56 +78,23 @@ impl Relation {
         &self.schema
     }
 
-    /// The tuples, in insertion order (materialised from the columnar view on first access if
-    /// the relation was produced by the vectorized executor).
-    pub fn tuples(&self) -> &[Tuple] {
-        self.tuples.get_or_init(|| {
-            // A relation always holds at least one view; if the row view is absent the
-            // columnar view must be present, so the empty fallback is unreachable.
-            let mut out = Vec::with_capacity(self.rows);
-            if let Some(chunks) = self.chunks.get() {
-                for chunk in chunks.iter() {
-                    out.extend(chunk.iter_tuples());
-                }
-            }
-            out
-        })
-    }
-
-    /// The columnar view: the rows sliced into [`DataChunk`]s of up to [`DEFAULT_CHUNK_SIZE`]
-    /// rows. Built once from the row view on first access and cached (cheap `Arc` handout
-    /// afterwards), so repeated scans of a stored table pay the conversion once.
+    /// The stored chunks (a refcount bump).
     pub fn chunks(&self) -> Arc<Vec<DataChunk>> {
-        self.chunks
-            .get_or_init(|| {
-                // Mirror image of `tuples()`: one of the two views is always present.
-                let tuples = self.tuples.get().map(Vec::as_slice).unwrap_or(&[]);
-                let arity = self.schema.arity();
-                Arc::new(
-                    tuples
-                        .chunks(DEFAULT_CHUNK_SIZE)
-                        .map(|rows| DataChunk::from_tuples(arity, rows))
-                        .collect(),
-                )
-            })
-            .clone()
+        self.chunks.clone()
     }
 
-    /// Per-column statistics (row count, distinct values, NULL count, min/max), collected from
-    /// the columnar view on first request and cached. Mutations drop the cache, so the handle
-    /// always describes the relation contents at the time of the call. The collection pass
-    /// itself reuses [`Relation::chunks`], so a stored table pays the row→column conversion at
-    /// most once across scans *and* statistics.
+    /// Per-column statistics (row count, distinct values, NULL count, min/max), collected on
+    /// first request and cached. Mutations drop the cache, so the handle always describes the
+    /// relation contents at the time of the call.
     pub fn stats(&self) -> Arc<TableStats> {
         self.stats
-            .get_or_init(|| Arc::new(TableStats::compute(&self.chunks(), self.schema.arity())))
+            .get_or_init(|| Arc::new(TableStats::compute(&self.chunks, self.schema.arity())))
             .clone()
     }
 
-    /// Consume the relation returning its tuples.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        self.tuples();
-        self.tuples.into_inner().unwrap_or_default()
+    /// Approximate heap footprint of the stored chunks in bytes.
+    pub fn byte_size(&self) -> usize {
+        self.chunks.iter().map(DataChunk::byte_size).sum()
     }
 
     /// Number of tuples (counting duplicates).
@@ -157,75 +112,95 @@ impl Relation {
         self.schema.arity()
     }
 
-    /// Append rows to both views. The columnar cache is maintained *incrementally*: full
-    /// chunks are reused by `Arc` bump and only the trailing partial chunk is rebuilt, so a
-    /// workload interleaving small INSERT commits with queries pays O(chunk) per commit, not
-    /// O(table).
-    fn append_rows(&mut self, new: Vec<Tuple>) {
+    /// Append chunks of this relation's arity. A partial tail chunk is topped up to
+    /// [`DEFAULT_CHUNK_SIZE`] rows first and the rest is cut into chunks of at most that size;
+    /// full chunks are never touched, so an append under a reader that holds
+    /// [`Relation::chunks`] costs one refcount bump per stored column plus the tail.
+    pub fn append_chunks(&mut self, new: &[DataChunk]) -> Result<(), AlgebraError> {
+        if let Some(c) = new.iter().find(|c| c.num_columns() != self.schema.arity()) {
+            return Err(arity_mismatch(c.num_columns(), &self.schema));
+        }
+        for chunk in new {
+            // Stored data is plain: a dictionary view would pin its whole source column.
+            self.append_chunk(chunk.to_plain());
+        }
+        Ok(())
+    }
+
+    /// Append one plain chunk of the right arity.
+    fn append_chunk(&mut self, chunk: DataChunk) {
+        let rows = chunk.num_rows();
+        if rows == 0 {
+            return;
+        }
         // Statistics describe exact contents: recollect lazily after any append.
         self.stats = OnceLock::new();
-        if !new.is_empty() {
-            if let Some(cached) = self.chunks.get() {
-                let arity = self.schema.arity();
-                let mut chunks: Vec<DataChunk> = (**cached).clone();
-                let mut tail: Vec<Tuple> = Vec::new();
-                if chunks.last().is_some_and(|c| c.num_rows() < DEFAULT_CHUNK_SIZE) {
-                    if let Some(partial) = chunks.pop() {
-                        tail = partial.iter_tuples().collect();
-                    }
-                }
-                tail.extend(new.iter().cloned());
-                for batch in tail.chunks(DEFAULT_CHUNK_SIZE) {
-                    chunks.push(DataChunk::from_tuples(arity, batch));
-                }
-                let lock = OnceLock::new();
-                let _ = lock.set(Arc::new(chunks));
-                self.chunks = lock;
+        self.rows += rows;
+        let chunks = Arc::make_mut(&mut self.chunks);
+        let mut offset = 0;
+        if let Some(tail) = chunks.last_mut().filter(|t| t.num_rows() < DEFAULT_CHUNK_SIZE) {
+            offset = (DEFAULT_CHUNK_SIZE - tail.num_rows()).min(rows);
+            let arity = chunk.num_columns();
+            *tail = DataChunk::concat(arity, &[tail.clone(), chunk.slice(0, offset)]);
+        }
+        if offset == 0 && rows <= DEFAULT_CHUNK_SIZE {
+            chunks.push(chunk);
+        } else {
+            while offset < rows {
+                let len = (rows - offset).min(DEFAULT_CHUNK_SIZE);
+                chunks.push(chunk.slice(offset, len));
+                offset += len;
             }
         }
-        self.tuples();
-        self.rows += new.len();
-        if let Some(tuples) = self.tuples.get_mut() {
-            tuples.extend(new);
+    }
+
+    /// Append rows of the right arity, converting them a chunk's worth at a time.
+    fn append_rows(&mut self, new: Vec<Tuple>) {
+        let arity = self.schema.arity();
+        let mut rows = new.into_iter();
+        loop {
+            let batch: Vec<Tuple> = rows.by_ref().take(DEFAULT_CHUNK_SIZE).collect();
+            if batch.is_empty() {
+                break;
+            }
+            self.append_chunk(DataChunk::from_tuples(arity, &batch));
         }
     }
 
     /// Append a tuple.
     pub fn push(&mut self, tuple: Tuple) -> Result<(), AlgebraError> {
-        if tuple.arity() != self.schema.arity() {
-            return Err(AlgebraError::Internal(format!(
-                "tuple arity {} does not match schema arity {}",
-                tuple.arity(),
-                self.schema.arity()
-            )));
-        }
-        self.append_rows(vec![tuple]);
-        Ok(())
+        self.extend([tuple])
     }
 
     /// Append many tuples.
     pub fn extend(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> Result<(), AlgebraError> {
         let tuples: Vec<Tuple> = tuples.into_iter().collect();
         if let Some(t) = tuples.iter().find(|t| t.arity() != self.schema.arity()) {
-            return Err(AlgebraError::Internal(format!(
-                "tuple arity {} does not match schema arity {}",
-                t.arity(),
-                self.schema.arity()
-            )));
+            return Err(arity_mismatch(t.arity(), &self.schema));
         }
         self.append_rows(tuples);
         Ok(())
     }
 
-    /// Iterate over tuples.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples().iter()
+    /// Iterate over the rows as tuples, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.chunks.iter().flat_map(DataChunk::iter_tuples)
+    }
+
+    /// The rows as tuples, in insertion order.
+    pub fn tuples(&self) -> Vec<Tuple> {
+        self.iter().collect()
+    }
+
+    /// Consume the relation returning its tuples.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples()
     }
 
     /// The multiplicity of each distinct tuple.
-    pub fn multiplicities(&self) -> HashMap<&Tuple, usize> {
-        let mut counts: HashMap<&Tuple, usize> = HashMap::new();
-        for t in self.tuples() {
+    pub fn multiplicities(&self) -> HashMap<Tuple, usize> {
+        let mut counts: HashMap<Tuple, usize> = HashMap::new();
+        for t in self.iter() {
             *counts.entry(t).or_insert(0) += 1;
         }
         counts
@@ -250,32 +225,41 @@ impl Relation {
         if self.schema.arity() != other.schema.arity() {
             return false;
         }
-        let a: std::collections::HashSet<&Tuple> = self.tuples().iter().collect();
-        let b: std::collections::HashSet<&Tuple> = other.tuples().iter().collect();
-        a == b
+        self.iter().collect::<HashSet<Tuple>>() == other.iter().collect::<HashSet<Tuple>>()
     }
 
     /// Return a copy sorted by the total value order (stable presentation for tests/examples).
     pub fn sorted(&self) -> Relation {
-        let mut tuples = self.tuples().to_vec();
+        let mut tuples = self.tuples();
         tuples.sort();
-        Relation::from_tuple_vec(self.schema.clone(), tuples)
+        Relation::from_parts(self.schema.clone(), tuples)
     }
 
     /// Project the relation onto the attributes at `positions` (bag semantics).
     pub fn project(&self, positions: &[usize]) -> Relation {
-        Relation::from_tuple_vec(
+        Relation::from_parts(
             self.schema.project(positions),
-            self.tuples().iter().map(|t| t.project(positions)).collect(),
+            self.iter().map(|t| t.project(positions)).collect(),
         )
     }
 
+    /// Row `row` as a tuple, if the relation has that many rows.
+    pub fn tuple_at(&self, row: usize) -> Option<Tuple> {
+        let mut offset = row;
+        for chunk in self.chunks.iter() {
+            if offset < chunk.num_rows() {
+                return Some(chunk.tuple_at(offset));
+            }
+            offset -= chunk.num_rows();
+        }
+        None
+    }
+
     /// Value of attribute `name` in row `row`.
-    pub fn value_at(&self, row: usize, name: &str) -> Result<&Value, AlgebraError> {
+    pub fn value_at(&self, row: usize, name: &str) -> Result<Value, AlgebraError> {
         let col = self.schema.resolve(name)?;
-        self.tuples()
-            .get(row)
-            .and_then(|t| t.get(col))
+        self.tuple_at(row)
+            .and_then(|t| t.get(col).cloned())
             .ok_or(AlgebraError::ColumnIndexOutOfBounds { index: row, width: self.num_rows() })
     }
 
@@ -283,11 +267,8 @@ impl Relation {
     pub fn to_table_string(&self) -> String {
         let names = self.schema.attribute_names();
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
-        let rendered: Vec<Vec<String>> = self
-            .tuples()
-            .iter()
-            .map(|t| t.values().iter().map(|v| v.to_string()).collect())
-            .collect();
+        let rendered: Vec<Vec<String>> =
+            self.iter().map(|t| t.values().iter().map(|v| v.to_string()).collect()).collect();
         for row in &rendered {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.len());
@@ -330,10 +311,18 @@ mod tests {
         Schema::from_pairs(&[("name", DataType::Text), ("n", DataType::Int)])
     }
 
+    fn rows(range: std::ops::Range<usize>) -> Vec<Tuple> {
+        range.map(|i| tuple![format!("r{i}"), i as i64]).collect()
+    }
+
     #[test]
     fn new_rejects_arity_mismatch() {
         assert!(Relation::new(schema(), vec![tuple!["a"]]).is_err());
         assert!(Relation::new(schema(), vec![tuple!["a", 1]]).is_ok());
+        // The check runs over the whole input before any row is converted.
+        let mut r = Relation::empty(schema());
+        assert!(r.extend(vec![tuple!["a", 1], tuple!["b"]]).is_err());
+        assert!(r.is_empty() && r.chunks().is_empty());
     }
 
     #[test]
@@ -370,10 +359,13 @@ mod tests {
 
     #[test]
     fn value_at_resolves_by_name() {
-        let r = Relation::new(schema(), vec![tuple!["a", 7]]).unwrap();
-        assert_eq!(r.value_at(0, "n").unwrap(), &Value::Int(7));
+        let r = Relation::new(schema(), rows(0..DEFAULT_CHUNK_SIZE + 2)).unwrap();
+        assert_eq!(r.value_at(7, "n").unwrap(), Value::Int(7));
+        assert_eq!(r.tuple_at(DEFAULT_CHUNK_SIZE), Some(tuple!["r1024", 1024]));
+        assert_eq!(r.tuple_at(DEFAULT_CHUNK_SIZE + 2), None);
+        assert_eq!(r.value_at(DEFAULT_CHUNK_SIZE + 1, "n").unwrap().as_i64(), Some(1025));
         assert!(r.value_at(0, "missing").is_err());
-        assert!(r.value_at(5, "n").is_err());
+        assert!(r.value_at(DEFAULT_CHUNK_SIZE + 2, "n").is_err());
     }
 
     #[test]
@@ -392,45 +384,32 @@ mod tests {
     }
 
     #[test]
-    fn chunk_view_round_trips_and_is_cached() {
-        use perm_algebra::DEFAULT_CHUNK_SIZE;
-        let rows: Vec<_> =
-            (0..(DEFAULT_CHUNK_SIZE as i64 + 1)).map(|i| tuple![format!("r{i}"), i]).collect();
-        let r = Relation::new(schema(), rows.clone()).unwrap();
+    fn rows_convert_eagerly_into_bounded_chunks_and_round_trip() {
+        let input = rows(0..DEFAULT_CHUNK_SIZE + 1);
+        let r = Relation::new(schema(), input.clone()).unwrap();
         let chunks = r.chunks();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].num_rows(), DEFAULT_CHUNK_SIZE);
         assert_eq!(chunks[1].num_rows(), 1);
-        // Cached: the same Arc is handed out again.
+        // One representation: the same list is handed out again, and clones share it.
         assert!(Arc::ptr_eq(&chunks, &r.chunks()));
-        // Round trip through the columnar view.
+        assert!(Arc::ptr_eq(&chunks, &r.clone().chunks()));
         let back = Relation::from_chunks(r.schema().clone(), (*chunks).clone());
-        assert_eq!(back.num_rows(), rows.len());
-        assert_eq!(back.tuples(), rows.as_slice());
-        assert!(back.bag_eq(&r));
+        assert_eq!(back.num_rows(), input.len());
+        assert_eq!(back.tuples(), input);
+        assert_eq!(back.clone().into_tuples(), input);
+        assert_eq!(back, r);
+        assert_eq!(r.byte_size(), chunks.iter().map(DataChunk::byte_size).sum::<usize>());
     }
 
     #[test]
-    fn mutation_maintains_the_chunk_cache_incrementally() {
-        let mut r = Relation::new(schema(), vec![tuple!["a", 1]]).unwrap();
-        assert_eq!(r.chunks()[0].num_rows(), 1);
-        r.push(tuple!["b", 2]).unwrap();
-        assert_eq!(r.num_rows(), 2);
-        let chunks = r.chunks();
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].num_rows(), 2);
-        assert_eq!(chunks[0].tuple_at(1), tuple!["b", 2]);
-
-        // Appending past a chunk boundary reuses full chunks by Arc bump and only rebuilds
-        // the trailing partial chunk.
-        use perm_algebra::DEFAULT_CHUNK_SIZE;
-        let rows: Vec<_> =
-            (0..(DEFAULT_CHUNK_SIZE as i64 + 1)).map(|i| tuple![format!("r{i}"), i]).collect();
-        let mut big = Relation::new(schema(), rows).unwrap();
-        let before = big.chunks();
-        assert_eq!(before.len(), 2);
-        big.push(tuple!["x", -1]).unwrap();
-        let after = big.chunks();
+    fn append_shares_full_chunks_and_rebuilds_only_the_tail() {
+        let mut r = Relation::new(schema(), rows(0..DEFAULT_CHUNK_SIZE + 1)).unwrap();
+        let before = r.chunks();
+        r.push(tuple!["x", -1]).unwrap();
+        let after = r.chunks();
+        assert_eq!(before.len(), 2, "the reader's list is untouched");
+        assert_eq!(before[1].num_rows(), 1);
         assert_eq!(after.len(), 2);
         assert!(
             Arc::ptr_eq(before[0].column(0), after[0].column(0)),
@@ -438,17 +417,6 @@ mod tests {
         );
         assert_eq!(after[1].num_rows(), 2);
         assert_eq!(after[1].tuple_at(1), tuple!["x", -1]);
-        assert_eq!(big.tuples().len(), DEFAULT_CHUNK_SIZE + 2);
-        assert_eq!(big.tuples().last().unwrap(), &tuple!["x", -1]);
-    }
-
-    #[test]
-    fn chunk_backed_relation_supports_row_accessors() {
-        let source = Relation::new(schema(), vec![tuple!["a", 1], tuple!["b", 2]]).unwrap();
-        let chunked = Relation::from_chunks(source.schema().clone(), (*source.chunks()).clone());
-        assert_eq!(chunked.num_rows(), 2);
-        assert_eq!(chunked.value_at(1, "n").unwrap(), &Value::Int(2));
-        assert_eq!(chunked.sorted().tuples()[0], tuple!["a", 1]);
-        assert_eq!(chunked, source);
+        assert_eq!(r.num_rows(), DEFAULT_CHUNK_SIZE + 2);
     }
 }

@@ -1,11 +1,9 @@
 //! Per-table statistics: the input of the cost-based planner in `perm-exec`.
 //!
-//! Statistics are collected from a [`crate::Relation`]'s cached columnar view
-//! ([`crate::Relation::chunks`]), so collection is a vectorized column-at-a-time sweep over
-//! data that base tables have already converted — never a row-by-row walk of boxed tuples.
-//! They are computed lazily on first request and cached on the relation; any mutation drops
-//! the cache, so a statistic handed out is always consistent with the relation contents it
-//! was computed from. Freshness across commits is tracked by the catalog's version counter
+//! Statistics are collected from a [`crate::Relation`]'s stored chunks
+//! ([`crate::Relation::chunks`]) in a column-at-a-time sweep. They are computed lazily on first
+//! request and cached on the relation; any mutation drops the cache, so a statistic handed out
+//! is always consistent with the relation contents it was computed from. Freshness across commits is tracked by the catalog's version counter
 //! (see [`crate::TableEntry::modified_version`]): plan caches already invalidate on version
 //! bumps, which makes stale-statistics plans impossible to serve by construction.
 

@@ -60,6 +60,7 @@ mod lint {
     const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
     const RULE_DENY_UNWRAP: &str = "deny-unwrap-header";
     const RULE_LISTED_FILE: &str = "listed-file-missing";
+    const RULE_ROW_VIEW: &str = "row-view-in-served-path";
 
     /// Vectorized kernel files: integer arithmetic here must go through checked kernels
     /// (`i64::checked_add` & friends), never plain `+`/`-`/`*` closures or `wrapping_*`.
@@ -75,6 +76,14 @@ mod lint {
         "crates/exec/src/parallel.rs",
         "crates/algebra/src/chunk.rs",
     ];
+
+    /// The served path (directories or single files): a query is answered from chunks, so the
+    /// relation-to-rows adapters `Relation::tuples` / `into_tuples` must not be called here.
+    const SERVED_PATH: &[&str] =
+        &["crates/exec/src", "crates/service/src", "crates/storage/src/catalog.rs"];
+
+    /// The row-at-a-time oracle: inside [`SERVED_PATH`] but exempt from `row-view-in-served-path`.
+    const ORACLE_FILES: &[&str] = &["crates/exec/src/reference.rs"];
 
     /// Run every rule over the workspace; returns the violation count.
     pub fn run() -> Result<usize, std::io::Error> {
@@ -94,6 +103,11 @@ mod lint {
             if HOT_PATH_FILES.iter().any(|k| rel == Path::new(k)) {
                 scan_instant_in_loop(rel, &text, &mut violations);
             }
+            if SERVED_PATH.iter().any(|k| rel.starts_with(k))
+                && !ORACLE_FILES.iter().any(|k| rel == Path::new(k))
+            {
+                scan_row_view(rel, &text, &mut violations);
+            }
         }
         for file in crate_roots(&root)? {
             let text = std::fs::read_to_string(&file)?;
@@ -107,13 +121,19 @@ mod lint {
         Ok(violations.len())
     }
 
-    /// Rule `listed-file-missing`: every path in [`KERNEL_FILES`] and [`HOT_PATH_FILES`] must
-    /// be among the scanned sources. The per-file rules only run on listed paths, so a rename
-    /// or delete would otherwise switch them off without a word.
+    /// Rule `listed-file-missing`: every path in the rule scopes ([`KERNEL_FILES`],
+    /// [`HOT_PATH_FILES`], [`SERVED_PATH`], [`ORACLE_FILES`]) must be, or contain, one of the
+    /// scanned sources. The per-file rules only run on listed paths, so a rename or delete
+    /// would otherwise switch them off without a word.
     fn check_listed_files(scanned: &[&Path], out: &mut Vec<Violation>) {
-        for (list, files) in [("KERNEL_FILES", KERNEL_FILES), ("HOT_PATH_FILES", HOT_PATH_FILES)] {
+        for (list, files) in [
+            ("KERNEL_FILES", KERNEL_FILES),
+            ("HOT_PATH_FILES", HOT_PATH_FILES),
+            ("SERVED_PATH", SERVED_PATH),
+            ("ORACLE_FILES", ORACLE_FILES),
+        ] {
             for listed in files {
-                if !scanned.contains(&Path::new(listed)) {
+                if !scanned.iter().any(|p| p.starts_with(listed)) {
                     out.push(Violation {
                         file: PathBuf::from(listed),
                         line: 1,
@@ -411,6 +431,32 @@ mod lint {
         }
     }
 
+    /// Rule `row-view-in-served-path`: no `.tuples()` / `.into_tuples()` in non-test code of the
+    /// served path. Stored relations are chunk lists and every row view is built on demand, so
+    /// one such call boxes a whole relation per query. (Group-key `Tuple::new` in the engine is
+    /// a different thing and not matched.)
+    fn scan_row_view(file: &Path, text: &str, out: &mut Vec<Violation>) {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut tests = TestRegions::new();
+        for (i, line) in lines.iter().enumerate() {
+            if tests.observe(line) {
+                continue;
+            }
+            let code = code_of(line);
+            if [".tuples()", ".into_tuples()"].iter().any(|call| code.contains(call))
+                && !allowed(&lines, i, RULE_ROW_VIEW)
+            {
+                out.push(Violation {
+                    file: file.to_path_buf(),
+                    line: i + 1,
+                    rule: RULE_ROW_VIEW,
+                    message: "row view of a relation in the served path: read `chunks()` (rows are for the oracle, baselines and tests)"
+                        .into(),
+                });
+            }
+        }
+    }
+
     /// Rules `forbid-unsafe` and `deny-unwrap-header`: every crate root must carry
     /// `#![forbid(unsafe_code)]` and `#![deny(clippy::unwrap_used, clippy::expect_used)]`.
     fn scan_crate_root_headers(file: &Path, text: &str, out: &mut Vec<Violation>) {
@@ -440,8 +486,13 @@ mod lint {
 
         #[test]
         fn a_listed_file_that_is_not_scanned_is_a_violation() {
-            let all: Vec<&Path> =
-                KERNEL_FILES.iter().chain(HOT_PATH_FILES).map(Path::new).collect();
+            let all: Vec<&Path> = KERNEL_FILES
+                .iter()
+                .chain(HOT_PATH_FILES)
+                .chain(ORACLE_FILES)
+                .chain(&["crates/service/src/engine.rs", "crates/storage/src/catalog.rs"])
+                .map(Path::new)
+                .collect();
             let mut violations = Vec::new();
             check_listed_files(&all, &mut violations);
             assert!(violations.is_empty(), "every listed file present: no violation");
@@ -452,6 +503,36 @@ mod lint {
             check_listed_files(&remaining, &mut violations);
             assert!(!violations.is_empty());
             assert!(violations.iter().all(|v| v.rule == RULE_LISTED_FILE && v.file == gone));
+
+            // A served-path directory with no source left under it is reported too.
+            let no_service: Vec<&Path> =
+                all.iter().copied().filter(|p| !p.starts_with("crates/service/src")).collect();
+            violations.clear();
+            check_listed_files(&no_service, &mut violations);
+            assert_eq!(violations.len(), 1);
+            assert_eq!(violations[0].file, Path::new("crates/service/src"));
+        }
+
+        #[test]
+        fn row_views_are_flagged_outside_tests_and_escapes() {
+            let text = "\
+fn served(r: &Relation) {
+    let rows = r.tuples();
+    let owned = r.clone().into_tuples(); // xtask-allow: row-view-in-served-path
+    // xtask-allow: row-view-in-served-path
+    let again = r.tuples();
+    let key = Tuple::new(vec![]); // mentions .tuples() only in a comment
+    let chunk_rows = chunk.iter_tuples();
+}
+#[cfg(test)]
+mod tests {
+    fn t(r: &Relation) { assert!(r.tuples().is_empty()); }
+}
+";
+            let mut violations = Vec::new();
+            scan_row_view(Path::new("crates/service/src/engine.rs"), text, &mut violations);
+            assert_eq!(violations.len(), 1, "only the bare call in non-test code");
+            assert_eq!((violations[0].line, violations[0].rule), (2, RULE_ROW_VIEW));
         }
     }
 }

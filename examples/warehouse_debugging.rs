@@ -43,7 +43,7 @@ fn main() -> Result<(), PermError> {
 
     // --- 1. Perm: one rewritten query annotates every report row with its witnesses. ---------
     let provenance = db.provenance_of_query(report_sql)?;
-    let witnesses: Vec<_> = provenance.tuples().iter().filter(|t| t[0] == suspicious[0]).collect();
+    let witnesses: Vec<_> = provenance.iter().filter(|t| t[0] == suspicious[0]).collect();
     println!(
         "[Perm] {} witness rows; each carries the full contributing lineitem, orders, customer \
          and nation tuples ({} provenance attributes).",

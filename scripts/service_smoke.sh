@@ -177,6 +177,14 @@ echo "$IDLE" | grep -q '^perm_queries_total{outcome="ok"} [1-9]' \
     || { echo "FAIL: idle scrape shows no completed queries"; exit 1; }
 echo "$IDLE" | grep -q '^perm_rows_streamed_total 10[0-9]\{5\}' \
     || { echo "FAIL: idle scrape rows_streamed_total missing the 1M-row stream"; exit 1; }
+# Resident table data is exported per table, next to the row counts (compare with VmHWM below).
+echo "$IDLE" | grep -q '^# TYPE perm_table_bytes gauge' \
+    || { echo "FAIL: idle scrape missing the perm_table_bytes family"; exit 1; }
+for TABLE in big_probe big_build; do
+    echo "$IDLE" | grep -q "^perm_table_rows{table=\"$TABLE\"} [1-9][0-9]*\r*$" \
+        && echo "$IDLE" | grep -q "^perm_table_bytes{table=\"$TABLE\"} [1-9][0-9]*\r*$" \
+        || { echo "FAIL: idle scrape has no rows/bytes sample for $TABLE"; exit 1; }
+done
 
 # Peak server RSS must stay well below the result's ~170 MB as text: the engine holds it as
 # dictionary views over the build side, and backpressure (8 unacked chunk frames) bounds what

@@ -130,7 +130,7 @@ fn sql_ple_examples_from_section_four() {
         )
         .unwrap();
     assert_eq!(
-        q1.sorted().tuples().iter().map(|t| t[0].clone()).collect::<Vec<_>>(),
+        q1.sorted().iter().map(|t| t[0].clone()).collect::<Vec<_>>(),
         vec![Value::Int(1), Value::Int(2), Value::Int(2)]
     );
 
@@ -165,7 +165,7 @@ fn sql_ple_examples_from_section_four() {
              WHERE numEmpl < 10 OR name IN (SELECT sName FROM sales)",
         )
         .unwrap();
-    let merdies_rows = sublink.tuples().iter().filter(|t| t[0] == Value::text("Merdies")).count();
+    let merdies_rows = sublink.iter().filter(|t| t[0] == Value::text("Merdies")).count();
     assert_eq!(
         merdies_rows, 5,
         "all sales tuples contribute to Merdies (condition holds regardless of the sublink)"

@@ -483,7 +483,6 @@ fn nan_sort_keys_and_predicates_agree_at_every_degree() {
     let expected: Vec<i64> = vec![4, 2, 5, 0, 1, 3];
     let result = run_at_every_degree(&catalog, &plan, ExecOptions::default()).unwrap();
     let tags: Vec<i64> = result
-        .tuples()
         .iter()
         .map(|t| match &t[0] {
             Value::Int(i) => *i,
