@@ -188,13 +188,14 @@ pub enum Array {
     },
     /// Dictionary-encoded view: row `i` is row `indices[i]` of the shared `dict` array.
     ///
-    /// Join gathers over duplicating provenance joins produce this instead of materializing
-    /// the repeated source tuples: the dictionary is the (already materialized) build-side
-    /// column shared by refcount, and only the 4-byte indices are per-output-row. NULLs live
-    /// in the dictionary (`dict.is_null(indices[i])`), so there is no separate validity map.
+    /// Joins produce this instead of materializing the repeated source tuples: the dictionary
+    /// is the (already materialized) source column shared by refcount, and the index buffer is
+    /// shared too — every column a join batch takes from one side points at the same buffer,
+    /// so a batch of any width costs two buffers of 4-byte indices. NULLs live in the
+    /// dictionary (`dict.is_null(indices[i])`), so there is no separate validity map.
     Dict {
-        /// One dictionary row index per output row.
-        indices: Vec<u32>,
+        /// One dictionary row index per output row; columns gathered together share it.
+        indices: Arc<[u32]>,
         /// The shared dictionary of distinct (or at least source) rows.
         dict: Arc<Array>,
     },
@@ -213,6 +214,42 @@ pub enum Array {
 #[inline]
 fn rle_run_index(run_ends: &[u32], i: usize) -> usize {
     run_ends.partition_point(|&end| end as usize <= i)
+}
+
+/// The index buffer of a dict view, shared by the columns that were gathered together.
+type IndexBuffer = Arc<[u32]>;
+
+/// Addresses of the shared buffers (forwarded columns, dictionaries, index buffers) one
+/// byte-size walk has charged so far.
+type Charged = std::collections::HashSet<usize>;
+
+/// Is this the walk's first sight of `shared`? (Identity is the allocation's address.)
+fn first_charge<T: ?Sized>(shared: &Arc<T>, charged: &mut Charged) -> bool {
+    charged.insert(Arc::as_ptr(shared) as *const () as usize)
+}
+
+/// The bytes of a shared array, or nothing when the walk has charged it already.
+fn charge_shared(array: &Arc<Array>, charged: &mut Charged) -> usize {
+    if first_charge(array, charged) {
+        array.charge(charged)
+    } else {
+        0
+    }
+}
+
+/// The index buffer of a dict view after keeping only the rows whose mask bit is set.
+fn filter_indices(indices: &[u32], mask: &[bool]) -> IndexBuffer {
+    indices.iter().zip(mask).filter(|(_, keep)| **keep).map(|(&i, _)| i).collect()
+}
+
+/// The index buffer of a dict view over `inner` after gathering its rows at `outer`.
+fn compose_indices(inner: &[u32], outer: &[u32]) -> IndexBuffer {
+    outer.iter().map(|&i| inner[i as usize]).collect()
+}
+
+/// The run index of each gathered row of a run-length array: a dict view over its run values.
+fn run_indices(run_ends: &[u32], outer: &[u32]) -> IndexBuffer {
+    outer.iter().map(|&i| rle_run_index(run_ends, i as usize) as u32).collect()
 }
 
 impl Array {
@@ -421,15 +458,9 @@ impl Array {
                     .collect(),
             },
             // A dict view filters by compacting its indices; the dictionary is untouched.
-            Array::Dict { indices, dict } => Array::Dict {
-                indices: indices
-                    .iter()
-                    .zip(mask)
-                    .filter(|(_, keep)| **keep)
-                    .map(|(&i, _)| i)
-                    .collect(),
-                dict: dict.clone(),
-            },
+            Array::Dict { indices, dict } => {
+                Array::Dict { indices: filter_indices(indices, mask), dict: dict.clone() }
+            }
             Array::RunLength { .. } => self.to_plain().filter(mask),
         }
     }
@@ -476,92 +507,12 @@ impl Array {
                 Array::Any { values: indices.iter().map(|&i| values[i as usize].clone()).collect() }
             }
             // A dict view gathers by gathering its indices; the dictionary is untouched.
-            Array::Dict { indices: inner, dict } => Array::Dict {
-                indices: indices.iter().map(|&i| inner[i as usize]).collect(),
-                dict: dict.clone(),
-            },
-            Array::RunLength { values, run_ends } => Array::Dict {
-                indices: indices
-                    .iter()
-                    .map(|&i| rle_run_index(run_ends, i as usize) as u32)
-                    .collect(),
-                dict: values.clone(),
-            },
-        }
-    }
-
-    /// Gather with optional indices: `None` produces a NULL row (outer-join padding).
-    pub fn take_opt(&self, indices: &[Option<u32>]) -> Array {
-        fn gather<T: Clone + Default>(
-            values: &[T],
-            validity: &Bitmap,
-            indices: &[Option<u32>],
-        ) -> (Vec<T>, Bitmap) {
-            let mut out = Vec::with_capacity(indices.len());
-            let mut v = Bitmap::new();
-            for idx in indices {
-                match idx {
-                    Some(i) => {
-                        out.push(values[*i as usize].clone());
-                        v.push(validity.get(*i as usize));
-                    }
-                    None => {
-                        out.push(T::default());
-                        v.push(false);
-                    }
-                }
+            Array::Dict { indices: inner, dict } => {
+                Array::Dict { indices: compose_indices(inner, indices), dict: dict.clone() }
             }
-            (out, v)
-        }
-        match self {
-            Array::Bool { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Bool { values, validity }
+            Array::RunLength { values, run_ends } => {
+                Array::Dict { indices: run_indices(run_ends, indices), dict: values.clone() }
             }
-            Array::Int { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Int { values, validity }
-            }
-            Array::Float { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Float { values, validity }
-            }
-            Array::Text { values, validity } => {
-                let mut out = Vec::with_capacity(indices.len());
-                let mut v = Bitmap::new();
-                for idx in indices {
-                    match idx {
-                        Some(i) => {
-                            out.push(values[*i as usize].clone());
-                            v.push(validity.get(*i as usize));
-                        }
-                        None => {
-                            out.push(Arc::from(""));
-                            v.push(false);
-                        }
-                    }
-                }
-                Array::Text { values: out, validity: v }
-            }
-            Array::Date { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Date { values, validity }
-            }
-            Array::Null { .. } => Array::Null { len: indices.len() },
-            Array::Any { values } => Array::Any {
-                values: indices
-                    .iter()
-                    .map(|idx| match idx {
-                        Some(i) => values[*i as usize].clone(),
-                        None => Value::Null,
-                    })
-                    .collect(),
-            },
-            // Encoded views cannot represent the injected NULL padding rows natively; the
-            // padded gather is rare (outer-join NULL extension), so go through boxed values.
-            Array::Dict { .. } | Array::RunLength { .. } => Array::from_values(
-                indices.iter().map(|idx| idx.map_or(Value::Null, |i| self.value(i as usize))),
-            ),
         }
     }
 
@@ -603,9 +554,10 @@ impl Array {
             }
             Array::Null { .. } => Array::Null { len },
             Array::Any { values } => Array::Any { values: values[offset..offset + len].to_vec() },
-            Array::Dict { indices, dict } => {
-                Array::Dict { indices: indices[offset..offset + len].to_vec(), dict: dict.clone() }
-            }
+            Array::Dict { indices, dict } => Array::Dict {
+                indices: Arc::from(&indices[offset..offset + len]),
+                dict: dict.clone(),
+            },
             Array::RunLength { .. } => self.to_plain().slice(offset, len),
         }
     }
@@ -614,15 +566,27 @@ impl Array {
     /// degrade to the boxed fallback).
     pub fn concat(arrays: &[&Array]) -> Array {
         /// Same-variant fast path: native `extend_from_slice` per input, no value boxing.
+        /// All-NULL parts (an outer join's padding batches, a join's NULL slot) extend the
+        /// native buffer with invalid default slots instead of forcing the boxed fallback.
         macro_rules! typed_concat {
-            ($variant:ident) => {{
-                if arrays.iter().all(|a| matches!(a, Array::$variant { .. })) {
+            ($variant:ident, $fill:expr) => {{
+                if arrays.iter().any(|a| matches!(a, Array::$variant { .. }))
+                    && arrays
+                        .iter()
+                        .all(|a| matches!(a, Array::$variant { .. } | Array::Null { .. }))
+                {
                     let mut values = Vec::new();
                     let mut validity = Bitmap::new();
                     for a in arrays {
-                        if let Array::$variant { values: v, validity: b } = a {
-                            values.extend_from_slice(v);
-                            validity.extend_from(b);
+                        match a {
+                            Array::$variant { values: v, validity: b } => {
+                                values.extend_from_slice(v);
+                                validity.extend_from(b);
+                            }
+                            other => {
+                                values.resize(values.len() + other.len(), $fill);
+                                validity.extend_from(&Bitmap::all_unset(other.len()));
+                            }
                         }
                     }
                     return Array::$variant { values, validity };
@@ -633,23 +597,9 @@ impl Array {
             [] => Array::Null { len: 0 },
             [only] => (*only).clone(),
             _ => {
-                // Dict views over the *same* dictionary concatenate by index; this keeps the
-                // factorized form through chunk reassembly (e.g. Relation::from_chunks).
-                if let Array::Dict { dict: first_dict, .. } = arrays[0] {
-                    if arrays.iter().all(
-                        |a| matches!(a, Array::Dict { dict, .. } if Arc::ptr_eq(dict, first_dict)),
-                    ) {
-                        let mut indices = Vec::with_capacity(arrays.iter().map(|a| a.len()).sum());
-                        for a in arrays {
-                            if let Array::Dict { indices: i, .. } = a {
-                                indices.extend_from_slice(i);
-                            }
-                        }
-                        return Array::Dict { indices, dict: first_dict.clone() };
-                    }
-                }
-                // Mixed or differently-backed encoded inputs: decode them once, then the plain
-                // typed fast paths below apply.
+                // Encoded inputs are decoded once, then the plain typed fast paths below apply
+                // (views over one dictionary stay views in [`DataChunk::concat`], which can
+                // also keep their index buffers shared between columns).
                 if arrays.iter().any(|a| a.is_encoded()) {
                     let decoded: Vec<Array> = arrays
                         .iter()
@@ -658,11 +608,14 @@ impl Array {
                     let refs: Vec<&Array> = decoded.iter().collect();
                     return Array::concat(&refs);
                 }
-                typed_concat!(Int);
-                typed_concat!(Text);
-                typed_concat!(Float);
-                typed_concat!(Date);
-                typed_concat!(Bool);
+                if arrays.iter().all(|a| matches!(a, Array::Null { .. })) {
+                    return Array::Null { len: arrays.iter().map(|a| a.len()).sum() };
+                }
+                typed_concat!(Int, 0);
+                typed_concat!(Text, Arc::from(""));
+                typed_concat!(Float, 0.0);
+                typed_concat!(Date, 0);
+                typed_concat!(Bool, false);
                 let mut builder = ArrayBuilder::with_capacity(arrays.iter().map(|a| a.len()).sum());
                 for a in arrays {
                     for i in 0..a.len() {
@@ -671,23 +624,6 @@ impl Array {
                 }
                 builder.finish()
             }
-        }
-    }
-
-    /// Like [`Array::take`], but gathers plain arrays into a [`Array::Dict`] view sharing
-    /// `self` as the dictionary (a u32 index per output row) instead of cloning every value.
-    /// Existing views compose by index so the result never nests. `ORDER BY` uses this to
-    /// re-chunk wide sorted payloads: the per-cell cost is an index write, and the values —
-    /// text columns of provenance results in particular — stay shared by refcount.
-    pub fn take_view(self: &Arc<Array>, indices: &[u32]) -> Array {
-        match self.as_ref() {
-            Array::Null { .. } => Array::Null { len: indices.len() },
-            Array::Dict { indices: inner, dict } => Array::Dict {
-                indices: indices.iter().map(|&i| inner[i as usize]).collect(),
-                dict: dict.clone(),
-            },
-            Array::RunLength { .. } => self.take(indices),
-            _ => Array::Dict { indices: indices.to_vec(), dict: self.clone() },
         }
     }
 
@@ -790,31 +726,34 @@ impl Array {
     }
 
     /// Gather the rows at `indices` as a dictionary *view* of `self` instead of materializing
-    /// copies — the factorized join-output gather. Composes with an existing dict view by
-    /// remapping through its indices (never nests), and degenerates to a plain gather for
-    /// all-NULL columns where a view would save nothing.
-    pub fn take_dict(self: &Arc<Array>, indices: &[u32]) -> Array {
+    /// copies — the one view gather: joins, `ORDER BY` and `LIMIT` all re-address rows through
+    /// it. A plain array becomes the dictionary and `indices` itself the view's index buffer
+    /// (so every column gathered with the same buffer shares it); an existing view composes by
+    /// remapping through its indices (never nests); an all-NULL column stays one, where a view
+    /// would save nothing. [`DataChunk::take_dict`] gathers a whole chunk and keeps composed
+    /// buffers shared between the columns that shared one before.
+    pub fn take_dict(self: &Arc<Array>, indices: &Arc<[u32]>) -> Array {
         match self.as_ref() {
             Array::Null { .. } => Array::Null { len: indices.len() },
-            Array::Dict { indices: inner, dict } => Array::Dict {
-                indices: indices.iter().map(|&i| inner[i as usize]).collect(),
-                dict: dict.clone(),
-            },
-            Array::RunLength { values, run_ends } => Array::Dict {
-                indices: indices
-                    .iter()
-                    .map(|&i| rle_run_index(run_ends, i as usize) as u32)
-                    .collect(),
-                dict: values.clone(),
-            },
-            _ => Array::Dict { indices: indices.to_vec(), dict: self.clone() },
+            Array::Dict { indices: inner, dict } => {
+                Array::Dict { indices: compose_indices(inner, indices), dict: dict.clone() }
+            }
+            Array::RunLength { values, run_ends } => {
+                Array::Dict { indices: run_indices(run_ends, indices), dict: values.clone() }
+            }
+            _ => Array::Dict { indices: indices.clone(), dict: self.clone() },
         }
     }
 
-    /// Approximate heap footprint in bytes (used for per-session stream memory accounting).
-    /// A dict view charges its shared dictionary in full; callers holding many views over one
-    /// dictionary therefore over-count, which errs on the safe side for admission decisions.
+    /// Approximate heap footprint in bytes. A view charges its index buffer and its dictionary;
+    /// [`DataChunk::byte_size`] is the one to ask about several columns at once, because it
+    /// charges a buffer that several of them share only once.
     pub fn byte_size(&self) -> usize {
+        self.charge(&mut Charged::new())
+    }
+
+    /// [`Array::byte_size`] under a running set of already-charged shared buffers.
+    fn charge(&self, charged: &mut Charged) -> usize {
         fn bitmap_bytes(b: &Bitmap) -> usize {
             b.words.len() * 8
         }
@@ -835,9 +774,21 @@ impl Array {
                         .map(|v| if let Value::Text(s) = v { s.len() } else { 0 })
                         .sum::<usize>()
             }
-            Array::Dict { indices, dict } => indices.len() * 4 + dict.byte_size(),
-            Array::RunLength { values, run_ends } => run_ends.len() * 4 + values.byte_size(),
+            Array::Dict { indices, dict } => {
+                let index_bytes =
+                    if first_charge(indices, charged) { indices.len() * 4 } else { 0 };
+                index_bytes + charge_shared(dict, charged)
+            }
+            Array::RunLength { values, run_ends } => {
+                run_ends.len() * 4 + charge_shared(values, charged)
+            }
         }
+    }
+
+    /// Is a run-length form worth it for `rows` rows in `runs` runs? At most one run per three
+    /// rows, and never for fewer than four rows.
+    pub fn run_length_pays(runs: usize, rows: usize) -> bool {
+        rows >= 4 && runs * 3 <= rows
     }
 
     /// Attempt run-length compression of a plain array. Returns `Some` only when the array
@@ -845,7 +796,7 @@ impl Array {
     /// Used by wire serialization — the executor itself never produces run-length arrays.
     pub fn rle_compress(&self) -> Option<Array> {
         let len = self.len();
-        if len < 4 || self.is_encoded() || matches!(self, Array::Null { .. }) {
+        if self.is_encoded() || matches!(self, Array::Null { .. }) {
             return None;
         }
         // One pass to find run boundaries (logical equality, NULL == NULL).
@@ -881,7 +832,7 @@ impl Array {
             }
             _ => return None,
         };
-        if run_ends.len() * 3 > len {
+        if !Array::run_length_pays(run_ends.len(), len) {
             return None;
         }
         // Gather one representative row per run.
@@ -1186,6 +1137,46 @@ impl DataChunk {
         (0..self.rows).map(|i| self.tuple_at(i))
     }
 
+    /// The columns of `self` followed by those of `right`, which has as many rows.
+    pub fn hstack(mut self, right: DataChunk) -> DataChunk {
+        debug_assert_eq!(self.rows, right.rows);
+        self.columns.extend(right.columns);
+        self
+    }
+
+    /// Re-address every column: a dict view has `on_indices` applied to its index buffer, any
+    /// other column goes through `on_array`. Views that shared an index buffer share the
+    /// derived one — the rule that keeps a join batch at two buffers however many filters,
+    /// limits and joins sit above it.
+    fn map_columns(
+        &self,
+        rows: usize,
+        on_indices: impl Fn(&[u32]) -> IndexBuffer,
+        on_array: impl Fn(&Arc<Array>) -> Array,
+    ) -> DataChunk {
+        let mut derived: Vec<(&IndexBuffer, IndexBuffer)> = Vec::new();
+        let columns = self
+            .columns
+            .iter()
+            .map(|column| match column.as_ref() {
+                Array::Dict { indices, dict } => {
+                    let indices = match derived.iter().find(|(from, _)| Arc::ptr_eq(from, indices))
+                    {
+                        Some((_, shared)) => shared.clone(),
+                        None => {
+                            let fresh = on_indices(indices);
+                            derived.push((indices, fresh.clone()));
+                            fresh
+                        }
+                    };
+                    Arc::new(Array::Dict { indices, dict: dict.clone() })
+                }
+                _ => Arc::new(on_array(column)),
+            })
+            .collect();
+        DataChunk { columns, rows }
+    }
+
     /// Keep only the rows whose mask bit is `true`.
     pub fn filter(&self, mask: &[bool]) -> DataChunk {
         debug_assert_eq!(mask.len(), self.rows);
@@ -1193,28 +1184,50 @@ impl DataChunk {
         if rows == self.rows {
             return self.clone();
         }
-        DataChunk { columns: self.columns.iter().map(|c| Arc::new(c.filter(mask))).collect(), rows }
+        self.map_columns(
+            rows,
+            |indices| filter_indices(indices, mask),
+            |column| column.filter(mask),
+        )
     }
 
-    /// Gather the rows at `indices`.
-    pub fn take(&self, indices: &[u32]) -> DataChunk {
-        DataChunk {
-            columns: self.columns.iter().map(|c| Arc::new(c.take(indices))).collect(),
-            rows: indices.len(),
-        }
+    /// Gather the rows at `indices` as views: every column becomes (or stays) a dict view, and
+    /// all views over plain columns share `indices` itself (see [`Array::take_dict`]).
+    pub fn take_dict(&self, indices: &Arc<[u32]>) -> DataChunk {
+        self.map_columns(
+            indices.len(),
+            |inner| compose_indices(inner, indices),
+            |column| column.take_dict(indices),
+        )
     }
 
     /// A copy of the rows `[offset, offset + len)`.
     pub fn slice(&self, offset: usize, len: usize) -> DataChunk {
-        DataChunk {
-            columns: self.columns.iter().map(|c| Arc::new(c.slice(offset, len))).collect(),
-            rows: len,
-        }
+        self.map_columns(
+            len,
+            |indices| Arc::from(&indices[offset..offset + len]),
+            |column| column.slice(offset, len),
+        )
     }
 
-    /// Approximate heap footprint in bytes (used for per-session stream memory accounting).
+    /// Approximate heap footprint in bytes (stream and operator memory accounting): what the
+    /// chunk keeps alive, with a column, dictionary or index buffer that several columns share
+    /// charged once.
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(|c| c.byte_size()).sum()
+        DataChunk::byte_size_of([self])
+    }
+
+    /// [`DataChunk::byte_size`] of several chunks together: a buffer shared between chunks —
+    /// the dictionary under every batch of one join — is charged once for all of them.
+    pub fn byte_size_of<'a>(chunks: impl IntoIterator<Item = &'a DataChunk>) -> usize {
+        let mut charged = Charged::new();
+        let mut bytes = 0;
+        for chunk in chunks {
+            for column in &chunk.columns {
+                bytes += charge_shared(column, &mut charged);
+            }
+        }
+        bytes
     }
 
     /// Decode any encoded (dict / run-length) columns into plain arrays.
@@ -1232,20 +1245,109 @@ impl DataChunk {
         }
     }
 
-    /// Concatenate chunks of the same arity into one chunk.
+    /// Concatenate chunks of the same arity into one chunk — what a join does to its build side
+    /// and `ORDER BY` to its input. A column whose parts are views (or all-NULL: an outer join's
+    /// padding) stays a view: over the one dictionary the parts share (every batch of a join's
+    /// build side), or over their distinct dictionaries laid end to end (the probe side: one
+    /// dictionary per probe chunk) when that is no longer than the rows themselves. Columns
+    /// whose parts shared their index buffers chunk by chunk share the concatenated buffer, so
+    /// the result is a handful of index buffers however wide it is. See [`Array::concat`] for
+    /// every other column.
     pub fn concat(arity: usize, chunks: &[DataChunk]) -> DataChunk {
         if chunks.len() == 1 {
             return chunks[0].clone();
         }
         let rows = chunks.iter().map(|c| c.num_rows()).sum();
+        let mut joined: Vec<(Vec<PartIndices>, IndexBuffer)> = Vec::new();
         let columns = (0..arity)
             .map(|c| {
-                let parts: Vec<&Array> = chunks.iter().map(|ch| ch.column(c).as_ref()).collect();
-                Arc::new(Array::concat(&parts))
+                let Some((dict, parts)) = gathered_dictionary(chunks, c, rows) else {
+                    let parts: Vec<&Array> =
+                        chunks.iter().map(|ch| ch.column(c).as_ref()).collect();
+                    return Arc::new(Array::concat(&parts));
+                };
+                let indices = match joined.iter().find(|(from, _)| same_parts(from, &parts)) {
+                    Some((_, shared)) => shared.clone(),
+                    None => {
+                        let mut fresh = Vec::with_capacity(rows);
+                        for (chunk, (indices, start)) in chunks.iter().zip(&parts) {
+                            match indices {
+                                Some(indices) => fresh.extend(indices.iter().map(|i| start + i)),
+                                None => fresh.resize(fresh.len() + chunk.num_rows(), *start),
+                            }
+                        }
+                        let fresh = IndexBuffer::from(fresh);
+                        joined.push((parts, fresh.clone()));
+                        fresh
+                    }
+                };
+                Arc::new(Array::Dict { indices, dict })
             })
             .collect();
         DataChunk { columns, rows }
     }
+}
+
+/// One part of a view column under concatenation: its index buffer and where its dictionary
+/// starts in the concatenated dictionary — or, for an all-NULL part (no buffer), the row of
+/// that dictionary that holds the NULL.
+type PartIndices<'a> = (Option<&'a IndexBuffer>, u32);
+
+/// One dictionary for column `c` of a chunk list whose parts are all views or all-NULL, and
+/// each part's place in it: the parts' one shared dictionary as it is, or their distinct
+/// dictionaries end to end, followed by one NULL row if a part needs it. `None` when a part is
+/// neither, when no part is a view, or when the dictionary would be longer than the `rows` it
+/// is gathered for (a selective join's probe chunks: copying the surviving rows is cheaper).
+fn gathered_dictionary(
+    chunks: &[DataChunk],
+    c: usize,
+    rows: usize,
+) -> Option<(Arc<Array>, Vec<PartIndices<'_>>)> {
+    let mut distinct: Vec<&Arc<Array>> = Vec::new();
+    let mut starts: std::collections::HashMap<*const Array, u32> = Default::default();
+    let mut len = 0usize;
+    let mut parts = Vec::with_capacity(chunks.len());
+    for chunk in chunks {
+        match chunk.column(c).as_ref() {
+            Array::Dict { indices, dict } => {
+                let start = *starts.entry(Arc::as_ptr(dict)).or_insert_with(|| {
+                    distinct.push(dict);
+                    len += dict.len();
+                    (len - dict.len()) as u32
+                });
+                parts.push((Some(indices), start));
+            }
+            Array::Null { .. } => parts.push((None, 0)),
+            _ => return None,
+        }
+    }
+    let first = *distinct.first()?;
+    let padded = parts.iter().any(|(indices, _)| indices.is_none());
+    if distinct.len() == 1 && !padded {
+        return Some((first.clone(), parts));
+    }
+    let null = Array::Null { len: 1 };
+    let mut laid_out: Vec<&Array> = distinct.iter().map(|dict| dict.as_ref()).collect();
+    if padded {
+        for part in parts.iter_mut().filter(|(indices, _)| indices.is_none()) {
+            part.1 = len as u32;
+        }
+        laid_out.push(&null);
+        len += 1;
+    }
+    (len <= rows).then(|| (Arc::new(Array::concat(&laid_out)), parts))
+}
+
+/// Do two view columns read the same index buffers into the same dictionary layout, part by
+/// part?
+fn same_parts(a: &[PartIndices], b: &[PartIndices]) -> bool {
+    a.iter().zip(b).all(|(a, b)| {
+        a.1 == b.1
+            && match (a.0, b.0) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            }
+    })
 }
 
 #[cfg(test)]
@@ -1303,6 +1405,11 @@ mod tests {
         assert_eq!(back, rows);
     }
 
+    /// An index buffer for `take_dict` calls.
+    fn idx(indices: &[u32]) -> Arc<[u32]> {
+        Arc::from(indices)
+    }
+
     #[test]
     fn filter_take_slice() {
         let rows: Vec<Tuple> = (0..10i64).map(|i| tuple![i, i * 10]).collect();
@@ -1312,7 +1419,7 @@ mod tests {
         assert_eq!(filtered.num_rows(), 5);
         assert_eq!(filtered.tuple_at(2), tuple![4, 40]);
 
-        let taken = chunk.take(&[9, 0, 9]);
+        let taken = chunk.take_dict(&idx(&[9, 0, 9]));
         assert_eq!(taken.tuple_at(0), tuple![9, 90]);
         assert_eq!(taken.tuple_at(1), tuple![0, 0]);
         assert_eq!(taken.tuple_at(2), tuple![9, 90]);
@@ -1321,15 +1428,6 @@ mod tests {
         assert_eq!(sliced.num_rows(), 4);
         assert_eq!(sliced.tuple_at(0), tuple![3, 30]);
         assert_eq!(sliced.tuple_at(3), tuple![6, 60]);
-    }
-
-    #[test]
-    fn take_opt_pads_nulls() {
-        let chunk = DataChunk::from_tuples(1, &[tuple![7], tuple![8]]);
-        let col = chunk.column(0).take_opt(&[Some(1), None, Some(0)]);
-        assert_eq!(col.value(0), Value::Int(8));
-        assert_eq!(col.value(1), Value::Null);
-        assert_eq!(col.value(2), Value::Int(7));
     }
 
     #[test]
@@ -1387,7 +1485,7 @@ mod tests {
     fn dict_views_behave_like_their_decoded_form() {
         let dict =
             Arc::new(Array::from_values(vec![Value::text("a"), Value::Null, Value::text("c")]));
-        let view = dict.take_dict(&[2, 0, 1, 2, 2]);
+        let view = dict.take_dict(&idx(&[2, 0, 1, 2, 2]));
         assert!(matches!(view, Array::Dict { .. }));
         assert_eq!(view.len(), 5);
         assert_eq!(view.value(0), Value::text("c"));
@@ -1401,10 +1499,10 @@ mod tests {
         assert_eq!(view, plain);
 
         // take composes without nesting: the result still points at the original dict.
-        let taken = Arc::new(view.clone()).take_dict(&[4, 2]);
+        let taken = Arc::new(view.clone()).take_dict(&idx(&[4, 2]));
         match &taken {
             Array::Dict { indices, dict: d } => {
-                assert_eq!(indices, &[2, 1]);
+                assert_eq!(indices[..], [2, 1]);
                 assert!(Arc::ptr_eq(d, &dict));
             }
             other => panic!("expected dict view, got {other:?}"),
@@ -1418,10 +1516,6 @@ mod tests {
         let sliced = view.slice(1, 3);
         assert!(sliced.is_encoded());
         assert_eq!(sliced.to_plain(), plain.slice(1, 3));
-
-        // take_opt pads NULLs like the plain form.
-        let padded = view.take_opt(&[Some(0), None, Some(3)]);
-        assert_eq!(padded, plain.take_opt(&[Some(0), None, Some(3)]));
 
         // compare resolves through the encoding.
         assert_eq!(view.compare(0, &plain, 0), std::cmp::Ordering::Equal);
@@ -1437,19 +1531,19 @@ mod tests {
     }
 
     #[test]
-    fn dict_concat_over_shared_dictionary_stays_encoded() {
-        let dict = Arc::new(Array::from_values((0..4i64).map(Value::Int).collect::<Vec<_>>()));
-        let a = dict.take_dict(&[0, 1]);
-        let b = dict.take_dict(&[3, 3, 2]);
-        let joined = Array::concat(&[&a, &b]);
-        match &joined {
-            Array::Dict { indices, dict: d } => {
-                assert_eq!(indices, &[0, 1, 3, 3, 2]);
-                assert!(Arc::ptr_eq(d, &dict));
-            }
-            other => panic!("expected dict concat to stay encoded, got {other:?}"),
-        }
-        // Mixed dict + plain decodes to a typed plain array.
+    fn chunk_concat_over_a_shared_dictionary_stays_encoded() {
+        let source = DataChunk::from_tuples(2, &[tuple![0, "a"], tuple![1, "b"], tuple![2, "c"]]);
+        let parts = [source.take_dict(&idx(&[0, 1])), source.take_dict(&idx(&[2, 2, 1]))];
+        let joined = DataChunk::concat(2, &parts);
+        let view = |c: usize| match joined.column(c).as_ref() {
+            Array::Dict { indices, dict } => (indices.clone(), dict.clone()),
+            other => panic!("expected the concatenation to stay a view, got {other:?}"),
+        };
+        assert_eq!(view(0).0[..], [0, 1, 2, 2, 1]);
+        assert!(Arc::ptr_eq(&view(0).0, &view(1).0), "one concatenated buffer for both");
+        assert!(Arc::ptr_eq(&view(1).1, source.column(1)));
+        // A view next to a plain part decodes to a typed plain array.
+        let a = source.column(0).take_dict(&idx(&[0, 1]));
         let plain_tail = Array::from_values(vec![Value::Int(9)]);
         let mixed = Array::concat(&[&a, &plain_tail]);
         assert!(matches!(mixed, Array::Int { .. }));
@@ -1482,11 +1576,99 @@ mod tests {
     }
 
     #[test]
-    fn byte_size_counts_encodings_once_per_reference() {
+    fn byte_size_charges_a_shared_buffer_once() {
         let dict = Arc::new(Array::from_values(vec![Value::text("abcd"), Value::text("ef")]));
         let dict_bytes = dict.byte_size();
         assert!(dict_bytes >= 6);
-        let view = dict.take_dict(&[0, 1, 0, 1]);
+        let indices = idx(&[0, 1, 0, 1]);
+        let view = Arc::new(dict.take_dict(&indices));
         assert_eq!(view.byte_size(), 4 * 4 + dict_bytes);
+        // Three views of one dictionary through one index buffer cost what one does; a view
+        // with its own buffer adds only that buffer; the same again in a second chunk adds
+        // nothing to the pair.
+        let own = Arc::new(dict.take_dict(&idx(&[1, 1, 1, 1])));
+        let chunk = DataChunk::new(vec![view.clone(), view.clone(), view.clone(), own]);
+        assert_eq!(chunk.byte_size(), 2 * 4 * 4 + dict_bytes);
+        assert_eq!(DataChunk::byte_size_of([&chunk, &chunk.clone()]), chunk.byte_size());
+    }
+
+    #[test]
+    fn chunk_wide_gathers_keep_index_buffers_shared() {
+        let left = DataChunk::from_tuples(2, &[tuple![1, "a"], tuple![2, "b"], tuple![3, "c"]]);
+        let picks = idx(&[2, 2, 0, 1]);
+        let joined = left.take_dict(&picks);
+        let buffer_of = |chunk: &DataChunk, c: usize| match chunk.column(c).as_ref() {
+            Array::Dict { indices, .. } => indices.clone(),
+            other => panic!("expected a view, got {other:?}"),
+        };
+        // Views over plain columns share the caller's buffer itself.
+        assert!(Arc::ptr_eq(&buffer_of(&joined, 0), &picks));
+        assert!(Arc::ptr_eq(&buffer_of(&joined, 1), &picks));
+        // A gather, a filter and a slice on top each derive one buffer for both columns, and
+        // still point at the original dictionaries.
+        let again = joined.take_dict(&idx(&[3, 0]));
+        let filtered = joined.filter(&[true, false, true, true]);
+        let sliced = joined.slice(1, 2);
+        for (derived, expected) in [
+            (&again, vec![tuple![2, "b"], tuple![3, "c"]]),
+            (&filtered, vec![tuple![3, "c"], tuple![1, "a"], tuple![2, "b"]]),
+            (&sliced, vec![tuple![3, "c"], tuple![1, "a"]]),
+        ] {
+            assert!(Arc::ptr_eq(&buffer_of(derived, 0), &buffer_of(derived, 1)));
+            assert!(matches!(derived.column(1).as_ref(),
+                Array::Dict { dict, .. } if Arc::ptr_eq(dict, left.column(1))));
+            assert_eq!(derived.iter_tuples().collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
+    fn concat_extends_typed_columns_over_all_null_parts() {
+        let ints = Array::from_values(vec![Value::Int(1), Value::Int(2)]);
+        let texts = Array::from_values(vec![Value::text("x")]);
+        let pad = Array::Null { len: 2 };
+        let joined = Array::concat(&[&pad, &ints, &pad]);
+        assert!(matches!(joined, Array::Int { .. }));
+        assert_eq!(
+            (0..joined.len()).map(|i| joined.value(i)).collect::<Vec<_>>(),
+            vec![Value::Null, Value::Null, Value::Int(1), Value::Int(2), Value::Null, Value::Null]
+        );
+        let joined = Array::concat(&[&texts, &pad]);
+        assert!(matches!(joined, Array::Text { .. }));
+        assert_eq!(joined.value(0), Value::text("x"));
+        assert!(joined.is_null(2));
+        assert!(matches!(Array::concat(&[&pad, &pad]), Array::Null { len: 4 }));
+    }
+
+    #[test]
+    fn chunk_concat_lays_distinct_dictionaries_and_null_parts_end_to_end() {
+        // One dictionary per probe chunk (batches of a join whose probe side spans chunks),
+        // then an outer join's padding: all-NULL columns.
+        let first = DataChunk::from_tuples(2, &[tuple![0, "a0"], tuple![1, "a1"]]);
+        let second = DataChunk::from_tuples(2, &[tuple![2, "b0"], tuple![3, "b1"]]);
+        let nulls = Arc::new(Array::Null { len: 2 });
+        let pad = DataChunk::new(vec![nulls.clone(), nulls]);
+        let parts =
+            [first.take_dict(&idx(&[1, 0, 1])), second.take_dict(&idx(&[0, 1])), pad.clone()];
+        let joined = DataChunk::concat(2, &parts);
+        let view = |c: usize| match joined.column(c).as_ref() {
+            Array::Dict { indices, dict } => (indices.clone(), dict.clone()),
+            other => panic!("expected the concatenation to stay a view, got {other:?}"),
+        };
+        assert_eq!(view(1).1.len(), 5, "both dictionaries, once each, and one NULL row");
+        assert_eq!(view(1).0[..], [1, 0, 1, 2, 3, 4, 4]);
+        assert!(Arc::ptr_eq(&view(0).0, &view(1).0), "one concatenated buffer for both");
+        let expected: Vec<Tuple> = parts.iter().flat_map(DataChunk::iter_tuples).collect();
+        assert_eq!(joined.iter_tuples().collect::<Vec<_>>(), expected);
+        // Dictionaries longer than the rows drawn from them are not worth carrying along: the
+        // rows are copied out instead.
+        let sparse = [first.take_dict(&idx(&[1])), second.take_dict(&idx(&[0]))];
+        let joined = DataChunk::concat(2, &sparse);
+        assert!(matches!(joined.column(1).as_ref(), Array::Text { .. }));
+        assert_eq!(joined.tuple_at(1), tuple![2, "b0"]);
+        // Padding alone has no dictionary to extend.
+        assert!(matches!(
+            DataChunk::concat(2, &[pad.clone(), pad]).column(0).as_ref(),
+            Array::Null { len: 4 }
+        ));
     }
 }

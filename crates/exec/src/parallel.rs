@@ -18,14 +18,20 @@
 //!   every worker builds the hash table of one key-hash partition (never more partitions than
 //!   build morsels); the probe phase runs one morsel per probe chunk, routing each probe key
 //!   to its partition. Bucket chains preserve build-row order, so each probe row sees
-//!   candidates in exactly the nested-loop order.
+//!   candidates in exactly the nested-loop order. A probe batch is *two index buffers over its
+//!   sources*: every output column is a dictionary view of the probe or build column it came
+//!   from, all columns of a side sharing that side's buffer — no source value is copied, and an
+//!   outer join's pads address a NULL slot behind the build rows.
 //! * **hash aggregation** also partitions by key hash (at most one partition per input
 //!   morsel): group-key and argument columns are evaluated per morsel, then every worker owns
 //!   the groups of one partition and folds *all* morsels' rows of that partition **in global
 //!   row order** — float sums are bit-identical and integer-overflow errors fire at the
 //!   identical row at every degree. Group output is restored to global first-seen order.
-//! * **sort** extracts key columns and sorts a run per morsel, then merges the sorted runs
-//!   (ties broken by global row index, so the permutation is deterministic).
+//! * **sort** evaluates the keys and sorts a run per input chunk, merges the runs into one
+//!   permutation of input positions (ties broken by input position, so it is deterministic),
+//!   and emits *views* of the concatenated input through it. Concatenating view columns joins
+//!   their index buffers and leaves the dictionaries alone ([`DataChunk::concat`]), so a
+//!   column that arrives as views over a join's sources leaves as views over them.
 //! * **LIMIT** hands its row target to the region directly feeding it (a join probe or a
 //!   filter/projection): workers claim morsels in index order and stop claiming once the
 //!   completed prefix covers the target, and the coordinator replays the morsels in index order
@@ -531,8 +537,7 @@ impl Executor {
                     .map(|k| Ok((CompiledExpr::compile(&k.expr, self, ctx, pool)?, k.order)))
                     .collect::<Result<_, ExecError>>()?;
                 let chunks = self.par_chunks(input, ctx, pool, None)?;
-                ctx.record_buffered(plan, chunks.iter().map(DataChunk::byte_size).sum());
-                par_sort(pool, ctx, plan.output_arity(), chunks, compiled)
+                par_sort(pool, ctx, plan, chunks, compiled)
             }
             LogicalPlan::Limit { input, limit: n, offset } => {
                 let needed = n.map(|n| n.saturating_add(*offset));
@@ -596,12 +601,23 @@ impl Executor {
     ) -> Result<Vec<DataChunk>, ExecError> {
         let left_arity = left.output_arity();
         let right_arity = right.output_arity();
-        let build_chunks = self.par_chunks(right, ctx, pool, None)?;
+        let mut build_chunks = self.par_chunks(right, ctx, pool, None)?;
         crate::faults::fire("join-build")?;
-        let build_bytes: usize = build_chunks.iter().map(DataChunk::byte_size).sum();
-        ctx.record_buffered(plan, build_bytes);
-        ctx.reserve_memory(build_bytes)?;
-        let build = Arc::new(DataChunk::concat(right_arity, &build_chunks));
+        let input_bytes = DataChunk::byte_size_of(&build_chunks);
+        ctx.reserve_memory(input_bytes)?;
+        let rows = build_chunks.iter().map(DataChunk::num_rows).sum();
+        if matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
+            let nulls = (0..right_arity).map(|_| Arc::new(Array::Null { len: 1 })).collect();
+            build_chunks.push(chunk_from_columns(nulls, 1));
+        }
+        let chunk = DataChunk::concat(right_arity, &build_chunks);
+        // At its peak the join holds its input and the concatenation (views of the same
+        // dictionaries, or a copy) together.
+        let held = DataChunk::byte_size_of(build_chunks.iter().chain([&chunk]));
+        ctx.record_buffered(plan, held);
+        ctx.reserve_memory(held - input_bytes)?;
+        drop(build_chunks);
+        let build = Arc::new(BuildSide { chunk, rows });
         let (equi_keys, residual) = match condition {
             Some(c) => split_equi_join_condition(c, left_arity),
             None => (Vec::new(), Vec::new()),
@@ -616,7 +632,10 @@ impl Executor {
                 )),
                 None => None,
             };
-            (ParJoinMode::Loop, filter)
+            // A nested loop scans the build rows once per probe row: slice and decode the
+            // columns its condition reads once, here.
+            let scanned = filter.as_ref().map(|f| f.scanned_build(&build.chunk, build.rows));
+            (ParJoinMode::Loop(scanned), filter)
         } else {
             let filter = if residual.is_empty() {
                 None
@@ -641,7 +660,7 @@ impl Executor {
         // Matched-build-row flags, shared across probe workers (right/full outer only).
         let matched: Option<Arc<Vec<AtomicBool>>> =
             matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter)
-                .then(|| Arc::new((0..build.num_rows()).map(|_| AtomicBool::new(false)).collect()));
+                .then(|| Arc::new((0..build.rows).map(|_| AtomicBool::new(false)).collect()));
 
         // The probe stops — across morsels and inside one — at the LIMIT target or one row
         // over budget, whichever is lower.
@@ -683,14 +702,11 @@ impl Executor {
                 }
                 for batch in indices.chunks(DEFAULT_CHUNK_SIZE) {
                     ctx.check_deadline()?;
-                    let mut columns = Vec::with_capacity(left_arity + right_arity);
-                    for _ in 0..left_arity {
-                        columns.push(Arc::new(Array::Null { len: batch.len() }));
-                    }
-                    for c in 0..right_arity {
-                        columns.push(Arc::new(build.column(c).take(batch)));
-                    }
-                    out.push(chunk_from_columns(columns, batch.len()));
+                    let nulls = (0..left_arity)
+                        .map(|_| Arc::new(Array::Null { len: batch.len() }))
+                        .collect();
+                    let left = chunk_from_columns(nulls, batch.len());
+                    out.push(left.hstack(build.chunk.take_dict(&Arc::from(batch))));
                 }
             }
         }
@@ -784,6 +800,15 @@ fn apply_limit(chunks: Vec<DataChunk>, limit: Option<usize>, offset: usize) -> V
 // Partitioned hash join.
 // ---------------------------------------------------------------------------
 
+/// The materialized build side of a join: `rows` build rows in one chunk. A join that pads
+/// unmatched probe rows (left / full outer) keeps one all-NULL row behind them — the slot every
+/// pad addresses — so a padded batch is two index buffers over its sources like any other.
+/// Nothing that *matches* rows may look past `rows`.
+struct BuildSide {
+    chunk: DataChunk,
+    rows: usize,
+}
+
 /// The key → first-build-row maps of one partitioned join table.
 enum ParKeyMaps {
     Single(Vec<HashMap<Value, u32>>),
@@ -802,7 +827,8 @@ struct ParHashTable {
 
 enum ParJoinMode {
     Hash(ParHashTable),
-    Loop,
+    /// Nested loop; under a condition, over [`JoinFilter::scanned_build`].
+    Loop(Option<DataChunk>),
 }
 
 /// The per-row key hashes of the build side, computed morsel-parallel (`None` = the row cannot
@@ -811,22 +837,21 @@ enum ParJoinMode {
 fn build_key_hashes(
     pool: &WorkerPool,
     ctx: &ExecContext,
-    build: &Arc<DataChunk>,
+    build: &Arc<BuildSide>,
     keys: &Arc<Vec<EquiKey>>,
     nparts: usize,
 ) -> Result<Vec<Option<u64>>, ExecError> {
-    let rows = build.num_rows();
-    let morsels = rows.div_ceil(DEFAULT_CHUNK_SIZE);
+    let morsels = build.rows.div_ceil(DEFAULT_CHUNK_SIZE);
     let build = build.clone();
     let keys = keys.clone();
     let ctx = ctx.clone();
     let slots = pool.run_region(morsels, None, move |m| {
         ctx.check_deadline()?;
         let start = m * DEFAULT_CHUNK_SIZE;
-        let len = DEFAULT_CHUNK_SIZE.min(build.num_rows() - start);
+        let len = DEFAULT_CHUNK_SIZE.min(build.rows - start);
         let mut out = Vec::with_capacity(len);
         for i in start..start + len {
-            out.push(hash_build_row(&build, &keys, i, nparts > 1));
+            out.push(hash_build_row(&build.chunk, &keys, i, nparts > 1));
         }
         Ok((out, 0))
     });
@@ -861,10 +886,10 @@ fn hash_build_row(build: &DataChunk, keys: &[EquiKey], i: usize, route: bool) ->
 fn build_partitioned_table(
     pool: &WorkerPool,
     ctx: &ExecContext,
-    build: &Arc<DataChunk>,
+    build: &Arc<BuildSide>,
     keys: Vec<EquiKey>,
 ) -> Result<ParHashTable, ExecError> {
-    let rows = build.num_rows();
+    let rows = build.rows;
     // The table's bucket heads and chain links cost ~12 bytes per build row on top of the
     // (already reserved) build chunk itself.
     ctx.reserve_memory(rows.saturating_mul(12))?;
@@ -890,7 +915,7 @@ fn build_partitioned_table(
         let mut since_check = 0usize;
         if single {
             let key = task_keys[0];
-            let col = task_build.column(key.right);
+            let col = task_build.chunk.column(key.right);
             let mut map: HashMap<Value, u32> = HashMap::new();
             for i in (0..task_hashes.len()).rev() {
                 since_check += 1;
@@ -918,7 +943,7 @@ fn build_partitioned_table(
                     continue;
                 }
                 let values: Vec<Value> =
-                    task_keys.iter().map(|k| task_build.column(k.right).value(i)).collect();
+                    task_keys.iter().map(|k| task_build.chunk.column(k.right).value(i)).collect();
                 if let Some(prev) = map.insert(Tuple::new(values), i as u32) {
                     links.push((i as u32, prev));
                 }
@@ -982,14 +1007,17 @@ impl ParHashTable {
     }
 }
 
-/// Probe one morsel (one probe chunk) against the shared build side, emitting gathered output
-/// batches. Candidate order per probe row is build-row order, so the output row sequence
-/// equals a nested loop's. The morsel stops once it has emitted `stop_rows` rows: on its own
-/// it then covers the region's stop target, so nothing behind that row is ever observed.
+/// Probe one morsel (one probe chunk) against the shared build side. Every output batch is
+/// two index buffers — the probe rows and the build rows of its pairs — and every output column
+/// a view of its source column through its side's buffer (see [`DataChunk::take_dict`]); a
+/// pad addresses the build side's NULL slot. Candidate order per probe row is build-row order,
+/// so the output row sequence equals a nested loop's. The morsel stops once it has emitted
+/// `stop_rows` rows: on its own it then covers the region's stop target, so nothing behind
+/// that row is ever observed.
 #[allow(clippy::too_many_arguments)]
 fn probe_morsel(
     probe: &DataChunk,
-    build: &DataChunk,
+    build: &BuildSide,
     mode: &ParJoinMode,
     filter: Option<&JoinFilter>,
     kind: JoinKind,
@@ -997,43 +1025,24 @@ fn probe_morsel(
     stop_rows: usize,
     ctx: &ExecContext,
 ) -> Result<Vec<DataChunk>, ExecError> {
-    let left_arity = probe.num_columns();
-    let right_arity = build.num_columns();
+    let null_slot = build.rows as u32;
+    let build_rows = build.rows;
+    let build = &build.chunk;
     let mut out = Vec::new();
     let mut left_idx: Vec<u32> = Vec::new();
     let mut right_idx: Vec<u32> = Vec::new();
-    let mut pads = 0usize;
     let mut evals = 0usize;
     let mut emitted = 0usize;
 
-    let flush = |left_idx: &mut Vec<u32>,
-                 right_idx: &mut Vec<u32>,
-                 pads: &mut usize,
-                 out: &mut Vec<DataChunk>| {
+    let flush = |left_idx: &mut Vec<u32>, right_idx: &mut Vec<u32>, out: &mut Vec<DataChunk>| {
         if left_idx.is_empty() {
             return;
         }
-        let rows = left_idx.len();
-        let mut columns = Vec::with_capacity(left_arity + right_arity);
-        for c in 0..left_arity {
-            columns.push(Arc::new(probe.column(c).take(left_idx)));
-        }
-        if *pads == 0 {
-            // Factorized gather: wide build columns become dict views (see `gather_build`).
-            for c in 0..right_arity {
-                columns.push(Arc::new(crate::vector::gather_build(build.column(c), right_idx)));
-            }
-        } else {
-            let opt: Vec<Option<u32>> =
-                right_idx.iter().map(|&i| (i != u32::MAX).then_some(i)).collect();
-            for c in 0..right_arity {
-                columns.push(Arc::new(build.column(c).take_opt(&opt)));
-            }
-        }
+        let left = probe.take_dict(&Arc::from(left_idx.as_slice()));
+        let right = build.take_dict(&Arc::from(right_idx.as_slice()));
         left_idx.clear();
         right_idx.clear();
-        *pads = 0;
-        out.push(chunk_from_columns(columns, rows));
+        out.push(left.hstack(right));
     };
 
     let mut chain: Vec<u32> = Vec::new();
@@ -1044,9 +1053,9 @@ fn probe_morsel(
         // Loop mode with a filter and long filtered hash chains evaluate the condition
         // vectorized for the whole probe row (see `JoinFilter`); short chains stay lazy.
         let mut cursor: ProbeCursor = match (mode, filter) {
-            (ParJoinMode::Loop, Some(f)) => {
+            (ParJoinMode::Loop(Some(scanned)), Some(f)) => {
                 ctx.check_deadline()?;
-                ProbeCursor::Matches(f.matches_vectorized(probe, row, build, None)?.into_iter())
+                ProbeCursor::Matches(f.matches_vectorized(probe, row, scanned, None)?.into_iter())
             }
             (ParJoinMode::Hash(table), Some(f)) => {
                 let start = table.chain_start(probe, row);
@@ -1066,7 +1075,7 @@ fn probe_morsel(
                 }
             }
             (ParJoinMode::Hash(table), None) => ProbeCursor::Chain(table.chain_start(probe, row)),
-            (ParJoinMode::Loop, None) => ProbeCursor::Index(0),
+            (ParJoinMode::Loop(_), _) => ProbeCursor::Index(0),
         };
         let prefiltered = matches!(cursor, ProbeCursor::Matches(_));
         let mut row_matched = false;
@@ -1084,7 +1093,7 @@ fn probe_morsel(
                     i
                 }
                 ProbeCursor::Index(pos) => {
-                    if *pos >= build.num_rows() {
+                    if *pos >= build_rows {
                         break;
                     }
                     let i = *pos;
@@ -1112,7 +1121,7 @@ fn probe_morsel(
                 left_idx.push(row as u32);
                 right_idx.push(candidate as u32);
                 if left_idx.len() >= DEFAULT_CHUNK_SIZE {
-                    flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
+                    flush(&mut left_idx, &mut right_idx, &mut out);
                 }
                 emitted += 1;
                 if emitted >= stop_rows {
@@ -1122,15 +1131,14 @@ fn probe_morsel(
         }
         if !row_matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
             left_idx.push(row as u32);
-            right_idx.push(u32::MAX);
-            pads += 1;
+            right_idx.push(null_slot);
             emitted += 1;
             if left_idx.len() >= DEFAULT_CHUNK_SIZE {
-                flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
+                flush(&mut left_idx, &mut right_idx, &mut out);
             }
         }
     }
-    flush(&mut left_idx, &mut right_idx, &mut pads, &mut out);
+    flush(&mut left_idx, &mut right_idx, &mut out);
     Ok(out)
 }
 
@@ -1291,55 +1299,60 @@ fn par_aggregate(
 // Parallel sort.
 // ---------------------------------------------------------------------------
 
-/// One sorted run: the key columns of a row range plus its locally sorted permutation.
-struct SortRun {
-    keys: Vec<Arc<Array>>,
-}
+/// A row of the sort's input: (chunk, row in it). Tuple order is input order.
+type SortPos = (u32, u32);
 
-/// Parallel sort: key extraction and run sorting per morsel, then a sequential merge of the
-/// sorted runs. Ties break on global row index (a stable sort by key), so the permutation is
-/// deterministic regardless of worker count.
+/// Parallel sort: the sort keys are evaluated on each input chunk and a run is sorted per chunk
+/// (one morsel each), the runs are merged into one permutation of input positions — ties break
+/// on input position (a stable sort by key), so it is deterministic regardless of worker count
+/// — and the output batches are views of the concatenated input through it
+/// ([`DataChunk::concat`] keeps a column of views a view, so for a join's output the
+/// concatenation is a handful of index buffers). The operator reserves what it holds as it
+/// grows — input and permutation, then the concatenation's own buffers, then the output's —
+/// and reports the larger of its two peaks: input beside concatenation, concatenation beside
+/// output.
 fn par_sort(
     pool: &WorkerPool,
     ctx: &ExecContext,
-    arity: usize,
+    plan: &LogicalPlan,
     chunks: Vec<DataChunk>,
     keys: Vec<(CompiledExpr, SortOrder)>,
 ) -> Result<Vec<DataChunk>, ExecError> {
     crate::faults::fire("sort")?;
-    ctx.reserve_memory(chunks.iter().map(DataChunk::byte_size).sum())?;
-    let flat = Arc::new(DataChunk::concat(arity, &chunks));
-    let rows = flat.num_rows();
+    let chunks: Vec<DataChunk> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
+    let rows: usize = chunks.iter().map(DataChunk::num_rows).sum();
+    let input_bytes = DataChunk::byte_size_of(&chunks);
+    let order_bytes = rows * std::mem::size_of::<SortPos>();
+    ctx.record_buffered(plan, input_bytes + order_bytes);
+    ctx.reserve_memory(input_bytes + order_bytes)?;
     if rows == 0 {
         return Ok(Vec::new());
     }
-    let morsels = rows.div_ceil(DEFAULT_CHUNK_SIZE);
+    let chunks = Arc::new(chunks);
     let keys = Arc::new(keys);
-    let task_flat = flat.clone();
+    let task_chunks = chunks.clone();
     let task_keys = keys.clone();
     let task_ctx = ctx.clone();
-    let slots = pool.run_region(morsels, None, move |m| {
+    let slots = pool.run_region(chunks.len(), None, move |m| {
         task_ctx.check_deadline()?;
-        let start = m * DEFAULT_CHUNK_SIZE;
-        let len = DEFAULT_CHUNK_SIZE.min(task_flat.num_rows() - start);
-        let piece = task_flat.slice(start, len);
+        let chunk = &task_chunks[m];
         let key_cols: Vec<Arc<Array>> =
-            task_keys.iter().map(|(e, _)| e.eval_array(&piece)).collect::<Result<_, _>>()?;
-        let mut order: Vec<u32> = (0..len as u32).collect();
+            task_keys.iter().map(|(e, _)| e.eval_array(chunk)).collect::<Result<_, _>>()?;
+        let mut order: Vec<u32> = (0..chunk.num_rows() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
             compare_keys(&key_cols, a as usize, &key_cols, b as usize, &task_keys).then(a.cmp(&b))
         });
-        let run: Vec<u32> = order.into_iter().map(|i| start as u32 + i).collect();
-        Ok(((SortRun { keys: key_cols }, run), 0))
+        let run: Vec<SortPos> = order.into_iter().map(|row| (m as u32, row)).collect();
+        Ok(((key_cols, run), 0))
     });
     let extracted = collect_region(slots, None, |_| 0)?;
-    let (runs_keys, mut runs): (Vec<SortRun>, Vec<Vec<u32>>) = extracted.into_iter().unzip();
+    let (run_keys, mut runs): (Vec<Vec<Arc<Array>>>, Vec<Vec<SortPos>>) =
+        extracted.into_iter().unzip();
 
-    // Global comparator: map a global row index onto its run's key columns.
-    let cmp = |a: u32, b: u32| -> std::cmp::Ordering {
-        let (ra, la) = (a as usize / DEFAULT_CHUNK_SIZE, a as usize % DEFAULT_CHUNK_SIZE);
-        let (rb, lb) = (b as usize / DEFAULT_CHUNK_SIZE, b as usize % DEFAULT_CHUNK_SIZE);
-        compare_keys(&runs_keys[ra].keys, la, &runs_keys[rb].keys, lb, &keys).then(a.cmp(&b))
+    // Global comparator: a position names its chunk's key columns and the row in them.
+    let cmp = |a: SortPos, b: SortPos| -> std::cmp::Ordering {
+        let (ka, kb) = (&run_keys[a.0 as usize], &run_keys[b.0 as usize]);
+        compare_keys(ka, a.1 as usize, kb, b.1 as usize, &keys).then(a.cmp(&b))
     };
 
     // Pairwise merge rounds until one run remains.
@@ -1356,7 +1369,35 @@ fn par_sort(
         runs = merged;
     }
     let order = runs.pop().unwrap_or_default();
-    Ok(order.chunks(DEFAULT_CHUNK_SIZE).map(|batch| flat.take(batch)).collect())
+
+    let flat = DataChunk::concat(plan.output_arity(), &chunks);
+    let flat_bytes = flat.byte_size();
+    let held = DataChunk::byte_size_of(chunks.iter().chain([&flat]));
+    ctx.record_buffered(plan, held + order_bytes);
+    ctx.reserve_memory(held - input_bytes)?;
+    // Flat row number of each chunk's first row.
+    let offsets: Vec<u32> = chunks
+        .iter()
+        .scan(0, |next, chunk| Some(std::mem::replace(next, *next + chunk.num_rows() as u32)))
+        .collect();
+    drop(chunks);
+
+    let mut out: Vec<DataChunk> = Vec::with_capacity(rows.div_ceil(DEFAULT_CHUNK_SIZE));
+    for batch in order.chunks(DEFAULT_CHUNK_SIZE) {
+        let picks: Arc<[u32]> =
+            batch.iter().map(|&(chunk, row)| offsets[chunk as usize] + row).collect();
+        let gathered = flat.take_dict(&picks);
+        if out.is_empty() {
+            // A batch is one index buffer per buffer of `flat` (its dictionaries are `flat`'s),
+            // so the first batch prices all of them before the rest are gathered.
+            let row_bytes =
+                (DataChunk::byte_size_of([&flat, &gathered]) - flat_bytes) / batch.len();
+            ctx.record_buffered(plan, flat_bytes + order_bytes + row_bytes * rows);
+            ctx.reserve_memory(row_bytes * rows)?;
+        }
+        out.push(gathered);
+    }
+    Ok(out)
 }
 
 /// Compare two rows by their evaluated key columns under the sort key orders.
@@ -1380,8 +1421,12 @@ fn compare_keys(
     std::cmp::Ordering::Equal
 }
 
-/// Merge two sorted runs of global row indices.
-fn merge_runs(a: Vec<u32>, b: Vec<u32>, cmp: impl Fn(u32, u32) -> std::cmp::Ordering) -> Vec<u32> {
+/// Merge two sorted runs of input positions.
+fn merge_runs(
+    a: Vec<SortPos>,
+    b: Vec<SortPos>,
+    cmp: impl Fn(SortPos, SortPos) -> std::cmp::Ordering,
+) -> Vec<SortPos> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {

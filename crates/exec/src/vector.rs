@@ -6,9 +6,20 @@
 //! `AND`/`OR` so a decisive left operand shields the right one from evaluation, and a per-row
 //! fallback through [`CompiledExpr::eval`] for the long tail (`CASE`, non-constant `IN`).
 //! [`project_chunk`] is projection as a column gather (a bare column reference forwards the
-//! input column by refcount), [`JoinFilter`] decides join matches while touching only the
-//! columns the condition reads, and [`gather_build`] factorizes wide build-side columns into
-//! dictionary views instead of copying them per output row.
+//! input column by refcount) and [`JoinFilter`] decides join matches while touching only the
+//! columns the condition reads.
+//!
+//! The kernels sit under one rule about data movement, which [`crate::parallel`] applies: *a
+//! join batch is two index buffers over its sources; operators above keep views while the
+//! dictionary is shared.* A join never copies a source value into its output — every output
+//! column is an [`Array::Dict`] view of the probe or build column it came from, and all columns
+//! of one side share that side's index buffer. Filters, limits, further joins and `ORDER BY`
+//! re-address those buffers (once per shared buffer, not once per column) and leave the
+//! dictionaries alone — but for an outer join, which copies the dictionaries of a build side
+//! of views once to put the NULL row its pads address behind them. A kernel that *computes* on
+//! a view ([`vectorized_binary`]) decodes it first: that is the only place the engine pays for
+//! a repeated value, and only for the columns an expression actually reads (a nested-loop
+//! join decodes those of its build side once, [`JoinFilter::scanned_build`]).
 
 use std::sync::Arc;
 
@@ -87,8 +98,28 @@ impl JoinFilter {
         JoinFilter { expr, probe_cols, build_cols, left_arity, right_arity }
     }
 
+    /// The first `rows` rows of `build` as a nested loop scans them for every probe row: the
+    /// columns the condition reads — short of an outer join's NULL slot, which is not a build
+    /// row, and decoded if they are views — prepared once per join instead of once per probe
+    /// row. Every other column is a NULL placeholder that is never read.
+    pub(crate) fn scanned_build(&self, build: &DataChunk, rows: usize) -> DataChunk {
+        let columns = (0..self.right_arity)
+            .map(|c| {
+                let column = build.column(c);
+                if !self.build_cols.contains(&c) {
+                    Arc::new(Array::Null { len: rows })
+                } else if column.len() == rows && !column.is_encoded() {
+                    column.clone()
+                } else {
+                    Arc::new(column.slice(0, rows).to_plain())
+                }
+            })
+            .collect();
+        chunk_from_columns(columns, rows)
+    }
+
     /// Evaluate the condition for probe row `row` against `candidates` build rows (`None` =
-    /// the whole build side) in one vectorized pass; returns the matching build-row indices in
+    /// all of `build`, a [`Self::scanned_build`]) in one vectorized pass; returns the matching build-row indices in
     /// candidate order. Error semantics match per-pair evaluation: kernels run in row order,
     /// so the first failing candidate raises.
     pub(crate) fn matches_vectorized(
@@ -114,10 +145,10 @@ impl JoinFilter {
         let mut build_used = self.build_cols.iter().peekable();
         for c in 0..self.right_arity {
             if build_used.next_if(|&&u| u == c).is_some() {
-                match candidates {
-                    Some(idx) => columns.push(Arc::new(gather_build(build.column(c), idx))),
-                    None => columns.push(build.column(c).clone()),
-                }
+                columns.push(match candidates {
+                    Some(idx) => Arc::new(build.column(c).take(idx)),
+                    None => build.column(c).clone(),
+                });
             } else {
                 columns.push(Arc::new(Array::Null { len: rows }));
             }
@@ -148,20 +179,6 @@ impl JoinFilter {
             values[self.left_arity + c] = build.column(c).value(candidate);
         }
         self.expr.eval_predicate(&Tuple::new(values))
-    }
-}
-
-/// Build-side join gather. Provenance rewrites duplicate whole source tuples through joins, so
-/// columns whose copies are expensive (text, boxed values) — or that are already dictionary
-/// views from an upstream join — become [`Array::Dict`] views sharing the build column as the
-/// dictionary: per output row only a 4-byte index is written. Cheap native columns gather
-/// plainly; a view would only add a resolution hop to every downstream read.
-pub(crate) fn gather_build(col: &Arc<Array>, indices: &[u32]) -> Array {
-    match col.as_ref() {
-        Array::Text { .. } | Array::Any { .. } | Array::Dict { .. } | Array::RunLength { .. } => {
-            col.take_dict(indices)
-        }
-        _ => col.take(indices),
     }
 }
 
@@ -475,9 +492,11 @@ fn vectorized_binary(op: BinaryOperator, l: &Array, r: &Array) -> Result<Array, 
     debug_assert_eq!(l.len(), r.len());
     // Encoded operands are decoded up front so the typed kernels below apply; computing on a
     // factorized column pays the materialization the gather deferred, exactly once.
-    if l.is_encoded() || r.is_encoded() {
-        let (lp, rp) = (l.to_plain(), r.to_plain());
-        return vectorized_binary(op, &lp, &rp);
+    if l.is_encoded() {
+        return vectorized_binary(op, &l.to_plain(), r);
+    }
+    if r.is_encoded() {
+        return vectorized_binary(op, l, &r.to_plain());
     }
     // All-NULL operands: every row-wise result is NULL for the null-propagating operators.
     if !matches!(op, IsDistinctFrom | IsNotDistinctFrom)

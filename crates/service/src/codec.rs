@@ -13,9 +13,12 @@
 //! | `D`   | done     | u64 total row count                                           |
 //!
 //! All integers are big-endian (matching the frame length prefix). Arrays ship in their
-//! *factorized* form: a dictionary-encoded join output keeps its 4-byte indices and sends each
-//! distinct dictionary row once (after compacting away unreferenced rows), and long constant
-//! stretches are run-length compressed at encode time. Array encoding:
+//! *factorized* form: a dictionary view keeps its 4-byte indices and sends each distinct
+//! dictionary row once (after compacting away unreferenced rows) — or, when its indices form
+//! long runs, one row per run — and long constant stretches of a plain column are run-length
+//! compressed at encode time. The engine hands over join output as views that share one index
+//! buffer per side (see `perm_exec::parallel`); a shared buffer is analysed once per frame, not
+//! once per column. Array encoding:
 //!
 //! ```text
 //! array     := enc-tag:u8 body
@@ -74,15 +77,16 @@ pub fn encode_schema(schema: &Schema) -> Vec<u8> {
     out
 }
 
-/// Encode a result-chunk frame (`R`), factorizing each column: dict views are compacted to
-/// their referenced rows, and plain columns with long constant stretches are run-length
-/// compressed.
+/// Encode a result-chunk frame (`R`), factorizing each column: dict views go out run-length
+/// encoded or compacted to their referenced rows, and plain columns with long constant
+/// stretches are run-length compressed.
 pub fn encode_chunk(chunk: &DataChunk) -> Vec<u8> {
     let mut out = vec![tag::RESULT];
     out.extend_from_slice(&(chunk.num_rows() as u32).to_be_bytes());
     out.extend_from_slice(&(chunk.num_columns() as u16).to_be_bytes());
+    let mut forms = Vec::new();
     for c in 0..chunk.num_columns() {
-        encode_array(chunk.column(c), &mut out);
+        encode_array(chunk.column(c), &mut forms, &mut out);
     }
     out
 }
@@ -124,71 +128,117 @@ fn type_from_tag(tag: u8) -> Result<DataType, ServiceError> {
     })
 }
 
-/// Encode one array in its most compact of the three wire forms.
-fn encode_array(array: &Array, out: &mut Vec<u8>) {
+/// The wire form of one index buffer, worked out once per frame for all the views sharing it.
+enum IndexForm {
+    /// Long runs of one index ([`Array::run_length_pays`], the threshold plain columns
+    /// compress at): the cumulative run ends and the dictionary row of each run.
+    Runs { run_ends: Vec<u32>, rows: Vec<u32> },
+    /// Otherwise: indices renumbered densely over `rows`, the referenced dictionary rows in
+    /// first-use order — a frame never ships a dictionary row its chunk does not use.
+    Compacted { indices: Vec<u32>, rows: Vec<u32> },
+}
+
+impl IndexForm {
+    fn of(indices: &[u32], dict_len: usize) -> IndexForm {
+        let breaks = || (1..indices.len()).filter(|&i| indices[i] != indices[i - 1]);
+        if Array::run_length_pays(breaks().count() + 1, indices.len()) {
+            let run_ends: Vec<u32> =
+                breaks().chain([indices.len()]).map(|end| end as u32).collect();
+            let rows = run_ends.iter().map(|&end| indices[end as usize - 1]).collect();
+            return IndexForm::Runs { run_ends, rows };
+        }
+        let mut rows: Vec<u32> = Vec::new();
+        let indices = if dict_len <= DENSE_REMAP_LIMIT {
+            let mut remap = vec![u32::MAX; dict_len];
+            indices
+                .iter()
+                .map(|&i| {
+                    if remap[i as usize] == u32::MAX {
+                        remap[i as usize] = rows.len() as u32;
+                        rows.push(i);
+                    }
+                    remap[i as usize]
+                })
+                .collect()
+        } else {
+            let mut remap = std::collections::HashMap::new();
+            indices
+                .iter()
+                .map(|&i| {
+                    *remap.entry(i).or_insert_with(|| {
+                        rows.push(i);
+                        rows.len() as u32 - 1
+                    })
+                })
+                .collect()
+        };
+        IndexForm::Compacted { indices, rows }
+    }
+}
+
+/// The rows of a dictionary at `rows`, as a plain array.
+fn dictionary_rows(dict: &Array, rows: &[u32]) -> Array {
+    let gathered = dict.take(rows);
+    if gathered.is_encoded() {
+        gathered.to_plain()
+    } else {
+        gathered
+    }
+}
+
+fn encode_u32s(values: &[u32], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(values.len() as u32).to_be_bytes());
+    for v in values {
+        out.extend_from_slice(&v.to_be_bytes());
+    }
+}
+
+/// Encode one array in its most compact of the three wire forms. `forms` remembers the
+/// [`IndexForm`] of every index buffer seen in this frame, by identity.
+fn encode_array<'a>(
+    array: &'a Array,
+    forms: &mut Vec<(&'a Arc<[u32]>, IndexForm)>,
+    out: &mut Vec<u8>,
+) {
     match array {
         Array::Dict { indices, dict } => {
-            let plain_dict = dict.to_plain();
-            let (indices, compacted) = compact_dictionary(indices, &plain_dict);
-            // A dictionary that is (almost) as long as the chunk saves nothing over sending
-            // the rows plainly — only keep the factorized form when rows actually repeat.
-            if compacted.len() >= indices.len() {
-                encode_plain(&array.to_plain(), out);
-                return;
+            let known = forms.iter().position(|(buffer, _)| Arc::ptr_eq(buffer, indices));
+            let known = known.unwrap_or_else(|| {
+                forms.push((indices, IndexForm::of(indices, dict.len())));
+                forms.len() - 1
+            });
+            match &forms[known].1 {
+                IndexForm::Runs { run_ends, rows } => {
+                    encode_run_length(run_ends, &dictionary_rows(dict, rows), out);
+                }
+                // A dictionary that is (almost) as long as the chunk saves nothing over
+                // sending the rows plainly — only keep the factorized form when rows repeat.
+                IndexForm::Compacted { indices, rows } if rows.len() >= indices.len() => {
+                    encode_plain(&array.to_plain(), out);
+                }
+                IndexForm::Compacted { indices, rows } => {
+                    out.push(1);
+                    encode_u32s(indices, out);
+                    encode_plain(&dictionary_rows(dict, rows), out);
+                }
             }
-            out.push(1);
-            out.extend_from_slice(&(indices.len() as u32).to_be_bytes());
-            for i in &indices {
-                out.extend_from_slice(&i.to_be_bytes());
-            }
-            encode_plain(&compacted, out);
         }
         Array::RunLength { values, run_ends } => {
-            out.push(2);
-            out.extend_from_slice(&(run_ends.len() as u32).to_be_bytes());
-            for end in run_ends {
-                out.extend_from_slice(&end.to_be_bytes());
-            }
-            encode_plain(&values.to_plain(), out);
+            encode_run_length(run_ends, &values.to_plain(), out);
         }
         plain => match plain.rle_compress() {
-            Some(rle) => encode_array(&rle, out),
-            None => encode_plain(plain, out),
+            Some(Array::RunLength { values, run_ends }) => {
+                encode_run_length(&run_ends, &values, out);
+            }
+            _ => encode_plain(plain, out),
         },
     }
 }
 
-/// Drop dictionary rows no index references and remap the indices accordingly, so a frame
-/// never ships build-side rows that its chunk does not use.
-fn compact_dictionary(indices: &[u32], dict: &Array) -> (Vec<u32>, Array) {
-    if dict.len() <= DENSE_REMAP_LIMIT {
-        let mut remap = vec![u32::MAX; dict.len()];
-        let mut keep: Vec<u32> = Vec::new();
-        let new_indices = indices
-            .iter()
-            .map(|&i| {
-                if remap[i as usize] == u32::MAX {
-                    remap[i as usize] = keep.len() as u32;
-                    keep.push(i);
-                }
-                remap[i as usize]
-            })
-            .collect();
-        (new_indices, dict.take(&keep))
-    } else {
-        let mut remap = std::collections::HashMap::new();
-        let mut keep: Vec<u32> = Vec::new();
-        let new_indices = indices
-            .iter()
-            .map(|&i| {
-                *remap.entry(i).or_insert_with(|| {
-                    keep.push(i);
-                    keep.len() as u32 - 1
-                })
-            })
-            .collect();
-        (new_indices, dict.take(&keep))
-    }
+fn encode_run_length(run_ends: &[u32], values: &Array, out: &mut Vec<u8>) {
+    out.push(2);
+    encode_u32s(run_ends, out);
+    encode_plain(values, out);
 }
 
 fn encode_validity(validity: &Bitmap, out: &mut Vec<u8>) {
@@ -426,7 +476,7 @@ fn decode_array(cur: &mut Cursor<'_>) -> Result<Array, ServiceError> {
             if indices.iter().any(|&i| i as usize >= dict.len()) {
                 return Err(ServiceError::protocol("dictionary index out of bounds"));
             }
-            Ok(Array::Dict { indices, dict: Arc::new(dict) })
+            Ok(Array::Dict { indices: indices.into(), dict: Arc::new(dict) })
         }
         2 => {
             let runs = cur.u32()? as usize;
@@ -600,7 +650,7 @@ mod tests {
         let dict = Arc::new(Array::from_values(
             (0..5).map(|i| Value::text(format!("payload-{i}").as_str())),
         ));
-        let view = Array::Dict { indices: vec![3, 1, 3, 1, 1, 3], dict };
+        let view = Array::Dict { indices: vec![3, 1, 3, 1, 1, 3].into(), dict };
         let chunk = DataChunk::new(vec![Arc::new(view.clone())]);
         let bytes = encode_chunk(&chunk);
         let decoded = decode_chunk(&bytes[1..]).unwrap();
@@ -615,7 +665,7 @@ mod tests {
     fn unique_dict_views_degrade_to_plain() {
         // Every row distinct: the dictionary saves nothing, so the wire form is plain.
         let dict = Arc::new(Array::from_values((0..4).map(Value::Int)));
-        let view = Array::Dict { indices: vec![2, 0, 3, 1], dict };
+        let view = Array::Dict { indices: vec![2, 0, 3, 1].into(), dict };
         let chunk = DataChunk::new(vec![Arc::new(view.clone())]);
         let bytes = encode_chunk(&chunk);
         let decoded = decode_chunk(&bytes[1..]).unwrap();
@@ -641,7 +691,8 @@ mod tests {
         assert!(decode_done(&[1, 2, 3]).is_err());
         // Dict index out of bounds.
         let dict = Arc::new(Array::from_values((0..2).map(Value::Int)));
-        let chunk = DataChunk::new(vec![Arc::new(Array::Dict { indices: vec![0, 1, 0], dict })]);
+        let chunk =
+            DataChunk::new(vec![Arc::new(Array::Dict { indices: vec![0, 1, 0].into(), dict })]);
         let mut bytes = encode_chunk(&chunk);
         // Corrupt the first dictionary index to a huge value.
         let idx_pos = 1 + 4 + 2 + 1 + 4; // tag, rows, ncols, enc tag, index count

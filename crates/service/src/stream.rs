@@ -8,6 +8,14 @@
 //! runs the same engine on the same pool — the result is materialized inside the producer —
 //! and hands chunks over a bounded channel, so a consumer that forwards chunks as it pulls
 //! them (the wire server) buffers at most `window` chunks and wire backpressure applies.
+//!
+//! What "materialized" costs is set by the engine's one rule about data movement — *a join
+//! batch is two index buffers over its sources; operators above keep views while the
+//! dictionary is shared* (see `perm_exec::vector`): a provenance result of tens of thousands
+//! of wide rows arrives here as a few index buffers per chunk over the columns of its source
+//! tuples. The producer takes the chunk list by value and *moves* each chunk into the
+//! channel, so a chunk is freed when the consumer drops it, not when the last frame has gone;
+//! [`crate::codec`] ships the views as they are.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -101,7 +109,7 @@ impl QueryStream {
     pub fn from_relation(relation: Relation) -> QueryStream {
         let schema = relation.schema().clone();
         let chunks: Vec<DataChunk> =
-            relation.chunks().iter().filter(|c| !c.is_empty()).cloned().collect();
+            relation.into_chunks().into_iter().filter(|c| !c.is_empty()).collect();
         QueryStream {
             schema,
             state: State::Materialized { chunks: chunks.into_iter() },
@@ -357,14 +365,15 @@ fn produce(
         true
     };
     // The engine materializes the result inside this thread; it is then fed out chunk-wise
-    // (the consumer gets bounded buffering and wire backpressure).
+    // (the consumer gets bounded buffering and wire backpressure). Each chunk is *moved* into
+    // the channel: once the consumer is done with it, nothing here keeps it alive.
     match executor.execute_parallel(&prepared.plan, pool) {
         Ok(relation) => {
-            for chunk in relation.chunks().iter() {
+            for chunk in relation.into_chunks() {
                 if chunk.is_empty() {
                     continue;
                 }
-                if cancel.load(Ordering::Relaxed) || !send(Ok(chunk.clone())) {
+                if cancel.load(Ordering::Relaxed) || !send(Ok(chunk)) {
                     return;
                 }
             }

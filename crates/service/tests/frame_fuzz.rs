@@ -40,7 +40,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
     ]);
     let dict = Arc::new(Array::from_values((0..4).map(|i| Value::text(format!("v{i}").as_str()))));
     let dict_chunk =
-        DataChunk::new(vec![Arc::new(Array::Dict { indices: vec![1, 1, 3, 3, 1], dict })]);
+        DataChunk::new(vec![Arc::new(Array::Dict { indices: vec![1, 1, 3, 3, 1].into(), dict })]);
     let rle_chunk =
         DataChunk::new(vec![Arc::new(Array::from_values(std::iter::repeat_n(Value::Int(9), 300)))]);
     vec![
@@ -49,14 +49,27 @@ fn sample_frames() -> Vec<Vec<u8>> {
         encode_chunk(&dict_chunk),
         encode_chunk(&rle_chunk),
         encode_done(12345),
+        encode_chunk(&join_batch(&[0, 2, 1, 2, 0, 1])),
+        encode_chunk(&join_batch(&[2, 2, 2, 2, 0, 0, 0, 0, 0])),
     ]
+}
+
+/// A join batch as the engine emits it: every column a view of its source column, all of them
+/// through the one index buffer `rows`.
+fn join_batch(rows: &[u32]) -> DataChunk {
+    let source = DataChunk::new(vec![
+        Arc::new(Array::from_values((0..3).map(|i| Value::Int(i * 100)))),
+        Arc::new(Array::from_values([Value::text("x"), Value::Null, Value::text("z")].into_iter())),
+        Arc::new(Array::Null { len: 3 }),
+    ]);
+    source.take_dict(&Arc::from(rows))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
     #[test]
     fn mutated_frames_decode_or_error_but_never_panic(
-        which in 0usize..5,
+        which in 0usize..7,
         mutations in proptest::collection::vec((0usize..4096, 0u16..256), 1..8),
         truncate in 0usize..4096,
     ) {
@@ -75,6 +88,35 @@ proptest! {
         let _ = decode_schema(body);
         let _ = decode_chunk(body);
         let _ = decode_done(body);
+    }
+}
+
+/// Columns sharing one index buffer round-trip to the same rows whichever wire form the buffer
+/// gets: compacted dictionary indices when rows alternate, run-length when they repeat in
+/// stretches (the probe side of a duplicating provenance join).
+#[test]
+fn views_sharing_an_index_buffer_round_trip() {
+    for (rows, run_length) in
+        [(&[0u32, 2, 1, 2, 0, 1][..], false), (&[2, 2, 2, 2, 0, 0, 0, 0, 0][..], true)]
+    {
+        let batch = join_batch(rows);
+        let buffers: Vec<_> = batch
+            .columns()
+            .iter()
+            .filter_map(|c| match c.as_ref() {
+                Array::Dict { indices, .. } => Some(indices.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(buffers.len(), 2, "the all-NULL column needs no view");
+        assert!(Arc::ptr_eq(&buffers[0], &buffers[1]));
+        let decoded = decode_chunk(&encode_chunk(&batch)[1..]).unwrap();
+        assert_eq!(decoded, batch);
+        for c in 0..2 {
+            let on_wire = decoded.column(c);
+            assert_eq!(matches!(on_wire.as_ref(), Array::RunLength { .. }), run_length);
+            assert_eq!(matches!(on_wire.as_ref(), Array::Dict { .. }), !run_length);
+        }
     }
 }
 

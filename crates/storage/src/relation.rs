@@ -83,6 +83,13 @@ impl Relation {
         self.chunks.clone()
     }
 
+    /// The stored chunks by value, for a consumer that hands them on one at a time and wants
+    /// each freed as it goes (the stream producer). Copies the list, never a chunk, when
+    /// another reader still holds it.
+    pub fn into_chunks(self) -> Vec<DataChunk> {
+        Arc::try_unwrap(self.chunks).unwrap_or_else(|shared| (*shared).clone())
+    }
+
     /// Per-column statistics (row count, distinct values, NULL count, min/max), collected on
     /// first request and cached. Mutations drop the cache, so the handle always describes the
     /// relation contents at the time of the call.

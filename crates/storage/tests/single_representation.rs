@@ -52,9 +52,7 @@ fn append_chunks_checks_arity_and_stores_plain_columns() {
     assert!(r.append_chunks(&[DataChunk::from_tuples(1, &[tuple![1]])]).is_err());
     assert_eq!(r.num_rows(), 1);
     let source = DataChunk::from_tuples(2, &[tuple!["b", 2], tuple!["c", 3]]);
-    let view = DataChunk::new(
-        source.columns().iter().map(|c| Arc::new(c.take_view(&[1, 1, 0]))).collect(),
-    );
+    let view = source.take_dict(&Arc::from([1, 1, 0]));
     r.append_chunks(&[DataChunk::empty(2), view]).unwrap();
     assert_eq!(r.tuples(), vec![tuple!["a", 1], tuple!["c", 3], tuple!["c", 3], tuple!["b", 2]]);
     assert!(r.chunks().iter().all(|c| c.columns().iter().all(|a| !a.is_encoded())));

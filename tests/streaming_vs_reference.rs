@@ -389,6 +389,77 @@ fn chunk_boundary_row_counts_agree_at_every_degree() {
     }
 }
 
+/// Join output is views — two index buffers per batch over the probe and build columns — and
+/// everything above a join re-addresses those views instead of copying rows. The cases here are
+/// the ones where that could go wrong: outer-join pads (which address a NULL slot behind the
+/// build rows) in hash and nested-loop joins, alone and underneath a second outer join whose
+/// inputs are already views; `ORDER BY` over batches whose dictionaries differ (one per probe
+/// chunk) with heavily tied keys, which must stay in input order; and `LIMIT` slicing a view.
+/// The engine must produce the reference's rows *in the reference's order* at every degree.
+#[test]
+fn views_survive_outer_joins_sorts_and_limits() {
+    use perm_algebra::{PlanBuilder, SortKey};
+
+    let catalog = Catalog::new();
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("t", DataType::Text)]);
+    let table = |rows: i64, modulus: i64, shift: i64| -> Vec<Tuple> {
+        (0..rows)
+            .map(|i| {
+                let k = if i % 97 == 0 { Value::Null } else { Value::Int(i % modulus + shift) };
+                let t = if i % 11 == 0 { Value::Null } else { Value::text(format!("t{}", i % 13)) };
+                Tuple::new(vec![k, t])
+            })
+            .collect()
+    };
+    // `a` spans two chunks; keys 0..15 of `a` and 70..75 of `b` find no partner.
+    for (name, rows) in
+        [("a", table(1300, 70, 0)), ("b", table(300, 60, 15)), ("c", table(40, 40, 0))]
+    {
+        catalog.create_table_with_data(name, Relation::from_parts(schema.clone(), rows)).unwrap();
+    }
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    let col = |index: usize| ScalarExpr::column(index, "c");
+    let assert_same_sequence = |plan: &LogicalPlan, context: &str| {
+        let engine = run_at_every_degree(&catalog, plan, ExecOptions::default()).unwrap();
+        let reference = execute_reference(&catalog, plan).unwrap();
+        assert!(engine.num_rows() > perm_algebra::DEFAULT_CHUNK_SIZE, "{context} spans batches");
+        assert!(engine.tuples() == reference.tuples(), "engine != reference on {context}\n{plan}");
+    };
+
+    for kind in [JoinKind::LeftOuter, JoinKind::RightOuter, JoinKind::FullOuter] {
+        // Hash join, ~6 500 matches plus pads on whichever side the kind preserves.
+        let hash = || scan("a", 0).join(scan("b", 1), kind, Some(col(0).eq(col(2))));
+        // Nested loop with a filter: `a.k > c.k + 50` pads three `a` rows in four.
+        let looped = || {
+            let bound = ScalarExpr::binary(BinaryOperator::Add, col(2), ScalarExpr::literal(50i64));
+            let condition = ScalarExpr::binary(BinaryOperator::Gt, col(0), bound);
+            scan("a", 0).join(scan("c", 1), kind, Some(condition))
+        };
+        // A second outer join over the first: its probe side is views with pads in them.
+        let stacked = || hash().join(scan("c", 2), kind, Some(col(2).eq(col(4))));
+        // ... and one whose *build* side is the first: views, pads and the NULL slot together.
+        let nested = || scan("c", 2).join(hash(), kind, Some(col(0).eq(col(2))));
+        for (shape, join) in
+            [("hash", hash()), ("loop", looped()), ("stacked", stacked()), ("nested", nested())]
+        {
+            assert_same_sequence(&join.build(), &format!("{kind:?} {shape} join"));
+        }
+        // Ties on (b.t, a.t): thirteen values and NULL over thousands of rows.
+        let sorted = || stacked().sort(vec![SortKey::desc(col(3)), SortKey::asc(col(1))]);
+        assert_same_sequence(&sorted().build(), &format!("sort over {kind:?} joins"));
+        assert_same_sequence(
+            &sorted().limit(Some(1500), 1000).build(),
+            &format!("limit over sort over {kind:?} joins"),
+        );
+        assert_same_sequence(
+            &hash().limit(Some(1100), 1030).build(),
+            &format!("limit over a {kind:?} join"),
+        );
+    }
+}
+
 /// Integer overflow raises the identical `ExecError::ArithmeticOverflow` at every degree and
 /// in the reference (never a silent wrap, never a degree-dependent value).
 #[test]
