@@ -195,7 +195,7 @@ mod tests {
             vec![(AggregateExpr::new(AggregateFunction::Sum, price), "sum_price".into())],
         );
         let plan = agg.build();
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         assert_eq!(plan.schema().attribute_names(), vec!["name", "sum_price"]);
         assert_eq!(plan.base_relations().len(), 3);
     }
@@ -219,6 +219,6 @@ mod tests {
         let a = PlanBuilder::scan("shop", shop_schema(), 0);
         let b = PlanBuilder::scan("shop", shop_schema(), 1);
         let u = a.set_op(b, SetOpKind::Union, SetSemantics::Bag).build();
-        u.validate().unwrap();
+        u.verify().unwrap();
     }
 }

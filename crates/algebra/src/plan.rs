@@ -491,65 +491,6 @@ impl LogicalPlan {
         walk(self, 0, &mut out);
         out
     }
-
-    /// Validate structural invariants of the plan (arities, union compatibility, column bounds).
-    pub fn validate(&self) -> Result<(), AlgebraError> {
-        for child in self.children() {
-            child.validate()?;
-        }
-        match self {
-            LogicalPlan::Projection { input, exprs, .. } => {
-                let schema = input.schema();
-                for (e, _) in exprs {
-                    check_columns(e, schema.arity())?;
-                }
-            }
-            LogicalPlan::Selection { input, predicate } => {
-                check_columns(predicate, input.schema().arity())?;
-            }
-            LogicalPlan::Join { left, right, condition: Some(c), .. } => {
-                check_columns(c, left.schema().arity() + right.schema().arity())?;
-            }
-            LogicalPlan::Aggregation { input, group_by, aggregates } => {
-                let arity = input.schema().arity();
-                for (e, _) in group_by {
-                    check_columns(e, arity)?;
-                }
-                for (a, _) in aggregates {
-                    if let Some(arg) = &a.arg {
-                        check_columns(arg, arity)?;
-                    }
-                }
-            }
-            LogicalPlan::SetOp { left, right, .. } => {
-                let l = left.schema();
-                let r = right.schema();
-                if !l.union_compatible(&r) {
-                    return Err(AlgebraError::NotUnionCompatible {
-                        left_width: l.arity(),
-                        right_width: r.arity(),
-                    });
-                }
-            }
-            LogicalPlan::Sort { input, keys } => {
-                let arity = input.schema().arity();
-                for k in keys {
-                    check_columns(&k.expr, arity)?;
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-}
-
-fn check_columns(expr: &ScalarExpr, arity: usize) -> Result<(), AlgebraError> {
-    for col in expr.columns_used() {
-        if col >= arity {
-            return Err(AlgebraError::ColumnIndexOutOfBounds { index: col, width: arity });
-        }
-    }
-    Ok(())
 }
 
 impl fmt::Display for LogicalPlan {
@@ -562,6 +503,7 @@ impl fmt::Display for LogicalPlan {
 mod tests {
     use super::*;
     use crate::expr::{AggregateFunction, BinaryOperator};
+    use crate::typed::TypeErrorKind;
     use crate::value::Value;
 
     fn shop() -> Arc<LogicalPlan> {
@@ -597,7 +539,7 @@ mod tests {
             condition: Some(ScalarExpr::column(0, "name").eq(ScalarExpr::column(2, "sname"))),
         };
         assert_eq!(join.schema().attribute_names(), vec!["name", "numempl", "sname", "itemid"]);
-        join.validate().unwrap();
+        join.verify().unwrap();
     }
 
     #[test]
@@ -639,16 +581,19 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_out_of_bounds_columns() {
+    fn verify_rejects_out_of_bounds_columns() {
         let bad = LogicalPlan::Selection {
             input: shop(),
             predicate: ScalarExpr::column(7, "ghost").eq(ScalarExpr::literal(1i64)),
         };
-        assert!(matches!(bad.validate(), Err(AlgebraError::ColumnIndexOutOfBounds { .. })));
+        let TypeErrorKind::Structural(error) = bad.verify().unwrap_err().kind else {
+            panic!("a structural error");
+        };
+        assert!(matches!(*error, AlgebraError::ColumnIndexOutOfBounds { index: 7, width: 2 }));
     }
 
     #[test]
-    fn validate_rejects_incompatible_set_op() {
+    fn verify_rejects_incompatible_set_op() {
         let one_col = Arc::new(LogicalPlan::Values {
             schema: Schema::from_pairs(&[("x", DataType::Int)]),
             rows: vec![Tuple::new(vec![Value::Int(1)])],
@@ -659,7 +604,13 @@ mod tests {
             kind: SetOpKind::Union,
             semantics: SetSemantics::Bag,
         };
-        assert!(matches!(setop.validate(), Err(AlgebraError::NotUnionCompatible { .. })));
+        let TypeErrorKind::Structural(error) = setop.verify().unwrap_err().kind else {
+            panic!("a structural error");
+        };
+        assert!(matches!(
+            *error,
+            AlgebraError::NotUnionCompatible { left_width: 2, right_width: 1 }
+        ));
     }
 
     #[test]

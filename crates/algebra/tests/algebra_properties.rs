@@ -132,7 +132,7 @@ proptest! {
         let names: Vec<String> = (0..keep).map(|i| format!("c{i}")).collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let plan = builder.project_columns(&name_refs).unwrap().build();
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         prop_assert_eq!(plan.schema().arity(), keep);
     }
 }

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use perm_algebra::LogicalPlan;
 use perm_exec::ExecOptions;
-use perm_service::{Engine, Session, SessionOptions};
+use perm_service::{Engine, PreparedPlan, Session, SessionOptions};
 use perm_sql::Analyzer;
 use perm_storage::{Catalog, Relation};
 
@@ -180,7 +180,8 @@ impl PermDb {
     /// Execute a bound plan.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<Relation, PermError> {
         let plan = self.maybe_optimize(plan.clone())?;
-        Ok(self.engine.run_plan(&plan, self.options.exec_options(), Vec::new())?)
+        let prepared = PreparedPlan { plan, into: None, param_count: 0, sql: String::new() };
+        Ok(self.engine.execute_prepared_plan(&prepared, self.options.exec_options(), Vec::new())?)
     }
 
     /// Execute a single SQL statement (DDL, DML or query). DDL statements return an empty

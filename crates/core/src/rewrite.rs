@@ -1140,6 +1140,6 @@ mod tests {
         let catalog = paper_catalog();
         let plan = qex_plan(&catalog);
         let rewritten = ProvenanceRewriter::new().rewrite(&plan).unwrap();
-        rewritten.validate().unwrap();
+        rewritten.verify().unwrap();
     }
 }

@@ -10,23 +10,19 @@
 //!   become literals (a scalar subquery returning more than one row raises
 //!   [`ExecError::ScalarSubqueryTooManyRows`]), and `IN (SELECT ...)` becomes a pre-built hash
 //!   set probed in O(1) per row instead of a per-row scan of the result list,
-//! * `IN` lists of constants are pre-evaluated (hash set where the value types allow it, a plain
-//!   pre-evaluated value slice otherwise),
-//! * function argument buffers for the common arities are stack-allocated.
+//! * `IN` lists of constants become a hash set where the value types allow it.
 //!
-//! The engine evaluates compiled expressions column-wise (`CompiledExpr::eval_array`, in
-//! `vector.rs`); [`CompiledExpr::eval`] is the per-row fallback those kernels use for lazily
-//! evaluated forms (`CASE`, non-constant `IN` lists) and for per-pair join conditions.
+//! A compiled expression is evaluated one way: column-wise over a chunk, by the kernels in
+//! `vector.rs` (`CompiledExpr::eval_array` / `eval_mask`).
 
 use std::collections::HashSet;
 
 use perm_algebra::{
     AggregateExpr, BinaryOperator, DataChunk, DataType, ScalarExpr, ScalarFunction, SublinkKind,
-    Tuple, UnaryOperator, Value,
+    UnaryOperator, Value,
 };
 
 use crate::error::ExecError;
-use crate::eval::{binary_op_values, evaluate_function, logical_combine, unary_op_value};
 use crate::executor::{ExecContext, Executor};
 use crate::parallel::WorkerPool;
 
@@ -86,10 +82,8 @@ pub(crate) enum CompiledExpr {
         has_null: bool,
         negated: bool,
     },
-    /// `IN` over pre-evaluated constant values whose types prevent hashing with exact SQL
-    /// semantics (booleans, NaN); compared linearly with `sql_eq`.
-    InValues { expr: Box<CompiledExpr>, values: Vec<Value>, negated: bool },
-    /// `IN` over non-constant candidate expressions.
+    /// `IN` over candidate expressions compared one by one with `sql_eq`: non-constant lists,
+    /// and constants whose types prevent hashing with exact SQL semantics (booleans, NaN).
     InList { expr: Box<CompiledExpr>, list: Vec<CompiledExpr>, negated: bool },
 }
 
@@ -201,84 +195,6 @@ impl CompiledExpr {
             },
         })
     }
-
-    /// Evaluate against a tuple.
-    pub(crate) fn eval(&self, tuple: &Tuple) -> Result<Value, ExecError> {
-        match self {
-            CompiledExpr::Column(index) => tuple.get(*index).cloned().ok_or_else(|| {
-                ExecError::Internal(format!(
-                    "column #{index} out of bounds for tuple of arity {}",
-                    tuple.arity()
-                ))
-            }),
-            CompiledExpr::Literal(v) => Ok(v.clone()),
-            CompiledExpr::Logical { op, left, right } => {
-                let l = left.eval(tuple)?.as_bool();
-                match (op, l) {
-                    (BinaryOperator::And, Some(false)) => return Ok(Value::Bool(false)),
-                    (BinaryOperator::Or, Some(true)) => return Ok(Value::Bool(true)),
-                    _ => {}
-                }
-                let r = right.eval(tuple)?.as_bool();
-                Ok(logical_combine(*op, l, r))
-            }
-            CompiledExpr::Binary { op, left, right } => {
-                binary_op_values(*op, &left.eval(tuple)?, &right.eval(tuple)?)
-            }
-            CompiledExpr::Unary { op, expr } => unary_op_value(*op, expr.eval(tuple)?),
-            CompiledExpr::Function { func, args } => {
-                // Stack-allocate the argument buffer for the common arities.
-                if args.len() <= 4 {
-                    let mut buf = [Value::Null, Value::Null, Value::Null, Value::Null];
-                    for (slot, arg) in buf.iter_mut().zip(args.iter()) {
-                        *slot = arg.eval(tuple)?;
-                    }
-                    evaluate_function(*func, &buf[..args.len()])
-                } else {
-                    let values =
-                        args.iter().map(|a| a.eval(tuple)).collect::<Result<Vec<_>, _>>()?;
-                    evaluate_function(*func, &values)
-                }
-            }
-            CompiledExpr::Case { operand, branches, else_expr } => {
-                let operand_value = operand.as_ref().map(|o| o.eval(tuple)).transpose()?;
-                for (when, then) in branches {
-                    let matched = match &operand_value {
-                        Some(op_val) => {
-                            let w = when.eval(tuple)?;
-                            op_val.sql_eq(&w).unwrap_or(false)
-                        }
-                        None => when.eval(tuple)?.as_bool().unwrap_or(false),
-                    };
-                    if matched {
-                        return then.eval(tuple);
-                    }
-                }
-                match else_expr {
-                    Some(e) => e.eval(tuple),
-                    None => Ok(Value::Null),
-                }
-            }
-            CompiledExpr::Cast { expr, data_type } => Ok(expr.eval(tuple)?.cast(*data_type)?),
-            CompiledExpr::InSet { expr, set, types, has_null, negated } => {
-                let needle = expr.eval(tuple)?;
-                Ok(in_set_lookup(&needle, set, *types, *has_null, *negated))
-            }
-            CompiledExpr::InValues { expr, values, negated } => {
-                let needle = expr.eval(tuple)?;
-                in_values(&needle, values.iter().map(|v| Ok(v.clone())), *negated)
-            }
-            CompiledExpr::InList { expr, list, negated } => {
-                let needle = expr.eval(tuple)?;
-                in_values(&needle, list.iter().map(|e| e.eval(tuple)), *negated)
-            }
-        }
-    }
-
-    /// Evaluate as a predicate: `true` only for SQL TRUE.
-    pub(crate) fn eval_predicate(&self, tuple: &Tuple) -> Result<bool, ExecError> {
-        Ok(self.eval(tuple)?.as_bool().unwrap_or(false))
-    }
 }
 
 /// The first-column values of a sublink result, row by row (NULL for a zero-width result).
@@ -294,8 +210,7 @@ fn first_column(chunks: &[DataChunk]) -> impl Iterator<Item = Value> + '_ {
     })
 }
 
-/// Probe a pre-built `IN` hash set with full three-valued semantics (shared by the vectorized
-/// kernel and its per-row fallback).
+/// Probe a pre-built `IN` hash set with full three-valued semantics.
 pub(crate) fn in_set_lookup(
     needle: &Value,
     set: &HashSet<Value>,
@@ -326,33 +241,9 @@ pub(crate) fn in_set_lookup(
     }
 }
 
-/// Linear `IN` evaluation with full three-valued semantics over lazily produced candidates.
-pub(crate) fn in_values(
-    needle: &Value,
-    candidates: impl Iterator<Item = Result<Value, ExecError>>,
-    negated: bool,
-) -> Result<Value, ExecError> {
-    if needle.is_null() {
-        return Ok(Value::Null);
-    }
-    let mut saw_null = false;
-    for candidate in candidates {
-        match needle.sql_eq(&candidate?) {
-            Some(true) => return Ok(Value::Bool(!negated)),
-            Some(false) => {}
-            None => saw_null = true,
-        }
-    }
-    if saw_null {
-        Ok(Value::Null)
-    } else {
-        Ok(Value::Bool(negated))
-    }
-}
-
 /// Choose the best representation for an `IN` over constant candidate values: a hash set when
 /// every candidate hashes consistently with `sql_eq` (Int/Float/Date/Text, no NaN, no booleans),
-/// otherwise a pre-evaluated value list compared linearly.
+/// otherwise a list of literals compared linearly.
 fn compile_in_constants(
     expr: Box<CompiledExpr>,
     values: Vec<Value>,
@@ -368,7 +259,10 @@ fn compile_in_constants(
             Value::Float(f) if !f.is_nan() => types.floats = true,
             Value::Text(_) => types.texts = true,
             // Booleans and NaN do not hash consistently with `sql_eq`; fall back.
-            _ => return CompiledExpr::InValues { expr, values, negated },
+            _ => {
+                let list = values.into_iter().map(CompiledExpr::Literal).collect();
+                return CompiledExpr::InList { expr, list, negated };
+            }
         }
     }
     let set: HashSet<Value> = values.into_iter().filter(|v| !v.is_null()).collect();

@@ -7,14 +7,18 @@
 //! Exactly two things evaluate a plan:
 //!
 //! * the **engine** ([`parallel`], entered through [`Executor`]): morsel-driven execution over
-//!   columnar [`perm_algebra::DataChunk`] lists with compiled, vectorized expressions,
-//!   partitioned hash joins and aggregation, merge sort and resource limits (row budget,
-//!   timeout, cancellation, memory accounting). `Executor::execute` is degree 1 of it — the
-//!   same code on an inline pool — and `Executor::execute_parallel` runs it on a shared
-//!   [`WorkerPool`]; results and errors are identical at every degree.
-//! * the **oracle** ([`mod@reference`]): a naive, fully materializing evaluator over the
-//!   tree-walking interpreter in [`eval`], kept as the executable specification that
-//!   differential tests compare the engine against.
+//!   columnar [`perm_algebra::DataChunk`] lists, partitioned hash joins and aggregation, merge
+//!   sort and resource limits (row budget, timeout, cancellation, memory accounting).
+//!   `Executor::execute` is degree 1 of it — the same code on an inline pool — and
+//!   `Executor::execute_parallel` runs it on a shared [`WorkerPool`]; results and errors are
+//!   identical at every degree.
+//! * the **oracle** ([`mod@reference`]): a naive, fully materializing evaluator kept as the
+//!   executable specification that differential tests compare the engine against.
+//!
+//! And exactly two things evaluate an expression: the engine's one compiled, columnar
+//! evaluator (`compile.rs` + `vector.rs`: expressions and join conditions alike) and the
+//! oracle's tree-walking interpreter in [`eval`], which also holds the per-value operator and
+//! function semantics both share.
 //!
 //! Around them: [`optimizer`] (predicate pushdown, cross-product→join conversion, constant
 //! folding, column pruning) with the statistics-driven join ordering in [`reorder`] and

@@ -1224,7 +1224,7 @@ mod tests {
             )
             .build();
         let optimized = Optimizer::new().optimize(&plan).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         match &optimized {
             LogicalPlan::Selection { predicate, input } => {
                 // Only the right-side conjunct remains above the join.
@@ -1255,7 +1255,7 @@ mod tests {
             .filter(ScalarExpr::column(0, "x").eq(ScalarExpr::column(2, "z")))
             .build();
         let optimized = Optimizer::new().optimize(&plan).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
     }
 
     #[test]
@@ -1308,7 +1308,7 @@ mod tests {
         let a1 = joined.col("a1").unwrap();
         let plan = joined.project(vec![(a1, "a1".into())]).build();
         let optimized = Optimizer::new().optimize(&plan).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         assert_eq!(optimized.schema().attribute_names(), vec!["a1"]);
         let LogicalPlan::Projection { input, .. } = &optimized else {
             panic!("expected projection on top, got {optimized:?}");
@@ -1334,7 +1334,7 @@ mod tests {
             .project(vec![(ScalarExpr::column(0, "a1"), "a1".into())])
             .build();
         let optimized = Optimizer::new().optimize(&plan).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         let LogicalPlan::Projection { input, .. } = &optimized else {
             panic!("expected outer projection, got {optimized:?}");
         };
@@ -1356,7 +1356,7 @@ mod tests {
             )
             .build();
         let optimized = Optimizer::new().optimize(&plan).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         let LogicalPlan::Aggregation { input, .. } = &optimized else {
             panic!("expected aggregation at the top, got {optimized:?}");
         };
@@ -1382,7 +1382,7 @@ mod tests {
         ];
         let plan = joined.project(exprs).build();
         let optimized = Optimizer::new().optimize(&plan).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         let LogicalPlan::Projection { input, .. } = &optimized else {
             panic!("expected projection on top, got {optimized:?}");
         };

@@ -622,39 +622,30 @@ impl Executor {
             Some(c) => split_equi_join_condition(c, left_arity),
             None => (Vec::new(), Vec::new()),
         };
-        let (mode, filter) = if equi_keys.is_empty() {
-            let filter = match condition {
-                Some(c) => Some(JoinFilter::new(
-                    CompiledExpr::compile(c, self, ctx, pool)?,
-                    c,
-                    left_arity,
-                    right_arity,
-                )),
-                None => None,
-            };
-            // A nested loop scans the build rows once per probe row: slice and decode the
-            // columns its condition reads once, here.
-            let scanned = filter.as_ref().map(|f| f.scanned_build(&build.chunk, build.rows));
-            (ParJoinMode::Loop(scanned), filter)
+        // A nested loop checks the whole condition, a hash join what its keys leave over.
+        let residual = match condition {
+            Some(c) if equi_keys.is_empty() => Some(c.clone()),
+            _ if residual.is_empty() => None,
+            _ => Some(ScalarExpr::conjunction(residual.into_iter().cloned().collect())),
+        };
+        let filter = match &residual {
+            Some(source) => Some(JoinFilter::new(
+                CompiledExpr::compile(source, self, ctx, pool)?,
+                source,
+                left_arity,
+                &build.chunk,
+            )),
+            None => None,
+        };
+        let mode = if equi_keys.is_empty() {
+            ParJoinMode::Loop
         } else {
-            let filter = if residual.is_empty() {
-                None
-            } else {
-                let source = ScalarExpr::conjunction(residual.into_iter().cloned().collect());
-                Some(JoinFilter::new(
-                    CompiledExpr::compile(&source, self, ctx, pool)?,
-                    &source,
-                    left_arity,
-                    right_arity,
-                ))
-            };
             // `EquiKey.right` indexes the combined schema; rebase it onto the build side.
             let build_keys: Vec<EquiKey> = equi_keys
                 .iter()
                 .map(|k| EquiKey { left: k.left, right: k.right - left_arity, ..*k })
                 .collect();
-            let table = build_partitioned_table(pool, ctx, &build, build_keys)?;
-            (ParJoinMode::Hash(table), filter)
+            ParJoinMode::Hash(build_partitioned_table(pool, ctx, &build, build_keys)?)
         };
         let probe_chunks = Arc::new(self.par_chunks(left, ctx, pool, None)?);
         // Matched-build-row flags, shared across probe workers (right/full outer only).
@@ -825,10 +816,10 @@ struct ParHashTable {
     nparts: usize,
 }
 
+/// Where a probe row's candidates come from: its key's bucket chain, or every build row.
 enum ParJoinMode {
     Hash(ParHashTable),
-    /// Nested loop; under a condition, over [`JoinFilter::scanned_build`].
-    Loop(Option<DataChunk>),
+    Loop,
 }
 
 /// The per-row key hashes of the build side, computed morsel-parallel (`None` = the row cannot
@@ -1010,10 +1001,14 @@ impl ParHashTable {
 /// Probe one morsel (one probe chunk) against the shared build side. Every output batch is
 /// two index buffers — the probe rows and the build rows of its pairs — and every output column
 /// a view of its source column through its side's buffer (see [`DataChunk::take_dict`]); a
-/// pad addresses the build side's NULL slot. Candidate order per probe row is build-row order,
-/// so the output row sequence equals a nested loop's. The morsel stops once it has emitted
-/// `stop_rows` rows: on its own it then covers the region's stop target, so nothing behind
-/// that row is ever observed.
+/// pad addresses the build side's NULL slot. Candidate pairs are generated one way — each
+/// probe row with its bucket chain or with every build row, in build-row order, so the output
+/// row sequence equals a nested loop's — and a join condition decides them
+/// [`DEFAULT_CHUNK_SIZE`] at a time ([`ProbeOutput::decide`]). The morsel stops once it has
+/// emitted `stop_rows` rows: on its own it then covers the region's stop target. The join
+/// condition has been evaluated on the whole candidate batch that reached the target and on
+/// nothing behind it, so an error among that batch's later pairs is observed — identically at
+/// every degree, a morsel being probed the same way whichever worker claims it.
 #[allow(clippy::too_many_arguments)]
 fn probe_morsel(
     probe: &DataChunk,
@@ -1025,129 +1020,135 @@ fn probe_morsel(
     stop_rows: usize,
     ctx: &ExecContext,
 ) -> Result<Vec<DataChunk>, ExecError> {
-    let null_slot = build.rows as u32;
-    let build_rows = build.rows;
-    let build = &build.chunk;
-    let mut out = Vec::new();
-    let mut left_idx: Vec<u32> = Vec::new();
-    let mut right_idx: Vec<u32> = Vec::new();
-    let mut evals = 0usize;
-    let mut emitted = 0usize;
-
-    let flush = |left_idx: &mut Vec<u32>, right_idx: &mut Vec<u32>, out: &mut Vec<DataChunk>| {
-        if left_idx.is_empty() {
-            return;
-        }
-        let left = probe.take_dict(&Arc::from(left_idx.as_slice()));
-        let right = build.take_dict(&Arc::from(right_idx.as_slice()));
-        left_idx.clear();
-        right_idx.clear();
-        out.push(left.hstack(right));
+    let mut output = ProbeOutput {
+        probe,
+        build,
+        pads: matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter),
+        matched,
+        stop_rows,
+        pairs: Default::default(),
+        pad_from: 0,
+        emitted: 0,
+        batches: Vec::new(),
     };
-
-    let mut chain: Vec<u32> = Vec::new();
-    for row in 0..probe.num_rows() {
-        if emitted >= stop_rows {
-            break;
-        }
-        // Loop mode with a filter and long filtered hash chains evaluate the condition
-        // vectorized for the whole probe row (see `JoinFilter`); short chains stay lazy.
-        let mut cursor: ProbeCursor = match (mode, filter) {
-            (ParJoinMode::Loop(Some(scanned)), Some(f)) => {
-                ctx.check_deadline()?;
-                ProbeCursor::Matches(f.matches_vectorized(probe, row, scanned, None)?.into_iter())
-            }
-            (ParJoinMode::Hash(table), Some(f)) => {
-                let start = table.chain_start(probe, row);
-                chain.clear();
-                let mut pos = start;
-                while pos != CHAIN_END {
-                    chain.push(pos);
-                    pos = table.next[pos as usize];
-                }
-                if chain.len() >= crate::vector::VECTORIZED_FILTER_THRESHOLD {
-                    ctx.check_deadline()?;
-                    ProbeCursor::Matches(
-                        f.matches_vectorized(probe, row, build, Some(&chain))?.into_iter(),
-                    )
-                } else {
-                    ProbeCursor::Chain(start)
-                }
-            }
-            (ParJoinMode::Hash(table), None) => ProbeCursor::Chain(table.chain_start(probe, row)),
-            (ParJoinMode::Loop(_), _) => ProbeCursor::Index(0),
+    let mut candidates: (Vec<u32>, Vec<u32>) = Default::default();
+    let mut generated = 0usize;
+    // A nested loop's "chain" is every build row.
+    let build_row = |i: u32| if (i as usize) < build.rows { i } else { CHAIN_END };
+    for row in 0..probe.num_rows() as u32 {
+        let mut candidate = match mode {
+            ParJoinMode::Hash(table) => table.chain_start(probe, row as usize),
+            ParJoinMode::Loop => build_row(0),
         };
-        let prefiltered = matches!(cursor, ProbeCursor::Matches(_));
-        let mut row_matched = false;
-        loop {
-            let candidate = match &mut cursor {
-                ProbeCursor::Chain(pos) => {
-                    if *pos == CHAIN_END {
-                        break;
-                    }
-                    let i = *pos as usize;
-                    let ParJoinMode::Hash(table) = mode else {
-                        unreachable!("chain cursor implies hash mode");
-                    };
-                    *pos = table.next[i];
-                    i
-                }
-                ProbeCursor::Index(pos) => {
-                    if *pos >= build_rows {
-                        break;
-                    }
-                    let i = *pos;
-                    *pos += 1;
-                    i
-                }
-                ProbeCursor::Matches(matches) => match matches.next() {
-                    Some(i) => i as usize,
-                    None => break,
-                },
-            };
-            evals += 1;
-            if evals & 0x3FF == 0 {
+        while candidate != CHAIN_END && output.emitted < stop_rows {
+            if generated & 0x3FF == 0 {
                 ctx.check_deadline()?;
             }
-            let keep = match filter {
-                Some(f) if !prefiltered => f.matches_pair(probe, row, build, candidate)?,
-                _ => true,
+            generated += 1;
+            match filter {
+                // Without a condition every candidate is a match.
+                None => output.accept(row, candidate),
+                Some(filter) => {
+                    candidates.0.push(row);
+                    candidates.1.push(candidate);
+                    if candidates.0.len() >= DEFAULT_CHUNK_SIZE {
+                        output.decide(filter, &mut candidates)?;
+                    }
+                }
+            }
+            candidate = match mode {
+                ParJoinMode::Hash(table) => table.next[candidate as usize],
+                ParJoinMode::Loop => build_row(candidate + 1),
             };
-            if keep {
-                row_matched = true;
-                if let Some(flags) = matched {
-                    flags[candidate].store(true, AtomicOrdering::Relaxed);
-                }
-                left_idx.push(row as u32);
-                right_idx.push(candidate as u32);
-                if left_idx.len() >= DEFAULT_CHUNK_SIZE {
-                    flush(&mut left_idx, &mut right_idx, &mut out);
-                }
-                emitted += 1;
-                if emitted >= stop_rows {
-                    break;
-                }
-            }
-        }
-        if !row_matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-            left_idx.push(row as u32);
-            right_idx.push(null_slot);
-            emitted += 1;
-            if left_idx.len() >= DEFAULT_CHUNK_SIZE {
-                flush(&mut left_idx, &mut right_idx, &mut out);
-            }
         }
     }
-    flush(&mut left_idx, &mut right_idx, &mut out);
-    Ok(out)
+    if let Some(filter) = filter {
+        output.decide(filter, &mut candidates)?;
+    }
+    output.pad_before(probe.num_rows() as u32);
+    output.flush();
+    Ok(output.batches)
 }
 
-/// Probe-side position within one probe row's candidates.
-enum ProbeCursor {
-    Chain(u32),
-    Index(usize),
-    /// Pre-filtered matches: build rows that already passed the vectorized join filter.
-    Matches(std::vec::IntoIter<u32>),
+/// What one morsel's probe has emitted so far: the matching pairs and an outer join's pads,
+/// in nested-loop order.
+struct ProbeOutput<'a> {
+    probe: &'a DataChunk,
+    build: &'a BuildSide,
+    /// Does an unmatched probe row get a pad (left / full outer)?
+    pads: bool,
+    /// Matched-build-row flags (right / full outer).
+    matched: Option<&'a [AtomicBool]>,
+    stop_rows: usize,
+    /// The open batch: probe rows and build rows of the emitted pairs.
+    pairs: (Vec<u32>, Vec<u32>),
+    /// The first probe row that has neither a match nor a pad yet.
+    pad_from: u32,
+    emitted: usize,
+    batches: Vec<DataChunk>,
+}
+
+impl ProbeOutput<'_> {
+    /// Apply the join condition to a whole batch of candidate pairs and accept the survivors.
+    fn decide(
+        &mut self,
+        filter: &JoinFilter,
+        candidates: &mut (Vec<u32>, Vec<u32>),
+    ) -> Result<(), ExecError> {
+        if !candidates.0.is_empty() {
+            let keep = filter.eval_pairs(self.probe, &candidates.0, &candidates.1)?;
+            for (i, keep) in keep.into_iter().enumerate() {
+                if keep {
+                    self.accept(candidates.0[i], candidates.1[i]);
+                }
+            }
+            candidates.0.clear();
+            candidates.1.clear();
+        }
+        Ok(())
+    }
+
+    /// A matching pair: emitted behind the pads of the probe rows passed over on the way.
+    fn accept(&mut self, row: u32, build_row: u32) {
+        self.pad_before(row);
+        self.pad_from = row + 1;
+        if let Some(flags) = self.matched {
+            flags[build_row as usize].store(true, AtomicOrdering::Relaxed);
+        }
+        self.emit(row, build_row);
+    }
+
+    /// Pad the probe rows before `row` that found no match.
+    fn pad_before(&mut self, row: u32) {
+        while self.pads && self.pad_from < row {
+            self.emit(self.pad_from, self.build.rows as u32);
+            self.pad_from += 1;
+        }
+    }
+
+    /// One more output row, unless the morsel has reached its stop target.
+    fn emit(&mut self, probe_row: u32, build_row: u32) {
+        if self.emitted >= self.stop_rows {
+            return;
+        }
+        self.emitted += 1;
+        self.pairs.0.push(probe_row);
+        self.pairs.1.push(build_row);
+        if self.pairs.0.len() >= DEFAULT_CHUNK_SIZE {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.pairs.0.is_empty() {
+            return;
+        }
+        let left = self.probe.take_dict(&Arc::from(self.pairs.0.as_slice()));
+        let right = self.build.chunk.take_dict(&Arc::from(self.pairs.1.as_slice()));
+        self.pairs.0.clear();
+        self.pairs.1.clear();
+        self.batches.push(left.hstack(right));
+    }
 }
 
 // ---------------------------------------------------------------------------

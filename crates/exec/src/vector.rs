@@ -1,13 +1,16 @@
-//! Vectorized expression kernels: how the engine in [`crate::parallel`] evaluates scalar
-//! expressions and join conditions over columnar [`DataChunk`] batches.
+//! Vectorized expression kernels: the one way the engine in [`crate::parallel`] evaluates a
+//! compiled expression or a join condition — column-wise over [`DataChunk`] batches.
 //!
 //! [`CompiledExpr::eval_array`] runs typed kernels over native value slices for comparisons
-//! and arithmetic on Int/Float/Date/Text columns, selective (mask-directed) evaluation for
-//! `AND`/`OR` so a decisive left operand shields the right one from evaluation, and a per-row
-//! fallback through [`CompiledExpr::eval`] for the long tail (`CASE`, non-constant `IN`).
+//! and arithmetic on Int/Float/Date/Text columns and maps the scalar semantics of
+//! [`crate::eval`] over the rows for the rest. The lazily evaluated forms — `AND`/`OR`, `CASE`,
+//! `IN` over a list — share one selective step ([`eval_selected`]): a sub-expression runs only
+//! on the rows whose result still depends on it, so a decided row never evaluates (and never
+//! fails in) a shielded operand, branch or candidate. Kernels run one after another over the
+//! whole batch: when several rows fail, the error reported is the earliest kernel's.
 //! [`project_chunk`] is projection as a column gather (a bare column reference forwards the
-//! input column by refcount) and [`JoinFilter`] decides join matches while touching only the
-//! columns the condition reads.
+//! input column by refcount) and [`JoinFilter`] decides a batch of candidate pairs while
+//! touching only the columns the condition reads.
 //!
 //! The kernels sit under one rule about data movement, which [`crate::parallel`] applies: *a
 //! join batch is two index buffers over its sources; operators above keep views while the
@@ -18,16 +21,16 @@
 //! dictionaries alone — but for an outer join, which copies the dictionaries of a build side
 //! of views once to put the NULL row its pads address behind them. A kernel that *computes* on
 //! a view ([`vectorized_binary`]) decodes it first: that is the only place the engine pays for
-//! a repeated value, and only for the columns an expression actually reads (a nested-loop
-//! join decodes those of its build side once, [`JoinFilter::scanned_build`]).
+//! a repeated value, and only for the columns an expression actually reads (a join condition
+//! decodes those of its build side once per join, [`JoinFilter::new`]).
 
 use std::sync::Arc;
 
 use perm_algebra::{
-    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, ScalarExpr, Tuple, UnaryOperator, Value,
+    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, ScalarExpr, UnaryOperator, Value,
 };
 
-use crate::compile::{in_set_lookup, in_values, CompiledExpr};
+use crate::compile::{in_set_lookup, CompiledExpr};
 use crate::error::ExecError;
 use crate::eval::{binary_op_values, evaluate_function, logical_combine, unary_op_value};
 
@@ -54,27 +57,21 @@ pub(crate) fn project_chunk(
     Ok(chunk_from_columns(columns, chunk.num_rows()))
 }
 
-/// Candidate count at which a join filter switches from per-pair tuple evaluation to the
-/// vectorized path: below this the per-call chunk assembly costs more than it saves.
-pub(crate) const VECTORIZED_FILTER_THRESHOLD: usize = 8;
-
-/// A compiled join condition (loop-mode full condition or hash-mode residual) plus the
-/// combined-schema columns it actually reads, split by side.
+/// A compiled join condition (a nested loop's full condition or a hash join's residual) over
+/// the combined schema, with the columns it actually reads.
 ///
 /// Provenance rewrites push joins whose inputs carry dozens of duplicated payload columns;
-/// deciding a match must not materialize those payloads. Both evaluation strategies below touch
-/// only the columns the condition references: the vectorized path broadcasts the probe row's
-/// used values and gathers the used build columns into a narrow chunk (everything else is a
-/// NULL placeholder column that is never read), the per-pair path boxes used cells into a
-/// sparse tuple.
+/// deciding a match must not materialize those payloads. A batch of candidate pairs is
+/// evaluated over the read columns gathered at the pairs; every other column is a NULL
+/// placeholder that is never read.
 pub(crate) struct JoinFilter {
     expr: CompiledExpr,
     /// Probe-side columns the condition reads.
     probe_cols: Vec<usize>,
-    /// Build-side columns the condition reads, rebased onto the build chunk.
-    build_cols: Vec<usize>,
+    /// The build side, column by column: a column the condition reads, decoded if it is a
+    /// view — once per join, not once per batch — or `None`.
+    build: Vec<Option<Arc<Array>>>,
     left_arity: usize,
-    right_arity: usize,
 }
 
 impl JoinFilter {
@@ -85,100 +82,46 @@ impl JoinFilter {
         expr: CompiledExpr,
         source: &ScalarExpr,
         left_arity: usize,
-        right_arity: usize,
+        build: &DataChunk,
     ) -> JoinFilter {
-        let used: Vec<usize> = if source.has_sublink() {
-            (0..left_arity + right_arity).collect()
-        } else {
-            source.columns_used()
-        };
-        let probe_cols: Vec<usize> = used.iter().copied().filter(|&c| c < left_arity).collect();
-        let build_cols: Vec<usize> =
-            used.iter().filter(|&&c| c >= left_arity).map(|&c| c - left_arity).collect();
-        JoinFilter { expr, probe_cols, build_cols, left_arity, right_arity }
-    }
-
-    /// The first `rows` rows of `build` as a nested loop scans them for every probe row: the
-    /// columns the condition reads — short of an outer join's NULL slot, which is not a build
-    /// row, and decoded if they are views — prepared once per join instead of once per probe
-    /// row. Every other column is a NULL placeholder that is never read.
-    pub(crate) fn scanned_build(&self, build: &DataChunk, rows: usize) -> DataChunk {
-        let columns = (0..self.right_arity)
+        let (all, used) = (source.has_sublink(), source.columns_used());
+        let reads = |column: usize| all || used.contains(&column);
+        let probe_cols = (0..left_arity).filter(|&c| reads(c)).collect();
+        let build = (0..build.num_columns())
             .map(|c| {
                 let column = build.column(c);
-                if !self.build_cols.contains(&c) {
-                    Arc::new(Array::Null { len: rows })
-                } else if column.len() == rows && !column.is_encoded() {
-                    column.clone()
-                } else {
-                    Arc::new(column.slice(0, rows).to_plain())
-                }
+                reads(left_arity + c).then(|| {
+                    if column.is_encoded() {
+                        Arc::new(column.to_plain())
+                    } else {
+                        column.clone()
+                    }
+                })
             })
             .collect();
-        chunk_from_columns(columns, rows)
+        JoinFilter { expr, probe_cols, build, left_arity }
     }
 
-    /// Evaluate the condition for probe row `row` against `candidates` build rows (`None` =
-    /// all of `build`, a [`Self::scanned_build`]) in one vectorized pass; returns the matching build-row indices in
-    /// candidate order. Error semantics match per-pair evaluation: kernels run in row order,
-    /// so the first failing candidate raises.
-    pub(crate) fn matches_vectorized(
+    /// Decide a batch of candidate pairs — probe row `probe_rows[i]` with build row
+    /// `build_rows[i]` — in one [`CompiledExpr::eval_mask`] over the columns the condition
+    /// reads, gathered at the pairs.
+    pub(crate) fn eval_pairs(
         &self,
         probe: &DataChunk,
-        row: usize,
-        build: &DataChunk,
-        candidates: Option<&[u32]>,
-    ) -> Result<Vec<u32>, ExecError> {
-        let rows = candidates.map_or(build.num_rows(), <[u32]>::len);
-        if rows == 0 {
-            return Ok(Vec::new());
-        }
-        let mut columns: Vec<Arc<Array>> = Vec::with_capacity(self.left_arity + self.right_arity);
-        let mut probe_used = self.probe_cols.iter().peekable();
-        for c in 0..self.left_arity {
-            if probe_used.next_if(|&&u| u == c).is_some() {
-                columns.push(Arc::new(Array::repeat(&probe.column(c).value(row), rows)));
-            } else {
-                columns.push(Arc::new(Array::Null { len: rows }));
-            }
-        }
-        let mut build_used = self.build_cols.iter().peekable();
-        for c in 0..self.right_arity {
-            if build_used.next_if(|&&u| u == c).is_some() {
-                columns.push(match candidates {
-                    Some(idx) => Arc::new(build.column(c).take(idx)),
-                    None => build.column(c).clone(),
-                });
-            } else {
-                columns.push(Arc::new(Array::Null { len: rows }));
-            }
-        }
-        let mask = self.expr.eval_mask(&chunk_from_columns(columns, rows))?;
-        Ok(mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m)
-            .map(|(i, _)| candidates.map_or(i as u32, |idx| idx[i]))
-            .collect())
-    }
-
-    /// Evaluate one (probe row, build row) pair through a sparse tuple: only used cells are
-    /// boxed, the rest stay NULL. Used for short hash chains where vectorization doesn't pay.
-    pub(crate) fn matches_pair(
-        &self,
-        probe: &DataChunk,
-        row: usize,
-        build: &DataChunk,
-        candidate: usize,
-    ) -> Result<bool, ExecError> {
-        let mut values = vec![Value::Null; self.left_arity + self.right_arity];
+        probe_rows: &[u32],
+        build_rows: &[u32],
+    ) -> Result<Vec<bool>, ExecError> {
+        let pairs = probe_rows.len();
+        let unread = Arc::new(Array::Null { len: pairs });
+        let mut columns = vec![unread.clone(); self.left_arity];
         for &c in &self.probe_cols {
-            values[c] = probe.column(c).value(row);
+            columns[c] = Arc::new(probe.column(c).take(probe_rows));
         }
-        for &c in &self.build_cols {
-            values[self.left_arity + c] = build.column(c).value(candidate);
-        }
-        self.expr.eval_predicate(&Tuple::new(values))
+        columns.extend(self.build.iter().map(|column| match column {
+            Some(column) => Arc::new(column.take(build_rows)),
+            None => unread.clone(),
+        }));
+        self.expr.eval_mask(&chunk_from_columns(columns, pairs))
     }
 }
 
@@ -190,9 +133,9 @@ impl CompiledExpr {
     /// Evaluate the expression over a whole chunk, producing one output column.
     ///
     /// Bare column references forward the input column by refcount; comparisons and arithmetic
-    /// on native columns run typed kernels; `AND`/`OR` evaluate their right side selectively
-    /// (only on rows the left side leaves undecided) so error and short-circuit semantics match
-    /// row-at-a-time evaluation; everything else falls back to a per-row loop.
+    /// on native columns run typed kernels; `AND`/`OR`, `CASE` and `IN` over a list evaluate
+    /// their later operands selectively (only on the rows the earlier ones leave undecided);
+    /// everything else maps the scalar semantics over the rows.
     pub(crate) fn eval_array(&self, chunk: &DataChunk) -> Result<Arc<Array>, ExecError> {
         let rows = chunk.num_rows();
         match self {
@@ -217,71 +160,37 @@ impl CompiledExpr {
                 match op {
                     UnaryOperator::IsNull => Ok(Arc::new(null_test(&a, false))),
                     UnaryOperator::IsNotNull => Ok(Arc::new(null_test(&a, true))),
-                    _ => {
-                        let mut builder = ArrayBuilder::with_capacity(rows);
-                        for i in 0..rows {
-                            builder.push(unary_op_value(*op, a.value(i))?);
-                        }
-                        Ok(Arc::new(builder.finish()))
-                    }
+                    _ => map_rows(rows, |i| unary_op_value(*op, a.value(i))).map(Arc::new),
                 }
             }
             CompiledExpr::Function { func, args } => {
-                let arg_arrays: Vec<Arc<Array>> =
+                let args: Vec<Arc<Array>> =
                     args.iter().map(|a| a.eval_array(chunk)).collect::<Result<_, _>>()?;
-                let mut builder = ArrayBuilder::with_capacity(rows);
-                let mut buf: Vec<Value> = vec![Value::Null; arg_arrays.len()];
-                for i in 0..rows {
-                    for (slot, arr) in buf.iter_mut().zip(&arg_arrays) {
-                        *slot = arr.value(i);
+                let mut buf: Vec<Value> = vec![Value::Null; args.len()];
+                map_rows(rows, |i| {
+                    for (slot, arg) in buf.iter_mut().zip(&args) {
+                        *slot = arg.value(i);
                     }
-                    builder.push(evaluate_function(*func, &buf)?);
-                }
-                Ok(Arc::new(builder.finish()))
+                    evaluate_function(*func, &buf)
+                })
+                .map(Arc::new)
             }
             CompiledExpr::Cast { expr, data_type } => {
                 let a = expr.eval_array(chunk)?;
-                let mut builder = ArrayBuilder::with_capacity(rows);
-                for i in 0..rows {
-                    builder.push(a.value(i).cast(*data_type)?);
-                }
-                Ok(Arc::new(builder.finish()))
+                map_rows(rows, |i| Ok(a.value(i).cast(*data_type)?)).map(Arc::new)
             }
             CompiledExpr::InSet { expr, set, types, has_null, negated } => {
                 let needles = expr.eval_array(chunk)?;
-                let mut builder = ArrayBuilder::with_capacity(rows);
-                for i in 0..rows {
-                    builder.push(in_set_lookup(
-                        &needles.value(i),
-                        set,
-                        *types,
-                        *has_null,
-                        *negated,
-                    ));
-                }
-                Ok(Arc::new(builder.finish()))
+                map_rows(rows, |i| {
+                    Ok(in_set_lookup(&needles.value(i), set, *types, *has_null, *negated))
+                })
+                .map(Arc::new)
             }
-            CompiledExpr::InValues { expr, values, negated } => {
-                let needles = expr.eval_array(chunk)?;
-                let mut builder = ArrayBuilder::with_capacity(rows);
-                for i in 0..rows {
-                    builder.push(in_values(
-                        &needles.value(i),
-                        values.iter().map(|v| Ok(v.clone())),
-                        *negated,
-                    )?);
-                }
-                Ok(Arc::new(builder.finish()))
+            CompiledExpr::Case { operand, branches, else_expr } => {
+                selective_case(operand.as_deref(), branches, else_expr.as_deref(), chunk)
             }
-            // CASE branches and non-constant IN lists are evaluated lazily per row in the
-            // row-at-a-time evaluator, and must stay lazy (a taken branch must not observe
-            // another branch's error). Fall back to row evaluation.
-            CompiledExpr::Case { .. } | CompiledExpr::InList { .. } => {
-                let mut builder = ArrayBuilder::with_capacity(rows);
-                for i in 0..rows {
-                    builder.push(self.eval(&chunk.tuple_at(i))?);
-                }
-                Ok(Arc::new(builder.finish()))
+            CompiledExpr::InList { expr, list, negated } => {
+                selective_in_list(expr, list, *negated, chunk)
             }
         }
     }
@@ -291,6 +200,19 @@ impl CompiledExpr {
         let arr = self.eval_array(chunk)?;
         Ok(bool_view(&arr).into_iter().map(|b| b == Some(true)).collect())
     }
+}
+
+/// One output row per input row: `f(i)` is row `i`'s value under the scalar semantics of
+/// [`crate::eval`]; the first failing row raises.
+fn map_rows(
+    rows: usize,
+    mut f: impl FnMut(usize) -> Result<Value, ExecError>,
+) -> Result<Array, ExecError> {
+    let mut builder = ArrayBuilder::with_capacity(rows);
+    for i in 0..rows {
+        builder.push(f(i)?);
+    }
+    Ok(builder.finish())
 }
 
 /// The three-valued boolean view of a column ([`Value::as_bool`] semantics per row).
@@ -317,9 +239,33 @@ fn null_test(a: &Array, negated: bool) -> Array {
     Array::Bool { values, validity: Bitmap::all_set(len) }
 }
 
-/// Selective `AND`/`OR`: evaluate the left side over the whole chunk, then evaluate the right
-/// side only over the rows the left side leaves undecided (so a decisive left operand shields
-/// the right side from evaluation — same error semantics as short-circuiting row evaluation).
+/// The selective step under `AND`/`OR`, `CASE` and `IN`: evaluate `expr` on the `selected`
+/// rows of `chunk` only, so a row whose result is already decided never evaluates — and never
+/// fails in — an expression it does not depend on. One result row per selected row, in row
+/// order; nothing selected evaluates nothing.
+fn eval_selected(
+    expr: &CompiledExpr,
+    chunk: &DataChunk,
+    selected: &[bool],
+) -> Result<Arc<Array>, ExecError> {
+    if !selected.contains(&true) {
+        return Ok(Arc::new(Array::Null { len: 0 }));
+    }
+    expr.eval_array(&chunk.filter(selected))
+}
+
+/// `lhs = rhs` in three-valued logic (`sql_eq`), where `rhs` holds one row per `selected` row
+/// of `lhs` — what a simple `CASE` asks of its operand and `IN` of its needle.
+fn eq_selected(
+    lhs: &Array,
+    selected: &[bool],
+    rhs: &Array,
+) -> Result<Vec<Option<bool>>, ExecError> {
+    Ok(bool_view(&vectorized_binary(BinaryOperator::Eq, &lhs.filter(selected), rhs)?))
+}
+
+/// Selective `AND`/`OR`: evaluate the left side over the whole chunk, then the right side only
+/// over the rows the left side leaves undecided.
 fn selective_logical(
     op: BinaryOperator,
     left: &CompiledExpr,
@@ -335,17 +281,7 @@ fn selective_logical(
         _ => unreachable!("only AND/OR are logical"),
     };
     let undecided: Vec<bool> = lb.iter().map(|b| !decisive(b)).collect();
-    let n_undecided = undecided.iter().filter(|u| **u).count();
-    let rb: Vec<Option<bool>> = if n_undecided == 0 {
-        Vec::new()
-    } else if n_undecided == rows {
-        let r = right.eval_array(chunk)?;
-        bool_view(&r)
-    } else {
-        let sub = chunk.filter(&undecided);
-        let r = right.eval_array(&sub)?;
-        bool_view(&r)
-    };
+    let rb = bool_view(&*eval_selected(right, chunk, &undecided)?);
     let mut values = Vec::with_capacity(rows);
     let mut validity = Bitmap::new();
     let mut r_pos = 0;
@@ -370,6 +306,77 @@ fn selective_logical(
         }
     }
     Ok(Arc::new(Array::Bool { values, validity }))
+}
+
+/// Selective `CASE`: each `WHEN` is evaluated on the rows no earlier branch took, each `THEN`
+/// on the rows its `WHEN` takes, `ELSE` on what is left (NULL without one). A simple `CASE`
+/// evaluates its operand once and takes a branch where `operand = WHEN` is TRUE.
+fn selective_case(
+    operand: Option<&CompiledExpr>,
+    branches: &[(CompiledExpr, CompiledExpr)],
+    else_expr: Option<&CompiledExpr>,
+    chunk: &DataChunk,
+) -> Result<Arc<Array>, ExecError> {
+    let operand = operand.map(|o| o.eval_array(chunk)).transpose()?;
+    let mut out = vec![Value::Null; chunk.num_rows()];
+    let mut undecided = vec![true; out.len()];
+    // Write the results for the `selected` rows (one per selected row) to their rows of `out`.
+    let scatter = |out: &mut [Value], selected: &[bool], results: &Array| {
+        let slots = out.iter_mut().zip(selected).filter(|(_, s)| **s);
+        for (j, (slot, _)) in slots.enumerate() {
+            *slot = results.value(j);
+        }
+    };
+    for (when, then) in branches {
+        let when = eval_selected(when, chunk, &undecided)?;
+        let matched = match &operand {
+            Some(operand) => eq_selected(operand, &undecided, &when)?,
+            None => bool_view(&when),
+        };
+        let mut matched = matched.into_iter();
+        let taken: Vec<bool> =
+            undecided.iter().map(|&u| u && matched.next() == Some(Some(true))).collect();
+        scatter(&mut out, &taken, &*eval_selected(then, chunk, &taken)?);
+        for (undecided, taken) in undecided.iter_mut().zip(&taken) {
+            *undecided &= !taken;
+        }
+    }
+    if let Some(else_expr) = else_expr {
+        scatter(&mut out, &undecided, &*eval_selected(else_expr, chunk, &undecided)?);
+    }
+    Ok(Arc::new(Array::from_values(out)))
+}
+
+/// Selective `IN` over a list: a NULL needle is NULL and evaluates no candidate; every other
+/// row evaluates the candidates in order up to its first match. Without a match the result is
+/// NULL if some comparison was unknown (a NULL or incomparable candidate), else FALSE.
+fn selective_in_list(
+    needle: &CompiledExpr,
+    list: &[CompiledExpr],
+    negated: bool,
+    chunk: &DataChunk,
+) -> Result<Arc<Array>, ExecError> {
+    let rows = chunk.num_rows();
+    let needles = needle.eval_array(chunk)?;
+    let mut undecided: Vec<bool> = (0..rows).map(|i| !needles.is_null(i)).collect();
+    let mut result: Vec<Option<bool>> = undecided.iter().map(|&u| u.then_some(negated)).collect();
+    for candidate in list {
+        let candidates = eval_selected(candidate, chunk, &undecided)?;
+        let mut equal = eq_selected(&needles, &undecided, &candidates)?.into_iter();
+        for (undecided, result) in undecided.iter_mut().zip(&mut result) {
+            if *undecided {
+                match equal.next().flatten() {
+                    Some(true) => (*undecided, *result) = (false, Some(!negated)),
+                    Some(false) => {}
+                    None => *result = None,
+                }
+            }
+        }
+    }
+    Ok(Arc::new(Array::Bool {
+        values: result.iter().map(|r| r.unwrap_or(false)).collect(),
+        validity: result.iter().map(Option::is_some).collect(),
+    }))
 }
 
 /// Map a comparison operator over an ordering.
@@ -630,12 +637,8 @@ fn vectorized_binary(op: BinaryOperator, l: &Array, r: &Array) -> Result<Array, 
         }
         _ => {}
     }
-    // Generic fallback: exact row-at-a-time semantics per row.
-    let mut builder = ArrayBuilder::with_capacity(l.len());
-    for i in 0..l.len() {
-        builder.push(binary_op_values(op, &l.value(i), &r.value(i))?);
-    }
-    Ok(builder.finish())
+    // Everything else: the scalar semantics, row by row.
+    map_rows(l.len(), |i| binary_op_values(op, &l.value(i), &r.value(i)))
 }
 
 fn int_array(values: Vec<i64>, validity: Bitmap) -> Array {

@@ -327,21 +327,6 @@ impl Engine {
         ))
     }
 
-    /// Execute a bound plan as-is (no optimization) under `options` with `params` bound.
-    ///
-    /// Execution is morsel-driven on the engine's shared [`WorkerPool`] (see
-    /// `perm_exec::parallel`).
-    pub fn run_plan(
-        &self,
-        plan: &LogicalPlan,
-        mut options: ExecOptions,
-        params: Vec<Value>,
-    ) -> Result<Relation, ServiceError> {
-        self.govern(&mut options)?;
-        let executor = Executor::with_options(self.catalog.clone(), options).with_params(params);
-        Ok(executor.execute_parallel(plan, self.worker_pool())?)
-    }
-
     /// Register one statement with the governor: ensure `options` carries a cancellation
     /// token (creating one when the caller did not supply its own), admit the statement
     /// against the engine-wide memory limit and thread its [`crate::governor::QueryGrant`]
@@ -397,7 +382,9 @@ impl Engine {
             }
             AnalyzedStatement::InsertFromQuery { table, plan } => {
                 let plan = if optimize { self.optimize_plan(&plan)? } else { plan };
-                let result = self.run_plan(&plan, options, Vec::new())?;
+                let prepared =
+                    PreparedPlan { plan, into: None, param_count: 0, sql: String::new() };
+                let result = self.execute_prepared_plan(&prepared, options, Vec::new())?;
                 self.catalog.insert_chunks(&table, &result.chunks())?;
                 Ok(empty())
             }

@@ -10,8 +10,9 @@
 //!   invalidated on DDL/DML commits.
 //! * [`Session`] — per-connection state: row-budget / timeout settings and named **prepared
 //!   statements** with `$1`-style parameters (plan once, bind + execute many).
-//! * [`server`] / [`shell`] — a small length-prefixed text protocol over TCP (`permd`, one
-//!   thread per connection, graceful shutdown) and the matching `perm-shell` client.
+//! * [`server`] / [`shell`] — a small length-prefixed protocol over TCP (text requests, binary
+//!   chunk-wise results; `permd`, one thread per connection, graceful shutdown) and the
+//!   matching `perm-shell` client.
 //!
 //! The engine is rewriter-agnostic: `perm-core` injects its provenance rewriter through the
 //! [`perm_sql::ProvenanceRewrite`] trait, which keeps the dependency graph acyclic

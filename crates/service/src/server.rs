@@ -24,7 +24,7 @@ use crate::error::ServiceError;
 use crate::metrics::{render_prometheus, render_stats_text, Metrics};
 use crate::session::Session;
 use crate::stream::QueryStream;
-use crate::wire::{parse_param_values, read_frame_rest, render_relation, write_bytes_frame};
+use crate::wire::{parse_param_values, read_frame_rest, write_bytes_frame};
 
 /// Server-wide connection id sequence (tags each connection's log lines as `conn=N`).
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(0);
@@ -153,8 +153,8 @@ fn read_request(reader: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<Opt
     loop {
         // Poll for the *first byte* of the next frame. The short timeout is only safe at a
         // frame boundary: a timed-out 1-byte read consumes nothing, whereas timing out inside
-        // `read_frame`'s `read_exact` would silently discard a partially received frame and
-        // desync the protocol for a client that delivers a frame in pieces.
+        // a `read_exact` would silently discard a partially received frame and desync the
+        // protocol for a client that delivers a frame in pieces.
         let mut first = [0u8; 1];
         match reader.read(&mut first) {
             Ok(0) => return Ok(None), // client closed the connection
@@ -418,26 +418,6 @@ fn poll_stream_signal(reader: &mut TcpStream) -> io::Result<Option<StreamSignal>
 enum Response {
     Text(String),
     Stream(Box<QueryStream>),
-}
-
-/// Dispatch one wire request against a session and render the response as text (streamed
-/// results are collected and rendered whole). Returns the response payload — `+`-prefixed on
-/// success, `-`-prefixed on error — and whether the server should shut down. Public so tests
-/// (and the shell's offline mode) can drive the protocol without a socket; the TCP path
-/// streams instead of calling this.
-pub fn handle_request(
-    session: &mut Session,
-    request: &str,
-    shutdown: &AtomicBool,
-) -> (String, bool) {
-    match dispatch_fenced(session, request, shutdown) {
-        Ok((Response::Text(response), stop)) => (format!("+{response}"), stop),
-        Ok((Response::Stream(stream), stop)) => match stream.collect_relation() {
-            Ok(relation) => (format!("+{}", render_relation(&relation)), stop),
-            Err(e) => (format!("-{e}"), false),
-        },
-        Err(e) => (format!("-{e}"), false),
-    }
 }
 
 /// [`dispatch`] behind a panic fence: a panic anywhere in planning or eager execution (a bug,

@@ -14,7 +14,10 @@
 //! | `set budget <n\|none>`           | session row budget                                    |
 //! | `set timeout_ms <n\|none>`       | session wall-clock timeout                            |
 //! | `stats`                          | plan-cache counters and stream memory gauge           |
+//! | `metrics`                        | the same snapshot as a Prometheus text exposition     |
+//! | `profile`                        | the ring of the most recent completed queries         |
 //! | `ack`                            | acknowledge one `R` frame (backpressure; see below)   |
+//! | `cancel`                         | abort the result stream in progress (no response)     |
 //! | `ping`                           | liveness check                                        |
 //! | `shutdown`                       | stop the server gracefully                            |
 //!
@@ -29,7 +32,6 @@ use std::io::{self, Read, Write};
 
 use perm_algebra::Value;
 use perm_sql::token::{tokenize, TokenKind};
-use perm_storage::Relation;
 
 use crate::error::ServiceError;
 
@@ -51,81 +53,35 @@ pub fn write_bytes_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<
     writer.flush()
 }
 
+/// The payload behind a frame's 4-byte length prefix, which the caller has read.
+fn read_payload(reader: &mut impl Read, len: [u8; 4]) -> io::Result<Vec<u8>> {
+    let len = u32::from_be_bytes(len) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
+    }
+    let mut payload = vec![0u8; len];
+    reader.read_exact(&mut payload)?;
+    Ok(payload)
+}
+
 /// Read one length-prefixed binary frame. Returns `None` on a clean EOF at a frame boundary.
 pub fn read_bytes_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match reader.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut len = [0u8; 4];
+    match reader.read_exact(&mut len) {
+        Ok(()) => read_payload(reader, len).map(Some),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e),
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
-/// Read one length-prefixed frame. Returns `None` on a clean EOF at a frame boundary.
-pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    match reader.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8"))
-}
-
-/// Read the remainder of a frame whose first length byte has already been consumed (used by
-/// the server, which polls for the first byte with a short timeout and must then finish the
+/// Read the remainder of a text frame whose first length byte has already been consumed (used
+/// by the server, which polls for the first byte with a short timeout and must then finish the
 /// frame without treating a mid-frame stall as "no request").
 pub fn read_frame_rest(reader: &mut impl Read, first_len_byte: u8) -> io::Result<String> {
-    let mut rest = [0u8; 3];
-    reader.read_exact(&mut rest)?;
-    let len = u32::from_be_bytes([first_len_byte, rest[0], rest[1], rest[2]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    String::from_utf8(payload)
+    let mut len = [first_len_byte, 0, 0, 0];
+    reader.read_exact(&mut len[1..])?;
+    String::from_utf8(read_payload(reader, len)?)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8"))
-}
-
-/// Render a relation as the wire text format: a tab-separated header line, then one
-/// tab-separated line per row. Statements without a result (DDL/DML) render as `ok`.
-///
-/// Rendering walks the relation's columnar chunks and formats each cell straight from the
-/// typed arrays, so a query result produced by the vectorized executor streams onto the wire
-/// without ever materializing a row-tuple vector (or boxing a single [`perm_algebra::Value`]).
-pub fn render_relation(relation: &Relation) -> String {
-    if relation.schema().arity() == 0 {
-        return "ok".to_string();
-    }
-    let mut out = relation.schema().attribute_names().join("\t");
-    for chunk in relation.chunks().iter() {
-        for row in 0..chunk.num_rows() {
-            out.push('\n');
-            for col in 0..chunk.num_columns() {
-                if col > 0 {
-                    out.push('\t');
-                }
-                chunk.column(col).format_into(row, &mut out);
-            }
-        }
-    }
-    out
 }
 
 /// Parse an `exec` parameter list: `(v1, v2, ...)` of SQL literals (numbers, `'strings'`,
@@ -217,7 +173,6 @@ fn parse_one_value(tokens: &[perm_sql::token::Token]) -> Result<(Value, usize), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perm_algebra::{tuple, DataType, Schema};
 
     #[test]
     fn frames_round_trip() {
@@ -225,27 +180,19 @@ mod tests {
         write_frame(&mut buf, "query SELECT 1").unwrap();
         write_frame(&mut buf, "+ok").unwrap();
         let mut cursor = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some("query SELECT 1"));
-        assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some("+ok"));
-        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+        // The server's reader: the first length byte, then the rest of the frame.
+        let mut first = [0u8; 1];
+        cursor.read_exact(&mut first).unwrap();
+        assert_eq!(read_frame_rest(&mut cursor, first[0]).unwrap(), "query SELECT 1");
+        assert_eq!(read_bytes_frame(&mut cursor).unwrap().as_deref(), Some(&b"+ok"[..]));
+        assert_eq!(read_bytes_frame(&mut cursor).unwrap(), None);
     }
 
     #[test]
     fn oversized_frames_are_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(u32::MAX).to_be_bytes());
-        assert!(read_frame(&mut io::Cursor::new(buf)).is_err());
-    }
-
-    #[test]
-    fn relation_rendering() {
-        let rel = Relation::new(
-            Schema::from_pairs(&[("id", DataType::Int), ("name", DataType::Text)]),
-            vec![tuple![1, "a"], perm_algebra::Tuple::new(vec![Value::Int(2), Value::Null])],
-        )
-        .unwrap();
-        assert_eq!(render_relation(&rel), "id\tname\n1\ta\n2\tNULL");
-        assert_eq!(render_relation(&Relation::empty(Schema::empty())), "ok");
+        let len = u32::MAX.to_be_bytes();
+        assert!(read_bytes_frame(&mut io::Cursor::new(len)).is_err());
+        assert!(read_frame_rest(&mut io::Cursor::new(&len[1..]), len[0]).is_err());
     }
 
     #[test]

@@ -61,6 +61,11 @@ fn gauges_return_to_zero_after_every_outcome() {
     let relation = session.execute("SELECT * FROM tiny").unwrap();
     assert_eq!(relation.num_rows(), 3);
 
+    // ok: the query inside an `INSERT ... SELECT` is ticketed like any other (the DDL is not).
+    session.execute("CREATE TABLE copy (id INT)").unwrap();
+    session.execute("INSERT INTO copy SELECT id FROM tiny").unwrap();
+    assert_eq!(session.execute("SELECT * FROM copy").unwrap().num_rows(), 3);
+
     // error: the row budget trips mid-execution (after the ticket is open).
     let mut limited = engine.session();
     limited.set_row_budget(Some(10));
@@ -76,15 +81,15 @@ fn gauges_return_to_zero_after_every_outcome() {
 
     wait_for_zero_gauges(&engine);
     let snap = engine.stats_snapshot();
-    assert_eq!(snap.metrics.queries_ok, 1, "{snap:?}");
+    assert_eq!(snap.metrics.queries_ok, 3, "{snap:?}");
     assert_eq!(snap.metrics.queries_error, 1, "{snap:?}");
     assert_eq!(snap.metrics.queries_cancelled, 1, "{snap:?}");
     assert_eq!(snap.metrics.queries_shed, 1, "{snap:?}");
-    // Four tickets were opened, so the latency histogram saw four observations.
-    assert_eq!(snap.metrics.latency.count, 4);
-    // All four queries passed admission; the per-query limit rejects during reservation, which
+    // Six tickets were opened, so the latency histogram saw six observations.
+    assert_eq!(snap.metrics.latency.count, 6);
+    // All six queries passed admission; the per-query limit rejects during reservation, which
     // counts as a shed *outcome* but not as an engine-wide governor shed.
-    assert_eq!(snap.governor.admitted, 4, "{snap:?}");
+    assert_eq!(snap.governor.admitted, 6, "{snap:?}");
     assert_eq!(snap.governor.shed_queries, 0, "{snap:?}");
 }
 

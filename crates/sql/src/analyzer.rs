@@ -1069,7 +1069,7 @@ mod tests {
     #[test]
     fn analyzes_simple_select() {
         let plan = analyze("SELECT name, numempl FROM shop WHERE numempl < 10");
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         assert_eq!(plan.schema().attribute_names(), vec!["name", "numempl"]);
         assert!(matches!(plan, LogicalPlan::Projection { .. }));
     }
@@ -1077,7 +1077,7 @@ mod tests {
     #[test]
     fn analyzes_qualified_references_and_aliases() {
         let plan = analyze("SELECT s.name FROM shop AS s, sales WHERE s.name = sales.sname");
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         assert_eq!(plan.schema().attribute_names(), vec!["name"]);
     }
 
@@ -1086,7 +1086,7 @@ mod tests {
         let plan = analyze(
             "SELECT sname, count(*) AS cnt, sum(itemid) FROM sales GROUP BY sname HAVING count(*) > 1",
         );
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         assert_eq!(plan.schema().attribute_names(), vec!["sname", "cnt", "sum"]);
         // Expect Projection over Selection(having) over Aggregation.
         let LogicalPlan::Projection { input, .. } = &plan else { panic!("expected projection") };
@@ -1099,7 +1099,7 @@ mod tests {
     #[test]
     fn analyzes_group_by_expression_reuse() {
         let plan = analyze("SELECT numempl * 2, count(*) FROM shop GROUP BY numempl * 2");
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         assert_eq!(plan.schema().arity(), 2);
     }
 
@@ -1146,7 +1146,7 @@ mod tests {
         let plan = analyze(
             "SELECT name FROM shop WHERE numempl < 10 OR name IN (SELECT sname FROM sales)",
         );
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         let err = Analyzer::new(paper_catalog())
             .analyze_query_sql(
                 "SELECT name FROM shop WHERE EXISTS (SELECT 1 FROM sales WHERE sname = name)",
@@ -1183,7 +1183,7 @@ mod tests {
         catalog.create_view("cheap_items", "SELECT id, price FROM items WHERE price < 50").unwrap();
         let analyzer = Analyzer::new(catalog);
         let plan = analyzer.analyze_query_sql("SELECT id FROM cheap_items").unwrap();
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         assert_eq!(plan.schema().attribute_names(), vec!["id"]);
         assert_eq!(plan.base_relations().len(), 1);
     }
@@ -1242,7 +1242,7 @@ mod tests {
         let plan = analyze(
             "SELECT name FROM shop UNION ALL SELECT sname FROM sales ORDER BY 1 DESC LIMIT 3",
         );
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         let LogicalPlan::Limit { input, limit, .. } = &plan else { panic!("expected limit") };
         assert_eq!(*limit, Some(3));
         assert!(matches!(input.as_ref(), LogicalPlan::Sort { .. }));
@@ -1263,6 +1263,6 @@ mod tests {
         let plan = analyze(
             "SELECT id FROM items WHERE date '1995-01-01' + interval '1' year > date '1995-06-01'",
         );
-        plan.validate().unwrap();
+        plan.verify().unwrap();
     }
 }

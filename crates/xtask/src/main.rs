@@ -85,6 +85,11 @@ mod lint {
     /// The row-at-a-time oracle: inside [`SERVED_PATH`] but exempt from `row-view-in-served-path`.
     const ORACLE_FILES: &[&str] = &["crates/exec/src/reference.rs"];
 
+    /// The compiled evaluator: expressions and join conditions run column-wise only, so these
+    /// files must not box a row either (`.tuple_at(` / `Tuple::new(`) — the way back to a
+    /// per-row fallback.
+    const EVALUATOR_FILES: &[&str] = &["crates/exec/src/vector.rs", "crates/exec/src/compile.rs"];
+
     /// Run every rule over the workspace; returns the violation count.
     pub fn run() -> Result<usize, std::io::Error> {
         let root = workspace_root()?;
@@ -122,7 +127,8 @@ mod lint {
     }
 
     /// Rule `listed-file-missing`: every path in the rule scopes ([`KERNEL_FILES`],
-    /// [`HOT_PATH_FILES`], [`SERVED_PATH`], [`ORACLE_FILES`]) must be, or contain, one of the
+    /// [`HOT_PATH_FILES`], [`SERVED_PATH`], [`ORACLE_FILES`], [`EVALUATOR_FILES`]) must be, or
+    /// contain, one of the
     /// scanned sources. The per-file rules only run on listed paths, so a rename or delete
     /// would otherwise switch them off without a word.
     fn check_listed_files(scanned: &[&Path], out: &mut Vec<Violation>) {
@@ -131,6 +137,7 @@ mod lint {
             ("HOT_PATH_FILES", HOT_PATH_FILES),
             ("SERVED_PATH", SERVED_PATH),
             ("ORACLE_FILES", ORACLE_FILES),
+            ("EVALUATOR_FILES", EVALUATOR_FILES),
         ] {
             for listed in files {
                 if !scanned.iter().any(|p| p.starts_with(listed)) {
@@ -433,9 +440,14 @@ mod lint {
 
     /// Rule `row-view-in-served-path`: no `.tuples()` / `.into_tuples()` in non-test code of the
     /// served path. Stored relations are chunk lists and every row view is built on demand, so
-    /// one such call boxes a whole relation per query. (Group-key `Tuple::new` in the engine is
-    /// a different thing and not matched.)
+    /// one such call boxes a whole relation per query. In [`EVALUATOR_FILES`] boxing a single row
+    /// (`.tuple_at(` / `Tuple::new(`) is flagged too. (Group-key `Tuple::new` in the engine's
+    /// `parallel.rs` is a different thing and not matched.)
     fn scan_row_view(file: &Path, text: &str, out: &mut Vec<Violation>) {
+        let mut needles = vec![".tuples()", ".into_tuples()"];
+        if EVALUATOR_FILES.iter().any(|k| file == Path::new(k)) {
+            needles.extend([".tuple_at(", "Tuple::new("]);
+        }
         let lines: Vec<&str> = text.lines().collect();
         let mut tests = TestRegions::new();
         for (i, line) in lines.iter().enumerate() {
@@ -443,14 +455,13 @@ mod lint {
                 continue;
             }
             let code = code_of(line);
-            if [".tuples()", ".into_tuples()"].iter().any(|call| code.contains(call))
-                && !allowed(&lines, i, RULE_ROW_VIEW)
+            if needles.iter().any(|call| code.contains(call)) && !allowed(&lines, i, RULE_ROW_VIEW)
             {
                 out.push(Violation {
                     file: file.to_path_buf(),
                     line: i + 1,
                     rule: RULE_ROW_VIEW,
-                    message: "row view of a relation in the served path: read `chunks()` (rows are for the oracle, baselines and tests)"
+                    message: "row view in the served path: read `chunks()` and evaluate column-wise (rows are for the oracle, baselines and tests)"
                         .into(),
                 });
             }
@@ -490,6 +501,7 @@ mod lint {
                 .iter()
                 .chain(HOT_PATH_FILES)
                 .chain(ORACLE_FILES)
+                .chain(EVALUATOR_FILES)
                 .chain(&["crates/service/src/engine.rs", "crates/storage/src/catalog.rs"])
                 .map(Path::new)
                 .collect();
@@ -533,6 +545,34 @@ mod tests {
             scan_row_view(Path::new("crates/service/src/engine.rs"), text, &mut violations);
             assert_eq!(violations.len(), 1, "only the bare call in non-test code");
             assert_eq!((violations[0].line, violations[0].rule), (2, RULE_ROW_VIEW));
+        }
+
+        #[test]
+        fn the_compiled_evaluator_may_not_box_a_row() {
+            let text = "\
+fn kernel(chunk: &DataChunk) {
+    let row = chunk.tuple_at(0);
+    let sparse = Tuple::new(vec![]);
+}
+#[cfg(test)]
+mod tests {
+    fn t(chunk: &DataChunk) { chunk.tuple_at(0); }
+}
+";
+            for (file, expected) in [
+                ("crates/exec/src/vector.rs", vec![2, 3]),
+                ("crates/exec/src/compile.rs", vec![2, 3]),
+                // Group keys: the rest of the engine is not matched.
+                ("crates/exec/src/parallel.rs", vec![]),
+            ] {
+                let mut violations = Vec::new();
+                scan_row_view(Path::new(file), text, &mut violations);
+                assert_eq!(
+                    violations.iter().map(|v| v.line).collect::<Vec<_>>(),
+                    expected,
+                    "{file}"
+                );
+            }
         }
     }
 }

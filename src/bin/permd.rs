@@ -1,11 +1,11 @@
 //! `permd` — the Perm query service daemon.
 //!
 //! Serves the full SQL-PLE pipeline (DDL, DML, `SELECT PROVENANCE ...`) to concurrent clients
-//! over a TCP socket using the length-prefixed text protocol of [`perm_service::wire`]. One
-//! thread per connection, each with its own session (settings and prepared statements); all
-//! sessions share one engine: catalog, provenance rewriter, optimizer and plan cache. Query
-//! results flow out of the engine as columnar chunks and are rendered onto the
-//! wire chunk-wise.
+//! over a TCP socket using the length-prefixed frames of [`perm_service::wire`]: text
+//! requests, tagged binary responses. One thread per connection, each with its own session
+//! (settings and prepared statements); all sessions share one engine: catalog, provenance
+//! rewriter, optimizer and plan cache. Query results flow out of the engine as columnar chunks
+//! and go onto the wire chunk by chunk in the [`perm_service::codec`] encoding.
 //!
 //! ```text
 //! permd [--bind ADDR] [--port N] [--plan-cache-capacity N] [--workers N]

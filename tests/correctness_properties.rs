@@ -112,7 +112,7 @@ proptest! {
 
         let original = execute_plan(&catalog, &plan).unwrap();
         let rewritten = ProvenanceRewriter::new().rewrite(&plan).unwrap();
-        rewritten.validate().unwrap();
+        rewritten.verify().unwrap();
         let provenance = execute_plan(&catalog, &rewritten).unwrap();
 
         let original_cols: Vec<usize> = (0..original.arity()).collect();

@@ -63,9 +63,3 @@ fn tpch_provenance_runs() {
 fn warehouse_debugging_runs() {
     run_example("warehouse_debugging");
 }
-
-#[test]
-#[ignore = "re-invokes cargo; run explicitly (CI does) with --ignored"]
-fn service_throughput_runs() {
-    run_example("service_throughput");
-}

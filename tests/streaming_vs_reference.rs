@@ -9,8 +9,9 @@
 //! grouped aggregation, nested to depth 3. Deterministic tests cover the chunk-boundary /
 //! morsel-boundary edge cases (empty input, one row, exactly one full chunk, one row past a
 //! chunk boundary), uncorrelated sublinks, row budgets at and around an operator's output,
-//! integer-overflow error behaviour (including behind a `LIMIT`), NaN sort keys and cross-type
-//! (Int/Date) hash-key consistency.
+//! integer-overflow error behaviour (including behind a `LIMIT`), NaN sort keys, cross-type
+//! (Int/Date) hash-key consistency, the lazily evaluated expression forms (`CASE`, `IN` over a
+//! list) and join conditions decided in batches of candidate pairs.
 
 use proptest::prelude::*;
 
@@ -227,12 +228,12 @@ proptest! {
         let catalog = catalog_with(&r, &s);
         let mut next_ref = 0;
         let plan = build(&spec, &catalog, &mut next_ref).build();
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         plan.verify().unwrap();
         assert_matches_reference(&catalog, &plan, "raw plan");
 
         let optimized = Optimizer::new().optimize(&plan).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         optimized.verify().unwrap();
         let reference = execute_reference(&catalog, &plan).unwrap();
         let engine = run_at_every_degree(&catalog, &optimized, ExecOptions::default()).unwrap();
@@ -255,12 +256,12 @@ proptest! {
         let mut next_ref = 0;
         let plan = build(&spec, &catalog, &mut next_ref).build();
         let rewritten = ProvenanceRewriter::new().rewrite(&plan).unwrap();
-        rewritten.validate().unwrap();
+        rewritten.verify().unwrap();
         rewritten.verify().unwrap();
         assert_matches_reference(&catalog, &rewritten, "rewritten plan");
 
         let optimized = Optimizer::new().optimize(&rewritten).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         optimized.verify().unwrap();
         let reference = execute_reference(&catalog, &rewritten).unwrap();
         let engine = run_at_every_degree(&catalog, &optimized, ExecOptions::default()).unwrap();
@@ -655,6 +656,213 @@ fn cross_type_hash_keys_agree_with_nested_loop_semantics() {
     }
 }
 
+/// `CASE` and `IN` over a list evaluate an operand only on the rows whose result depends on it.
+/// Every expression below shields an operand that overflows or divides by zero on exactly the
+/// rows that must not evaluate it — a non-taken `THEN`, a later `WHEN`, an `ELSE` behind a taken
+/// branch, an `IN` candidate behind an earlier match or a NULL needle — so evaluating it on
+/// every row fails the query. Searched and simple `CASE`, with and without `ELSE`, `IN` /
+/// `NOT IN` with NULL needles and NULL candidates, over a scan's plain columns and over a join's
+/// views, as projection and as predicate: the reference's rows at every degree.
+#[test]
+fn lazy_expression_forms_evaluate_only_the_rows_that_depend_on_them() {
+    use perm_algebra::{BinaryOperator as Op, PlanBuilder};
+
+    let catalog = Catalog::new();
+    let schema = Schema::from_pairs(&["k", "x", "d", "n", "a"].map(|name| (name, DataType::Int)));
+    // x + 1 overflows where i % 7 == 0; k / d divides by zero where i % 5 == 0; the needle n is
+    // NULL where i % 11 == 0 and equals the first candidate a wherever x + 1 would overflow.
+    let rows: Vec<Tuple> = (0..2500i64)
+        .map(|i| {
+            let null_or = |v: i64| if i % 11 == 0 { Value::Null } else { Value::Int(v) };
+            Tuple::new(vec![
+                Value::Int(i),
+                Value::Int(if i % 7 == 0 { i64::MAX } else { i }),
+                if i % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(if i % 5 == 0 { 0 } else { 1 + i % 3 })
+                },
+                null_or(i % 10),
+                Value::Int(if i % 7 == 0 { i % 10 } else { i % 3 }),
+            ])
+        })
+        .collect();
+    catalog.create_table_with_data("t", Relation::from_parts(schema, rows)).unwrap();
+    let scan = |ref_id: usize| PlanBuilder::scan("t", catalog.table_schema("t").unwrap(), ref_id);
+    let one = Schema::from_pairs(&[("one", DataType::Int)]);
+    let [k, x, d, n, a] = [0, 1, 2, 3, 4].map(|c| move || ScalarExpr::column(c, "c"));
+    let lit = |v: i64| ScalarExpr::literal(v);
+    let op = ScalarExpr::binary;
+    let case = |operand: Option<ScalarExpr>,
+                branches: Vec<(ScalarExpr, ScalarExpr)>,
+                else_expr: Option<ScalarExpr>| ScalarExpr::Case {
+        operand: operand.map(Box::new),
+        branches,
+        else_expr: else_expr.map(Box::new),
+    };
+    let in_list = |list: Vec<ScalarExpr>, negated: bool| ScalarExpr::InList {
+        expr: Box::new(n()),
+        list,
+        negated,
+    };
+    let overflows = || op(Op::Add, x(), lit(1));
+    let divides = || op(Op::Div, k(), d());
+
+    let expressions = vec![
+        // ELSE behind a taken branch.
+        case(None, vec![(op(Op::Gt, x(), lit(1 << 40)), lit(0))], Some(overflows())),
+        // A non-taken THEN, without and with ELSE (a NULL d takes neither).
+        case(None, vec![(op(Op::NotEq, d(), lit(0)), divides())], None),
+        case(None, vec![(op(Op::NotEq, d(), lit(0)), divides())], Some(lit(-1))),
+        // A later WHEN behind a taken branch.
+        case(
+            None,
+            vec![(d().eq(lit(0)), lit(-1)), (op(Op::Gt, divides(), lit(100)), lit(1))],
+            None,
+        ),
+        // Simple CASE: the later WHEN value and its THEN divide by the operand.
+        case(
+            Some(d()),
+            vec![(lit(0), lit(-1)), (op(Op::Div, lit(4), d()), divides())],
+            Some(lit(7)),
+        ),
+        case(Some(d()), vec![(lit(0), lit(-1)), (op(Op::Div, lit(4), d()), divides())], None),
+        // IN: a NULL needle evaluates no candidate, a match none behind it.
+        in_list(vec![a(), overflows(), ScalarExpr::literal(Value::Null)], false),
+        in_list(vec![a(), overflows(), ScalarExpr::literal(Value::Null)], true),
+        in_list(vec![a(), overflows()], false),
+        in_list(vec![a(), overflows()], true),
+    ];
+    for (i, expr) in expressions.iter().enumerate() {
+        // The same columns as a scan's plain arrays and as a join's views of them.
+        let plain = || scan(0);
+        let views = || {
+            scan(0).join(
+                PlanBuilder::values(one.clone(), vec![Tuple::new(vec![Value::Int(1)])]),
+                JoinKind::Inner,
+                None,
+            )
+        };
+        for (shape, input) in [("plain", &plain as &dyn Fn() -> PlanBuilder), ("views", &views)] {
+            let projected = input().project(vec![(k(), "k".into()), (expr.clone(), "e".into())]);
+            assert_matches_reference(&catalog, &projected.build(), &format!("#{i} over {shape}"));
+        }
+        // The two-candidate `IN` / `NOT IN` (the last two) are TRUE on some rows, not on all.
+        if i >= 8 {
+            let filtered = plain().filter(expr.clone()).project(vec![(k(), "k".into())]).build();
+            assert_matches_reference(&catalog, &filtered, &format!("#{i} as a predicate"));
+            let kept = execute_reference(&catalog, &filtered).unwrap().num_rows();
+            assert!(kept > 0 && kept < 2500, "#{i} keeps some rows and drops some ({kept})");
+        }
+    }
+}
+
+/// A join condition is decided on batches of candidate pairs. Equi-joins with a residual over
+/// bucket chains of 1, 7, 8, 9 and 2 000 build rows (the longest spans two batches for one
+/// probe row), and a nested loop under a condition, as inner / left / full outer joins whose
+/// residual leaves some probe rows and some build rows without a partner: the reference's rows
+/// in the reference's order at every degree.
+#[test]
+fn join_conditions_are_decided_in_pair_batches() {
+    use perm_algebra::{BinaryOperator as Op, PlanBuilder};
+
+    let catalog = Catalog::new();
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let int_rows = |rows: Vec<(Value, i64)>| -> Vec<Tuple> {
+        rows.into_iter().map(|(k, v)| Tuple::new(vec![k, Value::Int(v)])).collect()
+    };
+    // Build side: key c occurs c times, v counting up within the key.
+    let build = [1i64, 7, 8, 9, 2000]
+        .iter()
+        .flat_map(|&chain| (0..chain).map(move |v| (Value::Int(chain), v)))
+        .collect();
+    // Probe side: every key (one absent from the build side, one NULL) with w = 0, 1 and 5;
+    // `b.v % 3 = a.w` then matches a third of a chain, or — for 5 — none of it.
+    let probe = [Value::Int(1), Value::Int(7), Value::Int(8), Value::Int(9), Value::Int(2000)]
+        .into_iter()
+        .chain([Value::Int(5), Value::Null])
+        .flat_map(|k| [0i64, 1, 5].map(|w| (k.clone(), w)))
+        .collect();
+    for (name, rows) in [("a", int_rows(probe)), ("b", int_rows(build))] {
+        catalog.create_table_with_data(name, Relation::from_parts(schema.clone(), rows)).unwrap();
+    }
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    let col = |index: usize| ScalarExpr::column(index, "c");
+    let lit = |v: i64| ScalarExpr::literal(v);
+    let residual = || ScalarExpr::binary(Op::Mod, col(3), lit(3)).eq(col(1));
+    let same_sequence = |plan: &LogicalPlan, context: &str| -> usize {
+        let engine = run_at_every_degree(&catalog, plan, ExecOptions::default()).unwrap();
+        let reference = execute_reference(&catalog, plan).unwrap();
+        assert!(engine.tuples() == reference.tuples(), "engine != reference on {context}\n{plan}");
+        engine.num_rows()
+    };
+    for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+        let hash = scan("a", 0).join(scan("b", 1), kind, Some(col(0).eq(col(2)).and(residual())));
+        let rows = same_sequence(&hash.build(), &format!("{kind:?} hash join with a residual"));
+        // Chains 1/7/8/9/2000 hold 1+3+3+3+667 rows with v % 3 = 0 and 0+2+3+3+667 with 1.
+        let matches = 677 + 675;
+        let probe_pads = 7 + 4 + 1; // w = 5; the keys 5 and NULL with w = 0 and 1; (1, 1)
+        let build_pads = 2025 - matches;
+        let expected = match kind {
+            JoinKind::Inner => matches,
+            JoinKind::LeftOuter => matches + probe_pads,
+            _ => matches + probe_pads + build_pads,
+        };
+        assert_eq!(rows, expected, "{kind:?} hash join with a residual");
+        // No equi-key: every probe row meets all 2 025 build rows.
+        let condition = ScalarExpr::binary(Op::Lt, col(3), col(1)).and(col(0).eq(lit(7)));
+        let looped = scan("a", 0).join(scan("b", 1), kind, Some(condition));
+        same_sequence(&looped.build(), &format!("{kind:?} nested loop under a condition"));
+    }
+}
+
+/// A join condition that fails behind a `LIMIT`: one outcome at every degree. The condition is
+/// evaluated on the whole candidate batch that reaches the target and on nothing behind it, so
+/// a failing pair in that batch fails the query (as it does in the reference, which evaluates
+/// everything) and a failing pair a batch later is never seen.
+#[test]
+fn a_failing_join_condition_behind_a_limit_has_one_outcome() {
+    use perm_algebra::{BinaryOperator as Op, PlanBuilder};
+
+    let catalog = Catalog::new();
+    let schema = Schema::from_pairs(&[("v", DataType::Int)]);
+    let table = |rows: std::ops::Range<i64>, zero_at: i64| -> Vec<Tuple> {
+        rows.map(|i| Tuple::new(vec![Value::Int(if i == zero_at { 0 } else { i + 1 })])).collect()
+    };
+    catalog
+        .create_table_with_data("a", Relation::from_parts(schema.clone(), table(0..3, -1)))
+        .unwrap();
+    catalog
+        .create_table_with_data("near", Relation::from_parts(schema.clone(), table(0..3000, 5)))
+        .unwrap();
+    catalog
+        .create_table_with_data("far", Relation::from_parts(schema, table(0..3000, 2000)))
+        .unwrap();
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    // `a.v / b.v >= 0` holds for the first pair and divides by zero at the build row that is 0.
+    let condition = || {
+        let quotient =
+            ScalarExpr::binary(Op::Div, ScalarExpr::column(0, "v"), ScalarExpr::column(1, "v"));
+        ScalarExpr::binary(Op::GtEq, quotient, ScalarExpr::literal(0i64))
+    };
+    let limited = |build: &str| {
+        scan("a", 0).join(scan(build, 1), JoinKind::Inner, Some(condition())).limit(Some(1), 0)
+    };
+
+    let near = limited("near").build();
+    let error = run_at_every_degree(&catalog, &near, ExecOptions::default()).unwrap_err();
+    assert_eq!(error, execute_reference(&catalog, &near).unwrap_err());
+
+    let far = limited("far").build();
+    let rows = run_at_every_degree(&catalog, &far, ExecOptions::default()).unwrap();
+    assert_eq!(rows.tuples(), vec![Tuple::new(vec![Value::Int(1), Value::Int(1)])]);
+    assert!(execute_reference(&catalog, &far).is_err());
+}
+
 /// Wrap a sub-plan as an uncorrelated sublink expression.
 fn sublink(
     kind: perm_algebra::SublinkKind,
@@ -920,7 +1128,7 @@ proptest! {
     ) {
         let catalog = join_graph_catalog(&sizes[..n]);
         let plan = join_graph_plan(&catalog, n, &kinds, &anchors);
-        plan.validate().unwrap();
+        plan.verify().unwrap();
         plan.verify().unwrap();
         let stats = perm_exec::TableStatsView::from_snapshot(&catalog.snapshot());
         // Aggressive thresholds: the generated tables hold 0–12 rows, far below the
@@ -929,7 +1137,7 @@ proptest! {
             Optimizer::new().with_reorder_policy(perm_exec::ReorderPolicy::aggressive());
 
         let (optimized, _report) = optimizer.optimize_with_stats(&plan, &stats).unwrap();
-        optimized.validate().unwrap();
+        optimized.verify().unwrap();
         optimized.verify().unwrap();
         assert_matches_reference(&catalog, &plan, "raw join graph");
         assert_matches_reference(&catalog, &optimized, "reordered join graph");
@@ -941,10 +1149,10 @@ proptest! {
         );
 
         let rewritten = ProvenanceRewriter::new().rewrite(&plan).unwrap();
-        rewritten.validate().unwrap();
+        rewritten.verify().unwrap();
         rewritten.verify().unwrap();
         let (rewritten_opt, _) = optimizer.optimize_with_stats(&rewritten, &stats).unwrap();
-        rewritten_opt.validate().unwrap();
+        rewritten_opt.verify().unwrap();
         rewritten_opt.verify().unwrap();
         assert_matches_reference(&catalog, &rewritten, "rewritten join graph");
         assert_matches_reference(&catalog, &rewritten_opt, "rewritten+reordered join graph");

@@ -54,18 +54,21 @@ fn all_supported_queries_and_their_provenance_variants_run() {
     }
 }
 
-/// The sublink queries — Q11 and Q15 (scalar subqueries) and Q16 (`NOT IN`) — return what the
-/// reference evaluator computes for the same optimized plan, normally and with provenance.
+/// The queries that lean on the lazily evaluated expression forms and on join residuals — Q8,
+/// Q12 and Q14 (`CASE`), Q7 and Q19 (disjunctive join conditions), Q11 and Q15 (scalar
+/// subqueries), Q16 (`NOT IN`) — return what the reference evaluator computes for the same
+/// optimized plan, normally and with provenance. Each runs the first variant that selects
+/// something at this scale; no variant of Q19 does, so its residual rejects every pair.
 #[test]
-fn sublink_queries_match_the_reference_evaluator() {
+fn expression_heavy_queries_match_the_reference_evaluator() {
     let db = tpch_db();
-    for id in [11, 15, 16] {
-        let normal = tpch_query(id).generate(&mut variant_rng(id, 0));
+    for (id, variant) in [(7, 6), (8, 4), (11, 0), (12, 0), (14, 0), (15, 0), (16, 0), (19, 0)] {
+        let normal = tpch_query(id).generate(&mut variant_rng(id, variant));
         for sql in [add_provenance_keyword(&normal), normal] {
             let plan = db.plan_sql(&sql).unwrap();
             let reference = perm::exec::execute_reference(db.catalog(), &plan).unwrap();
             let result = db.execute_sql(&sql).unwrap();
-            assert!(result.num_rows() > 0, "query {id} is not vacuous:\n{sql}");
+            assert!(result.num_rows() > 0 || id == 19, "query {id} is not vacuous:\n{sql}");
             assert!(result.bag_eq(&reference), "query {id} != reference:\n{sql}");
         }
     }
