@@ -12,9 +12,17 @@
 //! [`DataChunk::tuple_at`]. Columns whose rows do not share one scalar type (legal in this
 //! engine, e.g. a `CASE` mixing INT and TEXT arms) degrade to the boxed [`Array::Any`]
 //! representation, so the columnar layer is a fast path, never a semantic restriction.
+//!
+//! Every native column is a few flat buffers, text included: [`Array::Text`] is offsets over
+//! one byte buffer, so a column of any length costs three allocations and its rows move as a
+//! view or in one copy. Reading a row as a [`Value`] ([`Array::value`]) boxes it — for text
+//! that is an allocation — which is what the row edges do; column-wise code reads
+//! [`text_row`], orders with [`Array::compare`] and keys with [`crate::keys`].
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::error::AlgebraError;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 
@@ -107,6 +115,31 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// The bits of the rows whose mask bit is `true`. A no-NULL column skips the per-row
+    /// bookkeeping entirely — as do [`Bitmap::take`] and [`Bitmap::slice`].
+    fn filter(&self, mask: &[bool]) -> Bitmap {
+        if self.all_set_bits() {
+            return Bitmap::all_set(mask.iter().filter(|m| **m).count());
+        }
+        mask.iter().enumerate().filter(|(_, keep)| **keep).map(|(i, _)| self.get(i)).collect()
+    }
+
+    /// The bits of the rows at `indices`.
+    fn take(&self, indices: &[u32]) -> Bitmap {
+        if self.all_set_bits() {
+            return Bitmap::all_set(indices.len());
+        }
+        indices.iter().map(|&i| self.get(i as usize)).collect()
+    }
+
+    /// The bits of the rows `[offset, offset + len)`.
+    fn slice(&self, offset: usize, len: usize) -> Bitmap {
+        if self.all_set_bits() {
+            return Bitmap::all_set(len);
+        }
+        (offset..offset + len).map(|i| self.get(i)).collect()
+    }
+
     /// Number of set bits.
     pub fn count_set(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -162,10 +195,16 @@ pub enum Array {
         /// Validity bitmap.
         validity: Bitmap,
     },
-    /// UTF-8 text (shared, so gathers are refcount bumps).
+    /// UTF-8 text, unboxed: row `i` is `bytes[offsets[i]..offsets[i + 1]]` (see [`text_row`]).
+    /// A column is three buffers however many rows it has, so text moves as a view or as one
+    /// `memcpy`, and keys are hashed and compared where they lie ([`crate::keys`]).
     Text {
-        /// Native values (empty strings at invalid slots).
-        values: Vec<Arc<str>>,
+        /// One more position than rows, ascending from 0 (an invalid slot is empty). 32 bits
+        /// address 4 GiB of text per column; what would outgrow them is refused
+        /// ([`AlgebraError::ColumnTooLarge`]) or boxed ([`Array::Any`]), never wrapped.
+        offsets: Vec<u32>,
+        /// The rows' UTF-8 end to end; every row's slice is valid UTF-8 on its own.
+        bytes: Vec<u8>,
         /// Validity bitmap.
         validity: Bitmap,
     },
@@ -208,6 +247,72 @@ pub enum Array {
         /// Cumulative exclusive end offsets, strictly increasing; the last equals the length.
         run_ends: Vec<u32>,
     },
+}
+
+/// The bytes of row `i` of a text column ([`Array::Text`]).
+#[inline]
+pub fn text_row<'a>(offsets: &[u32], bytes: &'a [u8], i: usize) -> &'a [u8] {
+    &bytes[offsets[i] as usize..offsets[i + 1] as usize]
+}
+
+/// A text row as a `str`. Rows are valid UTF-8 by construction (the builder copies `str`s, the
+/// codec validates every value); bytes that are not would read as U+FFFD, never panic.
+#[inline]
+pub fn text_str(row: &[u8]) -> Cow<'_, str> {
+    String::from_utf8_lossy(row)
+}
+
+/// The offset behind `len` bytes of text, if 32 bits still address it.
+fn text_end(len: usize) -> Option<u32> {
+    u32::try_from(len).ok()
+}
+
+/// Append the rows `[from, to)` of a text column to another's offsets and bytes: one copy of
+/// their bytes. The caller has checked that the result stays addressable.
+fn extend_text(
+    out_offsets: &mut Vec<u32>,
+    out_bytes: &mut Vec<u8>,
+    offsets: &[u32],
+    bytes: &[u8],
+    from: usize,
+    to: usize,
+) {
+    if from == to {
+        return;
+    }
+    let (base, shift) = (offsets[from], out_bytes.len() as u32);
+    out_bytes.extend_from_slice(&bytes[base as usize..offsets[to] as usize]);
+    out_offsets.extend(offsets[from + 1..=to].iter().map(|end| end - base + shift));
+}
+
+/// [`Array::concat`] of text and all-NULL parts: one copy of each part's bytes, refused when
+/// the parts together hold more text than offsets address.
+fn concat_text(arrays: &[&Array]) -> Result<Array, AlgebraError> {
+    let text_len = |a: &Array| match a {
+        Array::Text { offsets, .. } => offsets.last().map_or(0, |&end| u64::from(end)),
+        _ => 0,
+    };
+    let total: u64 = arrays.iter().map(|a| text_len(a)).sum();
+    if total > u64::from(u32::MAX) {
+        return Err(AlgebraError::ColumnTooLarge { bytes: total });
+    }
+    let mut offsets = Vec::with_capacity(arrays.iter().map(|a| a.len()).sum::<usize>() + 1);
+    offsets.push(0);
+    let mut bytes = Vec::with_capacity(total as usize);
+    let mut validity = Bitmap::new();
+    for a in arrays {
+        match a {
+            Array::Text { offsets: o, bytes: b, validity: v } => {
+                extend_text(&mut offsets, &mut bytes, o, b, 0, a.len());
+                validity.extend_from(v);
+            }
+            other => {
+                offsets.resize(offsets.len() + other.len(), bytes.len() as u32);
+                validity.extend_from(&Bitmap::all_unset(other.len()));
+            }
+        }
+    }
+    Ok(Array::Text { offsets, bytes, validity })
 }
 
 /// The run index covering row `i` of a run-length array with the given cumulative ends.
@@ -259,7 +364,7 @@ impl Array {
             Array::Bool { values, .. } => values.len(),
             Array::Int { values, .. } => values.len(),
             Array::Float { values, .. } => values.len(),
-            Array::Text { values, .. } => values.len(),
+            Array::Text { offsets, .. } => offsets.len().saturating_sub(1),
             Array::Date { values, .. } => values.len(),
             Array::Null { len } => *len,
             Array::Any { values } => values.len(),
@@ -281,7 +386,7 @@ impl Array {
     /// Resolve logical row `i` to the plain array and physical row that actually hold it,
     /// following any chain of encoded views.
     #[inline]
-    fn resolve_row(&self, i: usize) -> (&Array, usize) {
+    pub(crate) fn resolve_row(&self, i: usize) -> (&Array, usize) {
         let (mut array, mut idx) = (self, i);
         loop {
             match array {
@@ -316,7 +421,8 @@ impl Array {
         }
     }
 
-    /// The value at row `i` (a clone; text is a refcount bump).
+    /// The value at row `i`, boxed for the row edge (text is copied out: column-wise code reads
+    /// [`text_row`], compares with [`Array::compare`] and keys with [`crate::keys`] instead).
     #[inline]
     pub fn value(&self, i: usize) -> Value {
         match self {
@@ -341,9 +447,9 @@ impl Array {
                     Value::Null
                 }
             }
-            Array::Text { values, validity } => {
+            Array::Text { offsets, bytes, validity } => {
                 if validity.get(i) {
-                    Value::Text(values[i].clone())
+                    Value::Text(Arc::from(&*text_str(text_row(offsets, bytes, i))))
                 } else {
                     Value::Null
                 }
@@ -396,9 +502,14 @@ impl Array {
             Value::Float(f) => {
                 Array::Float { values: vec![*f; len], validity: Bitmap::all_set(len) }
             }
-            Value::Text(s) => {
-                Array::Text { values: vec![s.clone(); len], validity: Bitmap::all_set(len) }
-            }
+            Value::Text(s) => match text_end(s.len().saturating_mul(len)) {
+                Some(_) => Array::Text {
+                    offsets: (0..=len).map(|i| (i * s.len()) as u32).collect(),
+                    bytes: s.as_bytes().repeat(len),
+                    validity: Bitmap::all_set(len),
+                },
+                None => Array::Any { values: vec![value.clone(); len] },
+            },
             Value::Date(d) => Array::Date { values: vec![*d; len], validity: Bitmap::all_set(len) },
         }
     }
@@ -406,47 +517,42 @@ impl Array {
     /// Keep only the rows whose mask bit is `true` (filter compaction).
     pub fn filter(&self, mask: &[bool]) -> Array {
         debug_assert_eq!(mask.len(), self.len());
-        fn compact<T: Clone>(values: &[T], validity: &Bitmap, mask: &[bool]) -> (Vec<T>, Bitmap) {
-            let kept = mask.iter().filter(|m| **m).count();
-            let mut out = Vec::with_capacity(kept);
-            // No-NULL columns skip per-row validity bookkeeping entirely.
-            if validity.all_set_bits() {
-                for (i, keep) in mask.iter().enumerate() {
-                    if *keep {
-                        out.push(values[i].clone());
-                    }
-                }
-                return (out, Bitmap::all_set(kept));
-            }
-            let mut v = Bitmap::new();
-            for (i, keep) in mask.iter().enumerate() {
-                if *keep {
-                    out.push(values[i].clone());
-                    v.push(validity.get(i));
-                }
-            }
-            (out, v)
+        fn compact<T: Copy>(values: &[T], mask: &[bool]) -> Vec<T> {
+            let mut out = Vec::with_capacity(mask.iter().filter(|m| **m).count());
+            out.extend(values.iter().zip(mask).filter(|(_, keep)| **keep).map(|(v, _)| *v));
+            out
         }
         match self {
             Array::Bool { values, validity } => {
-                let (values, validity) = compact(values, validity, mask);
-                Array::Bool { values, validity }
+                Array::Bool { values: compact(values, mask), validity: validity.filter(mask) }
             }
             Array::Int { values, validity } => {
-                let (values, validity) = compact(values, validity, mask);
-                Array::Int { values, validity }
+                Array::Int { values: compact(values, mask), validity: validity.filter(mask) }
             }
             Array::Float { values, validity } => {
-                let (values, validity) = compact(values, validity, mask);
-                Array::Float { values, validity }
+                Array::Float { values: compact(values, mask), validity: validity.filter(mask) }
             }
-            Array::Text { values, validity } => {
-                let (values, validity) = compact(values, validity, mask);
-                Array::Text { values, validity }
+            Array::Text { offsets, bytes, validity } => {
+                // Kept rows are copied a run at a time.
+                let (mut out_offsets, mut out_bytes) = (vec![0], Vec::new());
+                let mut row = 0;
+                while row < mask.len() {
+                    let from = row;
+                    while row < mask.len() && mask[row] == mask[from] {
+                        row += 1;
+                    }
+                    if mask[from] {
+                        extend_text(&mut out_offsets, &mut out_bytes, offsets, bytes, from, row);
+                    }
+                }
+                Array::Text {
+                    offsets: out_offsets,
+                    bytes: out_bytes,
+                    validity: validity.filter(mask),
+                }
             }
             Array::Date { values, validity } => {
-                let (values, validity) = compact(values, validity, mask);
-                Array::Date { values, validity }
+                Array::Date { values: compact(values, mask), validity: validity.filter(mask) }
             }
             Array::Null { .. } => Array::Null { len: mask.iter().filter(|m| **m).count() },
             Array::Any { values } => Array::Any {
@@ -467,40 +573,42 @@ impl Array {
 
     /// Gather the rows at `indices` (column gather; indices may repeat and reorder).
     pub fn take(&self, indices: &[u32]) -> Array {
-        fn gather<T: Clone>(values: &[T], validity: &Bitmap, indices: &[u32]) -> (Vec<T>, Bitmap) {
-            // No-NULL columns skip per-row validity bookkeeping entirely.
-            if validity.all_set_bits() {
-                let out = indices.iter().map(|&i| values[i as usize].clone()).collect();
-                return (out, Bitmap::all_set(indices.len()));
-            }
-            let mut out = Vec::with_capacity(indices.len());
-            let mut v = Bitmap::new();
-            for &i in indices {
-                out.push(values[i as usize].clone());
-                v.push(validity.get(i as usize));
-            }
-            (out, v)
+        fn gather<T: Copy>(values: &[T], indices: &[u32]) -> Vec<T> {
+            indices.iter().map(|&i| values[i as usize]).collect()
         }
         match self {
             Array::Bool { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Bool { values, validity }
+                Array::Bool { values: gather(values, indices), validity: validity.take(indices) }
             }
             Array::Int { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Int { values, validity }
+                Array::Int { values: gather(values, indices), validity: validity.take(indices) }
             }
             Array::Float { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Float { values, validity }
+                Array::Float { values: gather(values, indices), validity: validity.take(indices) }
             }
-            Array::Text { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Text { values, validity }
+            Array::Text { offsets, bytes, validity } => {
+                let rows = || indices.iter().map(|&i| text_row(offsets, bytes, i as usize));
+                let total = rows().map(<[u8]>::len).sum();
+                if text_end(total).is_none() {
+                    // Repeats can outgrow what offsets address: box rather than wrap.
+                    let values = indices.iter().map(|&i| self.value(i as usize)).collect();
+                    return Array::Any { values };
+                }
+                let mut out_offsets = Vec::with_capacity(indices.len() + 1);
+                let mut out_bytes = Vec::with_capacity(total);
+                out_offsets.push(0);
+                for row in rows() {
+                    out_bytes.extend_from_slice(row);
+                    out_offsets.push(out_bytes.len() as u32);
+                }
+                Array::Text {
+                    offsets: out_offsets,
+                    bytes: out_bytes,
+                    validity: validity.take(indices),
+                }
             }
             Array::Date { values, validity } => {
-                let (values, validity) = gather(values, validity, indices);
-                Array::Date { values, validity }
+                Array::Date { values: gather(values, indices), validity: validity.take(indices) }
             }
             Array::Null { .. } => Array::Null { len: indices.len() },
             Array::Any { values } => {
@@ -518,53 +626,47 @@ impl Array {
 
     /// A copy of the rows `[offset, offset + len)`.
     pub fn slice(&self, offset: usize, len: usize) -> Array {
-        fn cut<T: Clone>(
-            values: &[T],
-            validity: &Bitmap,
-            offset: usize,
-            len: usize,
-        ) -> (Vec<T>, Bitmap) {
-            let out = values[offset..offset + len].to_vec();
-            if validity.all_set_bits() {
-                return (out, Bitmap::all_set(len));
-            }
-            let v = (offset..offset + len).map(|i| validity.get(i)).collect();
-            (out, v)
-        }
+        let end = offset + len;
         match self {
-            Array::Bool { values, validity } => {
-                let (values, validity) = cut(values, validity, offset, len);
-                Array::Bool { values, validity }
-            }
-            Array::Int { values, validity } => {
-                let (values, validity) = cut(values, validity, offset, len);
-                Array::Int { values, validity }
-            }
-            Array::Float { values, validity } => {
-                let (values, validity) = cut(values, validity, offset, len);
-                Array::Float { values, validity }
-            }
-            Array::Text { values, validity } => {
-                let (values, validity) = cut(values, validity, offset, len);
-                Array::Text { values, validity }
-            }
-            Array::Date { values, validity } => {
-                let (values, validity) = cut(values, validity, offset, len);
-                Array::Date { values, validity }
-            }
-            Array::Null { .. } => Array::Null { len },
-            Array::Any { values } => Array::Any { values: values[offset..offset + len].to_vec() },
-            Array::Dict { indices, dict } => Array::Dict {
-                indices: Arc::from(&indices[offset..offset + len]),
-                dict: dict.clone(),
+            Array::Bool { values, validity } => Array::Bool {
+                values: values[offset..end].to_vec(),
+                validity: validity.slice(offset, len),
             },
+            Array::Int { values, validity } => Array::Int {
+                values: values[offset..end].to_vec(),
+                validity: validity.slice(offset, len),
+            },
+            Array::Float { values, validity } => Array::Float {
+                values: values[offset..end].to_vec(),
+                validity: validity.slice(offset, len),
+            },
+            Array::Text { offsets, bytes, validity } => {
+                let (mut out_offsets, mut out_bytes) = (vec![0], Vec::new());
+                extend_text(&mut out_offsets, &mut out_bytes, offsets, bytes, offset, end);
+                Array::Text {
+                    offsets: out_offsets,
+                    bytes: out_bytes,
+                    validity: validity.slice(offset, len),
+                }
+            }
+            Array::Date { values, validity } => Array::Date {
+                values: values[offset..end].to_vec(),
+                validity: validity.slice(offset, len),
+            },
+            Array::Null { .. } => Array::Null { len },
+            Array::Any { values } => Array::Any { values: values[offset..end].to_vec() },
+            Array::Dict { indices, dict } => {
+                Array::Dict { indices: Arc::from(&indices[offset..end]), dict: dict.clone() }
+            }
             Array::RunLength { .. } => self.to_plain().slice(offset, len),
         }
     }
 
     /// Concatenate several arrays into one (same-variant inputs extend natively; mixed variants
-    /// degrade to the boxed fallback).
-    pub fn concat(arrays: &[&Array]) -> Array {
+    /// degrade to the boxed fallback). Text laid end to end must stay within what 32-bit
+    /// offsets address: the summed length is checked first, and more is
+    /// [`AlgebraError::ColumnTooLarge`].
+    pub fn concat(arrays: &[&Array]) -> Result<Array, AlgebraError> {
         /// Same-variant fast path: native `extend_from_slice` per input, no value boxing.
         /// All-NULL parts (an outer join's padding batches, a join's NULL slot) extend the
         /// native buffer with invalid default slots instead of forcing the boxed fallback.
@@ -589,30 +691,35 @@ impl Array {
                             }
                         }
                     }
-                    return Array::$variant { values, validity };
+                    return Ok(Array::$variant { values, validity });
                 }
             }};
         }
         match arrays {
-            [] => Array::Null { len: 0 },
-            [only] => (*only).clone(),
+            [] => Ok(Array::Null { len: 0 }),
+            [only] => Ok((*only).clone()),
             _ => {
                 // Encoded inputs are decoded once, then the plain typed fast paths below apply
                 // (views over one dictionary stay views in [`DataChunk::concat`], which can
                 // also keep their index buffers shared between columns).
                 if arrays.iter().any(|a| a.is_encoded()) {
-                    let decoded: Vec<Array> = arrays
+                    let decoded: Vec<Cow<'_, Array>> = arrays
                         .iter()
-                        .map(|a| if a.is_encoded() { a.to_plain() } else { (*a).clone() })
+                        .map(|a| match a.is_encoded() {
+                            true => Cow::Owned(a.to_plain()),
+                            false => Cow::Borrowed(*a),
+                        })
                         .collect();
-                    let refs: Vec<&Array> = decoded.iter().collect();
+                    let refs: Vec<&Array> = decoded.iter().map(Cow::as_ref).collect();
                     return Array::concat(&refs);
                 }
                 if arrays.iter().all(|a| matches!(a, Array::Null { .. })) {
-                    return Array::Null { len: arrays.iter().map(|a| a.len()).sum() };
+                    return Ok(Array::Null { len: arrays.iter().map(|a| a.len()).sum() });
                 }
                 typed_concat!(Int, 0);
-                typed_concat!(Text, Arc::from(""));
+                if arrays.iter().all(|a| matches!(a, Array::Text { .. } | Array::Null { .. })) {
+                    return concat_text(arrays);
+                }
                 typed_concat!(Float, 0.0);
                 typed_concat!(Date, 0);
                 typed_concat!(Bool, false);
@@ -622,7 +729,7 @@ impl Array {
                         builder.push(a.value(i));
                     }
                 }
-                builder.finish()
+                Ok(builder.finish())
             }
         }
     }
@@ -641,10 +748,12 @@ impl Array {
             {
                 return a[i].cmp(&b[j]);
             }
-            (Array::Text { values: a, validity: va }, Array::Text { values: b, validity: vb })
-                if va.get(i) && vb.get(j) =>
-            {
-                return a[i].cmp(&b[j]);
+            (
+                Array::Text { offsets: oa, bytes: a, validity: va },
+                Array::Text { offsets: ob, bytes: b, validity: vb },
+            ) if va.get(i) && vb.get(j) => {
+                // UTF-8 orders bytewise as `str` does.
+                return text_row(oa, a, i).cmp(text_row(ob, b, j));
             }
             (Array::Date { values: a, validity: va }, Array::Date { values: b, validity: vb })
                 if va.get(i) && vb.get(j) =>
@@ -687,7 +796,9 @@ impl Array {
             Array::Float { values, validity } if validity.get(i) => {
                 out.push_str(&crate::value::format_float(values[i]));
             }
-            Array::Text { values, validity } if validity.get(i) => out.push_str(&values[i]),
+            Array::Text { offsets, bytes, validity } if validity.get(i) => {
+                out.push_str(&text_str(text_row(offsets, bytes, i)));
+            }
             Array::Date { values, validity } if validity.get(i) => {
                 out.push_str(&crate::value::format_date(values[i]));
             }
@@ -745,7 +856,9 @@ impl Array {
         }
     }
 
-    /// Approximate heap footprint in bytes. A view charges its index buffer and its dictionary;
+    /// Heap footprint in bytes: the buffers' contents, exact for the native variants (text is
+    /// offsets, bytes and validity — no per-value boxes). A view charges its index buffer and
+    /// its dictionary;
     /// [`DataChunk::byte_size`] is the one to ask about several columns at once, because it
     /// charges a buffer that several of them share only once.
     pub fn byte_size(&self) -> usize {
@@ -761,9 +874,8 @@ impl Array {
             Array::Bool { values, validity } => values.len() + bitmap_bytes(validity),
             Array::Int { values, validity } => values.len() * 8 + bitmap_bytes(validity),
             Array::Float { values, validity } => values.len() * 8 + bitmap_bytes(validity),
-            Array::Text { values, validity } => {
-                values.iter().map(|s| s.len() + std::mem::size_of::<Arc<str>>()).sum::<usize>()
-                    + bitmap_bytes(validity)
+            Array::Text { offsets, bytes, validity } => {
+                offsets.len() * 4 + bytes.len() + bitmap_bytes(validity)
             }
             Array::Date { values, validity } => values.len() * 4 + bitmap_bytes(validity),
             Array::Null { .. } => 0,
@@ -800,15 +912,11 @@ impl Array {
             return None;
         }
         // One pass to find run boundaries (logical equality, NULL == NULL).
-        fn runs_of<T: PartialEq>(
-            values: &[T],
-            validity: &Bitmap,
-            same: impl Fn(&T, &T) -> bool,
-        ) -> Vec<u32> {
+        fn runs_of(validity: &Bitmap, same: impl Fn(usize, usize) -> bool) -> Vec<u32> {
             let mut ends = Vec::new();
-            for i in 1..values.len() {
+            for i in 1..validity.len() {
                 let equal = match (validity.get(i - 1), validity.get(i)) {
-                    (true, true) => same(&values[i - 1], &values[i]),
+                    (true, true) => same(i - 1, i),
                     (false, false) => true,
                     _ => false,
                 };
@@ -816,19 +924,19 @@ impl Array {
                     ends.push(i as u32);
                 }
             }
-            ends.push(values.len() as u32);
+            ends.push(validity.len() as u32);
             ends
         }
         let run_ends = match self {
-            Array::Bool { values, validity } => runs_of(values, validity, |a, b| a == b),
-            Array::Int { values, validity } => runs_of(values, validity, |a, b| a == b),
-            Array::Date { values, validity } => runs_of(values, validity, |a, b| a == b),
+            Array::Bool { values, validity } => runs_of(validity, |a, b| values[a] == values[b]),
+            Array::Int { values, validity } => runs_of(validity, |a, b| values[a] == values[b]),
+            Array::Date { values, validity } => runs_of(validity, |a, b| values[a] == values[b]),
             // Floats compare bitwise so NaN runs still compress deterministically.
             Array::Float { values, validity } => {
-                runs_of(values, validity, |a, b| a.to_bits() == b.to_bits())
+                runs_of(validity, |a, b| values[a].to_bits() == values[b].to_bits())
             }
-            Array::Text { values, validity } => {
-                runs_of(values, validity, |a, b| Arc::ptr_eq(a, b) || a == b)
+            Array::Text { offsets, bytes, validity } => {
+                runs_of(validity, |a, b| text_row(offsets, bytes, a) == text_row(offsets, bytes, b))
             }
             _ => return None,
         };
@@ -869,8 +977,19 @@ impl PartialEq for Array {
             typed_eq!(Bool);
             typed_eq!(Int);
             typed_eq!(Float);
-            typed_eq!(Text);
             typed_eq!(Date);
+            if let (
+                Array::Text { offsets: oa, bytes: a, validity: va },
+                Array::Text { offsets: ob, bytes: b, validity: vb },
+            ) = (a, b)
+            {
+                return Some(
+                    va == vb && {
+                        let same = |i| text_row(oa, a, i) == text_row(ob, b, i);
+                        (0..va.len()).all(|i| !va.get(i) || same(i))
+                    },
+                );
+            }
             if let (Array::Null { len: a }, Array::Null { len: b }) = (a, b) {
                 return Some(a == b);
             }
@@ -933,24 +1052,27 @@ impl ArrayBuilder {
         self.repr = match (repr, value) {
             (BuilderRepr::Untyped, Value::Null) => BuilderRepr::Nulls(1),
             (BuilderRepr::Nulls(n), Value::Null) => BuilderRepr::Nulls(n + 1),
-            (BuilderRepr::Untyped, v) => BuilderRepr::Typed(seed_typed(0, v, self.capacity)),
-            (BuilderRepr::Nulls(n), v) => BuilderRepr::Typed(seed_typed(n, v, self.capacity)),
-            (BuilderRepr::Typed(mut array), v) => match push_typed(&mut array, v) {
-                Ok(()) => BuilderRepr::Typed(array),
-                Err(v) => {
-                    // Type conflict: degrade to boxed values.
-                    let mut values: Vec<Value> =
-                        Vec::with_capacity(self.capacity.max(array.len() + 1));
-                    values.extend((0..array.len()).map(|i| array.value(i)));
-                    values.push(v);
-                    BuilderRepr::Any(values)
-                }
-            },
+            (BuilderRepr::Untyped, v) => self.push_typed(null_slots(0, &v, self.capacity), v),
+            (BuilderRepr::Nulls(n), v) => self.push_typed(null_slots(n, &v, self.capacity), v),
+            (BuilderRepr::Typed(array), v) => self.push_typed(array, v),
             (BuilderRepr::Any(mut values), v) => {
                 values.push(v);
                 BuilderRepr::Any(values)
             }
         };
+    }
+
+    /// `array` with `value` behind it — boxed, if the value does not fit the array.
+    fn push_typed(&self, mut array: Array, value: Value) -> BuilderRepr {
+        match push_typed(&mut array, value) {
+            Ok(()) => BuilderRepr::Typed(array),
+            Err(value) => {
+                let mut values: Vec<Value> = Vec::with_capacity(self.capacity.max(array.len() + 1));
+                values.extend((0..array.len()).map(|i| array.value(i)));
+                values.push(value);
+                BuilderRepr::Any(values)
+            }
+        }
     }
 
     /// Number of values pushed so far.
@@ -968,42 +1090,45 @@ impl ArrayBuilder {
         self.len() == 0
     }
 
-    /// Finish the array.
+    /// Finish the array. Text gives back what its byte buffer grew beyond the rows: a finished
+    /// column may be stored for good.
     pub fn finish(self) -> Array {
         match self.repr {
             BuilderRepr::Untyped => Array::Null { len: 0 },
             BuilderRepr::Nulls(n) => Array::Null { len: n },
+            BuilderRepr::Typed(Array::Text { offsets, mut bytes, validity }) => {
+                bytes.shrink_to_fit();
+                Array::Text { offsets, bytes, validity }
+            }
             BuilderRepr::Typed(a) => a,
             BuilderRepr::Any(values) => Array::Any { values },
         }
     }
 }
 
-/// Start a typed array with `nulls` leading NULL slots followed by `value`, pre-sized for
-/// `capacity` total values.
-fn seed_typed(nulls: usize, value: Value, capacity: usize) -> Array {
-    let capacity = capacity.max(nulls + 1);
-    fn seeded<T: Clone>(fill: T, nulls: usize, value: T, capacity: usize) -> Vec<T> {
-        let mut values = Vec::with_capacity(capacity);
-        values.resize(nulls, fill);
-        values.push(value);
+/// A typed array of `nulls` NULL slots, of the variant that holds `like`, pre-sized for
+/// `capacity` values.
+fn null_slots(nulls: usize, like: &Value, capacity: usize) -> Array {
+    fn slots<T: Clone>(fill: T, len: usize, capacity: usize) -> Vec<T> {
+        let mut values = Vec::with_capacity(capacity.max(len));
+        values.resize(len, fill);
         values
     }
-    let mut validity = Bitmap::all_unset(nulls);
-    validity.push(true);
-    match value {
-        Value::Bool(b) => Array::Bool { values: seeded(false, nulls, b, capacity), validity },
-        Value::Int(i) => Array::Int { values: seeded(0, nulls, i, capacity), validity },
-        Value::Float(f) => Array::Float { values: seeded(0.0, nulls, f, capacity), validity },
-        Value::Text(s) => {
-            Array::Text { values: seeded(Arc::from(""), nulls, s, capacity), validity }
+    let validity = Bitmap::all_unset(nulls);
+    match like {
+        Value::Bool(_) => Array::Bool { values: slots(false, nulls, capacity), validity },
+        Value::Int(_) => Array::Int { values: slots(0, nulls, capacity), validity },
+        Value::Float(_) => Array::Float { values: slots(0.0, nulls, capacity), validity },
+        Value::Text(_) => {
+            Array::Text { offsets: slots(0, nulls + 1, capacity + 1), bytes: Vec::new(), validity }
         }
-        Value::Date(d) => Array::Date { values: seeded(0, nulls, d, capacity), validity },
-        Value::Null => unreachable!("NULL is handled by the builder before seeding"),
+        Value::Date(_) => Array::Date { values: slots(0, nulls, capacity), validity },
+        Value::Null => Array::Null { len: nulls },
     }
 }
 
-/// Append `value` to a typed array; returns the value back on a type conflict.
+/// Append `value` to a typed array; returns the value back when it does not fit: another type,
+/// or text beyond what the offsets address.
 fn push_typed(array: &mut Array, value: Value) -> Result<(), Value> {
     match (array, value) {
         (Array::Bool { values, validity }, Value::Bool(b)) => {
@@ -1018,8 +1143,11 @@ fn push_typed(array: &mut Array, value: Value) -> Result<(), Value> {
             values.push(f);
             validity.push(true);
         }
-        (Array::Text { values, validity }, Value::Text(s)) => {
-            values.push(s);
+        (Array::Text { offsets, bytes, validity }, Value::Text(s)) => {
+            // Text that would outgrow the offsets goes back to the builder, which boxes.
+            let Some(end) = text_end(bytes.len() + s.len()) else { return Err(Value::Text(s)) };
+            bytes.extend_from_slice(s.as_bytes());
+            offsets.push(end);
             validity.push(true);
         }
         (Array::Date { values, validity }, Value::Date(d)) => {
@@ -1038,8 +1166,8 @@ fn push_typed(array: &mut Array, value: Value) -> Result<(), Value> {
             values.push(0.0);
             validity.push(false);
         }
-        (Array::Text { values, validity }, Value::Null) => {
-            values.push(Arc::from(""));
+        (Array::Text { offsets, bytes, validity }, Value::Null) => {
+            offsets.push(bytes.len() as u32);
             validity.push(false);
         }
         (Array::Date { values, validity }, Value::Null) => {
@@ -1252,19 +1380,19 @@ impl DataChunk {
     /// dictionary per probe chunk) when that is no longer than the rows themselves. Columns
     /// whose parts shared their index buffers chunk by chunk share the concatenated buffer, so
     /// the result is a handful of index buffers however wide it is. See [`Array::concat`] for
-    /// every other column.
-    pub fn concat(arity: usize, chunks: &[DataChunk]) -> DataChunk {
+    /// every other column — and for the one way this fails: more text than a column can hold.
+    pub fn concat(arity: usize, chunks: &[DataChunk]) -> Result<DataChunk, AlgebraError> {
         if chunks.len() == 1 {
-            return chunks[0].clone();
+            return Ok(chunks[0].clone());
         }
         let rows = chunks.iter().map(|c| c.num_rows()).sum();
         let mut joined: Vec<(Vec<PartIndices>, IndexBuffer)> = Vec::new();
         let columns = (0..arity)
             .map(|c| {
-                let Some((dict, parts)) = gathered_dictionary(chunks, c, rows) else {
+                let Some((dict, parts)) = gathered_dictionary(chunks, c, rows)? else {
                     let parts: Vec<&Array> =
                         chunks.iter().map(|ch| ch.column(c).as_ref()).collect();
-                    return Arc::new(Array::concat(&parts));
+                    return Ok(Arc::new(Array::concat(&parts)?));
                 };
                 let indices = match joined.iter().find(|(from, _)| same_parts(from, &parts)) {
                     Some((_, shared)) => shared.clone(),
@@ -1281,10 +1409,10 @@ impl DataChunk {
                         fresh
                     }
                 };
-                Arc::new(Array::Dict { indices, dict })
+                Ok(Arc::new(Array::Dict { indices, dict }))
             })
-            .collect();
-        DataChunk { columns, rows }
+            .collect::<Result<_, AlgebraError>>()?;
+        Ok(DataChunk { columns, rows })
     }
 }
 
@@ -1292,6 +1420,9 @@ impl DataChunk {
 /// starts in the concatenated dictionary — or, for an all-NULL part (no buffer), the row of
 /// that dictionary that holds the NULL.
 type PartIndices<'a> = (Option<&'a IndexBuffer>, u32);
+
+/// A dictionary gathered for a view column under concatenation, and each part's place in it.
+type GatheredDictionary<'a> = (Arc<Array>, Vec<PartIndices<'a>>);
 
 /// One dictionary for column `c` of a chunk list whose parts are all views or all-NULL, and
 /// each part's place in it: the parts' one shared dictionary as it is, or their distinct
@@ -1302,7 +1433,7 @@ fn gathered_dictionary(
     chunks: &[DataChunk],
     c: usize,
     rows: usize,
-) -> Option<(Arc<Array>, Vec<PartIndices<'_>>)> {
+) -> Result<Option<GatheredDictionary<'_>>, AlgebraError> {
     let mut distinct: Vec<&Arc<Array>> = Vec::new();
     let mut starts: std::collections::HashMap<*const Array, u32> = Default::default();
     let mut len = 0usize;
@@ -1318,13 +1449,13 @@ fn gathered_dictionary(
                 parts.push((Some(indices), start));
             }
             Array::Null { .. } => parts.push((None, 0)),
-            _ => return None,
+            _ => return Ok(None),
         }
     }
-    let first = *distinct.first()?;
+    let Some(first) = distinct.first() else { return Ok(None) };
     let padded = parts.iter().any(|(indices, _)| indices.is_none());
     if distinct.len() == 1 && !padded {
-        return Some((first.clone(), parts));
+        return Ok(Some(((*first).clone(), parts)));
     }
     let null = Array::Null { len: 1 };
     let mut laid_out: Vec<&Array> = distinct.iter().map(|dict| dict.as_ref()).collect();
@@ -1335,7 +1466,10 @@ fn gathered_dictionary(
         laid_out.push(&null);
         len += 1;
     }
-    (len <= rows).then(|| (Arc::new(Array::concat(&laid_out)), parts))
+    if len > rows {
+        return Ok(None);
+    }
+    Ok(Some((Arc::new(Array::concat(&laid_out)?), parts)))
 }
 
 /// Do two view columns read the same index buffers into the same dictionary layout, part by
@@ -1434,14 +1568,14 @@ mod tests {
     fn concat_same_and_mixed_variants() {
         let a = Array::from_values(vec![Value::Int(1), Value::Int(2)]);
         let b = Array::from_values(vec![Value::Null, Value::Int(4)]);
-        let c = Array::concat(&[&a, &b]);
+        let c = Array::concat(&[&a, &b]).unwrap();
         assert!(matches!(c, Array::Int { .. }));
         assert_eq!(c.len(), 4);
         assert_eq!(c.value(2), Value::Null);
         assert_eq!(c.value(3), Value::Int(4));
 
         let t = Array::from_values(vec![Value::text("x")]);
-        let mixed = Array::concat(&[&a, &t]);
+        let mixed = Array::concat(&[&a, &t]).unwrap();
         assert_eq!(mixed.len(), 3);
         assert_eq!(mixed.value(2), Value::text("x"));
     }
@@ -1534,7 +1668,7 @@ mod tests {
     fn chunk_concat_over_a_shared_dictionary_stays_encoded() {
         let source = DataChunk::from_tuples(2, &[tuple![0, "a"], tuple![1, "b"], tuple![2, "c"]]);
         let parts = [source.take_dict(&idx(&[0, 1])), source.take_dict(&idx(&[2, 2, 1]))];
-        let joined = DataChunk::concat(2, &parts);
+        let joined = DataChunk::concat(2, &parts).unwrap();
         let view = |c: usize| match joined.column(c).as_ref() {
             Array::Dict { indices, dict } => (indices.clone(), dict.clone()),
             other => panic!("expected the concatenation to stay a view, got {other:?}"),
@@ -1545,7 +1679,7 @@ mod tests {
         // A view next to a plain part decodes to a typed plain array.
         let a = source.column(0).take_dict(&idx(&[0, 1]));
         let plain_tail = Array::from_values(vec![Value::Int(9)]);
-        let mixed = Array::concat(&[&a, &plain_tail]);
+        let mixed = Array::concat(&[&a, &plain_tail]).unwrap();
         assert!(matches!(mixed, Array::Int { .. }));
         assert_eq!(mixed.value(2), Value::Int(9));
     }
@@ -1626,17 +1760,17 @@ mod tests {
         let ints = Array::from_values(vec![Value::Int(1), Value::Int(2)]);
         let texts = Array::from_values(vec![Value::text("x")]);
         let pad = Array::Null { len: 2 };
-        let joined = Array::concat(&[&pad, &ints, &pad]);
+        let joined = Array::concat(&[&pad, &ints, &pad]).unwrap();
         assert!(matches!(joined, Array::Int { .. }));
         assert_eq!(
             (0..joined.len()).map(|i| joined.value(i)).collect::<Vec<_>>(),
             vec![Value::Null, Value::Null, Value::Int(1), Value::Int(2), Value::Null, Value::Null]
         );
-        let joined = Array::concat(&[&texts, &pad]);
+        let joined = Array::concat(&[&texts, &pad]).unwrap();
         assert!(matches!(joined, Array::Text { .. }));
         assert_eq!(joined.value(0), Value::text("x"));
         assert!(joined.is_null(2));
-        assert!(matches!(Array::concat(&[&pad, &pad]), Array::Null { len: 4 }));
+        assert!(matches!(Array::concat(&[&pad, &pad]).unwrap(), Array::Null { len: 4 }));
     }
 
     #[test]
@@ -1649,7 +1783,7 @@ mod tests {
         let pad = DataChunk::new(vec![nulls.clone(), nulls]);
         let parts =
             [first.take_dict(&idx(&[1, 0, 1])), second.take_dict(&idx(&[0, 1])), pad.clone()];
-        let joined = DataChunk::concat(2, &parts);
+        let joined = DataChunk::concat(2, &parts).unwrap();
         let view = |c: usize| match joined.column(c).as_ref() {
             Array::Dict { indices, dict } => (indices.clone(), dict.clone()),
             other => panic!("expected the concatenation to stay a view, got {other:?}"),
@@ -1662,12 +1796,12 @@ mod tests {
         // Dictionaries longer than the rows drawn from them are not worth carrying along: the
         // rows are copied out instead.
         let sparse = [first.take_dict(&idx(&[1])), second.take_dict(&idx(&[0]))];
-        let joined = DataChunk::concat(2, &sparse);
+        let joined = DataChunk::concat(2, &sparse).unwrap();
         assert!(matches!(joined.column(1).as_ref(), Array::Text { .. }));
         assert_eq!(joined.tuple_at(1), tuple![2, "b0"]);
         // Padding alone has no dictionary to extend.
         assert!(matches!(
-            DataChunk::concat(2, &[pad.clone(), pad]).column(0).as_ref(),
+            DataChunk::concat(2, &[pad.clone(), pad]).unwrap().column(0).as_ref(),
             Array::Null { len: 4 }
         ));
     }

@@ -61,6 +61,13 @@ pub enum AlgebraError {
         /// The operation that overflowed ("addition", "multiplication", ...).
         operation: String,
     },
+    /// A text column would hold more bytes than its 32-bit offsets address (4 GiB): raised
+    /// where text is laid end to end — a join's build side, a sort's input, an append — before
+    /// any of it is copied. The executor surfaces it as `ExecError::ResourceExhausted`.
+    ColumnTooLarge {
+        /// The text the column would hold, in bytes.
+        bytes: u64,
+    },
     /// Catch-all for invariant violations.
     Internal(String),
 }
@@ -96,6 +103,9 @@ impl fmt::Display for AlgebraError {
             AlgebraError::Arithmetic(msg) => write!(f, "arithmetic error: {msg}"),
             AlgebraError::ArithmeticOverflow { operation } => {
                 write!(f, "arithmetic overflow in {operation}")
+            }
+            AlgebraError::ColumnTooLarge { bytes } => {
+                write!(f, "a text column of {bytes} bytes exceeds the 4 GiB one column can hold")
             }
             AlgebraError::Internal(msg) => write!(f, "internal algebra error: {msg}"),
         }

@@ -10,6 +10,8 @@
 //! * [`Tuple`] — a row of values.
 //! * [`chunk::Array`] / [`chunk::DataChunk`] — typed columnar vectors with validity bitmaps and
 //!   the fixed-size row batches the vectorized executor moves between operators.
+//! * [`keys::hash_rows`] / [`keys::rows_equal`] / [`keys::RowTable`] — join and group-by keys
+//!   hashed and compared in their columns.
 //! * [`Schema`] / [`Attribute`] — result descriptions with optional relation qualifiers and
 //!   provenance markers.
 //! * [`expr::ScalarExpr`] / [`expr::AggregateExpr`] — the expression language allowed in
@@ -39,6 +41,7 @@ pub mod builder;
 pub mod chunk;
 pub mod error;
 pub mod expr;
+pub mod keys;
 pub mod plan;
 pub mod schema;
 pub mod tuple;
@@ -52,6 +55,7 @@ pub use expr::{
     AggregateExpr, AggregateFunction, BinaryOperator, ScalarExpr, ScalarFunction, SortKey,
     SortOrder, SublinkKind, UnaryOperator,
 };
+pub use keys::{hash_rows, rows_equal, RowTable};
 pub use plan::{JoinKind, LogicalPlan, ProvenanceAnnotationKind, SetOpKind, SetSemantics};
 pub use schema::{Attribute, Schema};
 pub use tuple::Tuple;

@@ -368,7 +368,7 @@ impl Value {
     }
 
     /// Stable key used for hashing floats (total order, `-0.0 == 0.0`, all NaNs equal).
-    fn float_key(f: f64) -> u64 {
+    pub(crate) fn float_key(f: f64) -> u64 {
         if f.is_nan() {
             u64::MAX
         } else if f == 0.0 {
@@ -437,31 +437,42 @@ impl Eq for Value {}
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            Value::Null => 0u8.hash(state),
-            Value::Bool(b) => {
-                1u8.hash(state);
-                b.hash(state);
-            }
+            Value::Null => Value::hash_null(state),
+            Value::Bool(b) => Value::hash_bool(*b, state),
             // Int, Float and Date all hash through the same numeric key so that grouping
             // equality and hash stay consistent for mixed numeric comparisons (a date hashes as
             // its day number; `i32 as f64` is exact).
-            Value::Int(i) => {
-                2u8.hash(state);
-                Value::float_key(*i as f64).hash(state);
-            }
-            Value::Float(f) => {
-                2u8.hash(state);
-                Value::float_key(*f).hash(state);
-            }
-            Value::Text(s) => {
-                4u8.hash(state);
-                s.hash(state);
-            }
-            Value::Date(d) => {
-                2u8.hash(state);
-                Value::float_key(*d as f64).hash(state);
-            }
+            Value::Int(i) => Value::hash_number(*i as f64, state),
+            Value::Float(f) => Value::hash_number(*f, state),
+            Value::Date(d) => Value::hash_number(*d as f64, state),
+            Value::Text(s) => Value::hash_text(s.as_bytes(), state),
         }
+    }
+}
+
+/// What [`Hash`] feeds a hasher, kind by kind. [`crate::keys::hash_rows`] feeds the same from a
+/// column's native buffers, so under one hasher a key hashes alike boxed and in place.
+impl Value {
+    pub(crate) fn hash_null<H: Hasher>(state: &mut H) {
+        0u8.hash(state);
+    }
+
+    pub(crate) fn hash_bool<H: Hasher>(b: bool, state: &mut H) {
+        1u8.hash(state);
+        b.hash(state);
+    }
+
+    pub(crate) fn hash_number<H: Hasher>(f: f64, state: &mut H) {
+        2u8.hash(state);
+        Value::float_key(f).hash(state);
+    }
+
+    /// A text's UTF-8 bytes and a terminator no text contains (what `str` feeds, spelled out
+    /// so that a column can hash a row's bytes without first proving them a `str`).
+    pub(crate) fn hash_text<H: Hasher>(bytes: &[u8], state: &mut H) {
+        4u8.hash(state);
+        state.write(bytes);
+        state.write_u8(0xff);
     }
 }
 

@@ -110,6 +110,8 @@ impl From<AlgebraError> for ExecError {
             AlgebraError::ArithmeticOverflow { operation } => {
                 ExecError::ArithmeticOverflow { operation }
             }
+            // More text than one column can address is a resource limit like any other.
+            AlgebraError::ColumnTooLarge { .. } => ExecError::ResourceExhausted(e.to_string()),
             other => ExecError::Algebra(other),
         }
     }
@@ -117,7 +119,10 @@ impl From<AlgebraError> for ExecError {
 
 impl From<CatalogError> for ExecError {
     fn from(e: CatalogError) -> Self {
-        ExecError::Catalog(e)
+        match e {
+            CatalogError::TooLarge(msg) => ExecError::ResourceExhausted(msg),
+            other => ExecError::Catalog(other),
+        }
     }
 }
 

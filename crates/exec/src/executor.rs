@@ -359,16 +359,6 @@ pub(crate) fn split_equi_join_condition(
     (keys, residual)
 }
 
-/// Can `v` participate in hash-key matching for an equi-join key? Under plain `=` a NULL key
-/// never matches, and neither does a float NaN (`sql_eq` on NaN is unknown) — but grouping
-/// equality, which the hash table uses, would match NaN to NaN, so NaN keys must be excluded
-/// from the table exactly like NULLs to keep hash joins agreeing with nested-loop evaluation.
-/// Null-safe keys (`IS NOT DISTINCT FROM`) use grouping equality directly, where both NULL and
-/// NaN match themselves.
-pub(crate) fn hash_joinable(v: &Value, null_safe: bool) -> bool {
-    null_safe || !(v.is_null() || matches!(v, Value::Float(f) if f.is_nan()))
-}
-
 pub(crate) fn dedupe(rows: Vec<Tuple>) -> Vec<Tuple> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();

@@ -17,7 +17,9 @@
 //! * **hash join** builds *partitioned*: build-side key hashes are computed per morsel, then
 //!   every worker builds the hash table of one key-hash partition (never more partitions than
 //!   build morsels); the probe phase runs one morsel per probe chunk, routing each probe key
-//!   to its partition. Bucket chains preserve build-row order, so each probe row sees
+//!   to its partition. Keys are hashed and compared in their columns ([`hash_rows`] once per
+//!   morsel, [`rows_equal`] against a chain's head) — no key is boxed, on either side.
+//!   Bucket chains preserve build-row order, so each probe row sees
 //!   candidates in exactly the nested-loop order. A probe batch is *two index buffers over its
 //!   sources*: every output column is a dictionary view of the probe or build column it came
 //!   from, all columns of a side sharing that side's buffer — no source value is copied, and an
@@ -26,7 +28,9 @@
 //!   morsel): group-key and argument columns are evaluated per morsel, then every worker owns
 //!   the groups of one partition and folds *all* morsels' rows of that partition **in global
 //!   row order** — float sums are bit-identical and integer-overflow errors fire at the
-//!   identical row at every degree. Group output is restored to global first-seen order.
+//!   identical row at every degree. A group is found by its row hash and [`rows_equal`] against
+//!   the row it was first seen at; its key is boxed once, for the output. Group output is
+//!   restored to global first-seen order.
 //! * **sort** evaluates the keys and sorts a run per input chunk, merges the runs into one
 //!   permutation of input positions (ties broken by input position, so it is deterministic),
 //!   and emits *views* of the concatenated input through it. Concatenating view columns joins
@@ -50,27 +54,25 @@
 //! *lowest* morsel index, and partitioned aggregation reports the error of the globally first
 //! failing row. Timeouts and cancellation are checked per morsel and per 1024 join candidates.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
 use perm_algebra::{
-    Array, DataChunk, JoinKind, LogicalPlan, ScalarExpr, SortOrder, Tuple, Value,
-    DEFAULT_CHUNK_SIZE,
+    hash_rows, rows_equal, Array, DataChunk, JoinKind, LogicalPlan, RowTable, ScalarExpr,
+    SortOrder, Tuple, Value, DEFAULT_CHUNK_SIZE,
 };
 use perm_storage::Relation;
 
 use crate::compile::{CompiledAggregate, CompiledExpr};
 use crate::error::ExecError;
 use crate::executor::{
-    hash_joinable, set_operation, split_equi_join_condition, strip_transparent, Accumulator,
-    EquiKey, ExecContext, Executor,
+    set_operation, split_equi_join_condition, strip_transparent, Accumulator, EquiKey, ExecContext,
+    Executor,
 };
-use crate::vector::{chunk_from_columns, project_chunk, JoinFilter};
+use crate::vector::{chunk_from_columns, filter_read_columns, project_chunk, JoinFilter};
 
 /// Sentinel terminating a hash-join bucket chain.
 const CHAIN_END: u32 = u32::MAX;
@@ -397,12 +399,14 @@ fn collect_region<T>(
     Ok(out)
 }
 
-/// Deterministic hash used to route keys to partitions (build and probe must agree across
-/// threads and runs; `DefaultHasher::new()` is unkeyed and stable).
-fn stable_hash(key: &impl Hash) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
+/// One hash per row of a batch of keys, under the hasher `state` of the operator they meet in
+/// ([`hash_rows`]: a join's build and probe side agree, on whichever thread). A key of no
+/// columns — a global aggregation — is one key.
+fn key_hashes(state: &RandomState, keys: &[Arc<Array>], rows: usize) -> Vec<u64> {
+    let mut hashes = Vec::with_capacity(rows);
+    hash_rows(state, keys, &mut hashes);
+    hashes.resize(rows, 0);
+    hashes
 }
 
 // ---------------------------------------------------------------------------
@@ -601,16 +605,32 @@ impl Executor {
     ) -> Result<Vec<DataChunk>, ExecError> {
         let left_arity = left.output_arity();
         let right_arity = right.output_arity();
-        let mut build_chunks = self.par_chunks(right, ctx, pool, None)?;
+        let build_chunks = Arc::new(self.par_chunks(right, ctx, pool, None)?);
         crate::faults::fire("join-build")?;
-        let input_bytes = DataChunk::byte_size_of(&build_chunks);
+        let input_bytes = DataChunk::byte_size_of(build_chunks.iter());
         ctx.reserve_memory(input_bytes)?;
         let rows = build_chunks.iter().map(DataChunk::num_rows).sum();
+        let (equi_keys, residual) = match condition {
+            Some(c) => split_equi_join_condition(c, left_arity),
+            None => (Vec::new(), Vec::new()),
+        };
+        // `EquiKey.right` indexes the combined schema; rebase it onto the build side.
+        let keys: Vec<EquiKey> = equi_keys
+            .iter()
+            .map(|k| EquiKey { left: k.left, right: k.right - left_arity, ..*k })
+            .collect();
+        // Key hashes come off the build chunks as they arrive: one morsel each.
+        let state = RandomState::new();
+        let hashes = match keys.is_empty() {
+            true => None,
+            false => Some(build_key_hashes(pool, ctx, &state, &build_chunks, &keys)?),
+        };
+        let mut build_chunks = Arc::try_unwrap(build_chunks).unwrap_or_else(|s| (*s).clone());
         if matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
             let nulls = (0..right_arity).map(|_| Arc::new(Array::Null { len: 1 })).collect();
             build_chunks.push(chunk_from_columns(nulls, 1));
         }
-        let chunk = DataChunk::concat(right_arity, &build_chunks);
+        let chunk = DataChunk::concat(right_arity, &build_chunks)?;
         // At its peak the join holds its input and the concatenation (views of the same
         // dictionaries, or a copy) together.
         let held = DataChunk::byte_size_of(build_chunks.iter().chain([&chunk]));
@@ -618,13 +638,9 @@ impl Executor {
         ctx.reserve_memory(held - input_bytes)?;
         drop(build_chunks);
         let build = Arc::new(BuildSide { chunk, rows });
-        let (equi_keys, residual) = match condition {
-            Some(c) => split_equi_join_condition(c, left_arity),
-            None => (Vec::new(), Vec::new()),
-        };
         // A nested loop checks the whole condition, a hash join what its keys leave over.
         let residual = match condition {
-            Some(c) if equi_keys.is_empty() => Some(c.clone()),
+            Some(c) if keys.is_empty() => Some(c.clone()),
             _ if residual.is_empty() => None,
             _ => Some(ScalarExpr::conjunction(residual.into_iter().cloned().collect())),
         };
@@ -637,15 +653,11 @@ impl Executor {
             )),
             None => None,
         };
-        let mode = if equi_keys.is_empty() {
-            ParJoinMode::Loop
-        } else {
-            // `EquiKey.right` indexes the combined schema; rebase it onto the build side.
-            let build_keys: Vec<EquiKey> = equi_keys
-                .iter()
-                .map(|k| EquiKey { left: k.left, right: k.right - left_arity, ..*k })
-                .collect();
-            ParJoinMode::Hash(build_partitioned_table(pool, ctx, &build, build_keys)?)
+        let mode = match hashes {
+            Some(hashes) => {
+                ParJoinMode::Hash(build_partitioned_table(pool, ctx, state, &build, &keys, hashes)?)
+            }
+            None => ParJoinMode::Loop,
         };
         let probe_chunks = Arc::new(self.par_chunks(left, ctx, pool, None)?);
         // Matched-build-row flags, shared across probe workers (right/full outer only).
@@ -707,6 +719,8 @@ impl Executor {
 
 /// Parallel filter/project over a chunk list: one morsel per input chunk, each worker masking,
 /// compacting and projecting independently; empty outputs are dropped, order is morsel order.
+/// A filter under a projection compacts only the columns the projection reads
+/// ([`filter_read_columns`]).
 fn map_region(
     pool: &WorkerPool,
     ctx: &ExecContext,
@@ -723,7 +737,10 @@ fn map_region(
         let filtered = match &predicate {
             Some(p) => {
                 let mask = p.eval_mask(chunk)?;
-                chunk.filter(&mask)
+                match &exprs {
+                    Some(exprs) => filter_read_columns(chunk, &mask, exprs),
+                    None => chunk.filter(&mask),
+                }
             }
             None => chunk.clone(),
         };
@@ -739,12 +756,25 @@ fn map_region(
 }
 
 /// Sequential chunk-wise DISTINCT (first occurrence wins), applied after a parallel projection.
+/// A row is a key of all its columns, remembered by the (chunk, row) it was first seen at.
 fn distinct_chunks(chunks: &[DataChunk]) -> Vec<DataChunk> {
-    let mut seen: HashSet<Tuple> = HashSet::new();
+    let mut seen: RowTable<(u32, u32)> = RowTable::new();
+    let grouping = vec![true; chunks.first().map_or(0, DataChunk::num_columns)];
+    let state = RandomState::new();
     let mut out = Vec::new();
-    for chunk in chunks {
-        let mask: Vec<bool> =
-            (0..chunk.num_rows()).map(|i| seen.insert(chunk.tuple_at(i))).collect();
+    for (c, chunk) in chunks.iter().enumerate() {
+        let hashes = key_hashes(&state, chunk.columns(), chunk.num_rows());
+        let mask: Vec<bool> = hashes
+            .iter()
+            .enumerate()
+            .map(|(row, &hash)| {
+                let same = |(c, r): (u32, u32)| {
+                    let first = chunks[c as usize].columns();
+                    rows_equal(first, r as usize, chunk.columns(), row, &grouping)
+                };
+                !seen.slot(hash, same, (c as u32, row as u32)).1
+            })
+            .collect();
         let filtered = chunk.filter(&mask);
         if !filtered.is_empty() {
             out.push(filtered);
@@ -800,20 +830,21 @@ struct BuildSide {
     rows: usize,
 }
 
-/// The key → first-build-row maps of one partitioned join table.
-enum ParKeyMaps {
-    Single(Vec<HashMap<Value, u32>>),
-    Multi(Vec<HashMap<Tuple, u32>>),
-}
-
-/// A hash-join table built partition-parallel: build rows are routed to `maps.len()` key-hash
-/// partitions, each built by one worker. `next` chains same-key rows in increasing build-row
-/// order (the nested-loop candidate order).
+/// A hash-join table built partition-parallel: build rows are routed to `parts.len()` key-hash
+/// partitions, each built by one worker — a table from a key's row hash to the first build row
+/// that holds the key. `next` chains same-key rows in increasing build-row order (the
+/// nested-loop candidate order). Keys stay in their columns on both sides.
 struct ParHashTable {
-    keys: Vec<EquiKey>,
-    maps: ParKeyMaps,
+    /// The hasher both sides' keys are hashed under.
+    state: RandomState,
+    /// The probe side's key columns, by position.
+    probe_keys: Vec<usize>,
+    /// The build side's key columns.
+    build_keys: Vec<Arc<Array>>,
+    /// Key by key: `IS NOT DISTINCT FROM` (NULL and NaN match themselves) or plain `=`.
+    null_safe: Vec<bool>,
+    parts: Vec<RowTable<u32>>,
     next: Vec<u32>,
-    nparts: usize,
 }
 
 /// Where a probe row's candidates come from: its key's bucket chain, or every build row.
@@ -822,179 +853,108 @@ enum ParJoinMode {
     Loop,
 }
 
-/// The per-row key hashes of the build side, computed morsel-parallel (`None` = the row cannot
-/// participate in hash matching: a NULL or NaN key under plain `=`). With a single partition
-/// no routing is needed, so only joinability is computed (hash 0).
+/// The per-row key hashes of the build side, computed morsel-parallel: one morsel per build
+/// chunk, before the chunks are concatenated. `keys[..].right` must already be rebased onto the
+/// build side.
 fn build_key_hashes(
     pool: &WorkerPool,
     ctx: &ExecContext,
-    build: &Arc<BuildSide>,
-    keys: &Arc<Vec<EquiKey>>,
-    nparts: usize,
-) -> Result<Vec<Option<u64>>, ExecError> {
-    let morsels = build.rows.div_ceil(DEFAULT_CHUNK_SIZE);
-    let build = build.clone();
-    let keys = keys.clone();
+    state: &RandomState,
+    build_chunks: &Arc<Vec<DataChunk>>,
+    keys: &[EquiKey],
+) -> Result<Vec<u64>, ExecError> {
+    let state = state.clone();
+    let chunks = build_chunks.clone();
+    let columns: Vec<usize> = keys.iter().map(|k| k.right).collect();
     let ctx = ctx.clone();
-    let slots = pool.run_region(morsels, None, move |m| {
+    let slots = pool.run_region(build_chunks.len(), None, move |m| {
         ctx.check_deadline()?;
-        let start = m * DEFAULT_CHUNK_SIZE;
-        let len = DEFAULT_CHUNK_SIZE.min(build.rows - start);
-        let mut out = Vec::with_capacity(len);
-        for i in start..start + len {
-            out.push(hash_build_row(&build.chunk, &keys, i, nparts > 1));
-        }
-        Ok((out, 0))
+        let chunk = &chunks[m];
+        let keys: Vec<Arc<Array>> = columns.iter().map(|&c| chunk.column(c).clone()).collect();
+        Ok((key_hashes(&state, &keys, chunk.num_rows()), 0))
     });
     let parts = collect_region(slots, None, |_| 0)?;
     Ok(parts.into_iter().flatten().collect())
 }
 
-/// Key hash of build row `i`, or `None` when the row cannot match (NULL/NaN under `=`).
-/// `keys[..].right` must already be rebased onto the build side. With `route` false only
-/// joinability is decided (the hash is never used for routing).
-fn hash_build_row(build: &DataChunk, keys: &[EquiKey], i: usize, route: bool) -> Option<u64> {
-    if keys.len() == 1 {
-        let v = build.column(keys[0].right).value(i);
-        hash_joinable(&v, keys[0].null_safe).then(|| if route { stable_hash(&v) } else { 0 })
-    } else {
-        let mut hasher = DefaultHasher::new();
-        for k in keys {
-            let v = build.column(k.right).value(i);
-            if !hash_joinable(&v, k.null_safe) {
-                return None;
-            }
-            if route {
-                v.hash(&mut hasher);
-            }
-        }
-        Some(hasher.finish())
-    }
-}
-
-/// Build the partitioned hash table: parallel key hashing, then one worker per partition
-/// inserting its rows (in reverse global order, so bucket chains run forward).
+/// Build the partitioned hash table from the build rows' key `hashes`: one worker per
+/// partition inserting its rows (in reverse global order, so bucket chains run forward).
 fn build_partitioned_table(
     pool: &WorkerPool,
     ctx: &ExecContext,
+    state: RandomState,
     build: &Arc<BuildSide>,
-    keys: Vec<EquiKey>,
+    keys: &[EquiKey],
+    hashes: Vec<u64>,
 ) -> Result<ParHashTable, ExecError> {
     let rows = build.rows;
-    // The table's bucket heads and chain links cost ~12 bytes per build row on top of the
+    // Key hashes, table slots and chain links cost ~32 bytes per build row on top of the
     // (already reserved) build chunk itself.
-    ctx.reserve_memory(rows.saturating_mul(12))?;
-    let keys = Arc::new(keys);
+    ctx.reserve_memory(rows.saturating_mul(32))?;
+    let build_keys: Vec<Arc<Array>> =
+        keys.iter().map(|k| build.chunk.column(k.right).clone()).collect();
+    let null_safe: Vec<bool> = keys.iter().map(|k| k.null_safe).collect();
     // Never more partitions than build morsels: a small build side is not worth a fan-out.
     let nparts = pool.workers().min(rows.div_ceil(DEFAULT_CHUNK_SIZE)).max(1);
-    let hashes = Arc::new(build_key_hashes(pool, ctx, build, &keys, nparts)?);
-    let single = keys.len() == 1;
 
-    // Each partition task returns its key map plus the chain links of its rows; links are
+    // Each partition task returns its table plus the chain links of its rows; links are
     // merged into the global `next` vector afterwards (disjoint row sets, so no contention).
-    enum PartOut {
-        Single(HashMap<Value, u32>, Vec<(u32, u32)>),
-        Multi(HashMap<Tuple, u32>, Vec<(u32, u32)>),
-    }
-    let task_build = build.clone();
-    let task_keys = keys.clone();
-    let task_hashes = hashes.clone();
+    let task_keys = build_keys.clone();
+    let task_null_safe = null_safe.clone();
     let ctx = ctx.clone();
     let slots = pool.run_region(nparts, None, move |p| {
         ctx.check_deadline()?;
+        let mut table: RowTable<u32> = RowTable::new();
         let mut links: Vec<(u32, u32)> = Vec::new();
-        let mut since_check = 0usize;
-        if single {
-            let key = task_keys[0];
-            let col = task_build.chunk.column(key.right);
-            let mut map: HashMap<Value, u32> = HashMap::new();
-            for i in (0..task_hashes.len()).rev() {
-                since_check += 1;
-                if since_check & 0xFFF == 0 {
-                    ctx.check_deadline()?;
-                }
-                let Some(h) = task_hashes[i] else { continue };
-                if nparts > 1 && h as usize % nparts != p {
-                    continue;
-                }
-                if let Some(prev) = map.insert(col.value(i), i as u32) {
-                    links.push((i as u32, prev));
-                }
+        // Under plain `=` a key that does not equal itself (NULL, NaN) matches nothing.
+        let strict = task_null_safe.contains(&false);
+        for i in (0..rows).rev() {
+            if i & 0xFFF == 0 {
+                ctx.check_deadline()?;
             }
-            Ok((PartOut::Single(map, links), 0))
-        } else {
-            let mut map: HashMap<Tuple, u32> = HashMap::new();
-            for i in (0..task_hashes.len()).rev() {
-                since_check += 1;
-                if since_check & 0xFFF == 0 {
-                    ctx.check_deadline()?;
-                }
-                let Some(h) = task_hashes[i] else { continue };
-                if nparts > 1 && h as usize % nparts != p {
-                    continue;
-                }
-                let values: Vec<Value> =
-                    task_keys.iter().map(|k| task_build.chunk.column(k.right).value(i)).collect();
-                if let Some(prev) = map.insert(Tuple::new(values), i as u32) {
-                    links.push((i as u32, prev));
-                }
+            if hashes[i] as usize % nparts != p {
+                continue;
             }
-            Ok((PartOut::Multi(map, links), 0))
+            let same =
+                |head: u32| rows_equal(&task_keys, head as usize, &task_keys, i, &task_null_safe);
+            if strict && !same(i as u32) {
+                continue;
+            }
+            let (head, chained) = table.slot(hashes[i], same, i as u32);
+            if chained {
+                links.push((i as u32, std::mem::replace(head, i as u32)));
+            }
         }
+        Ok(((table, links), 0))
     });
-    let parts = collect_region(slots, None, |_| 0)?;
-
     let mut next = vec![CHAIN_END; rows];
-    let mut singles = Vec::new();
-    let mut multis = Vec::new();
-    for part in parts {
-        match part {
-            PartOut::Single(map, links) => {
-                for (i, prev) in links {
-                    next[i as usize] = prev;
-                }
-                singles.push(map);
-            }
-            PartOut::Multi(map, links) => {
-                for (i, prev) in links {
-                    next[i as usize] = prev;
-                }
-                multis.push(map);
-            }
+    let mut parts = Vec::with_capacity(nparts);
+    for (table, links) in collect_region(slots, None, |_| 0)? {
+        for (i, following) in links {
+            next[i as usize] = following;
         }
+        parts.push(table);
     }
-    let maps = if single { ParKeyMaps::Single(singles) } else { ParKeyMaps::Multi(multis) };
-    Ok(ParHashTable { keys: (*keys).clone(), maps, next, nparts })
+    let probe_keys = keys.iter().map(|k| k.left).collect();
+    Ok(ParHashTable { state, probe_keys, build_keys, null_safe, parts, next })
 }
 
 impl ParHashTable {
-    /// The bucket-chain start for probe row `row`, or [`CHAIN_END`] when it cannot match.
-    fn chain_start(&self, probe: &DataChunk, row: usize) -> u32 {
-        match &self.maps {
-            ParKeyMaps::Single(parts) => {
-                let key = self.keys[0];
-                let v = probe.column(key.left).value(row);
-                if !hash_joinable(&v, key.null_safe) {
-                    return CHAIN_END;
-                }
-                let p = if self.nparts > 1 { stable_hash(&v) as usize % self.nparts } else { 0 };
-                parts[p].get(&v).copied().unwrap_or(CHAIN_END)
-            }
-            ParKeyMaps::Multi(parts) => {
-                let mut values = Vec::with_capacity(self.keys.len());
-                let mut hasher = DefaultHasher::new();
-                for k in &self.keys {
-                    let v = probe.column(k.left).value(row);
-                    if !hash_joinable(&v, k.null_safe) {
-                        return CHAIN_END;
-                    }
-                    v.hash(&mut hasher);
-                    values.push(v);
-                }
-                let p = if self.nparts > 1 { hasher.finish() as usize % self.nparts } else { 0 };
-                parts[p].get(&Tuple::new(values)).copied().unwrap_or(CHAIN_END)
-            }
-        }
+    /// The key columns of a probe chunk and the hash of each of its rows.
+    fn keys_of(&self, probe: &DataChunk) -> (Vec<Arc<Array>>, Vec<u64>) {
+        let keys: Vec<Arc<Array>> =
+            self.probe_keys.iter().map(|&c| probe.column(c).clone()).collect();
+        let hashes = key_hashes(&self.state, &keys, probe.num_rows());
+        (keys, hashes)
+    }
+
+    /// The bucket-chain start for row `row` of a probe chunk's keys ([`Self::keys_of`]), or
+    /// [`CHAIN_END`] when it cannot match.
+    fn chain_start(&self, (keys, hashes): &(Vec<Arc<Array>>, Vec<u64>), row: usize) -> u32 {
+        let hash = hashes[row];
+        let same =
+            |head: u32| rows_equal(keys, row, &self.build_keys, head as usize, &self.null_safe);
+        self.parts[hash as usize % self.parts.len()].find(hash, same).unwrap_or(CHAIN_END)
     }
 }
 
@@ -1033,11 +993,15 @@ fn probe_morsel(
     };
     let mut candidates: (Vec<u32>, Vec<u32>) = Default::default();
     let mut generated = 0usize;
+    let probe_keys = match mode {
+        ParJoinMode::Hash(table) => table.keys_of(probe),
+        ParJoinMode::Loop => Default::default(),
+    };
     // A nested loop's "chain" is every build row.
     let build_row = |i: u32| if (i as usize) < build.rows { i } else { CHAIN_END };
     for row in 0..probe.num_rows() as u32 {
         let mut candidate = match mode {
-            ParJoinMode::Hash(table) => table.chain_start(probe, row as usize),
+            ParJoinMode::Hash(table) => table.chain_start(&probe_keys, row as usize),
             ParJoinMode::Loop => build_row(0),
         };
         while candidate != CHAIN_END && output.emitted < stop_rows {
@@ -1163,14 +1127,21 @@ struct AggMorsel {
     rows: usize,
 }
 
+/// A row of the aggregation's input: morsel in the high half, row in it in the low half, so
+/// positions order as the input does.
+fn agg_pos(morsel: usize, row: usize) -> u64 {
+    ((morsel as u64) << 32) | row as u64
+}
+
 /// Parallel hash aggregation in two morsel-parallel phases.
 ///
 /// Phase 1 evaluates group-key and argument columns per morsel (vectorized, embarrassingly
-/// parallel) and computes a stable per-row key hash. Phase 2 assigns each key-hash partition
+/// parallel) and hashes each row's key where it lies. Phase 2 assigns each key-hash partition
 /// to one worker, which folds *every* morsel's rows of its partition in global row order —
 /// each group lives in exactly one partition, so its accumulator sees values in the identical
-/// order to sequential execution (bit-identical float sums, identical overflow errors).
-/// Results are restored to global first-seen order.
+/// order to sequential execution (bit-identical float sums, identical overflow errors). A row
+/// finds its group by hash and by comparing its key, in place, with the key of the group's
+/// first row. Results are restored to global first-seen order, where each group's key is boxed.
 fn par_aggregate(
     pool: &WorkerPool,
     ctx: &ExecContext,
@@ -1195,44 +1166,31 @@ fn par_aggregate(
     ctx.reserve_memory(input.iter().map(DataChunk::byte_size).sum())?;
     // Never more partitions than input morsels: a small input is not worth a fan-out.
     let nparts = pool.workers().min(input.len());
+    let grouping = vec![true; group_by.len()];
+    let state = RandomState::new();
     let source = Arc::new(input);
     let task_source = source.clone();
-    let task_group_by = Arc::new(group_by);
     let task_aggregates = Arc::new(aggregates);
-    let phase1_group_by = task_group_by.clone();
     let phase1_aggregates = task_aggregates.clone();
     let phase1_ctx = ctx.clone();
     let slots = pool.run_region(source.len(), None, move |m| {
         phase1_ctx.check_deadline()?;
         let chunk = &task_source[m];
         let keys: Vec<Arc<Array>> =
-            phase1_group_by.iter().map(|e| e.eval_array(chunk)).collect::<Result<_, _>>()?;
+            group_by.iter().map(|e| e.eval_array(chunk)).collect::<Result<_, _>>()?;
         let args: Vec<Option<Arc<Array>>> = phase1_aggregates
             .iter()
             .map(|a| a.arg.as_ref().map(|e| e.eval_array(chunk)).transpose())
             .collect::<Result<_, _>>()?;
-        // With a single partition every row lands in it; skip the routing hash entirely.
-        let hashes: Vec<u64> = if nparts > 1 {
-            (0..chunk.num_rows())
-                .map(|i| {
-                    let mut hasher = DefaultHasher::new();
-                    for k in &keys {
-                        k.value(i).hash(&mut hasher);
-                    }
-                    hasher.finish()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let hashes = key_hashes(&state, &keys, chunk.num_rows());
         Ok((AggMorsel { keys, args, hashes, rows: chunk.num_rows() }, 0))
     });
     let morsels = Arc::new(collect_region(slots, None, |_| 0)?);
 
     // Phase 2: one worker per key-hash partition, folding rows in global order.
     struct PartGroups {
-        /// `(first_seen_position, key, accumulators)` in partition-local first-seen order.
-        groups: Vec<(u64, Tuple, Vec<Accumulator>)>,
+        /// `(first-seen position, accumulators)` in partition-local first-seen order.
+        groups: Vec<(u64, Vec<Accumulator>)>,
         /// Globally positioned first error, if any row of this partition failed.
         error: Option<(u64, ExecError)>,
     }
@@ -1241,8 +1199,8 @@ fn par_aggregate(
     let phase2_ctx = ctx.clone();
     let slots = pool.run_region(nparts, None, move |p| {
         phase2_ctx.check_deadline()?;
-        let mut index: HashMap<Tuple, usize> = HashMap::new();
-        let mut groups: Vec<(u64, Tuple, Vec<Accumulator>)> = Vec::new();
+        let mut index: RowTable<u32> = RowTable::new();
+        let mut groups: Vec<(u64, Vec<Accumulator>)> = Vec::new();
         let mut since_check = 0usize;
         for (m, morsel) in task_morsels.iter().enumerate() {
             for i in 0..morsel.rows {
@@ -1250,24 +1208,24 @@ fn par_aggregate(
                 if since_check & 0xFFF == 0 {
                     phase2_ctx.check_deadline()?;
                 }
-                if nparts > 1 && morsel.hashes[i] as usize % nparts != p {
+                if morsel.hashes[i] as usize % nparts != p {
                     continue;
                 }
-                let pos = ((m as u64) << 32) | i as u64;
-                let key = Tuple::new(morsel.keys.iter().map(|k| k.value(i)).collect());
-                let slot = match index.get(&key) {
-                    Some(&s) => s,
-                    None => {
-                        let accs: Vec<Accumulator> =
-                            phase2_aggregates.iter().map(|a| Accumulator::new(&a.spec)).collect();
-                        groups.push((pos, key.clone(), accs));
-                        index.insert(key, groups.len() - 1);
-                        groups.len() - 1
-                    }
+                let same = |group: u32| {
+                    let first = groups[group as usize].0;
+                    let first_keys = &task_morsels[(first >> 32) as usize].keys;
+                    rows_equal(first_keys, first as u32 as usize, &morsel.keys, i, &grouping)
                 };
-                for (arg, acc) in morsel.args.iter().zip(groups[slot].2.iter_mut()) {
+                let (slot, found) = index.slot(morsel.hashes[i], same, groups.len() as u32);
+                let slot = *slot as usize;
+                if !found {
+                    let accs = phase2_aggregates.iter().map(|a| Accumulator::new(&a.spec));
+                    groups.push((agg_pos(m, i), accs.collect()));
+                }
+                for (arg, acc) in morsel.args.iter().zip(groups[slot].1.iter_mut()) {
+                    // xtask-allow: row-view-in-served-path — the accumulator takes a `Value`
                     if let Err(e) = acc.update(arg.as_ref().map(|a| a.value(i))) {
-                        return Ok((PartGroups { groups, error: Some((pos, e)) }, 0));
+                        return Ok((PartGroups { groups, error: Some((agg_pos(m, i), e)) }, 0));
                     }
                 }
             }
@@ -1282,16 +1240,16 @@ fn par_aggregate(
         return Err(e.clone());
     }
 
-    // Merge partitions back into global first-seen order.
-    let mut all: Vec<(u64, Tuple, Vec<Accumulator>)> =
-        parts.into_iter().flat_map(|p| p.groups).collect();
-    all.sort_unstable_by_key(|(pos, _, _)| *pos);
+    // Merge partitions back into global first-seen order; a group's key is boxed here, once,
+    // from the row it was first seen at.
+    let mut all: Vec<(u64, Vec<Accumulator>)> = parts.into_iter().flat_map(|p| p.groups).collect();
+    all.sort_unstable_by_key(|(pos, _)| *pos);
     Ok(all
         .into_iter()
-        .map(|(_, key, accs)| {
-            let mut values = key.into_values();
-            values.extend(accs.into_iter().map(Accumulator::finish));
-            Tuple::new(values)
+        .map(|(first, accs)| {
+            let (keys, row) = (&morsels[(first >> 32) as usize].keys, first as u32 as usize);
+            let key = keys.iter().map(|k| k.value(row));
+            Tuple::new(key.chain(accs.into_iter().map(Accumulator::finish)).collect())
         })
         .collect())
 }
@@ -1371,7 +1329,7 @@ fn par_sort(
     }
     let order = runs.pop().unwrap_or_default();
 
-    let flat = DataChunk::concat(plan.output_arity(), &chunks);
+    let flat = DataChunk::concat(plan.output_arity(), &chunks)?;
     let flat_bytes = flat.byte_size();
     let held = DataChunk::byte_size_of(chunks.iter().chain([&flat]));
     ctx.record_buffered(plan, held + order_bytes);
@@ -1613,6 +1571,43 @@ mod tests {
         for workers in [2, 8] {
             let pool = WorkerPool::new(workers);
             assert_eq!(executor.execute_parallel(&plan, &pool).unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn text_beyond_what_a_column_addresses_is_a_resource_error() {
+        // Two chunks whose text column claims 3 GiB each — by its offsets only; nothing reads
+        // the bytes before the sort or the join lays the column end to end.
+        use perm_algebra::Bitmap;
+        let chunk = |k: i64| {
+            DataChunk::new(vec![
+                Arc::new(Array::from_values([Value::Int(k)])),
+                Arc::new(Array::Text {
+                    offsets: vec![0, 3 << 30],
+                    bytes: Vec::new(),
+                    validity: Bitmap::all_set(1),
+                }),
+            ])
+        };
+        let catalog = big_catalog(10);
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Text)]);
+        let huge = Relation::from_chunks(schema, vec![chunk(1), chunk(2)]);
+        catalog.create_table_with_data("huge", huge).unwrap();
+        let sorted =
+            scan(&catalog, "huge", 0).sort(vec![SortKey::asc(ScalarExpr::column(0, "k"))]).build();
+        let cond = ScalarExpr::column(0, "k").eq(ScalarExpr::column(2, "k"));
+        let joined = scan(&catalog, "t", 0)
+            .join(scan(&catalog, "huge", 1), JoinKind::Inner, Some(cond))
+            .build();
+        let executor = Executor::new(catalog.clone());
+        for plan in [&sorted, &joined] {
+            for workers in [1, 2] {
+                let error = executor.execute_parallel(plan, &WorkerPool::new(workers)).unwrap_err();
+                assert!(
+                    matches!(&error, ExecError::ResourceExhausted(m) if m.contains("4 GiB")),
+                    "{error}"
+                );
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //! compiled expression or a join condition — column-wise over [`DataChunk`] batches.
 //!
 //! [`CompiledExpr::eval_array`] runs typed kernels over native value slices for comparisons
-//! and arithmetic on Int/Float/Date/Text columns and maps the scalar semantics of
+//! and arithmetic on Int/Float/Date columns, comparisons and `LIKE` on Text, and maps the scalar semantics of
 //! [`crate::eval`] over the rows for the rest. The lazily evaluated forms — `AND`/`OR`, `CASE`,
 //! `IN` over a list — share one selective step ([`eval_selected`]): a sub-expression runs only
 //! on the rows whose result still depends on it, so a decided row never evaluates (and never
@@ -26,13 +26,16 @@
 
 use std::sync::Arc;
 
+use perm_algebra::chunk::{text_row, text_str};
 use perm_algebra::{
     Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, ScalarExpr, UnaryOperator, Value,
 };
 
 use crate::compile::{in_set_lookup, CompiledExpr};
 use crate::error::ExecError;
-use crate::eval::{binary_op_values, evaluate_function, logical_combine, unary_op_value};
+use crate::eval::{
+    binary_op_values, evaluate_function, like_match, logical_combine, unary_op_value,
+};
 
 /// Build a chunk from computed columns, preserving the row count even when there are no
 /// columns (zero-width chunks keep flowing through the pipeline).
@@ -55,6 +58,27 @@ pub(crate) fn project_chunk(
         columns.push(e.eval_array(chunk)?);
     }
     Ok(chunk_from_columns(columns, chunk.num_rows()))
+}
+
+/// The rows of `chunk` that `mask` keeps, for `exprs` to be evaluated on: only the columns they
+/// read are compacted, every other column is a NULL placeholder. A column nobody reads is not
+/// worth a copy — least of all a text column, whose bytes a filter moves.
+pub(crate) fn filter_read_columns<'a>(
+    chunk: &DataChunk,
+    mask: &[bool],
+    exprs: impl IntoIterator<Item = &'a CompiledExpr>,
+) -> DataChunk {
+    let mut reads = vec![false; chunk.num_columns()];
+    for expr in exprs {
+        expr.mark_columns(&mut reads);
+    }
+    let unread = Arc::new(Array::Null { len: chunk.num_rows() });
+    let column = |(c, read): (usize, &bool)| match read {
+        true => chunk.column(c).clone(),
+        false => unread.clone(),
+    };
+    let columns = reads.iter().enumerate().map(column).collect();
+    chunk_from_columns(columns, chunk.num_rows()).filter(mask)
 }
 
 /// A compiled join condition (a nested loop's full condition or a hash join's residual) over
@@ -251,7 +275,7 @@ fn eval_selected(
     if !selected.contains(&true) {
         return Ok(Arc::new(Array::Null { len: 0 }));
     }
-    expr.eval_array(&chunk.filter(selected))
+    expr.eval_array(&filter_read_columns(chunk, selected, [expr]))
 }
 
 /// `lhs = rhs` in three-valued logic (`sql_eq`), where `rhs` holds one row per `selected` row
@@ -630,10 +654,23 @@ fn vectorized_binary(op: BinaryOperator, l: &Array, r: &Array) -> Result<Array, 
         {
             return Ok(cmp_kernel(op, a, va, b, vb, |x, y| Some(x.cmp(&(*y as i64)))));
         }
-        (Array::Text { values: a, validity: va }, Array::Text { values: b, validity: vb })
-            if is_cmp(op) =>
-        {
-            return Ok(cmp_kernel(op, a, va, b, vb, |x, y| Some(x.cmp(y))));
+        (
+            Array::Text { offsets: oa, bytes: a, validity: va },
+            Array::Text { offsets: ob, bytes: b, validity: vb },
+        ) if is_cmp(op) || matches!(op, Like | NotLike) => {
+            // Text is compared where it lies (UTF-8 orders bytewise as `str` does) and
+            // matched against a pattern as a borrowed `str`: no row is boxed.
+            let decide = |i: usize| {
+                let (x, y) = (text_row(oa, a, i), text_row(ob, b, i));
+                match op {
+                    Like => like_match(&text_str(x), &text_str(y)),
+                    NotLike => !like_match(&text_str(x), &text_str(y)),
+                    _ => cmp_to_bool(op, x.cmp(y)),
+                }
+            };
+            let validity: Bitmap = (0..l.len()).map(|i| va.get(i) && vb.get(i)).collect();
+            let values = (0..l.len()).map(|i| validity.get(i) && decide(i)).collect();
+            return Ok(Array::Bool { values, validity });
         }
         _ => {}
     }

@@ -35,6 +35,7 @@
 
 use std::sync::Arc;
 
+use perm_algebra::chunk::text_row;
 use perm_algebra::{Array, Bitmap, DataChunk, DataType, Schema, Value};
 
 use crate::error::ServiceError;
@@ -284,13 +285,16 @@ fn encode_plain(array: &Array, out: &mut Vec<u8>) {
                 out.extend_from_slice(&v.to_bits().to_be_bytes());
             }
         }
-        Array::Text { values, validity } => {
+        Array::Text { offsets, bytes, validity } => {
             out.push(3);
             out.extend_from_slice(&len.to_be_bytes());
             encode_validity(validity, out);
-            for v in values {
-                out.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                out.extend_from_slice(v.as_bytes());
+            // Lengths, and slices of the column's one buffer.
+            out.reserve(bytes.len() + 4 * array.len());
+            for row in 0..array.len() {
+                let text = text_row(offsets, bytes, row);
+                out.extend_from_slice(&(text.len() as u32).to_be_bytes());
+                out.extend_from_slice(text);
             }
         }
         Array::Date { values, validity } => {
@@ -530,14 +534,30 @@ fn decode_plain(cur: &mut Cursor<'_>) -> Result<Array, ServiceError> {
         }
         3 => {
             let validity = decode_validity(cur, len)?;
-            let mut values: Vec<Arc<str>> = Vec::with_capacity(len.min(cur.remaining() / 4));
+            // One buffer for the column, sized by a first pass over the lengths. Every value's
+            // slice is validated on its own: the buffer as a whole could be valid UTF-8 with a
+            // value boundary inside a sequence.
+            let values = cur.pos;
+            let mut total = 0usize;
+            for _ in 0..len {
+                let text_len = cur.u32()? as usize;
+                total += cur.take(text_len)?.len();
+            }
+            if u32::try_from(total).is_err() {
+                return Err(ServiceError::protocol("text column exceeds 4 GiB"));
+            }
+            cur.pos = values;
+            let mut offsets = Vec::with_capacity(len + 1);
+            let mut bytes = Vec::with_capacity(total);
+            offsets.push(0);
             for _ in 0..len {
                 let text_len = cur.u32()? as usize;
                 let text = std::str::from_utf8(cur.take(text_len)?)
                     .map_err(|_| ServiceError::protocol("text value is not valid UTF-8"))?;
-                values.push(Arc::from(text));
+                bytes.extend_from_slice(text.as_bytes());
+                offsets.push(bytes.len() as u32);
             }
-            Array::Text { values, validity }
+            Array::Text { offsets, bytes, validity }
         }
         4 => {
             let validity = decode_validity(cur, len)?;
@@ -698,5 +718,51 @@ mod tests {
         let idx_pos = 1 + 4 + 2 + 1 + 4; // tag, rows, ncols, enc tag, index count
         bytes[idx_pos..idx_pos + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(decode_chunk(&bytes[1..]).is_err());
+    }
+
+    /// A frame header for one plain text column of `values` rows, no NULLs.
+    fn text_frame(values: &[&[u8]]) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&(values.len() as u32).to_be_bytes()); // rows
+        body.extend_from_slice(&1u16.to_be_bytes()); // columns
+        body.extend_from_slice(&[0, 3]); // plain, text
+        body.extend_from_slice(&(values.len() as u32).to_be_bytes());
+        body.extend(std::iter::repeat_n(0xff, values.len().div_ceil(8))); // validity
+        for value in values {
+            body.extend_from_slice(&(value.len() as u32).to_be_bytes());
+            body.extend_from_slice(value);
+        }
+        body
+    }
+
+    #[test]
+    fn a_text_column_decodes_into_one_buffer_with_every_value_validated() {
+        let decoded = decode_chunk(&text_frame(&["é".as_bytes(), b"", "🐢x".as_bytes()])).unwrap();
+        match decoded.column(0).as_ref() {
+            Array::Text { offsets, bytes, .. } => {
+                assert_eq!(offsets, &[0, 2, 2, 7]);
+                assert_eq!(bytes, "é🐢x".as_bytes());
+            }
+            other => panic!("expected a text column, got {other:?}"),
+        }
+        assert_eq!(decoded.column(0).value(2), Value::text("🐢x"));
+        // "é" is C3 A9: one value ending inside the sequence and the next starting there. The
+        // column's bytes end to end are valid UTF-8; neither value is.
+        let split = text_frame(&[&[b'a', 0xC3], &[0xA9, b'b']]);
+        let error = decode_chunk(&split).unwrap_err().to_string();
+        assert!(error.contains("not valid UTF-8"), "{error}");
+    }
+
+    #[test]
+    fn a_text_column_cannot_claim_more_than_its_frame_carries() {
+        // A value length far beyond the frame: a truncation error, and no allocation sized by
+        // the claim. A frame is at most `MAX_FRAME_LEN` bytes, so no decoded column comes
+        // near what its 32-bit offsets address.
+        let mut frame = text_frame(&[b"abc"]);
+        let len_pos = frame.len() - 3 - 4;
+        frame[len_pos..len_pos + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        let error = decode_chunk(&frame).unwrap_err().to_string();
+        assert!(error.contains("truncated"), "{error}");
+        assert!(u32::try_from(crate::wire::MAX_FRAME_LEN).is_ok());
     }
 }

@@ -95,7 +95,11 @@ impl From<ExecError> for ServiceError {
 
 impl From<CatalogError> for ServiceError {
     fn from(e: CatalogError) -> Self {
-        ServiceError::Catalog(e)
+        // An append refused for its size is a resource limit, as it is in the executor.
+        match ExecError::from(e) {
+            ExecError::Catalog(e) => ServiceError::Catalog(e),
+            limit => ServiceError::Exec(limit),
+        }
     }
 }
 

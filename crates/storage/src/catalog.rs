@@ -18,6 +18,9 @@ pub enum CatalogError {
     NotFound(String),
     /// A tuple or schema did not fit the stored definition.
     Invalid(String),
+    /// An append would lay more text end to end than one stored column can hold; nothing was
+    /// appended. The executor surfaces it as `ExecError::ResourceExhausted`.
+    TooLarge(String),
 }
 
 impl fmt::Display for CatalogError {
@@ -26,6 +29,7 @@ impl fmt::Display for CatalogError {
             CatalogError::AlreadyExists(n) => write!(f, "relation '{n}' already exists"),
             CatalogError::NotFound(n) => write!(f, "relation '{n}' does not exist"),
             CatalogError::Invalid(msg) => write!(f, "invalid catalog operation: {msg}"),
+            CatalogError::TooLarge(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -34,7 +38,10 @@ impl std::error::Error for CatalogError {}
 
 impl From<AlgebraError> for CatalogError {
     fn from(e: AlgebraError) -> Self {
-        CatalogError::Invalid(e.to_string())
+        match e {
+            AlgebraError::ColumnTooLarge { .. } => CatalogError::TooLarge(e.to_string()),
+            other => CatalogError::Invalid(other.to_string()),
+        }
     }
 }
 

@@ -37,6 +37,16 @@ impl PartialEq for Relation {
     }
 }
 
+/// Rows of one arity as chunks of up to [`DEFAULT_CHUNK_SIZE`] rows, each batch of rows dropped
+/// once it is converted.
+fn row_batches(arity: usize, rows: Vec<Tuple>) -> impl Iterator<Item = DataChunk> {
+    let mut rows = rows.into_iter();
+    std::iter::from_fn(move || {
+        let batch: Vec<Tuple> = rows.by_ref().take(DEFAULT_CHUNK_SIZE).collect();
+        (!batch.is_empty()).then(|| DataChunk::from_tuples(arity, &batch))
+    })
+}
+
 fn arity_mismatch(got: usize, schema: &Schema) -> AlgebraError {
     AlgebraError::Internal(format!(
         "tuple arity {got} does not match schema arity {}",
@@ -62,9 +72,8 @@ impl Relation {
     /// Create a relation without checking tuple arities (used on rows the caller has produced
     /// itself). The rows are consumed batch by batch, so a large input is never resident twice.
     pub fn from_parts(schema: Schema, tuples: Vec<Tuple>) -> Relation {
-        let mut relation = Relation::empty(schema);
-        relation.append_rows(tuples);
-        relation
+        let chunks = row_batches(schema.arity(), tuples).collect();
+        Relation::from_chunks(schema, chunks)
     }
 
     /// Create a relation directly from columnar chunks (what the engine returns).
@@ -122,33 +131,49 @@ impl Relation {
     /// Append chunks of this relation's arity. A partial tail chunk is topped up to
     /// [`DEFAULT_CHUNK_SIZE`] rows first and the rest is cut into chunks of at most that size;
     /// full chunks are never touched, so an append under a reader that holds
-    /// [`Relation::chunks`] costs one refcount bump per stored column plus the tail.
+    /// [`Relation::chunks`] costs one refcount bump per stored column plus the tail. All or
+    /// nothing: a top-up that would lay more text end to end than one column can hold
+    /// ([`AlgebraError::ColumnTooLarge`]) leaves the relation as it was.
     pub fn append_chunks(&mut self, new: &[DataChunk]) -> Result<(), AlgebraError> {
         if let Some(c) = new.iter().find(|c| c.num_columns() != self.schema.arity()) {
             return Err(arity_mismatch(c.num_columns(), &self.schema));
         }
+        let before = (self.chunks.len(), self.chunks.last().cloned(), self.rows);
         for chunk in new {
             // Stored data is plain: a dictionary view would pin its whole source column.
-            self.append_chunk(chunk.to_plain());
+            if let Err(e) = self.append_chunk(chunk.to_plain()) {
+                let (len, tail, rows) = before;
+                let chunks = Arc::make_mut(&mut self.chunks);
+                chunks.truncate(len);
+                if let (Some(last), Some(tail)) = (chunks.last_mut(), tail) {
+                    *last = tail;
+                }
+                self.rows = rows;
+                return Err(e);
+            }
         }
         Ok(())
     }
 
-    /// Append one plain chunk of the right arity.
-    fn append_chunk(&mut self, chunk: DataChunk) {
+    /// Append one plain chunk of the right arity (on an error nothing of it is appended).
+    fn append_chunk(&mut self, chunk: DataChunk) -> Result<(), AlgebraError> {
         let rows = chunk.num_rows();
         if rows == 0 {
-            return;
+            return Ok(());
+        }
+        let mut offset = 0;
+        let mut topped_up = None;
+        if let Some(tail) = self.chunks.last().filter(|t| t.num_rows() < DEFAULT_CHUNK_SIZE) {
+            offset = (DEFAULT_CHUNK_SIZE - tail.num_rows()).min(rows);
+            let head = if offset == rows { chunk.clone() } else { chunk.slice(0, offset) };
+            topped_up = Some(DataChunk::concat(chunk.num_columns(), &[tail.clone(), head])?);
         }
         // Statistics describe exact contents: recollect lazily after any append.
         self.stats = OnceLock::new();
         self.rows += rows;
         let chunks = Arc::make_mut(&mut self.chunks);
-        let mut offset = 0;
-        if let Some(tail) = chunks.last_mut().filter(|t| t.num_rows() < DEFAULT_CHUNK_SIZE) {
-            offset = (DEFAULT_CHUNK_SIZE - tail.num_rows()).min(rows);
-            let arity = chunk.num_columns();
-            *tail = DataChunk::concat(arity, &[tail.clone(), chunk.slice(0, offset)]);
+        if let (Some(tail), Some(topped_up)) = (chunks.last_mut(), topped_up) {
+            *tail = topped_up;
         }
         if offset == 0 && rows <= DEFAULT_CHUNK_SIZE {
             chunks.push(chunk);
@@ -159,19 +184,12 @@ impl Relation {
                 offset += len;
             }
         }
+        Ok(())
     }
 
     /// Append rows of the right arity, converting them a chunk's worth at a time.
-    fn append_rows(&mut self, new: Vec<Tuple>) {
-        let arity = self.schema.arity();
-        let mut rows = new.into_iter();
-        loop {
-            let batch: Vec<Tuple> = rows.by_ref().take(DEFAULT_CHUNK_SIZE).collect();
-            if batch.is_empty() {
-                break;
-            }
-            self.append_chunk(DataChunk::from_tuples(arity, &batch));
-        }
+    fn append_rows(&mut self, new: Vec<Tuple>) -> Result<(), AlgebraError> {
+        row_batches(self.schema.arity(), new).try_for_each(|batch| self.append_chunks(&[batch]))
     }
 
     /// Append a tuple.
@@ -185,8 +203,7 @@ impl Relation {
         if let Some(t) = tuples.iter().find(|t| t.arity() != self.schema.arity()) {
             return Err(arity_mismatch(t.arity(), &self.schema));
         }
-        self.append_rows(tuples);
-        Ok(())
+        self.append_rows(tuples)
     }
 
     /// Iterate over the rows as tuples, in insertion order.
@@ -330,6 +347,37 @@ mod tests {
         let mut r = Relation::empty(schema());
         assert!(r.extend(vec![tuple!["a", 1], tuple!["b"]]).is_err());
         assert!(r.is_empty() && r.chunks().is_empty());
+    }
+
+    /// A one-row `(name, n)` chunk whose text column claims `text_len` bytes — by its offsets
+    /// only, so a test can stand in for gigabytes of text without allocating them.
+    fn chunk_claiming(text_len: u32) -> DataChunk {
+        use perm_algebra::{Array, Bitmap};
+        DataChunk::new(vec![
+            Arc::new(Array::Text {
+                offsets: vec![0, text_len],
+                bytes: Vec::new(),
+                validity: Bitmap::all_set(1),
+            }),
+            Arc::new(Array::from_values([Value::Int(1)])),
+        ])
+    }
+
+    #[test]
+    fn an_append_that_outgrows_a_text_column_is_refused_whole() {
+        // Topping up the open tail would lay 6 GiB end to end: refused, the tail untouched.
+        let mut r = Relation::from_chunks(schema(), vec![chunk_claiming(3 << 30)]);
+        let before = r.chunks();
+        let error = r.append_chunks(&[chunk_claiming(3 << 30)]).unwrap_err();
+        assert!(matches!(error, AlgebraError::ColumnTooLarge { .. }), "{error}");
+        assert_eq!((r.num_rows(), r.chunks().len()), (1, 1));
+        assert!(Arc::ptr_eq(r.chunks()[0].column(0), before[0].column(0)));
+        // All or nothing: the first chunk of this append fits, the second does not.
+        let mut r = Relation::empty(schema());
+        assert!(r.append_chunks(&[chunk_claiming(3 << 30), chunk_claiming(3 << 30)]).is_err());
+        assert!(r.is_empty() && r.chunks().is_empty());
+        r.append_chunks(&[DataChunk::from_tuples(2, &rows(0..3))]).unwrap();
+        assert_eq!((r.num_rows(), r.chunks().len()), (3, 1));
     }
 
     #[test]

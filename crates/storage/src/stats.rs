@@ -7,19 +7,19 @@
 //! (see [`crate::TableEntry::modified_version`]): plan caches already invalidate on version
 //! bumps, which makes stale-statistics plans impossible to serve by construction.
 
-use std::collections::HashSet;
+use std::collections::hash_map::RandomState;
 use std::sync::Arc;
 
-use perm_algebra::{DataChunk, Value};
+use perm_algebra::{hash_rows, rows_equal, Array, DataChunk, RowTable, Value};
 
 /// Statistics for one column of a stored relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Number of distinct non-NULL values.
     ///
-    /// Collected exactly (hash set of values); at the in-memory scales this engine stores the
-    /// exact count is cheaper than sketch maintenance would be, and the estimator treats it as
-    /// an estimate regardless.
+    /// Collected exactly (a table of the distinct rows, hashed and compared in their chunks);
+    /// at the in-memory scales this engine stores the exact count is cheaper than sketch
+    /// maintenance would be, and the estimator treats it as an estimate regardless.
     pub distinct: u64,
     /// Number of NULL values.
     pub null_count: u64,
@@ -47,24 +47,36 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Collect statistics from a columnar view: one pass per column over every chunk.
+    /// Collect statistics from a columnar view: one pass per column over every chunk. Values
+    /// stay in their chunks — a sweep boxes two bound candidates per chunk, not a value per row.
     pub fn compute(chunks: &[DataChunk], arity: usize) -> TableStats {
         let row_count: usize = chunks.iter().map(|c| c.num_rows()).sum();
         let mut columns = Vec::with_capacity(arity);
+        let state = RandomState::new();
+        let mut hashes = Vec::new();
         for col in 0..arity {
             let mut stats = ColumnStats::empty();
-            let mut seen: HashSet<Value> = HashSet::new();
-            for chunk in chunks {
-                let array = chunk.column(col);
-                for row in 0..chunk.num_rows() {
-                    if array.is_null(row) {
+            // Distinct values, each by the (chunk, row) it was first seen at.
+            let mut seen: RowTable<(u32, u32)> = RowTable::new();
+            for (c, chunk) in chunks.iter().enumerate() {
+                let column = chunk.column(col);
+                let key = std::slice::from_ref(column);
+                hash_rows(&state, key, &mut hashes);
+                for (row, &hash) in hashes.iter().enumerate() {
+                    if column.is_null(row) {
                         stats.null_count += 1;
                         continue;
                     }
-                    let value = array.value(row);
+                    let same = |(c, r): (u32, u32)| {
+                        let first = std::slice::from_ref(chunks[c as usize].column(col));
+                        rows_equal(first, r as usize, key, row, &[true])
+                    };
+                    seen.slot(hash, same, (c as u32, row as u32));
+                }
+                for row in bound_rows(column) {
+                    let value = column.value(row);
                     update_bound(&mut stats.min, &value, std::cmp::Ordering::Less);
                     update_bound(&mut stats.max, &value, std::cmp::Ordering::Greater);
-                    seen.insert(value);
                 }
             }
             stats.distinct = seen.len() as u64;
@@ -77,6 +89,31 @@ impl TableStats {
     pub fn column(&self, index: usize) -> Option<&ColumnStats> {
         self.columns.get(index)
     }
+}
+
+/// The rows of `column` that may hold its bounds. A natively typed column names its smallest
+/// and largest non-NULL rows ([`Array::compare`] is `sql_cmp` there, but for NaN, which it
+/// orders and `sql_cmp` cannot: NaN rows are passed over); any other column names every row.
+fn bound_rows(column: &Array) -> Vec<usize> {
+    let orderable = |row: usize| match column {
+        Array::Float { values, .. } => !values[row].is_nan(),
+        _ => true,
+    };
+    let rows = (0..column.len()).filter(|&row| !column.is_null(row));
+    if matches!(column, Array::Any { .. }) || column.is_encoded() {
+        return rows.collect();
+    }
+    let mut bounds: Option<(usize, usize)> = None;
+    for row in rows.filter(|&row| orderable(row)) {
+        bounds = Some(match bounds {
+            None => (row, row),
+            Some((min, max)) => (
+                if column.compare(row, column, min).is_lt() { row } else { min },
+                if column.compare(row, column, max).is_gt() { row } else { max },
+            ),
+        });
+    }
+    bounds.map_or(Vec::new(), |(min, max)| vec![min, max])
 }
 
 /// Replace `bound` with `value` when the value compares `keep` against it. Values `sql_cmp`

@@ -6,7 +6,11 @@
 //! enough for an in-memory engine. Given the same [`TpchScale`] and seed it always produces the
 //! same database, so benchmark runs are reproducible.
 
-use perm_algebra::{value::days_from_civil, DataChunk, Tuple, Value, DEFAULT_CHUNK_SIZE};
+use std::sync::Arc;
+
+use perm_algebra::{
+    value::days_from_civil, ArrayBuilder, DataChunk, Tuple, Value, DEFAULT_CHUNK_SIZE,
+};
 use perm_storage::{Catalog, Relation};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -184,8 +188,9 @@ pub fn scale_label(scale: TpchScale) -> String {
 
 /// Generate a full TPC-H catalog at the given scale with a fixed seed.
 ///
-/// Rows go from the generator into chunks a batch at a time, so no table ever exists as boxed
-/// rows: the peak footprint of a load is the finished catalog plus one batch per table.
+/// A row's values go from the generator straight into its table's column builders, so no table
+/// ever exists as boxed rows: the peak footprint of a load is the finished catalog plus one
+/// open chunk per table.
 pub fn generate_catalog(scale: TpchScale, seed: u64) -> Catalog {
     let mut loaders: Vec<TableLoader> = table_names().into_iter().map(TableLoader::new).collect();
     generate_rows(scale, seed, |table, row| {
@@ -200,30 +205,40 @@ pub fn generate_catalog(scale: TpchScale, seed: u64) -> Catalog {
     catalog
 }
 
-/// Collects one table's rows into chunks of [`DEFAULT_CHUNK_SIZE`] rows.
+/// Collects one table's rows, column by column, into chunks of [`DEFAULT_CHUNK_SIZE`] rows.
 struct TableLoader {
     table: &'static str,
-    pending: Vec<Tuple>,
+    /// The open chunk: one builder per column, `rows` values in each.
+    columns: Vec<ArrayBuilder>,
+    rows: usize,
     chunks: Vec<DataChunk>,
 }
 
 impl TableLoader {
     fn new(table: &'static str) -> TableLoader {
-        TableLoader { table, pending: Vec::with_capacity(DEFAULT_CHUNK_SIZE), chunks: Vec::new() }
+        TableLoader { table, columns: Vec::new(), rows: 0, chunks: Vec::new() }
     }
 
     fn push(&mut self, row: Tuple) {
-        self.pending.push(row);
-        if self.pending.len() == DEFAULT_CHUNK_SIZE {
+        if self.rows == 0 {
+            self.columns =
+                (0..row.arity()).map(|_| ArrayBuilder::with_capacity(DEFAULT_CHUNK_SIZE)).collect();
+        }
+        for (column, value) in self.columns.iter_mut().zip(row.into_values()) {
+            column.push(value);
+        }
+        self.rows += 1;
+        if self.rows == DEFAULT_CHUNK_SIZE {
             self.flush();
         }
     }
 
     fn flush(&mut self) {
-        if !self.pending.is_empty() {
-            let arity = self.pending[0].arity();
-            self.chunks.push(DataChunk::from_tuples(arity, &self.pending));
-            self.pending.clear();
+        if self.rows > 0 {
+            let columns = std::mem::take(&mut self.columns);
+            self.chunks
+                .push(DataChunk::new(columns.into_iter().map(|c| Arc::new(c.finish())).collect()));
+            self.rows = 0;
         }
     }
 

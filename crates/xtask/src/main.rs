@@ -61,6 +61,7 @@ mod lint {
     const RULE_DENY_UNWRAP: &str = "deny-unwrap-header";
     const RULE_LISTED_FILE: &str = "listed-file-missing";
     const RULE_ROW_VIEW: &str = "row-view-in-served-path";
+    const RULE_BOXED_TEXT: &str = "boxed-text-column";
 
     /// Vectorized kernel files: integer arithmetic here must go through checked kernels
     /// (`i64::checked_add` & friends), never plain `+`/`-`/`*` closures or `wrapping_*`.
@@ -75,6 +76,7 @@ mod lint {
         "crates/exec/src/eval.rs",
         "crates/exec/src/parallel.rs",
         "crates/algebra/src/chunk.rs",
+        "crates/algebra/src/keys.rs",
     ];
 
     /// The served path (directories or single files): a query is answered from chunks, so the
@@ -90,6 +92,11 @@ mod lint {
     /// per-row fallback.
     const EVALUATOR_FILES: &[&str] = &["crates/exec/src/vector.rs", "crates/exec/src/compile.rs"];
 
+    /// The engine's operators: keys are hashed and compared in their columns, so inside a
+    /// `for`/`while`/`loop` body — a per-row loop — these files must not box a value or a row
+    /// (`.value(` / `Tuple::new(`).
+    const ENGINE_FILES: &[&str] = &["crates/exec/src/parallel.rs"];
+
     /// Run every rule over the workspace; returns the violation count.
     pub fn run() -> Result<usize, std::io::Error> {
         let root = workspace_root()?;
@@ -102,6 +109,9 @@ mod lint {
         for (file, &rel) in sources.iter().zip(&scanned) {
             let text = std::fs::read_to_string(file)?;
             scan_expect(rel, &text, &mut violations);
+            if rel.starts_with("crates") {
+                scan_boxed_text(rel, &text, &mut violations);
+            }
             if KERNEL_FILES.iter().any(|k| rel == Path::new(k)) {
                 scan_kernel_arith(rel, &text, &mut violations);
             }
@@ -127,9 +137,8 @@ mod lint {
     }
 
     /// Rule `listed-file-missing`: every path in the rule scopes ([`KERNEL_FILES`],
-    /// [`HOT_PATH_FILES`], [`SERVED_PATH`], [`ORACLE_FILES`], [`EVALUATOR_FILES`]) must be, or
-    /// contain, one of the
-    /// scanned sources. The per-file rules only run on listed paths, so a rename or delete
+    /// [`HOT_PATH_FILES`], [`SERVED_PATH`], [`ORACLE_FILES`], [`EVALUATOR_FILES`],
+    /// [`ENGINE_FILES`]) must be, or contain, one of the scanned sources. The per-file rules only run on listed paths, so a rename or delete
     /// would otherwise switch them off without a word.
     fn check_listed_files(scanned: &[&Path], out: &mut Vec<Violation>) {
         for (list, files) in [
@@ -138,6 +147,7 @@ mod lint {
             ("SERVED_PATH", SERVED_PATH),
             ("ORACLE_FILES", ORACLE_FILES),
             ("EVALUATOR_FILES", EVALUATOR_FILES),
+            ("ENGINE_FILES", ENGINE_FILES),
         ] {
             for listed in files {
                 if !scanned.iter().any(|p| p.starts_with(listed)) {
@@ -394,13 +404,13 @@ mod lint {
         false
     }
 
-    /// Rule `instant-in-loop`: in hot-path files, `Instant::now()` must not appear lexically
-    /// inside a `for`/`while`/`loop` body.
-    fn scan_instant_in_loop(file: &Path, text: &str, out: &mut Vec<Violation>) {
-        let lines: Vec<&str> = text.lines().collect();
+    /// For each line, whether it lies lexically inside a `for`/`while`/`loop` body (the line
+    /// that opens the loop included).
+    fn lines_in_loops(lines: &[&str]) -> Vec<bool> {
         let mut depth: i32 = 0;
         let mut loop_starts: Vec<i32> = Vec::new();
-        for (i, line) in lines.iter().enumerate() {
+        let mut in_loop = Vec::with_capacity(lines.len());
+        for line in lines {
             let code = code_of(line);
             let trimmed = code.trim_start();
             let opens_loop = trimmed.starts_with("for ")
@@ -410,19 +420,7 @@ mod lint {
             if opens_loop {
                 loop_starts.push(depth);
             }
-            let in_loop = !loop_starts.is_empty();
-            if in_loop
-                && code.contains("Instant::now()")
-                && !allowed(&lines, i, RULE_INSTANT_IN_LOOP)
-            {
-                out.push(Violation {
-                    file: file.to_path_buf(),
-                    line: i + 1,
-                    rule: RULE_INSTANT_IN_LOOP,
-                    message: "`Instant::now()` inside a loop body in a hot-path file: hoist the clock read to chunk/morsel granularity"
-                        .into(),
-                });
-            }
+            in_loop.push(!loop_starts.is_empty());
             for c in code.chars() {
                 match c {
                     '{' => depth += 1,
@@ -436,32 +434,95 @@ mod lint {
                 }
             }
         }
+        in_loop
     }
 
-    /// Rule `row-view-in-served-path`: no `.tuples()` / `.into_tuples()` in non-test code of the
-    /// served path. Stored relations are chunk lists and every row view is built on demand, so
-    /// one such call boxes a whole relation per query. In [`EVALUATOR_FILES`] boxing a single row
-    /// (`.tuple_at(` / `Tuple::new(`) is flagged too. (Group-key `Tuple::new` in the engine's
-    /// `parallel.rs` is a different thing and not matched.)
-    fn scan_row_view(file: &Path, text: &str, out: &mut Vec<Violation>) {
-        let mut needles = vec![".tuples()", ".into_tuples()"];
-        if EVALUATOR_FILES.iter().any(|k| file == Path::new(k)) {
-            needles.extend([".tuple_at(", "Tuple::new("]);
+    /// Rule `instant-in-loop`: in hot-path files, `Instant::now()` must not appear lexically
+    /// inside a `for`/`while`/`loop` body.
+    fn scan_instant_in_loop(file: &Path, text: &str, out: &mut Vec<Violation>) {
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, in_loop) in lines_in_loops(&lines).into_iter().enumerate() {
+            if in_loop
+                && code_of(lines[i]).contains("Instant::now()")
+                && !allowed(&lines, i, RULE_INSTANT_IN_LOOP)
+            {
+                out.push(Violation {
+                    file: file.to_path_buf(),
+                    line: i + 1,
+                    rule: RULE_INSTANT_IN_LOOP,
+                    message: "`Instant::now()` inside a loop body in a hot-path file: hoist the clock read to chunk/morsel granularity"
+                        .into(),
+                });
+            }
         }
+    }
+
+    /// Rule `boxed-text-column`: no `Vec<Arc<str>>` in non-test code under `crates/`. A text
+    /// column is offsets over one byte buffer (`Array::Text`); a vector of shared strings is
+    /// the box per value that representation replaced.
+    fn scan_boxed_text(file: &Path, text: &str, out: &mut Vec<Violation>) {
+        // Built by concatenation so the linter does not flag its own source.
+        let boxed: String = ["Vec<Arc", "<str>>"].concat();
         let lines: Vec<&str> = text.lines().collect();
         let mut tests = TestRegions::new();
         for (i, line) in lines.iter().enumerate() {
             if tests.observe(line) {
                 continue;
             }
+            if code_of(line).contains(&boxed) && !allowed(&lines, i, RULE_BOXED_TEXT) {
+                out.push(Violation {
+                    file: file.to_path_buf(),
+                    line: i + 1,
+                    rule: RULE_BOXED_TEXT,
+                    message: format!(
+                        "`{boxed}` is a heap box per text value: keep text in `Array::Text` (offsets over one byte buffer)"
+                    ),
+                });
+            }
+        }
+    }
+
+    /// Rule `row-view-in-served-path`: no `.tuples()` / `.into_tuples()` in non-test code of the
+    /// served path. Stored relations are chunk lists and every row view is built on demand, so
+    /// one such call boxes a whole relation per query. In [`EVALUATOR_FILES`] boxing a single row
+    /// (`.tuple_at(` / `Tuple::new(`) is flagged too, and in [`ENGINE_FILES`] boxing a value or
+    /// a row (`.value(` / `Tuple::new(`) inside a loop body: join and group-by keys are hashed
+    /// and compared in place, and what is boxed once per group sits outside the row loops.
+    fn scan_row_view(file: &Path, text: &str, out: &mut Vec<Violation>) {
+        let mut needles = vec![".tuples()", ".into_tuples()"];
+        if EVALUATOR_FILES.iter().any(|k| file == Path::new(k)) {
+            needles.extend([".tuple_at(", "Tuple::new("]);
+        }
+        let in_loop_needles: &[&str] = match ENGINE_FILES.iter().any(|k| file == Path::new(k)) {
+            true => &[".value(", "Tuple::new("],
+            false => &[],
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        let in_loops = lines_in_loops(&lines);
+        let mut tests = TestRegions::new();
+        for (i, line) in lines.iter().enumerate() {
+            if tests.observe(line) {
+                continue;
+            }
             let code = code_of(line);
-            if needles.iter().any(|call| code.contains(call)) && !allowed(&lines, i, RULE_ROW_VIEW)
-            {
+            let found = |needles: &[&str]| needles.iter().any(|call| code.contains(call));
+            if allowed(&lines, i, RULE_ROW_VIEW) {
+                continue;
+            }
+            if found(&needles) {
                 out.push(Violation {
                     file: file.to_path_buf(),
                     line: i + 1,
                     rule: RULE_ROW_VIEW,
                     message: "row view in the served path: read `chunks()` and evaluate column-wise (rows are for the oracle, baselines and tests)"
+                        .into(),
+                });
+            } else if in_loops[i] && found(in_loop_needles) {
+                out.push(Violation {
+                    file: file.to_path_buf(),
+                    line: i + 1,
+                    rule: RULE_ROW_VIEW,
+                    message: "boxed value in a per-row loop of the engine: hash and compare keys in their columns (`hash_rows` / `rows_equal`), box once per group outside the loop"
                         .into(),
                 });
             }
@@ -496,12 +557,69 @@ mod lint {
         use super::*;
 
         #[test]
+        fn the_engine_may_not_box_a_value_inside_a_row_loop() {
+            let text = "\
+fn aggregate(morsel: &AggMorsel) {
+    let empty = Tuple::new(vec![]);
+    for i in 0..morsel.rows {
+        let key = Tuple::new(morsel.keys.iter().map(|k| k.value(i)).collect());
+        // xtask-allow: row-view-in-served-path — the accumulator takes a `Value`
+        acc.update(arg.value(i));
+        while chained {
+            let v = column.value(i);
+        }
+    }
+    let output = groups.iter().map(|g| Tuple::new(g.key.value(0))).collect();
+}
+#[cfg(test)]
+mod tests {
+    fn t(a: &Array) { for i in 0..2 { a.value(i); } }
+}
+";
+            for (file, expected) in [
+                ("crates/exec/src/parallel.rs", vec![4, 8]),
+                // Only the engine's operators are held to it.
+                ("crates/exec/src/executor.rs", vec![]),
+            ] {
+                let mut violations = Vec::new();
+                scan_row_view(Path::new(file), text, &mut violations);
+                assert_eq!(
+                    violations.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+                    expected.into_iter().map(|line| (line, RULE_ROW_VIEW)).collect::<Vec<_>>(),
+                    "{file}"
+                );
+            }
+        }
+
+        #[test]
+        fn a_vector_of_shared_strings_is_flagged_outside_tests_and_escapes() {
+            let boxed: String = ["Vec<Arc", "<str>>"].concat();
+            let text = format!(
+                "\
+struct Column {{ values: {boxed} }}
+type Names = {boxed}; // xtask-allow: boxed-text-column
+// mentions {boxed} only in a comment
+fn one(value: Arc<str>, many: Vec<Arc<Array>>) {{}}
+#[cfg(test)]
+mod tests {{
+    fn model() -> {boxed} {{ Vec::new() }}
+}}
+"
+            );
+            let mut violations = Vec::new();
+            scan_boxed_text(Path::new("crates/algebra/src/chunk.rs"), &text, &mut violations);
+            assert_eq!(violations.len(), 1, "only the bare field in non-test code");
+            assert_eq!((violations[0].line, violations[0].rule), (1, RULE_BOXED_TEXT));
+        }
+
+        #[test]
         fn a_listed_file_that_is_not_scanned_is_a_violation() {
             let all: Vec<&Path> = KERNEL_FILES
                 .iter()
                 .chain(HOT_PATH_FILES)
                 .chain(ORACLE_FILES)
                 .chain(EVALUATOR_FILES)
+                .chain(ENGINE_FILES)
                 .chain(&["crates/service/src/engine.rs", "crates/storage/src/catalog.rs"])
                 .map(Path::new)
                 .collect();
@@ -562,7 +680,7 @@ mod tests {
             for (file, expected) in [
                 ("crates/exec/src/vector.rs", vec![2, 3]),
                 ("crates/exec/src/compile.rs", vec![2, 3]),
-                // Group keys: the rest of the engine is not matched.
+                // The engine may box a row where no loop runs (see the next test).
                 ("crates/exec/src/parallel.rs", vec![]),
             ] {
                 let mut violations = Vec::new();

@@ -11,48 +11,16 @@
 //! One `#[test]` on purpose: the allocator counts the whole process, and cargo runs the tests of
 //! one file on parallel threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use perm::prelude::*;
 use perm::tpch::queries::{add_provenance_keyword, tpch_query, variant_rng};
 
-struct CountingAllocator;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the `GlobalAlloc`
-// contract; the counters beside it are plain atomics and never touch the returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's layout is passed through as received.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` was returned by `System.alloc` with this layout (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+mod common;
+use common::{high_water_over_base, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Bytes the heap grew to, over what was live at the start, while `f` ran.
-fn high_water_over_base<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let out = f();
-    (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
-}
 
 /// Pull every chunk of `sql` and drop it, the way the wire server does after writing a frame.
 fn drain(session: &Session, sql: &str) -> usize {

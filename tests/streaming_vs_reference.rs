@@ -10,8 +10,9 @@
 //! morsel-boundary edge cases (empty input, one row, exactly one full chunk, one row past a
 //! chunk boundary), uncorrelated sublinks, row budgets at and around an operator's output,
 //! integer-overflow error behaviour (including behind a `LIMIT`), NaN sort keys, cross-type
-//! (Int/Date) hash-key consistency, the lazily evaluated expression forms (`CASE`, `IN` over a
-//! list) and join conditions decided in batches of candidate pairs.
+//! (Int/Date) hash-key consistency, keys hashed and compared in place (text, mixed numeric,
+//! NULL-safe and multi-column join and group-by keys), the lazily evaluated expression forms
+//! (`CASE`, `IN` over a list) and join conditions decided in batches of candidate pairs.
 
 use proptest::prelude::*;
 
@@ -653,6 +654,162 @@ fn cross_type_hash_keys_agree_with_nested_loop_semantics() {
             expected_rows,
             "null_safe={null_safe}"
         );
+    }
+}
+
+/// Join and group-by keys are hashed and compared in their columns: text keys (empty strings,
+/// multi-byte text, NULLs), mixed numeric keys (Int / Float / Date, NaN, both zeros), NULL-safe
+/// keys — the R5 join-back's `IS NOT DISTINCT FROM` — and multi-column keys mixing the two,
+/// over inputs and build sides that span morsels, over plain columns and over a join's views.
+/// Every plan must give the same rows in the same order at degrees 1/2/8 and the reference's
+/// bag; joins give the reference's exact (nested-loop) sequence and aggregations list their
+/// groups in first-seen order.
+#[test]
+fn keys_hashed_in_place_agree_with_reference_at_every_degree() {
+    use perm_algebra::PlanBuilder;
+
+    const TEXTS: [&str; 7] = ["", "a", "ab", "é", "żółw", "🐢", "a longer key, well past a word"];
+    let schema = Schema::from_pairs(&[
+        ("t", DataType::Text),
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("d", DataType::Date),
+    ]);
+    // Deterministic rows: ~50 distinct text keys, numerics that meet across types (5 = 5.0 =
+    // day 5), NaN and both zeros among the floats, NULLs in every column.
+    let table = |rows: u64, salt: u64| -> Vec<Tuple> {
+        let mut state = salt;
+        let mut draw = |modulus: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % modulus
+        };
+        (0..rows)
+            .map(|_| {
+                let t = match draw(12) {
+                    0 => Value::Null,
+                    _ => Value::text(format!("{}{}", TEXTS[draw(7) as usize], draw(7))),
+                };
+                let i = if draw(9) == 0 { Value::Null } else { Value::Int(draw(40) as i64) };
+                let f = match draw(14) {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    2 => Value::Float(-0.0),
+                    3 => Value::Float(draw(40) as f64 + 0.5),
+                    _ => Value::Float(draw(40) as f64),
+                };
+                let d = if draw(10) == 0 { Value::Null } else { Value::Date(draw(40) as i32) };
+                Tuple::new(vec![t, i, f, d])
+            })
+            .collect()
+    };
+    let catalog = Catalog::new();
+    // `a` and `wide` span two morsels, `b` one (more build morsels than that would only make
+    // the reference's nested loop slower: `wide` is the build side that is partitioned).
+    for (name, rows) in [("a", table(1100, 1)), ("b", table(300, 2)), ("wide", table(1100, 3))] {
+        catalog.create_table_with_data(name, Relation::from_parts(schema.clone(), rows)).unwrap();
+    }
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    let col = |index: usize| ScalarExpr::column(index, "c");
+    // One outcome at every degree, which as a bag is the reference's.
+    let check = |plan: &LogicalPlan, context: &str| -> (Relation, Relation) {
+        let engine = run_at_every_degree(&catalog, plan, ExecOptions::default()).unwrap();
+        let reference = execute_reference(&catalog, plan).unwrap();
+        assert!(engine.bag_eq(&reference), "engine != reference on {context}\n{plan}");
+        (engine, reference)
+    };
+
+    // Joins: left columns 0..4, right columns 4..8.
+    let (t, i, f, d) = (0, 1, 2, 3);
+    let plain = |l: usize, r: usize| col(l).eq(col(4 + r));
+    let safe = |l: usize, r: usize| col(l).null_safe_eq(col(4 + r));
+    let conditions = [
+        ("text", plain(t, t)),
+        ("Int = Float", plain(i, f)),
+        ("Int = Date", plain(i, d)),
+        ("Float = Date", plain(f, d)),
+        ("Float = Float", plain(f, f)),
+        ("NULL-safe text", safe(t, t)),
+        ("NULL-safe Float", safe(f, f)),
+        ("NULL-safe (text, Int)", safe(t, t).and(safe(i, i))),
+        ("text = and NULL-safe Int", plain(t, t).and(safe(i, i))),
+        ("(Int, Float, text) all plain", plain(i, i).and(plain(f, f)).and(plain(t, t))),
+    ];
+    for (name, condition) in &conditions {
+        for kind in [JoinKind::Inner, JoinKind::FullOuter] {
+            let plan = scan("a", 0).join(scan("b", 1), kind, Some(condition.clone())).build();
+            let (engine, reference) = check(&plan, &format!("{kind:?} join on {name}"));
+            assert!(engine.tuples() == reference.tuples(), "{kind:?} join on {name}: sequence");
+            assert!(engine.num_rows() > 0, "{kind:?} join on {name} matches something");
+        }
+    }
+    // A partitioned build side (two morsels, so two partitions at degrees 2 and 8).
+    for kind in [JoinKind::LeftOuter, JoinKind::RightOuter] {
+        let plan = scan("b", 0).join(scan("wide", 1), kind, Some(safe(t, t).and(plain(d, d))));
+        let (engine, reference) = check(&plan.build(), &format!("{kind:?} join, wide build side"));
+        assert!(engine.tuples() == reference.tuples(), "{kind:?} join, wide build side");
+    }
+
+    // Aggregations, over a scan's plain columns and over a join's views (the probe side's key
+    // and the build side's, both `Dict` columns by then).
+    let joined = || scan("a", 0).join(scan("b", 1), JoinKind::LeftOuter, Some(plain(i, i)));
+    let inputs = [("scan", scan("wide", 0)), ("join", joined())];
+    let key_sets: [(&str, Vec<usize>); 6] = [
+        ("text", vec![t]),
+        ("Float", vec![f]),
+        ("(text, Int)", vec![t, i]),
+        ("(Date, Float, text)", vec![d, f, t]),
+        ("build-side text", vec![4 + t]),
+        ("(probe text, build Float)", vec![t, 4 + f]),
+    ];
+    for (input_name, input) in &inputs {
+        for (name, keys) in &key_sets {
+            if keys.iter().any(|&k| k >= input.schema().arity()) {
+                continue;
+            }
+            let group_by = keys.iter().map(|&k| (col(k), format!("k{k}"))).collect();
+            let aggregates = vec![
+                (AggregateExpr::count_star(), "n".to_string()),
+                (AggregateExpr::new(AggregateFunction::Sum, col(i)), "s".to_string()),
+                (AggregateExpr::new(AggregateFunction::Min, col(t)), "m".to_string()),
+            ];
+            let plan = input.clone().aggregate(group_by, aggregates).build();
+            let context = format!("GROUP BY {name} over a {input_name}");
+            let (engine, _) = check(&plan, &context);
+            // Groups come out in the order their keys first appear in the input.
+            let rows = execute_reference(&catalog, &input.clone().build()).unwrap();
+            let mut seen = std::collections::HashSet::new();
+            let first_seen: Vec<Tuple> = rows
+                .iter()
+                .map(|row| row.project(keys))
+                .filter(|k| seen.insert(k.clone()))
+                .collect();
+            let positions: Vec<usize> = (0..keys.len()).collect();
+            let groups: Vec<Tuple> = engine.iter().map(|row| row.project(&positions)).collect();
+            assert!(groups == first_seen, "{context}: first-seen group order");
+            assert!(groups.len() > 10, "{context} has groups");
+        }
+        // DISTINCT is a key of every column.
+        let exprs = vec![(col(t), "t".to_string()), (col(f), "f".to_string())];
+        let (distinct, _) = check(
+            &input.clone().project_distinct(exprs).build(),
+            &format!("DISTINCT (text, Float) over a {input_name}"),
+        );
+        assert!(distinct.num_rows() > 10 && distinct.num_rows() == distinct.num_distinct_rows());
+    }
+
+    // The R5 join-back itself: the rewritten aggregation joins its groups back to the
+    // rewritten input on `IS NOT DISTINCT FROM`, here over text and Float keys with NULLs.
+    for keys in [vec![t], vec![t, f]] {
+        let group_by = keys.iter().map(|&k| (col(k), format!("k{k}"))).collect();
+        let aggregates = vec![(AggregateExpr::count_star(), "n".to_string())];
+        let plan = scan("b", 0).aggregate(group_by, aggregates).build();
+        let rewritten = ProvenanceRewriter::new().rewrite(&plan).unwrap();
+        let (engine, _) = check(&rewritten, &format!("R5 join-back on columns {keys:?}"));
+        assert_eq!(engine.num_rows(), 300, "every input row witnesses exactly one group");
+        let optimized = Optimizer::new().optimize(&rewritten).unwrap();
+        check(&optimized, &format!("optimized R5 join-back on columns {keys:?}"));
     }
 }
 
