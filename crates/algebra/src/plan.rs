@@ -479,16 +479,28 @@ impl LogicalPlan {
 
     /// Pretty-print the plan as an indented tree.
     pub fn display_tree(&self) -> String {
-        let mut out = String::new();
-        fn walk(plan: &LogicalPlan, depth: usize, out: &mut String) {
+        self.display_tree_with(&mut |_| String::new())
+    }
+
+    /// [`LogicalPlan::display_tree`] with `annotate(node)` appended to each node's line (the
+    /// estimates and types of `EXPLAIN`).
+    pub fn display_tree_with(&self, annotate: &mut dyn FnMut(&LogicalPlan) -> String) -> String {
+        fn walk(
+            plan: &LogicalPlan,
+            depth: usize,
+            annotate: &mut dyn FnMut(&LogicalPlan) -> String,
+            out: &mut String,
+        ) {
             out.push_str(&"  ".repeat(depth));
             out.push_str(&plan.describe());
+            out.push_str(&annotate(plan));
             out.push('\n');
             for child in plan.children() {
-                walk(child, depth + 1, out);
+                walk(child, depth + 1, annotate, out);
             }
         }
-        walk(self, 0, &mut out);
+        let mut out = String::new();
+        walk(self, 0, annotate, &mut out);
         out
     }
 }

@@ -3,13 +3,12 @@
 //! execution time grows roughly linearly with the chain length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_tpch::queries::add_provenance_keyword;
 use perm_tpch::workloads::nested_aggregation_query;
 
 fn bench_aspj(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
     let parts = db.catalog().table_row_count("part").unwrap();
 
     let mut group = c.benchmark_group("fig14_nested_aggregation");

@@ -2,14 +2,15 @@
 //! rewriter module present versus a pipeline without it, for the supported TPC-H queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_exec::Optimizer;
+use perm_sql::Analyzer;
 use perm_tpch::queries::{supported_query_ids, tpch_query, variant_rng};
 
 fn bench_compile_overhead(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
-    let plain = config.plain_analyzer(&db);
+    let db = harness::database();
+    // The "plain PostgreSQL" pipeline: an analyzer without the provenance rewriter attached.
+    let plain = Analyzer::new(db.catalog().clone());
     let optimizer = Optimizer::new();
 
     let mut group = c.benchmark_group("fig9_compile_overhead");

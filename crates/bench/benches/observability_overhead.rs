@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_tpch::queries::add_provenance_keyword;
 use perm_tpch::workloads::{spj_query, workload_rng};
 
@@ -32,8 +32,7 @@ fn median(samples: &mut [Duration]) -> Duration {
 }
 
 fn main() {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
     let parts = db.catalog().table_row_count("part").expect("part table exists");
     let sql = add_provenance_keyword(&spj_query(&mut workload_rng("spj", 3), 3, parts));
     let analyze_sql = format!("EXPLAIN ANALYZE {sql}");

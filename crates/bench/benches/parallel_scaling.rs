@@ -6,23 +6,20 @@
 //! hash-join build/probe and partitioned aggregation. The 1-worker pool runs every morsel on
 //! the calling thread — it is what `Executor::execute` does, and so the sequential baseline.
 
-use std::time::Duration;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_exec::{Executor, WorkerPool};
 use perm_tpch::queries::add_provenance_keyword;
 use perm_tpch::workloads::{spj_query, workload_rng};
 
 fn bench_parallel_scaling(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
     let parts = db.catalog().table_row_count("part").unwrap();
 
     let mut group = c.benchmark_group("parallel_scaling");
-    group.sample_size(config.samples);
-    group.warm_up_time(Duration::from_millis(config.warm_up_ms));
-    group.measurement_time(Duration::from_millis(config.measurement_ms));
+    group.sample_size(harness::SAMPLES);
+    group.warm_up_time(harness::WARM_UP);
+    group.measurement_time(harness::MEASUREMENT);
     for num_sub in [1usize, 3, 6] {
         let sql = spj_query(&mut workload_rng("spj", num_sub as u64), num_sub, parts);
         let provenance_sql = add_provenance_keyword(&sql);

@@ -1,4 +1,4 @@
-//! Ablation benchmark for the design choices called out in `DESIGN.md`:
+//! Ablation benchmark for two design choices of the paper's architecture:
 //!
 //! * **Optimizer on/off for rewritten queries** — the paper's architecture (Figure 5) places the
 //!   provenance rewriter *before* the planner precisely so rewritten queries benefit from normal
@@ -7,7 +7,7 @@
 //!   with parsing/analysis, isolating the price of the Perm module in the compile path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_core::{PermDb, ProvenanceOptions, ProvenanceRewriter};
 use perm_tpch::queries::{add_provenance_keyword, tpch_query, variant_rng};
 
@@ -16,8 +16,7 @@ use perm_tpch::queries::{add_provenance_keyword, tpch_query, variant_rng};
 const QUERIES: &[u32] = &[3, 5, 6, 9, 12];
 
 fn bench_optimizer_ablation(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let optimized_db = config.database(ScalePreset::Small);
+    let optimized_db = harness::database();
     let unoptimized_db = PermDb::with_catalog(
         optimized_db.catalog().clone(),
         ProvenanceOptions::default().with_row_budget(2_000_000).without_optimizer(),
@@ -42,8 +41,7 @@ fn bench_optimizer_ablation(c: &mut Criterion) {
 }
 
 fn bench_rewrite_cost(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
     let rewriter = ProvenanceRewriter::new();
 
     let mut group = c.benchmark_group("ablation_rewrite_cost");

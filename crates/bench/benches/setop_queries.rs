@@ -2,13 +2,12 @@
 //! number of set operations, normal versus provenance execution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_tpch::queries::add_provenance_keyword;
 use perm_tpch::workloads::{set_operation_query, workload_rng};
 
 fn bench_setops(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
     let parts = db.catalog().table_row_count("part").unwrap();
 
     let mut group = c.benchmark_group("fig12_set_operations");

@@ -1,24 +1,21 @@
 //! Figure 13 micro-benchmark: random select-project-join queries with a growing number of leaf
 //! subqueries, normal versus provenance execution.
 
-use std::time::Duration;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_tpch::queries::add_provenance_keyword;
 use perm_tpch::workloads::{spj_query, workload_rng};
 
 fn bench_spj(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
     let parts = db.catalog().table_row_count("part").unwrap();
 
     let mut group = c.benchmark_group("fig13_spj_queries");
-    // Measurement settings come from the harness quick config so BENCH_NOTES trend rows stay
+    // Measurement settings are the harness constants so BENCH_NOTES trend rows stay
     // comparable across PRs.
-    group.sample_size(config.samples);
-    group.warm_up_time(Duration::from_millis(config.warm_up_ms));
-    group.measurement_time(Duration::from_millis(config.measurement_ms));
+    group.sample_size(harness::SAMPLES);
+    group.warm_up_time(harness::WARM_UP);
+    group.measurement_time(harness::MEASUREMENT);
     for num_sub in 1..=6usize {
         let sql = spj_query(&mut workload_rng("spj", num_sub as u64), num_sub, parts);
         let provenance_sql = add_provenance_keyword(&sql);

@@ -1,20 +1,18 @@
 //! Figures 10/11 micro-benchmark: normal versus provenance execution of the supported TPC-H
-//! queries at the small scale. The full parameter sweep across scales lives in the
-//! `paper_tables` binary; this Criterion harness provides statistically robust per-query
-//! timings for a single configuration.
+//! queries at the small scale. Each entry's throughput is its result size, so the
+//! `CRITERION_JSON` record (`BENCH_tpch.json`) carries Figure 11's cardinalities too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_tpch::queries::{add_provenance_keyword, supported_query_ids, tpch_query, variant_rng};
 
 /// Queries whose provenance results are large enough to dominate the benchmark wall-clock; they
-/// are still covered by `paper_tables` but excluded from the Criterion loop to keep
-/// `cargo bench` tractable.
+/// are excluded from the Criterion loop to keep `cargo bench` tractable (they still run,
+/// normally and with provenance, in `tests/tpch_integration.rs`).
 const HEAVY: &[u32] = &[1, 9, 13, 16];
 
 fn bench_tpch(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
 
     let mut group = c.benchmark_group("fig10_tpch_execution");
     group.sample_size(10);

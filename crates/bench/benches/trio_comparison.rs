@@ -4,14 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use perm_baselines::TrioStyleDb;
-use perm_bench::harness::{BenchConfig, ScalePreset};
+use perm_bench::harness;
 use perm_tpch::workloads::{trio_selection_queries, workload_rng};
 
 const QUERIES: usize = 20;
 
 fn bench_trio(c: &mut Criterion) {
-    let config = BenchConfig::quick();
-    let db = config.database(ScalePreset::Small);
+    let db = harness::database();
     let suppliers = db.catalog().table_row_count("supplier").unwrap();
     let queries = trio_selection_queries(&mut workload_rng("trio", 0), QUERIES, suppliers);
 

@@ -1,400 +1,30 @@
-//! Shared infrastructure for the evaluation harness: database setup, timing, result formatting.
+//! The one setup every criterion bench shares: the database the paper's figures are measured
+//! on, and the measurement settings of the gated spj / parallel-scaling benches.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use perm_core::{PermDb, PermError, ProvenanceOptions};
-use perm_exec::ExecError;
-use perm_sql::Analyzer;
-use perm_storage::Relation;
+use perm_core::{PermDb, ProvenanceOptions};
 use perm_tpch::dbgen::{generate_catalog, TpchScale};
 
-/// Which database scales an experiment runs on.
-///
-/// These stand in for the paper's 10 MB / 100 MB / 1 GB PostgreSQL databases; see `DESIGN.md`
-/// for the substitution rationale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalePreset {
-    /// ≈10 MB in the paper.
-    Small,
-    /// ≈100 MB in the paper.
-    Medium,
-    /// ≈1 GB in the paper.
-    Large,
-}
+/// Criterion samples per entry of `spj_queries` (gated against `BENCH_fig13.json`) and
+/// `parallel_scaling`.
+pub const SAMPLES: usize = 15;
+/// Their warm-up time per entry. PR 1's 400 ms warm-up / 900 ms measurement gave untrustworthy
+/// rows (one spj `normal/6` sample spanned 2.3–12.9 ms).
+pub const WARM_UP: Duration = Duration::from_millis(700);
+/// Their measurement time per entry.
+pub const MEASUREMENT: Duration = Duration::from_millis(2500);
 
-impl ScalePreset {
-    /// The corresponding generator scale.
-    pub fn tpch_scale(self) -> TpchScale {
-        match self {
-            ScalePreset::Small => TpchScale::small(),
-            ScalePreset::Medium => TpchScale::medium(),
-            ScalePreset::Large => TpchScale::large(),
-        }
-    }
-
-    /// Label used in table headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            ScalePreset::Small => "small(≈10MB)",
-            ScalePreset::Medium => "medium(≈100MB)",
-            ScalePreset::Large => "large(≈1GB)",
-        }
-    }
-
-    /// All presets in increasing size.
-    pub fn all() -> Vec<ScalePreset> {
-        vec![ScalePreset::Small, ScalePreset::Medium, ScalePreset::Large]
-    }
-}
-
-/// Configuration of an experiment run.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Database scales to run on.
-    pub scales: Vec<ScalePreset>,
-    /// Number of seeded parameter variants per query (the paper uses 100).
-    pub variants: u64,
-    /// Per-query timeout standing in for the paper's 12-hour cut-off.
-    pub timeout: Duration,
-    /// Row budget guarding against result-size explosions (the black cells in Figures 10/11).
-    pub row_budget: usize,
-    /// Seed for the data generator.
-    pub seed: u64,
-    /// Criterion warm-up time per benchmark entry, in milliseconds.
-    pub warm_up_ms: u64,
-    /// Criterion measurement time per benchmark entry, in milliseconds.
-    pub measurement_ms: u64,
-    /// Criterion sample count per benchmark entry.
-    pub samples: usize,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            scales: vec![ScalePreset::Small, ScalePreset::Medium],
-            variants: 3,
-            timeout: Duration::from_secs(30),
-            row_budget: 5_000_000,
-            seed: 42,
-            warm_up_ms: 700,
-            measurement_ms: 2500,
-            samples: 15,
-        }
-    }
-}
-
-impl BenchConfig {
-    /// A configuration that finishes in a couple of minutes (used by `--quick` and CI).
-    pub fn quick() -> BenchConfig {
-        // PR-1's 400 ms warm-up / 900 ms measurement produced untrustworthy rows (the
-        // normal/6 spj sample spanned 2.3–12.9 ms in one run); the quick config now warms up
-        // and measures long enough for stable medians while still finishing in ~1 minute.
-        BenchConfig {
-            scales: vec![ScalePreset::Small],
-            variants: 1,
-            timeout: Duration::from_secs(10),
-            row_budget: 1_000_000,
-            seed: 42,
-            warm_up_ms: 700,
-            measurement_ms: 2500,
-            samples: 15,
-        }
-    }
-
-    /// The full configuration covering all three scales.
-    pub fn full() -> BenchConfig {
-        BenchConfig {
-            scales: ScalePreset::all(),
-            variants: 3,
-            timeout: Duration::from_secs(120),
-            row_budget: 20_000_000,
-            seed: 42,
-            warm_up_ms: 1000,
-            measurement_ms: 4000,
-            samples: 20,
-        }
-    }
-
-    /// Build a [`PermDb`] for one scale, with this configuration's execution limits.
-    pub fn database(&self, scale: ScalePreset) -> PermDb {
-        let catalog = generate_catalog(scale.tpch_scale(), self.seed);
-        // Post-load ANALYZE: statistics otherwise build lazily inside the first measured
-        // query, which would charge a whole-table collection scan to that query's latency
-        // (the paper's figures measure warm-catalog execution).
-        catalog.analyze();
-        let options = ProvenanceOptions::default()
-            .with_row_budget(self.row_budget)
-            .with_timeout(self.timeout);
-        PermDb::with_catalog(catalog, options)
-    }
-
-    /// An analyzer *without* the provenance rewriter attached — the "plain PostgreSQL"
-    /// configuration of the Figure 9 compile-overhead comparison.
-    pub fn plain_analyzer(&self, db: &PermDb) -> Analyzer {
-        Analyzer::new(db.catalog().clone())
-    }
-}
-
-/// The outcome of one measured query execution.
-#[derive(Debug, Clone)]
-pub enum Measurement {
-    /// The query completed.
-    Completed {
-        /// Wall-clock execution time.
-        time: Duration,
-        /// Number of result rows.
-        rows: usize,
-    },
-    /// The query was stopped (timeout or row budget) — a "black cell" in the paper's tables.
-    Stopped {
-        /// Why it was stopped.
-        reason: String,
-    },
-    /// The query failed outright (should not happen; reported for transparency).
-    Failed {
-        /// The error.
-        error: String,
-    },
-}
-
-impl Measurement {
-    /// Execution time if the query completed.
-    pub fn time(&self) -> Option<Duration> {
-        match self {
-            Measurement::Completed { time, .. } => Some(*time),
-            _ => None,
-        }
-    }
-
-    /// Row count if the query completed.
-    pub fn rows(&self) -> Option<usize> {
-        match self {
-            Measurement::Completed { rows, .. } => Some(*rows),
-            _ => None,
-        }
-    }
-
-    /// Render for a table cell (stopped cells mirror the paper's blacked-out entries).
-    pub fn render_time(&self) -> String {
-        match self {
-            Measurement::Completed { time, .. } => format_duration(*time),
-            Measurement::Stopped { .. } => "■ stopped".to_string(),
-            Measurement::Failed { error } => format!("error: {error}"),
-        }
-    }
-
-    /// Render the row count for a table cell.
-    pub fn render_rows(&self) -> String {
-        match self {
-            Measurement::Completed { rows, .. } => group_thousands(*rows),
-            Measurement::Stopped { .. } => "■ stopped".to_string(),
-            Measurement::Failed { .. } => "error".to_string(),
-        }
-    }
-}
-
-/// Execute `sql` against `db`, classifying timeouts / row-budget aborts like the paper's
-/// stopped-query cells.
-pub fn measure_query(db: &PermDb, sql: &str) -> Measurement {
-    let start = Instant::now();
-    match db.execute_sql(sql) {
-        Ok(result) => Measurement::Completed { time: start.elapsed(), rows: result.num_rows() },
-        Err(PermError::Exec(ExecError::Timeout { millis })) => {
-            Measurement::Stopped { reason: format!("timeout after {millis} ms") }
-        }
-        Err(PermError::Exec(ExecError::RowBudgetExceeded { budget })) => {
-            Measurement::Stopped { reason: format!("row budget of {budget} exceeded") }
-        }
-        Err(other) => Measurement::Failed { error: other.to_string() },
-    }
-}
-
-/// Average a set of completed measurements (stopped/failed ones propagate).
-pub fn average(measurements: Vec<Measurement>) -> Measurement {
-    let mut total = Duration::ZERO;
-    let mut rows = 0usize;
-    let mut count = 0u32;
-    for m in &measurements {
-        match m {
-            Measurement::Completed { time, rows: r } => {
-                total += *time;
-                rows += r;
-                count += 1;
-            }
-            other => return other.clone(),
-        }
-    }
-    if count == 0 {
-        return Measurement::Failed { error: "no measurements".into() };
-    }
-    Measurement::Completed { time: total / count, rows: rows / count as usize }
-}
-
-/// Time a closure.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (Duration, T) {
-    let start = Instant::now();
-    let value = f();
-    (start.elapsed(), value)
-}
-
-/// Execute a closure returning a relation and discard the data (keeps timing honest without
-/// printing).
-pub fn run_and_count(result: Result<Relation, PermError>) -> Result<usize, PermError> {
-    result.map(|r| r.num_rows())
-}
-
-/// Human-readable duration with sub-millisecond resolution.
-pub fn format_duration(d: Duration) -> String {
-    let secs = d.as_secs_f64();
-    if secs >= 1.0 {
-        format!("{secs:.3}s")
-    } else if secs >= 0.001 {
-        format!("{:.3}ms", secs * 1e3)
-    } else {
-        format!("{:.1}µs", secs * 1e6)
-    }
-}
-
-/// Format a ratio such as the provenance/normal overhead factor.
-pub fn format_factor(numerator: Duration, denominator: Duration) -> String {
-    let d = denominator.as_secs_f64();
-    if d <= f64::EPSILON {
-        "-".to_string()
-    } else {
-        format!("{:.1}x", numerator.as_secs_f64() / d)
-    }
-}
-
-/// Thousands separator (the paper prints e.g. 6'001'215).
-pub fn group_thousands(n: usize) -> String {
-    let s = n.to_string();
-    let mut out = String::new();
-    for (i, c) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i).is_multiple_of(3) {
-            out.push('\'');
-        }
-        out.push(c);
-    }
-    out
-}
-
-/// A simple text table renderer used by the `paper_tables` binary and `EXPERIMENTS.md`.
-#[derive(Debug, Clone, Default)]
-pub struct TextTable {
-    /// Table title.
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Data rows.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl TextTable {
-    /// Create a table with a title and headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> TextTable {
-        TextTable {
-            title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row.
-    pub fn push_row(&mut self, row: Vec<String>) {
-        self.rows.push(row);
-    }
-
-    /// Render as a GitHub-flavoured markdown table.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                if i >= widths.len() {
-                    widths.push(cell.len());
-                } else {
-                    widths[i] = widths[i].max(cell.len());
-                }
-            }
-        }
-        let mut out = format!("### {}\n\n", self.title);
-        let render_row = |cells: &[String], widths: &[usize]| -> String {
-            let padded: Vec<String> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    format!("{c:<width$}", width = widths.get(i).copied().unwrap_or(c.len()))
-                })
-                .collect();
-            format!("| {} |\n", padded.join(" | "))
-        };
-        out.push_str(&render_row(&self.headers, &widths));
-        let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        out.push_str(&format!("| {} |\n", sep.join(" | ")));
-        for row in &self.rows {
-            out.push_str(&render_row(row, &widths));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(format_duration(Duration::from_millis(1500)), "1.500s");
-        assert_eq!(format_duration(Duration::from_micros(250)), "250.0µs");
-        assert_eq!(group_thousands(6_001_215), "6'001'215");
-        assert_eq!(group_thousands(42), "42");
-        assert_eq!(format_factor(Duration::from_secs(3), Duration::from_secs(1)), "3.0x");
-    }
-
-    #[test]
-    fn text_table_renders_markdown() {
-        let mut t = TextTable::new("Fig X", &["q", "time"]);
-        t.push_row(vec!["1".into(), "0.5ms".into()]);
-        let rendered = t.render();
-        assert!(rendered.contains("### Fig X"));
-        assert!(rendered.contains("| q"));
-        assert!(rendered.contains("| 1"));
-    }
-
-    #[test]
-    fn measure_query_classifies_outcomes() {
-        let config = BenchConfig::quick();
-        let db = config.database(ScalePreset::Small);
-        let ok = measure_query(&db, "SELECT count(*) AS c FROM region");
-        assert!(matches!(ok, Measurement::Completed { rows: 1, .. }));
-        let failed = measure_query(&db, "SELECT * FROM not_a_table");
-        assert!(matches!(failed, Measurement::Failed { .. }));
-        // A tiny row budget forces the stopped path.
-        let mut tight = PermDb::with_catalog(
-            db.catalog().clone(),
-            ProvenanceOptions::default().with_row_budget(2),
-        );
-        tight.set_options(ProvenanceOptions::default().with_row_budget(2));
-        let stopped = measure_query(&tight, "SELECT r_name FROM region");
-        assert!(matches!(stopped, Measurement::Stopped { .. }));
-    }
-
-    #[test]
-    fn average_propagates_stopped_measurements() {
-        let avg = average(vec![
-            Measurement::Completed { time: Duration::from_millis(2), rows: 10 },
-            Measurement::Completed { time: Duration::from_millis(4), rows: 20 },
-        ]);
-        match avg {
-            Measurement::Completed { time, rows } => {
-                assert_eq!(time, Duration::from_millis(3));
-                assert_eq!(rows, 15);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let stopped = average(vec![
-            Measurement::Completed { time: Duration::from_millis(2), rows: 10 },
-            Measurement::Stopped { reason: "row budget".into() },
-        ]);
-        assert!(matches!(stopped, Measurement::Stopped { .. }));
-    }
+/// The small TPC-H instance (seed 42), analyzed, behind a [`PermDb`] with a 1 000 000-row
+/// budget and a 10 s timeout.
+pub fn database() -> PermDb {
+    let catalog = generate_catalog(TpchScale::small(), 42);
+    // Post-load ANALYZE: statistics otherwise build lazily inside the first measured query,
+    // which would charge a whole-table collection scan to that query's latency (the paper's
+    // figures measure warm-catalog execution).
+    catalog.analyze();
+    let options = ProvenanceOptions::default()
+        .with_row_budget(1_000_000)
+        .with_timeout(Duration::from_secs(10));
+    PermDb::with_catalog(catalog, options)
 }

@@ -1,22 +1,21 @@
 //! # perm-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the paper's evaluation
-//! section (§V):
+//! The paper's evaluation (§V) as criterion benches, all on [`harness::database`]:
 //!
-//! | experiment | paper figure | harness entry point |
-//! |------------|--------------|---------------------|
-//! | compilation-time overhead for normal queries | Fig. 9 | [`figures::figure9`] |
-//! | TPC-H execution time, normal vs. provenance | Fig. 10 | [`figures::figure10_and_11`] |
-//! | TPC-H result cardinalities | Fig. 11 | [`figures::figure10_and_11`] |
-//! | set-operation queries | Fig. 12 | [`figures::figure12`] |
-//! | SPJ queries | Fig. 13 | [`figures::figure13`] |
-//! | nested aggregation queries | Fig. 14 | [`figures::figure14`] |
-//! | comparison with the Trio-style baseline | Fig. 15 | [`figures::figure15`] |
+//! | experiment | paper figure | bench |
+//! |------------|--------------|-------|
+//! | compilation-time overhead for normal queries | Fig. 9 | `compile_overhead` |
+//! | TPC-H execution time and result sizes, normal vs. provenance | Fig. 10 / 11 | `tpch_exec` |
+//! | set-operation queries | Fig. 12 | `setop_queries` |
+//! | SPJ queries | Fig. 13 | `spj_queries` |
+//! | nested aggregation queries | Fig. 14 | `aspj_queries` |
+//! | comparison with the Trio-style baseline | Fig. 15 | `trio_comparison` |
 //!
-//! The `paper_tables` binary prints the tables; the Criterion benches under `benches/` exercise
-//! the same code paths for micro-benchmarking. Absolute numbers differ from the paper (the
-//! substrate is an in-memory Rust engine, not PostgreSQL on 2008 hardware); `EXPERIMENTS.md`
-//! compares the *shapes* (relative overheads, growth trends, who wins).
+//! Plus `parallel_scaling` (worker counts), `rewrite_ablation` (optimizer on/off, rewrite cost)
+//! and the `observability_overhead` gate. `CRITERION_JSON=<file>` records medians and result
+//! sizes (`BENCH_fig13.json`, `BENCH_tpch.json`); wall-clock runs over the wire are
+//! `perm_benchmark`'s. Absolute numbers differ from the paper (an in-memory Rust engine, not
+//! PostgreSQL on 2008 hardware); BENCH_NOTES.md records them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +23,4 @@
 // condition (tests are exempt via clippy.toml); `cargo xtask lint` checks this header.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod figures;
 pub mod harness;
-
-pub use harness::{BenchConfig, ScalePreset};

@@ -3,6 +3,7 @@
 //! already-rewritten inputs, ORDER BY / LIMIT interaction, set-difference variants, DISTINCT
 //! blocks, multiple sublinks in one predicate, and error reporting.
 
+use perm_algebra::{Tuple, Value};
 use perm_core::{PermDb, PermError, ProvenanceOptions};
 
 fn db() -> PermDb {
@@ -231,4 +232,23 @@ fn column_pruning_narrows_r3_r4_rewritten_joins_without_changing_results() {
         6,
         "pruned provenance join should carry exactly 6 columns:\n{plan}"
     );
+}
+
+/// Non-ASCII text typed in SQL equals the same text stored through the `Relation` API, under
+/// `=` and `LIKE` alike.
+#[test]
+fn non_ascii_literals_match_text_stored_through_the_api() {
+    let db = PermDb::new();
+    db.execute_script("CREATE TABLE city (name TEXT); INSERT INTO city VALUES ('Zürich');")
+        .unwrap();
+    let mut city = db.catalog().table("city").unwrap();
+    city.push(Tuple::new(vec![Value::text("Zürich")])).unwrap();
+    db.catalog().overwrite("city", city).unwrap();
+    for sql in [
+        "SELECT name FROM city WHERE name = 'Zürich'",
+        "SELECT name FROM city WHERE name LIKE 'Zür%'",
+    ] {
+        let rows = db.execute_sql(sql).unwrap().tuples();
+        assert_eq!(rows, vec![Tuple::new(vec![Value::text("Zürich")]); 2], "{sql}");
+    }
 }

@@ -56,6 +56,4 @@ pub use parallel::WorkerPool;
 pub use profile::{ProfileSink, QueryProfile};
 pub use reference::execute_reference;
 pub use reorder::{ReorderPolicy, ReorderReport};
-pub use stats::{
-    render_plan_with_estimates, ColumnEstimate, Estimator, PlanEstimate, TableStatsView,
-};
+pub use stats::{ColumnEstimate, Estimator, PlanEstimate, TableStatsView};

@@ -475,34 +475,6 @@ fn group_count(keys: &[ColumnEstimate], rows: f64) -> f64 {
     groups.min(rows).max(1.0)
 }
 
-/// Render a plan tree with estimated row counts and inferred column types per operator (the
-/// body of `EXPLAIN`).
-pub fn render_plan_with_estimates(plan: &LogicalPlan, stats: &TableStatsView) -> String {
-    let estimator = Estimator::new(stats);
-    let mut out = String::new();
-    render_node(plan, &estimator, 0, &mut out);
-    out
-}
-
-fn render_node(plan: &LogicalPlan, estimator: &Estimator<'_>, depth: usize, out: &mut String) {
-    let est = estimator.estimate(plan);
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    out.push_str(&plan.describe());
-    out.push_str(&format!("  (est_rows={})", est.rows.round() as u64));
-    // Inferred types from the plan verifier (`INT?` = nullable, `*` = provenance column).
-    // A sub-plan can fail verification in isolation (e.g. a parameter whose typing context
-    // sits above this node); EXPLAIN then simply omits the types for that line.
-    if let Ok(typed) = plan.verify() {
-        out.push_str(&format!("  types={typed}"));
-    }
-    out.push('\n');
-    for child in plan.children() {
-        render_node(child, estimator, depth + 1, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,17 +650,5 @@ mod tests {
     fn join_cost_prefers_small_build_side() {
         // Building on the small side must be cheaper than building on the big side.
         assert!(join_cost(1000.0, 10.0, 500.0) < join_cost(10.0, 1000.0, 500.0));
-    }
-
-    #[test]
-    fn render_includes_estimates() {
-        let v = view();
-        let plan = LogicalPlan::Selection {
-            input: Arc::new(base("r", &["k", "v"])),
-            predicate: ScalarExpr::column(0, "k").eq(ScalarExpr::Literal(Value::Int(5))),
-        };
-        let text = render_plan_with_estimates(&plan, &v);
-        assert!(text.contains("est_rows=10"), "{text}");
-        assert!(text.contains("est_rows=1000"), "{text}");
     }
 }

@@ -8,7 +8,8 @@
 //! holds. This module absorbs the counters that previous PRs scattered across the plan cache,
 //! the governor and the stream gauge into one registry with one consistent snapshot
 //! ([`StatsSnapshot`]) rendered both as the wire `stats` text and as Prometheus exposition
-//! (`metrics` request / `permd --metrics-addr`).
+//! (`metrics` request / `permd --metrics-addr`). Each metric family is declared once, in
+//! `FAMILIES`; both renderings loop over that table and `docs/OBSERVABILITY.md` lists it.
 //!
 //! Everything on the hot path is a relaxed atomic: counters and gauges are single
 //! `fetch_add`s, the latency histogram is one bucket increment per *query* (never per row or
@@ -164,7 +165,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// How a query ended; the label of the `perm_queries_total` counter family.
+/// How a query ended; the `outcome` label of the completed-queries counter family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOutcome {
     /// Completed and delivered its full result.
@@ -516,244 +517,209 @@ pub struct StatsSnapshot {
     pub tables: Vec<TableInfo>,
 }
 
+/// What one metric family reads from a [`StatsSnapshot`].
+enum Reading<'a> {
+    /// One unlabelled value.
+    Scalar(u64),
+    /// One value per `outcome` label; on the `stats` line each outcome is a key of its own.
+    Outcomes(Vec<(&'a str, u64)>),
+    /// One value per `table` label; `stats` gives each table a line of its own.
+    Tables(Vec<(&'a str, u64)>),
+    /// The query-latency histogram: buckets in seconds for Prometheus, quantiles in
+    /// milliseconds for `stats`.
+    Histogram(&'a HistogramSnapshot),
+}
+
+/// One metric family, declared once. [`render_stats_text`] and [`render_prometheus`] are loops
+/// over [`FAMILIES`], and `docs/OBSERVABILITY.md` lists exactly these (a unit test checks it).
+struct Family {
+    /// Prometheus name.
+    name: &'static str,
+    /// Prometheus type: `counter`, `gauge` or `histogram`.
+    kind: &'static str,
+    /// Prometheus HELP text.
+    help: &'static str,
+    /// The `stats` line and key the family is shown under; the key is empty when the family's
+    /// outcomes or quantiles name their own keys.
+    stats: (&'static str, &'static str),
+    /// Reads the family's value(s) from one snapshot.
+    read: fn(&StatsSnapshot) -> Reading<'_>,
+}
+
+fn per_table(snap: &StatsSnapshot, value: fn(&TableInfo) -> u64) -> Reading<'_> {
+    Reading::Tables(snap.tables.iter().map(|t| (t.name.as_str(), value(t))).collect())
+}
+
+/// Every family the engine reports, in `stats` line order (Prometheus follows the same order).
+#[rustfmt::skip]
+const FAMILIES: &[Family] = &[
+    Family { name: "perm_plan_cache_hits_total", kind: "counter", stats: ("plan_cache", "hits"),
+        help: "Plan-cache lookups that returned a cached plan.",
+        read: |s| Reading::Scalar(s.cache.hits) },
+    Family { name: "perm_plan_cache_misses_total", kind: "counter", stats: ("plan_cache", "misses"),
+        help: "Plan-cache lookups that found nothing (or a stale entry).",
+        read: |s| Reading::Scalar(s.cache.misses) },
+    Family { name: "perm_plan_cache_invalidations_total", kind: "counter",
+        stats: ("plan_cache", "invalidations"),
+        help: "Cached plans dropped because the catalog version moved past them.",
+        read: |s| Reading::Scalar(s.cache.invalidations) },
+    Family { name: "perm_plan_cache_entries", kind: "gauge", stats: ("plan_cache", "entries"),
+        help: "Plans currently cached.",
+        read: |s| Reading::Scalar(s.cache.entries as u64) },
+    Family { name: "perm_stream_buffered_bytes", kind: "gauge",
+        stats: (WINDOW_LINE, "buffered_bytes"),
+        help: "Bytes buffered in streaming result channels.",
+        read: |s| Reading::Scalar(s.stream_buffered as u64) },
+    Family { name: "perm_governor_active_queries", kind: "gauge",
+        stats: ("governor", "active_queries"),
+        help: "Statements registered with the governor.",
+        read: |s| Reading::Scalar(s.governor.active_queries as u64) },
+    Family { name: "perm_governor_reserved_bytes", kind: "gauge",
+        stats: ("governor", "reserved_bytes"),
+        help: "Bytes reserved across all registered statements.",
+        read: |s| Reading::Scalar(s.governor.reserved_bytes as u64) },
+    Family { name: "perm_governor_admitted_total", kind: "counter", stats: ("governor", "admitted"),
+        help: "Statements admitted by the governor since startup.",
+        read: |s| Reading::Scalar(s.governor.admitted) },
+    Family { name: "perm_governor_shed_total", kind: "counter", stats: ("governor", "shed_queries"),
+        help: "Statements shed under engine-wide memory pressure.",
+        read: |s| Reading::Scalar(s.governor.shed_queries) },
+    Family { name: "perm_queries_active", kind: "gauge", stats: ("queries", "active"),
+        help: "Queries currently executing.",
+        read: |s| Reading::Scalar(s.metrics.queries_active) },
+    Family { name: "perm_queries_total", kind: "counter", stats: ("queries", ""),
+        help: "Completed queries by outcome.",
+        read: |s| Reading::Outcomes(vec![
+            (QueryOutcome::Ok.as_str(), s.metrics.queries_ok),
+            (QueryOutcome::Error.as_str(), s.metrics.queries_error),
+            (QueryOutcome::Cancelled.as_str(), s.metrics.queries_cancelled),
+            (QueryOutcome::Shed.as_str(), s.metrics.queries_shed),
+        ]) },
+    Family { name: "perm_query_latency_seconds", kind: "histogram", stats: ("latency_ms", ""),
+        help: "Query wall-clock latency.",
+        read: |s| Reading::Histogram(&s.metrics.latency) },
+    Family { name: "perm_rows_streamed_total", kind: "counter", stats: ("streamed", "rows"),
+        help: "Result rows streamed to clients.",
+        read: |s| Reading::Scalar(s.metrics.rows_streamed) },
+    Family { name: "perm_bytes_streamed_total", kind: "counter", stats: ("streamed", "bytes"),
+        help: "Result bytes (chunk payload) streamed to clients.",
+        read: |s| Reading::Scalar(s.metrics.bytes_streamed) },
+    Family { name: "perm_connections_active", kind: "gauge", stats: ("connections", "active"),
+        help: "Connections currently open.",
+        read: |s| Reading::Scalar(s.metrics.connections_active) },
+    Family { name: "perm_connections_opened_total", kind: "counter",
+        stats: ("connections", "opened"),
+        help: "Connections accepted since startup.",
+        read: |s| Reading::Scalar(s.metrics.connections_opened) },
+    Family { name: "perm_optimizer_joins_reordered_total", kind: "counter",
+        stats: ("optimizer", "reordered"),
+        help: "Join regions reordered by the cost-based optimizer.",
+        read: |s| Reading::Scalar(s.metrics.plans_reordered) },
+    Family { name: "perm_optimizer_build_swaps_total", kind: "counter",
+        stats: ("optimizer", "build_swaps"),
+        help: "Hash-join build sides swapped to the estimated-smaller input.",
+        read: |s| Reading::Scalar(s.metrics.build_sides_swapped) },
+    Family { name: "perm_optimizer_estimator_calls_total", kind: "counter",
+        stats: ("optimizer", "estimator_calls"),
+        help: "Plan nodes the cardinality estimator was asked about.",
+        read: |s| Reading::Scalar(s.metrics.estimator_invocations) },
+    Family { name: "perm_table_rows", kind: "gauge", stats: ("table", "rows"),
+        help: "Rows stored per base table.",
+        read: |s| per_table(s, |t| t.rows as u64) },
+    Family { name: "perm_table_bytes", kind: "gauge", stats: ("table", "bytes"),
+        help: "Resident bytes of each table's chunks.",
+        read: |s| per_table(s, |t| t.bytes as u64) },
+    Family { name: "perm_table_stats_version", kind: "gauge", stats: ("table", "stats_version"),
+        help: "Catalog version of each table's last mutation (the version its statistics \
+               describe).",
+        read: |s| per_table(s, |t| t.modified_version) },
+];
+
+/// The `stats` line that ends with the server's backpressure window: the window is
+/// configuration, not a metric, so it rides next to the stream gauge instead of being a family.
+const WINDOW_LINE: &str = "streams";
+
+/// Escape a label value as the text exposition format (0.0.4) requires. `stats` shows table
+/// names the same way, so no name can split a line of either rendering.
+fn escape_label(value: &str) -> String {
+    value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+}
+
 /// Render the wire `stats` text from one snapshot (the `window` is the server's backpressure
 /// window, reported alongside the stream gauge).
 pub fn render_stats_text(snap: &StatsSnapshot, window: usize) -> String {
-    let m = &snap.metrics;
-    let mut text = format!(
-        "plan_cache hits={} misses={} invalidations={} entries={}\nstreams buffered_bytes={} \
-         window={}\ngovernor active_queries={} reserved_bytes={} admitted={} \
-         shed_queries={}\nqueries active={} ok={} error={} cancelled={} shed={}\nlatency_ms \
-         p50={:.3} p95={:.3} p99={:.3} count={}\nstreamed rows={} bytes={}\nconnections \
-         active={} opened={}",
-        snap.cache.hits,
-        snap.cache.misses,
-        snap.cache.invalidations,
-        snap.cache.entries,
-        snap.stream_buffered,
-        window,
-        snap.governor.active_queries,
-        snap.governor.reserved_bytes,
-        snap.governor.admitted,
-        snap.governor.shed_queries,
-        m.queries_active,
-        m.queries_ok,
-        m.queries_error,
-        m.queries_cancelled,
-        m.queries_shed,
-        m.latency.quantile_ms(0.50),
-        m.latency.quantile_ms(0.95),
-        m.latency.quantile_ms(0.99),
-        m.latency.count,
-        m.rows_streamed,
-        m.bytes_streamed,
-        m.connections_active,
-        m.connections_opened,
-    );
-    let _ = write!(
-        text,
-        "\noptimizer reordered={} build_swaps={} estimator_calls={}",
-        m.plans_reordered, m.build_sides_swapped, m.estimator_invocations,
-    );
-    for table in &snap.tables {
-        let _ = write!(
-            text,
-            "\ntable {} rows={} bytes={} stats_version={}",
-            table.name, table.rows, table.bytes, table.modified_version,
-        );
+    let mut lines: Vec<String> = Vec::new();
+    // Families that share a `stats` line are adjacent in the table; `lines[first..]` is the
+    // open line, or the open run of one line per table.
+    let (mut open, mut first) = ("", 0);
+    for family in FAMILIES {
+        let (line, key) = family.stats;
+        let reading = (family.read)(snap);
+        if line != open {
+            (open, first) = (line, lines.len());
+            match &reading {
+                Reading::Tables(rows) => lines.extend(
+                    rows.iter().map(|(table, _)| format!("{line} {}", escape_label(table))),
+                ),
+                _ => lines.push(line.to_string()),
+            }
+        }
+        for (row, text) in lines[first..].iter_mut().enumerate() {
+            let _ = match &reading {
+                Reading::Scalar(v) => write!(text, " {key}={v}"),
+                Reading::Tables(rows) => write!(text, " {key}={}", rows[row].1),
+                Reading::Outcomes(values) => {
+                    values.iter().try_for_each(|(outcome, v)| write!(text, " {outcome}={v}"))
+                }
+                Reading::Histogram(h) => write!(
+                    text,
+                    " p50={:.3} p95={:.3} p99={:.3} count={}",
+                    h.quantile_ms(0.50),
+                    h.quantile_ms(0.95),
+                    h.quantile_ms(0.99),
+                    h.count,
+                ),
+            };
+            if line == WINDOW_LINE {
+                let _ = write!(text, " window={window}");
+            }
+        }
     }
-    text
+    lines.join("\n")
 }
 
-fn prom_metric(
-    out: &mut String,
-    name: &str,
-    kind: &str,
-    help: &str,
-    value: impl std::fmt::Display,
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Render one snapshot in the Prometheus text exposition format (version 0.0.4).
+/// Render one snapshot in the Prometheus text exposition format (version 0.0.4). A per-table
+/// family is left out while the catalog has no tables.
 pub fn render_prometheus(snap: &StatsSnapshot) -> String {
-    let m = &snap.metrics;
     let mut out = String::with_capacity(2048);
-    prom_metric(
-        &mut out,
-        "perm_connections_opened_total",
-        "counter",
-        "Connections accepted since startup.",
-        m.connections_opened,
-    );
-    prom_metric(
-        &mut out,
-        "perm_connections_active",
-        "gauge",
-        "Connections currently open.",
-        m.connections_active,
-    );
-    prom_metric(
-        &mut out,
-        "perm_queries_active",
-        "gauge",
-        "Queries currently executing.",
-        m.queries_active,
-    );
-    let _ = writeln!(out, "# HELP perm_queries_total Completed queries by outcome.");
-    let _ = writeln!(out, "# TYPE perm_queries_total counter");
-    for (outcome, value) in [
-        ("ok", m.queries_ok),
-        ("error", m.queries_error),
-        ("cancelled", m.queries_cancelled),
-        ("shed", m.queries_shed),
-    ] {
-        let _ = writeln!(out, "perm_queries_total{{outcome=\"{outcome}\"}} {value}");
-    }
-    prom_metric(
-        &mut out,
-        "perm_rows_streamed_total",
-        "counter",
-        "Result rows streamed to clients.",
-        m.rows_streamed,
-    );
-    prom_metric(
-        &mut out,
-        "perm_bytes_streamed_total",
-        "counter",
-        "Result bytes (chunk payload) streamed to clients.",
-        m.bytes_streamed,
-    );
-    let _ = writeln!(out, "# HELP perm_query_latency_seconds Query wall-clock latency.");
-    let _ = writeln!(out, "# TYPE perm_query_latency_seconds histogram");
-    let mut cumulative = 0u64;
-    for (i, count) in m.latency.buckets.iter().enumerate() {
-        cumulative += count;
-        match m.latency.bounds.get(i) {
-            Some(bound) => {
-                let _ = writeln!(
-                    out,
-                    "perm_query_latency_seconds_bucket{{le=\"{}\"}} {cumulative}",
-                    bound / 1000.0
-                );
+    for family in FAMILIES {
+        let name = family.name;
+        let reading = (family.read)(snap);
+        if matches!(&reading, Reading::Tables(rows) if rows.is_empty()) {
+            continue;
+        }
+        let _ = writeln!(out, "# HELP {name} {}\n# TYPE {name} {}", family.help, family.kind);
+        let (label, samples) = match reading {
+            Reading::Scalar(v) => {
+                let _ = writeln!(out, "{name} {v}");
+                continue;
             }
-            None => {
-                let _ =
-                    writeln!(out, "perm_query_latency_seconds_bucket{{le=\"+Inf\"}} {cumulative}");
+            Reading::Histogram(h) => {
+                let mut cumulative = 0;
+                for (i, count) in h.buckets.iter().enumerate() {
+                    cumulative += count;
+                    let le =
+                        h.bounds.get(i).map_or("+Inf".to_string(), |ms| (ms / 1000.0).to_string());
+                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                }
+                let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum_ms / 1000.0, h.count);
+                continue;
             }
-        }
-    }
-    let _ = writeln!(out, "perm_query_latency_seconds_sum {}", m.latency.sum_ms / 1000.0);
-    let _ = writeln!(out, "perm_query_latency_seconds_count {}", m.latency.count);
-    prom_metric(
-        &mut out,
-        "perm_plan_cache_hits_total",
-        "counter",
-        "Plan-cache lookups that returned a cached plan.",
-        snap.cache.hits,
-    );
-    prom_metric(
-        &mut out,
-        "perm_plan_cache_misses_total",
-        "counter",
-        "Plan-cache lookups that found nothing (or a stale entry).",
-        snap.cache.misses,
-    );
-    prom_metric(
-        &mut out,
-        "perm_plan_cache_invalidations_total",
-        "counter",
-        "Cached plans dropped because the catalog version moved past them.",
-        snap.cache.invalidations,
-    );
-    prom_metric(
-        &mut out,
-        "perm_plan_cache_entries",
-        "gauge",
-        "Plans currently cached.",
-        snap.cache.entries,
-    );
-    prom_metric(
-        &mut out,
-        "perm_governor_active_queries",
-        "gauge",
-        "Statements registered with the governor.",
-        snap.governor.active_queries,
-    );
-    prom_metric(
-        &mut out,
-        "perm_governor_reserved_bytes",
-        "gauge",
-        "Bytes reserved across all registered statements.",
-        snap.governor.reserved_bytes,
-    );
-    prom_metric(
-        &mut out,
-        "perm_governor_admitted_total",
-        "counter",
-        "Statements admitted by the governor since startup.",
-        snap.governor.admitted,
-    );
-    prom_metric(
-        &mut out,
-        "perm_governor_shed_total",
-        "counter",
-        "Statements shed under engine-wide memory pressure.",
-        snap.governor.shed_queries,
-    );
-    prom_metric(
-        &mut out,
-        "perm_stream_buffered_bytes",
-        "gauge",
-        "Bytes buffered in streaming result channels.",
-        snap.stream_buffered,
-    );
-    prom_metric(
-        &mut out,
-        "perm_optimizer_joins_reordered_total",
-        "counter",
-        "Join regions reordered by the cost-based optimizer.",
-        m.plans_reordered,
-    );
-    prom_metric(
-        &mut out,
-        "perm_optimizer_build_swaps_total",
-        "counter",
-        "Hash-join build sides swapped to the estimated-smaller input.",
-        m.build_sides_swapped,
-    );
-    prom_metric(
-        &mut out,
-        "perm_optimizer_estimator_calls_total",
-        "counter",
-        "Plan nodes the cardinality estimator was asked about.",
-        m.estimator_invocations,
-    );
-    if !snap.tables.is_empty() {
-        let _ = writeln!(out, "# HELP perm_table_rows Rows stored per base table.");
-        let _ = writeln!(out, "# TYPE perm_table_rows gauge");
-        for t in &snap.tables {
-            let _ = writeln!(out, "perm_table_rows{{table=\"{}\"}} {}", t.name, t.rows);
-        }
-        let _ = writeln!(out, "# HELP perm_table_bytes Resident bytes of each table's chunks.");
-        let _ = writeln!(out, "# TYPE perm_table_bytes gauge");
-        for t in &snap.tables {
-            let _ = writeln!(out, "perm_table_bytes{{table=\"{}\"}} {}", t.name, t.bytes);
-        }
-        let _ = writeln!(
-            out,
-            "# HELP perm_table_stats_version Catalog version of each table's last mutation \
-             (the version its statistics describe)."
-        );
-        let _ = writeln!(out, "# TYPE perm_table_stats_version gauge");
-        for t in &snap.tables {
-            let _ = writeln!(
-                out,
-                "perm_table_stats_version{{table=\"{}\"}} {}",
-                t.name, t.modified_version
-            );
+            Reading::Outcomes(values) => ("outcome", values),
+            Reading::Tables(values) => ("table", values),
+        };
+        for (value_label, v) in samples {
+            let _ = writeln!(out, "{name}{{{label}=\"{}\"}} {v}", escape_label(value_label));
         }
     }
     out
@@ -830,51 +796,116 @@ mod tests {
         assert_eq!(outcome_of(&ServiceError::protocol("x")), QueryOutcome::Error);
     }
 
-    #[test]
-    fn prometheus_rendering_is_well_formed() {
-        let metrics = Arc::new(Metrics::new());
-        let mut t = metrics.start_query("SELECT 1", None);
-        t.finish(QueryOutcome::Ok, 3);
-        let snap = StatsSnapshot {
-            cache: CacheStats::default(),
+    /// A snapshot with every family non-trivial; `tests/fixtures/{stats,prometheus}.txt` hold
+    /// what the two hand-written renderers produced for it before the family table replaced them.
+    fn fixture_snapshot() -> StatsSnapshot {
+        StatsSnapshot {
+            cache: CacheStats { hits: 12, misses: 3, invalidations: 2, entries: 5 },
             governor: GovernorStats {
-                active_queries: 0,
-                reserved_bytes: 0,
-                admitted: 1,
-                shed_queries: 0,
+                active_queries: 1,
+                reserved_bytes: 65_536,
+                admitted: 17,
+                shed_queries: 1,
             },
-            stream_buffered: 0,
-            metrics: metrics.snapshot(),
-            tables: vec![TableInfo {
-                name: "r".to_string(),
-                rows: 42,
-                bytes: 336,
-                modified_version: 3,
-            }],
-        };
-        let text = render_prometheus(&snap);
-        assert!(text.contains("# TYPE perm_queries_total counter"));
-        assert!(text.contains("perm_queries_total{outcome=\"ok\"} 1"));
-        assert!(text.contains("perm_query_latency_seconds_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("perm_query_latency_seconds_count 1"));
-        assert!(text.contains("perm_governor_admitted_total 1"));
+            stream_buffered: 2048,
+            metrics: MetricsSnapshot {
+                connections_opened: 4,
+                connections_active: 2,
+                queries_active: 1,
+                queries_ok: 11,
+                queries_error: 2,
+                queries_cancelled: 1,
+                queries_shed: 1,
+                rows_streamed: 1_000_042,
+                bytes_streamed: 8_388_608,
+                latency: HistogramSnapshot {
+                    bounds: &LATENCY_BUCKETS_MS,
+                    buckets: vec![3, 2, 4, 1, 0, 2, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1],
+                    count: 15,
+                    sum_ms: 12_345.678,
+                },
+                plans_reordered: 3,
+                build_sides_swapped: 2,
+                estimator_invocations: 57,
+            },
+            tables: vec![
+                TableInfo {
+                    name: "lineitem".to_string(),
+                    rows: 6005,
+                    bytes: 720_600,
+                    modified_version: 9,
+                },
+                TableInfo { name: "r".to_string(), rows: 42, bytes: 336, modified_version: 3 },
+            ],
+        }
+    }
+
+    /// An exposition's families (its `# HELP` blocks), in a canonical order.
+    fn families(exposition: &str) -> Vec<&str> {
+        let mut blocks: Vec<&str> = exposition.split("# HELP ").skip(1).collect();
+        blocks.sort_unstable();
+        blocks
+    }
+
+    #[test]
+    fn renderings_match_the_fixtures() {
+        let snap = fixture_snapshot();
+        assert_eq!(render_stats_text(&snap, 8), include_str!("../tests/fixtures/stats.txt"));
+        // Byte-identical families; only their order follows the table's `stats` order now.
+        let prometheus = render_prometheus(&snap);
+        assert_eq!(
+            families(&prometheus),
+            families(include_str!("../tests/fixtures/prometheus.txt"))
+        );
+        assert_eq!(families(&prometheus).len(), FAMILIES.len());
         // Every non-comment line is `name{labels} value` or `name value` with a numeric value.
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
-            }
+        for line in prometheus.lines().filter(|l| !l.starts_with('#')) {
             let (_, value) = line.rsplit_once(' ').expect("metric line has a value");
             assert!(value.parse::<f64>().is_ok(), "non-numeric value in line: {line}");
         }
-        assert!(text.contains("perm_optimizer_joins_reordered_total 0"));
-        assert!(text.contains("perm_table_rows{table=\"r\"} 42"));
-        assert!(text.contains("perm_table_bytes{table=\"r\"} 336"));
-        assert!(text.contains("perm_table_stats_version{table=\"r\"} 3"));
+    }
+
+    #[test]
+    fn per_table_families_are_left_out_without_tables() {
+        let snap = StatsSnapshot { tables: Vec::new(), ..fixture_snapshot() };
+        assert!(!render_prometheus(&snap).contains("perm_table_"));
         let stats = render_stats_text(&snap, 8);
-        assert!(stats.contains("plan_cache hits=0"));
-        assert!(stats.contains("queries active=0 ok=1"));
-        assert!(stats.contains("optimizer reordered=0 build_swaps=0 estimator_calls=0"));
-        assert!(stats.contains("table r rows=42 bytes=336 stats_version=3"));
+        assert!(
+            stats.ends_with("optimizer reordered=3 build_swaps=2 estimator_calls=57"),
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn label_values_are_escaped_in_both_renderings() {
+        let table =
+            |name: &str| TableInfo { name: name.into(), rows: 1, bytes: 8, modified_version: 1 };
+        let snap = StatsSnapshot {
+            tables: vec![table("we\\ird"), table("say \"hi\""), table("two\nlines")],
+            ..fixture_snapshot()
+        };
+        let prometheus = render_prometheus(&snap);
+        for escaped in [r#""we\\ird""#, r#""say \"hi\"""#, r#""two\nlines""#] {
+            assert!(prometheus.contains(&format!("perm_table_rows{{table={escaped}}} 1\n")));
+        }
+        let stats = render_stats_text(&snap, 8);
+        assert!(stats.ends_with("\ntable two\\nlines rows=1 bytes=8 stats_version=1"), "{stats}");
+        assert_eq!(stats.lines().count(), 8 + 3);
+    }
+
+    /// `docs/OBSERVABILITY.md` carries the family table rendered from [`FAMILIES`], row for row.
+    #[test]
+    fn observability_doc_lists_every_family() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let rows: String = FAMILIES
+            .iter()
+            .map(|f| {
+                let stats = format!("{} {}", f.stats.0, f.stats.1);
+                format!("| `{}` | {} | `{}` | {} |\n", f.name, f.kind, stats.trim_end(), f.help)
+            })
+            .collect();
+        assert!(doc.contains(&rows), "docs/OBSERVABILITY.md's family table must read:\n{rows}");
+        assert_eq!(doc.matches("\n| `perm_").count(), FAMILIES.len(), "a family the table lacks");
     }
 
     #[test]

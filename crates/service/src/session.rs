@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use perm_algebra::{Attribute, DataType, Schema, Tuple, Value};
 use perm_exec::profile::ProfileSink;
-use perm_exec::{render_plan_with_estimates, ExecOptions};
+use perm_exec::{Estimator, ExecOptions};
 use perm_storage::Relation;
 
 use crate::engine::{is_query_sql, Engine, PreparedPlan};
@@ -163,14 +163,9 @@ impl Session {
         let options = self.options.exec_options().with_profile(sink.clone());
         let result =
             self.engine.run_plan_streaming(prepared, options, Vec::new())?.collect_relation()?;
-        let profile = sink.snapshot();
-        let mut lines: Vec<String> = profile.render().lines().map(str::to_string).collect();
-        lines.push(format!("Total rows: {}", result.num_rows()));
-        let schema = Schema::new(vec![Attribute::new("QUERY PLAN", DataType::Text)]);
-        let tuples = lines.into_iter().map(|l| Tuple::new(vec![Value::Text(l.into())])).collect();
-        let rendered = Relation::new(schema, tuples)
-            .map_err(|e| ServiceError::Internal(format!("failed to render profile: {e}")))?;
-        Ok(QueryStream::from_relation(rendered))
+        let profile = sink.snapshot().render();
+        let total = format!("Total rows: {}", result.num_rows());
+        query_plan_stream(profile.lines().chain([total.as_str()]))
     }
 
     /// Execute `EXPLAIN <query>`: plan the query (provenance rewrite + optimization, through
@@ -182,12 +177,18 @@ impl Session {
         }
         let prepared = self.engine.plan_query(sql, self.options.optimize)?;
         let stats = self.engine.table_stats_view();
-        let text = render_plan_with_estimates(&prepared.plan, &stats);
-        let schema = Schema::new(vec![Attribute::new("QUERY PLAN", DataType::Text)]);
-        let tuples = text.lines().map(|l| Tuple::new(vec![Value::Text(l.into())])).collect();
-        let rendered = Relation::new(schema, tuples)
-            .map_err(|e| ServiceError::Internal(format!("failed to render plan: {e}")))?;
-        Ok(QueryStream::from_relation(rendered))
+        let estimator = Estimator::new(&stats);
+        let text = prepared.plan.display_tree_with(&mut |node| {
+            let rows = estimator.estimate(node).rows.round() as u64;
+            // Inferred types from the plan verifier (`INT?` = nullable, `*` = provenance
+            // column). A sub-plan can fail verification in isolation (e.g. a parameter whose
+            // typing context sits above this node); the line then simply omits its types.
+            match node.verify() {
+                Ok(typed) => format!("  (est_rows={rows})  types={typed}"),
+                Err(_) => format!("  (est_rows={rows})"),
+            }
+        });
+        query_plan_stream(text.lines())
     }
 
     /// Execute a single SQL statement (DDL, DML or query). Queries go through the shared plan
@@ -289,6 +290,17 @@ impl Session {
         names.sort();
         names
     }
+}
+
+/// The one-column `QUERY PLAN` result of `EXPLAIN` and `EXPLAIN ANALYZE`: one row per line.
+fn query_plan_stream<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<QueryStream, ServiceError> {
+    let schema = Schema::new(vec![Attribute::new("QUERY PLAN", DataType::Text)]);
+    let tuples = lines.map(|l| Tuple::new(vec![Value::Text(l.into())])).collect();
+    let rendered = Relation::new(schema, tuples)
+        .map_err(|e| ServiceError::Internal(format!("failed to render plan: {e}")))?;
+    Ok(QueryStream::from_relation(rendered))
 }
 
 /// If `sql` is `EXPLAIN ANALYZE <inner>` (case-insensitive, any whitespace), return `inner`.

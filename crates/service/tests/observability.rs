@@ -270,3 +270,23 @@ fn stats_snapshot_reports_tables_and_optimizer_counters() {
     assert!(prom.contains(&format!("perm_table_bytes{{table=\"big\"}} {}", big.bytes)), "{prom}");
     wait_for_zero_gauges(&engine);
 }
+
+/// Table names that need escaping — a backslash, non-ASCII text, a newline — come out as one
+/// well-formed sample each in Prometheus and one line each in `stats`.
+#[test]
+fn table_labels_are_escaped_in_both_renderings() {
+    let engine = Arc::new(Engine::with_catalog(Catalog::new()));
+    let session = engine.session();
+    for name in ["we\\ird", "größe", "two\nlines"] {
+        session.execute(&format!("CREATE TABLE \"{name}\" (a INT)")).unwrap();
+    }
+    let snap = engine.stats_snapshot();
+    let prom = perm_service::metrics::render_prometheus(&snap);
+    for label in [r"we\\ird", "größe", r"two\nlines"] {
+        assert!(prom.contains(&format!("\nperm_table_rows{{table=\"{label}\"}} 0\n")), "{prom}");
+    }
+    assert!(prom.lines().all(|l| l.starts_with("# ") || l.starts_with("perm_")), "{prom}");
+    let text = perm_service::render_stats_text(&snap, 16);
+    assert_eq!(text.lines().filter(|l| l.starts_with("table ")).count(), 3, "{text}");
+    assert!(text.contains("\ntable two\\nlines rows=0 "), "{text}");
+}

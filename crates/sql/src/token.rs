@@ -187,51 +187,38 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 }
                 tokens.push(Token { kind: TokenKind::Parameter(position), start });
             }
+            // Quoted text is sliced out of the input between its (ASCII) delimiters, so a
+            // multi-byte character arrives whole.
             '\'' => {
                 // String literal; '' escapes a quote.
                 let mut value = String::new();
-                i += 1;
                 loop {
-                    if i >= bytes.len() {
+                    let Some(len) = input[i + 1..].find('\'') else {
                         return Err(SqlError::Lex {
                             message: "unterminated string literal".into(),
                             position: start,
                         });
+                    };
+                    value.push_str(&input[i + 1..i + 1 + len]);
+                    i += len + 2;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
-                    if bytes[i] == b'\'' {
-                        if bytes.get(i + 1) == Some(&b'\'') {
-                            value.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        value.push(bytes[i] as char);
-                        i += 1;
-                    }
+                    value.push('\'');
                 }
                 tokens.push(Token { kind: TokenKind::String(value), start });
             }
             '"' => {
                 // Quoted identifier.
-                let mut value = String::new();
-                i += 1;
-                loop {
-                    if i >= bytes.len() {
-                        return Err(SqlError::Lex {
-                            message: "unterminated quoted identifier".into(),
-                            position: start,
-                        });
-                    }
-                    if bytes[i] == b'"' {
-                        i += 1;
-                        break;
-                    }
-                    value.push(bytes[i] as char);
-                    i += 1;
-                }
+                let Some(len) = input[i + 1..].find('"') else {
+                    return Err(SqlError::Lex {
+                        message: "unterminated quoted identifier".into(),
+                        position: start,
+                    });
+                };
+                let value = input[i + 1..i + 1 + len].to_string();
                 tokens.push(Token { kind: TokenKind::Ident(value), start });
+                i += len + 2;
             }
             c if c.is_ascii_digit() => {
                 let mut value = String::new();
@@ -267,11 +254,13 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 }
                 tokens.push(Token { kind: TokenKind::Ident(value), start });
             }
-            other => {
+            _ => {
+                // Name the character typed, not its first UTF-8 byte.
+                let other = input[i..].chars().next().unwrap_or(c);
                 return Err(SqlError::Lex {
                     message: format!("unexpected character '{other}'"),
                     position: start,
-                })
+                });
             }
         }
     }
@@ -302,6 +291,16 @@ mod tests {
         let k = kinds("SELECT 'it''s', \"Weird Col\"");
         assert!(k.contains(&TokenKind::String("it's".into())));
         assert!(k.contains(&TokenKind::Ident("Weird Col".into())));
+    }
+
+    #[test]
+    fn non_ascii_text_arrives_whole() {
+        let k = kinds("SELECT 'Zürich', 'l''Übersee', \"größe\"");
+        assert!(k.contains(&TokenKind::String("Zürich".into())), "{k:?}");
+        assert!(k.contains(&TokenKind::String("l'Übersee".into())), "{k:?}");
+        assert!(k.contains(&TokenKind::Ident("größe".into())), "{k:?}");
+        let err = tokenize("SELECT ä").unwrap_err().to_string();
+        assert!(err.contains("unexpected character 'ä'"), "{err}");
     }
 
     #[test]

@@ -154,6 +154,17 @@ fn rejected_corpus_fails_with_the_expected_error_class() {
     }
 }
 
+/// Quoted non-ASCII text reaches the catalog lookup and the plan byte for byte.
+#[test]
+fn non_ascii_identifiers_and_literals_resolve() {
+    let catalog = tpch_like_catalog();
+    catalog.create_table("größe", Schema::from_pairs(&[("straße", DataType::Text)])).unwrap();
+    let plan = Analyzer::new(catalog)
+        .analyze_query_sql("SELECT \"straße\" FROM \"größe\" WHERE \"straße\" = 'Zürich'")
+        .unwrap();
+    assert!(plan.display_tree().contains("'Zürich'"), "{}", plan.display_tree());
+}
+
 #[test]
 fn analysis_is_deterministic_across_clones() {
     let catalog = tpch_like_catalog();

@@ -10,8 +10,8 @@
 //! The paper runs 10 MB / 100 MB / 1 GB databases on PostgreSQL; this reproduction runs an
 //! in-memory engine, so [`TpchScale`] provides proportionally scaled-down factors. All findings
 //! of the evaluation are about *relative* behaviour (provenance vs. normal execution, growth with
-//! operator count and scale), which is preserved under uniform down-scaling; `EXPERIMENTS.md`
-//! records the shape comparison.
+//! operator count and scale), which is preserved under uniform down-scaling; the `perm_bench`
+//! criterion benches measure it at the small scale (ledger: BENCH_NOTES.md).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

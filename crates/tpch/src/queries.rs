@@ -4,7 +4,7 @@
 //! The paper evaluates the fifteen TPC-H queries that do not require correlated sublinks:
 //! 1, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16 and 19 (§V: "we can not compute the
 //! provenance of queries 2, 4, 17, 18, 20, 21 and 22"). The templates below follow the official
-//! query definitions with two pragmatic adaptations, both documented in `DESIGN.md`:
+//! query definitions with two pragmatic adaptations:
 //!
 //! * Q15's `revenue` view is inlined (the view body appears as a derived table and inside the
 //!   scalar sublink) so the query is self-contained.

@@ -173,13 +173,18 @@ for GAUGE in perm_queries_active perm_governor_active_queries perm_stream_buffer
     echo "$IDLE" | grep -q "^$GAUGE 0\r*$" \
         || { echo "FAIL: idle scrape: $GAUGE not zero"; echo "$IDLE" | grep "^$GAUGE"; exit 1; }
 done
+# Every family docs/OBSERVABILITY.md lists is exported by the shipped binary.
+FAMILIES="$(grep -o '^| `perm_[a-z_]*`' "$(dirname "$0")/../docs/OBSERVABILITY.md" | tr -d '|` ')"
+[ -n "$FAMILIES" ] || { echo "FAIL: no families read from docs/OBSERVABILITY.md"; exit 1; }
+for FAMILY in $FAMILIES; do
+    echo "$IDLE" | grep -q "^# TYPE $FAMILY " \
+        || { echo "FAIL: idle scrape missing the $FAMILY family"; exit 1; }
+done
 echo "$IDLE" | grep -q '^perm_queries_total{outcome="ok"} [1-9]' \
     || { echo "FAIL: idle scrape shows no completed queries"; exit 1; }
 echo "$IDLE" | grep -q '^perm_rows_streamed_total 10[0-9]\{5\}' \
     || { echo "FAIL: idle scrape rows_streamed_total missing the 1M-row stream"; exit 1; }
 # Resident table data is exported per table, next to the row counts (compare with VmHWM below).
-echo "$IDLE" | grep -q '^# TYPE perm_table_bytes gauge' \
-    || { echo "FAIL: idle scrape missing the perm_table_bytes family"; exit 1; }
 for TABLE in big_probe big_build; do
     echo "$IDLE" | grep -q "^perm_table_rows{table=\"$TABLE\"} [1-9][0-9]*\r*$" \
         && echo "$IDLE" | grep -q "^perm_table_bytes{table=\"$TABLE\"} [1-9][0-9]*\r*$" \

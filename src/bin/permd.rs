@@ -16,7 +16,7 @@
 //! `--bind` sets the listen address (default `127.0.0.1`); with `--port 0` (the default is
 //! 7654) the OS assigns a free port. The bound address is printed as
 //! `permd listening on ADDR:PORT` so scripts can parse it. `--plan-cache-capacity` sizes the
-//! shared plan cache (`--cache-capacity` is accepted as an alias; 0 disables caching).
+//! shared plan cache (0 disables caching).
 //! `--workers` sizes the engine's shared worker pool for intra-query (morsel-driven) parallel
 //! execution; the default is the number of logical CPUs, and `--workers 1` runs every query
 //! single-threaded. `--mem-limit` caps the bytes all running queries may reserve engine-wide
@@ -121,12 +121,10 @@ impl Config {
                     Some(v) if !v.is_empty() => config.bind = v,
                     _ => return Err("--bind requires an address".into()),
                 },
-                "--plan-cache-capacity" | "--cache-capacity" => {
-                    match args.next().and_then(|v| v.parse().ok()) {
-                        Some(v) => config.plan_cache_capacity = Some(v),
-                        None => return Err(format!("{arg} requires a number")),
-                    }
-                }
+                "--plan-cache-capacity" => match args.next().and_then(|v| v.parse().ok()) {
+                    Some(v) => config.plan_cache_capacity = Some(v),
+                    None => return Err("--plan-cache-capacity requires a number".into()),
+                },
                 "--workers" | "-w" => match args.next().and_then(|v| v.parse().ok()) {
                     Some(v) if v >= 1 => config.workers = Some(v),
                     _ => return Err("--workers requires a number >= 1".into()),
@@ -337,18 +335,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_cache_capacity_alias_still_works() {
-        let config = parse(&["--cache-capacity", "3"]).unwrap();
-        assert_eq!(config.plan_cache_capacity, Some(3));
-    }
-
-    #[test]
     fn invalid_arguments_are_rejected() {
         assert!(parse(&["--port"]).is_err());
         assert!(parse(&["--port", "abc"]).is_err());
         assert!(parse(&["--bind"]).is_err());
         assert!(parse(&["--plan-cache-capacity", "-1"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+        assert!(parse(&["--cache-capacity", "3"]).is_err()); // the old alias is gone
         assert_eq!(parse(&["--help"]).unwrap_err(), "");
     }
 

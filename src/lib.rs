@@ -36,8 +36,8 @@
 //! * [`baselines`] — Trio-style eager lineage and Cui–Widom inversion, used in the evaluation,
 //! * [`tpch`] — the TPC-H data generator, benchmark queries and artificial workloads.
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for the reproduction of
-//! the paper's evaluation tables.
+//! README.md describes the architecture. The paper's evaluation (§V, Figures 9–15) is measured
+//! by the criterion benches of `crates/bench` (ledger: BENCH_NOTES.md).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
