@@ -111,8 +111,8 @@ thread_local! {
 
 /// RAII guard tagging every log line emitted by this thread with `qid=<id>` while alive.
 ///
-/// Used by the server dispatch loop and the stream producer threads, so that code deep in the
-/// executor (failpoints, memory sheds) logs the query it is serving without plumbing.
+/// Used by the server dispatch loop and by query streams as they execute, so that code deep in
+/// the executor (failpoints, memory sheds) logs the query it is serving without plumbing.
 pub struct QueryIdGuard {
     previous: u64,
 }

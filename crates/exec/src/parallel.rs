@@ -205,8 +205,8 @@ impl WorkerPool {
             slots: Mutex::new((0..total).map(|_| None).collect()),
             in_flight: Mutex::new(0),
             idle: Condvar::new(),
-            // The dispatching thread carries the query id in TLS (set by the server / stream
-            // producer); capture it so worker threads tag their log lines with the same query.
+            // The dispatching thread carries the query id in TLS (set by the server / query
+            // stream); capture it so worker threads tag their log lines with the same query.
             qid: crate::log::current_query_id(),
         });
         let task = Arc::new(task);

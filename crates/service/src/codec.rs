@@ -1,4 +1,4 @@
-//! Binary payload codec for protocol-v2 response frames.
+//! Binary payload codec for protocol-v3 response frames.
 //!
 //! Requests stay single-line UTF-8 text; *responses* are tagged binary payloads inside the
 //! same length-prefixed framing (see [`crate::wire`]). The first payload byte is the frame
@@ -17,16 +17,24 @@
 //! dictionary row once (after compacting away unreferenced rows) — or, when its indices form
 //! long runs, one row per run — and long constant stretches of a plain column are run-length
 //! compressed at encode time. The engine hands over join output as views that share one index
-//! buffer per side (see `perm_exec::parallel`); a shared buffer is analysed once per frame, not
-//! once per column. Array encoding:
+//! buffer per side (see `perm_exec::parallel`); a shared buffer is analysed *and written* once
+//! per frame: the first view over it carries its indices (or run ends), every later one refers
+//! back to them by ordinal, and the decoder hands all of those views one shared buffer again.
+//! Array encoding:
 //!
 //! ```text
 //! array     := enc-tag:u8 body
-//! enc-tag   := 0 (plain) | 1 (dict) | 2 (run-length)
+//! enc-tag   := 0 (plain) | 1 (dict) | 2 (run-length) | 3 (shared dict)
 //! plain     := type-tag:u8 len:u32 payload            ; type-specific, see below
-//! dict      := count:u32 index:u32{count} array       ; the shared dictionary, recursively
-//! rle       := runs:u32 run-end:u32{runs} array       ; one representative row per run
+//! dict      := count:u32 index:u32{count} 0 plain     ; indices, then the dictionary
+//! rle       := runs:u32 run-end:u32{runs} 0 plain     ; one representative row per run
+//! shared    := ordinal:u32 0 plain                    ; over the k-th dict / rle of the frame
 //! ```
+//!
+//! The arrays of encodings 1 and 2 are numbered from 0 in frame order; an encoding-3 array is
+//! a dictionary (one row per run, for a run-length buffer) over the indices of the one its
+//! ordinal names, which must come earlier in the frame. The inner array of encodings 1–3 is
+//! always plain; any other inner encoding is a protocol error.
 //!
 //! Plain payloads carry a validity bitmap (`ceil(len/8)` bytes, bit `i` of byte `i/8` set iff
 //! row `i` is non-NULL) followed by native values: bit-packed bools, 8-byte ints/floats,
@@ -41,7 +49,7 @@ use perm_algebra::{Array, Bitmap, DataChunk, DataType, Schema, Value};
 use crate::error::ServiceError;
 
 /// The protocol version this build speaks (negotiated by the `hello` handshake).
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frame tag bytes.
 pub mod tag {
@@ -79,15 +87,16 @@ pub fn encode_schema(schema: &Schema) -> Vec<u8> {
 }
 
 /// Encode a result-chunk frame (`R`), factorizing each column: dict views go out run-length
-/// encoded or compacted to their referenced rows, and plain columns with long constant
-/// stretches are run-length compressed.
+/// encoded or compacted to their referenced rows — each shared index buffer once — and plain
+/// columns with long constant stretches are run-length compressed.
 pub fn encode_chunk(chunk: &DataChunk) -> Vec<u8> {
     let mut out = vec![tag::RESULT];
     out.extend_from_slice(&(chunk.num_rows() as u32).to_be_bytes());
     out.extend_from_slice(&(chunk.num_columns() as u16).to_be_bytes());
     let mut forms = Vec::new();
+    let mut written = 0;
     for c in 0..chunk.num_columns() {
-        encode_array(chunk.column(c), &mut forms, &mut out);
+        encode_array(chunk.column(c), &mut forms, &mut written, &mut out);
     }
     out
 }
@@ -175,6 +184,13 @@ impl IndexForm {
         };
         IndexForm::Compacted { indices, rows }
     }
+
+    /// The dictionary row each run (or each compacted index) stands for.
+    fn rows(&self) -> &[u32] {
+        match self {
+            IndexForm::Runs { rows, .. } | IndexForm::Compacted { rows, .. } => rows,
+        }
+    }
 }
 
 /// The rows of a dictionary at `rows`, as a plain array.
@@ -194,51 +210,68 @@ fn encode_u32s(values: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-/// Encode one array in its most compact of the three wire forms. `forms` remembers the
-/// [`IndexForm`] of every index buffer seen in this frame, by identity.
+/// An index buffer seen in a frame, by identity: its wire form and, once written, its ordinal.
+type SeenBuffer<'a> = (&'a Arc<[u32]>, IndexForm, Option<u32>);
+
+/// Encode one array in its most compact wire form. `forms` remembers every index buffer seen in
+/// this frame; `written` counts the frame's arrays of encodings 1 and 2 — the ordinal the next
+/// one takes.
 fn encode_array<'a>(
     array: &'a Array,
-    forms: &mut Vec<(&'a Arc<[u32]>, IndexForm)>,
+    forms: &mut Vec<SeenBuffer<'a>>,
+    written: &mut u32,
     out: &mut Vec<u8>,
 ) {
     match array {
         Array::Dict { indices, dict } => {
-            let known = forms.iter().position(|(buffer, _)| Arc::ptr_eq(buffer, indices));
+            let known = forms.iter().position(|(buffer, ..)| Arc::ptr_eq(buffer, indices));
             let known = known.unwrap_or_else(|| {
-                forms.push((indices, IndexForm::of(indices, dict.len())));
+                forms.push((indices, IndexForm::of(indices, dict.len()), None));
                 forms.len() - 1
             });
-            match &forms[known].1 {
-                IndexForm::Runs { run_ends, rows } => {
-                    encode_run_length(run_ends, &dictionary_rows(dict, rows), out);
+            let (_, form, ordinal) = &mut forms[known];
+            // A dictionary that is (almost) as long as the chunk saves nothing over sending the
+            // rows plainly — only keep the factorized form when rows repeat.
+            if let IndexForm::Compacted { indices, rows } = form {
+                if rows.len() >= indices.len() {
+                    return encode_plain(&array.to_plain(), out);
                 }
-                // A dictionary that is (almost) as long as the chunk saves nothing over
-                // sending the rows plainly — only keep the factorized form when rows repeat.
-                IndexForm::Compacted { indices, rows } if rows.len() >= indices.len() => {
-                    encode_plain(&array.to_plain(), out);
+            }
+            let dictionary = dictionary_rows(dict, form.rows());
+            match (*ordinal, &*form) {
+                (Some(k), _) => {
+                    out.push(3);
+                    out.extend_from_slice(&k.to_be_bytes());
+                    encode_plain(&dictionary, out);
                 }
-                IndexForm::Compacted { indices, rows } => {
-                    out.push(1);
-                    encode_u32s(indices, out);
-                    encode_plain(&dictionary_rows(dict, rows), out);
+                (None, form) => {
+                    *ordinal = Some(*written);
+                    let (tag, indices) = match form {
+                        IndexForm::Runs { run_ends, .. } => (2, run_ends),
+                        IndexForm::Compacted { indices, .. } => (1, indices),
+                    };
+                    encode_indexed(tag, indices, &dictionary, written, out);
                 }
             }
         }
         Array::RunLength { values, run_ends } => {
-            encode_run_length(run_ends, &values.to_plain(), out);
+            encode_indexed(2, run_ends, &values.to_plain(), written, out);
         }
         plain => match plain.rle_compress() {
             Some(Array::RunLength { values, run_ends }) => {
-                encode_run_length(&run_ends, &values, out);
+                encode_indexed(2, &run_ends, &values, written, out);
             }
             _ => encode_plain(plain, out),
         },
     }
 }
 
-fn encode_run_length(run_ends: &[u32], values: &Array, out: &mut Vec<u8>) {
-    out.push(2);
-    encode_u32s(run_ends, out);
+/// Write a dict (encoding 1: `u32s` are indices) or run-length array (encoding 2: run ends);
+/// it takes the frame's next ordinal.
+fn encode_indexed(tag: u8, u32s: &[u32], values: &Array, written: &mut u32, out: &mut Vec<u8>) {
+    *written += 1;
+    out.push(tag);
+    encode_u32s(u32s, out);
     encode_plain(values, out);
 }
 
@@ -396,6 +429,16 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(self.array()?))
     }
 
+    /// A `u32` count followed by that many `u32`s.
+    fn u32s(&mut self) -> Result<Vec<u32>, ServiceError> {
+        let count = self.u32()? as usize;
+        let mut values = Vec::with_capacity(count.min(self.remaining() / 4));
+        for _ in 0..count {
+            values.push(self.u32()?);
+        }
+        Ok(values)
+    }
+
     fn i32(&mut self) -> Result<i32, ServiceError> {
         Ok(i32::from_be_bytes(self.array()?))
     }
@@ -444,12 +487,13 @@ pub fn decode_chunk(body: &[u8]) -> Result<DataChunk, ServiceError> {
     let rows = cur.u32()? as usize;
     let ncols = cur.u16()? as usize;
     let mut columns = Vec::with_capacity(ncols.min(cur.remaining()));
+    let mut written = Vec::new();
     for _ in 0..ncols {
-        let array = decode_array(&mut cur)?;
+        let array = decode_array(&mut cur, &mut written)?;
         if array.len() != rows {
             return Err(ServiceError::protocol("chunk column length mismatch"));
         }
-        columns.push(Arc::new(array));
+        columns.push(array);
     }
     cur.finish()?;
     if columns.is_empty() {
@@ -467,37 +511,69 @@ pub fn decode_done(body: &[u8]) -> Result<u64, ServiceError> {
     Ok(rows)
 }
 
-fn decode_array(cur: &mut Cursor<'_>) -> Result<Array, ServiceError> {
-    match cur.u8()? {
-        0 => decode_plain(cur),
+/// Decode one top-level array. `written` holds the frame's arrays of encodings 1 and 2 so far,
+/// each with the length its dictionary or values must have (at least one past the largest
+/// index; exactly the run count): an encoding-3 array shares the indices of one of them.
+fn decode_array(
+    cur: &mut Cursor<'_>,
+    written: &mut Vec<(Arc<Array>, usize)>,
+) -> Result<Arc<Array>, ServiceError> {
+    let (array, needs) = match cur.u8()? {
+        0 => return Ok(Arc::new(decode_plain(cur)?)),
         1 => {
-            let count = cur.u32()? as usize;
-            let mut indices = Vec::with_capacity(count.min(cur.remaining() / 4));
-            for _ in 0..count {
-                indices.push(cur.u32()?);
-            }
-            let dict = decode_array(cur)?;
-            if indices.iter().any(|&i| i as usize >= dict.len()) {
+            let indices: Arc<[u32]> = cur.u32s()?.into();
+            let needs = indices.iter().max().map_or(0, |&i| i as usize + 1);
+            let dict = decode_inner(cur)?;
+            if needs > dict.len() {
                 return Err(ServiceError::protocol("dictionary index out of bounds"));
             }
-            Ok(Array::Dict { indices: indices.into(), dict: Arc::new(dict) })
+            (Array::Dict { indices, dict: Arc::new(dict) }, needs)
         }
         2 => {
-            let runs = cur.u32()? as usize;
-            let mut run_ends = Vec::with_capacity(runs.min(cur.remaining() / 4));
-            for _ in 0..runs {
-                run_ends.push(cur.u32()?);
-            }
+            let run_ends = cur.u32s()?;
             if run_ends.windows(2).any(|w| w[0] >= w[1]) || run_ends.first() == Some(&0) {
                 return Err(ServiceError::protocol("run ends are not strictly increasing"));
             }
-            let values = decode_array(cur)?;
+            let values = decode_inner(cur)?;
             if values.len() != run_ends.len() {
                 return Err(ServiceError::protocol("run values length mismatch"));
             }
-            Ok(Array::RunLength { values: Arc::new(values), run_ends })
+            let runs = run_ends.len();
+            (Array::RunLength { values: Arc::new(values), run_ends }, runs)
         }
-        other => Err(ServiceError::protocol(format!("unknown array encoding tag {other}"))),
+        3 => {
+            let ordinal = cur.u32()? as usize;
+            let (earlier, needs) = written.get(ordinal).ok_or_else(|| {
+                ServiceError::protocol(format!(
+                    "shared array refers to unwritten ordinal {ordinal}"
+                ))
+            })?;
+            let values = Arc::new(decode_inner(cur)?);
+            return match earlier.as_ref() {
+                Array::Dict { indices, .. } if values.len() >= *needs => {
+                    Ok(Arc::new(Array::Dict { indices: indices.clone(), dict: values }))
+                }
+                Array::RunLength { run_ends, .. } if values.len() == *needs => {
+                    Ok(Arc::new(Array::RunLength { values, run_ends: run_ends.clone() }))
+                }
+                _ => Err(ServiceError::protocol("shared array does not cover its indices")),
+            };
+        }
+        other => return Err(ServiceError::protocol(format!("unknown array encoding tag {other}"))),
+    };
+    let array = Arc::new(array);
+    written.push((array.clone(), needs));
+    Ok(array)
+}
+
+/// The dictionary or run values inside an encoded array: always plain, so a frame cannot nest
+/// encodings (and the decoder cannot recurse) beyond one level.
+fn decode_inner(cur: &mut Cursor<'_>) -> Result<Array, ServiceError> {
+    match cur.u8()? {
+        0 => decode_plain(cur),
+        other => Err(ServiceError::protocol(format!(
+            "encoding tag {other} inside an encoded array (its inner array must be plain)"
+        ))),
     }
 }
 

@@ -47,8 +47,8 @@ pub struct Engine {
     /// The shared pool, spawned lazily on first use so builder-style reconfiguration
     /// (`Engine::new().with_workers(n)`) never spawns and immediately discards threads.
     pool: std::sync::OnceLock<Arc<WorkerPool>>,
-    /// Bytes currently buffered in streaming result channels across all sessions (a gauge:
-    /// stream producers add on send, consumers subtract on receive).
+    /// Bytes of materialized query results not yet handed to a consumer, across all sessions
+    /// (a gauge: a stream adds its result when it executes, takes each chunk off as it goes).
     stream_buffered: Arc<std::sync::atomic::AtomicUsize>,
     /// Memory governor: every statement is admitted here and charged for its
     /// materializations; see [`Governor`].
@@ -265,7 +265,7 @@ impl Engine {
         }
     }
 
-    /// Bytes currently buffered in streaming result channels across all sessions.
+    /// Bytes of materialized query results not yet handed to a consumer, across all sessions.
     pub fn stream_buffered_bytes(&self) -> usize {
         self.stream_buffered.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -296,8 +296,8 @@ impl Engine {
     /// Execute an already-planned query as a [`QueryStream`] of result chunks.
     ///
     /// The stream is lazy: no execution work happens until the first chunk is pulled (or the
-    /// stream is collected). Pulling runs the engine on the worker pool inside the stream's
-    /// producer thread and feeds the result out chunk-wise through a bounded channel.
+    /// stream is collected). Pulling runs the engine on the calling thread and the worker pool,
+    /// then hands the result out chunk by chunk.
     /// **`SELECT ... INTO` is not handled here** — callers that support it materialize first
     /// (see [`Session::execute_streaming`]).
     pub fn run_plan_streaming(

@@ -508,7 +508,7 @@ pub struct StatsSnapshot {
     pub cache: CacheStats,
     /// Governor gauges and counters.
     pub governor: GovernorStats,
-    /// Bytes buffered in streaming result channels.
+    /// Bytes of materialized query results not yet handed to the consumer.
     pub stream_buffered: usize,
     /// The metrics registry.
     pub metrics: MetricsSnapshot,
@@ -568,7 +568,7 @@ const FAMILIES: &[Family] = &[
         read: |s| Reading::Scalar(s.cache.entries as u64) },
     Family { name: "perm_stream_buffered_bytes", kind: "gauge",
         stats: (WINDOW_LINE, "buffered_bytes"),
-        help: "Bytes buffered in streaming result channels.",
+        help: "Bytes of materialized query results not yet handed to the consumer.",
         read: |s| Reading::Scalar(s.stream_buffered as u64) },
     Family { name: "perm_governor_active_queries", kind: "gauge",
         stats: ("governor", "active_queries"),
@@ -602,7 +602,7 @@ const FAMILIES: &[Family] = &[
         help: "Result rows streamed to clients.",
         read: |s| Reading::Scalar(s.metrics.rows_streamed) },
     Family { name: "perm_bytes_streamed_total", kind: "counter", stats: ("streamed", "bytes"),
-        help: "Result bytes (chunk payload) streamed to clients.",
+        help: "Result bytes streamed to clients (encoded `R` frame payloads).",
         read: |s| Reading::Scalar(s.metrics.bytes_streamed) },
     Family { name: "perm_connections_active", kind: "gauge", stats: ("connections", "active"),
         help: "Connections currently open.",

@@ -1,11 +1,12 @@
 //! The `permd` TCP server: one thread per connection, each owning a [`Session`], with a
 //! graceful shutdown path (the `shutdown` wire command or [`ServerHandle::shutdown`]).
 //!
-//! Connections speak protocol version 2 (see [`crate::codec`] and `docs/PROTOCOL.md`): the
+//! Connections speak protocol version 3 (see [`crate::codec`] and `docs/PROTOCOL.md`): the
 //! first request must be the `hello <version>` handshake, query results stream out as
 //! `S` / `R`* / `D` frames, and the client paces the server by acknowledging each `R` frame —
-//! at most [`BACKPRESSURE_WINDOW`] chunks are ever in flight, so one slow client buffers a
-//! bounded number of chunks on the server no matter how large its result is.
+//! at most [`BACKPRESSURE_WINDOW`] frames are ever in flight. A query executes on its
+//! connection's thread when the first chunk is pulled; the result is held once, as the engine
+//! materialized it, and each chunk is freed once its frame is written.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -322,9 +323,10 @@ fn stream_result(
                     send_frame(writer, &codec::encode_text(tag::ERROR, &message))?;
                     break;
                 }
-                send_frame(writer, &codec::encode_chunk(&chunk))?;
+                let frame = codec::encode_chunk(&chunk);
+                send_frame(writer, &frame)?;
                 metrics.rows_streamed.add(chunk.num_rows() as u64);
-                metrics.bytes_streamed.add(chunk.byte_size() as u64);
+                metrics.bytes_streamed.add(frame.len() as u64);
                 unacked += 1;
             }
             Some(Err(e)) => {
@@ -337,9 +339,9 @@ fn stream_result(
             }
         }
     }
-    // Drop the stream before settling the ack ledger: this drains whatever the producer still
-    // buffered (the engine-wide gauge returns to zero) and joins the producer thread, so a
-    // cancelled query's memory is released by the time the client gets control back.
+    // Drop the stream before settling the ack ledger: this frees the chunks not sent (the
+    // engine-wide gauge returns to zero) and the statement's memory grant, so a cancelled
+    // query's memory is released by the time the client gets control back.
     drop(stream);
     // Consume the acknowledgements still owed for sent frames, so they are not misread as the
     // connection's next command. A `cancel` here is not an ack: either it lost the race with
@@ -413,7 +415,7 @@ fn poll_stream_signal(reader: &mut TcpStream) -> io::Result<Option<StreamSignal>
 }
 
 /// One dispatched response: either a simple text payload or a result stream. The stream is
-/// boxed — `QueryStream` is a wide struct (prepared plan, producer state, metrics ticket) and
+/// boxed — `QueryStream` is a wide struct (prepared plan, stream state, metrics ticket) and
 /// would otherwise dominate the enum's size.
 enum Response {
     Text(String),

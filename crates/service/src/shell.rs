@@ -16,11 +16,12 @@
 //!
 //! Empty lines and `--` comments are skipped.
 //!
-//! The client speaks wire protocol version 2: [`Client::connect`] performs the `hello`
+//! The client speaks wire protocol version 3: [`Client::connect`] performs the `hello`
 //! handshake, and query results arrive as a schema frame plus a sequence of chunk frames that
 //! [`run_shell`] prints *incrementally* — rows appear as chunks arrive, acknowledged one `ack`
-//! per chunk so the server never buffers more than its backpressure window. A mid-stream error
-//! frame invalidates everything already printed for that statement; the shell says so
+//! per chunk so the server never has more than its backpressure window in flight. A decoded
+//! chunk keeps the engine's shape: its views share one index buffer per join side. A mid-stream
+//! error frame invalidates everything already printed for that statement; the shell says so
 //! explicitly (no silent truncated tables), and the buffering [`Client::roundtrip`] discards
 //! the partial rows entirely.
 
@@ -51,7 +52,7 @@ pub enum ResponseFrame {
     },
 }
 
-/// A connected wire-protocol client (protocol version 2, handshake already performed).
+/// A connected wire-protocol client (protocol version 3, handshake already performed).
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,

@@ -1,26 +1,24 @@
 //! Streaming query results: [`QueryStream`], an iterator of [`DataChunk`]s with a schema
 //! header, cancellation and per-engine buffered-memory accounting.
 //!
-//! A stream starts *pending*: planning has happened but no execution work has been done, so a
-//! caller that wants the whole result materialized ([`QueryStream::collect_relation`], the path
-//! behind the convenience `Session::execute`) runs the engine inline on the engine's worker
-//! pool. Pulling the first chunk instead promotes the stream to *running*: a producer thread
-//! runs the same engine on the same pool — the result is materialized inside the producer —
-//! and hands chunks over a bounded channel, so a consumer that forwards chunks as it pulls
-//! them (the wire server) buffers at most `window` chunks and wire backpressure applies.
+//! A stream starts *pending*: planning has happened but no execution work has been done. The
+//! first pull ([`QueryStream::next_chunk`]) — or collecting the stream whole
+//! ([`QueryStream::collect_relation`], the path behind the convenience `Session::execute`) —
+//! runs the engine on the calling thread, which is one of the engine's pool workers while it
+//! dispatches, so a query gets the pool's full degree and no thread of its own. The result is
+//! materialized once, by the engine, and then handed out chunk by chunk; a consumer that
+//! forwards chunks as it pulls them (the wire server) paces itself by its own backpressure.
 //!
 //! What "materialized" costs is set by the engine's one rule about data movement — *a join
 //! batch is two index buffers over its sources; operators above keep views while the
 //! dictionary is shared* (see `perm_exec::vector`): a provenance result of tens of thousands
 //! of wide rows arrives here as a few index buffers per chunk over the columns of its source
-//! tuples. The producer takes the chunk list by value and *moves* each chunk into the
-//! channel, so a chunk is freed when the consumer drops it, not when the last frame has gone;
-//! [`crate::codec`] ships the views as they are.
+//! tuples. The stream takes the chunk list by value and *moves* each chunk out, so a chunk is
+//! freed when the consumer drops it, not when the last frame has gone; [`crate::codec`] ships
+//! the views as they are, each shared index buffer once per frame.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use perm_algebra::{DataChunk, Schema};
 use perm_exec::{CancelToken, Executor, WorkerPool};
@@ -30,24 +28,19 @@ use crate::engine::PreparedPlan;
 use crate::error::ServiceError;
 use crate::metrics::{outcome_of, QueryOutcome, QueryTicket};
 
-/// How many chunks a running stream's producer may buffer ahead of the consumer.
-pub const STREAM_CHANNEL_WINDOW: usize = 4;
-
 /// A streaming query result: the output schema up front, then chunks on demand.
 ///
-/// Dropping the stream mid-way cancels the producer at its next chunk boundary; collecting it
-/// ([`collect_relation`](QueryStream::collect_relation)) before the first pull runs the
-/// engine inline instead of spawning a producer.
+/// Cancelling the stream ends it at the next chunk boundary; dropping it mid-way releases the
+/// chunks not yet handed out and the statement's memory grant at once.
 pub struct QueryStream {
     schema: Schema,
     state: State,
-    /// Engine-wide gauge of bytes buffered in stream channels (incremented by producers when
-    /// they send, decremented here when the consumer takes a chunk).
+    /// Engine-wide gauge of materialized result bytes not yet handed to a consumer
+    /// (incremented when a result is materialized, decremented as its chunks go out).
     buffered: Arc<AtomicUsize>,
-    cancel: Arc<AtomicBool>,
+    cancelled: AtomicBool,
     /// The executor-level cancellation token of the governed statement behind this stream;
-    /// [`cancel`](QueryStream::cancel) trips it so execution aborts at its next checkpoint
-    /// (not just at the next chunk boundary of the producer loop).
+    /// [`cancel`](QueryStream::cancel) trips it so execution aborts at its next checkpoint.
     token: Option<Arc<CancelToken>>,
     /// The metrics ticket of the governed statement: finished with the stream's terminal
     /// outcome (ok / error / cancelled / shed) exactly once; a stream dropped mid-flight
@@ -59,11 +52,14 @@ pub struct QueryStream {
 enum State {
     /// Planned but not started; holds everything needed to execute.
     Pending { executor: Executor, prepared: Arc<PreparedPlan>, pool: Arc<WorkerPool> },
-    /// Producer thread running; chunks arrive over the bounded channel. The handle is `None`
-    /// only when spawning the thread itself failed (the error is queued in the channel).
-    Running { rx: Receiver<Result<DataChunk, ServiceError>>, producer: Option<JoinHandle<()>> },
-    /// Result already materialized (DDL/DML, `SELECT ... INTO`): chunks are served from it.
-    Materialized { chunks: std::vec::IntoIter<DataChunk> },
+    /// The result, handed out chunk by chunk. `unsent` is what the chunks still here count on
+    /// the gauge; the executor — and the memory grant riding in it — lives until the stream
+    /// ends (`None` for results materialized elsewhere: DDL/DML, `SELECT ... INTO`).
+    Materialized {
+        chunks: std::vec::IntoIter<DataChunk>,
+        unsent: usize,
+        _executor: Option<Executor>,
+    },
     /// Exhausted or failed.
     Done,
 }
@@ -72,7 +68,6 @@ impl std::fmt::Debug for QueryStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = match &self.state {
             State::Pending { .. } => "pending",
-            State::Running { .. } => "running",
             State::Materialized { .. } => "materialized",
             State::Done => "done",
         };
@@ -98,7 +93,7 @@ impl QueryStream {
             schema: prepared.plan.schema(),
             state: State::Pending { executor, prepared, pool },
             buffered,
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancelled: AtomicBool::new(false),
             token: Some(token),
             ticket: Some(ticket),
             rows: 0,
@@ -107,18 +102,17 @@ impl QueryStream {
 
     /// A stream over an already-materialized relation (DDL/DML results, `SELECT ... INTO`).
     pub fn from_relation(relation: Relation) -> QueryStream {
-        let schema = relation.schema().clone();
-        let chunks: Vec<DataChunk> =
-            relation.into_chunks().into_iter().filter(|c| !c.is_empty()).collect();
-        QueryStream {
-            schema,
-            state: State::Materialized { chunks: chunks.into_iter() },
+        let mut stream = QueryStream {
+            schema: relation.schema().clone(),
+            state: State::Done,
             buffered: Arc::new(AtomicUsize::new(0)),
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancelled: AtomicBool::new(false),
             token: None,
             ticket: None,
             rows: 0,
-        }
+        };
+        stream.materialize(relation, None);
+        stream
     }
 
     /// The output schema (available before any chunk).
@@ -145,12 +139,11 @@ impl QueryStream {
         }
     }
 
-    /// Cancel the query behind this stream: the executor aborts at its next cancellation
-    /// checkpoint (freeing reserved memory as it unwinds) and the producer stops at its next
-    /// chunk boundary. Already-buffered chunks still drain; `next_chunk` keeps returning them
-    /// until the channel closes.
+    /// Cancel the query behind this stream: an execution in progress aborts at its next
+    /// cancellation checkpoint (freeing reserved memory as it unwinds), and a materialized
+    /// result ends at the next chunk boundary.
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        self.cancelled.store(true, Ordering::Relaxed);
         if let Some(token) = &self.token {
             token.cancel();
         }
@@ -164,106 +157,96 @@ impl QueryStream {
 
     /// Pull the next chunk. `None` means the stream finished cleanly; an `Err` is terminal and
     /// invalidates every chunk delivered before it (partial results must not be trusted).
+    ///
+    /// The first pull on a pending stream executes the query; its errors arrive here, before
+    /// any chunk.
     pub fn next_chunk(&mut self) -> Option<Result<DataChunk, ServiceError>> {
-        loop {
-            match &mut self.state {
-                State::Pending { .. } => {
-                    let state = std::mem::replace(&mut self.state, State::Done);
-                    let State::Pending { executor, prepared, pool } = state else { unreachable!() };
-                    self.state = spawn_producer(
-                        executor,
-                        prepared,
-                        pool,
-                        self.buffered.clone(),
-                        self.cancel.clone(),
-                        self.query_id(),
-                    );
-                }
-                State::Running { rx, .. } => {
-                    let item = rx.recv();
-                    match item {
-                        Ok(Ok(chunk)) => {
-                            self.buffered.fetch_sub(chunk.byte_size(), Ordering::Relaxed);
-                            self.rows += chunk.num_rows() as u64;
-                            return Some(Ok(chunk));
-                        }
-                        // Terminal outcomes retire the producer thread *before* returning, so
-                        // its executor (and the memory grant riding in it) is released by the
-                        // time the caller sees the end of the stream — not eventually.
-                        Ok(Err(e)) => {
-                            self.finish_running();
-                            self.finish_ticket(outcome_of(&e));
-                            return Some(Err(e));
-                        }
-                        Err(_) => {
-                            self.finish_running();
-                            // The channel closed without an error: a clean end — unless this
-                            // stream was cancelled and the producer simply stopped sending, in
-                            // which case the partial result must not count as ok.
-                            let outcome = if self.cancel.load(Ordering::Relaxed) {
-                                QueryOutcome::Cancelled
-                            } else {
-                                QueryOutcome::Ok
-                            };
-                            self.finish_ticket(outcome);
-                            return None;
-                        }
-                    }
-                }
-                State::Materialized { chunks } => match chunks.next() {
-                    Some(chunk) => {
-                        self.rows += chunk.num_rows() as u64;
-                        return Some(Ok(chunk));
-                    }
-                    None => {
-                        self.state = State::Done;
-                        return None;
-                    }
-                },
-                State::Done => return None,
+        if let State::Pending { .. } = self.state {
+            match self.execute() {
+                Ok((relation, executor)) => self.materialize(relation, Some(executor)),
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        let State::Materialized { chunks, unsent, .. } = &mut self.state else { return None };
+        if !self.cancelled.load(Ordering::Relaxed) {
+            if let Some(chunk) = chunks.next() {
+                let bytes = chunk.byte_size();
+                *unsent -= bytes;
+                self.buffered.fetch_sub(bytes, Ordering::Relaxed);
+                self.rows += chunk.num_rows() as u64;
+                return Some(Ok(chunk));
+            }
+        }
+        // Every chunk handed out — or a cancelled stream, whose partial result must not count
+        // as ok.
+        let outcome = if self.cancelled.load(Ordering::Relaxed) {
+            QueryOutcome::Cancelled
+        } else {
+            QueryOutcome::Ok
+        };
+        self.release();
+        self.finish_ticket(outcome);
+        None
+    }
+
+    /// Run a pending stream's plan on the calling thread, tagged with the query id, behind a
+    /// panic fence: a panic anywhere in execution (a worker bug, an injected fault) fails the
+    /// stream with [`ServiceError::Internal`], not the thread. On error the executor — and the
+    /// memory grant in it — is gone and the ticket settled by the time this returns.
+    fn execute(&mut self) -> Result<(Relation, Executor), ServiceError> {
+        let State::Pending { executor, prepared, pool } =
+            std::mem::replace(&mut self.state, State::Done)
+        else {
+            unreachable!("execute on a stream that is not pending")
+        };
+        let _qid_guard = perm_exec::QueryIdGuard::new(self.query_id());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            executor.execute_parallel(&prepared.plan, &pool)
+        }));
+        let result = match outcome {
+            Ok(result) => result.map_err(ServiceError::from),
+            Err(payload) => Err(ServiceError::Internal(panic_message(payload.as_ref()))),
+        };
+        match result {
+            Ok(relation) => Ok((relation, executor)),
+            Err(e) => {
+                drop(executor);
+                self.finish_ticket(outcome_of(&e));
+                Err(e)
             }
         }
     }
 
-    /// Retire a running producer: drain every buffered item (keeping the engine-wide gauge
-    /// exact) and join the thread, so the producer's executor — and with it the governor's
-    /// memory reservation — is provably gone when this returns. A `while let Ok(Ok(..))`
-    /// drain would stop at the first queued error and leak the accounting of chunks behind
-    /// it.
-    fn finish_running(&mut self) {
-        if let State::Running { rx, producer } = std::mem::replace(&mut self.state, State::Done) {
-            for chunk in rx.iter().flatten() {
-                self.buffered.fetch_sub(chunk.byte_size(), Ordering::Relaxed);
-            }
-            // The channel is drained and the producer has observed the cancel flag, finished,
-            // or had its send fail; joining makes "gauge reads zero afterwards" a guarantee
-            // rather than a race. A panicked producer already reported through the channel.
-            if let Some(handle) = producer {
-                let _ = handle.join();
-            }
+    /// Serve `relation` chunk by chunk, counting it on the gauge until it is handed out.
+    fn materialize(&mut self, relation: Relation, executor: Option<Executor>) {
+        let chunks: Vec<DataChunk> =
+            relation.into_chunks().into_iter().filter(|c| !c.is_empty()).collect();
+        let unsent = chunks.iter().map(DataChunk::byte_size).sum();
+        self.buffered.fetch_add(unsent, Ordering::Relaxed);
+        self.state =
+            State::Materialized { chunks: chunks.into_iter(), unsent, _executor: executor };
+    }
+
+    /// End the stream: take its chunks not handed out off the gauge and drop them together with
+    /// the executor, so the gauge and the governor's reservation are provably released when
+    /// this returns.
+    fn release(&mut self) {
+        if let State::Materialized { unsent, .. } = std::mem::replace(&mut self.state, State::Done)
+        {
+            self.buffered.fetch_sub(unsent, Ordering::Relaxed);
         }
     }
 
     /// Drain the stream into a materialized [`Relation`].
     ///
-    /// On a stream that has not started yet this runs the engine inline (no producer thread);
+    /// On a stream that has not started yet this returns the engine's result as it is;
     /// otherwise it concatenates the remaining chunks.
     pub fn collect_relation(mut self) -> Result<Relation, ServiceError> {
-        if let State::Pending { .. } = &self.state {
-            let state = std::mem::replace(&mut self.state, State::Done);
-            let State::Pending { executor, prepared, pool } = state else { unreachable!() };
-            return match executor.execute_parallel(&prepared.plan, &pool) {
-                Ok(relation) => {
-                    self.rows = relation.num_rows() as u64;
-                    self.finish_ticket(QueryOutcome::Ok);
-                    Ok(relation)
-                }
-                Err(e) => {
-                    let e = ServiceError::from(e);
-                    self.finish_ticket(outcome_of(&e));
-                    Err(e)
-                }
-            };
+        if let State::Pending { .. } = self.state {
+            let (relation, _executor) = self.execute()?;
+            self.rows = relation.num_rows() as u64;
+            self.finish_ticket(QueryOutcome::Ok);
+            return Ok(relation);
         }
         let mut chunks = Vec::new();
         while let Some(item) = self.next_chunk() {
@@ -283,53 +266,10 @@ impl Iterator for QueryStream {
 
 impl Drop for QueryStream {
     fn drop(&mut self) {
-        self.cancel();
-        self.finish_running();
+        self.release();
         // A stream abandoned before its terminal outcome was observed counts as cancelled
         // (idempotent: a finished ticket keeps its recorded outcome).
         self.finish_ticket(QueryOutcome::Cancelled);
-    }
-}
-
-/// Spawn the producer thread for a pending stream and return the running state.
-///
-/// Failure to spawn the thread (resource exhaustion) is reported through the channel as a
-/// [`ServiceError::Internal`] rather than panicking, and a producer that *panics* mid-query
-/// (a worker bug, an injected fault) is caught and surfaced the same way — the stream fails,
-/// the process does not.
-fn spawn_producer(
-    executor: Executor,
-    prepared: Arc<PreparedPlan>,
-    pool: Arc<WorkerPool>,
-    buffered: Arc<AtomicUsize>,
-    cancel: Arc<AtomicBool>,
-    qid: u64,
-) -> State {
-    let (tx, rx) = std::sync::mpsc::sync_channel(STREAM_CHANNEL_WINDOW);
-    let spawned = std::thread::Builder::new().name("perm-stream".into()).spawn(move || {
-        // Tag everything this producer (and the morsel workers it drives) logs with the
-        // query's id.
-        let _qid_guard = perm_exec::QueryIdGuard::new(qid);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            produce(&executor, &prepared, &pool, &tx, &buffered, &cancel)
-        }));
-        if let Err(payload) = outcome {
-            // Errors carry no buffered bytes, so no gauge accounting is needed here; the
-            // consumer (or `Drop`) drains the channel as usual.
-            let _ = tx.send(Err(ServiceError::Internal(panic_message(payload.as_ref()))));
-        }
-    });
-    match spawned {
-        Ok(producer) => State::Running { rx, producer: Some(producer) },
-        Err(e) => {
-            // The closure (with `tx` inside) was dropped, closing the channel; report the
-            // spawn failure over a fresh channel instead.
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            let _ = tx.send(Err(ServiceError::Internal(format!(
-                "failed to spawn stream producer thread: {e}"
-            ))));
-            State::Running { rx, producer: None }
-        }
     }
 }
 
@@ -344,42 +284,4 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "panic with non-string payload".to_string()
     };
     format!("worker panicked: {msg}")
-}
-
-fn produce(
-    executor: &Executor,
-    prepared: &PreparedPlan,
-    pool: &WorkerPool,
-    tx: &SyncSender<Result<DataChunk, ServiceError>>,
-    buffered: &AtomicUsize,
-    cancel: &AtomicBool,
-) {
-    let send = |item: Result<DataChunk, ServiceError>| -> bool {
-        let bytes = item.as_ref().map_or(0, DataChunk::byte_size);
-        buffered.fetch_add(bytes, Ordering::Relaxed);
-        if tx.send(item).is_err() {
-            // Consumer went away; roll the accounting back and stop.
-            buffered.fetch_sub(bytes, Ordering::Relaxed);
-            return false;
-        }
-        true
-    };
-    // The engine materializes the result inside this thread; it is then fed out chunk-wise
-    // (the consumer gets bounded buffering and wire backpressure). Each chunk is *moved* into
-    // the channel: once the consumer is done with it, nothing here keeps it alive.
-    match executor.execute_parallel(&prepared.plan, pool) {
-        Ok(relation) => {
-            for chunk in relation.into_chunks() {
-                if chunk.is_empty() {
-                    continue;
-                }
-                if cancel.load(Ordering::Relaxed) || !send(Ok(chunk)) {
-                    return;
-                }
-            }
-        }
-        Err(e) => {
-            send(Err(e.into()));
-        }
-    }
 }

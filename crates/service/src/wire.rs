@@ -1,4 +1,4 @@
-//! The `permd` wire protocol (version 2): length-prefixed frames over TCP.
+//! The `permd` wire protocol (version 3): length-prefixed frames over TCP.
 //!
 //! Every message — request or response — is one frame: a 4-byte big-endian payload length
 //! followed by that many payload bytes. Requests are single-line UTF-8 commands; a connection
@@ -43,7 +43,7 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
     write_bytes_frame(writer, payload.as_bytes())
 }
 
-/// Write one length-prefixed binary frame (protocol-v2 responses).
+/// Write one length-prefixed binary frame (protocol-v3 responses).
 pub fn write_bytes_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));

@@ -1,4 +1,4 @@
-//! Property fuzz of the protocol-v2 frame decoders: take valid encoded frames, flip random
+//! Property fuzz of the protocol-v3 frame decoders: take valid encoded frames, flip random
 //! bytes, and feed the result to every decoder. A mutation may happen to produce another
 //! valid frame (fine) or a corrupt one (must return a clean `ServiceError`) — but decoding
 //! must never panic, hang, or allocate beyond the frame's own size. The deterministic tests
@@ -154,4 +154,98 @@ fn huge_claimed_encoded_counts_error_without_allocating() {
 fn huge_claimed_schema_arity_errors_without_allocating() {
     let body = u16::MAX.to_be_bytes().to_vec();
     assert!(decode_schema(&body).is_err());
+}
+
+/// An `R` frame body of `rows` rows whose columns are the given encoded arrays.
+fn chunk_body(rows: u32, arrays: &[Vec<u8>]) -> Vec<u8> {
+    let mut body = rows.to_be_bytes().to_vec();
+    body.extend_from_slice(&(arrays.len() as u16).to_be_bytes());
+    arrays.iter().for_each(|array| body.extend_from_slice(array));
+    body
+}
+
+/// A plain Int array with no NULLs.
+fn plain_ints(values: &[i64]) -> Vec<u8> {
+    let mut array = vec![0, 1];
+    array.extend_from_slice(&(values.len() as u32).to_be_bytes());
+    array.extend(std::iter::repeat_n(0xff, values.len().div_ceil(8)));
+    values.iter().for_each(|v| array.extend_from_slice(&v.to_be_bytes()));
+    array
+}
+
+/// A dictionary array (encoding 1): `indices`, then `dict`.
+fn dict(indices: &[u32], dict: &[i64]) -> Vec<u8> {
+    let mut array = vec![1];
+    array.extend_from_slice(&(indices.len() as u32).to_be_bytes());
+    indices.iter().for_each(|i| array.extend_from_slice(&i.to_be_bytes()));
+    array.extend(plain_ints(dict));
+    array
+}
+
+/// A shared dictionary array (encoding 3) over the frame's `ordinal`-th dict or run-length.
+fn shared(ordinal: u32, dict: &[i64]) -> Vec<u8> {
+    let mut array = vec![3];
+    array.extend_from_slice(&ordinal.to_be_bytes());
+    array.extend(plain_ints(dict));
+    array
+}
+
+/// The decoder does not recurse into an encoded array's inner array: it must be plain. A frame
+/// nesting 50 000 dictionary tags used to overflow the decoding thread's stack and abort the
+/// process; now the second tag is an error.
+#[test]
+fn nested_encodings_are_rejected_without_recursing() {
+    let mut array = Vec::new();
+    for _ in 0..50_000 {
+        array.extend_from_slice(&[1, 0, 0, 0, 0]); // dict, no indices, then its dictionary
+    }
+    array.extend(plain_ints(&[]));
+    let error = decode_chunk(&chunk_body(0, &[array])).unwrap_err().to_string();
+    assert!(error.contains("must be plain"), "{error}");
+    // One level is the protocol; tags 2 and 3 are held to it too.
+    assert!(decode_chunk(&chunk_body(1, &[dict(&[0], &[5])])).is_ok());
+    let nested_rle = [&[2, 0, 0, 0, 1, 0, 0, 0, 1][..], &dict(&[0], &[5])].concat();
+    assert!(decode_chunk(&chunk_body(1, &[nested_rle])).is_err());
+    let nested_shared = [&[3, 0, 0, 0, 0][..], &dict(&[0], &[5])].concat();
+    assert!(decode_chunk(&chunk_body(1, &[dict(&[0], &[5]), nested_shared])).is_err());
+}
+
+/// An encoding-3 array can only share indices the frame has already written, and its own
+/// dictionary must cover them; anything else is a clean error.
+#[test]
+fn shared_arrays_must_refer_back_to_indices_they_cover() {
+    let indices = [0, 2, 2, 1];
+    let valid = chunk_body(4, &[dict(&indices, &[10, 11, 12]), shared(0, &[20, 21, 22])]);
+    let decoded = decode_chunk(&valid).unwrap();
+    match (decoded.column(0).as_ref(), decoded.column(1).as_ref()) {
+        (Array::Dict { indices: a, .. }, Array::Dict { indices: b, .. }) => {
+            assert!(Arc::ptr_eq(a, b), "one index buffer for both columns");
+        }
+        other => panic!("expected two dict columns, got {other:?}"),
+    }
+    assert_eq!(decoded.column(1).value(1), Value::Int(22));
+
+    for (case, body) in [
+        ("nothing written yet", chunk_body(4, &[shared(0, &[20, 21, 22])])),
+        (
+            "forward ordinal",
+            chunk_body(4, &[shared(1, &[20, 21, 22]), dict(&indices, &[10, 11, 12])]),
+        ),
+        ("unknown ordinal", chunk_body(4, &[dict(&indices, &[10, 11, 12]), shared(1, &[20])])),
+        (
+            "ordinal u32::MAX",
+            chunk_body(4, &[dict(&indices, &[10, 11, 12]), shared(u32::MAX, &[20, 21, 22])]),
+        ),
+        (
+            "index 2 beyond a 2-row dictionary",
+            chunk_body(4, &[dict(&indices, &[10, 11, 12]), shared(0, &[20, 21])]),
+        ),
+        ("truncated ordinal", chunk_body(4, &[dict(&indices, &[10, 11, 12]), vec![3, 0, 0]])),
+    ] {
+        assert!(decode_chunk(&body).is_err(), "{case}");
+    }
+    // Over a run-length array the shared values must be exactly one per run.
+    let rle = [&[2, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4][..], &plain_ints(&[1, 2])].concat();
+    assert!(decode_chunk(&chunk_body(4, &[rle.clone(), shared(0, &[7, 8])])).is_ok());
+    assert!(decode_chunk(&chunk_body(4, &[rle, shared(0, &[7, 8, 9])])).is_err());
 }

@@ -1,0 +1,83 @@
+//! `perm_bytes_streamed_total` counts what went over the socket: read the `R` frames of a
+//! provenance result off a raw connection and compare their payload lengths with the counter.
+//! A provenance join's chunks are views over shared dictionaries, and what such a chunk keeps
+//! alive in memory is not what its frame carries, so a counter fed by memory sizes fails here.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+
+use perm_core::ProvenanceRewriter;
+use perm_service::{serve, Engine};
+
+fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut body).unwrap();
+    body
+}
+
+fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
+    stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+    stream.write_all(payload).unwrap();
+    stream.flush().unwrap();
+}
+
+/// Send one statement and read its stream to the end, acknowledging every `R` frame; returns
+/// the summed payload lengths of the `R` frames and the rows the `D` trailer reports.
+fn stream_statement(stream: &mut TcpStream, statement: &str) -> (u64, u64) {
+    write_raw_frame(stream, statement.as_bytes());
+    assert_eq!(read_raw_frame(stream)[0], b'S', "{statement}");
+    let mut payload_bytes = 0u64;
+    loop {
+        let frame = read_raw_frame(stream);
+        match frame[0] {
+            b'R' => {
+                payload_bytes += frame.len() as u64;
+                write_raw_frame(stream, b"ack");
+            }
+            b'D' => return (payload_bytes, u64::from_be_bytes(frame[1..9].try_into().unwrap())),
+            other => panic!("unexpected frame {:?} in {statement}", char::from(other)),
+        }
+    }
+}
+
+#[test]
+fn bytes_streamed_counts_the_result_frames_written() {
+    let engine =
+        Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())).with_workers(1));
+    let handle = serve(engine.clone(), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    write_raw_frame(&mut stream, b"hello 3");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
+
+    let values = |n: i64, f: fn(i64) -> String| (0..n).map(f).collect::<Vec<_>>().join(", ");
+    for statement in [
+        "query CREATE TABLE item (id INT, grp INT)".to_string(),
+        "query CREATE TABLE grp (grp INT, label TEXT)".to_string(),
+        format!("query INSERT INTO item VALUES {}", values(3000, |i| format!("({i}, {})", i % 4))),
+        format!(
+            "query INSERT INTO grp VALUES {}",
+            values(4, |g| format!("({g}, 'a long group label repeated on every row {g}')"))
+        ),
+    ] {
+        stream_statement(&mut stream, &statement);
+    }
+
+    let bytes_streamed = || engine.stats_snapshot().metrics.bytes_streamed;
+    for statement in [
+        "query SELECT PROVENANCE item.id, grp.label FROM item, grp WHERE item.grp = grp.grp",
+        "query SELECT PROVENANCE grp.label, count(*) AS n FROM item, grp \
+         WHERE item.grp = grp.grp GROUP BY grp.label",
+    ] {
+        let before = bytes_streamed();
+        let (payload_bytes, rows) = stream_statement(&mut stream, statement);
+        assert_eq!(rows, 3000, "{statement}");
+        assert_eq!(bytes_streamed() - before, payload_bytes, "{statement}");
+    }
+
+    write_raw_frame(&mut stream, b"shutdown");
+    assert_eq!(read_raw_frame(&mut stream), b"+bye");
+    handle.wait();
+}

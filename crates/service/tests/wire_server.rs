@@ -115,8 +115,8 @@ fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
 fn slow_clients_do_not_desync_the_protocol() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 2");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 2");
+    write_raw_frame(&mut stream, b"hello 3");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
 
     let payload = b"ping";
     stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
@@ -147,11 +147,11 @@ fn legacy_first_command_gets_a_versioned_error() {
     let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
     assert!(body.starts_with('-'), "v1-compatible error prefix: {body}");
     assert!(body.contains("hello"), "tells the client how to handshake: {body}");
-    assert!(body.contains("version 2"), "names the server's protocol version: {body}");
+    assert!(body.contains("version 3"), "names the server's protocol version: {body}");
 
     // The connection survives and can still handshake afterwards.
-    write_raw_frame(&mut stream, b"hello 2");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 2");
+    write_raw_frame(&mut stream, b"hello 3");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
     write_raw_frame(&mut stream, b"ping");
     assert_eq!(read_raw_frame(&mut stream), b"+pong");
     handle.shutdown();
@@ -168,11 +168,11 @@ fn unsupported_hello_version_is_refused_with_the_supported_version() {
     let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
     assert!(body.starts_with('-'));
     assert!(body.contains("99"), "names the rejected version: {body}");
-    assert!(body.contains('2'), "names the supported version: {body}");
+    assert!(body.contains('3'), "names the supported version: {body}");
 
     // Retrying with the right version on the same connection works.
-    write_raw_frame(&mut stream, b"hello 2");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 2");
+    write_raw_frame(&mut stream, b"hello 3");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
     handle.shutdown();
 }
 
@@ -200,7 +200,7 @@ fn mid_stream_errors_invalidate_partial_results() {
             let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
             stream.read_exact(&mut request).unwrap();
             if request.starts_with(b"hello") {
-                write_raw_frame(&mut stream, b"+hello 2");
+                write_raw_frame(&mut stream, b"+hello 3");
             } else if request.starts_with(b"query") {
                 write_raw_frame(&mut stream, &codec::encode_schema(&schema));
                 write_raw_frame(
@@ -252,8 +252,8 @@ fn server_respects_the_backpressure_window() {
         Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())).with_workers(1));
     let handle = serve(engine, "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 2");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 2");
+    write_raw_frame(&mut stream, b"hello 3");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
 
     write_raw_frame(&mut stream, b"query CREATE TABLE t (x INT)");
     assert_eq!(read_raw_frame(&mut stream)[0], b'S');

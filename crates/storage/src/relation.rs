@@ -93,7 +93,7 @@ impl Relation {
     }
 
     /// The stored chunks by value, for a consumer that hands them on one at a time and wants
-    /// each freed as it goes (the stream producer). Copies the list, never a chunk, when
+    /// each freed as it goes (a query stream). Copies the list, never a chunk, when
     /// another reader still holds it.
     pub fn into_chunks(self) -> Vec<DataChunk> {
         Arc::try_unwrap(self.chunks).unwrap_or_else(|shared| (*shared).clone())

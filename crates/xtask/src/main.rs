@@ -62,6 +62,7 @@ mod lint {
     const RULE_LISTED_FILE: &str = "listed-file-missing";
     const RULE_ROW_VIEW: &str = "row-view-in-served-path";
     const RULE_BOXED_TEXT: &str = "boxed-text-column";
+    const RULE_THREAD: &str = "thread-in-served-path";
 
     /// Vectorized kernel files: integer arithmetic here must go through checked kernels
     /// (`i64::checked_add` & friends), never plain `+`/`-`/`*` closures or `wrapping_*`.
@@ -97,6 +98,15 @@ mod lint {
     /// (`.value(` / `Tuple::new(`).
     const ENGINE_FILES: &[&str] = &["crates/exec/src/parallel.rs"];
 
+    /// Where a statement is planned and its result streamed: a query runs on the thread that
+    /// pulls its stream and on the engine's worker pool, so these files must not start a
+    /// thread of their own (`thread::spawn` / `thread::Builder`) — a thread per query.
+    const THREADLESS_FILES: &[&str] = &[
+        "crates/service/src/stream.rs",
+        "crates/service/src/session.rs",
+        "crates/service/src/engine.rs",
+    ];
+
     /// Run every rule over the workspace; returns the violation count.
     pub fn run() -> Result<usize, std::io::Error> {
         let root = workspace_root()?;
@@ -123,6 +133,9 @@ mod lint {
             {
                 scan_row_view(rel, &text, &mut violations);
             }
+            if THREADLESS_FILES.iter().any(|k| rel == Path::new(k)) {
+                scan_thread_spawn(rel, &text, &mut violations);
+            }
         }
         for file in crate_roots(&root)? {
             let text = std::fs::read_to_string(&file)?;
@@ -138,8 +151,9 @@ mod lint {
 
     /// Rule `listed-file-missing`: every path in the rule scopes ([`KERNEL_FILES`],
     /// [`HOT_PATH_FILES`], [`SERVED_PATH`], [`ORACLE_FILES`], [`EVALUATOR_FILES`],
-    /// [`ENGINE_FILES`]) must be, or contain, one of the scanned sources. The per-file rules only run on listed paths, so a rename or delete
-    /// would otherwise switch them off without a word.
+    /// [`ENGINE_FILES`], [`THREADLESS_FILES`]) must be, or contain, one of the scanned sources.
+    /// The per-file rules only run on listed paths, so a rename or delete would otherwise switch
+    /// them off without a word.
     fn check_listed_files(scanned: &[&Path], out: &mut Vec<Violation>) {
         for (list, files) in [
             ("KERNEL_FILES", KERNEL_FILES),
@@ -148,6 +162,7 @@ mod lint {
             ("ORACLE_FILES", ORACLE_FILES),
             ("EVALUATOR_FILES", EVALUATOR_FILES),
             ("ENGINE_FILES", ENGINE_FILES),
+            ("THREADLESS_FILES", THREADLESS_FILES),
         ] {
             for listed in files {
                 if !scanned.iter().any(|p| p.starts_with(listed)) {
@@ -529,6 +544,32 @@ mod lint {
         }
     }
 
+    /// Rule `thread-in-served-path`: no `thread::spawn` / `thread::Builder` in non-test code of
+    /// [`THREADLESS_FILES`]. A query already runs on the thread that pulls its stream, which
+    /// the worker pool counts as one of its workers; a thread per query costs a spawn and a
+    /// hand-off on every request and buys no parallelism.
+    fn scan_thread_spawn(file: &Path, text: &str, out: &mut Vec<Violation>) {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut tests = TestRegions::new();
+        for (i, line) in lines.iter().enumerate() {
+            if tests.observe(line) {
+                continue;
+            }
+            let code = code_of(line);
+            if ["thread::spawn", "thread::Builder"].iter().any(|call| code.contains(call))
+                && !allowed(&lines, i, RULE_THREAD)
+            {
+                out.push(Violation {
+                    file: file.to_path_buf(),
+                    line: i + 1,
+                    rule: RULE_THREAD,
+                    message: "a thread started where a query is planned or streamed: run the query on the thread that pulls its stream and the engine's worker pool"
+                        .into(),
+                });
+            }
+        }
+    }
+
     /// Rules `forbid-unsafe` and `deny-unwrap-header`: every crate root must carry
     /// `#![forbid(unsafe_code)]` and `#![deny(clippy::unwrap_used, clippy::expect_used)]`.
     fn scan_crate_root_headers(file: &Path, text: &str, out: &mut Vec<Violation>) {
@@ -620,7 +661,8 @@ mod tests {{
                 .chain(ORACLE_FILES)
                 .chain(EVALUATOR_FILES)
                 .chain(ENGINE_FILES)
-                .chain(&["crates/service/src/engine.rs", "crates/storage/src/catalog.rs"])
+                .chain(THREADLESS_FILES)
+                .chain(&["crates/storage/src/catalog.rs"])
                 .map(Path::new)
                 .collect();
             let mut violations = Vec::new();
@@ -634,13 +676,41 @@ mod tests {{
             assert!(!violations.is_empty());
             assert!(violations.iter().all(|v| v.rule == RULE_LISTED_FILE && v.file == gone));
 
-            // A served-path directory with no source left under it is reported too.
+            // A served-path directory with no source left under it is reported too, beside each
+            // file listed under it.
             let no_service: Vec<&Path> =
                 all.iter().copied().filter(|p| !p.starts_with("crates/service/src")).collect();
             violations.clear();
             check_listed_files(&no_service, &mut violations);
-            assert_eq!(violations.len(), 1);
-            assert_eq!(violations[0].file, Path::new("crates/service/src"));
+            let expected: Vec<&Path> =
+                ["crates/service/src"].iter().chain(THREADLESS_FILES).map(Path::new).collect();
+            assert_eq!(violations.iter().map(|v| v.file.as_path()).collect::<Vec<_>>(), expected);
+        }
+
+        #[test]
+        fn a_thread_per_query_is_flagged_outside_tests_and_escapes() {
+            let text = "\
+fn spawn_producer(rx: Receiver) {
+    let handle = std::thread::spawn(move || produce());
+    let named = thread::Builder::new().name(\"perm-stream\".into());
+    let pool = WorkerPool::new(2); // mentions thread::spawn only in a comment
+    // xtask-allow: thread-in-served-path
+    let watchdog = thread::spawn(|| ());
+}
+#[cfg(test)]
+mod tests {
+    fn t() { std::thread::spawn(|| ()).join().unwrap(); }
+}
+";
+            for file in THREADLESS_FILES {
+                let mut violations = Vec::new();
+                scan_thread_spawn(Path::new(file), text, &mut violations);
+                assert_eq!(
+                    violations.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+                    vec![(2, RULE_THREAD), (3, RULE_THREAD)],
+                    "{file}"
+                );
+            }
         }
 
         #[test]

@@ -4,16 +4,20 @@
 //! provenance result is mostly repetition: TPC-H Q11+ turns 156 rows into 24 960 × 34 columns,
 //! Q15+ one row into 13 340 × 44. The engine carries that result as views — a join batch is two
 //! index buffers over its sources, and the operators above keep views while the dictionary is
-//! shared — and the stream producer lets go of every chunk it has sent. This test drains both
+//! shared — and the stream lets go of every chunk it has handed out. This test drains both
 //! results, and a stack of outer joins whose build side is such views, in process under a
-//! counting allocator and bounds what the engine held at once.
+//! counting allocator and bounds what the engine held at once. Both results then go through the
+//! wire codec: each shared index buffer is written once per frame and decodes shared, which
+//! bounds the bytes on the wire and what a client holds.
 //!
 //! One `#[test]` on purpose: the allocator counts the whole process, and cargo runs the tests of
 //! one file on parallel threads.
 
 use std::sync::Arc;
 
+use perm::algebra::DataChunk;
 use perm::prelude::*;
+use perm::service::codec::{decode_chunk, encode_chunk};
 use perm::tpch::queries::{add_provenance_keyword, tpch_query, variant_rng};
 
 mod common;
@@ -30,6 +34,18 @@ fn drain(session: &Session, sql: &str) -> usize {
         rows += chunk.unwrap().num_rows();
     }
     rows
+}
+
+/// The bytes of `sql`'s `R` frames, and what its decoded chunks hold together.
+fn over_the_wire(session: &Session, sql: &str) -> (usize, usize) {
+    let mut stream = session.execute_streaming(sql).unwrap();
+    let (mut wire_bytes, mut decoded) = (0, Vec::new());
+    while let Some(chunk) = stream.next_chunk() {
+        let frame = encode_chunk(&chunk.unwrap());
+        wire_bytes += frame.len();
+        decoded.push(decode_chunk(&frame[1..]).unwrap());
+    }
+    (wire_bytes, DataChunk::byte_size_of(&decoded))
 }
 
 /// The rows of `sql` in stream order, rendered.
@@ -60,6 +76,9 @@ fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
     const STACKED_CAP_BYTES: usize = 600 << 10;
     let catalog = generate_catalog(TpchScale::small(), 42);
     catalog.analyze();
+    /// Caps on the encoded frames and on the decoded chunks a client holds, at 1 and 4 workers:
+    /// 1.77 / 1.03 MB on the wire and 1.77 MB held (Q11+) when every view wrote its own indices.
+    const WIRE_CAPS: [(usize, Option<usize>); 2] = [(850_000, Some(900_000)), (250_000, None)];
     let mut texts: Vec<(String, usize, usize, String)> = [(11, 24_960), (15, 13_340)]
         .into_iter()
         .map(|(id, rows)| {
@@ -75,8 +94,8 @@ fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
         STACKED_LEFT_JOINS.into(),
     ));
     let mut reference: Vec<Option<Vec<String>>> = vec![None; texts.len()];
-    // Degrees 1, 2 and 8, then the engine's own default (`PERM_WORKERS`, else one per CPU).
-    for degree in [Some(1), Some(2), Some(8), None] {
+    // Degrees 1, 2, 4 and 8, then the engine's own default (`PERM_WORKERS`, else one per CPU).
+    for degree in [Some(1), Some(2), Some(4), Some(8), None] {
         let engine = Engine::with_catalog(catalog.clone())
             .with_rewriter(Arc::new(ProvenanceRewriter::new()));
         let engine = Arc::new(match degree {
@@ -85,7 +104,9 @@ fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
         });
         let workers = engine.workers();
         let session = engine.session();
-        for ((text, expected_rows, cap, sql), reference) in texts.iter().zip(&mut reference) {
+        for (ordinal, ((text, expected_rows, cap, sql), reference)) in
+            texts.iter().zip(&mut reference).enumerate()
+        {
             // The first run compiles and caches the plan; the second is the measured one.
             assert_eq!(drain(&session, sql), *expected_rows, "{text} row count");
             let (rows, high_water) = high_water_over_base(|| drain(&session, sql));
@@ -96,6 +117,20 @@ fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
                 "{text} at {workers} workers held {high_water} B over base (cap {cap} B): \
                  views are not surviving the join, the sort or the hand-off"
             );
+            if let (Some(&(wire_cap, held_cap)), Some(1 | 4)) = (WIRE_CAPS.get(ordinal), degree) {
+                let (wire_bytes, held) = over_the_wire(&session, sql);
+                println!("{text} workers={workers}: {wire_bytes} B on the wire, {held} B decoded");
+                assert!(
+                    wire_bytes <= wire_cap,
+                    "{text} at {workers} workers: {wire_bytes} B on the wire (cap {wire_cap} B): \
+                     a shared index buffer went out more than once per frame"
+                );
+                assert!(
+                    held <= held_cap.unwrap_or(usize::MAX),
+                    "{text} at {workers} workers: the client holds {held} B (cap {held_cap:?}): \
+                     decoded views do not share their index buffers"
+                );
+            }
             // Identical rows in identical order at every degree.
             let rows = rows_in_order(&session, sql);
             match reference {
