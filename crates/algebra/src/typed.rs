@@ -1,9 +1,8 @@
 //! Typed plan inference and verification.
 //!
 //! [`LogicalPlan::verify`] infers a [`TypedSchema`] — per-column [`DataType`], nullability and
-//! provenance flag — bottom-up over the plan and all its scalar expressions, while *strictly*
-//! checking the operator typing rules that [`LogicalPlan::validate`] (structural: arity and
-//! column bounds) does not:
+//! provenance flag — bottom-up over the plan and all its scalar expressions, checking arity and
+//! column bounds as it goes and *strictly* checking the operator typing rules:
 //!
 //! * selection / join predicates and `CASE WHEN` conditions must be boolean-typed,
 //! * comparison and arithmetic operands must share a [`DataType::common_type`],

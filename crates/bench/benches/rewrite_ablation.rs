@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perm_bench::harness;
-use perm_core::{PermDb, ProvenanceOptions, ProvenanceRewriter};
+use perm_core::{PermDb, ProvenanceRewriter, SessionOptions};
 use perm_tpch::queries::{add_provenance_keyword, tpch_query, variant_rng};
 
 /// A selection of queries covering SPJ (6), aggregation-heavy (3, 5) and derived-table (9)
@@ -19,7 +19,7 @@ fn bench_optimizer_ablation(c: &mut Criterion) {
     let optimized_db = harness::database();
     let unoptimized_db = PermDb::with_catalog(
         optimized_db.catalog().clone(),
-        ProvenanceOptions::default().with_row_budget(2_000_000).without_optimizer(),
+        SessionOptions::default().with_row_budget(2_000_000).without_optimizer(),
     );
 
     let mut group = c.benchmark_group("ablation_optimizer_for_provenance_queries");

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use perm_core::{PermDb, ProvenanceOptions};
+use perm_core::{PermDb, SessionOptions};
 use perm_tpch::dbgen::{generate_catalog, TpchScale};
 
 /// Criterion samples per entry of `spj_queries` (gated against `BENCH_fig13.json`) and
@@ -23,8 +23,7 @@ pub fn database() -> PermDb {
     // which would charge a whole-table collection scan to that query's latency (the paper's
     // figures measure warm-catalog execution).
     catalog.analyze();
-    let options = ProvenanceOptions::default()
-        .with_row_budget(1_000_000)
-        .with_timeout(Duration::from_secs(10));
+    let options =
+        SessionOptions::default().with_row_budget(1_000_000).with_timeout(Duration::from_secs(10));
     PermDb::with_catalog(catalog, options)
 }

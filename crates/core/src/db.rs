@@ -19,10 +19,8 @@
 //! provenance (`BASERELATION`).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use perm_algebra::LogicalPlan;
-use perm_exec::ExecOptions;
 use perm_service::{Engine, PreparedPlan, Session, SessionOptions};
 use perm_sql::Analyzer;
 use perm_storage::{Catalog, Relation};
@@ -30,68 +28,11 @@ use perm_storage::{Catalog, Relation};
 use crate::error::PermError;
 use crate::rewrite::ProvenanceRewriter;
 
-/// Configuration of a [`PermDb`] instance.
-#[derive(Debug, Clone)]
-pub struct ProvenanceOptions {
-    /// Maximum number of rows any operator may produce (reproduces the paper's behaviour of
-    /// aborting runaway provenance queries). `None` = unlimited.
-    pub row_budget: Option<usize>,
-    /// Wall-clock execution timeout. `None` = unlimited.
-    pub timeout: Option<Duration>,
-    /// Whether plans are passed through the rule-based optimizer before execution.
-    pub optimize: bool,
-}
-
-impl Default for ProvenanceOptions {
-    fn default() -> Self {
-        ProvenanceOptions { row_budget: None, timeout: None, optimize: true }
-    }
-}
-
-impl ProvenanceOptions {
-    /// Limit the number of rows any single operator may produce.
-    pub fn with_row_budget(mut self, budget: usize) -> Self {
-        self.row_budget = Some(budget);
-        self
-    }
-
-    /// Limit wall-clock execution time.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Disable the optimizer (used by benchmarks that measure raw rewrite output).
-    pub fn without_optimizer(mut self) -> Self {
-        self.optimize = false;
-        self
-    }
-
-    fn exec_options(&self) -> ExecOptions {
-        let mut options = ExecOptions::default();
-        if let Some(budget) = self.row_budget {
-            options = options.with_row_budget(budget);
-        }
-        if let Some(timeout) = self.timeout {
-            options = options.with_timeout(timeout);
-        }
-        options
-    }
-
-    fn session_options(&self) -> SessionOptions {
-        SessionOptions {
-            row_budget: self.row_budget,
-            timeout: self.timeout,
-            optimize: self.optimize,
-        }
-    }
-}
-
 /// The Perm provenance management system.
 #[derive(Debug, Clone)]
 pub struct PermDb {
     engine: Arc<Engine>,
-    options: ProvenanceOptions,
+    options: SessionOptions,
     rewriter: Arc<ProvenanceRewriter>,
 }
 
@@ -104,16 +45,16 @@ impl Default for PermDb {
 impl PermDb {
     /// Create an empty database.
     pub fn new() -> PermDb {
-        PermDb::with_options(ProvenanceOptions::default())
+        PermDb::with_options(SessionOptions::default())
     }
 
     /// Create an empty database with custom options.
-    pub fn with_options(options: ProvenanceOptions) -> PermDb {
+    pub fn with_options(options: SessionOptions) -> PermDb {
         PermDb::with_catalog(Catalog::new(), options)
     }
 
     /// Create a database over an existing catalog (shares the underlying data).
-    pub fn with_catalog(catalog: Catalog, options: ProvenanceOptions) -> PermDb {
+    pub fn with_catalog(catalog: Catalog, options: SessionOptions) -> PermDb {
         let rewriter = Arc::new(ProvenanceRewriter::new());
         let engine = Arc::new(Engine::with_catalog(catalog).with_rewriter(rewriter.clone()));
         PermDb { engine, options, rewriter }
@@ -133,17 +74,17 @@ impl PermDb {
     /// A single-use session carrying this database's options.
     fn session(&self) -> Session {
         let mut session = Session::new(self.engine.clone());
-        session.set_options(self.options.session_options());
+        session.set_options(self.options.clone());
         session
     }
 
     /// The current options.
-    pub fn options(&self) -> &ProvenanceOptions {
+    pub fn options(&self) -> &SessionOptions {
         &self.options
     }
 
     /// Replace the options (row budget, timeout, optimizer switch).
-    pub fn set_options(&mut self, options: ProvenanceOptions) {
+    pub fn set_options(&mut self, options: SessionOptions) {
         self.options = options;
     }
 
@@ -399,7 +340,7 @@ mod tests {
     #[test]
     fn row_budget_aborts_runaway_provenance_queries() {
         let mut db = shop_db();
-        db.set_options(ProvenanceOptions::default().with_row_budget(3));
+        db.set_options(SessionOptions::default().with_row_budget(3));
         let err = db
             .execute_sql("SELECT PROVENANCE name, sum(price) AS total FROM shop, sales, items WHERE name = sName AND itemId = id GROUP BY name")
             .unwrap_err();

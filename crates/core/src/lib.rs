@@ -40,7 +40,8 @@ pub mod error;
 pub mod naming;
 pub mod rewrite;
 
-pub use db::{PermDb, ProvenanceOptions};
+pub use db::PermDb;
 pub use error::PermError;
 pub use naming::{is_provenance_attribute_name, ProvenanceNaming};
+pub use perm_service::SessionOptions;
 pub use rewrite::ProvenanceRewriter;

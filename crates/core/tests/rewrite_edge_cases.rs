@@ -4,7 +4,7 @@
 //! blocks, multiple sublinks in one predicate, and error reporting.
 
 use perm_algebra::{Tuple, Value};
-use perm_core::{PermDb, PermError, ProvenanceOptions};
+use perm_core::{PermDb, PermError, SessionOptions};
 
 fn db() -> PermDb {
     let db = PermDb::new();
@@ -164,11 +164,11 @@ fn error_paths_are_reported_cleanly() {
 #[test]
 fn row_budget_and_timeout_options_are_honoured_for_provenance_queries() {
     let mut db = db();
-    db.set_options(ProvenanceOptions::default().with_row_budget(2));
+    db.set_options(SessionOptions::default().with_row_budget(2));
     let err = db.execute_sql("SELECT PROVENANCE sum(price) FROM items").unwrap_err();
     assert!(matches!(err, PermError::Exec(_)));
     // Restoring generous options makes the same query succeed again.
-    db.set_options(ProvenanceOptions::default());
+    db.set_options(SessionOptions::default());
     assert!(db.execute_sql("SELECT PROVENANCE sum(price) FROM items").is_ok());
 }
 
@@ -198,11 +198,9 @@ fn column_pruning_narrows_r3_r4_rewritten_joins_without_changing_results() {
     let db = db();
     let sql = "SELECT PROVENANCE name FROM shop, sales WHERE name = sName AND numEmpl > 2";
     let optimized_result = db.execute_sql(sql).unwrap();
-    let mut unopt = PermDb::with_catalog(
-        db.catalog().clone(),
-        ProvenanceOptions::default().without_optimizer(),
-    );
-    unopt.set_options(ProvenanceOptions::default().without_optimizer());
+    let mut unopt =
+        PermDb::with_catalog(db.catalog().clone(), SessionOptions::default().without_optimizer());
+    unopt.set_options(SessionOptions::default().without_optimizer());
     let unoptimized_result = unopt.execute_sql(sql).unwrap();
     assert!(optimized_result.bag_eq(&unoptimized_result));
     assert_eq!(

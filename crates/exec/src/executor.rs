@@ -1,7 +1,6 @@
 //! The [`Executor`] front end: execution options, the per-query context, and the
-//! pool-independent operator logic (equi-key extraction, aggregate accumulators, set-operation
-//! multiset algebra) shared by the engine in [`crate::parallel`] and the oracle in
-//! [`crate::reference`].
+//! pool-independent operator logic of the engine in [`crate::parallel`]: equi-key extraction,
+//! and the aggregate accumulators it shares with the oracle in [`crate::reference`].
 //!
 //! There is one engine. [`Executor::execute`] runs the morsel executor at degree 1 on the
 //! calling thread; [`Executor::execute_parallel`] runs the same code on a shared
@@ -10,15 +9,11 @@
 //! wall-clock time, cancellation and memory — see [`ExecOptions::row_budget`] for the budget
 //! rule and the [`crate::parallel`] module docs for the operators.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use perm_algebra::{
-    BinaryOperator, DataChunk, LogicalPlan, ScalarExpr, Schema, SetOpKind, SetSemantics, Tuple,
-    Value,
-};
+use perm_algebra::{BinaryOperator, DataChunk, LogicalPlan, ScalarExpr, Schema, Value};
 use perm_storage::{Catalog, CatalogSnapshot, Relation};
 
 use crate::error::ExecError;
@@ -359,17 +354,6 @@ pub(crate) fn split_equi_join_condition(
     (keys, residual)
 }
 
-pub(crate) fn dedupe(rows: Vec<Tuple>) -> Vec<Tuple> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for row in rows {
-        if seen.insert(row.clone()) {
-            out.push(row);
-        }
-    }
-    out
-}
-
 /// Aggregate accumulator for one aggregate expression within one group.
 #[derive(Debug, Clone)]
 pub(crate) enum Accumulator {
@@ -489,73 +473,6 @@ impl Accumulator {
     }
 }
 
-pub(crate) fn set_operation(
-    left: Vec<Tuple>,
-    right: Vec<Tuple>,
-    kind: SetOpKind,
-    semantics: SetSemantics,
-) -> Vec<Tuple> {
-    match (kind, semantics) {
-        (SetOpKind::Union, SetSemantics::Bag) => {
-            let mut out = left;
-            out.extend(right);
-            out
-        }
-        (SetOpKind::Union, SetSemantics::Set) => {
-            let mut out = left;
-            out.extend(right);
-            dedupe(out)
-        }
-        (SetOpKind::Intersect, semantics) => {
-            let right_counts = counts(right);
-            match semantics {
-                SetSemantics::Bag => {
-                    // Multiplicity is min(n, m): emit a left occurrence while right credit remains.
-                    let mut remaining = right_counts;
-                    let mut out = Vec::new();
-                    for t in left {
-                        if let Some(c) = remaining.get_mut(&t) {
-                            if *c > 0 {
-                                *c -= 1;
-                                out.push(t);
-                            }
-                        }
-                    }
-                    out
-                }
-                SetSemantics::Set => {
-                    let left_unique = dedupe(left);
-                    left_unique.into_iter().filter(|t| right_counts.contains_key(t)).collect()
-                }
-            }
-        }
-        (SetOpKind::Difference, SetSemantics::Bag) => {
-            // Multiplicity is n - m.
-            let mut credits = counts(right);
-            let mut out = Vec::new();
-            for t in left {
-                match credits.get_mut(&t) {
-                    Some(c) if *c > 0 => *c -= 1,
-                    _ => out.push(t),
-                }
-            }
-            out
-        }
-        (SetOpKind::Difference, SetSemantics::Set) => {
-            let right_set: std::collections::HashSet<Tuple> = right.into_iter().collect();
-            dedupe(left).into_iter().filter(|t| !right_set.contains(t)).collect()
-        }
-    }
-}
-
-fn counts(rows: Vec<Tuple>) -> HashMap<Tuple, usize> {
-    let mut m = HashMap::new();
-    for t in rows {
-        *m.entry(t).or_insert(0) += 1;
-    }
-    m
-}
-
 /// Convenience: execute a plan against a catalog with default options.
 pub fn execute_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<Relation, ExecError> {
     Executor::new(catalog.clone()).execute(plan)
@@ -628,7 +545,7 @@ mod tests {
     use super::*;
     use perm_algebra::{
         tuple, AggregateExpr, AggregateFunction, Attribute, DataType, JoinKind, PlanBuilder,
-        SortKey, SublinkKind,
+        SetOpKind, SetSemantics, SortKey, SublinkKind, Tuple,
     };
 
     fn scan(catalog: &Catalog, table: &str, ref_id: usize) -> PlanBuilder {
@@ -864,26 +781,26 @@ mod tests {
     fn set_operations_bag_and_set() {
         let catalog = Catalog::new();
         let schema = Schema::from_pairs(&[("x", DataType::Int)]);
-        catalog
-            .create_table_with_data(
-                "a",
-                Relation::new(schema.clone(), vec![tuple![1], tuple![1], tuple![2]]).unwrap(),
-            )
-            .unwrap();
-        catalog
-            .create_table_with_data("b", Relation::new(schema, vec![tuple![1], tuple![3]]).unwrap())
-            .unwrap();
+        let table = |values: &[i64]| {
+            Relation::new(schema.clone(), values.iter().map(|&x| tuple![x]).collect()).unwrap()
+        };
+        catalog.create_table_with_data("a", table(&[1, 2, 1, 3, 1])).unwrap();
+        catalog.create_table_with_data("b", table(&[3, 1, 4, 1])).unwrap();
+        // The exact output sequence: unions keep input order (first occurrences for UNION),
+        // INTERSECT / EXCEPT keep left order, and `ALL` spends one right occurrence per left
+        // row — so EXCEPT ALL drops the *earliest* matching left rows (1 twice, then 3).
         let run = |kind, semantics| {
             let plan =
                 scan(&catalog, "a", 0).set_op(scan(&catalog, "b", 1), kind, semantics).build();
-            execute_plan(&catalog, &plan).unwrap().sorted()
+            let rows = execute_plan(&catalog, &plan).unwrap();
+            rows.iter().map(|t| t[0].as_i64().unwrap()).collect::<Vec<_>>()
         };
-        assert_eq!(run(SetOpKind::Union, SetSemantics::Bag).num_rows(), 5);
-        assert_eq!(run(SetOpKind::Union, SetSemantics::Set).num_rows(), 3);
-        assert_eq!(run(SetOpKind::Intersect, SetSemantics::Bag).tuples(), &[tuple![1]]);
-        assert_eq!(run(SetOpKind::Intersect, SetSemantics::Set).tuples(), &[tuple![1]]);
-        assert_eq!(run(SetOpKind::Difference, SetSemantics::Bag).tuples(), &[tuple![1], tuple![2]]);
-        assert_eq!(run(SetOpKind::Difference, SetSemantics::Set).tuples(), &[tuple![2]]);
+        assert_eq!(run(SetOpKind::Union, SetSemantics::Bag), [1, 2, 1, 3, 1, 3, 1, 4, 1]);
+        assert_eq!(run(SetOpKind::Union, SetSemantics::Set), [1, 2, 3, 4]);
+        assert_eq!(run(SetOpKind::Intersect, SetSemantics::Bag), [1, 1, 3]);
+        assert_eq!(run(SetOpKind::Intersect, SetSemantics::Set), [1, 3]);
+        assert_eq!(run(SetOpKind::Difference, SetSemantics::Bag), [2, 1]);
+        assert_eq!(run(SetOpKind::Difference, SetSemantics::Set), [2]);
     }
 
     #[test]

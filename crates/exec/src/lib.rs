@@ -52,7 +52,7 @@ pub use executor::{
 };
 pub use log::{Level, QueryIdGuard};
 pub use optimizer::{fold_expr, Optimizer, OptimizerReport};
-pub use parallel::WorkerPool;
+pub use parallel::{panic_message, WorkerPool};
 pub use profile::{ProfileSink, QueryProfile};
 pub use reference::execute_reference;
 pub use reorder::{ReorderPolicy, ReorderReport};

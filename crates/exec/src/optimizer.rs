@@ -49,14 +49,12 @@ pub struct OptimizerReport {
     pub estimator_invocations: u64,
 }
 
+/// Maximum number of rule-based normalization passes.
+const MAX_PASSES: usize = 5;
+
 /// The rule-based optimizer, extended with statistics-driven join reordering.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
-    /// Maximum number of rule application passes.
-    max_passes: usize,
-    /// Whether the cost-based join-reordering pass runs (build-side swapping always runs
-    /// when statistics are available).
-    reorder: bool,
     /// Thresholds the cost-based passes must clear before rewriting a plan.
     policy: ReorderPolicy,
 }
@@ -68,16 +66,9 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// Create an optimizer with the default number of passes.
+    /// Create an optimizer with the default reordering thresholds.
     pub fn new() -> Optimizer {
-        Optimizer { max_passes: 5, reorder: true, policy: ReorderPolicy::default() }
-    }
-
-    /// Enable or disable the join-reordering pass. Build-side selection stays on: the hash
-    /// join should build on the smaller input even when full reordering is off.
-    pub fn with_reorder(mut self, reorder: bool) -> Optimizer {
-        self.reorder = reorder;
-        self
+        Optimizer { policy: ReorderPolicy::default() }
     }
 
     /// Override the thresholds the cost-based passes must clear before rewriting a plan
@@ -101,8 +92,7 @@ impl Optimizer {
         stats: &TableStatsView,
     ) -> Result<(LogicalPlan, OptimizerReport), ExecError> {
         let mut current = plan.clone();
-        let passes = if self.max_passes == 0 { 5 } else { self.max_passes };
-        for _ in 0..passes {
+        for _ in 0..MAX_PASSES {
             let mut changed = false;
             if let Some(folded) = fold_plan_constants(&current)? {
                 current = folded;
@@ -131,13 +121,11 @@ impl Optimizer {
         if !stats.is_empty() {
             let estimator = Estimator::new(stats);
             let mut counters = ReorderReport::default();
-            if self.reorder {
-                if let Some(reordered) =
-                    reorder_joins(&current, &estimator, &self.policy, &mut counters)?
-                {
-                    current = reordered;
-                    verify_after_pass("reorder_joins", &current)?;
-                }
+            if let Some(reordered) =
+                reorder_joins(&current, &estimator, &self.policy, &mut counters)?
+            {
+                current = reordered;
+                verify_after_pass("reorder_joins", &current)?;
             }
             if let Some(swapped) =
                 swap_build_sides(&current, &estimator, &self.policy, &mut counters)?

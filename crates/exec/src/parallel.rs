@@ -36,6 +36,12 @@
 //!   and emits *views* of the concatenated input through it. Concatenating view columns joins
 //!   their index buffers and leaves the dictionaries alone ([`DataChunk::concat`]), so a
 //!   column that arrives as views over a join's sources leaves as views over them.
+//! * **set operations** compare rows the way DISTINCT does, in their columns: `UNION ALL`
+//!   forwards both inputs' chunks, `UNION` keeps first occurrences, and `INTERSECT` / `EXCEPT`
+//!   count the right input's rows in a [`RowTable`] once, then mask the left chunks in order,
+//!   one right occurrence spent per left row under `ALL` — no row is boxed. Runs of small
+//!   output chunks are laid end to end up to one morsel, so the operators above do not pay a
+//!   dispatch per fragment.
 //! * **LIMIT** hands its row target to the region directly feeding it (a join probe or a
 //!   filter/projection): workers claim morsels in index order and stop claiming once the
 //!   completed prefix covers the target, and the coordinator replays the morsels in index order
@@ -62,15 +68,14 @@ use std::time::Instant;
 
 use perm_algebra::{
     hash_rows, rows_equal, Array, DataChunk, JoinKind, LogicalPlan, RowTable, ScalarExpr,
-    SortOrder, Tuple, Value, DEFAULT_CHUNK_SIZE,
+    SetOpKind, SetSemantics, SortOrder, Tuple, Value, DEFAULT_CHUNK_SIZE,
 };
 use perm_storage::Relation;
 
 use crate::compile::{CompiledAggregate, CompiledExpr};
 use crate::error::ExecError;
 use crate::executor::{
-    set_operation, split_equi_join_condition, strip_transparent, Accumulator, EquiKey, ExecContext,
-    Executor,
+    split_equi_join_condition, strip_transparent, Accumulator, EquiKey, ExecContext, Executor,
 };
 use crate::vector::{chunk_from_columns, filter_read_columns, project_chunk, JoinFilter};
 
@@ -345,8 +350,9 @@ where
     }
 }
 
-/// Render a panic payload into the message of the internal error that replaces it.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a panic payload into the message of the internal error that replaces it (shared by
+/// every panic fence: the pool's, a stream's and the wire server's dispatch).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     let msg = payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -508,7 +514,7 @@ impl Executor {
                 let hint = if *distinct { None } else { limit };
                 let projected = map_region(pool, ctx, source, predicate, Some(exprs), hint)?;
                 if *distinct {
-                    Ok(distinct_chunks(&projected))
+                    distinct_chunks(ctx, &projected)
                 } else {
                     Ok(projected)
                 }
@@ -530,10 +536,11 @@ impl Executor {
                 Ok(rows_to_chunks(&rows, plan.output_arity()))
             }
             LogicalPlan::SetOp { left, right, kind, semantics } => {
-                let left_rows = self.par_tuples(left, ctx, pool)?;
-                let right_rows = self.par_tuples(right, ctx, pool)?;
-                let out = set_operation(left_rows, right_rows, *kind, *semantics);
-                Ok(rows_to_chunks(&out, plan.output_arity()))
+                let left = self.par_chunks(left, ctx, pool, None)?;
+                let right = self.par_chunks(right, ctx, pool, None)?;
+                ctx.reserve_memory(DataChunk::byte_size_of(left.iter().chain(&right)))?;
+                let arity = plan.output_arity();
+                pack_chunks(arity, set_operation(ctx, arity, left, right, *kind, *semantics)?)
             }
             LogicalPlan::Sort { input, keys } => {
                 let compiled: Vec<(CompiledExpr, SortOrder)> = keys
@@ -565,28 +572,6 @@ impl Executor {
         pool: &WorkerPool,
     ) -> Result<Arc<Vec<DataChunk>>, ExecError> {
         Ok(Arc::new(self.par_chunks(input, ctx, pool, None)?))
-    }
-
-    /// Materialize a sub-plan as tuples, converting chunks to rows morsel-parallel (the
-    /// row-shaped edge used by the multiset algebra of set operations).
-    fn par_tuples(
-        &self,
-        plan: &LogicalPlan,
-        ctx: &ExecContext,
-        pool: &WorkerPool,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let chunks = Arc::new(self.par_chunks(plan, ctx, pool, None)?);
-        ctx.reserve_memory(chunks.iter().map(DataChunk::byte_size).sum())?;
-        let source = chunks.clone();
-        let ctx = ctx.clone();
-        let slots = pool.run_region(chunks.len(), None, move |i| {
-            ctx.check_deadline()?;
-            let rows: Vec<Tuple> = source[i].iter_tuples().collect();
-            let n = rows.len();
-            Ok((rows, n))
-        });
-        let batches = collect_region(slots, None, |batch: &Vec<Tuple>| batch.len())?;
-        Ok(batches.into_iter().flatten().collect())
     }
 
     /// Parallel join: recursive build + partitioned hash table + morsel-parallel probe.
@@ -755,32 +740,132 @@ fn map_region(
     Ok(chunks.into_iter().filter(|c| !c.is_empty()).collect())
 }
 
-/// Sequential chunk-wise DISTINCT (first occurrence wins), applied after a parallel projection.
-/// A row is a key of all its columns, remembered by the (chunk, row) it was first seen at.
-fn distinct_chunks(chunks: &[DataChunk]) -> Vec<DataChunk> {
-    let mut seen: RowTable<(u32, u32)> = RowTable::new();
-    let grouping = vec![true; chunks.first().map_or(0, DataChunk::num_columns)];
-    let state = RandomState::new();
+/// Keep the rows of `chunks` that `keep` accepts, asked in input order with the chunk's index,
+/// the chunk, the row and the row's hash under `state` (every column a key part). Sequential:
+/// what `keep` decides for a row may depend on every row before it.
+fn keep_rows(
+    ctx: &ExecContext,
+    state: &RandomState,
+    chunks: &[DataChunk],
+    mut keep: impl FnMut(u32, &DataChunk, usize, u64) -> bool,
+) -> Result<Vec<DataChunk>, ExecError> {
     let mut out = Vec::new();
     for (c, chunk) in chunks.iter().enumerate() {
-        let hashes = key_hashes(&state, chunk.columns(), chunk.num_rows());
+        ctx.check_deadline()?;
+        let hashes = key_hashes(state, chunk.columns(), chunk.num_rows());
         let mask: Vec<bool> = hashes
             .iter()
             .enumerate()
-            .map(|(row, &hash)| {
-                let same = |(c, r): (u32, u32)| {
-                    let first = chunks[c as usize].columns();
-                    rows_equal(first, r as usize, chunk.columns(), row, &grouping)
-                };
-                !seen.slot(hash, same, (c as u32, row as u32)).1
-            })
+            .map(|(row, &hash)| keep(c as u32, chunk, row, hash))
             .collect();
-        let filtered = chunk.filter(&mask);
-        if !filtered.is_empty() {
-            out.push(filtered);
+        let kept = chunk.filter(&mask);
+        if !kept.is_empty() {
+            out.push(kept);
         }
     }
-    out
+    Ok(out)
+}
+
+/// Chunk-wise DISTINCT (first occurrence wins), applied after a parallel projection and by
+/// `UNION`. A row is a key of all its columns, remembered by the (chunk, row) it was first
+/// seen at.
+fn distinct_chunks(ctx: &ExecContext, chunks: &[DataChunk]) -> Result<Vec<DataChunk>, ExecError> {
+    let mut seen: RowTable<(u32, u32)> = RowTable::new();
+    let grouping = vec![true; chunks.first().map_or(0, DataChunk::num_columns)];
+    keep_rows(ctx, &RandomState::new(), chunks, |c, chunk, row, hash| {
+        let same = |(c, r): (u32, u32)| {
+            let first = chunks[c as usize].columns();
+            rows_equal(first, r as usize, chunk.columns(), row, &grouping)
+        };
+        !seen.slot(hash, same, (c, row as u32)).1
+    })
+}
+
+/// A set operation over the two inputs' chunk lists, comparing rows where they lie as DISTINCT
+/// does: every column a grouping key, so rows are equal as `Value`s are (NULL = NULL, NaN = NaN,
+/// `1 = 1.0`). `UNION ALL` forwards the left chunks and then the right ones; `UNION` keeps the
+/// first occurrence of each row of both. `INTERSECT` / `EXCEPT` count the right input's rows
+/// once, then go through the left rows in order: under `ALL` each left row that finds an
+/// unspent right occurrence spends it — so `EXCEPT ALL` drops a row's *earliest* left
+/// occurrences — and under set semantics each left row's first occurrence is kept.
+fn set_operation(
+    ctx: &ExecContext,
+    arity: usize,
+    left: Vec<DataChunk>,
+    right: Vec<DataChunk>,
+    kind: SetOpKind,
+    semantics: SetSemantics,
+) -> Result<Vec<DataChunk>, ExecError> {
+    let bag = semantics == SetSemantics::Bag;
+    let intersect = match kind {
+        SetOpKind::Union if bag => return Ok(left.into_iter().chain(right).collect()),
+        SetOpKind::Union => return distinct_chunks(ctx, &[left, right].concat()),
+        SetOpKind::Intersect => true,
+        SetOpKind::Difference => false,
+    };
+    let grouping = vec![true; arity];
+    let state = RandomState::new();
+    // Each distinct right row: where it first occurs, and how many occurrences are unspent.
+    let mut table: RowTable<u32> = RowTable::new();
+    let mut firsts: Vec<(u32, u32)> = Vec::new();
+    let mut credits: Vec<usize> = Vec::new();
+    let is_right_row = |k: u32, chunk: &DataChunk, row: usize, firsts: &[(u32, u32)]| {
+        let (c, r) = firsts[k as usize];
+        rows_equal(right[c as usize].columns(), r as usize, chunk.columns(), row, &grouping)
+    };
+    for (c, chunk) in right.iter().enumerate() {
+        ctx.check_deadline()?;
+        let hashes = key_hashes(&state, chunk.columns(), chunk.num_rows());
+        for (row, &hash) in hashes.iter().enumerate() {
+            let same = |k: u32| is_right_row(k, chunk, row, &firsts);
+            let (k, found) = table.slot(hash, same, firsts.len() as u32);
+            let k = *k as usize;
+            if !found {
+                firsts.push((c as u32, row as u32));
+                credits.push(0);
+            }
+            credits[k] += 1;
+        }
+    }
+    let kept = keep_rows(ctx, &state, &left, |_, chunk, row, hash| {
+        let found = match table.find(hash, |k| is_right_row(k, chunk, row, &firsts)) {
+            Some(k) if credits[k as usize] > 0 => {
+                if bag {
+                    credits[k as usize] -= 1;
+                }
+                true
+            }
+            _ => false,
+        };
+        found == intersect
+    })?;
+    match bag {
+        true => Ok(kept),
+        false => distinct_chunks(ctx, &kept),
+    }
+}
+
+/// Lay each run of consecutive chunks that fits in one morsel ([`DEFAULT_CHUNK_SIZE`] rows) end
+/// to end with [`DataChunk::concat`], in order; a full chunk is passed on as it is. A set
+/// operation's output is its inputs' chunks, or what masking them left — often a few
+/// rows each — and above it every morsel more is a dispatch more across the pool for each
+/// operator it passes through.
+fn pack_chunks(arity: usize, chunks: Vec<DataChunk>) -> Result<Vec<DataChunk>, ExecError> {
+    let mut out = Vec::new();
+    let mut run: Vec<DataChunk> = Vec::new();
+    let mut rows = 0;
+    for chunk in chunks.into_iter().filter(|c| !c.is_empty()) {
+        if rows + chunk.num_rows() > DEFAULT_CHUNK_SIZE && !run.is_empty() {
+            out.push(DataChunk::concat(arity, &std::mem::take(&mut run))?);
+            rows = 0;
+        }
+        rows += chunk.num_rows();
+        run.push(chunk);
+    }
+    if !run.is_empty() {
+        out.push(DataChunk::concat(arity, &run)?);
+    }
+    Ok(out)
 }
 
 /// Re-chunk materialized rows into `DEFAULT_CHUNK_SIZE` batches.
@@ -1408,8 +1493,7 @@ mod tests {
     use crate::executor::test_fixtures::paper_example_catalog;
     use crate::executor::ExecOptions;
     use perm_algebra::{
-        tuple, AggregateExpr, AggregateFunction, DataType, PlanBuilder, Schema, SetOpKind,
-        SetSemantics, SortKey,
+        tuple, AggregateExpr, AggregateFunction, DataType, PlanBuilder, Schema, SortKey,
     };
     use perm_storage::Catalog;
 

@@ -246,23 +246,34 @@ impl Engine {
         optimize: bool,
     ) -> Result<PreparedPlan, ServiceError> {
         match self.analyzer().analyze_sql(sql)? {
-            AnalyzedStatement::Query { plan, into } => {
-                // Post-binding type verification. This runs unconditionally (not only when
-                // `perm_algebra::verification_enabled()`): it is the user-facing PREPARE-time
-                // check that turns an ill-typed query into a clean `-` response naming the
-                // operator path, and it sits on the compile path only — cache hits and
-                // per-row execution never pay for it.
-                if let Err(err) = plan.verify() {
-                    return Err(ServiceError::Sql(perm_sql::SqlError::Algebra(err.into())));
-                }
-                let plan = if optimize { self.optimize_plan(&plan)? } else { plan };
-                let param_count = plan.max_parameter().map_or(0, |max| max + 1);
-                Ok(PreparedPlan { plan, into, param_count, sql: sql.to_string() })
-            }
+            AnalyzedStatement::Query { plan, into } => self.prepare_plan(plan, into, optimize, sql),
             _ => Err(ServiceError::unsupported(
                 "only queries (SELECT ...) can be planned; execute DDL/DML statements directly",
             )),
         }
+    }
+
+    /// Turn a bound query plan into a [`PreparedPlan`] — the one way a query written in SQL
+    /// reaches the executor, whether planned from text, run from a script or feeding
+    /// `INSERT … SELECT`.
+    ///
+    /// Post-binding type verification runs first and unconditionally (not only when
+    /// `perm_algebra::verification_enabled()`): it turns an ill-typed query into a clean error
+    /// naming the operator path before the optimizer or the executor sees it, and it sits on
+    /// the compile path only — cache hits and per-row execution never pay for it.
+    fn prepare_plan(
+        &self,
+        plan: LogicalPlan,
+        into: Option<String>,
+        optimize: bool,
+        sql: &str,
+    ) -> Result<PreparedPlan, ServiceError> {
+        if let Err(err) = plan.verify() {
+            return Err(ServiceError::Sql(perm_sql::SqlError::Algebra(err.into())));
+        }
+        let plan = if optimize { self.optimize_plan(&plan)? } else { plan };
+        let param_count = plan.max_parameter().map_or(0, |max| max + 1);
+        Ok(PreparedPlan { plan, into, param_count, sql: sql.to_string() })
     }
 
     /// Bytes of materialized query results not yet handed to a consumer, across all sessions.
@@ -381,16 +392,13 @@ impl Engine {
                 Ok(empty())
             }
             AnalyzedStatement::InsertFromQuery { table, plan } => {
-                let plan = if optimize { self.optimize_plan(&plan)? } else { plan };
-                let prepared =
-                    PreparedPlan { plan, into: None, param_count: 0, sql: String::new() };
+                let prepared = self.prepare_plan(plan, None, optimize, "")?;
                 let result = self.execute_prepared_plan(&prepared, options, Vec::new())?;
                 self.catalog.insert_chunks(&table, &result.chunks())?;
                 Ok(empty())
             }
             AnalyzedStatement::Query { plan, into } => {
-                let plan = if optimize { self.optimize_plan(&plan)? } else { plan };
-                let prepared = PreparedPlan { plan, into, param_count: 0, sql: String::new() };
+                let prepared = self.prepare_plan(plan, into, optimize, "")?;
                 self.execute_prepared_plan(&prepared, options, Vec::new())
             }
         }

@@ -432,7 +432,7 @@ fn dispatch_fenced(
 ) -> Result<(Response, bool), ServiceError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(session, request, shutdown)))
         .unwrap_or_else(|payload| {
-            let message = crate::stream::panic_message(payload.as_ref());
+            let message = perm_exec::panic_message(payload.as_ref());
             perm_exec::log_error!("panic_recovered", site = "dispatch", error = message);
             Err(ServiceError::Internal(message))
         })

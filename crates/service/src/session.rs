@@ -16,7 +16,8 @@ use crate::stream::QueryStream;
 /// Per-session settings, applied to every statement the session executes.
 #[derive(Debug, Clone)]
 pub struct SessionOptions {
-    /// Maximum number of rows any single operator may produce (`None` = unlimited).
+    /// Maximum number of rows any single operator may produce (`None` = unlimited); reproduces
+    /// the paper's behaviour of aborting runaway provenance queries.
     pub row_budget: Option<usize>,
     /// Wall-clock execution timeout (`None` = unlimited).
     pub timeout: Option<Duration>,
@@ -31,7 +32,26 @@ impl Default for SessionOptions {
 }
 
 impl SessionOptions {
-    fn exec_options(&self) -> ExecOptions {
+    /// Limit the number of rows any single operator may produce.
+    pub fn with_row_budget(mut self, budget: usize) -> Self {
+        self.row_budget = Some(budget);
+        self
+    }
+
+    /// Limit wall-clock execution time.
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = Some(timeout);
+        self
+    }
+
+    /// Disable the optimizer (used by benchmarks that measure raw rewrite output).
+    pub fn without_optimizer(mut self) -> Self {
+        self.optimize = false;
+        self
+    }
+
+    /// The executor limits these settings impose on one statement.
+    pub fn exec_options(&self) -> ExecOptions {
         let mut options = ExecOptions::default();
         if let Some(budget) = self.row_budget {
             options = options.with_row_budget(budget);

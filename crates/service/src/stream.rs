@@ -205,7 +205,7 @@ impl QueryStream {
         }));
         let result = match outcome {
             Ok(result) => result.map_err(ServiceError::from),
-            Err(payload) => Err(ServiceError::Internal(panic_message(payload.as_ref()))),
+            Err(payload) => Err(ServiceError::Internal(perm_exec::panic_message(payload.as_ref()))),
         };
         match result {
             Ok(relation) => Ok((relation, executor)),
@@ -271,17 +271,4 @@ impl Drop for QueryStream {
         // (idempotent: a finished ticket keeps its recorded outcome).
         self.finish_ticket(QueryOutcome::Cancelled);
     }
-}
-
-/// Render a caught panic payload as an error message (shared with the server's dispatch
-/// fence).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    };
-    format!("worker panicked: {msg}")
 }

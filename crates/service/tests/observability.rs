@@ -29,8 +29,8 @@ fn catalog() -> Catalog {
     catalog
 }
 
-/// Wait for the gauges that quiesce asynchronously (governor grants held by worker-pool jobs,
-/// stream buffers drained by producer threads) to reach zero.
+/// Wait for the gauges that quiesce asynchronously (governor grants held by worker-pool jobs
+/// until a worker pops them) to reach zero; the stream gauge is checked beside them.
 fn wait_for_zero_gauges(engine: &Engine) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {

@@ -33,8 +33,8 @@ fn big_engine() -> Arc<Engine> {
 }
 
 fn assert_quiescent(engine: &Engine) {
-    // The stream gauge is exact: producers roll back on failed sends and the consumer (or
-    // `Drop`) drains and joins, so zero is guaranteed the moment a stream ends.
+    // The stream gauge is exact: a stream takes each chunk off as it hands it out and the rest
+    // when it ends, errs or is dropped, so zero is guaranteed the moment a stream ends.
     assert_eq!(engine.stream_buffered_bytes(), 0, "stream gauge must drain to zero");
     // Governor stats quiesce within an instant rather than atomically with the query's end:
     // helper jobs queued on the shared worker pool can hold a context clone (and with it the
@@ -53,9 +53,8 @@ fn assert_quiescent(engine: &Engine) {
 }
 
 /// Regression for the gauge leak: dropping a stream after pulling only one chunk used to
-/// strand the byte accounting of everything the producer had already buffered. `Drop` now
-/// drains the channel and joins the producer, so the gauge is zero the instant `drop`
-/// returns — no retries, no sleeps.
+/// strand the byte accounting of everything already materialized. `Drop` takes the chunks not
+/// handed out off the gauge, so it is zero the instant `drop` returns — no retries, no sleeps.
 #[test]
 fn dropped_stream_mid_iteration_releases_gauge_and_reservations() {
     let engine = big_engine();
@@ -67,8 +66,8 @@ fn dropped_stream_mid_iteration_releases_gauge_and_reservations() {
     drop(stream);
     assert_quiescent(&engine);
 
-    // The same holds when the producer ends in an *error* (here: the row budget) rather than
-    // being abandoned.
+    // The same holds when execution ends in an *error* (here: the row budget) rather than the
+    // stream being abandoned.
     let mut session = engine.session();
     session.set_row_budget(Some(DEFAULT_CHUNK_SIZE * 2));
     let mut stream = session.execute_streaming("SELECT * FROM big").unwrap();
@@ -100,7 +99,7 @@ fn cancelled_stream_stops_early_and_frees_memory() {
     let first = stream.next_chunk().unwrap().unwrap();
     let mut delivered = first.num_rows();
     stream.cancel();
-    // Drain whatever was already buffered; the producer must stop at a chunk boundary.
+    // Drain what is left; the stream must stop at a chunk boundary.
     for item in stream.by_ref() {
         match item {
             Ok(chunk) => delivered += chunk.num_rows(),

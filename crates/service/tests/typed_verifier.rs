@@ -1,13 +1,14 @@
 //! PREPARE-time typed-plan verification: queries that parse and bind fine but are ill-typed
 //! must be rejected when the plan is compiled — with a `type mismatch` error naming the
-//! operator path — instead of failing (or silently misbehaving) at execution time. Also checks
-//! that EXPLAIN output carries the inferred per-operator types.
+//! operator path — instead of failing (or silently misbehaving) at execution time, whether the
+//! query is executed, prepared, run from a script or feeds `INSERT … SELECT`. Also checks that
+//! EXPLAIN output carries the inferred per-operator types.
 
 use std::sync::Arc;
 
 use perm_algebra::Value;
-use perm_core::ProvenanceRewriter;
-use perm_service::Engine;
+use perm_core::{PermDb, ProvenanceRewriter};
+use perm_service::{Engine, SessionOptions};
 
 fn shop_engine() -> Arc<Engine> {
     let engine = Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())));
@@ -82,4 +83,31 @@ fn explain_carries_inferred_types() {
     assert!(text.contains("types="), "operator lines carry inferred types:\n{text}");
     // The scan exposes both columns; base-table columns are nullable (no NOT NULL metadata).
     assert!(text.contains("types=(TEXT?, INT?)"), "scan line types:\n{text}");
+}
+
+#[test]
+fn scripts_and_insert_select_reject_ill_typed_queries_as_execute_does() {
+    // Over an empty table nothing ever evaluates `name + 1`, so only the verifier can catch it —
+    // with the optimizer on or off, and whichever way the statement arrives.
+    for optimize in [true, false] {
+        let engine = shop_engine();
+        let mut session = engine.session();
+        session.set_options(SessionOptions { optimize, ..SessionOptions::default() });
+        session.execute_script("CREATE TABLE e (name TEXT); CREATE TABLE t (x INT)").unwrap();
+        let query = "SELECT name + 1 FROM e";
+        let expected = session.execute(query).unwrap_err().to_string();
+        assert!(expected.contains("type mismatch"), "want a type mismatch, got: {expected}");
+        for statement in [query.to_string(), format!("INSERT INTO t {query}")] {
+            let err = session.execute_script(&statement).unwrap_err().to_string();
+            assert_eq!(err, expected, "{statement} (optimize={optimize})");
+        }
+        let err = session.execute(&format!("INSERT INTO t {query}")).unwrap_err().to_string();
+        assert_eq!(err, expected, "INSERT ... SELECT through execute (optimize={optimize})");
+    }
+    // The embedded facade runs scripts the same way.
+    let db = PermDb::new();
+    db.execute_script("CREATE TABLE e (name TEXT)").unwrap();
+    let expected = db.execute_sql("SELECT name + 1 FROM e").unwrap_err().to_string();
+    let err = db.execute_script("SELECT name + 1 FROM e").unwrap_err().to_string();
+    assert_eq!(err, expected);
 }

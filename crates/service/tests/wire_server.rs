@@ -179,8 +179,8 @@ fn unsupported_hello_version_is_refused_with_the_supported_version() {
 /// An error frame after partial RESULT frames must invalidate the partial result: the
 /// buffering client discards the rows, and the incremental shell prints an explicit
 /// invalidation notice. The engine reports execution errors before its first chunk, so only a
-/// cancellation or a lost producer can fail a real stream midway; a scripted server stands in
-/// here to put the error frame at a fixed point behind one acknowledged chunk.
+/// cancellation can fail a real stream midway; a scripted server stands in here to put the
+/// error frame at a fixed point behind one acknowledged chunk.
 #[test]
 fn mid_stream_errors_invalidate_partial_results() {
     use perm_algebra::{DataChunk, DataType, Schema, Tuple, Value};

@@ -25,7 +25,7 @@ fn main() -> Result<(), PermError> {
         PermDb::new()
     } else if args.iter().any(|a| a == "--tpch") {
         let catalog = generate_catalog(TpchScale::new(0.001), 1);
-        PermDb::with_catalog(catalog, ProvenanceOptions::default().with_row_budget(5_000_000))
+        PermDb::with_catalog(catalog, SessionOptions::default().with_row_budget(5_000_000))
     } else {
         let db = PermDb::new();
         db.execute_script(

@@ -15,7 +15,7 @@ fn main() -> Result<(), PermError> {
     let queries = if requested.is_empty() { vec![3, 5, 6] } else { requested };
 
     let catalog = generate_catalog(TpchScale::new(0.002), 42);
-    let db = PermDb::with_catalog(catalog, ProvenanceOptions::default().with_row_budget(2_000_000));
+    let db = PermDb::with_catalog(catalog, SessionOptions::default().with_row_budget(2_000_000));
     println!("TPC-H database generated ({} tuples total)\n", db.catalog().total_rows());
 
     for id in queries {

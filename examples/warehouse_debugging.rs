@@ -17,7 +17,7 @@ use perm::prelude::*;
 fn main() -> Result<(), PermError> {
     // A small, deterministic TPC-H warehouse.
     let catalog = generate_catalog(TpchScale::new(0.001), 7);
-    let db = PermDb::with_catalog(catalog.clone(), ProvenanceOptions::default());
+    let db = PermDb::with_catalog(catalog.clone(), SessionOptions::default());
     println!(
         "warehouse loaded: {} tables, {} tuples total",
         db.catalog().table_names().len(),

@@ -58,7 +58,7 @@ pub use perm_tpch as tpch;
 pub mod prelude {
     pub use perm_algebra::{DataType, LogicalPlan, Schema, Tuple, Value};
     pub use perm_baselines::{CuiWidomTracer, TrioStyleDb};
-    pub use perm_core::{PermDb, PermError, ProvenanceOptions, ProvenanceRewriter};
+    pub use perm_core::{PermDb, PermError, ProvenanceRewriter};
     pub use perm_service::{Engine, ServiceError, Session, SessionOptions};
     pub use perm_storage::{Catalog, Relation};
     pub use perm_tpch::{generate_catalog, TpchScale};

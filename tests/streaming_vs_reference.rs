@@ -11,8 +11,10 @@
 //! chunk boundary), uncorrelated sublinks, row budgets at and around an operator's output,
 //! integer-overflow error behaviour (including behind a `LIMIT`), NaN sort keys, cross-type
 //! (Int/Date) hash-key consistency, keys hashed and compared in place (text, mixed numeric,
-//! NULL-safe and multi-column join and group-by keys), the lazily evaluated expression forms
-//! (`CASE`, `IN` over a list) and join conditions decided in batches of candidate pairs.
+//! NULL-safe and multi-column join and group-by keys), set operations over the keys the random
+//! plans never hold (text, NULL, NaN, Int against Float, a join's views), the lazily evaluated
+//! expression forms (`CASE`, `IN` over a list) and join conditions decided in batches of
+//! candidate pairs.
 
 use proptest::prelude::*;
 
@@ -811,6 +813,115 @@ fn keys_hashed_in_place_agree_with_reference_at_every_degree() {
         let optimized = Optimizer::new().optimize(&rewritten).unwrap();
         check(&optimized, &format!("optimized R5 join-back on columns {keys:?}"));
     }
+}
+
+/// Set operations compare whole rows in their columns, as DISTINCT does, and must count
+/// multiplicities as the reference does: `UNION` / `INTERSECT` / `EXCEPT`, bag and set, over
+/// inputs of 0, 1 and 1023–1025 rows whose duplicates lie in different morsels, over text keys
+/// with NULLs, Float keys with NULLs and NaNs, an Int input against a Float one (`1 = 1.0`), and
+/// a join's output — dictionary views — on either side. One outcome at every degree, which as a
+/// bag is the reference's.
+#[test]
+fn set_operations_agree_with_reference_at_every_degree() {
+    use perm_algebra::{PlanBuilder, DEFAULT_CHUNK_SIZE};
+
+    let kinds = [SetOpKind::Union, SetOpKind::Intersect, SetOpKind::Difference];
+    let semantics = [SetSemantics::Bag, SetSemantics::Set];
+    // `(t, f)` repeats with period 37 in `t`, so an input past one chunk holds duplicates in
+    // both morsels; NULL text every 11th row, NULL and NaN floats every 13th.
+    let rows = |n: usize, shift: usize| -> Vec<Tuple> {
+        (shift..n + shift)
+            .map(|j| {
+                let t = if j % 11 == 0 { Value::Null } else { Value::text(format!("k{}", j % 37)) };
+                let f = match j % 13 {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    m => Value::Float((m % 5) as f64),
+                };
+                Tuple::new(vec![t, f])
+            })
+            .collect()
+    };
+    let catalog = Catalog::new();
+    let schema = Schema::from_pairs(&[("t", DataType::Text), ("f", DataType::Float)]);
+    let sizes = [0, 1, DEFAULT_CHUNK_SIZE - 1, DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE + 1];
+    for n in sizes {
+        for (side, shift) in [("a", 0), ("b", 7)] {
+            let table = Relation::from_parts(schema.clone(), rows(n, shift));
+            catalog.create_table_with_data(&format!("{side}{n}"), table).unwrap();
+        }
+    }
+    let numbers = |name: &str, data_type: DataType, values: Vec<Value>| {
+        let schema = Schema::from_pairs(&[("x", data_type)]);
+        let rows = values.into_iter().map(|v| Tuple::new(vec![v])).collect();
+        catalog.create_table_with_data(name, Relation::from_parts(schema, rows)).unwrap();
+    };
+    numbers(
+        "ints",
+        DataType::Int,
+        [1, 2, 1, 4].map(Value::Int).into_iter().chain([Value::Null]).collect(),
+    );
+    numbers(
+        "floats",
+        DataType::Float,
+        vec![Value::Float(1.0), Value::Float(f64::NAN), Value::Null, Value::Float(2.5)],
+    );
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    // A join's output projected back to `(t, f)`: both columns are views over its sources.
+    let joined = || {
+        let on_t = ScalarExpr::column(0, "t").eq(ScalarExpr::column(2, "t"));
+        let (t, f) = (ScalarExpr::column(0, "t"), ScalarExpr::column(3, "f"));
+        let a = format!("a{}", DEFAULT_CHUNK_SIZE + 1);
+        scan(&a, 10)
+            .join(scan("b1", 11), JoinKind::Inner, Some(on_t))
+            .project(vec![(t, "t".into()), (f, "f".into())])
+    };
+    let b = format!("b{DEFAULT_CHUNK_SIZE}");
+    let mut pairs: Vec<(String, PlanBuilder, PlanBuilder)> = [
+        (0, DEFAULT_CHUNK_SIZE + 1),
+        (1, 1),
+        (DEFAULT_CHUNK_SIZE - 1, DEFAULT_CHUNK_SIZE),
+        (DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE - 1),
+        (DEFAULT_CHUNK_SIZE + 1, DEFAULT_CHUNK_SIZE + 1),
+        (DEFAULT_CHUNK_SIZE + 1, 0),
+    ]
+    .into_iter()
+    .map(|(l, r)| {
+        (format!("a{l} against b{r}"), scan(&format!("a{l}"), 0), scan(&format!("b{r}"), 1))
+    })
+    .collect();
+    pairs.push(("Int against Float".into(), scan("ints", 0), scan("floats", 1)));
+    pairs.push(("Float against Int".into(), scan("floats", 0), scan("ints", 1)));
+    pairs.push(("a join against a scan".into(), joined(), scan(&b, 1)));
+    pairs.push(("a scan against a join".into(), scan(&b, 1), joined()));
+    let mut nonempty = 0;
+    for (inputs, left, right) in &pairs {
+        for kind in kinds {
+            for semantics in semantics {
+                let plan = left.clone().set_op(right.clone(), kind, semantics).build();
+                let context = format!("{kind:?} {semantics:?}, {inputs}");
+                let engine = run_at_every_degree(&catalog, &plan, ExecOptions::default()).unwrap();
+                let reference = execute_reference(&catalog, &plan).unwrap();
+                assert!(engine.bag_eq(&reference), "engine != reference on {context}\n{plan}");
+                nonempty += usize::from(engine.num_rows() > 0);
+            }
+        }
+    }
+    assert!(nonempty > pairs.len() * 4, "most cases produce rows ({nonempty})");
+    // `1 = 1.0`, NULL = NULL: two rows of `ints` meet `floats`, and EXCEPT ALL drops the
+    // earlier of its two 1s.
+    let only = |kind, semantics| {
+        let plan = scan("ints", 0).set_op(scan("floats", 1), kind, semantics).build();
+        let result = Executor::new(catalog.clone()).execute(&plan).unwrap();
+        result.iter().map(|t| t[0].clone()).collect::<Vec<_>>()
+    };
+    assert_eq!(only(SetOpKind::Intersect, SetSemantics::Set), [Value::Int(1), Value::Null]);
+    assert_eq!(
+        only(SetOpKind::Difference, SetSemantics::Bag),
+        [Value::Int(2), Value::Int(1), Value::Int(4)]
+    );
 }
 
 /// `CASE` and `IN` over a list evaluate an operand only on the rows whose result depends on it.

@@ -12,7 +12,7 @@ use perm::tpch::workloads::{
 
 fn tpch_db() -> PermDb {
     let catalog = generate_catalog(TpchScale::new(0.0005), 2024);
-    PermDb::with_catalog(catalog, ProvenanceOptions::default().with_row_budget(2_000_000))
+    PermDb::with_catalog(catalog, SessionOptions::default().with_row_budget(2_000_000))
 }
 
 #[test]
