@@ -59,5 +59,5 @@ pub use keys::{hash_rows, rows_equal, RowTable};
 pub use plan::{JoinKind, LogicalPlan, ProvenanceAnnotationKind, SetOpKind, SetSemantics};
 pub use schema::{Attribute, Schema};
 pub use tuple::Tuple;
-pub use typed::{verification_enabled, ColumnType, TypeError, TypeErrorKind, TypedSchema};
+pub use typed::{ColumnType, TypeError, TypeErrorKind, TypedSchema};
 pub use value::{total_float_cmp, DataType, Value};

@@ -22,12 +22,10 @@
 //! column count against it at every node, so arity and typing can never drift apart.
 //!
 //! Verification runs at every plan boundary (after SQL binding, after the provenance rewrite,
-//! after each optimizer pass) in debug builds; release builds only verify at PREPARE time
-//! unless [`verification_enabled`] is switched on via `PERM_VERIFY_PLANS=1`.
+//! after each optimizer pass) in debug builds; release builds only verify at PREPARE time.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::error::AlgebraError;
 use crate::expr::{
@@ -35,20 +33,6 @@ use crate::expr::{
 };
 use crate::plan::{JoinKind, LogicalPlan, ProvenanceAnnotationKind};
 use crate::value::{DataType, Value};
-
-/// Should optimizer-/rewrite-boundary plan verification run?
-///
-/// Defaults to **on** in debug builds and **off** in release builds, so the benchmark hot path
-/// pays nothing; the `PERM_VERIFY_PLANS` environment variable overrides in both directions
-/// (`PERM_VERIFY_PLANS=1` turns verification on for release CI runs, `PERM_VERIFY_PLANS=0`
-/// silences it in debug builds). The value is read once and cached for the process lifetime.
-pub fn verification_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("PERM_VERIFY_PLANS") {
-        Ok(v) => !(v.is_empty() || v == "0"),
-        Err(_) => cfg!(debug_assertions),
-    })
-}
 
 /// The inferred type of one output column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -99,9 +99,9 @@ impl ProvenanceRewriter {
             input: rewritten.plan,
             kind: ProvenanceAnnotationKind::AlreadyRewritten(prov_names),
         };
-        // Plan-boundary type verification (debug builds / `PERM_VERIFY_PLANS`): a rewrite rule
-        // that mis-types a plan must fail here, at its source, not as a runtime wire error.
-        if perm_algebra::verification_enabled() {
+        // Plan-boundary type verification (debug builds): a rewrite rule that mis-types a plan
+        // must fail here, at its source, not as a runtime wire error.
+        if cfg!(debug_assertions) {
             if let Err(mut err) = plan.verify() {
                 err.context = format!("provenance rewrite: {}", err.context);
                 return Err(PermError::Algebra(err.into()));

@@ -217,12 +217,11 @@ impl Optimizer {
     }
 }
 
-/// Re-verify typing after an optimizer pass changed the plan (debug builds and
-/// `PERM_VERIFY_PLANS` runs only — see [`perm_algebra::verification_enabled`]), naming the
+/// Re-verify typing after an optimizer pass changed the plan (debug builds only), naming the
 /// pass in the error so a pass-ordering bug fails fast at its source instead of surfacing as
 /// a runtime wire error mid-stream.
 fn verify_after_pass(pass: &str, plan: &LogicalPlan) -> Result<(), ExecError> {
-    if !perm_algebra::verification_enabled() {
+    if !cfg!(debug_assertions) {
         return Ok(());
     }
     match plan.verify() {

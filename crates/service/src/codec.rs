@@ -1,4 +1,4 @@
-//! Binary payload codec for protocol-v3 response frames.
+//! Binary payload codec for the wire protocol's response frames.
 //!
 //! Requests stay single-line UTF-8 text; *responses* are tagged binary payloads inside the
 //! same length-prefixed framing (see [`crate::wire`]). The first payload byte is the frame
@@ -49,7 +49,7 @@ use perm_algebra::{Array, Bitmap, DataChunk, DataType, Schema, Value};
 use crate::error::ServiceError;
 
 /// The protocol version this build speaks (negotiated by the `hello` handshake).
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Frame tag bytes.
 pub mod tag {

@@ -257,8 +257,8 @@ impl Engine {
     /// reaches the executor, whether planned from text, run from a script or feeding
     /// `INSERT … SELECT`.
     ///
-    /// Post-binding type verification runs first and unconditionally (not only when
-    /// `perm_algebra::verification_enabled()`): it turns an ill-typed query into a clean error
+    /// Post-binding type verification runs first and unconditionally (not only in debug
+    /// builds): it turns an ill-typed query into a clean error
     /// naming the operator path before the optimizer or the executor sees it, and it sits on
     /// the compile path only — cache hits and per-row execution never pay for it.
     fn prepare_plan(
@@ -405,19 +405,40 @@ impl Engine {
     }
 }
 
-/// Is this statement query-shaped (`SELECT ...` or a parenthesised query)? Decided from the
-/// first *token* — mirroring the parser's statement dispatch — so leading whitespace and `--`
-/// comments don't route a query down the non-query path (which would bypass the plan cache and
-/// the parameter guard). A text that fails to tokenize is classified as a non-query; the
-/// analyzer then reports the lexical error itself.
-pub(crate) fn is_query_sql(sql: &str) -> bool {
+/// The kind of a statement text, as the session routes it.
+#[derive(PartialEq)]
+pub(crate) enum StatementKind<'a> {
+    /// `SELECT ...` or a parenthesised query.
+    Query,
+    /// `EXPLAIN <inner>`.
+    Explain(&'a str),
+    /// `EXPLAIN ANALYZE <inner>`.
+    ExplainAnalyze(&'a str),
+    /// DDL, DML, or a text that fails to tokenize (the analyzer then reports the error itself).
+    Other,
+}
+
+/// Classify a statement from its leading *tokens* — mirroring the parser's statement dispatch —
+/// so whitespace and `--` comments before or between the leading keywords don't route a query
+/// down the non-query path (which would bypass the plan cache and the parameter guard). An
+/// `EXPLAIN` form's inner text starts at the token after its keywords.
+pub(crate) fn classify(sql: &str) -> StatementKind<'_> {
     use perm_sql::token::{tokenize, TokenKind};
-    match tokenize(sql) {
-        Ok(tokens) => match tokens.first().map(|t| &t.kind) {
-            Some(TokenKind::LeftParen) => true,
-            Some(TokenKind::Ident(word)) => word.eq_ignore_ascii_case("select"),
-            _ => false,
-        },
-        Err(_) => false,
+    let Ok(tokens) = tokenize(sql) else { return StatementKind::Other };
+    let keyword = |i: usize, word: &str| {
+        tokens.get(i).and_then(|t| t.kind.as_ident()).is_some_and(|w| w.eq_ignore_ascii_case(word))
+    };
+    let inner = |i: usize| tokens.get(i).map_or("", |t| &sql[t.start..]);
+    if keyword(0, "EXPLAIN") {
+        return if keyword(1, "ANALYZE") {
+            StatementKind::ExplainAnalyze(inner(2))
+        } else {
+            StatementKind::Explain(inner(1))
+        };
+    }
+    if keyword(0, "SELECT") || tokens.first().is_some_and(|t| t.kind == TokenKind::LeftParen) {
+        StatementKind::Query
+    } else {
+        StatementKind::Other
     }
 }

@@ -567,7 +567,7 @@ const FAMILIES: &[Family] = &[
         help: "Plans currently cached.",
         read: |s| Reading::Scalar(s.cache.entries as u64) },
     Family { name: "perm_stream_buffered_bytes", kind: "gauge",
-        stats: (WINDOW_LINE, "buffered_bytes"),
+        stats: ("streams", "buffered_bytes"),
         help: "Bytes of materialized query results not yet handed to the consumer.",
         read: |s| Reading::Scalar(s.stream_buffered as u64) },
     Family { name: "perm_governor_active_queries", kind: "gauge",
@@ -635,19 +635,14 @@ const FAMILIES: &[Family] = &[
         read: |s| per_table(s, |t| t.modified_version) },
 ];
 
-/// The `stats` line that ends with the server's backpressure window: the window is
-/// configuration, not a metric, so it rides next to the stream gauge instead of being a family.
-const WINDOW_LINE: &str = "streams";
-
 /// Escape a label value as the text exposition format (0.0.4) requires. `stats` shows table
 /// names the same way, so no name can split a line of either rendering.
 fn escape_label(value: &str) -> String {
     value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-/// Render the wire `stats` text from one snapshot (the `window` is the server's backpressure
-/// window, reported alongside the stream gauge).
-pub fn render_stats_text(snap: &StatsSnapshot, window: usize) -> String {
+/// Render the wire `stats` text from one snapshot.
+pub fn render_stats_text(snap: &StatsSnapshot) -> String {
     let mut lines: Vec<String> = Vec::new();
     // Families that share a `stats` line are adjacent in the table; `lines[first..]` is the
     // open line, or the open run of one line per table.
@@ -680,9 +675,6 @@ pub fn render_stats_text(snap: &StatsSnapshot, window: usize) -> String {
                     h.count,
                 ),
             };
-            if line == WINDOW_LINE {
-                let _ = write!(text, " window={window}");
-            }
         }
     }
     lines.join("\n")
@@ -850,7 +842,7 @@ mod tests {
     #[test]
     fn renderings_match_the_fixtures() {
         let snap = fixture_snapshot();
-        assert_eq!(render_stats_text(&snap, 8), include_str!("../tests/fixtures/stats.txt"));
+        assert_eq!(render_stats_text(&snap), include_str!("../tests/fixtures/stats.txt"));
         // Byte-identical families; only their order follows the table's `stats` order now.
         let prometheus = render_prometheus(&snap);
         assert_eq!(
@@ -869,7 +861,7 @@ mod tests {
     fn per_table_families_are_left_out_without_tables() {
         let snap = StatsSnapshot { tables: Vec::new(), ..fixture_snapshot() };
         assert!(!render_prometheus(&snap).contains("perm_table_"));
-        let stats = render_stats_text(&snap, 8);
+        let stats = render_stats_text(&snap);
         assert!(
             stats.ends_with("optimizer reordered=3 build_swaps=2 estimator_calls=57"),
             "{stats}"
@@ -888,7 +880,7 @@ mod tests {
         for escaped in [r#""we\\ird""#, r#""say \"hi\"""#, r#""two\nlines""#] {
             assert!(prometheus.contains(&format!("perm_table_rows{{table={escaped}}} 1\n")));
         }
-        let stats = render_stats_text(&snap, 8);
+        let stats = render_stats_text(&snap);
         assert!(stats.ends_with("\ntable two\\nlines rows=1 bytes=8 stats_version=1"), "{stats}");
         assert_eq!(stats.lines().count(), 8 + 3);
     }

@@ -1,12 +1,12 @@
 //! The `permd` TCP server: one thread per connection, each owning a [`Session`], with a
 //! graceful shutdown path (the `shutdown` wire command or [`ServerHandle::shutdown`]).
 //!
-//! Connections speak protocol version 3 (see [`crate::codec`] and `docs/PROTOCOL.md`): the
-//! first request must be the `hello <version>` handshake, query results stream out as
-//! `S` / `R`* / `D` frames, and the client paces the server by acknowledging each `R` frame —
-//! at most [`BACKPRESSURE_WINDOW`] frames are ever in flight. A query executes on its
-//! connection's thread when the first chunk is pulled; the result is held once, as the engine
-//! materialized it, and each chunk is freed once its frame is written.
+//! Connections speak protocol version 4 (see [`crate::codec`] and `docs/PROTOCOL.md`): the
+//! first request must be the `hello <version>` handshake, and query results stream out as
+//! `S` / `R`* / `D` frames with nothing sent back but an optional `cancel`. A query executes on
+//! its connection's thread when the first chunk is pulled; the result is held once, as the
+//! engine materialized it, and each chunk is freed once its frame is written. TCP flow control
+//! paces a slow reader.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -16,7 +16,6 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use perm_algebra::Value;
 use perm_exec::{faults, ExecError};
 
 use crate::codec::{self, tag, PROTOCOL_VERSION};
@@ -25,7 +24,7 @@ use crate::error::ServiceError;
 use crate::metrics::{render_prometheus, render_stats_text, Metrics};
 use crate::session::Session;
 use crate::stream::QueryStream;
-use crate::wire::{parse_param_values, read_frame_rest, write_bytes_frame};
+use crate::wire::{read_frame_rest, write_bytes_frame};
 
 /// Server-wide connection id sequence (tags each connection's log lines as `conn=N`).
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(0);
@@ -34,14 +33,10 @@ static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(0);
 /// shutdown flag.
 const READ_POLL_INTERVAL: Duration = Duration::from_millis(200);
 
-/// How long a started frame may take to arrive completely; a stall this long mid-frame is
-/// treated as a broken client and drops the connection.
+/// How long a started frame may take to arrive completely, and how long a response write may
+/// wait for a client that reads nothing; a stall this long is treated as a broken client and
+/// drops the connection.
 const FRAME_COMPLETION_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Maximum number of unacknowledged `R` frames the server keeps in flight per stream. With
-/// ~[`perm_algebra::DEFAULT_CHUNK_SIZE`]-row chunks this bounds per-session result buffering
-/// at O(window × chunk size) regardless of result cardinality.
-pub const BACKPRESSURE_WINDOW: usize = 8;
 
 /// How long a graceful shutdown waits for in-flight statements to drain before cancelling
 /// whatever is still running (the hard deadline of the drain phase).
@@ -182,6 +177,7 @@ fn handle_connection(
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(FRAME_COMPLETION_TIMEOUT))?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     let metrics = engine.metrics().clone();
@@ -195,44 +191,34 @@ fn handle_connection(
         // `query ...` instead of `hello` gets a clean, versioned error it can render as text
         // (v1 responses were `-`-prefixed text too) instead of a hang or a binary surprise.
         if !negotiated {
-            match parse_hello(&request) {
+            let (frame_tag, text) = match parse_hello(&request) {
                 Some(v) if v == PROTOCOL_VERSION => {
                     negotiated = true;
-                    send_frame(
-                        &mut writer,
-                        &codec::encode_text(tag::TEXT, &format!("hello {PROTOCOL_VERSION}")),
-                    )?;
-                    continue;
+                    (tag::TEXT, format!("hello {PROTOCOL_VERSION}"))
                 }
-                Some(v) => {
-                    send_frame(
-                        &mut writer,
-                        &codec::encode_text(
-                            tag::ERROR,
-                            &format!(
-                                "unsupported protocol version {v}; this server speaks version \
-                                 {PROTOCOL_VERSION}"
-                            ),
-                        ),
-                    )?;
-                    continue;
-                }
-                None => {
-                    send_frame(
-                        &mut writer,
-                        &codec::encode_text(
-                            tag::ERROR,
-                            &format!(
-                                "protocol error: expected 'hello <version>' handshake before \
-                                 '{}' (this server speaks protocol version {PROTOCOL_VERSION}; \
-                                 upgrade the client)",
-                                request.split_whitespace().next().unwrap_or("")
-                            ),
-                        ),
-                    )?;
-                    continue;
-                }
-            }
+                Some(v) => (
+                    tag::ERROR,
+                    format!(
+                        "unsupported protocol version {v}; this server speaks version \
+                         {PROTOCOL_VERSION}"
+                    ),
+                ),
+                None => (
+                    tag::ERROR,
+                    format!(
+                        "protocol error: expected 'hello <version>' handshake before '{}' (this \
+                         server speaks protocol version {PROTOCOL_VERSION}; upgrade the client)",
+                        request.split_whitespace().next().unwrap_or("")
+                    ),
+                ),
+            };
+            send_frame(&mut writer, &codec::encode_text(frame_tag, &text))?;
+            continue;
+        }
+        // A `cancel` that finds no stream in progress arrived after its stream's trailer: it
+        // has nothing left to stop, and an answer would be misread as the next response.
+        if is_cancel(&request) {
+            continue;
         }
         let stop = match dispatch_fenced(&mut session, &request, &shutdown) {
             Ok((Response::Text(text), stop)) => {
@@ -240,7 +226,7 @@ fn handle_connection(
                 stop
             }
             Ok((Response::Stream(stream), stop)) => {
-                stream_result(&mut reader, &mut writer, *stream, &shutdown, &metrics)?;
+                stream_result(&mut reader, &mut writer, *stream, &metrics)?;
                 stop
             }
             Err(e) => {
@@ -271,127 +257,53 @@ fn send_frame(writer: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
     write_bytes_frame(writer, payload)
 }
 
-/// Stream one query result: `S`, then `R` frames paced by client `ack`s, then `D` — or a `-`
-/// error frame, which invalidates every `R` frame sent before it.
+/// Is this request `cancel`, the one request valid during a result stream?
+fn is_cancel(request: &str) -> bool {
+    request.trim().eq_ignore_ascii_case("cancel")
+}
+
+/// Stream one query result: `S`, then the `R` frames, then `D` — or a `-` error frame, which
+/// invalidates every `R` frame sent before it.
 ///
-/// The client may send `cancel` at any point during the stream (it still acknowledges every
-/// `R` frame it receives, cancelled or not — the ack ledger is what keeps the connection in
-/// sync). The query is cancelled at its next executor checkpoint, buffered chunks are
-/// discarded and the stream ends with a `-` frame carrying the `Cancelled` error. Before each
-/// `R` frame the server also *polls* the socket without blocking, so a cancel takes effect
-/// within one chunk boundary even when the backpressure window is far from full.
+/// The client sends nothing while the stream runs except, perhaps, `cancel`. Before each `R`
+/// frame the server polls the socket without blocking; a `cancel` found there ends the stream
+/// with a `-` frame carrying the `Cancelled` error instead of the rest of the result.
 fn stream_result(
     reader: &mut TcpStream,
     writer: &mut TcpStream,
     mut stream: QueryStream,
-    shutdown: &AtomicBool,
-    metrics: &Arc<Metrics>,
+    metrics: &Metrics,
 ) -> io::Result<()> {
     // Tag this thread's log lines (socket errors, cancellations) with the streaming query.
     let _qid_guard = perm_exec::QueryIdGuard::new(stream.query_id());
     send_frame(writer, &codec::encode_schema(stream.schema()))?;
-    let mut unacked = 0usize;
-    let mut cancelled = false;
-    loop {
+    let trailer = loop {
         match stream.next_chunk() {
             Some(Ok(chunk)) => {
-                // Consume everything the client pushed while the chunk was produced.
-                while let Some(signal) = poll_stream_signal(reader)? {
-                    match signal {
-                        StreamSignal::Ack if unacked > 0 => unacked -= 1,
-                        StreamSignal::Ack => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "received 'ack' with no outstanding result frame",
-                            ));
-                        }
-                        StreamSignal::Cancel => {
-                            cancelled = true;
-                            break;
-                        }
-                    }
-                }
-                while !cancelled && unacked >= BACKPRESSURE_WINDOW {
-                    match read_stream_signal(reader, shutdown)? {
-                        StreamSignal::Ack => unacked -= 1,
-                        StreamSignal::Cancel => cancelled = true,
-                    }
-                }
-                if cancelled {
-                    stream.cancel();
+                if cancel_requested(reader)? {
                     let message = ServiceError::Exec(ExecError::Cancelled).to_string();
-                    send_frame(writer, &codec::encode_text(tag::ERROR, &message))?;
-                    break;
+                    break codec::encode_text(tag::ERROR, &message);
                 }
                 let frame = codec::encode_chunk(&chunk);
                 send_frame(writer, &frame)?;
                 metrics.rows_streamed.add(chunk.num_rows() as u64);
                 metrics.bytes_streamed.add(frame.len() as u64);
-                unacked += 1;
             }
-            Some(Err(e)) => {
-                send_frame(writer, &codec::encode_text(tag::ERROR, &e.to_string()))?;
-                break;
-            }
-            None => {
-                send_frame(writer, &codec::encode_done(stream.rows()))?;
-                break;
-            }
+            Some(Err(e)) => break codec::encode_text(tag::ERROR, &e.to_string()),
+            None => break codec::encode_done(stream.rows()),
         }
-    }
-    // Drop the stream before settling the ack ledger: this frees the chunks not sent (the
-    // engine-wide gauge returns to zero) and the statement's memory grant, so a cancelled
-    // query's memory is released by the time the client gets control back.
+    };
+    // Drop the stream before the trailer goes out: the chunks not sent (the engine-wide gauge
+    // returns to zero) and the statement's memory grant are released by the time the client
+    // reads it, and a stream dropped before its end settles its query as cancelled.
     drop(stream);
-    // Consume the acknowledgements still owed for sent frames, so they are not misread as the
-    // connection's next command. A `cancel` here is not an ack: either it lost the race with
-    // query completion or it arrived after the error frame — both are no-ops by then.
-    while unacked > 0 {
-        match read_stream_signal(reader, shutdown)? {
-            StreamSignal::Ack => unacked -= 1,
-            StreamSignal::Cancel => {}
-        }
-    }
-    Ok(())
+    send_frame(writer, &trailer)
 }
 
-/// A request the client may send while a result stream is in progress.
-enum StreamSignal {
-    /// Acknowledge one `R` frame.
-    Ack,
-    /// Cancel the query behind the stream.
-    Cancel,
-}
-
-fn parse_stream_signal(request: &str) -> io::Result<StreamSignal> {
-    let trimmed = request.trim();
-    if trimmed.eq_ignore_ascii_case("ack") {
-        Ok(StreamSignal::Ack)
-    } else if trimmed.eq_ignore_ascii_case("cancel") {
-        Ok(StreamSignal::Cancel)
-    } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected 'ack' or 'cancel' during result stream, got '{trimmed}'"),
-        ))
-    }
-}
-
-/// Block until the client sends its next mid-stream request (`ack` or `cancel`).
-fn read_stream_signal(reader: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<StreamSignal> {
-    match read_request(reader, shutdown)? {
-        Some(request) => parse_stream_signal(&request),
-        None => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed while awaiting stream acknowledgement",
-        )),
-    }
-}
-
-/// Non-blocking check for a pending mid-stream request: returns `Ok(None)` when the client
-/// has sent nothing, without waiting. A started frame is then read to completion under the
-/// usual frame timeout.
-fn poll_stream_signal(reader: &mut TcpStream) -> io::Result<Option<StreamSignal>> {
+/// Non-blocking check for a `cancel` sent during a result stream: `Ok(false)` when the client
+/// has sent nothing, without waiting. A started frame is read to completion under the usual
+/// frame timeout; anything but `cancel` breaks the protocol and drops the connection.
+fn cancel_requested(reader: &mut TcpStream) -> io::Result<bool> {
     reader.set_nonblocking(true)?;
     let mut first = [0u8; 1];
     let polled = reader.read(&mut first);
@@ -405,10 +317,17 @@ fn poll_stream_signal(reader: &mut TcpStream) -> io::Result<Option<StreamSignal>
             reader.set_read_timeout(Some(FRAME_COMPLETION_TIMEOUT))?;
             let request = read_frame_rest(reader, first[0])?;
             reader.set_read_timeout(Some(READ_POLL_INTERVAL))?;
-            parse_stream_signal(&request).map(Some)
+            if is_cancel(&request) {
+                Ok(true)
+            } else {
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("expected 'cancel' during result stream, got '{}'", request.trim()),
+                ))
+            }
         }
         Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-            Ok(None)
+            Ok(false)
         }
         Err(e) => Err(e),
     }
@@ -471,7 +390,7 @@ fn dispatch(
             if name.is_empty() {
                 return Err(ServiceError::protocol("usage: exec <name> [(v1, v2, ...)]"));
             }
-            let params: Vec<Value> = parse_param_values(params_text)?;
+            let params = perm_sql::parse_constant_row(params_text)?;
             Ok((
                 Response::Stream(Box::new(session.execute_prepared_streaming(name, params)?)),
                 false,
@@ -507,7 +426,7 @@ fn dispatch(
             // One consistent snapshot: every line below describes the same instant (three
             // separate lock acquisitions previously let the numbers drift mid-render).
             let snap = session.engine().stats_snapshot();
-            Ok((text(render_stats_text(&snap, BACKPRESSURE_WINDOW)), false))
+            Ok((text(render_stats_text(&snap)), false))
         }
         "metrics" => {
             let snap = session.engine().stats_snapshot();
@@ -517,8 +436,6 @@ fn dispatch(
         "hello" => {
             Err(ServiceError::protocol("hello is only valid as a connection's first request"))
         }
-        "ack" => Err(ServiceError::protocol("ack is only valid during a result stream")),
-        "cancel" => Err(ServiceError::protocol("cancel is only valid during a result stream")),
         "ping" => Ok((text("pong".to_string()), false)),
         "shutdown" => {
             shutdown.store(true, Ordering::SeqCst);

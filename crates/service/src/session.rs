@@ -9,7 +9,7 @@ use perm_exec::profile::ProfileSink;
 use perm_exec::{Estimator, ExecOptions};
 use perm_storage::Relation;
 
-use crate::engine::{is_query_sql, Engine, PreparedPlan};
+use crate::engine::{classify, Engine, PreparedPlan, StatementKind};
 use crate::error::ServiceError;
 use crate::stream::QueryStream;
 
@@ -112,41 +112,35 @@ impl Session {
     /// rather than streams — DDL, DML and `SELECT ... INTO` (which must complete its catalog
     /// write atomically) — execute eagerly and come back as an already-materialized stream.
     pub fn execute_streaming(&self, sql: &str) -> Result<QueryStream, ServiceError> {
-        if let Some(inner) = strip_explain_analyze(sql) {
-            return self.explain_analyze(inner);
-        }
-        if let Some(inner) = strip_explain(sql) {
-            return self.explain(inner);
-        }
-        if is_query_sql(sql) {
-            let prepared = self.engine.plan_query(sql, self.options.optimize)?;
-            if prepared.param_count > 0 {
-                return Err(ServiceError::unsupported(
-                    "the query references $n parameters; use prepare/execute_prepared to bind \
-                     values",
-                ));
-            }
-            if prepared.into.is_some() {
-                let result = self.engine.execute_prepared_plan(
-                    &prepared,
+        match classify(sql) {
+            StatementKind::ExplainAnalyze(inner) => return self.explain_analyze(inner),
+            StatementKind::Explain(inner) => return self.explain(inner),
+            StatementKind::Query => {}
+            StatementKind::Other => {
+                let statement = self.engine.analyzer().analyze_sql(sql)?;
+                let result = self.engine.execute_statement(
+                    statement,
                     self.options.exec_options(),
-                    Vec::new(),
+                    self.options.optimize,
                 )?;
                 return Ok(QueryStream::from_relation(result));
             }
-            return self.engine.run_plan_streaming(
-                prepared,
+        }
+        let prepared = self.engine.plan_query(sql, self.options.optimize)?;
+        if prepared.param_count > 0 {
+            return Err(ServiceError::unsupported(
+                "the query references $n parameters; use prepare/execute_prepared to bind values",
+            ));
+        }
+        if prepared.into.is_some() {
+            let result = self.engine.execute_prepared_plan(
+                &prepared,
                 self.options.exec_options(),
                 Vec::new(),
-            );
+            )?;
+            return Ok(QueryStream::from_relation(result));
         }
-        let statement = self.engine.analyzer().analyze_sql(sql)?;
-        let result = self.engine.execute_statement(
-            statement,
-            self.options.exec_options(),
-            self.options.optimize,
-        )?;
-        Ok(QueryStream::from_relation(result))
+        self.engine.run_plan_streaming(prepared, self.options.exec_options(), Vec::new())
     }
 
     /// Execute `EXPLAIN ANALYZE <query>`: run the (provenance-rewritten, optimized) plan to
@@ -159,7 +153,7 @@ impl Session {
     /// executes fully (it is counted in the metrics registry and the recent-query ring like
     /// any other statement); only its result rows are discarded in favor of the profile.
     fn explain_analyze(&self, sql: &str) -> Result<QueryStream, ServiceError> {
-        if !is_query_sql(sql) {
+        if classify(sql) != StatementKind::Query {
             return Err(ServiceError::unsupported(
                 "EXPLAIN ANALYZE supports queries (SELECT ...) only",
             ));
@@ -192,7 +186,7 @@ impl Session {
     /// the shared plan cache) **without running it**, and return the optimized plan tree with
     /// the cardinality estimator's predicted output rows per operator.
     fn explain(&self, sql: &str) -> Result<QueryStream, ServiceError> {
-        if !is_query_sql(sql) {
+        if classify(sql) != StatementKind::Query {
             return Err(ServiceError::unsupported("EXPLAIN supports queries (SELECT ...) only"));
         }
         let prepared = self.engine.plan_query(sql, self.options.optimize)?;
@@ -245,7 +239,7 @@ impl Session {
     /// Returns the number of `$n` parameter slots the statement expects. Re-preparing an
     /// existing name replaces it.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize, ServiceError> {
-        if !is_query_sql(sql) {
+        if classify(sql) != StatementKind::Query {
             return Err(ServiceError::unsupported("only queries (SELECT ...) can be prepared"));
         }
         // Prepared statements skip the shared cache: parameterized texts are rarely re-planned
@@ -321,36 +315,4 @@ fn query_plan_stream<'a>(
     let rendered = Relation::new(schema, tuples)
         .map_err(|e| ServiceError::Internal(format!("failed to render plan: {e}")))?;
     Ok(QueryStream::from_relation(rendered))
-}
-
-/// If `sql` is `EXPLAIN ANALYZE <inner>` (case-insensitive, any whitespace), return `inner`.
-///
-/// Detection is purely lexical on the two leading words: `EXPLAIN` is not a statement keyword
-/// anywhere else in the grammar, so this cannot shadow a valid query.
-fn strip_explain_analyze(sql: &str) -> Option<&str> {
-    let rest = sql.trim_start();
-    let rest = strip_keyword(rest, "EXPLAIN")?;
-    let rest = strip_keyword(rest, "ANALYZE")?;
-    Some(rest)
-}
-
-/// If `sql` is `EXPLAIN <inner>` (without `ANALYZE` — callers check that form first), return
-/// `inner`. Same purely lexical detection as [`strip_explain_analyze`].
-fn strip_explain(sql: &str) -> Option<&str> {
-    strip_keyword(sql.trim_start(), "EXPLAIN")
-}
-
-/// Strip a leading case-insensitive `keyword` followed by at least one whitespace character.
-fn strip_keyword<'a>(sql: &'a str, keyword: &str) -> Option<&'a str> {
-    let head = sql.get(..keyword.len())?;
-    if !head.eq_ignore_ascii_case(keyword) {
-        return None;
-    }
-    let rest = &sql[keyword.len()..];
-    let trimmed = rest.trim_start();
-    // Require a word boundary: `EXPLAINX` must not match.
-    if trimmed.len() == rest.len() {
-        return None;
-    }
-    Some(trimmed)
 }

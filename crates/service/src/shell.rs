@@ -16,14 +16,13 @@
 //!
 //! Empty lines and `--` comments are skipped.
 //!
-//! The client speaks wire protocol version 3: [`Client::connect`] performs the `hello`
+//! The client speaks wire protocol version 4: [`Client::connect`] performs the `hello`
 //! handshake, and query results arrive as a schema frame plus a sequence of chunk frames that
-//! [`run_shell`] prints *incrementally* — rows appear as chunks arrive, acknowledged one `ack`
-//! per chunk so the server never has more than its backpressure window in flight. A decoded
-//! chunk keeps the engine's shape: its views share one index buffer per join side. A mid-stream
-//! error frame invalidates everything already printed for that statement; the shell says so
-//! explicitly (no silent truncated tables), and the buffering [`Client::roundtrip`] discards
-//! the partial rows entirely.
+//! [`run_shell`] prints *incrementally* — rows appear as chunks arrive, and the client sends
+//! nothing back. A decoded chunk keeps the engine's shape: its views share one index buffer per
+//! join side. A mid-stream error frame invalidates everything already printed for that
+//! statement; the shell says so explicitly (no silent truncated tables), and the buffering
+//! [`Client::roundtrip`] discards the partial rows entirely.
 
 use std::io::{self, BufRead, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -43,7 +42,7 @@ pub enum ResponseFrame {
     Err(String),
     /// Result schema: a stream of chunk frames follows.
     Schema(Schema),
-    /// One chunk of result rows (already acknowledged to the server).
+    /// One chunk of result rows.
     Chunk(DataChunk),
     /// End of a result stream with the server's total row count.
     Done {
@@ -52,7 +51,7 @@ pub enum ResponseFrame {
     },
 }
 
-/// A connected wire-protocol client (protocol version 3, handshake already performed).
+/// A connected wire-protocol client (protocol version 4, handshake already performed).
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
@@ -112,8 +111,7 @@ impl Client {
         write_frame(&mut self.writer, command)
     }
 
-    /// Read and decode one response frame. Chunk frames are acknowledged automatically, so a
-    /// caller that simply keeps reading paces the server.
+    /// Read and decode one response frame.
     pub fn read_response(&mut self) -> io::Result<ResponseFrame> {
         // A clean EOF at a frame boundary is the server closing the connection; an EOF *inside*
         // a frame means it went away mid-response (crash, kill, network drop) — report that as
@@ -143,11 +141,7 @@ impl Client {
             tag::TEXT => Ok(ResponseFrame::Ok(decode_utf8(body)?)),
             tag::ERROR => Ok(ResponseFrame::Err(decode_utf8(body)?)),
             tag::SCHEMA => Ok(ResponseFrame::Schema(codec::decode_schema(body).map_err(invalid)?)),
-            tag::RESULT => {
-                let chunk = codec::decode_chunk(body).map_err(invalid)?;
-                self.send("ack")?;
-                Ok(ResponseFrame::Chunk(chunk))
-            }
+            tag::RESULT => Ok(ResponseFrame::Chunk(codec::decode_chunk(body).map_err(invalid)?)),
             tag::DONE => {
                 Ok(ResponseFrame::Done { rows: codec::decode_done(body).map_err(invalid)? })
             }

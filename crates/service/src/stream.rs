@@ -7,7 +7,7 @@
 //! runs the engine on the calling thread, which is one of the engine's pool workers while it
 //! dispatches, so a query gets the pool's full degree and no thread of its own. The result is
 //! materialized once, by the engine, and then handed out chunk by chunk; a consumer that
-//! forwards chunks as it pulls them (the wire server) paces itself by its own backpressure.
+//! forwards chunks as it pulls them (the wire server) is paced by whatever it writes to.
 //!
 //! What "materialized" costs is set by the engine's one rule about data movement — *a join
 //! batch is two index buffers over its sources; operators above keep views while the

@@ -1,4 +1,4 @@
-//! The `permd` wire protocol (version 3): length-prefixed frames over TCP.
+//! The `permd` wire protocol (version 4): length-prefixed frames over TCP.
 //!
 //! Every message — request or response — is one frame: a 4-byte big-endian payload length
 //! followed by that many payload bytes. Requests are single-line UTF-8 commands; a connection
@@ -16,24 +16,17 @@
 //! | `stats`                          | plan-cache counters and stream memory gauge           |
 //! | `metrics`                        | the same snapshot as a Prometheus text exposition     |
 //! | `profile`                        | the ring of the most recent completed queries         |
-//! | `ack`                            | acknowledge one `R` frame (backpressure; see below)   |
-//! | `cancel`                         | abort the result stream in progress (no response)     |
+//! | `cancel`                         | stop the result stream in progress (no response)      |
 //! | `ping`                           | liveness check                                        |
 //! | `shutdown`                       | stop the server gracefully                            |
 //!
 //! Responses are *tagged binary* payloads (see [`crate::codec`]): `+` text / `-` error for
 //! simple commands, and for query results a streamed sequence `S` (schema), `R`* (chunks),
-//! then `D` (done) or `-` (error — which **invalidates** every `R` frame before it). The
-//! server sends at most [`crate::server::BACKPRESSURE_WINDOW`] unacknowledged `R` frames; the
-//! client returns one `ack` request per `R` frame to open the window. Full layout:
-//! `docs/PROTOCOL.md`.
+//! then `D` (done) or `-` (error — which **invalidates** every `R` frame before it). The client
+//! sends nothing back while a result streams. This module is the framing only; `exec`
+//! bindings are parsed by [`perm_sql::parse_constant_row`]. Full layout: `docs/PROTOCOL.md`.
 
 use std::io::{self, Read, Write};
-
-use perm_algebra::Value;
-use perm_sql::token::{tokenize, TokenKind};
-
-use crate::error::ServiceError;
 
 /// Upper bound on a single frame's payload (16 MiB): protects the server from bogus lengths.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
@@ -43,7 +36,7 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
     write_bytes_frame(writer, payload.as_bytes())
 }
 
-/// Write one length-prefixed binary frame (protocol-v3 responses).
+/// Write one length-prefixed binary frame (tagged responses).
 pub fn write_bytes_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
@@ -84,92 +77,6 @@ pub fn read_frame_rest(reader: &mut impl Read, first_len_byte: u8) -> io::Result
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8"))
 }
 
-/// Parse an `exec` parameter list: `(v1, v2, ...)` of SQL literals (numbers, `'strings'`,
-/// `TRUE`/`FALSE`, `NULL`, `DATE 'YYYY-MM-DD'`, optionally `-`-negated numbers). An empty or
-/// absent list parses as no parameters.
-pub fn parse_param_values(text: &str) -> Result<Vec<Value>, ServiceError> {
-    let trimmed = text.trim();
-    if trimmed.is_empty() || trimmed == "()" {
-        return Ok(Vec::new());
-    }
-    let tokens = tokenize(trimmed).map_err(|e| ServiceError::protocol(e.to_string()))?;
-    let mut pos = 0usize;
-    let expect = |pos: &mut usize, kind: &TokenKind, tokens: &[perm_sql::token::Token]| {
-        if &tokens[*pos].kind == kind {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(ServiceError::protocol(format!(
-                "expected {kind:?} in parameter list, found {:?}",
-                tokens[*pos].kind
-            )))
-        }
-    };
-    expect(&mut pos, &TokenKind::LeftParen, &tokens)?;
-    let mut values = Vec::new();
-    loop {
-        let (value, consumed) = parse_one_value(&tokens[pos..])?;
-        values.push(value);
-        pos += consumed;
-        match &tokens[pos].kind {
-            TokenKind::Comma => pos += 1,
-            TokenKind::RightParen => {
-                pos += 1;
-                break;
-            }
-            other => {
-                return Err(ServiceError::protocol(format!(
-                    "expected ',' or ')' in parameter list, found {other:?}"
-                )))
-            }
-        }
-    }
-    if tokens[pos].kind != TokenKind::Eof {
-        return Err(ServiceError::protocol("trailing input after parameter list"));
-    }
-    Ok(values)
-}
-
-fn parse_one_value(tokens: &[perm_sql::token::Token]) -> Result<(Value, usize), ServiceError> {
-    let number = |text: &str, negate: bool| -> Result<Value, ServiceError> {
-        if text.contains('.') {
-            let f: f64 = text
-                .parse()
-                .map_err(|_| ServiceError::protocol(format!("invalid number '{text}'")))?;
-            Ok(Value::Float(if negate { -f } else { f }))
-        } else {
-            let i: i64 = text
-                .parse()
-                .map_err(|_| ServiceError::protocol(format!("invalid number '{text}'")))?;
-            Ok(Value::Int(if negate { -i } else { i }))
-        }
-    };
-    match &tokens[0].kind {
-        TokenKind::Number(n) => Ok((number(n, false)?, 1)),
-        TokenKind::Minus => match &tokens[1].kind {
-            TokenKind::Number(n) => Ok((number(n, true)?, 2)),
-            other => {
-                Err(ServiceError::protocol(format!("expected number after '-', found {other:?}")))
-            }
-        },
-        TokenKind::String(s) => Ok((Value::text(s.as_str()), 1)),
-        TokenKind::Ident(word) if word.eq_ignore_ascii_case("null") => Ok((Value::Null, 1)),
-        TokenKind::Ident(word) if word.eq_ignore_ascii_case("true") => Ok((Value::Bool(true), 1)),
-        TokenKind::Ident(word) if word.eq_ignore_ascii_case("false") => Ok((Value::Bool(false), 1)),
-        TokenKind::Ident(word) if word.eq_ignore_ascii_case("date") => match &tokens[1].kind {
-            TokenKind::String(s) => {
-                let value =
-                    Value::date_from_str(s).map_err(|e| ServiceError::protocol(e.to_string()))?;
-                Ok((value, 2))
-            }
-            other => Err(ServiceError::protocol(format!(
-                "expected a date string after DATE, found {other:?}"
-            ))),
-        },
-        other => Err(ServiceError::protocol(format!("unsupported parameter literal {other:?}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,22 +100,5 @@ mod tests {
         let len = u32::MAX.to_be_bytes();
         assert!(read_bytes_frame(&mut io::Cursor::new(len)).is_err());
         assert!(read_frame_rest(&mut io::Cursor::new(&len[1..]), len[0]).is_err());
-    }
-
-    #[test]
-    fn parameter_lists_parse_sql_literals() {
-        let values =
-            parse_param_values("(1, -2.5, 'it''s', NULL, true, date '1995-01-01')").unwrap();
-        assert_eq!(values[0], Value::Int(1));
-        assert_eq!(values[1], Value::Float(-2.5));
-        assert_eq!(values[2], Value::text("it's"));
-        assert_eq!(values[3], Value::Null);
-        assert_eq!(values[4], Value::Bool(true));
-        assert!(matches!(values[5], Value::Date(_)));
-        assert!(parse_param_values("").unwrap().is_empty());
-        assert!(parse_param_values("()").unwrap().is_empty());
-        assert!(parse_param_values("(1").is_err());
-        assert!(parse_param_values("(foo)").is_err());
-        assert!(parse_param_values("(1) extra").is_err());
     }
 }

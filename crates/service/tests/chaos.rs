@@ -44,8 +44,8 @@ fn slow_loris(addr: std::net::SocketAddr) -> TcpStream {
     socket
 }
 
-/// Start a streaming query, take the schema and one chunk, then vanish without acking the
-/// rest — the server's next write fails and it must tear the stream down cleanly.
+/// Start a streaming query, take the schema and one chunk, then vanish without reading the
+/// rest — the server's next write or read fails and it must tear the stream down cleanly.
 fn mid_stream_disconnect(addr: std::net::SocketAddr) {
     let mut client = Client::connect(addr).unwrap();
     client.send("query SELECT * FROM big").unwrap();

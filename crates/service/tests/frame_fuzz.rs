@@ -1,4 +1,4 @@
-//! Property fuzz of the protocol-v3 frame decoders: take valid encoded frames, flip random
+//! Property fuzz of the wire protocol's frame decoders: take valid encoded frames, flip random
 //! bytes, and feed the result to every decoder. A mutation may happen to produce another
 //! valid frame (fine) or a corrupt one (must return a clean `ServiceError`) — but decoding
 //! must never panic, hang, or allocate beyond the frame's own size. The deterministic tests

@@ -251,7 +251,7 @@ fn stats_snapshot_reports_tables_and_optimizer_counters() {
     assert!(snap.metrics.build_sides_swapped > 0, "build side should swap: {snap:?}");
 
     // The per-table lines surface in the human-readable stats rendering too.
-    let text = perm_service::render_stats_text(&snap, 16);
+    let text = perm_service::render_stats_text(&snap);
     assert!(text.contains(&format!("table big rows=40000 bytes={} ", big.bytes)), "{text}");
     assert!(text.contains("table tiny rows=3 bytes="), "{text}");
     // ...and in the Prometheus exposition, next to the row and freshness families.
@@ -286,7 +286,7 @@ fn table_labels_are_escaped_in_both_renderings() {
         assert!(prom.contains(&format!("\nperm_table_rows{{table=\"{label}\"}} 0\n")), "{prom}");
     }
     assert!(prom.lines().all(|l| l.starts_with("# ") || l.starts_with("perm_")), "{prom}");
-    let text = perm_service::render_stats_text(&snap, 16);
+    let text = perm_service::render_stats_text(&snap);
     assert_eq!(text.lines().filter(|l| l.starts_with("table ")).count(), 3, "{text}");
     assert!(text.contains("\ntable two\\nlines rows=0 "), "{text}");
 }

@@ -156,6 +156,31 @@ fn leading_comments_still_route_queries_through_the_query_path() {
     assert!(matches!(err, ServiceError::Unsupported(_)), "got {err:?}");
 }
 
+/// `EXPLAIN` and `EXPLAIN ANALYZE` are recognised from tokens as well: a comment before
+/// `EXPLAIN`, between `EXPLAIN` and `ANALYZE`, or before the explained query changes nothing.
+#[test]
+fn comments_around_explain_keywords_change_nothing() {
+    let engine = shop_engine();
+    let session = engine.session();
+    let last_line = |sql: &str| {
+        let plan = session.execute(sql).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+        assert_eq!(plan.schema().attributes()[0].name, "QUERY PLAN", "{sql:?}");
+        plan.iter().last().map(|t| t.values()[0].clone()).unwrap()
+    };
+    let query = "SELECT id FROM items WHERE price > 20";
+    for sql in [
+        format!("-- note\nEXPLAIN {query}"),
+        format!("EXPLAIN -- note\n{query}"),
+        format!("-- note\nEXPLAIN ANALYZE {query}"),
+        format!("EXPLAIN -- note\nANALYZE {query}"),
+        format!("EXPLAIN ANALYZE -- note\n{query}"),
+    ] {
+        let last = last_line(&sql);
+        let analyzed = sql.contains("ANALYZE");
+        assert_eq!(last == Value::text("Total rows: 2"), analyzed, "{sql:?} ends with {last:?}");
+    }
+}
+
 #[test]
 fn sessions_have_independent_settings() {
     let engine = shop_engine();

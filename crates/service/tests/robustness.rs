@@ -114,36 +114,39 @@ fn cancelled_stream_stops_early_and_frees_memory() {
     assert_quiescent(&engine);
 }
 
-/// Wire-level mid-stream cancel: the client sends `cancel` while result frames are in
-/// flight, keeps acknowledging the frames it still receives, and the server answers with a
-/// terminal `cancelled` error — never `Done` — then serves the next request as if nothing
+/// Rows of the `wide` table: ~24 MB of text, more than loopback socket buffers hold, so a
+/// server streaming it is still writing frames when the client's `cancel` arrives.
+const WIDE_ROWS: usize = 24 * DEFAULT_CHUNK_SIZE;
+
+/// Wire-level mid-stream cancel: the client sends `cancel` after the first result frame and
+/// reads on; the frames already written still arrive, then the server answers with a
+/// terminal `cancelled` error — never `Done` — and serves the next request as if nothing
 /// happened.
 #[test]
 fn wire_cancel_mid_stream_stops_promptly_and_session_survives() {
     let engine = big_engine();
+    let schema = Schema::from_pairs(&[("id", DataType::Int), ("payload", DataType::Text)]);
+    let rows = (0..WIDE_ROWS as i64)
+        .map(|i| Tuple::new(vec![Value::Int(i), Value::text(format!("{i:0>1000}"))]))
+        .collect::<Vec<_>>();
+    engine.catalog().create_table_with_data("wide", Relation::from_parts(schema, rows)).unwrap();
     let handle = serve(engine.clone(), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    client.send("query SELECT * FROM big").unwrap();
+    client.send("query SELECT * FROM wide").unwrap();
     match client.read_response().unwrap() {
         ResponseFrame::Schema(schema) => assert_eq!(schema.arity(), 2),
         other => panic!("expected schema frame, got {other:?}"),
     }
-    match client.read_response().unwrap() {
-        ResponseFrame::Chunk(chunk) => assert!(chunk.num_rows() > 0),
+    let mut delivered = match client.read_response().unwrap() {
+        ResponseFrame::Chunk(chunk) => chunk.num_rows(),
         other => panic!("expected a result chunk, got {other:?}"),
-    }
+    };
 
     client.send("cancel").unwrap();
-    // Frames already in flight (bounded by the backpressure window) may still arrive and are
-    // acknowledged by `read_response` as usual; then the terminal error must come.
-    let mut in_flight = 0;
     loop {
         match client.read_response().unwrap() {
-            ResponseFrame::Chunk(_) => {
-                in_flight += 1;
-                assert!(in_flight < 32, "server failed to stop within the in-flight window");
-            }
+            ResponseFrame::Chunk(chunk) => delivered += chunk.num_rows(),
             ResponseFrame::Err(message) => {
                 assert!(message.contains("cancelled"), "unexpected terminal frame: {message}");
                 break;
@@ -151,6 +154,7 @@ fn wire_cancel_mid_stream_stops_promptly_and_session_survives() {
             other => panic!("stream must end in a cancelled error, got {other:?}"),
         }
     }
+    assert!(delivered < WIDE_ROWS, "cancel must cut the stream short, got all {delivered} rows");
 
     // The connection is back in request/response sync and the engine is clean.
     assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong");
@@ -158,9 +162,10 @@ fn wire_cancel_mid_stream_stops_promptly_and_session_survives() {
     let body = client.roundtrip("query SELECT * FROM tiny").unwrap().unwrap();
     assert_eq!(body.lines().count(), 4, "header plus three rows");
 
-    // `cancel` outside a stream is a protocol error, not a hang.
-    let err = client.roundtrip("cancel").unwrap().unwrap_err();
-    assert!(err.contains("only valid during a result stream"), "got: {err}");
+    // `cancel` outside a stream has nothing to stop and no answer, not a hang or an error
+    // frame the next request would misread.
+    client.send("cancel").unwrap();
+    assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong");
 
     drop(client);
     handle.shutdown();

@@ -24,8 +24,8 @@ fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
     stream.flush().unwrap();
 }
 
-/// Send one statement and read its stream to the end, acknowledging every `R` frame; returns
-/// the summed payload lengths of the `R` frames and the rows the `D` trailer reports.
+/// Send one statement and read its stream to the end; returns the summed payload lengths of the
+/// `R` frames and the rows the `D` trailer reports.
 fn stream_statement(stream: &mut TcpStream, statement: &str) -> (u64, u64) {
     write_raw_frame(stream, statement.as_bytes());
     assert_eq!(read_raw_frame(stream)[0], b'S', "{statement}");
@@ -33,10 +33,7 @@ fn stream_statement(stream: &mut TcpStream, statement: &str) -> (u64, u64) {
     loop {
         let frame = read_raw_frame(stream);
         match frame[0] {
-            b'R' => {
-                payload_bytes += frame.len() as u64;
-                write_raw_frame(stream, b"ack");
-            }
+            b'R' => payload_bytes += frame.len() as u64,
             b'D' => return (payload_bytes, u64::from_be_bytes(frame[1..9].try_into().unwrap())),
             other => panic!("unexpected frame {:?} in {statement}", char::from(other)),
         }
@@ -49,8 +46,8 @@ fn bytes_streamed_counts_the_result_frames_written() {
         Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())).with_workers(1));
     let handle = serve(engine.clone(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 3");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
+    write_raw_frame(&mut stream, b"hello 4");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
 
     let values = |n: i64, f: fn(i64) -> String| (0..n).map(f).collect::<Vec<_>>().join(", ");
     for statement in [

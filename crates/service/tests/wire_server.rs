@@ -115,8 +115,8 @@ fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
 fn slow_clients_do_not_desync_the_protocol() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 3");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
+    write_raw_frame(&mut stream, b"hello 4");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
 
     let payload = b"ping";
     stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
@@ -147,32 +147,35 @@ fn legacy_first_command_gets_a_versioned_error() {
     let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
     assert!(body.starts_with('-'), "v1-compatible error prefix: {body}");
     assert!(body.contains("hello"), "tells the client how to handshake: {body}");
-    assert!(body.contains("version 3"), "names the server's protocol version: {body}");
+    assert!(body.contains("version 4"), "names the server's protocol version: {body}");
 
     // The connection survives and can still handshake afterwards.
-    write_raw_frame(&mut stream, b"hello 3");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
+    write_raw_frame(&mut stream, b"hello 4");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
     write_raw_frame(&mut stream, b"ping");
     assert_eq!(read_raw_frame(&mut stream), b"+pong");
     handle.shutdown();
 }
 
-/// A client asking for a version the server does not speak is refused by name, and the
-/// refusal states the version the server does speak.
+/// A client asking for a version the server does not speak — a future one, or version 3, which
+/// acknowledged every result frame — is refused by name, and the refusal states the version
+/// the server does speak.
 #[test]
 fn unsupported_hello_version_is_refused_with_the_supported_version() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
 
-    write_raw_frame(&mut stream, b"hello 99");
-    let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
-    assert!(body.starts_with('-'));
-    assert!(body.contains("99"), "names the rejected version: {body}");
-    assert!(body.contains('3'), "names the supported version: {body}");
+    for version in ["99", "3"] {
+        write_raw_frame(&mut stream, format!("hello {version}").as_bytes());
+        let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
+        assert!(body.starts_with('-'));
+        assert!(body.contains(&format!("version {version};")), "names the rejected one: {body}");
+        assert!(body.contains("speaks version 4"), "names the supported version: {body}");
+    }
 
     // Retrying with the right version on the same connection works.
-    write_raw_frame(&mut stream, b"hello 3");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
+    write_raw_frame(&mut stream, b"hello 4");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
     handle.shutdown();
 }
 
@@ -180,7 +183,7 @@ fn unsupported_hello_version_is_refused_with_the_supported_version() {
 /// buffering client discards the rows, and the incremental shell prints an explicit
 /// invalidation notice. The engine reports execution errors before its first chunk, so only a
 /// cancellation can fail a real stream midway; a scripted server stands in here to put the
-/// error frame at a fixed point behind one acknowledged chunk.
+/// error frame at a fixed point behind one chunk.
 #[test]
 fn mid_stream_errors_invalidate_partial_results() {
     use perm_algebra::{DataChunk, DataType, Schema, Tuple, Value};
@@ -200,14 +203,13 @@ fn mid_stream_errors_invalidate_partial_results() {
             let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
             stream.read_exact(&mut request).unwrap();
             if request.starts_with(b"hello") {
-                write_raw_frame(&mut stream, b"+hello 3");
+                write_raw_frame(&mut stream, b"+hello 4");
             } else if request.starts_with(b"query") {
                 write_raw_frame(&mut stream, &codec::encode_schema(&schema));
                 write_raw_frame(
                     &mut stream,
                     &codec::encode_chunk(&DataChunk::from_tuples(1, &rows)),
                 );
-                assert_eq!(read_raw_frame(&mut stream), b"ack");
                 write_raw_frame(
                     &mut stream,
                     b"-execution aborted: result exceeded row budget of 2",
@@ -242,82 +244,82 @@ fn mid_stream_errors_invalidate_partial_results() {
     server.join().unwrap();
 }
 
-/// The server must stop sending RESULT frames once the backpressure window is full of
-/// unacknowledged chunks, and resume when the client acks.
-#[test]
-fn server_respects_the_backpressure_window() {
-    // A single-worker engine emits deterministic 1024-row chunks: 100 × 100 cross-joined rows
-    // = 10 chunks, more than the window of 8.
-    let engine =
-        Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())).with_workers(1));
-    let handle = serve(engine, "127.0.0.1:0").unwrap();
+/// Open a raw, negotiated connection.
+fn raw_connection(handle: &perm_service::ServerHandle) -> TcpStream {
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 3");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 3");
+    write_raw_frame(&mut stream, b"hello 4");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
+    stream
+}
 
-    write_raw_frame(&mut stream, b"query CREATE TABLE t (x INT)");
-    assert_eq!(read_raw_frame(&mut stream)[0], b'S');
-    assert_eq!(read_raw_frame(&mut stream)[0], b'D');
-    let values: Vec<String> = (0..100).map(|i| format!("({i})")).collect();
-    write_raw_frame(
-        &mut stream,
-        format!("query INSERT INTO t VALUES {}", values.join(", ")).as_bytes(),
-    );
-    assert_eq!(read_raw_frame(&mut stream)[0], b'S');
-    assert_eq!(read_raw_frame(&mut stream)[0], b'D');
-
-    write_raw_frame(&mut stream, b"query SELECT a.x FROM t a, t b");
-    assert_eq!(read_raw_frame(&mut stream)[0], b'S');
-
-    // Without acks, the server may send at most BACKPRESSURE_WINDOW chunk frames. Count what
-    // arrives until the socket goes quiet.
-    stream.set_read_timeout(Some(Duration::from_millis(1500))).unwrap();
-    let mut rows = 0u64;
-    let mut unacked_chunks = 0;
-    loop {
-        let mut len = [0u8; 4];
-        match stream.read_exact(&mut len) {
-            Ok(()) => {}
-            Err(_) => break, // quiet: the window is exhausted
-        }
-        let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
-        stream.read_exact(&mut body).unwrap();
-        assert_eq!(body[0], b'R', "only chunk frames before the window closes");
-        rows += u32::from_be_bytes(body[1..5].try_into().unwrap()) as u64;
-        unacked_chunks += 1;
-        assert!(
-            unacked_chunks <= perm_service::server::BACKPRESSURE_WINDOW,
-            "server sent more than the window without acks"
-        );
+/// Send one statement and return the tags of its response frames, through the trailer.
+fn stream_tags(stream: &mut TcpStream, statement: &str) -> Vec<u8> {
+    write_raw_frame(stream, statement.as_bytes());
+    let mut tags = vec![read_raw_frame(stream)[0]];
+    while matches!(tags.last(), Some(b'S' | b'R')) {
+        tags.push(read_raw_frame(stream)[0]);
     }
-    assert_eq!(
-        unacked_chunks,
-        perm_service::server::BACKPRESSURE_WINDOW,
-        "the full window is in flight before the server blocks"
-    );
-    assert!(rows < 10_000, "the stall happened before the result finished");
+    tags
+}
 
-    // Ack everything received; the stream resumes and finishes.
-    stream.set_read_timeout(None).unwrap();
-    for _ in 0..unacked_chunks {
-        write_raw_frame(&mut stream, b"ack");
-    }
-    let done_rows = loop {
-        let body = read_raw_frame(&mut stream);
-        match body[0] {
-            b'R' => {
-                rows += u32::from_be_bytes(body[1..5].try_into().unwrap()) as u64;
-                write_raw_frame(&mut stream, b"ack");
-            }
-            b'D' => break u64::from_be_bytes(body[1..9].try_into().unwrap()),
-            other => panic!("unexpected frame tag {other}"),
+/// A `cancel` that arrives after its stream has ended — here, one sent on seeing `S` from an
+/// empty table, and one sent on seeing the last `R` frame of a result — finds nothing to stop
+/// and gets no response, so the connection's next request reads its own answer.
+#[test]
+fn a_cancel_that_misses_its_stream_gets_no_response() {
+    let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
+    let mut stream = raw_connection(&handle);
+    assert_eq!(stream_tags(&mut stream, "query CREATE TABLE t (x INT)"), b"SD");
+
+    write_raw_frame(&mut stream, b"query SELECT x FROM t");
+    assert_eq!(read_raw_frame(&mut stream)[0], b'S');
+    write_raw_frame(&mut stream, b"cancel");
+    assert_eq!(read_raw_frame(&mut stream)[0], b'D', "an empty result has no frame to cut");
+    write_raw_frame(&mut stream, b"ping");
+    assert_eq!(read_raw_frame(&mut stream), b"+pong");
+
+    assert_eq!(stream_tags(&mut stream, "query INSERT INTO t VALUES (1), (2), (3)"), b"SD");
+    write_raw_frame(&mut stream, b"query SELECT x FROM t");
+    assert_eq!(read_raw_frame(&mut stream)[0], b'S');
+    assert_eq!(read_raw_frame(&mut stream)[0], b'R');
+    // The server polls for `cancel` before an `R` frame, never between the last one and `D`.
+    write_raw_frame(&mut stream, b"cancel");
+    assert_eq!(read_raw_frame(&mut stream)[0], b'D');
+    write_raw_frame(&mut stream, b"ping");
+    assert_eq!(read_raw_frame(&mut stream), b"+pong");
+    handle.shutdown();
+}
+
+/// `docs/PROTOCOL.md`'s request table is the server's command set: every command word it lists
+/// is known to a live server, and `ack` — gone since version 4 — is not.
+#[test]
+fn protocol_doc_lists_the_commands_the_server_knows() {
+    let doc = include_str!("../../../docs/PROTOCOL.md");
+    let table = doc.split("## Requests").nth(1).unwrap().split("\n## ").next().unwrap();
+    let mut words: Vec<&str> = table
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(|request| request.split([' ', '`']).next().unwrap())
+        .collect();
+    assert!(words.len() >= 12, "the request table lists every command: {words:?}");
+    // `shutdown` stops the server, so it goes last.
+    words.sort_by_key(|word| *word == "shutdown");
+    assert_eq!(words.last(), Some(&"shutdown"));
+
+    let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let unknown =
+        |answer: Result<String, String>| answer.unwrap_or_else(|e| e).contains("unknown command");
+    assert!(unknown(client.roundtrip("ack").unwrap()), "'ack' is not a command in version 4");
+    for word in words {
+        if word == "cancel" {
+            // Outside a stream `cancel` has no answer; the next request reads its own.
+            client.send(word).unwrap();
+            assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong");
+        } else {
+            assert!(!unknown(client.roundtrip(word).unwrap()), "PROTOCOL.md lists '{word}'");
         }
-    };
-    assert_eq!(done_rows, 10_000, "trailer reports the full result size");
-    assert_eq!(rows, 10_000, "every row arrived across the stall");
-
-    write_raw_frame(&mut stream, b"shutdown");
-    assert_eq!(read_raw_frame(&mut stream), b"+bye");
+    }
     handle.wait();
 }
 

@@ -239,7 +239,7 @@ impl Analyzer {
                     }
                     let mut values = vec![Value::Null; schema.arity()];
                     for (expr, &pos) in row.iter().zip(&positions) {
-                        let value = self.constant_value(expr)?;
+                        let value = constant_value(expr)?;
                         let target = schema.attribute(pos)?.data_type;
                         values[pos] = if value.is_null() { value } else { value.cast(target)? };
                     }
@@ -247,29 +247,6 @@ impl Analyzer {
                 }
                 Ok(AnalyzedStatement::Insert { table, rows: tuples })
             }
-        }
-    }
-
-    /// Evaluate a constant expression appearing in `INSERT ... VALUES`.
-    fn constant_value(&self, expr: &Expr) -> Result<Value, SqlError> {
-        match expr {
-            Expr::Literal(lit) => literal_value(lit),
-            Expr::UnaryMinus(inner) => {
-                let v = self.constant_value(inner)?;
-                v.neg().map_err(SqlError::from)
-            }
-            Expr::Nested(inner) => self.constant_value(inner),
-            Expr::Parameter(_) => Err(SqlError::unsupported(
-                "parameters ($n) are not supported in INSERT ... VALUES; \
-                 prepare a parameterized query instead",
-            )),
-            Expr::Cast { expr, data_type } => {
-                let v = self.constant_value(expr)?;
-                v.cast(*data_type).map_err(SqlError::from)
-            }
-            other => Err(SqlError::analyze(format!(
-                "INSERT ... VALUES requires constant expressions, found {other:?}"
-            ))),
         }
     }
 
@@ -879,6 +856,34 @@ fn extract_into(query: &Query) -> Option<String> {
     }
 }
 
+/// Parse a row of constants, `(v1, v2, ...)`, with the grammar of an `INSERT ... VALUES` row
+/// and evaluate each item the way such a row's items are evaluated: the bindings of a prepared
+/// statement's `exec`. Empty text and `()` are the empty row.
+pub fn parse_constant_row(text: &str) -> Result<Vec<Value>, SqlError> {
+    let text = text.trim();
+    if text.is_empty() || text == "()" {
+        return Ok(Vec::new());
+    }
+    parser::parse_row(text)?.iter().map(constant_value).collect()
+}
+
+/// Evaluate a constant expression (an `INSERT ... VALUES` item or an `exec` binding).
+fn constant_value(expr: &Expr) -> Result<Value, SqlError> {
+    match expr {
+        Expr::Literal(lit) => literal_value(lit),
+        Expr::UnaryMinus(inner) => constant_value(inner)?.neg().map_err(SqlError::from),
+        Expr::Nested(inner) => constant_value(inner),
+        Expr::Parameter(_) => Err(SqlError::unsupported(
+            "parameters ($n) are not supported in a VALUES row; prepare a parameterized query \
+             instead",
+        )),
+        Expr::Cast { expr, data_type } => {
+            constant_value(expr)?.cast(*data_type).map_err(SqlError::from)
+        }
+        other => Err(SqlError::analyze(format!("expected a constant expression, found {other:?}"))),
+    }
+}
+
 fn literal_value(lit: &Literal) -> Result<Value, SqlError> {
     Ok(match lit {
         Literal::Number(n) => {
@@ -1064,6 +1069,23 @@ mod tests {
 
     fn analyze(sql: &str) -> LogicalPlan {
         Analyzer::new(paper_catalog()).analyze_query_sql(sql).unwrap()
+    }
+
+    #[test]
+    fn constant_rows_parse_sql_literals() {
+        let values =
+            parse_constant_row("(1, -2.5, 'it''s', NULL, true, date '1995-01-01')").unwrap();
+        assert_eq!(values[0], Value::Int(1));
+        assert_eq!(values[1], Value::Float(-2.5));
+        assert_eq!(values[2], Value::text("it's"));
+        assert_eq!(values[3], Value::Null);
+        assert_eq!(values[4], Value::Bool(true));
+        assert!(matches!(values[5], Value::Date(_)));
+        assert!(parse_constant_row("").unwrap().is_empty());
+        assert!(parse_constant_row("()").unwrap().is_empty());
+        assert!(parse_constant_row("(1").is_err());
+        assert!(parse_constant_row("(foo)").is_err());
+        assert!(parse_constant_row("(1) extra").is_err());
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod error;
 pub mod parser;
 pub mod token;
 
-pub use analyzer::{AnalyzedStatement, Analyzer, ProvenanceRewrite};
+pub use analyzer::{parse_constant_row, AnalyzedStatement, Analyzer, ProvenanceRewrite};
 pub use error::SqlError;
 pub use parser::{parse_query, parse_statement, parse_statements};

@@ -84,6 +84,14 @@ pub fn parse_query(sql: &str) -> Result<Query, SqlError> {
     Ok(query)
 }
 
+/// Parse one `VALUES` row, `(e1, e2, ...)`, and nothing after it.
+pub(crate) fn parse_row(sql: &str) -> Result<Vec<Expr>, SqlError> {
+    let mut parser = Parser::new(sql)?;
+    let row = parser.parse_row()?;
+    parser.expect_eof()?;
+    Ok(row)
+}
+
 struct Parser<'a> {
     input: &'a str,
     tokens: Vec<Token>,
@@ -322,16 +330,7 @@ impl<'a> Parser<'a> {
         if self.parse_keyword("VALUES") {
             let mut rows = Vec::new();
             loop {
-                self.expect(&TokenKind::LeftParen)?;
-                let mut row = Vec::new();
-                loop {
-                    row.push(self.parse_expr()?);
-                    if !self.consume(&TokenKind::Comma) {
-                        break;
-                    }
-                }
-                self.expect(&TokenKind::RightParen)?;
-                rows.push(row);
+                rows.push(self.parse_row()?);
                 if !self.consume(&TokenKind::Comma) {
                     break;
                 }
@@ -340,6 +339,20 @@ impl<'a> Parser<'a> {
         }
         let query = self.parse_query()?;
         Ok(Statement::Insert { table, columns, source: InsertSource::Query(Box::new(query)) })
+    }
+
+    /// One `VALUES` row: a parenthesised, comma-separated list of expressions.
+    fn parse_row(&mut self) -> Result<Vec<Expr>, SqlError> {
+        self.expect(&TokenKind::LeftParen)?;
+        let mut row = Vec::new();
+        loop {
+            row.push(self.parse_expr()?);
+            if !self.consume(&TokenKind::Comma) {
+                break;
+            }
+        }
+        self.expect(&TokenKind::RightParen)?;
+        Ok(row)
     }
 
     fn parse_data_type(&mut self) -> Result<DataType, SqlError> {

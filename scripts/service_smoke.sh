@@ -191,10 +191,10 @@ for TABLE in big_probe big_build; do
         || { echo "FAIL: idle scrape has no rows/bytes sample for $TABLE"; exit 1; }
 done
 
-# Peak server RSS: the result is ~170 MB as text, but the engine holds it as views — two index
-# buffers per 1024-row batch over the probe and build columns — the stream drops every chunk
-# once its frame is written on the connection's own thread (no thread per query), and
-# backpressure (8 unacked chunk frames) bounds what the client has in flight.
+# Peak server RSS: the result is ~170 MB as text, but the engine materializes it once as views
+# — two index buffers per 1024-row batch over the probe and build columns — and the stream
+# drops every chunk once its frame is written on the connection's own thread (no thread per
+# query); TCP flow control paces the frames to the client.
 # The cap is the measured VmHWM of this stream (13.3-13.5 MB at --workers 1 and 4 alike) plus
 # 25 %; the resident table data is printed beside it.
 RSS_KB="$(awk '/^VmHWM/ {print $2}' "/proc/$SERVER_PID/status")"
