@@ -9,7 +9,7 @@ use std::sync::Arc;
 use crate::error::AlgebraError;
 use crate::expr::{AggregateExpr, ScalarExpr, SortKey};
 use crate::plan::{JoinKind, LogicalPlan, SetOpKind, SetSemantics};
-use crate::schema::Schema;
+use crate::schema::{Name, Schema};
 use crate::tuple::Tuple;
 
 /// Builds [`LogicalPlan`] trees incrementally.
@@ -26,9 +26,9 @@ impl PlanBuilder {
 
     /// Start from a base relation with the given schema. Attribute qualifiers are set to the
     /// relation name so qualified references resolve.
-    pub fn scan(name: impl Into<String>, schema: Schema, ref_id: usize) -> PlanBuilder {
+    pub fn scan(name: impl Into<Name>, schema: Schema, ref_id: usize) -> PlanBuilder {
         let name = name.into();
-        let schema = schema.with_qualifier(&name);
+        let schema = schema.with_qualifier(name.clone());
         PlanBuilder {
             plan: Arc::new(LogicalPlan::BaseRelation { name, alias: None, schema, ref_id }),
         }
@@ -57,14 +57,14 @@ impl PlanBuilder {
     }
 
     /// Add a bag-semantics projection. Each entry is `(expression, output name)`.
-    pub fn project(self, exprs: Vec<(ScalarExpr, String)>) -> PlanBuilder {
+    pub fn project(self, exprs: Vec<(ScalarExpr, Name)>) -> PlanBuilder {
         PlanBuilder {
             plan: Arc::new(LogicalPlan::Projection { input: self.plan, exprs, distinct: false }),
         }
     }
 
     /// Add a set-semantics (DISTINCT) projection.
-    pub fn project_distinct(self, exprs: Vec<(ScalarExpr, String)>) -> PlanBuilder {
+    pub fn project_distinct(self, exprs: Vec<(ScalarExpr, Name)>) -> PlanBuilder {
         PlanBuilder {
             plan: Arc::new(LogicalPlan::Projection { input: self.plan, exprs, distinct: true }),
         }
@@ -107,8 +107,8 @@ impl PlanBuilder {
     /// Add an aggregation.
     pub fn aggregate(
         self,
-        group_by: Vec<(ScalarExpr, String)>,
-        aggregates: Vec<(AggregateExpr, String)>,
+        group_by: Vec<(ScalarExpr, Name)>,
+        aggregates: Vec<(AggregateExpr, Name)>,
     ) -> PlanBuilder {
         PlanBuilder {
             plan: Arc::new(LogicalPlan::Aggregation { input: self.plan, group_by, aggregates }),
@@ -143,7 +143,7 @@ impl PlanBuilder {
     }
 
     /// Wrap in a subquery alias.
-    pub fn alias(self, alias: impl Into<String>) -> PlanBuilder {
+    pub fn alias(self, alias: impl Into<Name>) -> PlanBuilder {
         PlanBuilder {
             plan: Arc::new(LogicalPlan::SubqueryAlias { input: self.plan, alias: alias.into() }),
         }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::error::AlgebraError;
 use crate::plan::LogicalPlan;
-use crate::schema::Schema;
+use crate::schema::{Name, Schema};
 use crate::value::{DataType, Value};
 
 /// The kind of a subquery expression (a *sublink* in the paper's PostgreSQL-derived terminology,
@@ -256,7 +256,7 @@ pub enum ScalarExpr {
         /// Index into the owning operator's input schema.
         index: usize,
         /// Display name, kept for plan printing and provenance attribute naming.
-        name: String,
+        name: Name,
     },
     /// A literal value.
     Literal(Value),
@@ -340,7 +340,7 @@ pub enum ScalarExpr {
 
 impl ScalarExpr {
     /// A column reference.
-    pub fn column(index: usize, name: impl Into<String>) -> ScalarExpr {
+    pub fn column(index: usize, name: impl Into<Name>) -> ScalarExpr {
         ScalarExpr::Column { index, name: name.into() }
     }
 
@@ -662,7 +662,7 @@ impl ScalarExpr {
     /// A short display name used when no alias is given (mirrors PostgreSQL behaviour loosely).
     pub fn display_name(&self) -> String {
         match self {
-            ScalarExpr::Column { name, .. } => name.clone(),
+            ScalarExpr::Column { name, .. } => name.to_string(),
             ScalarExpr::Literal(v) => v.to_string(),
             ScalarExpr::Function { func, .. } => func.name().to_string(),
             ScalarExpr::Case { .. } => "case".to_string(),

@@ -57,7 +57,7 @@ pub use expr::{
 };
 pub use keys::{hash_rows, rows_equal, RowTable};
 pub use plan::{JoinKind, LogicalPlan, ProvenanceAnnotationKind, SetOpKind, SetSemantics};
-pub use schema::{Attribute, Schema};
+pub use schema::{Attribute, Name, Schema};
 pub use tuple::Tuple;
 pub use typed::{ColumnType, TypeError, TypeErrorKind, TypedSchema};
 pub use value::{total_float_cmp, DataType, Value};

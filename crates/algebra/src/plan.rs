@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use crate::error::AlgebraError;
 use crate::expr::{AggregateExpr, ScalarExpr, SortKey};
-use crate::schema::{Attribute, Schema};
+use crate::schema::{Attribute, Name, Schema};
 use crate::tuple::Tuple;
 use crate::value::DataType;
 
@@ -80,9 +80,9 @@ pub enum LogicalPlan {
     /// SQL-PLE `BASERELATION` keyword).
     BaseRelation {
         /// Catalog name of the relation.
-        name: String,
+        name: Name,
         /// Alias under which the relation is referenced, if any.
-        alias: Option<String>,
+        alias: Option<Name>,
         /// The relation's schema (attribute qualifiers already set to the alias or name).
         schema: Schema,
         /// Reference counter distinguishing multiple references to the same relation within one
@@ -101,7 +101,7 @@ pub enum LogicalPlan {
         /// Input plan.
         input: Arc<LogicalPlan>,
         /// Projected expressions with output names.
-        exprs: Vec<(ScalarExpr, String)>,
+        exprs: Vec<(ScalarExpr, Name)>,
         /// Whether duplicates are eliminated (set semantics).
         distinct: bool,
     },
@@ -130,9 +130,9 @@ pub enum LogicalPlan {
         /// Input plan.
         input: Arc<LogicalPlan>,
         /// Grouping expressions with output names.
-        group_by: Vec<(ScalarExpr, String)>,
+        group_by: Vec<(ScalarExpr, Name)>,
         /// Aggregate expressions with output names.
-        aggregates: Vec<(AggregateExpr, String)>,
+        aggregates: Vec<(AggregateExpr, Name)>,
     },
     /// Set operation (union / intersection / difference) with set or bag semantics.
     SetOp {
@@ -166,7 +166,7 @@ pub enum LogicalPlan {
         /// Input plan.
         input: Arc<LogicalPlan>,
         /// The alias.
-        alias: String,
+        alias: Name,
     },
     /// An SQL-PLE provenance annotation attached to a from-clause item (§IV-A of the paper).
     ///
@@ -188,7 +188,7 @@ pub enum ProvenanceAnnotationKind {
     BaseRelation,
     /// `... PROVENANCE (attr, ...)` — the sub-plan is already provenance-rewritten (external or
     /// stored provenance); the listed attributes form its P-list.
-    AlreadyRewritten(Vec<String>),
+    AlreadyRewritten(Vec<Name>),
 }
 
 /// Pop the next child during [`LogicalPlan::with_new_children`]; the arity is pre-checked, so an
@@ -253,7 +253,9 @@ impl LogicalPlan {
             }
             LogicalPlan::SetOp { left, .. } => left.schema(),
             LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } => input.schema(),
-            LogicalPlan::SubqueryAlias { input, alias } => input.schema().with_qualifier(alias),
+            LogicalPlan::SubqueryAlias { input, alias } => {
+                input.schema().with_qualifier(alias.clone())
+            }
             LogicalPlan::ProvenanceAnnotation { input, kind } => {
                 let schema = input.schema();
                 match kind {
@@ -640,7 +642,7 @@ mod tests {
             .base_relations()
             .iter()
             .map(|p| match p {
-                LogicalPlan::BaseRelation { name, .. } => name.clone(),
+                LogicalPlan::BaseRelation { name, .. } => name.to_string(),
                 _ => unreachable!(),
             })
             .collect();
@@ -656,7 +658,7 @@ mod tests {
         let replaced = sel.with_new_children(vec![sales()]).unwrap();
         match &replaced {
             LogicalPlan::Selection { input, .. } => match input.as_ref() {
-                LogicalPlan::BaseRelation { name, .. } => assert_eq!(name, "sales"),
+                LogicalPlan::BaseRelation { name, .. } => assert_eq!(&**name, "sales"),
                 other => panic!("unexpected input {other:?}"),
             },
             other => panic!("unexpected plan {other:?}"),

@@ -6,19 +6,28 @@
 //! of already-rewritten inputs.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::AlgebraError;
 use crate::value::DataType;
+
+/// A name held by a schema or a plan: an attribute, a qualifier, a relation or an alias.
+///
+/// Names are shared, not owned: each is allocated once — by the catalog, the analyzer or the
+/// provenance rewriter — and every schema, expression and plan node that repeats it holds a
+/// pointer. A provenance plan repeats its P-list at every operator, so copying a name is a
+/// refcount bump rather than a heap string.
+pub type Name = Arc<str>;
 
 /// A single attribute (column) of a relation schema.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// Attribute name (case-normalised to lower case by the SQL layer).
-    pub name: String,
+    pub name: Name,
     /// Data type of the attribute.
     pub data_type: DataType,
     /// Relation name or subquery alias this attribute is visible under, if any.
-    pub qualifier: Option<String>,
+    pub qualifier: Option<Name>,
     /// Whether this attribute is a provenance attribute (`prov_<rel>_<attr>` in the paper's
     /// naming scheme). Set by the provenance rewriter and by `PROVENANCE (attrs)` declarations.
     pub provenance: bool,
@@ -26,14 +35,14 @@ pub struct Attribute {
 
 impl Attribute {
     /// Create a plain (non-provenance, unqualified) attribute.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Attribute {
+    pub fn new(name: impl Into<Name>, data_type: DataType) -> Attribute {
         Attribute { name: name.into(), data_type, qualifier: None, provenance: false }
     }
 
     /// Create an attribute qualified by a relation name or alias.
     pub fn qualified(
-        qualifier: impl Into<String>,
-        name: impl Into<String>,
+        qualifier: impl Into<Name>,
+        name: impl Into<Name>,
         data_type: DataType,
     ) -> Attribute {
         Attribute {
@@ -51,13 +60,13 @@ impl Attribute {
     }
 
     /// Returns a copy with a different qualifier.
-    pub fn with_qualifier(mut self, qualifier: impl Into<String>) -> Attribute {
+    pub fn with_qualifier(mut self, qualifier: impl Into<Name>) -> Attribute {
         self.qualifier = Some(qualifier.into());
         self
     }
 
     /// Returns a copy with a different name.
-    pub fn renamed(mut self, name: impl Into<String>) -> Attribute {
+    pub fn renamed(mut self, name: impl Into<Name>) -> Attribute {
         self.name = name.into();
         self
     }
@@ -77,7 +86,7 @@ impl Attribute {
     pub fn qualified_name(&self) -> String {
         match &self.qualifier {
             Some(q) => format!("{q}.{}", self.name),
-            None => self.name.clone(),
+            None => self.name.to_string(),
         }
     }
 }
@@ -136,9 +145,9 @@ impl Schema {
             .ok_or(AlgebraError::ColumnIndexOutOfBounds { index: i, width: self.arity() })
     }
 
-    /// All attribute names, in order.
+    /// All attribute names, in order (owned copies, for reports and tests).
     pub fn attribute_names(&self) -> Vec<String> {
-        self.attributes.iter().map(|a| a.name.clone()).collect()
+        self.attributes.iter().map(|a| a.name.to_string()).collect()
     }
 
     /// Indices of all provenance attributes.
@@ -198,13 +207,15 @@ impl Schema {
         Schema { attributes: positions.iter().map(|&i| self.attributes[i].clone()).collect() }
     }
 
-    /// Replace all qualifiers with `alias` (used by subquery aliases `... AS x`).
-    pub fn with_qualifier(&self, alias: &str) -> Schema {
+    /// Replace all qualifiers with `alias` (used by subquery aliases `... AS x`); every
+    /// attribute shares the one alias.
+    pub fn with_qualifier(&self, alias: impl Into<Name>) -> Schema {
+        let alias = alias.into();
         Schema {
             attributes: self
                 .attributes
                 .iter()
-                .map(|a| a.clone().with_qualifier(alias.to_string()))
+                .map(|a| a.clone().with_qualifier(alias.clone()))
                 .collect(),
         }
     }

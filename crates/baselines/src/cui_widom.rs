@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use perm_algebra::{AggregateExpr, JoinKind, LogicalPlan, ScalarExpr, Tuple};
+use perm_algebra::{AggregateExpr, JoinKind, LogicalPlan, Name, ScalarExpr, Tuple};
 use perm_exec::{ExecError, Executor, Optimizer};
 use perm_storage::{Catalog, Relation};
 
@@ -31,11 +31,11 @@ pub struct ViewDefinition {
     /// pure cross product).
     pub condition: Option<ScalarExpr>,
     /// The projected output expressions with names (ignored for aggregation views).
-    pub projection: Vec<(ScalarExpr, String)>,
+    pub projection: Vec<(ScalarExpr, Name)>,
     /// Grouping expressions (empty for plain SPJ views).
-    pub group_by: Vec<(ScalarExpr, String)>,
+    pub group_by: Vec<(ScalarExpr, Name)>,
     /// Aggregate expressions (empty for plain SPJ views).
-    pub aggregates: Vec<(AggregateExpr, String)>,
+    pub aggregates: Vec<(AggregateExpr, Name)>,
 }
 
 impl ViewDefinition {
@@ -43,7 +43,7 @@ impl ViewDefinition {
     pub fn spj(
         relations: Vec<String>,
         condition: Option<ScalarExpr>,
-        projection: Vec<(ScalarExpr, String)>,
+        projection: Vec<(ScalarExpr, Name)>,
     ) -> ViewDefinition {
         ViewDefinition {
             relations,
@@ -58,8 +58,8 @@ impl ViewDefinition {
     pub fn aspj(
         relations: Vec<String>,
         condition: Option<ScalarExpr>,
-        group_by: Vec<(ScalarExpr, String)>,
-        aggregates: Vec<(AggregateExpr, String)>,
+        group_by: Vec<(ScalarExpr, Name)>,
+        aggregates: Vec<(AggregateExpr, Name)>,
     ) -> ViewDefinition {
         ViewDefinition { relations, condition, projection: Vec::new(), group_by, aggregates }
     }
@@ -146,7 +146,7 @@ impl CuiWidomTracer {
         }
 
         // Equate the view's output (projection or grouping expressions) with the result tuple.
-        let outputs: &[(ScalarExpr, String)] =
+        let outputs: &[(ScalarExpr, Name)] =
             if view.is_aggregation() { &view.group_by } else { &view.projection };
         for (i, (expr, _)) in outputs.iter().enumerate() {
             let value = result_tuple.get(i).cloned().ok_or_else(|| {
@@ -170,7 +170,7 @@ impl CuiWidomTracer {
             .map(|r| self.catalog.table_schema(r).map(|s| s.arity()).unwrap_or(0))
             .sum();
         let target_schema = self.catalog.table_schema(&view.relations[target_index])?;
-        let exprs: Vec<(ScalarExpr, String)> = target_schema
+        let exprs: Vec<(ScalarExpr, Name)> = target_schema
             .attributes()
             .iter()
             .enumerate()
@@ -200,6 +200,7 @@ impl CuiWidomTracer {
         let mut plan: Option<LogicalPlan> = None;
         for (ref_id, name) in view.relations.iter().enumerate() {
             let schema = self.catalog.table_schema(name)?;
+            let name = Name::from(name.as_str());
             let scan = LogicalPlan::BaseRelation {
                 name: name.clone(),
                 alias: None,

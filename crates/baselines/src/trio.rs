@@ -117,7 +117,7 @@ impl TrioStyleDb {
             .iter()
             .filter_map(|p| match p {
                 perm_algebra::LogicalPlan::BaseRelation { name, schema, .. } => {
-                    Some((name.clone(), schema.arity()))
+                    Some((name.to_string(), schema.arity()))
                 }
                 _ => None,
             })

@@ -31,8 +31,8 @@
 use std::sync::Arc;
 
 use perm_algebra::{
-    BinaryOperator, JoinKind, LogicalPlan, ProvenanceAnnotationKind, ScalarExpr, SetOpKind,
-    SetSemantics, SublinkKind, UnaryOperator, Value,
+    BinaryOperator, JoinKind, LogicalPlan, Name, ProvenanceAnnotationKind, ScalarExpr, Schema,
+    SetOpKind, SetSemantics, SublinkKind, UnaryOperator, Value,
 };
 
 use crate::error::PermError;
@@ -47,32 +47,82 @@ pub struct ProvenanceRewriter;
 struct Rewritten {
     /// The rewritten plan. Its schema starts with the node's original attributes.
     plan: Arc<LogicalPlan>,
-    /// Arity of the original (pre-rewrite) node.
-    original_arity: usize,
-    /// Positions of the provenance attributes within `plan`'s schema.
-    prov_positions: Vec<usize>,
+    /// Names of the original (pre-rewrite) node's attributes, which `plan`'s schema starts with.
+    names: Vec<Name>,
+    /// The P-list: position within `plan`'s schema and name of each provenance attribute.
+    ///
+    /// Names travel up with the rewrite, so a rule reads them here instead of deriving a schema,
+    /// which would walk the whole subtree below it.
+    prov: Vec<(usize, Name)>,
 }
 
 impl Rewritten {
     fn arity(&self) -> usize {
-        self.plan.schema().arity()
+        self.plan.output_arity()
+    }
+
+    /// Arity of the original (pre-rewrite) node.
+    fn original_arity(&self) -> usize {
+        self.names.len()
     }
 
     /// `(expression, name)` pairs referencing this node's provenance attributes, for use in an
     /// enclosing projection.
-    fn prov_exprs(&self) -> Vec<(ScalarExpr, String)> {
-        let schema = self.plan.schema();
-        self.prov_positions
-            .iter()
-            .map(|&p| {
-                let name = schema
-                    .attribute(p)
-                    .map(|a| a.name.clone())
-                    .unwrap_or_else(|_| format!("prov_{p}"));
-                (ScalarExpr::column(p, name.clone()), name)
-            })
-            .collect()
+    fn prov_exprs(&self) -> impl Iterator<Item = (ScalarExpr, Name)> + '_ {
+        self.prov.iter().map(|(p, name)| passthrough(*p, name))
     }
+
+    /// The P-list's names, in order.
+    fn prov_names(&self) -> impl Iterator<Item = Name> + '_ {
+        self.prov.iter().map(|(_, name)| name.clone())
+    }
+}
+
+/// `(column i, name)`: an attribute carried through a projection under its own name.
+fn passthrough(i: usize, name: &Name) -> (ScalarExpr, Name) {
+    (ScalarExpr::column(i, name.clone()), name.clone())
+}
+
+/// `Π_{T→T̂, P(T+)}(T+)` of the rule R6–R9 join-backs: `side`'s original attributes renamed
+/// `<prefix>_<i>_<name>`, then its P-list. Returns the projection and the hatted names.
+fn hatted(side: &Rewritten, prefix: &str) -> (LogicalPlan, Vec<Name>) {
+    let hats: Vec<Name> = side
+        .names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| format!("{prefix}_{i}_{name}").into())
+        .collect();
+    let mut exprs = Vec::with_capacity(hats.len() + side.prov.len());
+    exprs.extend(
+        side.names
+            .iter()
+            .zip(&hats)
+            .enumerate()
+            .map(|(i, (name, hat))| (ScalarExpr::column(i, name.clone()), hat.clone())),
+    );
+    exprs.extend(side.prov_exprs());
+    (LogicalPlan::Projection { input: side.plan.clone(), exprs, distinct: false }, hats)
+}
+
+/// `names[i] IS NOT DISTINCT FROM hats[i]` for every `i`, conjoined: the columns at `0..` against
+/// the hatted columns at `offset..`, each named as the joined schema names it.
+fn null_safe_equal(names: &[Name], offset: usize, hats: &[Name]) -> ScalarExpr {
+    ScalarExpr::conjunction(
+        names
+            .iter()
+            .zip(hats)
+            .enumerate()
+            .map(|(i, (name, hat))| {
+                ScalarExpr::column(i, name.clone())
+                    .null_safe_eq(ScalarExpr::column(offset + i, hat.clone()))
+            })
+            .collect(),
+    )
+}
+
+/// The attribute names of `schema`, in order.
+fn names_of(schema: &Schema) -> Vec<Name> {
+    schema.attributes().iter().map(|a| a.name.clone()).collect()
 }
 
 impl ProvenanceRewriter {
@@ -88,13 +138,8 @@ impl ProvenanceRewriter {
     /// partition the result via [`perm_algebra::Schema::provenance_indices`].
     pub fn rewrite(&self, plan: &LogicalPlan) -> Result<LogicalPlan, PermError> {
         let mut naming = ProvenanceNaming::new();
-        let rewritten = self.rewrite_node(plan, &mut naming)?;
-        let schema = rewritten.plan.schema();
-        let prov_names: Vec<String> = rewritten
-            .prov_positions
-            .iter()
-            .map(|&p| schema.attribute(p).map(|a| a.name.clone()))
-            .collect::<Result<_, _>>()?;
+        let rewritten = self.rewrite_node(&Arc::new(plan.clone()), &mut naming)?;
+        let prov_names = rewritten.prov_names().collect();
         let plan = LogicalPlan::ProvenanceAnnotation {
             input: rewritten.plan,
             kind: ProvenanceAnnotationKind::AlreadyRewritten(prov_names),
@@ -110,24 +155,24 @@ impl ProvenanceRewriter {
         Ok(plan)
     }
 
-    /// The names of the provenance attributes the rewrite of `plan` will produce, without
-    /// performing the full rewrite (used for reporting).
+    /// The names of the provenance attributes the rewrite of `plan` produces (used for
+    /// reporting).
     pub fn provenance_attribute_names(&self, plan: &LogicalPlan) -> Result<Vec<String>, PermError> {
         let rewritten = self.rewrite(plan)?;
         let schema = rewritten.schema();
         Ok(schema
             .provenance_indices()
             .into_iter()
-            .map(|i| schema.attributes()[i].name.clone())
+            .map(|i| schema.attributes()[i].name.to_string())
             .collect())
     }
 
     fn rewrite_node(
         &self,
-        plan: &LogicalPlan,
+        plan: &Arc<LogicalPlan>,
         naming: &mut ProvenanceNaming,
     ) -> Result<Rewritten, PermError> {
-        match plan {
+        match plan.as_ref() {
             LogicalPlan::BaseRelation { name, .. } => {
                 Ok(self.rewrite_as_base_relation(plan, name, naming))
             }
@@ -136,41 +181,38 @@ impl ProvenanceRewriter {
                 // SQL-PLE BASERELATION: limited provenance scope — rule R1 applied to the whole
                 // annotated sub-plan (§IV-A.4).
                 ProvenanceAnnotationKind::BaseRelation => {
-                    let label = relation_label(input);
-                    Ok(self.rewrite_as_base_relation(input, &label, naming))
+                    Ok(self.rewrite_as_base_relation(input, relation_label(input), naming))
                 }
                 // SQL-PLE PROVENANCE (attrs): external / stored provenance — the sub-plan is
                 // already rewritten and the listed attributes form its P-list (§IV-A.3).
                 ProvenanceAnnotationKind::AlreadyRewritten(attrs) => {
                     let schema = input.schema();
-                    let mut prov_positions = Vec::with_capacity(attrs.len());
+                    let mut prov = Vec::with_capacity(attrs.len());
                     for attr in attrs {
                         let pos = schema.resolve(attr).map_err(|_| {
                             PermError::rewrite(format!(
                                 "PROVENANCE clause names attribute '{attr}' which does not exist in the annotated from-item"
                             ))
                         })?;
-                        prov_positions.push(pos);
+                        prov.push((pos, schema.attributes()[pos].name.clone()));
                     }
-                    Ok(Rewritten {
-                        plan: input.clone(),
-                        original_arity: schema.arity(),
-                        prov_positions,
-                    })
+                    naming.reserve(prov.iter().map(|(_, name)| name.clone()));
+                    Ok(Rewritten { plan: input.clone(), names: names_of(&schema), prov })
                 }
             },
             LogicalPlan::Projection { input, exprs, distinct } => {
                 // R2: append the input's provenance attributes to the projection list.
                 let child = self.rewrite_node(input, naming)?;
-                let mut new_exprs = exprs.clone();
+                let mut new_exprs = Vec::with_capacity(exprs.len() + child.prov.len());
+                new_exprs.extend(exprs.iter().cloned());
                 new_exprs.extend(child.prov_exprs());
-                let original_arity = exprs.len();
                 let plan = LogicalPlan::Projection {
-                    input: child.plan,
+                    input: child.plan.clone(),
                     exprs: new_exprs,
                     distinct: *distinct,
                 };
-                Ok(suffix_rewritten(plan, original_arity))
+                let names = exprs.iter().map(|(_, name)| name.clone()).collect();
+                Ok(suffix_rewritten(plan, names, child.prov_names()))
             }
             LogicalPlan::Selection { input, predicate } => {
                 let child = self.rewrite_node(input, naming)?;
@@ -180,11 +222,11 @@ impl ProvenanceRewriter {
                     // R3: the unmodified selection applies to the rewritten input.
                     Ok(Rewritten {
                         plan: Arc::new(LogicalPlan::Selection {
-                            input: child.plan.clone(),
+                            input: child.plan,
                             predicate: predicate.clone(),
                         }),
-                        original_arity: child.original_arity,
-                        prov_positions: child.prov_positions,
+                        names: child.names,
+                        prov: child.prov,
                     })
                 }
             }
@@ -192,8 +234,8 @@ impl ProvenanceRewriter {
                 // R4 (and its join-type generalisations): (T1 ⋈ T2)+ = T1+ ⋈ T2+.
                 let l = self.rewrite_node(left, naming)?;
                 let r = self.rewrite_node(right, naming)?;
-                let l_orig = left.schema().arity();
-                let r_orig = right.schema().arity();
+                let l_orig = l.original_arity();
+                let r_orig = r.original_arity();
                 let l_arity = l.arity();
                 // The original join condition refers to (T1 ++ T2); in (T1+ ++ T2+) the right
                 // side's original attributes moved right by the width of T1's P-list.
@@ -208,43 +250,40 @@ impl ProvenanceRewriter {
                 };
                 // Restore the prefix invariant: original attributes of both inputs first, then
                 // both P-lists.
-                let join_schema = join.schema();
-                let mut exprs: Vec<(ScalarExpr, String)> = Vec::new();
-                for i in 0..l_orig {
-                    let name = join_schema.attribute(i)?.name.clone();
-                    exprs.push((ScalarExpr::column(i, name.clone()), name));
-                }
-                for i in 0..r_orig {
-                    let pos = l_arity + i;
-                    let name = join_schema.attribute(pos)?.name.clone();
-                    exprs.push((ScalarExpr::column(pos, name.clone()), name));
-                }
-                for &p in &l.prov_positions {
-                    let name = join_schema.attribute(p)?.name.clone();
-                    exprs.push((ScalarExpr::column(p, name.clone()), name));
-                }
-                for &p in &r.prov_positions {
-                    let pos = l_arity + p;
-                    let name = join_schema.attribute(pos)?.name.clone();
-                    exprs.push((ScalarExpr::column(pos, name.clone()), name));
-                }
-                let original_arity = l_orig + r_orig;
+                let mut exprs = Vec::with_capacity(l_orig + r_orig + l.prov.len() + r.prov.len());
+                exprs.extend(l.names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
+                exprs.extend(
+                    r.names.iter().enumerate().map(|(i, name)| passthrough(l_arity + i, name)),
+                );
+                exprs.extend(l.prov_exprs());
+                exprs.extend(r.prov.iter().map(|(p, name)| passthrough(l_arity + p, name)));
                 let plan =
                     LogicalPlan::Projection { input: Arc::new(join), exprs, distinct: false };
-                Ok(suffix_rewritten(plan, original_arity))
+                let names = l.names.iter().chain(&r.names).cloned().collect();
+                Ok(suffix_rewritten(plan, names, l.prov_names().chain(r.prov_names())))
             }
             LogicalPlan::Aggregation { input, group_by, aggregates } => {
                 // R5: join the original aggregation with the rewritten input on the grouping
                 // attributes (null-safe, matching SQL GROUP BY null grouping).
                 let child = self.rewrite_node(input, naming)?;
-                let agg_arity = group_by.len() + aggregates.len();
+                let names: Vec<Name> = group_by
+                    .iter()
+                    .map(|(_, name)| name)
+                    .chain(aggregates.iter().map(|(_, name)| name))
+                    .cloned()
+                    .collect();
+                let agg_arity = names.len();
 
                 // Right side: Π_{G→Ĝ, P(T+)}(T+).
-                let mut right_exprs: Vec<(ScalarExpr, String)> = group_by
+                let hats: Vec<Name> = group_by
                     .iter()
                     .enumerate()
-                    .map(|(i, (g, name))| (g.clone(), format!("hat_{i}_{name}")))
+                    .map(|(i, (_, name))| format!("hat_{i}_{name}").into())
                     .collect();
+                let mut right_exprs = Vec::with_capacity(group_by.len() + child.prov.len());
+                right_exprs.extend(
+                    group_by.iter().zip(&hats).map(|((g, _), hat)| (g.clone(), hat.clone())),
+                );
                 right_exprs.extend(child.prov_exprs());
                 let right = LogicalPlan::Projection {
                     input: child.plan.clone(),
@@ -257,40 +296,30 @@ impl ProvenanceRewriter {
                 let condition = if group_by.is_empty() {
                     None
                 } else {
-                    Some(ScalarExpr::conjunction(
-                        (0..group_by.len())
-                            .map(|i| {
-                                ScalarExpr::column(i, group_by[i].1.clone()).null_safe_eq(
-                                    ScalarExpr::column(agg_arity + i, format!("hat_{i}")),
-                                )
-                            })
-                            .collect(),
-                    ))
+                    Some(null_safe_equal(&names[..group_by.len()], agg_arity, &hats))
                 };
                 let join_kind = if group_by.is_empty() { JoinKind::Cross } else { JoinKind::Inner };
                 let join = LogicalPlan::Join {
-                    left: Arc::new(plan.clone()),
+                    left: plan.clone(),
                     right: Arc::new(right),
                     kind: join_kind,
                     condition,
                 };
 
                 // Top projection: original aggregation output followed by the P-list.
-                let agg_schema = plan.schema();
-                let mut exprs: Vec<(ScalarExpr, String)> = Vec::new();
-                for i in 0..agg_arity {
-                    let name = agg_schema.attribute(i)?.name.clone();
-                    exprs.push((ScalarExpr::column(i, name.clone()), name));
-                }
                 let right_offset = agg_arity + group_by.len();
-                let child_schema = child.plan.schema();
-                for (k, &p) in child.prov_positions.iter().enumerate() {
-                    let name = child_schema.attribute(p)?.name.clone();
-                    exprs.push((ScalarExpr::column(right_offset + k, name.clone()), name));
-                }
+                let mut exprs = Vec::with_capacity(agg_arity + child.prov.len());
+                exprs.extend(names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
+                exprs.extend(
+                    child
+                        .prov
+                        .iter()
+                        .enumerate()
+                        .map(|(k, (_, name))| passthrough(right_offset + k, name)),
+                );
                 let plan =
                     LogicalPlan::Projection { input: Arc::new(join), exprs, distinct: false };
-                Ok(suffix_rewritten(plan, agg_arity))
+                Ok(suffix_rewritten(plan, names, child.prov_names()))
             }
             LogicalPlan::SetOp { left, right, kind, .. } => {
                 self.rewrite_set_operation(plan, left, right, *kind, naming)
@@ -298,12 +327,9 @@ impl ProvenanceRewriter {
             LogicalPlan::Sort { input, keys } => {
                 let child = self.rewrite_node(input, naming)?;
                 Ok(Rewritten {
-                    plan: Arc::new(LogicalPlan::Sort {
-                        input: child.plan.clone(),
-                        keys: keys.clone(),
-                    }),
-                    original_arity: child.original_arity,
-                    prov_positions: child.prov_positions,
+                    plan: Arc::new(LogicalPlan::Sort { input: child.plan, keys: keys.clone() }),
+                    names: child.names,
+                    prov: child.prov,
                 })
             }
             LogicalPlan::Limit { input, limit, offset } => {
@@ -313,23 +339,23 @@ impl ProvenanceRewriter {
                 let child = self.rewrite_node(input, naming)?;
                 Ok(Rewritten {
                     plan: Arc::new(LogicalPlan::Limit {
-                        input: child.plan.clone(),
+                        input: child.plan,
                         limit: *limit,
                         offset: *offset,
                     }),
-                    original_arity: child.original_arity,
-                    prov_positions: child.prov_positions,
+                    names: child.names,
+                    prov: child.prov,
                 })
             }
             LogicalPlan::SubqueryAlias { input, alias } => {
                 let child = self.rewrite_node(input, naming)?;
                 Ok(Rewritten {
                     plan: Arc::new(LogicalPlan::SubqueryAlias {
-                        input: child.plan.clone(),
+                        input: child.plan,
                         alias: alias.clone(),
                     }),
-                    original_arity: child.original_arity,
-                    prov_positions: child.prov_positions,
+                    names: child.names,
+                    prov: child.prov,
                 })
             }
         }
@@ -339,30 +365,29 @@ impl ProvenanceRewriter {
     /// duplicate every attribute of `plan` under a provenance attribute name.
     fn rewrite_as_base_relation(
         &self,
-        plan: &LogicalPlan,
+        plan: &Arc<LogicalPlan>,
         relation_name: &str,
         naming: &mut ProvenanceNaming,
     ) -> Rewritten {
-        let schema = plan.schema();
-        let prefix = naming.next_prefix(relation_name);
-        let mut exprs: Vec<(ScalarExpr, String)> = Vec::with_capacity(schema.arity() * 2);
-        for (i, attr) in schema.iter() {
-            exprs.push((ScalarExpr::column(i, attr.name.clone()), attr.name.clone()));
-        }
-        for (i, attr) in schema.iter() {
-            let prov_name = ProvenanceNaming::attribute_name(&prefix, &attr.name);
-            exprs.push((ScalarExpr::column(i, attr.name.clone()), prov_name));
-        }
-        let original_arity = schema.arity();
-        let rewritten =
-            LogicalPlan::Projection { input: Arc::new(plan.clone()), exprs, distinct: false };
-        suffix_rewritten(rewritten, original_arity)
+        let names = names_of(&plan.schema());
+        let prov_names = naming.next_names(relation_name, &names);
+        let mut exprs = Vec::with_capacity(names.len() * 2);
+        exprs.extend(names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
+        exprs.extend(
+            names
+                .iter()
+                .zip(&prov_names)
+                .enumerate()
+                .map(|(i, (name, prov))| (ScalarExpr::column(i, name.clone()), prov.clone())),
+        );
+        let rewritten = LogicalPlan::Projection { input: plan.clone(), exprs, distinct: false };
+        suffix_rewritten(rewritten, names, prov_names)
     }
 
     /// Rules R6–R9: set operations.
     fn rewrite_set_operation(
         &self,
-        original: &LogicalPlan,
+        original: &Arc<LogicalPlan>,
         left: &Arc<LogicalPlan>,
         right: &Arc<LogicalPlan>,
         kind: SetOpKind,
@@ -370,21 +395,13 @@ impl ProvenanceRewriter {
     ) -> Result<Rewritten, PermError> {
         let l = self.rewrite_node(left, naming)?;
         let r = self.rewrite_node(right, naming)?;
-        let n = original.schema().arity();
-        let original_schema = original.schema();
+        // A set operation's attributes are its left input's; the right input names its own.
+        let names = &l.names;
+        let n = names.len();
 
         // Left provenance side: Π_{T1→T̂1, P(T1+)}(T1+), joined on the original attributes.
-        let left_schema = left.schema();
-        let mut left_exprs: Vec<(ScalarExpr, String)> = (0..n)
-            .map(|i| {
-                let name = left_schema.attributes()[i].name.clone();
-                (ScalarExpr::column(i, name.clone()), format!("lhat_{i}_{name}"))
-            })
-            .collect();
-        left_exprs.extend(l.prov_exprs());
-        let left_side =
-            LogicalPlan::Projection { input: l.plan.clone(), exprs: left_exprs, distinct: false };
-        let p1 = l.prov_positions.len();
+        let (left_side, lhats) = hatted(&l, "lhat");
+        let p1 = l.prov.len();
 
         // The join kind on the left side: union tuples may stem from only one input (left outer
         // join); intersection tuples exist in both (inner join); difference tuples always stem
@@ -393,123 +410,81 @@ impl ProvenanceRewriter {
             SetOpKind::Intersect => JoinKind::Inner,
             _ => JoinKind::LeftOuter,
         };
-        let left_condition = ScalarExpr::conjunction(
-            (0..n)
-                .map(|i| {
-                    ScalarExpr::column(i, format!("c{i}"))
-                        .null_safe_eq(ScalarExpr::column(n + i, format!("lhat_{i}")))
-                })
-                .collect(),
-        );
         let join1 = LogicalPlan::Join {
-            left: Arc::new(original.clone()),
+            left: original.clone(),
             right: Arc::new(left_side),
             kind: left_join_kind,
-            condition: Some(left_condition),
+            condition: Some(null_safe_equal(names, n, &lhats)),
         };
         let join1_arity = n + n + p1;
 
         // Right provenance side.
-        let (right_side, right_condition, right_join_kind, right_orig_width) = match kind {
+        let (right_side, right_condition, right_join_kind) = match kind {
             SetOpKind::Union | SetOpKind::Intersect => {
-                let right_schema = right.schema();
-                let mut right_exprs: Vec<(ScalarExpr, String)> = (0..n)
-                    .map(|i| {
-                        let name = right_schema.attributes()[i].name.clone();
-                        (ScalarExpr::column(i, name.clone()), format!("rhat_{i}_{name}"))
-                    })
-                    .collect();
-                right_exprs.extend(r.prov_exprs());
-                let side = LogicalPlan::Projection {
-                    input: r.plan.clone(),
-                    exprs: right_exprs,
-                    distinct: false,
-                };
-                let condition = ScalarExpr::conjunction(
-                    (0..n)
-                        .map(|i| {
-                            ScalarExpr::column(i, format!("c{i}")).null_safe_eq(ScalarExpr::column(
-                                join1_arity + i,
-                                format!("rhat_{i}"),
-                            ))
-                        })
-                        .collect(),
-                );
+                let (side, rhats) = hatted(&r, "rhat");
                 let join_kind = if kind == SetOpKind::Intersect {
                     JoinKind::Inner
                 } else {
                     JoinKind::LeftOuter
                 };
-                (side, condition, join_kind, n)
+                (Arc::new(side), null_safe_equal(names, join1_arity, &rhats), join_kind)
             }
             SetOpKind::Difference => {
                 // R8 (set semantics) / R9 (bag semantics): the provenance of a difference result
                 // tuple includes all tuples of T2 that differ from it (R9) — for set semantics
                 // the inequality can be dropped because equal tuples cannot appear in the result.
-                let semantics = match original {
+                let semantics = match original.as_ref() {
                     LogicalPlan::SetOp { semantics, .. } => *semantics,
                     _ => SetSemantics::Bag,
                 };
-                let side = (*r.plan).clone();
                 let condition = match semantics {
                     SetSemantics::Set => ScalarExpr::Literal(Value::Bool(true)),
                     SetSemantics::Bag => {
                         // "differs in at least one attribute"
-                        let diffs: Vec<ScalarExpr> = (0..n)
-                            .map(|i| {
+                        names
+                            .iter()
+                            .zip(&r.names)
+                            .enumerate()
+                            .map(|(i, (name, right_name))| {
                                 ScalarExpr::binary(
                                     BinaryOperator::IsDistinctFrom,
-                                    ScalarExpr::column(i, format!("c{i}")),
-                                    ScalarExpr::column(join1_arity + i, format!("r{i}")),
+                                    ScalarExpr::column(i, name.clone()),
+                                    ScalarExpr::column(join1_arity + i, right_name.clone()),
                                 )
                             })
-                            .collect();
-                        diffs
-                            .into_iter()
                             .reduce(|a, b| a.or(b))
                             .unwrap_or(ScalarExpr::Literal(Value::Bool(true)))
                     }
                 };
-                (side, condition, JoinKind::LeftOuter, right.schema().arity())
+                (r.plan.clone(), condition, JoinKind::LeftOuter)
             }
         };
         let join2 = LogicalPlan::Join {
             left: Arc::new(join1),
-            right: Arc::new(right_side),
+            right: right_side,
             kind: right_join_kind,
             condition: Some(right_condition),
         };
-        let join2_schema = join2.schema();
 
-        // Top projection: the original result attributes, then P(T1+), then P(T2+).
-        let mut exprs: Vec<(ScalarExpr, String)> = Vec::new();
-        for i in 0..n {
-            let name = original_schema.attributes()[i].name.clone();
-            exprs.push((ScalarExpr::column(i, name.clone()), name));
-        }
-        for k in 0..p1 {
-            let pos = n + n + k;
-            let name = join2_schema.attribute(pos)?.name.clone();
-            exprs.push((ScalarExpr::column(pos, name.clone()), name));
-        }
+        // Top projection: the original result attributes, then P(T1+), then P(T2+). On the
+        // right, P(T2+) follows the n hatted columns (union, intersection) or sits where T2+
+        // put it (difference).
+        let mut exprs = Vec::with_capacity(n + p1 + r.prov.len());
+        exprs.extend(names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
+        exprs.extend(l.prov.iter().enumerate().map(|(k, (_, name))| passthrough(n + n + k, name)));
         match kind {
-            SetOpKind::Union | SetOpKind::Intersect => {
-                for k in 0..r.prov_positions.len() {
-                    let pos = join1_arity + right_orig_width + k;
-                    let name = join2_schema.attribute(pos)?.name.clone();
-                    exprs.push((ScalarExpr::column(pos, name.clone()), name));
-                }
-            }
+            SetOpKind::Union | SetOpKind::Intersect => exprs.extend(
+                r.prov
+                    .iter()
+                    .enumerate()
+                    .map(|(k, (_, name))| passthrough(join1_arity + n + k, name)),
+            ),
             SetOpKind::Difference => {
-                for &p in &r.prov_positions {
-                    let pos = join1_arity + p;
-                    let name = join2_schema.attribute(pos)?.name.clone();
-                    exprs.push((ScalarExpr::column(pos, name.clone()), name));
-                }
+                exprs.extend(r.prov.iter().map(|(p, name)| passthrough(join1_arity + p, name)))
             }
         }
         let plan = LogicalPlan::Projection { input: Arc::new(join2), exprs, distinct: false };
-        Ok(suffix_rewritten(plan, n))
+        Ok(suffix_rewritten(plan, names.clone(), l.prov_names().chain(r.prov_names())))
     }
 
     /// §IV-E: rewrite a selection whose predicate contains uncorrelated sublinks.
@@ -529,7 +504,7 @@ impl ProvenanceRewriter {
 
         let mut current: Arc<LogicalPlan> = child.plan.clone();
         let mut current_arity = child.arity();
-        let mut sublink_prov: Vec<usize> = Vec::new();
+        let mut sublink_prov: Vec<(usize, Name)> = Vec::new();
 
         for sublink in &sublinks {
             let ScalarExpr::Sublink { kind, operand, negated, plan: sub_plan } = sublink else {
@@ -537,10 +512,8 @@ impl ProvenanceRewriter {
             };
             let sub = self.rewrite_node(sub_plan, naming)?;
             let offset = current_arity;
-            let sub_schema = sub.plan.schema();
-            let first_col_name =
-                sub_schema.attribute(0).map(|a| a.name.clone()).unwrap_or_else(|_| "sub".into());
-            let sub_first_col = ScalarExpr::column(offset, first_col_name.clone());
+            let first_col_name = sub.names.first().cloned().unwrap_or_else(|| Name::from("sub"));
+            let sub_first_col = ScalarExpr::column(offset, first_col_name);
 
             // The comparison that replaces the sublink when joined with one of its tuples.
             let cmp_join = match kind {
@@ -573,14 +546,14 @@ impl ProvenanceRewriter {
             let c_dprime = replace_sublink(predicate, sublink, &unsatisfied);
             let join_condition = c_prime.or(c_dprime);
 
+            current_arity += sub.arity();
             current = Arc::new(LogicalPlan::Join {
                 left: current,
-                right: sub.plan.clone(),
+                right: sub.plan,
                 kind: JoinKind::LeftOuter,
                 condition: Some(join_condition),
             });
-            sublink_prov.extend(sub.prov_positions.iter().map(|&p| offset + p));
-            current_arity += sub.arity();
+            sublink_prov.extend(sub.prov.into_iter().map(|(p, name)| (offset + p, name)));
         }
 
         // The final selection re-applies the *original* predicate (sublinks included — they are
@@ -590,43 +563,37 @@ impl ProvenanceRewriter {
 
         // Restore the prefix invariant: original attributes, then the input's P-list, then the
         // provenance attributes contributed by the sublinks.
-        let selected_schema = selected.schema();
-        let mut exprs: Vec<(ScalarExpr, String)> = Vec::new();
-        for i in 0..child.original_arity {
-            let name = selected_schema.attribute(i)?.name.clone();
-            exprs.push((ScalarExpr::column(i, name.clone()), name));
-        }
-        for &p in &child.prov_positions {
-            let name = selected_schema.attribute(p)?.name.clone();
-            exprs.push((ScalarExpr::column(p, name.clone()), name));
-        }
-        for &p in &sublink_prov {
-            let name = selected_schema.attribute(p)?.name.clone();
-            exprs.push((ScalarExpr::column(p, name.clone()), name));
-        }
-        let original_arity = child.original_arity;
+        let mut exprs =
+            Vec::with_capacity(child.names.len() + child.prov.len() + sublink_prov.len());
+        exprs.extend(child.names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
+        exprs.extend(child.prov_exprs());
+        exprs.extend(sublink_prov.iter().map(|(p, name)| passthrough(*p, name)));
+        let prov_names = child.prov_names().chain(sublink_prov.into_iter().map(|(_, name)| name));
         let plan = LogicalPlan::Projection { input: Arc::new(selected), exprs, distinct: false };
-        Ok(suffix_rewritten(plan, original_arity))
+        Ok(suffix_rewritten(plan, child.names.clone(), prov_names))
     }
 }
 
-/// Wrap a rewritten plan whose provenance attributes occupy the suffix of the schema.
-fn suffix_rewritten(plan: LogicalPlan, original_arity: usize) -> Rewritten {
-    let arity = plan.schema().arity();
-    Rewritten {
-        plan: Arc::new(plan),
-        original_arity,
-        prov_positions: (original_arity..arity).collect(),
-    }
+/// Wrap a rewritten plan whose schema is the original attributes `names` followed by the
+/// provenance attributes `prov_names`.
+fn suffix_rewritten(
+    plan: LogicalPlan,
+    names: Vec<Name>,
+    prov_names: impl IntoIterator<Item = Name>,
+) -> Rewritten {
+    let prov: Vec<(usize, Name)> =
+        prov_names.into_iter().enumerate().map(|(k, name)| (names.len() + k, name)).collect();
+    debug_assert_eq!(names.len() + prov.len(), plan.output_arity());
+    Rewritten { plan: Arc::new(plan), names, prov }
 }
 
 /// A human-readable relation label for R1-style rewrites of non-relation sub-plans.
-fn relation_label(plan: &LogicalPlan) -> String {
+fn relation_label(plan: &LogicalPlan) -> &str {
     match plan {
-        LogicalPlan::BaseRelation { name, .. } => name.clone(),
-        LogicalPlan::SubqueryAlias { alias, .. } => alias.clone(),
+        LogicalPlan::BaseRelation { name, .. } => name,
+        LogicalPlan::SubqueryAlias { alias, .. } => alias,
         LogicalPlan::ProvenanceAnnotation { input, .. } => relation_label(input),
-        _ => "subquery".to_string(),
+        _ => "subquery",
     }
 }
 

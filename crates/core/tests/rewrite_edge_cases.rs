@@ -250,3 +250,120 @@ fn non_ascii_literals_match_text_stored_through_the_api() {
         assert_eq!(rows, vec![Tuple::new(vec![Value::text("Zürich")]); 2], "{sql}");
     }
 }
+
+/// The attribute names of `result`'s schema, with a check that no two are alike.
+fn unique_names(result: &perm_storage::Relation) -> Vec<String> {
+    let names = result.schema().attribute_names();
+    let distinct: std::collections::HashSet<&String> = names.iter().collect();
+    assert_eq!(distinct.len(), names.len(), "duplicate attribute names: {names:?}");
+    names
+}
+
+/// Π_T(q⁺) = q: the rewritten query's original columns hold exactly q's result.
+fn assert_projects_to(db: &PermDb, provenance: &perm_storage::Relation, sql: &str) {
+    let original = db.execute_sql(sql).unwrap();
+    let columns: Vec<usize> = (0..original.arity()).collect();
+    assert!(provenance.project(&columns).bag_eq(&original), "Π_T(q+) differs from q for {sql}");
+}
+
+/// The paper's scheme alone names the second reference to `t` and the first to `t_1` alike
+/// (`prov_t_1_x`), and `t(a_b)` and `t_a(b)` alike (`prov_t_a_b`). A reference whose name is
+/// taken moves on to its next number, so every provenance attribute stays addressable.
+#[test]
+fn colliding_provenance_attribute_names_are_renumbered() {
+    let db = PermDb::new();
+    db.execute_script(
+        "CREATE TABLE t (x INT); CREATE TABLE t_1 (x INT);
+         INSERT INTO t VALUES (1), (2); INSERT INTO t_1 VALUES (1), (3);",
+    )
+    .unwrap();
+    let sql = "SELECT PROVENANCE a.x FROM t AS a, t AS b, t_1 AS c";
+    let result = db.execute_sql(sql).unwrap();
+    assert_eq!(unique_names(&result), ["x", "prov_t_x", "prov_t_1_x", "prov_t_1_1_x"]);
+    assert_projects_to(&db, &result, &sql.replace("PROVENANCE ", ""));
+
+    let db = PermDb::new();
+    db.execute_script(
+        "CREATE TABLE t (a_b INT); CREATE TABLE t_a (b INT);
+         INSERT INTO t VALUES (1), (2); INSERT INTO t_a VALUES (5);",
+    )
+    .unwrap();
+    let sql = "SELECT PROVENANCE a_b, b FROM t, t_a";
+    let result = db.execute_sql(sql).unwrap();
+    assert_eq!(unique_names(&result), ["a_b", "b", "prov_t_a_b", "prov_t_a_1_b"]);
+    assert_projects_to(&db, &result, &sql.replace("PROVENANCE ", ""));
+
+    // Stored provenance keeps its names, so a fresh reference to the same relation after it
+    // takes the next number.
+    let db = self::db();
+    db.execute_sql("SELECT PROVENANCE sum(price) AS total INTO tip FROM items").unwrap();
+    let sql = "SELECT PROVENANCE total, id FROM tip PROVENANCE (prov_items_id, prov_items_price), \
+               items WHERE id = prov_items_id";
+    let result = db.execute_sql(sql).unwrap();
+    assert_eq!(
+        unique_names(&result),
+        [
+            "total",
+            "id",
+            "prov_items_id",
+            "prov_items_price",
+            "prov_items_1_id",
+            "prov_items_1_price"
+        ]
+    );
+}
+
+/// Stored with `INTO`, each renumbered provenance attribute is a column of its own that a later
+/// query can name.
+#[test]
+fn renumbered_provenance_attributes_round_trip_through_into() {
+    let db = PermDb::new();
+    db.execute_script(
+        "CREATE TABLE t (x INT); CREATE TABLE t_1 (x INT);
+         INSERT INTO t VALUES (1), (2); INSERT INTO t_1 VALUES (7);",
+    )
+    .unwrap();
+    let stored =
+        db.execute_sql("SELECT PROVENANCE a.x INTO st FROM t AS a, t AS b, t_1 AS c").unwrap();
+    assert_eq!(stored.num_rows(), 4);
+    let read = db.execute_sql("SELECT prov_t_1_x, prov_t_1_1_x FROM st").unwrap();
+    assert_eq!(read.num_rows(), 4);
+    // `prov_t_1_x` is the second reference to `t`, `prov_t_1_1_x` the reference to `t_1`.
+    assert!(read.iter().all(|row| row[1] == Value::Int(7) && row[0] != Value::Int(7)));
+}
+
+/// The R6 join-back conditions name every column by the joined schema's own attribute, so
+/// `EXPLAIN` of a provenance `UNION ALL` reads as the columns it compares.
+#[test]
+fn explain_names_the_set_operation_join_back_columns() {
+    let db = PermDb::new();
+    db.execute_script(
+        "CREATE TABLE part (p_partkey INT, p_size INT);
+         INSERT INTO part VALUES (1, 10), (2, 20), (3, 30);",
+    )
+    .unwrap();
+    let explain = db
+        .execute_sql(
+            "EXPLAIN SELECT PROVENANCE p_partkey, p_size FROM part WHERE p_partkey < 3 \
+             UNION ALL SELECT p_partkey, p_size FROM part WHERE p_partkey > 1",
+        )
+        .unwrap();
+    let text: Vec<String> = explain
+        .iter()
+        .map(|row| match &row[0] {
+            Value::Text(line) => line.to_string(),
+            other => panic!("EXPLAIN prints text, got {other:?}"),
+        })
+        .collect();
+    let text = text.join("\n");
+    for truthful in [
+        "(p_partkey#0 IS NOT DISTINCT FROM lhat_0_p_partkey#2)",
+        "(p_size#1 IS NOT DISTINCT FROM lhat_1_p_size#3)",
+        "IS NOT DISTINCT FROM rhat_0_p_partkey#",
+    ] {
+        assert!(text.contains(truthful), "missing `{truthful}` in\n{text}");
+    }
+    for made_up in ["c0#", "lhat_0#", "rhat_0#"] {
+        assert!(!text.contains(made_up), "made-up column name `{made_up}` in\n{text}");
+    }
+}

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use perm_algebra::{JoinKind, LogicalPlan, ScalarExpr, Tuple, Value};
+use perm_algebra::{JoinKind, LogicalPlan, Name, ScalarExpr, Tuple, Value};
 
 use crate::error::ExecError;
 use crate::eval::evaluate;
@@ -807,14 +807,14 @@ fn prune(plan: &LogicalPlan, required: &[usize]) -> Result<(LogicalPlan, Vec<usi
                 if required_out.len() == exprs.len() {
                     return Ok((plan.clone(), required_out));
                 }
-                let exprs: Vec<(ScalarExpr, String)> =
+                let exprs: Vec<(ScalarExpr, Name)> =
                     required_out.iter().map(|&i| exprs[i].clone()).collect();
                 (
                     LogicalPlan::Projection { input: input.clone(), exprs, distinct: *distinct },
                     required_out,
                 )
             } else {
-                let kept_exprs: Vec<&(ScalarExpr, String)> =
+                let kept_exprs: Vec<&(ScalarExpr, Name)> =
                     required_out.iter().map(|&i| &exprs[i]).collect();
                 let needed = nonempty(columns_of(kept_exprs.iter().map(|(e, _)| e)));
                 let (child, kept_child) = prune(input, &needed)?;
@@ -985,8 +985,8 @@ pub(crate) fn project_onto(plan: LogicalPlan, positions: &[usize]) -> LogicalPla
     let exprs = positions
         .iter()
         .map(|&i| {
-            let name =
-                schema.attribute(i).map(|a| a.name.clone()).unwrap_or_else(|_| format!("c{i}"));
+            let name: Name =
+                schema.attribute(i).map_or_else(|_| format!("c{i}").into(), |a| a.name.clone());
             (ScalarExpr::column(i, name.clone()), name)
         })
         .collect();

@@ -568,7 +568,7 @@ mod tests {
 
     fn scan(name: &str, ref_id: usize) -> Arc<LogicalPlan> {
         Arc::new(LogicalPlan::BaseRelation {
-            name: name.to_string(),
+            name: name.into(),
             alias: None,
             schema: Schema::from_pairs(&[("k", DataType::Int)]),
             ref_id,
@@ -686,9 +686,11 @@ mod tests {
             panic!("projection input must be the flipped join");
         };
         assert_eq!(*kind, JoinKind::Inner);
-        assert!(matches!(left.as_ref(), LogicalPlan::BaseRelation { name, .. } if name == "big"));
         assert!(
-            matches!(right.as_ref(), LogicalPlan::BaseRelation { name, .. } if name == "small")
+            matches!(left.as_ref(), LogicalPlan::BaseRelation { name, .. } if &**name == "big")
+        );
+        assert!(
+            matches!(right.as_ref(), LogicalPlan::BaseRelation { name, .. } if &**name == "small")
         );
         assert_eq!(swapped.schema(), plan.schema());
     }

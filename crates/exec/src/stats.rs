@@ -497,7 +497,7 @@ mod tests {
     fn base(name: &str, cols: &[&str]) -> LogicalPlan {
         let pairs: Vec<(&str, DataType)> = cols.iter().map(|c| (*c, DataType::Int)).collect();
         LogicalPlan::BaseRelation {
-            name: name.to_string(),
+            name: name.into(),
             alias: None,
             schema: Schema::from_pairs(&pairs),
             ref_id: 0,
@@ -622,7 +622,7 @@ mod tests {
         let v = view();
         let agg = LogicalPlan::Aggregation {
             input: Arc::new(base("r", &["k", "v"])),
-            group_by: vec![(ScalarExpr::column(0, "k"), "k".to_string())],
+            group_by: vec![(ScalarExpr::column(0, "k"), "k".into())],
             aggregates: vec![],
         };
         let est = Estimator::new(&v).estimate(&agg);

@@ -33,22 +33,22 @@ struct CacheEntry {
     version: u64,
 }
 
+/// The map and the recency order share each key: a normalized text is held once per entry.
 #[derive(Default)]
 struct CacheInner {
-    map: HashMap<String, CacheEntry>,
+    map: HashMap<Arc<str>, CacheEntry>,
     /// Keys in least-recently-used-first order.
-    order: VecDeque<String>,
+    order: VecDeque<Arc<str>>,
     hits: u64,
     misses: u64,
     invalidations: u64,
 }
 
 impl CacheInner {
-    fn touch(&mut self, key: &str) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(key.to_string());
+    /// Take `key` out of the recency order, if it is there.
+    fn forget(&mut self, key: &str) -> Option<Arc<str>> {
+        let pos = self.order.iter().position(|k| **k == *key)?;
+        self.order.remove(pos)
     }
 }
 
@@ -87,14 +87,14 @@ impl PlanCache {
             Some(entry) if entry.version == version => {
                 let plan = entry.plan.clone();
                 inner.hits += 1;
-                inner.touch(key);
+                if let Some(shared) = inner.forget(key) {
+                    inner.order.push_back(shared);
+                }
                 Some(plan)
             }
             Some(_) => {
                 inner.map.remove(key);
-                if let Some(pos) = inner.order.iter().position(|k| k == key) {
-                    inner.order.remove(pos);
-                }
+                inner.forget(key);
                 inner.invalidations += 1;
                 inner.misses += 1;
                 None
@@ -111,14 +111,18 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
+        let key = Arc::<str>::from(key);
         let mut inner = self.inner.lock();
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
+        // A replaced entry gives up its key too, so map and order keep sharing one.
+        if inner.map.remove(&key).is_some() {
+            inner.forget(&key);
+        } else if inner.map.len() >= self.capacity {
             if let Some(evicted) = inner.order.pop_front() {
                 inner.map.remove(&evicted);
             }
         }
         inner.map.insert(key.clone(), CacheEntry { plan, version });
-        inner.touch(&key);
+        inner.order.push_back(key);
     }
 
     /// Drop every entry (counters are preserved).
@@ -228,6 +232,21 @@ mod tests {
         assert_ne!(query, comment_eats_from);
         // A `--` inside a string is not a comment.
         assert_eq!(normalize_sql("SELECT '--x'  FROM t"), "SELECT '--x' FROM t");
+    }
+
+    #[test]
+    fn map_and_recency_order_share_each_key() {
+        let cache = PlanCache::new(2);
+        cache.insert("a".into(), 1, plan());
+        cache.insert("b".into(), 1, plan());
+        cache.insert("a".into(), 2, plan());
+        assert!(cache.get("b", 1).is_some());
+        let inner = cache.inner.lock();
+        assert_eq!(inner.order.iter().map(|k| &**k).collect::<Vec<_>>(), ["a", "b"]);
+        for key in &inner.order {
+            let (shared, _) = inner.map.get_key_value(key).unwrap();
+            assert!(Arc::ptr_eq(shared, key), "{key} is held twice");
+        }
     }
 
     #[test]

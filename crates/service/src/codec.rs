@@ -697,7 +697,7 @@ mod tests {
         let decoded = decode_schema(&bytes[1..]).unwrap();
         assert_eq!(decoded.arity(), schema.arity());
         for (a, b) in decoded.attributes().iter().zip(schema.attributes()) {
-            assert_eq!((a.name.as_str(), a.data_type), (b.name.as_str(), b.data_type));
+            assert_eq!((&a.name, a.data_type), (&b.name, b.data_type));
         }
     }
 

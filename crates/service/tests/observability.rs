@@ -190,7 +190,7 @@ fn explain_shows_estimated_rows_without_executing() {
     let session = engine.session();
 
     let plan = session.execute("EXPLAIN SELECT * FROM big WHERE id < 1500").unwrap();
-    assert_eq!(plan.schema().attributes()[0].name, "QUERY PLAN");
+    assert_eq!(&*plan.schema().attributes()[0].name, "QUERY PLAN");
     let text = plan
         .iter()
         .map(|t| match &t.values()[0] {

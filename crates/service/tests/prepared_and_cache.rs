@@ -164,7 +164,7 @@ fn comments_around_explain_keywords_change_nothing() {
     let session = engine.session();
     let last_line = |sql: &str| {
         let plan = session.execute(sql).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
-        assert_eq!(plan.schema().attributes()[0].name, "QUERY PLAN", "{sql:?}");
+        assert_eq!(&*plan.schema().attributes()[0].name, "QUERY PLAN", "{sql:?}");
         plan.iter().last().map(|t| t.values()[0].clone()).unwrap()
     };
     let query = "SELECT id FROM items WHERE price > 20";

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use perm_algebra::{
-    AggregateExpr, AggregateFunction, Attribute, BinaryOperator, JoinKind, LogicalPlan,
+    AggregateExpr, AggregateFunction, Attribute, BinaryOperator, JoinKind, LogicalPlan, Name,
     ProvenanceAnnotationKind, ScalarExpr, ScalarFunction, Schema, SetOpKind, SetSemantics, SortKey,
     SublinkKind, Tuple, UnaryOperator, Value,
 };
@@ -415,17 +415,16 @@ impl Analyzer {
             for (i, g) in agg_group_asts.iter().enumerate() {
                 let bound = self.bind_expr(g, &input_schema, ctx, None)?;
                 let name = match g {
-                    Expr::Identifier(name) => {
-                        name.rsplit('.').next().unwrap_or(name).to_ascii_lowercase()
-                    }
+                    Expr::Identifier(_) => g.suggested_name(),
                     _ => format!("group_{i}"),
                 };
+                let name = output_name(&bound, name);
                 group_by.push((bound, name));
             }
             let mut aggregates = Vec::with_capacity(agg_call_asts.len());
             for (i, call) in agg_call_asts.iter().enumerate() {
                 let agg = self.bind_aggregate_call(call, &input_schema, ctx)?;
-                aggregates.push((agg, format!("agg_{i}")));
+                aggregates.push((agg, format!("agg_{i}").into()));
             }
 
             plan = LogicalPlan::Aggregation { input: Arc::new(plan), group_by, aggregates };
@@ -453,7 +452,7 @@ impl Analyzer {
 
         // 5. Projection.
         let current_schema = plan.schema();
-        let mut exprs: Vec<(ScalarExpr, String)> = Vec::new();
+        let mut exprs: Vec<(ScalarExpr, Name)> = Vec::new();
         for item in &select.projection {
             match item {
                 SelectItem::Wildcard => {
@@ -492,6 +491,7 @@ impl Analyzer {
                         .as_ref()
                         .map(|a| a.to_ascii_lowercase())
                         .unwrap_or_else(|| expr.suggested_name());
+                    let name = output_name(&bound, name);
                     exprs.push((bound, name));
                 }
             }
@@ -510,12 +510,17 @@ impl Analyzer {
             TableRef::Table { name, alias, annotation } => {
                 let lname = name.to_ascii_lowercase();
                 let base = if self.catalog.has_table(&lname) {
+                    // The schema's attribute names are the catalog's own; one qualifier is
+                    // allocated for the reference and shared by every attribute (and by the
+                    // relation's name or alias, whichever it is).
                     let schema = self.catalog.table_schema(&lname)?;
-                    let qualifier = alias.as_deref().unwrap_or(&lname).to_ascii_lowercase();
+                    let name = Name::from(lname.as_str());
+                    let alias = alias.as_ref().map(|a| Name::from(a.to_ascii_lowercase()));
+                    let qualifier = alias.clone().unwrap_or_else(|| name.clone());
                     LogicalPlan::BaseRelation {
-                        name: lname.clone(),
-                        alias: alias.as_ref().map(|a| a.to_ascii_lowercase()),
-                        schema: schema.with_qualifier(&qualifier),
+                        name,
+                        alias,
+                        schema: schema.with_qualifier(qualifier),
                         ref_id: ctx.next_ref(),
                     }
                 } else if let Some(view) = self.catalog.view(&lname) {
@@ -529,7 +534,7 @@ impl Analyzer {
                     let plan = self.analyze_query(&query, ctx)?;
                     ctx.view_stack.pop();
                     let qualifier = alias.as_deref().unwrap_or(&lname).to_ascii_lowercase();
-                    LogicalPlan::SubqueryAlias { input: Arc::new(plan), alias: qualifier }
+                    LogicalPlan::SubqueryAlias { input: Arc::new(plan), alias: qualifier.into() }
                 } else {
                     return Err(SqlError::analyze(format!("relation '{name}' does not exist")));
                 };
@@ -539,7 +544,7 @@ impl Analyzer {
                 let plan = self.analyze_query(query, ctx)?;
                 let aliased = LogicalPlan::SubqueryAlias {
                     input: Arc::new(plan),
-                    alias: alias.to_ascii_lowercase(),
+                    alias: alias.to_ascii_lowercase().into(),
                 };
                 Ok(apply_annotation(aliased, annotation))
             }
@@ -833,6 +838,15 @@ impl Analyzer {
     }
 }
 
+/// The output name `name` of `bound`: a column reference that already carries this name lends
+/// its shared copy, so `SELECT a` or `GROUP BY a` allocates no name of its own.
+fn output_name(bound: &ScalarExpr, name: String) -> Name {
+    match bound {
+        ScalarExpr::Column { name: shared, .. } if **shared == *name => shared.clone(),
+        _ => name.into(),
+    }
+}
+
 fn apply_annotation(plan: LogicalPlan, annotation: &Option<FromAnnotation>) -> LogicalPlan {
     match annotation {
         None => plan,
@@ -843,7 +857,7 @@ fn apply_annotation(plan: LogicalPlan, annotation: &Option<FromAnnotation>) -> L
         Some(FromAnnotation::Provenance(attrs)) => LogicalPlan::ProvenanceAnnotation {
             input: Arc::new(plan),
             kind: ProvenanceAnnotationKind::AlreadyRewritten(
-                attrs.iter().map(|a| a.to_ascii_lowercase()).collect(),
+                attrs.iter().map(|a| Name::from(a.to_ascii_lowercase())).collect(),
             ),
         },
     }
@@ -1159,7 +1173,7 @@ mod tests {
         // The marker must sit *below* the sort: rewrite happens before ORDER BY is applied.
         let LogicalPlan::Sort { input, .. } = &plan else { panic!("expected sort on top") };
         assert!(
-            matches!(input.as_ref(), LogicalPlan::SubqueryAlias { alias, .. } if alias == "rewritten")
+            matches!(input.as_ref(), LogicalPlan::SubqueryAlias { alias, .. } if &**alias == "rewritten")
         );
     }
 

@@ -63,6 +63,7 @@ mod lint {
     const RULE_ROW_VIEW: &str = "row-view-in-served-path";
     const RULE_BOXED_TEXT: &str = "boxed-text-column";
     const RULE_THREAD: &str = "thread-in-served-path";
+    const RULE_OWNED_NAME: &str = "owned-name-in-plan";
 
     /// Vectorized kernel files: integer arithmetic here must go through checked kernels
     /// (`i64::checked_add` & friends), never plain `+`/`-`/`*` closures or `wrapping_*`.
@@ -107,6 +108,14 @@ mod lint {
         "crates/service/src/engine.rs",
     ];
 
+    /// The plan IR: a name held by a schema, an expression or a plan node is a shared
+    /// `perm_algebra::Name`, so a field here must not own a `String`.
+    const PLAN_IR_FILES: &[&str] = &[
+        "crates/algebra/src/schema.rs",
+        "crates/algebra/src/expr.rs",
+        "crates/algebra/src/plan.rs",
+    ];
+
     /// Run every rule over the workspace; returns the violation count.
     pub fn run() -> Result<usize, std::io::Error> {
         let root = workspace_root()?;
@@ -136,6 +145,9 @@ mod lint {
             if THREADLESS_FILES.iter().any(|k| rel == Path::new(k)) {
                 scan_thread_spawn(rel, &text, &mut violations);
             }
+            if PLAN_IR_FILES.iter().any(|k| rel == Path::new(k)) {
+                scan_owned_name(rel, &text, &mut violations);
+            }
         }
         for file in crate_roots(&root)? {
             let text = std::fs::read_to_string(&file)?;
@@ -151,7 +163,8 @@ mod lint {
 
     /// Rule `listed-file-missing`: every path in the rule scopes ([`KERNEL_FILES`],
     /// [`HOT_PATH_FILES`], [`SERVED_PATH`], [`ORACLE_FILES`], [`EVALUATOR_FILES`],
-    /// [`ENGINE_FILES`], [`THREADLESS_FILES`]) must be, or contain, one of the scanned sources.
+    /// [`ENGINE_FILES`], [`THREADLESS_FILES`], [`PLAN_IR_FILES`]) must be, or contain, one of
+    /// the scanned sources.
     /// The per-file rules only run on listed paths, so a rename or delete would otherwise switch
     /// them off without a word.
     fn check_listed_files(scanned: &[&Path], out: &mut Vec<Violation>) {
@@ -163,6 +176,7 @@ mod lint {
             ("EVALUATOR_FILES", EVALUATOR_FILES),
             ("ENGINE_FILES", ENGINE_FILES),
             ("THREADLESS_FILES", THREADLESS_FILES),
+            ("PLAN_IR_FILES", PLAN_IR_FILES),
         ] {
             for listed in files {
                 if !scanned.iter().any(|p| p.starts_with(listed)) {
@@ -573,6 +587,63 @@ mod lint {
         }
     }
 
+    /// Rule `owned-name-in-plan`: no `String` in a field of a `struct` or `enum` declared in
+    /// non-test code of [`PLAN_IR_FILES`] — bare, or inside a `Vec`, an `Option` or a tuple. A
+    /// rewritten plan repeats each provenance attribute name at every operator it passes, so an
+    /// owned name there is a heap string per repetition; a `Name` is one refcount bump.
+    fn scan_owned_name(file: &Path, text: &str, out: &mut Vec<Violation>) {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut tests = TestRegions::new();
+        let mut depth: i32 = 0;
+        // The brace depth outside the `struct` / `enum` being declared, while inside it.
+        let mut declaration: Option<i32> = None;
+        for (i, line) in lines.iter().enumerate() {
+            let in_test = tests.observe(line);
+            let code = code_of(line);
+            let trimmed = code.trim_start();
+            let item = trimmed
+                .strip_prefix("pub(crate) ")
+                .or_else(|| trimmed.strip_prefix("pub "))
+                .unwrap_or(trimmed);
+            if declaration.is_none() && (item.starts_with("struct ") || item.starts_with("enum ")) {
+                declaration = Some(depth);
+            }
+            if declaration.is_some()
+                && !in_test
+                && has_word(code, "String")
+                && !allowed(&lines, i, RULE_OWNED_NAME)
+            {
+                out.push(Violation {
+                    file: file.to_path_buf(),
+                    line: i + 1,
+                    rule: RULE_OWNED_NAME,
+                    message: "an owned `String` in a plan IR type: hold names as `perm_algebra::Name` (`Arc<str>`), allocated once and shared"
+                        .into(),
+                });
+            }
+            for c in code.chars() {
+                match c {
+                    '{' => depth += 1,
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+            }
+            if declaration.is_some_and(|outside| depth <= outside)
+                && (code.contains('}') || code.contains(';'))
+            {
+                declaration = None;
+            }
+        }
+    }
+
+    /// Does `word` occur in `code` as a whole identifier?
+    fn has_word(code: &str, word: &str) -> bool {
+        let ident = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+        code.match_indices(word).any(|(at, _)| {
+            !ident(code[..at].chars().next_back()) && !ident(code[at + word.len()..].chars().next())
+        })
+    }
+
     /// Rules `forbid-unsafe` and `deny-unwrap-header`: every crate root must carry
     /// `#![forbid(unsafe_code)]` and `#![deny(clippy::unwrap_used, clippy::expect_used)]`.
     fn scan_crate_root_headers(file: &Path, text: &str, out: &mut Vec<Violation>) {
@@ -665,6 +736,7 @@ mod tests {{
                 .chain(EVALUATOR_FILES)
                 .chain(ENGINE_FILES)
                 .chain(THREADLESS_FILES)
+                .chain(PLAN_IR_FILES)
                 .chain(&["crates/storage/src/catalog.rs"])
                 .map(Path::new)
                 .collect();
@@ -712,6 +784,42 @@ mod tests {
                     violations.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
                     vec![(2, RULE_THREAD), (3, RULE_THREAD)],
                     "{file}"
+                );
+            }
+        }
+
+        #[test]
+        fn an_owned_name_in_a_plan_type_is_flagged_outside_tests_and_escapes() {
+            let text = "\
+pub struct Attribute {
+    pub name: String,
+    pub qualifier: Option<Name>,
+}
+pub enum LogicalPlan {
+    Projection { exprs: Vec<(ScalarExpr, String)>, distinct: bool },
+    Rewritten(Vec<String>),
+    Alias {
+        alias: Option<String>, // xtask-allow: owned-name-in-plan
+        label: ToString,
+    },
+}
+pub struct Label(String);
+struct Unit;
+impl Attribute {
+    pub fn qualified_name(&self) -> String { String::new() }
+}
+#[cfg(test)]
+mod tests {
+    struct Fixture { name: String }
+}
+";
+            for file in PLAN_IR_FILES {
+                let mut violations = Vec::new();
+                scan_owned_name(Path::new(file), text, &mut violations);
+                assert_eq!(
+                    violations.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>(),
+                    [2, 6, 7, 13].map(|line| (line, RULE_OWNED_NAME)),
+                    "{file}: only fields of plan types in non-test code"
                 );
             }
         }

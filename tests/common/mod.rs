@@ -1,5 +1,5 @@
 //! A counting global allocator for the memory-bound tests (`factorized_memory`,
-//! `catalog_memory`). Each of them installs it with `#[global_allocator]` and holds one
+//! `catalog_memory`, `plan_memory`). Each of them installs it with `#[global_allocator]` and holds one
 //! `#[test]`: the counters cover the whole process, and cargo runs the tests of one file on
 //! parallel threads.
 
@@ -39,6 +39,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 }
 
 /// Bytes the heap grew to, over what was live at the start, while `f` ran.
+#[allow(dead_code)] // not every test measures a high-water mark
 pub fn high_water_over_base<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);

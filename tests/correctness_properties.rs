@@ -172,7 +172,7 @@ proptest! {
         let names: Vec<String> = schema
             .provenance_indices()
             .into_iter()
-            .map(|i| schema.attributes()[i].name.clone())
+            .map(|i| schema.attributes()[i].name.to_string())
             .collect();
         for name in &names {
             prop_assert!(name.starts_with("prov_"), "bad provenance attribute name {name}");

@@ -770,11 +770,11 @@ fn keys_hashed_in_place_agree_with_reference_at_every_degree() {
             if keys.iter().any(|&k| k >= input.schema().arity()) {
                 continue;
             }
-            let group_by = keys.iter().map(|&k| (col(k), format!("k{k}"))).collect();
+            let group_by = keys.iter().map(|&k| (col(k), format!("k{k}").into())).collect();
             let aggregates = vec![
-                (AggregateExpr::count_star(), "n".to_string()),
-                (AggregateExpr::new(AggregateFunction::Sum, col(i)), "s".to_string()),
-                (AggregateExpr::new(AggregateFunction::Min, col(t)), "m".to_string()),
+                (AggregateExpr::count_star(), "n".into()),
+                (AggregateExpr::new(AggregateFunction::Sum, col(i)), "s".into()),
+                (AggregateExpr::new(AggregateFunction::Min, col(t)), "m".into()),
             ];
             let plan = input.clone().aggregate(group_by, aggregates).build();
             let context = format!("GROUP BY {name} over a {input_name}");
@@ -793,7 +793,7 @@ fn keys_hashed_in_place_agree_with_reference_at_every_degree() {
             assert!(groups.len() > 10, "{context} has groups");
         }
         // DISTINCT is a key of every column.
-        let exprs = vec![(col(t), "t".to_string()), (col(f), "f".to_string())];
+        let exprs = vec![(col(t), "t".into()), (col(f), "f".into())];
         let (distinct, _) = check(
             &input.clone().project_distinct(exprs).build(),
             &format!("DISTINCT (text, Float) over a {input_name}"),
@@ -804,8 +804,8 @@ fn keys_hashed_in_place_agree_with_reference_at_every_degree() {
     // The R5 join-back itself: the rewritten aggregation joins its groups back to the
     // rewritten input on `IS NOT DISTINCT FROM`, here over text and Float keys with NULLs.
     for keys in [vec![t], vec![t, f]] {
-        let group_by = keys.iter().map(|&k| (col(k), format!("k{k}"))).collect();
-        let aggregates = vec![(AggregateExpr::count_star(), "n".to_string())];
+        let group_by = keys.iter().map(|&k| (col(k), format!("k{k}").into())).collect();
+        let aggregates = vec![(AggregateExpr::count_star(), "n".into())];
         let plan = scan("b", 0).aggregate(group_by, aggregates).build();
         let rewritten = ProvenanceRewriter::new().rewrite(&plan).unwrap();
         let (engine, _) = check(&rewritten, &format!("R5 join-back on columns {keys:?}"));
@@ -1353,7 +1353,7 @@ fn join_graph_plan(
 ) -> perm_algebra::LogicalPlan {
     let scan = |i: usize| {
         let name = format!("t{i}");
-        perm_algebra::PlanBuilder::scan(&name, catalog.table_schema(&name).unwrap(), i)
+        perm_algebra::PlanBuilder::scan(name.as_str(), catalog.table_schema(&name).unwrap(), i)
     };
     let mut builder = scan(0);
     let mut arity = 2;
