@@ -777,6 +777,10 @@ pub fn prune_columns(plan: &LogicalPlan) -> Result<LogicalPlan, ExecError> {
 /// more).
 fn prune(plan: &LogicalPlan, required: &[usize]) -> Result<(LogicalPlan, Vec<usize>), ExecError> {
     let arity = plan.output_arity();
+    if arity == 0 {
+        // A zero-width input (`SELECT 1` reads one empty row) has no column to keep or narrow.
+        return Ok((plan.clone(), Vec::new()));
+    }
     let all = || (0..arity).collect::<Vec<usize>>();
     Ok(match plan {
         LogicalPlan::BaseRelation { .. } => {
@@ -1307,6 +1311,21 @@ mod tests {
         assert_eq!(right.output_arity(), 1, "right side keeps only b0");
         // The remapped condition references the narrowed column space.
         assert_eq!(condition.as_ref().unwrap().columns_used(), vec![0, 2]);
+    }
+
+    #[test]
+    fn pruning_leaves_a_zero_width_input_alone() {
+        // SELECT 1: a projection over one row of no columns.
+        let one_empty_row = LogicalPlan::Values {
+            schema: Schema::empty(),
+            rows: vec![perm_algebra::Tuple::new(vec![])],
+        };
+        let plan = PlanBuilder::from_plan(one_empty_row)
+            .project(vec![(ScalarExpr::literal(1i64), "c".into())])
+            .build();
+        let optimized = Optimizer::new().optimize(&plan).unwrap();
+        optimized.verify().unwrap();
+        assert_eq!(optimized, plan);
     }
 
     #[test]

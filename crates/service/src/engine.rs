@@ -187,12 +187,13 @@ impl Engine {
         }
     }
 
-    /// Plan-cache counters (hits / misses / invalidations / entries).
+    /// Plan-cache counters (hits / misses / invalidations / deferred / entries).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// Drop every cached plan (counters survive).
+    /// Drop every cached plan (counters survive). The cache remembers each dropped text, so a
+    /// text planned again after the clear is cached at once, as if it had been invalidated.
     pub fn clear_plan_cache(&self) {
         self.cache.clear();
     }
@@ -223,6 +224,7 @@ impl Engine {
     ///
     /// Cache entries are keyed by [`normalize_sql`]d text and tagged with the catalog version
     /// observed at planning time; any DDL/DML commit bumps the version and invalidates them.
+    /// The cache keeps a text's plan from its second planning on ([`PlanCache::insert`]).
     pub fn plan_query(&self, sql: &str, optimize: bool) -> Result<Arc<PreparedPlan>, ServiceError> {
         if !optimize {
             return Ok(Arc::new(self.plan_query_uncached(sql, false)?));

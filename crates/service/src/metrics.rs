@@ -563,6 +563,10 @@ const FAMILIES: &[Family] = &[
         stats: ("plan_cache", "invalidations"),
         help: "Cached plans dropped because the catalog version moved past them.",
         read: |s| Reading::Scalar(s.cache.invalidations) },
+    Family { name: "perm_plan_cache_deferred_total", kind: "counter",
+        stats: ("plan_cache", "deferred"),
+        help: "Plan-cache misses whose plan was not kept because the text was new to the cache.",
+        read: |s| Reading::Scalar(s.cache.deferred) },
     Family { name: "perm_plan_cache_entries", kind: "gauge", stats: ("plan_cache", "entries"),
         help: "Plans currently cached.",
         read: |s| Reading::Scalar(s.cache.entries as u64) },
@@ -792,7 +796,7 @@ mod tests {
     /// what the two hand-written renderers produced for it before the family table replaced them.
     fn fixture_snapshot() -> StatsSnapshot {
         StatsSnapshot {
-            cache: CacheStats { hits: 12, misses: 3, invalidations: 2, entries: 5 },
+            cache: CacheStats { hits: 12, misses: 3, invalidations: 2, deferred: 1, entries: 5 },
             governor: GovernorStats {
                 active_queries: 1,
                 reserved_bytes: 65_536,

@@ -258,7 +258,7 @@ fn send_frame(writer: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Is this request `cancel`, the one request valid during a result stream?
-fn is_cancel(request: &str) -> bool {
+pub(crate) fn is_cancel(request: &str) -> bool {
     request.trim().eq_ignore_ascii_case("cancel")
 }
 

@@ -12,6 +12,8 @@
 //! * `\metrics` — the same snapshot as a Prometheus text exposition
 //! * `\profile` — the recent-query ring: outcome, latency, rows and (for `EXPLAIN ANALYZE`
 //!   runs) the annotated operator tree
+//! * `\cancel` — sent, but the shell runs one request at a time, so no stream is in progress:
+//!   it prints `(no result stream to cancel)` and waits for no response
 //! * `\ping`, `\shutdown`, `\q`
 //!
 //! Empty lines and `--` comments are skipped.
@@ -31,6 +33,7 @@ use std::time::Duration;
 use perm_algebra::{DataChunk, Schema};
 
 use crate::codec::{self, tag, PROTOCOL_VERSION};
+use crate::server::is_cancel;
 use crate::wire::{read_bytes_frame, write_frame};
 
 /// One decoded response frame from the server.
@@ -156,7 +159,16 @@ impl Client {
     /// rendered as tab-separated text (header line + one line per row, `ok` for statements
     /// without columns), or `Err(message)`. A mid-stream error discards the partial rows — the
     /// caller never sees a silently truncated table.
+    ///
+    /// `cancel` is refused with [`io::ErrorKind::InvalidInput`] and not sent: outside a result
+    /// stream the server gives it no response, so there would be nothing to read.
     pub fn roundtrip(&mut self, command: &str) -> io::Result<Result<String, String>> {
+        if is_cancel(command) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "'cancel' gets no response outside a result stream; send it with Client::send",
+            ));
+        }
         self.send(command)?;
         match self.read_response()? {
             ResponseFrame::Ok(body) => Ok(Ok(body)),
@@ -254,6 +266,12 @@ pub fn run_shell(
             Some(Some(request)) => request,
         };
         client.send(&request)?;
+        if is_cancel(&request) {
+            // The shell runs one request at a time, so no stream is in progress: the server
+            // ignores this `cancel` and sends nothing to read.
+            writeln!(output, "(no result stream to cancel)")?;
+            continue;
+        }
         let mut streamed_rows: u64 = 0;
         let mut in_stream = false;
         loop {

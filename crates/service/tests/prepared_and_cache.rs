@@ -1,5 +1,6 @@
 //! Prepared-statement edge cases (re-bind, wrong arity, NULL parameters) and plan-cache
-//! behaviour (hit on repetition, invalidation on DDL/DML commits).
+//! behaviour (kept from a text's second planning, scan resistance, invalidation on DDL/DML
+//! commits).
 
 use std::sync::Arc;
 
@@ -104,8 +105,17 @@ fn plan_cache_hits_and_is_invalidated_by_commits() {
 
     let before = engine.cache_stats();
     session.execute(sql).unwrap();
+    let after_cold = engine.cache_stats();
+    assert_eq!(after_cold.misses, before.misses + 1, "cold run misses");
+    assert_eq!(after_cold.deferred, before.deferred + 1, "a first planning is not kept");
+    assert_eq!(after_cold.entries, before.entries);
+
+    // The text's second planning is cached.
+    session.execute(sql).unwrap();
     let after_first = engine.cache_stats();
-    assert_eq!(after_first.misses, before.misses + 1, "cold run misses");
+    assert_eq!(after_first.misses, after_cold.misses + 1, "second run misses");
+    assert_eq!(after_first.deferred, after_cold.deferred, "and is kept");
+    assert_eq!(after_first.entries, after_cold.entries + 1);
 
     // Trivial reformatting still hits: keys are normalized.
     session
@@ -121,11 +131,12 @@ fn plan_cache_hits_and_is_invalidated_by_commits() {
     engine.session().execute(sql).unwrap();
     assert_eq!(engine.cache_stats().hits, after_second.hits + 1);
 
-    // A DML commit invalidates; the next run re-plans, then caches again.
+    // A DML commit invalidates; the next run re-plans and caches again at once.
     session.execute("INSERT INTO items VALUES (4, 500)").unwrap();
     session.execute(sql).unwrap();
     let after_dml = engine.cache_stats();
     assert_eq!(after_dml.invalidations, after_second.invalidations + 1);
+    assert_eq!(after_dml.deferred, after_second.deferred, "an invalidated text is remembered");
     session.execute(sql).unwrap();
     assert_eq!(engine.cache_stats().hits, after_dml.hits + 1, "cache warm again after re-plan");
 
@@ -139,14 +150,43 @@ fn plan_cache_hits_and_is_invalidated_by_commits() {
     assert_eq!(result.num_rows(), 5);
 }
 
+/// A scan of one-shot texts, many more than the cache holds, leaves the hot texts cached: a
+/// text new to the cache is not kept, so nothing is evicted to make room for it.
+#[test]
+fn one_shot_texts_do_not_evict_hot_plans() {
+    let engine = shop_engine();
+    let session = engine.session();
+    let hot: Vec<String> =
+        (0..8).map(|i| format!("SELECT name FROM shop WHERE numEmpl > {i}")).collect();
+    for _ in 0..3 {
+        for sql in &hot {
+            session.execute(sql).unwrap();
+        }
+    }
+    for i in 0..300 {
+        session.execute(&format!("SELECT id FROM items WHERE price > {i}")).unwrap();
+    }
+    let scanned = engine.cache_stats();
+
+    for sql in &hot {
+        session.execute(sql).unwrap();
+    }
+    let after = engine.cache_stats();
+    assert_eq!(after.hits, scanned.hits + 8, "every hot text is still cached");
+    assert_eq!(after.misses, scanned.misses);
+    assert!(scanned.entries <= 9, "{} plans cached after the scan", scanned.entries);
+    assert!(after.entries <= 9);
+}
+
 #[test]
 fn leading_comments_still_route_queries_through_the_query_path() {
     let engine = shop_engine();
     let session = engine.session();
     // Query-shaped despite the leading comment: must hit the plan cache...
     let sql = "-- the paper's example\nSELECT id FROM items WHERE price > 20";
-    let before = engine.cache_stats();
     assert_eq!(session.execute(sql).unwrap().num_rows(), 2);
+    session.execute(sql).unwrap();
+    let before = engine.cache_stats();
     session.execute(sql).unwrap();
     assert_eq!(engine.cache_stats().hits, before.hits + 1);
     // ...and a parameterized direct query must hit the prepare/execute guard, not a confusing

@@ -323,6 +323,34 @@ fn protocol_doc_lists_the_commands_the_server_knows() {
     handle.wait();
 }
 
+/// Between statements `\cancel` has no stream to stop and the server sends nothing back: the
+/// shell says so and goes on to its next line, and `roundtrip` refuses to wait for an answer.
+#[test]
+fn cancel_outside_a_stream_does_not_hang_the_shell() {
+    let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let (done, finished) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let mut output = Vec::new();
+        let script = Cursor::new("\\cancel\nSELECT 1\n");
+        let errors = perm_service::shell::run_shell(&mut client, script, &mut output);
+        let _ = done.send(errors.map(|errors| (errors, String::from_utf8(output).unwrap())));
+    });
+    let (errors, text) = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the shell is still waiting for an answer to \\cancel")
+        .unwrap();
+    assert_eq!(errors, 0, "{text}");
+    assert!(text.starts_with("(no result stream to cancel)\n"), "{text}");
+    assert_eq!(text.lines().last(), Some("1"), "the statement after \\cancel ran: {text}");
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let refused = client.roundtrip("cancel").unwrap_err();
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong", "nothing was sent");
+    handle.shutdown();
+}
+
 #[test]
 fn shell_runs_scripts_and_counts_errors() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();

@@ -98,7 +98,9 @@ SQL
     exit 0
 fi
 
-OUT="$("$BIN_DIR/perm-shell" --port "$PORT" <<'SQL'
+# Under `timeout`: a shell that waits for an answer the server never sends (`\cancel` between
+# statements gets none) fails the smoke instead of hanging it.
+OUT="$(timeout 20 "$BIN_DIR/perm-shell" --port "$PORT" <<'SQL'
 -- schema + data (the paper's Figure 2 example database)
 CREATE TABLE shop (name TEXT, numEmpl INT)
 CREATE TABLE sales (sName TEXT, itemId INT)
@@ -112,6 +114,8 @@ SELECT PROVENANCE name, sum(price) AS total FROM shop, sales, items WHERE name =
 \prepare pricey SELECT id FROM items WHERE price > $1 ORDER BY id
 \exec pricey (20)
 \exec pricey (99)
+-- no stream is in progress: the shell says so and reads nothing
+\cancel
 \stats
 SQL
 )"
@@ -121,7 +125,10 @@ echo "$OUT"
 echo "$OUT" | grep -q "Joba	50	Joba	14" || { echo "FAIL: provenance row missing"; exit 1; }
 # The prepared statement found items 1 and 3 for $1 = 20, then only item 1 for $1 = 99.
 echo "$OUT" | grep -qx "3" || { echo "FAIL: prepared execution (20) wrong"; exit 1; }
-echo "$OUT" | grep -q "plan_cache" || { echo "FAIL: stats line missing"; exit 1; }
+echo "$OUT" | grep -q "(no result stream to cancel)" \
+    || { echo "FAIL: \\cancel between statements not reported"; exit 1; }
+echo "$OUT" | grep -q "^plan_cache .* deferred=[0-9]" \
+    || { echo "FAIL: stats plan_cache line missing or without deferred="; exit 1; }
 
 # --- Streaming at scale: a 1M-row duplicated-provenance result must flow through the chunked
 # RESULT frames without the server materializing it per session. Two 1000-row tables joined on

@@ -16,7 +16,8 @@
 //! `--bind` sets the listen address (default `127.0.0.1`); with `--port 0` (the default is
 //! 7654) the OS assigns a free port. The bound address is printed as
 //! `permd listening on ADDR:PORT` so scripts can parse it. `--plan-cache-capacity` sizes the
-//! shared plan cache (0 disables caching).
+//! shared plan cache, which keeps a text's plan from its second planning and remembers that
+//! many first-planned texts (0 disables caching).
 //! `--workers` sizes the engine's shared worker pool for intra-query (morsel-driven) parallel
 //! execution; the default is the number of logical CPUs, and `--workers 1` runs every query
 //! single-threaded. `--mem-limit` caps the bytes all running queries may reserve engine-wide

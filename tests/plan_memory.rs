@@ -1,13 +1,17 @@
-//! What a full plan cache holds.
+//! What the plan cache holds, for texts planned once and for texts planned twice.
 //!
 //! Perm's rewrite names every provenance attribute `prov_<rel>[_k]_<attr>` and carries the whole
 //! P-list up through each projection and join-back, so a rewritten plan repeats a few dozen
 //! names at every operator. A name is allocated once — by the catalog, the analyzer or the
 //! rewriter — and shared by every schema, expression and plan node that repeats it. This test
-//! fills the engine's 128-entry plan cache with never-repeated texts of the benchmark's
-//! `compile_cold` shapes (fig13 SPJ with 1–6 leaves, fig12 set operations with 1–4 operators,
-//! each plain and `PROVENANCE`) and bounds the bytes and allocations the cache then holds. It
-//! also checks that a cached plan's base-relation attribute names are the catalog's own.
+//! plans 128 never-repeated texts of the benchmark's `compile_cold` shapes (fig13 SPJ with 1–6
+//! leaves, fig12 set operations with 1–4 operators, each plain and `PROVENANCE`) through the
+//! engine's 128-entry plan cache, twice:
+//!
+//! * the first pass is each text's first planning, which the cache does not keep: it holds no
+//!   plan, only the ring of remembered text hashes;
+//! * the second pass fills the cache, and the bytes and allocations it then holds are bounded.
+//!   A plan cached by it scans base relations under the catalog's own attribute names.
 //!
 //! One `#[test]` on purpose: the allocator counts the whole process, and cargo runs the tests of
 //! one file on parallel threads.
@@ -26,6 +30,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn live() -> (usize, usize) {
     (LIVE.load(Ordering::Relaxed), LIVE_ALLOCATIONS.load(Ordering::Relaxed))
+}
+
+/// Bytes and allocations that became live between two readings of [`live`].
+fn grown(before: (usize, usize), after: (usize, usize)) -> (usize, usize) {
+    (after.0.saturating_sub(before.0), after.1.saturating_sub(before.1))
 }
 
 /// One leaf of the artificial queries: a key-range selection on `part`.
@@ -93,6 +102,9 @@ fn cold_texts(count: usize) -> Vec<String> {
 
 #[test]
 fn a_full_plan_cache_holds_each_name_once() {
+    /// The ring of 128 remembered hashes is one buffer of 1 KB.
+    const RING_CAP_BYTES: usize = 16_384;
+    const RING_CAP_ALLOCATIONS: usize = 8;
     /// 1.32 MB measured; 1.84 MB when every repeated name was a `String` of its own.
     const CACHE_CAP_BYTES: usize = 1_600_000;
     /// 11 356 measured; 38 520 when every repeated name was a `String` of its own.
@@ -102,47 +114,70 @@ fn a_full_plan_cache_holds_each_name_once() {
     catalog.analyze();
     let engine =
         Engine::with_catalog(catalog.clone()).with_rewriter(Arc::new(ProvenanceRewriter::new()));
-    let texts = cold_texts(engine.plan_cache_capacity());
-    assert_eq!(texts.len(), 128, "the engine's default cache capacity");
+    let capacity = engine.plan_cache_capacity();
+    assert_eq!(capacity, 128, "the engine's default cache capacity");
+    let texts = cold_texts(capacity + 20);
     let distinct: std::collections::HashSet<&String> = texts.iter().collect();
     assert_eq!(distinct.len(), texts.len(), "every text is new to the cache");
+    let (texts, warm_up) = texts.split_at(capacity);
 
-    // Warm whatever is built once per engine, then start from an empty cache.
-    for text in &texts[..20] {
+    // Warm whatever is built once per engine with texts the passes do not plan.
+    for text in warm_up {
         engine.plan_query(text, true).unwrap();
     }
-    engine.clear_plan_cache();
+    assert_eq!(engine.cache_stats().entries, 0);
 
-    for text in &texts {
+    // First pass: every text is planned for the first time, so the cache keeps no plan.
+    let before = live();
+    for text in texts {
         engine.plan_query(text, true).unwrap();
+    }
+    let (ring_bytes, ring_allocations) = grown(before, live());
+    println!(
+        "after one-shot planning: {ring_bytes} B live in {ring_allocations} allocations for {} \
+         texts",
+        texts.len()
+    );
+    let stats = engine.cache_stats();
+    assert_eq!(stats.entries, 0, "one-shot texts are not cached");
+    assert_eq!(stats.deferred, (warm_up.len() + texts.len()) as u64);
+    assert!(ring_bytes <= RING_CAP_BYTES, "{ring_bytes} B held, cap {RING_CAP_BYTES}");
+    assert!(
+        ring_allocations <= RING_CAP_ALLOCATIONS,
+        "{ring_allocations} live allocations, cap {RING_CAP_ALLOCATIONS}"
+    );
+
+    // Second pass: every text comes back, and every plan is cached.
+    let mut last = None;
+    for text in texts {
+        last = Some(engine.plan_query(text, true).unwrap());
     }
     assert_eq!(engine.cache_stats().entries, texts.len());
-    let (full_bytes, full_allocations) = live();
-    engine.clear_plan_cache();
-    let (empty_bytes, empty_allocations) = live();
-    let (bytes, allocations) = (full_bytes - empty_bytes, full_allocations - empty_allocations);
-    println!("plan cache: {bytes} B live in {allocations} allocations for {} plans", texts.len());
+    let full = live();
 
-    // A cached plan scans `part` under the catalog's own attribute names: the same allocation,
-    // compared by address.
-    let cached = engine.plan_query(&texts[texts.len() - 1], true).unwrap();
-    let stored = catalog.table_schema("part").unwrap();
-    let mut scans = 0;
-    for scan in cached.plan.base_relations() {
-        let LogicalPlan::BaseRelation { schema, .. } = scan else { unreachable!() };
-        for attribute in schema.attributes() {
-            let own = &stored.attributes()[stored.resolve(&attribute.name).unwrap()];
-            assert_eq!(
-                attribute.name.as_ptr(),
-                own.name.as_ptr(),
-                "{} is a copy of the catalog's name",
-                attribute.name
-            );
+    // A cached plan scans `part` under the catalog's own attribute names: the same allocation.
+    {
+        let cached = last.take().unwrap();
+        let stored = catalog.table_schema("part").unwrap();
+        let mut scans = 0;
+        for scan in cached.plan.base_relations() {
+            let LogicalPlan::BaseRelation { schema, .. } = scan else { unreachable!() };
+            for attribute in schema.attributes() {
+                let own = &stored.attributes()[stored.resolve(&attribute.name).unwrap()];
+                assert!(
+                    Arc::ptr_eq(&attribute.name, &own.name),
+                    "{} is a copy of the catalog's name",
+                    attribute.name
+                );
+            }
+            scans += 1;
         }
-        scans += 1;
+        assert!(scans > 0, "the plan scans part");
     }
-    assert!(scans > 0, "the plan scans part");
 
+    engine.clear_plan_cache();
+    let (bytes, allocations) = grown(live(), full);
+    println!("plan cache: {bytes} B live in {allocations} allocations for {} plans", texts.len());
     assert!(bytes <= CACHE_CAP_BYTES, "{bytes} B held, cap {CACHE_CAP_BYTES}");
     assert!(
         allocations <= CACHE_CAP_ALLOCATIONS,
