@@ -21,9 +21,9 @@
 //! function semantics both share.
 //!
 //! Around them: [`optimizer`] (predicate pushdown, cross-product→join conversion, constant
-//! folding, column pruning) with the statistics-driven join ordering in [`reorder`] and
-//! [`stats`], per-operator profiling for `EXPLAIN ANALYZE` in [`profile`], fault injection in
-//! [`faults`] and structured logging in [`log`].
+//! folding, column pruning) with the statistics-driven join ordering and sort placement in
+//! [`reorder`] and [`stats`], per-operator profiling for `EXPLAIN ANALYZE` in [`profile`],
+//! fault injection in [`faults`] and structured logging in [`log`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -34,7 +34,9 @@ use perm_algebra::{JoinKind, LogicalPlan, Name, ScalarExpr, Tuple, Value};
 
 use crate::error::ExecError;
 use crate::eval::evaluate;
-use crate::reorder::{reorder_joins, swap_build_sides, ReorderPolicy, ReorderReport};
+use crate::reorder::{
+    push_down_sorts, reorder_joins, swap_build_sides, ReorderPolicy, ReorderReport,
+};
 use crate::stats::{Estimator, TableStatsView};
 
 /// What the cost-based passes did during one [`Optimizer::optimize_with_stats`] run;
@@ -45,6 +47,9 @@ pub struct OptimizerReport {
     pub joins_reordered: u64,
     /// Joins whose build (right) side was swapped to the estimated-smaller input.
     pub build_sides_swapped: u64,
+    /// Sorts moved below a join onto its probe side: they order the join's input, not its
+    /// output.
+    pub sorts_pushed: u64,
     /// How many plan nodes the cardinality estimator was asked about.
     pub estimator_invocations: u64,
 }
@@ -78,14 +83,15 @@ impl Optimizer {
         self
     }
 
-    /// Optimize a plan without table statistics (rule-based passes only; the cost-based
-    /// passes see no stats and leave join shapes untouched).
+    /// Optimize a plan without table statistics (rule-based passes and sort pushdown; the
+    /// join-order passes see no stats and leave join shapes untouched).
     pub fn optimize(&self, plan: &LogicalPlan) -> Result<LogicalPlan, ExecError> {
         Ok(self.optimize_with_stats(plan, &TableStatsView::empty())?.0)
     }
 
     /// Optimize a plan with table statistics: the rule-based normalization fixpoint, then
-    /// cost-based join reordering and build-side selection, then column pruning.
+    /// cost-based join reordering and build-side selection, then sorts moved below joins, then
+    /// column pruning.
     pub fn optimize_with_stats(
         &self,
         plan: &LogicalPlan,
@@ -113,14 +119,13 @@ impl Optimizer {
                 break;
             }
         }
-        let mut report = OptimizerReport::default();
         // Cost-based passes run downstream of normalization (joins exist, selections are
         // pushed) and upstream of pruning (which cleans up the permutation projections the
         // passes insert). Without statistics every estimate is the same default, so the
-        // passes could only churn; skip them entirely.
+        // join-order passes could only churn; skip them. Sorts move below joins either way.
+        let estimator = Estimator::new(stats);
+        let mut counters = ReorderReport::default();
         if !stats.is_empty() {
-            let estimator = Estimator::new(stats);
-            let mut counters = ReorderReport::default();
             if let Some(reordered) =
                 reorder_joins(&current, &estimator, &self.policy, &mut counters)?
             {
@@ -133,10 +138,17 @@ impl Optimizer {
                 current = swapped;
                 verify_after_pass("swap_build_sides", &current)?;
             }
-            report.joins_reordered = counters.joins_reordered;
-            report.build_sides_swapped = counters.build_sides_swapped;
-            report.estimator_invocations = estimator.invocations();
         }
+        if let Some(sorted) = push_down_sorts(&current, &estimator, &mut counters)? {
+            current = sorted;
+            verify_after_pass("push_down_sorts", &current)?;
+        }
+        let report = OptimizerReport {
+            joins_reordered: counters.joins_reordered,
+            build_sides_swapped: counters.build_sides_swapped,
+            sorts_pushed: counters.sorts_pushed,
+            estimator_invocations: estimator.invocations(),
+        };
         let pruned = prune_columns(&current)?;
         verify_after_pass("prune_columns", &pruned)?;
         // Sub-plans of uncorrelated sublinks run as independent queries; give each the full

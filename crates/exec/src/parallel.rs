@@ -35,7 +35,11 @@
 //!   permutation of input positions (ties broken by input position, so it is deterministic),
 //!   and emits *views* of the concatenated input through it. Concatenating view columns joins
 //!   their index buffers and leaves the dictionaries alone ([`DataChunk::concat`]), so a
-//!   column that arrives as views over a join's sources leaves as views over them.
+//!   column that arrives as views over a join's sources leaves as views over them. An input
+//!   already in key order (every key tied, say) is emitted as it is. The optimizer moves an
+//!   `ORDER BY` over a provenance result below its join-back
+//!   ([`crate::reorder::push_down_sorts`]), so a sort mostly sees q's rows — Q11+'s 156, not
+//!   its 24 960 — and the join keeps their order: it emits in probe order.
 //! * **set operations** compare rows the way DISTINCT does, in their columns: `UNION ALL`
 //!   forwards both inputs' chunks, `UNION` keeps first occurrences, and `INTERSECT` / `EXCEPT`
 //!   count the right input's rows in a [`RowTable`] once, then mask the left chunks in order,
@@ -43,9 +47,10 @@
 //!   output chunks are laid end to end up to one morsel, so the operators above do not pay a
 //!   dispatch per fragment.
 //! * **LIMIT** hands its row target to the region directly feeding it (a join probe or a
-//!   filter/projection): workers claim morsels in index order and stop claiming once the
-//!   completed prefix covers the target, and the coordinator replays the morsels in index order
-//!   — output and errors behind the morsel that satisfies the limit are never observed.
+//!   filter/projection; a projection without a filter hands it on to its input): workers
+//!   claim morsels in index order and stop claiming once the completed prefix covers the
+//!   target, and the coordinator replays the morsels in index order — output and errors
+//!   behind the morsel that satisfies the limit are never observed.
 //!   Everything *below* a materializing operator (sort, aggregation, set operation, DISTINCT,
 //!   a join's inputs) is evaluated in full, so a runtime error there surfaces even when the
 //!   `LIMIT` would have discarded the offending row — as it does in [`crate::reference`],
@@ -501,17 +506,19 @@ impl Executor {
                     .iter()
                     .map(|(e, _)| CompiledExpr::compile(e, self, ctx, pool))
                     .collect::<Result<_, _>>()?;
-                // Fuse a selection below the projection into the same morsel task.
+                // DISTINCT consumes the whole input (its output count says nothing about how
+                // many input morsels are needed), so the limit hint stops at it.
+                let hint = if *distinct { None } else { limit };
+                // Fuse a selection below the projection into the same morsel task. Without
+                // one the projection maps row for row, so its input (a join probe, say) needs
+                // no more rows than the hint either.
                 let (source, predicate) = match strip_transparent(input) {
                     LogicalPlan::Selection { input: sel_input, predicate } => {
                         let predicate = CompiledExpr::compile(predicate, self, ctx, pool)?;
                         (self.par_source(sel_input, ctx, pool)?, Some(predicate))
                     }
-                    _ => (self.par_source(input, ctx, pool)?, None),
+                    _ => (Arc::new(self.par_chunks(input, ctx, pool, hint)?), None),
                 };
-                // DISTINCT consumes the whole input (its output count says nothing about how
-                // many input morsels are needed), so the limit hint stops at it.
-                let hint = if *distinct { None } else { limit };
                 let projected = map_region(pool, ctx, source, predicate, Some(exprs), hint)?;
                 if *distinct {
                     distinct_chunks(ctx, &projected)
@@ -1354,7 +1361,8 @@ type SortPos = (u32, u32);
 /// concatenation is a handful of index buffers). The operator reserves what it holds as it
 /// grows — input and permutation, then the concatenation's own buffers, then the output's —
 /// and reports the larger of its two peaks: input beside concatenation, concatenation beside
-/// output.
+/// output. An input that is already in key order (every key tied, for one) is the output as it
+/// is: it is checked while the runs are formed, and nothing is concatenated or gathered.
 fn par_sort(
     pool: &WorkerPool,
     ctx: &ExecContext,
@@ -1382,22 +1390,46 @@ fn par_sort(
         let chunk = &task_chunks[m];
         let key_cols: Vec<Arc<Array>> =
             task_keys.iter().map(|(e, _)| e.eval_array(chunk)).collect::<Result<_, _>>()?;
-        let mut order: Vec<u32> = (0..chunk.num_rows() as u32).collect();
+        let rows = chunk.num_rows();
+        let in_order = |a: usize, b: usize| {
+            compare_keys(&key_cols, a, &key_cols, b, &task_keys) != std::cmp::Ordering::Greater
+        };
+        // A chunk already in key order has no run to sort (`None`: the identity).
+        if (1..rows).all(|row| in_order(row - 1, row)) {
+            return Ok(((key_cols, None), 0));
+        }
+        let mut order: Vec<u32> = (0..rows as u32).collect();
         order.sort_unstable_by(|&a, &b| {
             compare_keys(&key_cols, a as usize, &key_cols, b as usize, &task_keys).then(a.cmp(&b))
         });
         let run: Vec<SortPos> = order.into_iter().map(|row| (m as u32, row)).collect();
-        Ok(((key_cols, run), 0))
+        Ok(((key_cols, Some(run)), 0))
     });
     let extracted = collect_region(slots, None, |_| 0)?;
-    let (run_keys, mut runs): (Vec<Vec<Arc<Array>>>, Vec<Vec<SortPos>>) =
-        extracted.into_iter().unzip();
+    let (run_keys, runs): (Vec<_>, Vec<_>) = extracted.into_iter().unzip();
 
     // Global comparator: a position names its chunk's key columns and the row in them.
     let cmp = |a: SortPos, b: SortPos| -> std::cmp::Ordering {
         let (ka, kb) = (&run_keys[a.0 as usize], &run_keys[b.0 as usize]);
         compare_keys(ka, a.1 as usize, kb, b.1 as usize, &keys).then(a.cmp(&b))
     };
+    // Input already in key order — every chunk, and every chunk's last row against the next
+    // one's first (a sort whose keys all tie, say) — is its own output.
+    let last = |m: usize| (m as u32, chunks[m].num_rows() as u32 - 1);
+    if runs.iter().all(Option::is_none)
+        && (1..chunks.len()).all(|m| cmp(last(m - 1), (m as u32, 0)).is_lt())
+    {
+        return Ok(Arc::try_unwrap(chunks).unwrap_or_else(|shared| (*shared).clone()));
+    }
+    let mut runs: Vec<Vec<SortPos>> = runs
+        .into_iter()
+        .enumerate()
+        .map(|(m, run)| {
+            run.unwrap_or_else(|| {
+                (0..chunks[m].num_rows() as u32).map(|row| (m as u32, row)).collect()
+            })
+        })
+        .collect();
 
     // Pairwise merge rounds until one run remains.
     while runs.len() > 1 {
@@ -1659,9 +1691,70 @@ mod tests {
     }
 
     #[test]
+    fn a_limit_reaches_a_join_probe_through_a_projection() {
+        // The same ~93k-row self-join under `LIMIT 10` through a renaming projection: the
+        // projection hands the row target on, so the probe stops long before the budget.
+        let catalog = big_catalog(3000);
+        let cond = ScalarExpr::column(0, "k").eq(ScalarExpr::column(2, "k"));
+        let plan = scan(&catalog, "t", 0)
+            .join(scan(&catalog, "t", 1), JoinKind::Inner, Some(cond))
+            .project(vec![(ScalarExpr::column(3, "v"), "v".into())])
+            .limit(Some(10), 0)
+            .build();
+        let executor =
+            Executor::with_options(catalog.clone(), ExecOptions::default().with_row_budget(5000));
+        let expected = Executor::new(catalog.clone()).execute(&plan).unwrap();
+        assert_eq!(expected.num_rows(), 10);
+        assert_eq!(executor.execute(&plan).unwrap().tuples(), expected.tuples());
+        for workers in [2, 8] {
+            let pool = WorkerPool::new(workers);
+            assert_eq!(
+                executor.execute_parallel(&plan, &pool).unwrap().tuples(),
+                expected.tuples()
+            );
+        }
+    }
+
+    #[test]
+    fn a_sort_passes_input_already_in_key_order_through() {
+        // Two chunks each in key order: in order across the boundary too (ties included), they
+        // come out as they went in, the very same buffers; out of order across it, sorted.
+        let chunk = |keys: &[i64]| {
+            DataChunk::new(vec![Arc::new(Array::from_values(keys.iter().map(|&k| Value::Int(k))))])
+        };
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+        for (chunks, in_order) in [
+            (vec![chunk(&[1, 2, 2]), chunk(&[2, 3])], true),
+            (vec![chunk(&[1, 3]), chunk(&[2, 4])], false),
+        ] {
+            let catalog = Catalog::new();
+            let table = Relation::from_chunks(schema.clone(), chunks.clone());
+            catalog.create_table_with_data("t", table).unwrap();
+            let plan =
+                scan(&catalog, "t", 0).sort(vec![SortKey::asc(ScalarExpr::column(0, "k"))]).build();
+            for workers in [1, 2] {
+                let sorted = Executor::new(catalog.clone())
+                    .execute_parallel(&plan, &WorkerPool::new(workers));
+                let sorted = sorted.unwrap();
+                let keys: Vec<Value> = sorted.iter().map(|t| t[0].clone()).collect();
+                let mut expected = keys.clone();
+                expected.sort();
+                assert_eq!(keys, expected);
+                let passed = sorted
+                    .chunks()
+                    .iter()
+                    .zip(&chunks)
+                    .all(|(out, input)| Arc::ptr_eq(out.column(0), input.column(0)));
+                assert_eq!(passed, in_order, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
     fn text_beyond_what_a_column_addresses_is_a_resource_error() {
         // Two chunks whose text column claims 3 GiB each — by its offsets only; nothing reads
-        // the bytes before the sort or the join lays the column end to end.
+        // the bytes before the sort or the join lays the column end to end. They are out of key
+        // order, so the sort has rows to move (input already in order passes through).
         use perm_algebra::Bitmap;
         let chunk = |k: i64| {
             DataChunk::new(vec![
@@ -1675,7 +1768,7 @@ mod tests {
         };
         let catalog = big_catalog(10);
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Text)]);
-        let huge = Relation::from_chunks(schema, vec![chunk(1), chunk(2)]);
+        let huge = Relation::from_chunks(schema, vec![chunk(2), chunk(1)]);
         catalog.create_table_with_data("huge", huge).unwrap();
         let sorted =
             scan(&catalog, "huge", 0).sort(vec![SortKey::asc(ScalarExpr::column(0, "k"))]).build();

@@ -1,4 +1,4 @@
-//! Cost-based join reordering and build-side selection.
+//! Cost-based join reordering, build-side selection and sort placement.
 //!
 //! The provenance rewrite rules R3/R4 of the paper mechanically emit deep join stacks (every
 //! rewritten operator joins its input with the rewritten provenance side), so join order and
@@ -6,7 +6,7 @@
 //! cost-based repair step: it runs *after* the rule-based normalization fixpoint (selections
 //! pushed down, cross products converted to inner joins) and *before* column pruning.
 //!
-//! Two passes:
+//! Three passes, in this order:
 //!
 //! * [`reorder_joins`] — flattens every maximal region of inner/cross joins into a join graph
 //!   (leaves + conjuncts over the concatenated column space), searches join orders with
@@ -20,15 +20,21 @@
 //!   left (outer-join kinds flip too: `A LEFT JOIN B` becomes a projected `B RIGHT JOIN A`),
 //!   so the hash table is always built on the estimated-smaller side even when full
 //!   reordering is disabled.
+//! * [`push_down_sorts`] — an `ORDER BY` over a provenance result orders by q's own
+//!   attributes, which the R5/R6 join-back copies unchanged from q's side; this pass moves
+//!   such a sort below the join onto the input that probes, so it sorts q's rows before the
+//!   join expands them (TPC-H Q11+: 156 rows, not 24 960). It runs with or without
+//!   statistics. A join whose probe side is in sorted order emits in that order, so the first
+//!   two passes leave such a join's inputs where they are.
 //!
-//! Both passes change plan *shape* only — never results. The differential suite (reference vs
+//! The passes change plan *shape* only — never results. The differential suite (reference vs
 //! the engine at degrees 1/2/8) runs the same reordered plan; randomized join-graph tests
-//! enforce it.
+//! enforce it, and the sorts moved below joins are checked against the order of a sort above.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
-use perm_algebra::{JoinKind, LogicalPlan, ScalarExpr};
+use perm_algebra::{JoinKind, LogicalPlan, ScalarExpr, SortKey};
 
 use crate::error::ExecError;
 use crate::optimizer::{project_onto, rebuild_children};
@@ -92,6 +98,8 @@ pub struct ReorderReport {
     pub joins_reordered: u64,
     /// Joins whose build (right) side was swapped to the estimated-smaller input.
     pub build_sides_swapped: u64,
+    /// Sorts moved below a join onto its probe side.
+    pub sorts_pushed: u64,
 }
 
 /// Reorder every maximal inner/cross join region in `plan` by estimated cost.
@@ -120,6 +128,144 @@ pub fn swap_build_sides(
     let result = swap_inner(plan, estimator, policy, &counter)?;
     report.build_sides_swapped += counter.get();
     Ok(result)
+}
+
+/// Move every `ORDER BY` whose keys are columns of one join input below that join, onto that
+/// input as the probe side, and on down while the rule holds (see [`sink_sort`]).
+pub fn push_down_sorts(
+    plan: &LogicalPlan,
+    estimator: &Estimator<'_>,
+    report: &mut ReorderReport,
+) -> Result<Option<LogicalPlan>, ExecError> {
+    let counter = Cell::new(0u64);
+    let result = push_sorts_inner(plan, estimator, &counter)?;
+    report.sorts_pushed += counter.get();
+    Ok(result)
+}
+
+fn push_sorts_inner(
+    plan: &LogicalPlan,
+    estimator: &Estimator<'_>,
+    pushed: &Cell<u64>,
+) -> Result<Option<LogicalPlan>, ExecError> {
+    let rebuilt = rebuild_children(plan, &|c| push_sorts_inner(c, estimator, pushed))?;
+    let current = rebuilt.as_ref().unwrap_or(plan);
+    if let LogicalPlan::Sort { input, keys } = current {
+        if let Some(moved) = sink_sort(input, keys, estimator)? {
+            pushed.set(pushed.get() + 1);
+            return Ok(Some(moved));
+        }
+    }
+    Ok(rebuilt)
+}
+
+/// `Sort[keys](input)` with the sort moved below the join `input` reaches through renames
+/// (non-DISTINCT projections, aliases, provenance annotations), or `None` when it stays. Every
+/// key must be a plain column that the renames carry unchanged to one side of the join:
+///
+/// * left side of an inner, cross or left outer join: the left input is sorted;
+/// * right side of an inner or cross join, or of a right outer join: the inputs swap (a right
+///   outer join becomes a left outer one), so the sorted side probes — but only when the
+///   sorted side is estimated no smaller than the other one;
+/// * an inner join moves it only when its sorted side is estimated no larger than its output;
+/// * keys on both sides, expression keys and full outer joins stay where they are.
+///
+/// The engine's join emits in probe order, each probe row's matches in build-row order, and the
+/// sort is stable: sorting the probe side gives the rows the sort above the join gave, in the
+/// same order, ties included. A swapped join emits ties in the sorted side's order instead —
+/// a different order of equal keys, still the `ORDER BY` asked for. It also repeats each
+/// sorted row over its matches, so every output chunk carries the matching rows of the side
+/// that is now built as a dictionary of its own: a swap that would build the larger side (and
+/// send it once per chunk) is not made.
+fn sink_sort(
+    input: &Arc<LogicalPlan>,
+    keys: &[SortKey],
+    estimator: &Estimator<'_>,
+) -> Result<Option<LogicalPlan>, ExecError> {
+    let mut columns: Vec<ScalarExpr> = keys.iter().map(|k| k.expr.clone()).collect();
+    let mut renames: Vec<&LogicalPlan> = Vec::new();
+    let mut node = input;
+    let (left, right, kind, condition) = loop {
+        if columns.iter().any(|c| c.as_column().is_none()) {
+            return Ok(None);
+        }
+        match node.as_ref() {
+            LogicalPlan::Projection { input, exprs, distinct: false } => {
+                for column in &mut columns {
+                    if let Some(i) = column.as_column() {
+                        *column = exprs[i].0.clone();
+                    }
+                }
+                renames.push(node);
+                node = input;
+            }
+            LogicalPlan::SubqueryAlias { input, .. }
+            | LogicalPlan::ProvenanceAnnotation { input, .. } => {
+                renames.push(node);
+                node = input;
+            }
+            LogicalPlan::Join { left, right, kind, condition } => {
+                break (left, right, *kind, condition.as_ref())
+            }
+            _ => return Ok(None),
+        }
+    };
+    let left_arity = left.output_arity();
+    let used: Vec<usize> = columns.iter().filter_map(ScalarExpr::as_column).collect();
+    let on_left = used.iter().all(|&c| c < left_arity);
+    let on_right = used.iter().all(|&c| c >= left_arity);
+    let (side, shift) = match kind {
+        JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter if on_left => (left, 0),
+        JoinKind::Inner | JoinKind::Cross | JoinKind::RightOuter if on_right => (right, left_arity),
+        _ => return Ok(None),
+    };
+    let side_rows = || estimator.estimate(side).rows;
+    if kind == JoinKind::Inner && side_rows() > estimator.estimate(node).rows {
+        return Ok(None);
+    }
+    if shift > 0 && side_rows() < estimator.estimate(left).rows {
+        return Ok(None);
+    }
+    let side_keys: Vec<SortKey> = keys
+        .iter()
+        .zip(&columns)
+        .map(|(k, c)| SortKey { expr: c.map_columns(&mut |i| i - shift), order: k.order })
+        .collect();
+    let sorted = Arc::new(match sink_sort(side, &side_keys, estimator)? {
+        Some(moved) => moved,
+        None => LogicalPlan::Sort { input: Arc::clone(side), keys: side_keys },
+    });
+    let mut plan = if shift == 0 {
+        LogicalPlan::Join {
+            left: sorted,
+            right: Arc::clone(right),
+            kind,
+            condition: condition.cloned(),
+        }
+    } else {
+        flipped_join(left, &sorted, kind, condition)
+    };
+    for rename in renames.into_iter().rev() {
+        plan = rename.with_new_children(vec![Arc::new(plan)])?;
+    }
+    Ok(Some(plan))
+}
+
+/// Does `plan` emit its rows in the order of a sort — the sort itself, or a rename or the probe
+/// side of an order-keeping join above one? Such an input must stay where it is.
+fn carries_order(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Sort { .. } => true,
+        LogicalPlan::Projection { input, distinct: false, .. }
+        | LogicalPlan::SubqueryAlias { input, .. }
+        | LogicalPlan::ProvenanceAnnotation { input, .. }
+        | LogicalPlan::Join {
+            left: input,
+            kind: JoinKind::Inner | JoinKind::Cross | JoinKind::LeftOuter,
+            ..
+        } => carries_order(input),
+        _ => false,
+    }
 }
 
 /// One conjunct of a join region, expressed over the concatenated leaf column space.
@@ -170,9 +316,12 @@ fn reorder_inner(
 
     // Conjuncts with sublinks make selectivity and placement unsafe to reason about;
     // tiny regions have nothing to reorder (build-side choice is the swap pass's job).
+    // A region whose first leaf is in sorted order emits in that order, and only while that
+    // leaf stays first.
     let searchable = leaves.len() >= 3
         && leaves.len() <= REGION_LEAF_LIMIT
-        && !raw_conjuncts.iter().any(|c| c.has_sublink());
+        && !raw_conjuncts.iter().any(|c| c.has_sublink())
+        && !carries_order(&leaves[0]);
     if !searchable {
         return if leaves_changed {
             let mut iter = leaves.iter().cloned();
@@ -245,32 +394,40 @@ fn swap_inner(
     if let LogicalPlan::Join { left, right, kind, condition } = current {
         let left_rows = estimator.estimate(left).rows;
         let right_rows = estimator.estimate(right).rows;
-        if right_rows > left_rows * policy.swap_ratio && right_rows >= policy.swap_min_build_rows {
+        // A probe side in sorted order stays the probe side: the join keeps that order.
+        if right_rows > left_rows * policy.swap_ratio
+            && right_rows >= policy.swap_min_build_rows
+            && !carries_order(left)
+        {
             swapped.set(swapped.get() + 1);
-            let left_arity = left.output_arity();
-            let right_arity = right.output_arity();
-            let swapped_condition = condition.as_ref().map(|c| {
-                c.map_columns(&mut |i| {
-                    if i < left_arity {
-                        i + right_arity
-                    } else {
-                        i - left_arity
-                    }
-                })
-            });
-            let flipped = LogicalPlan::Join {
-                left: Arc::clone(right),
-                right: Arc::clone(left),
-                kind: flip_kind(*kind),
-                condition: swapped_condition,
-            };
-            // Restore the `left ++ right` column order the parent expects.
-            let positions: Vec<usize> =
-                (right_arity..right_arity + left_arity).chain(0..right_arity).collect();
-            return Ok(Some(project_onto(flipped, &positions)));
+            return Ok(Some(flipped_join(left, right, *kind, condition.as_ref())));
         }
     }
     Ok(rebuilt)
+}
+
+/// `left ⋈ right` with the inputs swapped (`right` probes, `left` is built), under a projection
+/// that restores the `left ++ right` column order the parent expects.
+fn flipped_join(
+    left: &Arc<LogicalPlan>,
+    right: &Arc<LogicalPlan>,
+    kind: JoinKind,
+    condition: Option<&ScalarExpr>,
+) -> LogicalPlan {
+    let left_arity = left.output_arity();
+    let right_arity = right.output_arity();
+    let condition = condition.map(|c| {
+        c.map_columns(&mut |i| if i < left_arity { i + right_arity } else { i - left_arity })
+    });
+    let flipped = LogicalPlan::Join {
+        left: Arc::clone(right),
+        right: Arc::clone(left),
+        kind: flip_kind(kind),
+        condition,
+    };
+    let positions: Vec<usize> =
+        (right_arity..right_arity + left_arity).chain(0..right_arity).collect();
+    project_onto(flipped, &positions)
 }
 
 /// Outer-join kind after swapping the inputs.
@@ -551,7 +708,7 @@ fn take_applicable(
 mod tests {
     use super::*;
     use crate::stats::TableStatsView;
-    use perm_algebra::{DataType, Schema, Value};
+    use perm_algebra::{BinaryOperator, DataType, Schema, Value};
     use perm_storage::{ColumnStats, TableStats};
 
     fn table(rows: u64, key_distinct: u64) -> Arc<TableStats> {
@@ -793,5 +950,154 @@ mod tests {
             reorder_joins(&plan, &estimator, &ReorderPolicy::aggressive(), &mut report).unwrap();
         assert!(aggressive.is_some(), "aggressive policy must still take the win");
         assert_eq!(report.joins_reordered, 1);
+    }
+
+    // --- sorts moved below joins ---
+
+    /// Stats for `small` (10 rows), `mid` (100) and `big` (1000 rows), keys 10 / 100 / 100
+    /// distinct, so `small ⋈ big` and `big ⋈ small` are estimated at 100 rows.
+    fn sized_view() -> TableStatsView {
+        let mut view = TableStatsView::empty();
+        view.insert("small", table(10, 10));
+        view.insert("mid", table(100, 100));
+        view.insert("big", table(1000, 100));
+        view
+    }
+
+    fn join(left: Arc<LogicalPlan>, right: Arc<LogicalPlan>, kind: JoinKind) -> Arc<LogicalPlan> {
+        let left_arity = left.output_arity();
+        Arc::new(LogicalPlan::Join { left, right, kind, condition: Some(eq(0, left_arity)) })
+    }
+
+    fn sorted(input: Arc<LogicalPlan>, key: ScalarExpr) -> LogicalPlan {
+        LogicalPlan::Sort { input, keys: vec![SortKey::desc(key)] }
+    }
+
+    fn push(plan: &LogicalPlan) -> (Option<LogicalPlan>, u64) {
+        let view = sized_view();
+        let estimator = Estimator::new(&view);
+        let mut report = ReorderReport::default();
+        let pushed = push_down_sorts(plan, &estimator, &mut report).unwrap();
+        if let Some(moved) = &pushed {
+            assert_eq!(moved.schema(), plan.schema());
+        }
+        (pushed, report.sorts_pushed)
+    }
+
+    /// The name of the base relation a `Sort` directly sorts.
+    fn sorted_table(plan: &LogicalPlan) -> Option<String> {
+        match plan {
+            LogicalPlan::Sort { input, .. } => match input.as_ref() {
+                LogicalPlan::BaseRelation { name, .. } => Some(name.to_string()),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn sorts_move_through_renames_onto_the_probe_side_of_each_join() {
+        // Sort[k of small] over Π(alias(small ⟕ big) ⋈ mid): down through the renames, the
+        // inner join (100 rows estimated ≥ 100) and the left outer join, onto `small`.
+        let outer = join(scan("small", 0), scan("big", 1), JoinKind::LeftOuter);
+        let aliased = Arc::new(LogicalPlan::SubqueryAlias { input: outer, alias: "o".into() });
+        let inner = join(aliased, scan("mid", 2), JoinKind::Inner);
+        let renamed = Arc::new(project_onto(inner.as_ref().clone(), &[2, 0, 1]));
+        let plan = sorted(renamed, ScalarExpr::column(1, "k"));
+        let (moved, pushed) = push(&plan);
+        let moved = moved.expect("the sort moves");
+        assert_eq!(pushed, 1);
+        let LogicalPlan::Projection { input, .. } = &moved else { panic!("{moved:?}") };
+        let LogicalPlan::Join { left, kind: JoinKind::Inner, .. } = input.as_ref() else {
+            panic!("{input:?}")
+        };
+        let LogicalPlan::SubqueryAlias { input, .. } = left.as_ref() else { panic!("{left:?}") };
+        let LogicalPlan::Join { left, kind: JoinKind::LeftOuter, .. } = input.as_ref() else {
+            panic!("{input:?}")
+        };
+        assert_eq!(sorted_table(left).as_deref(), Some("small"), "{moved}");
+    }
+
+    #[test]
+    fn right_side_keys_swap_the_join_so_the_sorted_side_probes() {
+        // small ⟖ big ORDER BY big.k becomes big ⟕ small under a permutation; the same for an
+        // inner join that keeps all of its larger side (mid ⋈ big: 1000 rows estimated).
+        for (probe, kind, flipped) in [
+            ("small", JoinKind::RightOuter, JoinKind::LeftOuter),
+            ("mid", JoinKind::Inner, JoinKind::Inner),
+        ] {
+            let plan =
+                sorted(join(scan(probe, 0), scan("big", 1), kind), ScalarExpr::column(1, "k"));
+            let (moved, pushed) = push(&plan);
+            let moved = moved.unwrap_or_else(|| panic!("{kind:?}: the sort moves"));
+            assert_eq!(pushed, 1);
+            let LogicalPlan::Projection { input, .. } = &moved else { panic!("{moved:?}") };
+            let LogicalPlan::Join { left, kind: new_kind, .. } = input.as_ref() else {
+                panic!("{input:?}")
+            };
+            assert_eq!(*new_kind, flipped);
+            assert_eq!(sorted_table(left).as_deref(), Some("big"), "{moved}");
+        }
+    }
+
+    #[test]
+    fn sorts_that_cannot_move_stay_above_the_join() {
+        let plus = |a, b| ScalarExpr::binary(BinaryOperator::Add, a, b);
+        let both = plus(ScalarExpr::column(0, "k"), ScalarExpr::column(1, "k"));
+        let stays = [
+            // Full outer joins pad either side.
+            (
+                join(scan("small", 0), scan("big", 1), JoinKind::FullOuter),
+                ScalarExpr::column(0, "k"),
+            ),
+            // The padded side of a left outer join.
+            (
+                join(scan("big", 0), scan("small", 1), JoinKind::LeftOuter),
+                ScalarExpr::column(1, "k"),
+            ),
+            // An expression key, even of one side.
+            (
+                join(scan("small", 0), scan("big", 1), JoinKind::Inner),
+                plus(ScalarExpr::column(0, "k"), ScalarExpr::literal(1i64)),
+            ),
+            // Keys from both sides.
+            (join(scan("small", 0), scan("big", 1), JoinKind::Inner), both),
+            // An inner join estimated to keep fewer rows (10) than its sorted side (`mid`).
+            (join(scan("mid", 0), scan("small", 1), JoinKind::Inner), ScalarExpr::column(0, "k")),
+            // A swap that would build the larger side: `small` probing `big`'s hash table.
+            (join(scan("big", 0), scan("small", 1), JoinKind::Inner), ScalarExpr::column(1, "k")),
+        ];
+        for (input, key) in stays {
+            let plan = sorted(input, key);
+            assert_eq!(push(&plan), (None, 0), "{plan}");
+        }
+    }
+
+    #[test]
+    fn a_probe_side_in_sorted_order_keeps_its_place() {
+        // Once a sort probes a join, neither the build-side swap nor the reorderer may move it
+        // off the probe side: the join's output order is the sort's.
+        let chain = join(
+            join(scan("small", 0), scan("big", 1), JoinKind::Inner),
+            scan("mid", 2),
+            JoinKind::Inner,
+        );
+        let plan = sorted(chain, ScalarExpr::column(0, "k"));
+        let (moved, _) = push(&plan);
+        let moved = moved.expect("the sort moves onto `small`");
+        let view = sized_view();
+        let estimator = Estimator::new(&view);
+        let policy = ReorderPolicy::aggressive();
+        let mut report = ReorderReport::default();
+        assert_eq!(reorder_joins(&moved, &estimator, &policy, &mut report).unwrap(), None);
+        assert_eq!(swap_build_sides(&moved, &estimator, &policy, &mut report).unwrap(), None);
+        // Without the sort both passes take the chain apart.
+        let unsorted = join(
+            join(scan("small", 0), scan("big", 1), JoinKind::Inner),
+            scan("mid", 2),
+            JoinKind::Inner,
+        );
+        assert!(reorder_joins(&unsorted, &estimator, &policy, &mut report).unwrap().is_some());
+        assert!(swap_build_sides(&unsorted, &estimator, &policy, &mut report).unwrap().is_some());
     }
 }

@@ -267,6 +267,8 @@ pub struct Metrics {
     pub plans_reordered: Counter,
     /// Hash-join build sides swapped to the estimated-smaller input.
     pub build_sides_swapped: Counter,
+    /// Sorts moved below a join onto its probe side.
+    pub sorts_pushed: Counter,
     /// Plan nodes the cardinality estimator was asked about.
     pub estimator_invocations: Counter,
     next_qid: AtomicU64,
@@ -294,6 +296,7 @@ impl Metrics {
             query_latency: Histogram::new(&LATENCY_BUCKETS_MS),
             plans_reordered: Counter::default(),
             build_sides_swapped: Counter::default(),
+            sorts_pushed: Counter::default(),
             estimator_invocations: Counter::default(),
             next_qid: AtomicU64::new(0),
             slow_query_ms: AtomicU64::new(0),
@@ -315,6 +318,7 @@ impl Metrics {
     pub fn record_optimizer(&self, report: &OptimizerReport) {
         self.plans_reordered.add(report.joins_reordered);
         self.build_sides_swapped.add(report.build_sides_swapped);
+        self.sorts_pushed.add(report.sorts_pushed);
         self.estimator_invocations.add(report.estimator_invocations);
     }
 
@@ -364,6 +368,7 @@ impl Metrics {
             latency: self.query_latency.snapshot(),
             plans_reordered: self.plans_reordered.get(),
             build_sides_swapped: self.build_sides_swapped.get(),
+            sorts_pushed: self.sorts_pushed.get(),
             estimator_invocations: self.estimator_invocations.get(),
         }
     }
@@ -494,6 +499,8 @@ pub struct MetricsSnapshot {
     pub plans_reordered: u64,
     /// Hash-join build sides swapped to the estimated-smaller input.
     pub build_sides_swapped: u64,
+    /// Sorts moved below a join onto its probe side.
+    pub sorts_pushed: u64,
     /// Plan nodes the cardinality estimator was asked about.
     pub estimator_invocations: u64,
 }
@@ -623,6 +630,10 @@ const FAMILIES: &[Family] = &[
         stats: ("optimizer", "build_swaps"),
         help: "Hash-join build sides swapped to the estimated-smaller input.",
         read: |s| Reading::Scalar(s.metrics.build_sides_swapped) },
+    Family { name: "perm_optimizer_sorts_pushed_total", kind: "counter",
+        stats: ("optimizer", "sorts_pushed"),
+        help: "Sorts moved below a join onto its probe side.",
+        read: |s| Reading::Scalar(s.metrics.sorts_pushed) },
     Family { name: "perm_optimizer_estimator_calls_total", kind: "counter",
         stats: ("optimizer", "estimator_calls"),
         help: "Plan nodes the cardinality estimator was asked about.",
@@ -822,6 +833,7 @@ mod tests {
                 },
                 plans_reordered: 3,
                 build_sides_swapped: 2,
+                sorts_pushed: 1,
                 estimator_invocations: 57,
             },
             tables: vec![
@@ -867,7 +879,8 @@ mod tests {
         assert!(!render_prometheus(&snap).contains("perm_table_"));
         let stats = render_stats_text(&snap);
         assert!(
-            stats.ends_with("optimizer reordered=3 build_swaps=2 estimator_calls=57"),
+            stats
+                .ends_with("optimizer reordered=3 build_swaps=2 sorts_pushed=1 estimator_calls=57"),
             "{stats}"
         );
     }

@@ -228,7 +228,8 @@ fn explain_shows_estimated_rows_without_executing() {
 }
 
 /// The stats snapshot exposes per-table row counts with their freshness version, and planning
-/// join queries drives the optimizer counters (estimator calls, build-side swaps).
+/// join queries drives the optimizer counters (estimator calls, build-side swaps, pushed
+/// sorts).
 #[test]
 fn stats_snapshot_reports_tables_and_optimizer_counters() {
     let engine = Arc::new(Engine::with_catalog(catalog()).with_workers(2));
@@ -249,6 +250,13 @@ fn stats_snapshot_reports_tables_and_optimizer_counters() {
     let snap = engine.stats_snapshot();
     assert!(snap.metrics.estimator_invocations > 0, "estimator should run: {snap:?}");
     assert!(snap.metrics.build_sides_swapped > 0, "build side should swap: {snap:?}");
+    assert_eq!(snap.metrics.sorts_pushed, 0, "no ORDER BY yet: {snap:?}");
+
+    // An ORDER BY on the left side of a LEFT JOIN sorts `big` below the join.
+    session
+        .execute("SELECT b.id FROM big b LEFT JOIN tiny t ON b.id = t.id ORDER BY b.id")
+        .unwrap();
+    assert_eq!(engine.stats_snapshot().metrics.sorts_pushed, 1);
 
     // The per-table lines surface in the human-readable stats rendering too.
     let text = perm_service::render_stats_text(&snap);

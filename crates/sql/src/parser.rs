@@ -451,6 +451,11 @@ impl<'a> Parser<'a> {
         let distinct = self.parse_keyword("DISTINCT");
         // SQL-PLE: the PROVENANCE keyword directly after SELECT [DISTINCT].
         let provenance = self.parse_keyword("PROVENANCE");
+        if provenance && self.peek_keyword("DISTINCT") {
+            return Err(
+                self.error("DISTINCT goes before PROVENANCE: SELECT DISTINCT PROVENANCE ...")
+            );
+        }
 
         let mut projection = Vec::new();
         loop {

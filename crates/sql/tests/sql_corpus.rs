@@ -122,6 +122,9 @@ const REJECTED: &[(&str, &str)] = &[
     ("SELECT unknown_function(c_name) FROM customer", "analyze"),
     ("CREATE TABLE t (a FANCYTYPE)", "parse"),
     ("SELECT c_name FROM customer ORDER BY 17", "analyze"),
+    // SQL-PLE's order is SELECT DISTINCT PROVENANCE; the other order is not a column named
+    // DISTINCT.
+    ("SELECT PROVENANCE DISTINCT c_name FROM customer", "parse"),
 ];
 
 #[test]
@@ -152,6 +155,17 @@ fn rejected_corpus_fails_with_the_expected_error_class() {
         };
         assert_eq!(&class, expected_class, "wrong error class for {sql}: {err}");
     }
+}
+
+/// `SELECT PROVENANCE DISTINCT` is refused by the parser with the order it supports.
+#[test]
+fn provenance_before_distinct_names_the_supported_order() {
+    let err = parse_statement("SELECT PROVENANCE DISTINCT c_name FROM customer").unwrap_err();
+    assert!(
+        matches!(&err, SqlError::Parse { message, .. } if message.contains("SELECT DISTINCT PROVENANCE")),
+        "{err}"
+    );
+    parse_statement("SELECT DISTINCT PROVENANCE c_name FROM customer").unwrap();
 }
 
 /// Quoted non-ASCII text reaches the catalog lookup and the plan byte for byte.

@@ -13,8 +13,9 @@
 //! (Int/Date) hash-key consistency, keys hashed and compared in place (text, mixed numeric,
 //! NULL-safe and multi-column join and group-by keys), set operations over the keys the random
 //! plans never hold (text, NULL, NaN, Int against Float, a join's views), the lazily evaluated
-//! expression forms (`CASE`, `IN` over a list) and join conditions decided in batches of
-//! candidate pairs.
+//! expression forms (`CASE`, `IN` over a list), join conditions decided in batches of
+//! candidate pairs, and `ORDER BY`s the optimizer moves below a join (in the order a sort
+//! above the join gives).
 
 use proptest::prelude::*;
 
@@ -1430,5 +1431,199 @@ proptest! {
             prov_reordered.bag_eq(&prov_reference),
             "reordering changed provenance results\nraw:\n{rewritten}\noptimized:\n{rewritten_opt}"
         );
+    }
+}
+
+/// Where the sort is in an optimized plan of the test below: still on top (under a `LIMIT`),
+/// moved below a join onto `l`'s side, or onto `r`'s — the join's right input there, so the
+/// join was swapped.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SortPlace {
+    Stays,
+    Moved,
+    Swapped,
+}
+
+fn sort_place(plan: &LogicalPlan) -> SortPlace {
+    fn find(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+        match plan {
+            LogicalPlan::Sort { .. } => Some(plan),
+            other => other.children().into_iter().find_map(|c| find(c)),
+        }
+    }
+    fn scans_r(plan: &LogicalPlan) -> bool {
+        matches!(plan, LogicalPlan::BaseRelation { name, .. } if &**name == "r")
+            || plan.children().into_iter().any(|c| scans_r(c))
+    }
+    let top = match plan {
+        LogicalPlan::Limit { input, .. } => input.as_ref(),
+        other => other,
+    };
+    match find(top) {
+        _ if matches!(top, LogicalPlan::Sort { .. }) => SortPlace::Stays,
+        Some(sort) if scans_r(sort) => SortPlace::Swapped,
+        Some(_) => SortPlace::Moved,
+        None => panic!("no sort in\n{plan}"),
+    }
+}
+
+/// `ORDER BY` over every join kind, a θ join and an R5 join-back, with keys on the left, on the
+/// right, on both sides and in an expression — keys with ties, NULLs and NaN, over a probe side
+/// of more than one morsel — bare and under `LIMIT` / `OFFSET`. Whether the optimizer moves the
+/// sort below the join or leaves it on top, the engine returns the reference's rows for the
+/// optimized plan in the reference's order at every degree, and the raw plan's rows in key
+/// order. A sort moved below a join that keeps its inputs gives the very sequence the sort
+/// above the join gave (ties included); a swapped join may order ties differently, so there
+/// only the keys must match (and under a `LIMIT`, only the keys of the rows kept).
+#[test]
+fn sorts_moved_below_joins_keep_the_order_of_a_sort_above() {
+    use perm_algebra::{PlanBuilder, SortKey};
+
+    let catalog = Catalog::new();
+    let schema = |k: &str, f: &str, t: &str| {
+        Schema::from_pairs(&[(k, DataType::Int), (f, DataType::Float), (t, DataType::Int)])
+    };
+    let table = |rows: i64, modulus: i64| -> Vec<Tuple> {
+        (0..rows)
+            .map(|i| {
+                let k = if i % 23 == 0 { Value::Null } else { Value::Int(i % modulus) };
+                let f = match i % 17 {
+                    0 => Value::Null,
+                    5 => Value::Float(f64::NAN),
+                    r => Value::Float((r % 6) as f64 * 0.5),
+                };
+                Tuple::new(vec![k, f, Value::Int(i)])
+            })
+            .collect()
+    };
+    catalog
+        .create_table_with_data("l", Relation::from_parts(schema("k", "f", "tag"), table(1100, 7)))
+        .unwrap();
+    catalog
+        .create_table_with_data("r", Relation::from_parts(schema("rk", "g", "rtag"), table(30, 9)))
+        .unwrap();
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    let col = |index: usize| ScalarExpr::column(index, "c");
+    // Join output `l.k l.f l.tag r.rk r.g r.rtag`, renamed as `tag f k g rk rtag` above.
+    let renamed = [(2, "tag"), (1, "f"), (0, "k"), (4, "g"), (3, "rk"), (5, "rtag")];
+    let keys_of = |set: &str| -> Vec<SortKey> {
+        match set {
+            "left" => vec![SortKey::asc(col(1))],
+            "left2" => vec![SortKey::desc(col(2)), SortKey::asc(col(1))],
+            "right" => vec![SortKey::asc(col(3))],
+            "right2" => vec![SortKey::desc(col(4)), SortKey::asc(col(3))],
+            "both" => vec![SortKey::asc(col(2)), SortKey::asc(col(4))],
+            _ => vec![SortKey::asc(ScalarExpr::binary(
+                BinaryOperator::Add,
+                col(1),
+                ScalarExpr::literal(1.0),
+            ))],
+        }
+    };
+    let equi = || Some(col(0).eq(col(3)));
+    let theta = || Some(ScalarExpr::binary(BinaryOperator::Lt, col(1), col(4)));
+    let joins: [(&str, JoinKind, Option<ScalarExpr>); 6] = [
+        ("inner", JoinKind::Inner, equi()),
+        ("cross", JoinKind::Cross, None),
+        ("θ", JoinKind::Inner, theta()),
+        ("left outer", JoinKind::LeftOuter, equi()),
+        ("right outer", JoinKind::RightOuter, equi()),
+        ("full outer", JoinKind::FullOuter, equi()),
+    ];
+    let stats = perm_exec::TableStatsView::from_snapshot(&catalog.snapshot());
+    let keys_match = |a: &Relation, b: &Relation, keys: &[SortKey]| {
+        let key_values = |rel: &Relation| -> Vec<Vec<Value>> {
+            rel.iter()
+                .map(|t| keys.iter().map(|k| perm_exec::evaluate(&k.expr, &t).unwrap()).collect())
+                .collect()
+        };
+        key_values(a) == key_values(b)
+    };
+    let check = |raw: &LogicalPlan, keys: &[SortKey], expected: Option<SortPlace>, case: &str| {
+        let reference = execute_reference(&catalog, raw).unwrap();
+        let no_stats = Optimizer::new().optimize(raw).unwrap();
+        let (with_stats, _) = Optimizer::new().optimize_with_stats(raw, &stats).unwrap();
+        for (optimized, expected) in [(&no_stats, expected), (&with_stats, None)] {
+            optimized.verify().unwrap();
+            let place = sort_place(optimized);
+            if let Some(expected) = expected {
+                assert_eq!(place, expected, "{case}:\n{optimized}");
+            }
+            let engine = run_at_every_degree(&catalog, optimized, ExecOptions::default()).unwrap();
+            let same_plan = execute_reference(&catalog, optimized).unwrap();
+            assert!(
+                engine.tuples() == same_plan.tuples(),
+                "{case}: engine != reference\n{optimized}"
+            );
+            assert!(
+                keys_match(&engine, &reference, keys),
+                "{case}: keys out of order\n{optimized}"
+            );
+            if place == SortPlace::Swapped {
+                assert!(
+                    is_limited(raw) || engine.bag_eq(&reference),
+                    "{case}: rows differ\n{optimized}"
+                );
+            } else {
+                assert!(
+                    engine.tuples() == reference.tuples(),
+                    "{case}: order differs\n{optimized}"
+                );
+            }
+        }
+    };
+    fn is_limited(plan: &LogicalPlan) -> bool {
+        matches!(plan, LogicalPlan::Limit { .. })
+    }
+
+    for (name, kind, condition) in joins {
+        for set in ["left", "left2", "right", "right2", "both", "expression"] {
+            let expected = match (set, kind) {
+                ("both" | "expression", _) | (_, JoinKind::FullOuter) => SortPlace::Stays,
+                ("left" | "left2", JoinKind::RightOuter) => SortPlace::Stays,
+                ("right" | "right2", JoinKind::LeftOuter) => SortPlace::Stays,
+                ("right" | "right2", _) => SortPlace::Swapped,
+                _ => SortPlace::Moved,
+            };
+            let exprs = renamed.iter().map(|&(i, n)| (col(i), n.into())).collect();
+            let sorted = scan("l", 0)
+                .join(scan("r", 1), kind, condition.clone())
+                .project(exprs)
+                .sort(keys_of(set));
+            let keys = keys_of(set);
+            let case = format!("{name} join, {set} keys");
+            check(&sorted.clone().build(), &keys, Some(expected), &case);
+            for (limit, offset) in [(7, 0), (40, 1090)] {
+                let limited = sorted.clone().limit(Some(limit), offset).build();
+                check(
+                    &limited,
+                    &keys,
+                    Some(expected),
+                    &format!("{case}, LIMIT {limit} OFFSET {offset}"),
+                );
+            }
+        }
+    }
+
+    // R5: `SELECT PROVENANCE k, sum(f) FROM l GROUP BY k ORDER BY ...` — q's attributes reach
+    // the join-back unchanged from the aggregation, which the sort moves onto.
+    let grouped = || {
+        scan("l", 0).aggregate(
+            vec![(col(0), "k".into())],
+            vec![(AggregateExpr::new(AggregateFunction::Sum, col(1)), "s".into())],
+        )
+    };
+    for keys in [vec![SortKey::desc(col(0))], vec![SortKey::asc(col(1)), SortKey::asc(col(0))]] {
+        for limit in [None, Some((5, 2))] {
+            let mut query = grouped().sort(keys.clone());
+            if let Some((n, offset)) = limit {
+                query = query.limit(Some(n), offset);
+            }
+            let rewritten = ProvenanceRewriter::new().rewrite(&query.build()).unwrap();
+            let case = format!("R5 join-back ordered by {keys:?}, limit {limit:?}");
+            check(&rewritten, &keys, Some(SortPlace::Moved), &case);
+        }
     }
 }
