@@ -115,21 +115,28 @@ impl PlanBuilder {
         }
     }
 
-    /// Combine with another plan through a set operation.
+    /// Combine with another plan through a set operation, each input cast to the columns'
+    /// common types ([`crate::DataType::common_type`]) where its own differ, so that a column
+    /// holds one type whichever input a row comes from. Inputs without common types stay as
+    /// they are, for [`LogicalPlan::verify`] to reject.
     pub fn set_op(
         self,
         right: PlanBuilder,
         kind: SetOpKind,
         semantics: SetSemantics,
     ) -> PlanBuilder {
-        PlanBuilder {
-            plan: Arc::new(LogicalPlan::SetOp {
-                left: self.plan,
-                right: right.plan,
-                kind,
-                semantics,
-            }),
-        }
+        let (l, r) = (self.schema(), right.schema());
+        let types = l
+            .attributes()
+            .iter()
+            .zip(r.attributes())
+            .map(|(a, b)| a.data_type.common_type(b.data_type));
+        let types = types.collect::<Option<Vec<_>>>().filter(|_| l.arity() == r.arity());
+        let (left, right) = match types {
+            Some(types) => (self.plan.cast_columns(&types), right.plan.cast_columns(&types)),
+            None => (self.plan, right.plan),
+        };
+        PlanBuilder { plan: Arc::new(LogicalPlan::SetOp { left, right, kind, semantics }) }
     }
 
     /// Add a sort.

@@ -9,9 +9,10 @@
 //!
 //! Tuples still exist at the edges (SQL literals, INSERT values, client-visible rows) and the
 //! chunk layer converts losslessly in both directions: [`DataChunk::from_tuples`] /
-//! [`DataChunk::tuple_at`]. Columns whose rows do not share one scalar type (legal in this
-//! engine, e.g. a `CASE` mixing INT and TEXT arms) degrade to the boxed [`Array::Any`]
-//! representation, so the columnar layer is a fast path, never a semantic restriction.
+//! [`DataChunk::tuple_at`]. Every column holds one scalar type: the plan casts whatever would
+//! mix them (a `CASE` with INT and FLOAT arms, the branches of a set operation, an insert into
+//! a wider column) before a value reaches a column, and [`ArrayBuilder`] refuses a value of
+//! another type. There is no boxed fallback.
 //!
 //! Every native column is a few flat buffers, text included: [`Array::Text`] is offsets over
 //! one byte buffer, so a column of any length costs three allocations and its rows move as a
@@ -168,8 +169,8 @@ impl FromIterator<bool> for Bitmap {
 
 /// A typed columnar vector of scalar values with a validity bitmap.
 ///
-/// The typed variants store unboxed native values; [`Array::Null`] is the degenerate all-NULL
-/// column and [`Array::Any`] is the boxed fallback for columns whose rows mix scalar types.
+/// The typed variants store unboxed native values of one type each; [`Array::Null`] is the
+/// degenerate all-NULL column.
 /// [`Array::Dict`] and [`Array::RunLength`] are *encoded* views over another array; equality
 /// ([`PartialEq`]) is logical, so an encoded array equals its decoded form row for row.
 #[derive(Debug, Clone)]
@@ -201,7 +202,8 @@ pub enum Array {
     Text {
         /// One more position than rows, ascending from 0 (an invalid slot is empty). 32 bits
         /// address 4 GiB of text per column; what would outgrow them is refused
-        /// ([`AlgebraError::ColumnTooLarge`]) or boxed ([`Array::Any`]), never wrapped.
+        /// ([`AlgebraError::ColumnTooLarge`]) or, from a gather or a broadcast, kept as a view
+        /// over its source ([`Array::Dict`], [`Array::RunLength`]), never wrapped.
         offsets: Vec<u32>,
         /// The rows' UTF-8 end to end; every row's slice is valid UTF-8 on its own.
         bytes: Vec<u8>,
@@ -219,11 +221,6 @@ pub enum Array {
     Null {
         /// Number of rows.
         len: usize,
-    },
-    /// Boxed fallback for columns mixing scalar types.
-    Any {
-        /// One boxed value per row.
-        values: Vec<Value>,
     },
     /// Dictionary-encoded view: row `i` is row `indices[i]` of the shared `dict` array.
     ///
@@ -367,7 +364,6 @@ impl Array {
             Array::Text { offsets, .. } => offsets.len().saturating_sub(1),
             Array::Date { values, .. } => values.len(),
             Array::Null { len } => *len,
-            Array::Any { values } => values.len(),
             Array::Dict { indices, .. } => indices.len(),
             Array::RunLength { run_ends, .. } => run_ends.last().map_or(0, |&end| end as usize),
         }
@@ -413,7 +409,6 @@ impl Array {
             | Array::Text { validity, .. }
             | Array::Date { validity, .. } => !validity.get(i),
             Array::Null { .. } => true,
-            Array::Any { values } => values[i].is_null(),
             Array::Dict { .. } | Array::RunLength { .. } => {
                 let (array, idx) = self.resolve_row(i);
                 array.is_null(idx)
@@ -462,7 +457,6 @@ impl Array {
                 }
             }
             Array::Null { .. } => Value::Null,
-            Array::Any { values } => values[i].clone(),
             Array::Dict { .. } | Array::RunLength { .. } => {
                 let (array, idx) = self.resolve_row(i);
                 array.value(idx)
@@ -470,7 +464,7 @@ impl Array {
         }
     }
 
-    /// The scalar type of the column ([`DataType::Null`] for all-NULL or mixed columns).
+    /// The scalar type of the column ([`DataType::Null`] for an all-NULL column).
     pub fn data_type(&self) -> DataType {
         match self {
             Array::Bool { .. } => DataType::Bool,
@@ -478,22 +472,24 @@ impl Array {
             Array::Float { .. } => DataType::Float,
             Array::Text { .. } => DataType::Text,
             Array::Date { .. } => DataType::Date,
-            Array::Null { .. } | Array::Any { .. } => DataType::Null,
+            Array::Null { .. } => DataType::Null,
             Array::Dict { dict, .. } => dict.data_type(),
             Array::RunLength { values, .. } => values.data_type(),
         }
     }
 
-    /// Build an array from a sequence of values (choosing the best representation).
-    pub fn from_values(values: impl IntoIterator<Item = Value>) -> Array {
+    /// Build an array from a sequence of values of one type (NULLs aside): see
+    /// [`ArrayBuilder::push`] for the values it refuses.
+    pub fn from_values(values: impl IntoIterator<Item = Value>) -> Result<Array, AlgebraError> {
         let mut builder = ArrayBuilder::new();
         for v in values {
-            builder.push(v);
+            builder.push(v)?;
         }
-        builder.finish()
+        Ok(builder.finish())
     }
 
-    /// An array repeating `value` `len` times (literal broadcast).
+    /// An array repeating `value` `len` times (literal broadcast). Text longer, all told, than
+    /// offsets address is one run of the value.
     pub fn repeat(value: &Value, len: usize) -> Array {
         match value {
             Value::Null => Array::Null { len },
@@ -508,7 +504,10 @@ impl Array {
                     bytes: s.as_bytes().repeat(len),
                     validity: Bitmap::all_set(len),
                 },
-                None => Array::Any { values: vec![value.clone(); len] },
+                None => Array::RunLength {
+                    values: Arc::new(Array::repeat(value, 1)),
+                    run_ends: vec![len as u32],
+                },
             },
             Value::Date(d) => Array::Date { values: vec![*d; len], validity: Bitmap::all_set(len) },
         }
@@ -555,14 +554,6 @@ impl Array {
                 Array::Date { values: compact(values, mask), validity: validity.filter(mask) }
             }
             Array::Null { .. } => Array::Null { len: mask.iter().filter(|m| **m).count() },
-            Array::Any { values } => Array::Any {
-                values: values
-                    .iter()
-                    .zip(mask)
-                    .filter(|(_, keep)| **keep)
-                    .map(|(v, _)| v.clone())
-                    .collect(),
-            },
             // A dict view filters by compacting its indices; the dictionary is untouched.
             Array::Dict { indices, dict } => {
                 Array::Dict { indices: filter_indices(indices, mask), dict: dict.clone() }
@@ -571,12 +562,19 @@ impl Array {
         }
     }
 
-    /// Gather the rows at `indices` (column gather; indices may repeat and reorder).
-    pub fn take(&self, indices: &[u32]) -> Array {
+    /// Gather the rows at `indices` (column gather; indices may repeat and reorder). Text that
+    /// repeats beyond what offsets address stays a view over this column, which is not copied.
+    pub fn take(self: &Arc<Array>, indices: &[u32]) -> Array {
+        self.gather(indices)
+            .unwrap_or_else(|| Array::Dict { indices: indices.into(), dict: self.clone() })
+    }
+
+    /// [`Array::take`], or `None` for text that would outgrow what offsets address.
+    fn gather(&self, indices: &[u32]) -> Option<Array> {
         fn gather<T: Copy>(values: &[T], indices: &[u32]) -> Vec<T> {
             indices.iter().map(|&i| values[i as usize]).collect()
         }
-        match self {
+        Some(match self {
             Array::Bool { values, validity } => {
                 Array::Bool { values: gather(values, indices), validity: validity.take(indices) }
             }
@@ -589,11 +587,7 @@ impl Array {
             Array::Text { offsets, bytes, validity } => {
                 let rows = || indices.iter().map(|&i| text_row(offsets, bytes, i as usize));
                 let total = rows().map(<[u8]>::len).sum();
-                if text_end(total).is_none() {
-                    // Repeats can outgrow what offsets address: box rather than wrap.
-                    let values = indices.iter().map(|&i| self.value(i as usize)).collect();
-                    return Array::Any { values };
-                }
+                text_end(total)?;
                 let mut out_offsets = Vec::with_capacity(indices.len() + 1);
                 let mut out_bytes = Vec::with_capacity(total);
                 out_offsets.push(0);
@@ -611,9 +605,6 @@ impl Array {
                 Array::Date { values: gather(values, indices), validity: validity.take(indices) }
             }
             Array::Null { .. } => Array::Null { len: indices.len() },
-            Array::Any { values } => {
-                Array::Any { values: indices.iter().map(|&i| values[i as usize].clone()).collect() }
-            }
             // A dict view gathers by gathering its indices; the dictionary is untouched.
             Array::Dict { indices: inner, dict } => {
                 Array::Dict { indices: compose_indices(inner, indices), dict: dict.clone() }
@@ -621,7 +612,7 @@ impl Array {
             Array::RunLength { values, run_ends } => {
                 Array::Dict { indices: run_indices(run_ends, indices), dict: values.clone() }
             }
-        }
+        })
     }
 
     /// A copy of the rows `[offset, offset + len)`.
@@ -654,7 +645,6 @@ impl Array {
                 validity: validity.slice(offset, len),
             },
             Array::Null { .. } => Array::Null { len },
-            Array::Any { values } => Array::Any { values: values[offset..end].to_vec() },
             Array::Dict { indices, dict } => {
                 Array::Dict { indices: Arc::from(&indices[offset..end]), dict: dict.clone() }
             }
@@ -662,14 +652,14 @@ impl Array {
         }
     }
 
-    /// Concatenate several arrays into one (same-variant inputs extend natively; mixed variants
-    /// degrade to the boxed fallback). Text laid end to end must stay within what 32-bit
-    /// offsets address: the summed length is checked first, and more is
-    /// [`AlgebraError::ColumnTooLarge`].
+    /// Concatenate several arrays of one type (all-NULL parts fit any) into one, extending the
+    /// native buffers; parts of two types are an [`AlgebraError::TypeMismatch`]. Text laid end
+    /// to end must stay within what 32-bit offsets address: the summed length is checked
+    /// first, and more is [`AlgebraError::ColumnTooLarge`].
     pub fn concat(arrays: &[&Array]) -> Result<Array, AlgebraError> {
-        /// Same-variant fast path: native `extend_from_slice` per input, no value boxing.
-        /// All-NULL parts (an outer join's padding batches, a join's NULL slot) extend the
-        /// native buffer with invalid default slots instead of forcing the boxed fallback.
+        /// Native `extend_from_slice` per input, no value boxing. All-NULL parts (an outer
+        /// join's padding batches, a join's NULL slot) extend the native buffer with invalid
+        /// default slots.
         macro_rules! typed_concat {
             ($variant:ident, $fill:expr) => {{
                 if arrays.iter().any(|a| matches!(a, Array::$variant { .. }))
@@ -710,6 +700,15 @@ impl Array {
                             false => Cow::Borrowed(*a),
                         })
                         .collect();
+                    // Only a view over more text than offsets address stays encoded.
+                    if let Some(view) = decoded.iter().find(|a| a.is_encoded()) {
+                        let bytes = |i| match view.resolve_row(i) {
+                            (Array::Text { offsets, .. }, r) => offsets[r + 1] - offsets[r],
+                            _ => 0,
+                        };
+                        let bytes = (0..view.len()).map(|i| u64::from(bytes(i))).sum();
+                        return Err(AlgebraError::ColumnTooLarge { bytes });
+                    }
                     let refs: Vec<&Array> = decoded.iter().map(Cow::as_ref).collect();
                     return Array::concat(&refs);
                 }
@@ -723,13 +722,11 @@ impl Array {
                 typed_concat!(Float, 0.0);
                 typed_concat!(Date, 0);
                 typed_concat!(Bool, false);
-                let mut builder = ArrayBuilder::with_capacity(arrays.iter().map(|a| a.len()).sum());
-                for a in arrays {
-                    for i in 0..a.len() {
-                        builder.push(a.value(i));
-                    }
-                }
-                Ok(builder.finish())
+                let mut types =
+                    arrays.iter().map(|a| a.data_type()).filter(|&t| t != DataType::Null);
+                let expected = types.next().unwrap_or(DataType::Null);
+                let actual = types.find(|&t| t != expected).unwrap_or(expected);
+                Err(AlgebraError::type_mismatch("a column of one type", expected, actual))
             }
         }
     }
@@ -802,19 +799,17 @@ impl Array {
             Array::Date { values, validity } if validity.get(i) => {
                 out.push_str(&crate::value::format_date(values[i]));
             }
-            Array::Any { values } if !values[i].is_null() => {
-                let _ = write!(out, "{}", values[i]);
-            }
             _ => out.push_str("NULL"),
         }
     }
 
-    /// Decode an encoded view into a plain (unencoded) array; plain arrays are cloned as-is.
+    /// Decode an encoded view into a plain (unencoded) array; plain arrays are cloned as-is. A
+    /// view over more text than offsets address stays a view (see [`Array::take`]).
     pub fn to_plain(&self) -> Array {
         match self {
             Array::Dict { indices, dict } => {
                 if dict.is_encoded() {
-                    dict.to_plain().take(indices)
+                    Arc::new(dict.to_plain()).take(indices)
                 } else {
                     dict.take(indices)
                 }
@@ -827,7 +822,7 @@ impl Array {
                     start = end;
                 }
                 if values.is_encoded() {
-                    values.to_plain().take(&indices)
+                    Arc::new(values.to_plain()).take(&indices)
                 } else {
                     values.take(&indices)
                 }
@@ -879,13 +874,6 @@ impl Array {
             }
             Array::Date { values, validity } => values.len() * 4 + bitmap_bytes(validity),
             Array::Null { .. } => 0,
-            Array::Any { values } => {
-                values.len() * std::mem::size_of::<Value>()
-                    + values
-                        .iter()
-                        .map(|v| if let Value::Text(s) = v { s.len() } else { 0 })
-                        .sum::<usize>()
-            }
             Array::Dict { indices, dict } => {
                 let index_bytes =
                     if first_charge(indices, charged) { indices.len() * 4 } else { 0 };
@@ -946,7 +934,7 @@ impl Array {
         // Gather one representative row per run.
         let representatives: Vec<u32> =
             std::iter::once(0).chain(run_ends[..run_ends.len() - 1].iter().copied()).collect();
-        Some(Array::RunLength { values: Arc::new(self.take(&representatives)), run_ends })
+        Some(Array::RunLength { values: Arc::new(self.gather(&representatives)?), run_ends })
     }
 }
 
@@ -1015,23 +1003,16 @@ impl PartialEq for Array {
 
 /// Incremental [`Array`] construction from dynamically typed [`Value`]s.
 ///
-/// The builder starts untyped, locks onto the variant of the first non-NULL value and degrades
-/// to the boxed [`Array::Any`] representation if a later value does not fit.
+/// The builder counts NULLs until the first non-NULL value locks the column's type; from then
+/// on it takes only values of that type (and NULLs).
 #[derive(Debug, Default)]
 pub struct ArrayBuilder {
-    repr: BuilderRepr,
+    /// NULLs pushed before the type locked in.
+    nulls: usize,
+    /// The column, from the first non-NULL value on.
+    array: Option<Array>,
     /// Expected number of values; pre-sizes the native vector when the type locks in.
     capacity: usize,
-}
-
-#[derive(Debug, Default)]
-enum BuilderRepr {
-    /// Nothing but NULLs seen so far.
-    #[default]
-    Untyped,
-    Nulls(usize),
-    Typed(Array),
-    Any(Vec<Value>),
 }
 
 impl ArrayBuilder {
@@ -1043,67 +1024,38 @@ impl ArrayBuilder {
     /// A builder expecting about `capacity` values (pre-sizes the native vector when the
     /// column type locks in).
     pub fn with_capacity(capacity: usize) -> ArrayBuilder {
-        ArrayBuilder { repr: BuilderRepr::default(), capacity }
+        ArrayBuilder { capacity, ..ArrayBuilder::default() }
     }
 
-    /// Append a value.
-    pub fn push(&mut self, value: Value) {
-        let repr = std::mem::take(&mut self.repr);
-        self.repr = match (repr, value) {
-            (BuilderRepr::Untyped, Value::Null) => BuilderRepr::Nulls(1),
-            (BuilderRepr::Nulls(n), Value::Null) => BuilderRepr::Nulls(n + 1),
-            (BuilderRepr::Untyped, v) => self.push_typed(null_slots(0, &v, self.capacity), v),
-            (BuilderRepr::Nulls(n), v) => self.push_typed(null_slots(n, &v, self.capacity), v),
-            (BuilderRepr::Typed(array), v) => self.push_typed(array, v),
-            (BuilderRepr::Any(mut values), v) => {
-                values.push(v);
-                BuilderRepr::Any(values)
-            }
-        };
-    }
-
-    /// `array` with `value` behind it — boxed, if the value does not fit the array.
-    fn push_typed(&self, mut array: Array, value: Value) -> BuilderRepr {
-        match push_typed(&mut array, value) {
-            Ok(()) => BuilderRepr::Typed(array),
-            Err(value) => {
-                let mut values: Vec<Value> = Vec::with_capacity(self.capacity.max(array.len() + 1));
-                values.extend((0..array.len()).map(|i| array.value(i)));
-                values.push(value);
-                BuilderRepr::Any(values)
-            }
+    /// Append a value. A value of another type than the column's is an
+    /// [`AlgebraError::TypeMismatch`] and text past what offsets address an
+    /// [`AlgebraError::ColumnTooLarge`]; either leaves the builder as it was.
+    pub fn push(&mut self, value: Value) -> Result<(), AlgebraError> {
+        if self.array.is_none() && value.is_null() {
+            self.nulls += 1;
+            return Ok(());
         }
-    }
-
-    /// Number of values pushed so far.
-    pub fn len(&self) -> usize {
-        match &self.repr {
-            BuilderRepr::Untyped => 0,
-            BuilderRepr::Nulls(n) => *n,
-            BuilderRepr::Typed(a) => a.len(),
-            BuilderRepr::Any(v) => v.len(),
-        }
-    }
-
-    /// Is the builder empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let (nulls, capacity) = (self.nulls, self.capacity);
+        push_typed(self.array.get_or_insert_with(|| null_slots(nulls, &value, capacity)), value)
     }
 
     /// Finish the array. Text gives back what its byte buffer grew beyond the rows: a finished
     /// column may be stored for good.
     pub fn finish(self) -> Array {
-        match self.repr {
-            BuilderRepr::Untyped => Array::Null { len: 0 },
-            BuilderRepr::Nulls(n) => Array::Null { len: n },
-            BuilderRepr::Typed(Array::Text { offsets, mut bytes, validity }) => {
+        match self.array {
+            None => Array::Null { len: self.nulls },
+            Some(Array::Text { offsets, mut bytes, validity }) => {
                 bytes.shrink_to_fit();
                 Array::Text { offsets, bytes, validity }
             }
-            BuilderRepr::Typed(a) => a,
-            BuilderRepr::Any(values) => Array::Any { values },
+            Some(a) => a,
         }
     }
+}
+
+/// Column `c` of `rows` (a missing value is NULL).
+fn tuple_column(rows: &[Tuple], c: usize) -> impl Iterator<Item = Value> + '_ {
+    rows.iter().map(move |t| t.get(c).cloned().unwrap_or(Value::Null))
 }
 
 /// A typed array of `nulls` NULL slots, of the variant that holds `like`, pre-sized for
@@ -1127,9 +1079,9 @@ fn null_slots(nulls: usize, like: &Value, capacity: usize) -> Array {
     }
 }
 
-/// Append `value` to a typed array; returns the value back when it does not fit: another type,
-/// or text beyond what the offsets address.
-fn push_typed(array: &mut Array, value: Value) -> Result<(), Value> {
+/// Append `value` to a typed array, unless it does not fit: another type, or text beyond what
+/// the offsets address.
+fn push_typed(array: &mut Array, value: Value) -> Result<(), AlgebraError> {
     match (array, value) {
         (Array::Bool { values, validity }, Value::Bool(b)) => {
             values.push(b);
@@ -1144,8 +1096,9 @@ fn push_typed(array: &mut Array, value: Value) -> Result<(), Value> {
             validity.push(true);
         }
         (Array::Text { offsets, bytes, validity }, Value::Text(s)) => {
-            // Text that would outgrow the offsets goes back to the builder, which boxes.
-            let Some(end) = text_end(bytes.len() + s.len()) else { return Err(Value::Text(s)) };
+            let Some(end) = text_end(bytes.len() + s.len()) else {
+                return Err(AlgebraError::ColumnTooLarge { bytes: (bytes.len() + s.len()) as u64 });
+            };
             bytes.extend_from_slice(s.as_bytes());
             offsets.push(end);
             validity.push(true);
@@ -1174,7 +1127,10 @@ fn push_typed(array: &mut Array, value: Value) -> Result<(), Value> {
             values.push(0);
             validity.push(false);
         }
-        (_, value) => return Err(value),
+        (array, value) => {
+            let (expected, actual) = (array.data_type(), value.data_type());
+            return Err(AlgebraError::type_mismatch("a column of one type", expected, actual));
+        }
     }
     Ok(())
 }
@@ -1211,18 +1167,35 @@ impl DataChunk {
         DataChunk { columns: Vec::new(), rows }
     }
 
-    /// Convert a slice of tuples into one chunk of `arity` columns.
+    /// Convert a slice of tuples into one chunk of `arity` columns (a missing value is NULL). A
+    /// column whose values do not share one type takes their common type (INT beside FLOAT is
+    /// FLOAT), or TEXT where they have none. Panics only on more text than a column addresses.
     pub fn from_tuples(arity: usize, rows: &[Tuple]) -> DataChunk {
-        let mut builders: Vec<ArrayBuilder> = (0..arity).map(|_| ArrayBuilder::new()).collect();
-        for t in rows {
-            for (c, builder) in builders.iter_mut().enumerate() {
-                builder.push(t.get(c).cloned().unwrap_or(Value::Null));
-            }
-        }
-        DataChunk {
-            columns: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
+        let column = |c| tuple_column(rows, c);
+        let typed = |c| {
+            Array::from_values(column(c)).or_else(|_| {
+                let common =
+                    column(c).try_fold(DataType::Null, |t, v| t.common_type(v.data_type()));
+                let cast = |v: Value| match common {
+                    Some(t) => v.cast(t),
+                    None if v.is_null() => Ok(v),
+                    None => Ok(Value::Text(v.to_string().into())),
+                };
+                Array::from_values(column(c).map(cast).collect::<Result<Vec<_>, _>>()?)
+            })
+        };
+        let columns = (0..arity).map(|c| typed(c).map(Arc::new)).collect::<Result<_, _>>();
+        DataChunk { columns: columns.unwrap_or_else(|e| panic!("{e}")), rows: rows.len() }
+    }
+
+    /// [`DataChunk::from_tuples`], refusing a column whose values do not share one type
+    /// ([`ArrayBuilder::push`]).
+    pub fn try_from_tuples(arity: usize, rows: &[Tuple]) -> Result<DataChunk, AlgebraError> {
+        let column = |c| Array::from_values(tuple_column(rows, c)).map(Arc::new);
+        Ok(DataChunk {
+            columns: (0..arity).map(column).collect::<Result<_, _>>()?,
             rows: rows.len(),
-        }
+        })
     }
 
     /// Number of rows.
@@ -1505,27 +1478,36 @@ mod tests {
     }
 
     #[test]
-    fn builder_types_lock_and_degrade() {
-        let a = Array::from_values(vec![Value::Int(1), Value::Null, Value::Int(3)]);
+    fn builder_types_lock_and_refuse_another_type() {
+        let a = Array::from_values(vec![Value::Int(1), Value::Null, Value::Int(3)]).unwrap();
         assert!(matches!(a, Array::Int { .. }));
         assert_eq!(a.value(0), Value::Int(1));
         assert_eq!(a.value(1), Value::Null);
         assert_eq!(a.value(2), Value::Int(3));
 
         // Leading NULLs then a typed value.
-        let a = Array::from_values(vec![Value::Null, Value::text("x")]);
+        let a = Array::from_values(vec![Value::Null, Value::text("x")]).unwrap();
         assert!(matches!(a, Array::Text { .. }));
         assert_eq!(a.value(0), Value::Null);
         assert_eq!(a.value(1), Value::text("x"));
 
-        // Mixed types degrade to the boxed fallback without losing values.
-        let a = Array::from_values(vec![Value::Int(1), Value::text("x"), Value::Null]);
-        assert!(matches!(a, Array::Any { .. }));
-        assert_eq!(a.value(0), Value::Int(1));
-        assert_eq!(a.value(1), Value::text("x"));
-        assert_eq!(a.value(2), Value::Null);
+        // A value of another type is refused, and the builder keeps what it had.
+        let mut builder = ArrayBuilder::new();
+        builder.push(Value::Null).unwrap();
+        builder.push(Value::Int(1)).unwrap();
+        for other in [Value::text("x"), Value::Float(1.0)] {
+            assert!(matches!(builder.push(other), Err(AlgebraError::TypeMismatch { .. })));
+        }
+        builder.push(Value::Null).unwrap();
+        let a = builder.finish();
+        assert!(matches!(a, Array::Int { .. }));
+        assert_eq!(
+            (0..3).map(|i| a.value(i)).collect::<Vec<_>>(),
+            [Value::Null, Value::Int(1), Value::Null]
+        );
+        assert!(Array::from_values(vec![Value::Int(1), Value::text("x")]).is_err());
 
-        let a = Array::from_values(vec![Value::Null, Value::Null]);
+        let a = Array::from_values(vec![Value::Null, Value::Null]).unwrap();
         assert!(matches!(a, Array::Null { len: 2 }));
     }
 
@@ -1537,6 +1519,18 @@ mod tests {
         assert_eq!(chunk.num_columns(), 2);
         let back: Vec<Tuple> = chunk.iter_tuples().collect();
         assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn hand_built_rows_of_two_types_share_one() {
+        let rows = [tuple![1, "x", Value::Null], tuple![2.5, 3, true]];
+        let chunk = DataChunk::from_tuples(3, &rows);
+        assert!(matches!(chunk.column(0).as_ref(), Array::Float { .. }));
+        assert!(matches!(chunk.column(1).as_ref(), Array::Text { .. }));
+        assert!(matches!(chunk.column(2).as_ref(), Array::Bool { .. }));
+        assert_eq!(chunk.tuple_at(0), tuple![1.0, "x", Value::Null]);
+        assert_eq!(chunk.tuple_at(1), tuple![2.5, "3", true]);
+        assert!(DataChunk::try_from_tuples(3, &rows).is_err());
     }
 
     /// An index buffer for `take_dict` calls.
@@ -1565,29 +1559,32 @@ mod tests {
     }
 
     #[test]
-    fn concat_same_and_mixed_variants() {
-        let a = Array::from_values(vec![Value::Int(1), Value::Int(2)]);
-        let b = Array::from_values(vec![Value::Null, Value::Int(4)]);
+    fn concat_extends_one_type_and_refuses_two() {
+        let a = Array::from_values(vec![Value::Int(1), Value::Int(2)]).unwrap();
+        let b = Array::from_values(vec![Value::Null, Value::Int(4)]).unwrap();
         let c = Array::concat(&[&a, &b]).unwrap();
         assert!(matches!(c, Array::Int { .. }));
         assert_eq!(c.len(), 4);
         assert_eq!(c.value(2), Value::Null);
         assert_eq!(c.value(3), Value::Int(4));
 
-        let t = Array::from_values(vec![Value::text("x")]);
-        let mixed = Array::concat(&[&a, &t]).unwrap();
-        assert_eq!(mixed.len(), 3);
-        assert_eq!(mixed.value(2), Value::text("x"));
+        let t = Array::from_values(vec![Value::text("x")]).unwrap();
+        let err = Array::concat(&[&a, &Array::Null { len: 1 }, &t]).unwrap_err();
+        assert!(matches!(err, AlgebraError::TypeMismatch { ref expected, ref actual, .. }
+            if expected == "INT" && actual == "TEXT"));
     }
 
     #[test]
     fn compare_matches_value_order() {
-        let a = Array::from_values(vec![Value::Null, Value::Int(1), Value::Int(5)]);
+        let a = Array::from_values(vec![Value::Null, Value::Int(1), Value::Int(5)]).unwrap();
         assert_eq!(a.compare(0, &a, 1), std::cmp::Ordering::Less); // NULLs first
         assert_eq!(a.compare(1, &a, 2), std::cmp::Ordering::Less);
         assert_eq!(a.compare(2, &a, 2), std::cmp::Ordering::Equal);
-        let mixed = Array::from_values(vec![Value::Int(2), Value::Float(2.0)]);
-        assert_eq!(mixed.compare(0, &mixed, 1), std::cmp::Ordering::Equal);
+        let floats = Array::from_values(vec![Value::Float(2.0)]).unwrap();
+        assert_eq!(
+            Array::from_values([Value::Int(2)]).unwrap().compare(0, &floats, 0),
+            std::cmp::Ordering::Equal
+        );
     }
 
     #[test]
@@ -1616,9 +1613,31 @@ mod tests {
     }
 
     #[test]
+    fn text_past_what_offsets_address_stays_a_typed_view() {
+        // 16 MiB of text 257 times over is more than 4 GiB.
+        let text = Value::text("x".repeat(16 << 20));
+        let rows = 257;
+        let repeated = Array::repeat(&text, rows);
+        assert!(matches!(repeated, Array::RunLength { .. }));
+        let source = Arc::new(Array::from_values([Value::Null, text.clone()]).unwrap());
+        let gathered = source.take(&vec![1; rows]);
+        assert!(matches!(&gathered, Array::Dict { dict, .. } if Arc::ptr_eq(dict, &source)));
+        for view in [&repeated, &gathered] {
+            assert_eq!((view.len(), view.data_type()), (rows, DataType::Text));
+            assert!(view.value(0) == text && view.value(rows - 1) == text);
+            assert!(view.to_plain().is_encoded(), "decoding would outgrow the offsets");
+        }
+        let err = Array::concat(&[&gathered, &source]).unwrap_err();
+        assert!(
+            matches!(err, AlgebraError::ColumnTooLarge { bytes } if bytes == (rows as u64) << 24)
+        );
+    }
+
+    #[test]
     fn dict_views_behave_like_their_decoded_form() {
-        let dict =
-            Arc::new(Array::from_values(vec![Value::text("a"), Value::Null, Value::text("c")]));
+        let dict = Arc::new(
+            Array::from_values(vec![Value::text("a"), Value::Null, Value::text("c")]).unwrap(),
+        );
         let view = dict.take_dict(&idx(&[2, 0, 1, 2, 2]));
         assert!(matches!(view, Array::Dict { .. }));
         assert_eq!(view.len(), 5);
@@ -1641,7 +1660,7 @@ mod tests {
             }
             other => panic!("expected dict view, got {other:?}"),
         }
-        assert_eq!(view.take(&[4, 2]), taken);
+        assert_eq!(Arc::new(view.clone()).take(&[4, 2]), taken);
 
         // filter and slice stay views.
         let filtered = view.filter(&[true, false, true, false, true]);
@@ -1678,7 +1697,7 @@ mod tests {
         assert!(Arc::ptr_eq(&view(1).1, source.column(1)));
         // A view next to a plain part decodes to a typed plain array.
         let a = source.column(0).take_dict(&idx(&[0, 1]));
-        let plain_tail = Array::from_values(vec![Value::Int(9)]);
+        let plain_tail = Array::from_values(vec![Value::Int(9)]).unwrap();
         let mixed = Array::concat(&[&a, &plain_tail]).unwrap();
         assert!(matches!(mixed, Array::Int { .. }));
         assert_eq!(mixed.value(2), Value::Int(9));
@@ -1691,7 +1710,8 @@ mod tests {
                 .chain(std::iter::repeat_n(Value::Null, 3))
                 .chain(std::iter::repeat_n(Value::Int(1), 4))
                 .collect::<Vec<_>>(),
-        );
+        )
+        .unwrap();
         let rle = long.rle_compress().expect("3 runs over 12 rows compresses");
         assert!(matches!(rle, Array::RunLength { .. }));
         assert_eq!(rle.len(), 12);
@@ -1701,17 +1721,18 @@ mod tests {
         assert!(rle.is_null(6));
         assert_eq!(rle.value(8), Value::Int(1));
         // take over RLE produces a dict view over the run values.
-        let taken = rle.take(&[0, 6, 11]);
-        assert_eq!(taken, long.take(&[0, 6, 11]));
+        let taken = Arc::new(rle.clone()).take(&[0, 6, 11]);
+        assert_eq!(taken, Arc::new(long.clone()).take(&[0, 6, 11]));
 
         // Unique values do not compress.
-        let unique = Array::from_values((0..12i64).map(Value::Int).collect::<Vec<_>>());
+        let unique = Array::from_values((0..12i64).map(Value::Int).collect::<Vec<_>>()).unwrap();
         assert!(unique.rle_compress().is_none());
     }
 
     #[test]
     fn byte_size_charges_a_shared_buffer_once() {
-        let dict = Arc::new(Array::from_values(vec![Value::text("abcd"), Value::text("ef")]));
+        let dict =
+            Arc::new(Array::from_values(vec![Value::text("abcd"), Value::text("ef")]).unwrap());
         let dict_bytes = dict.byte_size();
         assert!(dict_bytes >= 6);
         let indices = idx(&[0, 1, 0, 1]);
@@ -1757,8 +1778,8 @@ mod tests {
 
     #[test]
     fn concat_extends_typed_columns_over_all_null_parts() {
-        let ints = Array::from_values(vec![Value::Int(1), Value::Int(2)]);
-        let texts = Array::from_values(vec![Value::text("x")]);
+        let ints = Array::from_values(vec![Value::Int(1), Value::Int(2)]).unwrap();
+        let texts = Array::from_values(vec![Value::text("x")]).unwrap();
         let pad = Array::Null { len: 2 };
         let joined = Array::concat(&[&pad, &ints, &pad]).unwrap();
         assert!(matches!(joined, Array::Int { .. }));

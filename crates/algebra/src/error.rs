@@ -72,6 +72,18 @@ pub enum AlgebraError {
     Internal(String),
 }
 
+impl AlgebraError {
+    /// A [`AlgebraError::TypeMismatch`] raised outside plan verification (no operator path).
+    pub fn type_mismatch(
+        context: impl Into<String>,
+        expected: impl ToString,
+        actual: impl ToString,
+    ) -> AlgebraError {
+        let (expected, actual) = (expected.to_string(), actual.to_string());
+        AlgebraError::TypeMismatch { context: context.into(), expected, actual, path: Vec::new() }
+    }
+}
+
 impl fmt::Display for AlgebraError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

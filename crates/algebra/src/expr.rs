@@ -234,12 +234,11 @@ impl ScalarFunction {
             | ScalarFunction::ExtractYear
             | ScalarFunction::ExtractMonth
             | ScalarFunction::ExtractDay => DataType::Int,
-            ScalarFunction::Abs
-            | ScalarFunction::Round
-            | ScalarFunction::Floor
-            | ScalarFunction::Ceil => args.first().copied().unwrap_or(DataType::Float),
+            ScalarFunction::Abs => args.first().copied().unwrap_or(DataType::Float),
+            ScalarFunction::Round | ScalarFunction::Floor | ScalarFunction::Ceil => DataType::Float,
+            // The common type of the arguments (the analyzer casts each to it).
             ScalarFunction::Coalesce => {
-                args.iter().copied().find(|t| *t != DataType::Null).unwrap_or(DataType::Null)
+                args.iter().fold(DataType::Null, |acc, &t| acc.common_type(t).unwrap_or(acc))
             }
             ScalarFunction::DateAddYears
             | ScalarFunction::DateAddMonths
@@ -621,11 +620,11 @@ impl ScalarExpr {
                 } else {
                     let l = left.data_type(schema)?;
                     let r = right.data_type(schema)?;
-                    l.common_type(r).ok_or_else(|| AlgebraError::TypeMismatch {
-                        context: format!("operator {op}"),
-                        expected: l.to_string(),
-                        actual: r.to_string(),
-                        path: vec![],
+                    if *op == BinaryOperator::Sub && (l, r) == (DataType::Date, DataType::Date) {
+                        return Ok(DataType::Int); // days between two dates
+                    }
+                    l.common_type(r).ok_or_else(|| {
+                        AlgebraError::type_mismatch(format!("operator {op}"), l, r)
                     })?
                 }
             }

@@ -236,7 +236,7 @@ mod tests {
         ]
     }
 
-    /// Typed columns (each with NULLs) and a mixed one, plain and as dict / run-length views.
+    /// Typed columns (each with NULLs), plain and as dict / run-length views.
     fn columns() -> Vec<(Vec<Value>, Arc<Array>)> {
         let all = values();
         let of = |keep: fn(&Value) -> bool| -> Vec<Value> {
@@ -248,12 +248,11 @@ mod tests {
             of(|v| matches!(v, Value::Date(_))),
             of(|v| matches!(v, Value::Text(_))),
             of(|v| matches!(v, Value::Bool(_))),
-            all.clone(),
             vec![Value::Null; 3],
         ];
         let mut out = Vec::new();
         for rows in typed {
-            let plain = Arc::new(Array::from_values(rows.clone()));
+            let plain = Arc::new(Array::from_values(rows.clone()).unwrap());
             // A view that draws more rows than the dictionary has, and one that draws fewer.
             let wide: Vec<u32> = (0..rows.len() as u32).rev().chain(0..rows.len() as u32).collect();
             let narrow = [rows.len() as u32 - 1, 0];
@@ -309,44 +308,51 @@ mod tests {
 
     #[test]
     fn multi_column_keys_hash_alike_in_every_representation() {
-        let all = values();
-        let n = all.len();
-        let first = Arc::new(Array::from_values(all.clone()));
-        let second = Arc::new(Array::from_values(all.iter().rev().cloned().collect::<Vec<_>>()));
+        let texts = [Value::text("a"), Value::text(""), Value::text("a"), Value::Null];
+        let text = Arc::new(Array::from_values(texts).unwrap());
+        let numbers = [
+            [Value::Int(1), Value::Int(0), Value::Int(-7), Value::Null],
+            [Value::Float(1.0), Value::Float(-0.0), Value::Float(f64::NAN), Value::Null],
+            [Value::Date(1), Value::Date(0), Value::Date(-7), Value::Null],
+        ];
+        let keys = numbers.map(|n| [Arc::new(Array::from_values(n).unwrap()), text.clone()]);
         let state = RandomState::new();
-        let mut plain = Vec::new();
-        hash_rows(&state, &[first.clone(), second.clone()], &mut plain);
-        // Equal keys hash alike (Int 1 / Float 1.0 / Date 1, both zeros, both NaNs) ...
-        let safe = [true, true];
-        let keys = [first.clone(), second.clone()];
+        let hashes = keys.clone().map(|key| {
+            let mut hashes = Vec::new();
+            hash_rows(&state, &key, &mut hashes);
+            hashes
+        });
+        // Equal keys hash alike (Int 1 / Float 1.0 / Date 1, both zeros, NULLs) ...
         let mut equal_pairs = 0;
-        for i in 0..n {
-            for j in 0..n {
-                if rows_equal(&keys, i, &keys, j, &safe) {
-                    assert_eq!(plain[i], plain[j], "rows {i} and {j}");
-                    equal_pairs += 1;
-                } else {
-                    assert_ne!(plain[i], plain[j], "rows {i} and {j}");
+        for (a, hashes_a) in keys.iter().zip(&hashes) {
+            for (b, hashes_b) in keys.iter().zip(&hashes) {
+                for (i, j) in (0..4).flat_map(|i| (0..4).map(move |j| (i, j))) {
+                    if rows_equal(a, i, b, j, &[true, true]) {
+                        assert_eq!(hashes_a[i], hashes_b[j], "rows {i} and {j}");
+                        equal_pairs += 1;
+                    } else {
+                        assert_ne!(hashes_a[i], hashes_b[j], "rows {i} and {j}");
+                    }
                 }
             }
         }
-        assert!(equal_pairs > n, "some distinct rows hold equal keys");
+        assert!(equal_pairs > keys.len() * 4, "keys of different types hold equal values");
         // ... and the column order matters.
         let mut swapped = Vec::new();
-        hash_rows(&state, &[second.clone(), first.clone()], &mut swapped);
-        assert_ne!(plain, swapped);
+        hash_rows(&state, &[text.clone(), keys[0][0].clone()], &mut swapped);
+        assert_ne!(hashes[0], swapped);
         // Views of the same rows hash to the same.
-        let picks: Arc<[u32]> = (0..n as u32).rev().collect();
-        let views = [Arc::new(first.take_dict(&picks)), Arc::new(second.take_dict(&picks))];
+        let picks: Arc<[u32]> = (0..4).rev().collect();
+        let views = [Arc::new(keys[1][0].take_dict(&picks)), Arc::new(text.take_dict(&picks))];
         let mut viewed = Vec::new();
         hash_rows(&state, &views, &mut viewed);
         viewed.reverse();
-        assert_eq!(viewed, plain);
-        let mixed = [views[0].clone(), Arc::new(second.take(&picks))];
-        let mut hashes = Vec::new();
-        hash_rows(&state, &mixed, &mut hashes);
-        hashes.reverse();
-        assert_eq!(hashes, plain);
+        assert_eq!(viewed, hashes[1]);
+        let mixed = [views[0].clone(), Arc::new(text.take(&picks))];
+        let mut mixed_hashes = Vec::new();
+        hash_rows(&state, &mixed, &mut mixed_hashes);
+        mixed_hashes.reverse();
+        assert_eq!(mixed_hashes, hashes[1]);
     }
 
     #[test]

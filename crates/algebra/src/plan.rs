@@ -198,6 +198,35 @@ fn pop_child(children: &mut Vec<Arc<LogicalPlan>>) -> Result<Arc<LogicalPlan>, A
 }
 
 impl LogicalPlan {
+    /// This plan with every column whose type is not `types[i]` cast to it: inside the plan's
+    /// own expressions when it is a plain projection, else by one projection on top.
+    pub fn cast_columns(self: Arc<LogicalPlan>, types: &[DataType]) -> Arc<LogicalPlan> {
+        let schema = self.schema();
+        let cast =
+            |(i, a): (usize, &Attribute)| types.get(i).filter(|&&t| t != a.data_type).copied();
+        if schema.iter().all(|column| cast(column).is_none()) {
+            return self;
+        }
+        let (input, exprs) = match self.as_ref() {
+            LogicalPlan::Projection { input, exprs, distinct: false } => {
+                (input.clone(), exprs.clone())
+            }
+            _ => (
+                self.clone(),
+                schema
+                    .iter()
+                    .map(|(i, a)| (ScalarExpr::column(i, a.name.clone()), a.name.clone()))
+                    .collect(),
+            ),
+        };
+        let exprs =
+            exprs.into_iter().zip(schema.iter()).map(|((expr, name), column)| match cast(column) {
+                Some(data_type) => (ScalarExpr::Cast { expr: Box::new(expr), data_type }, name),
+                None => (expr, name),
+            });
+        Arc::new(LogicalPlan::Projection { input, exprs: exprs.collect(), distinct: false })
+    }
+
     /// The output schema of this plan node.
     pub fn schema(&self) -> Schema {
         match self {
@@ -251,6 +280,7 @@ impl LogicalPlan {
                 }
                 Schema::new(attrs)
             }
+            // The inputs' types are the common ones: see `PlanBuilder::set_op`.
             LogicalPlan::SetOp { left, .. } => left.schema(),
             LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } => input.schema(),
             LogicalPlan::SubqueryAlias { input, alias } => {

@@ -220,14 +220,6 @@ impl Schema {
         }
     }
 
-    /// Are the two schemas union compatible (same arity and pairwise coercible types)?
-    pub fn union_compatible(&self, other: &Schema) -> bool {
-        self.arity() == other.arity()
-            && self.attributes.iter().zip(other.attributes.iter()).all(|(a, b)| {
-                a.data_type.coercible_to(b.data_type) || b.data_type.coercible_to(a.data_type)
-            })
-    }
-
     /// Append an attribute, returning the new schema.
     pub fn with_attribute(&self, attribute: Attribute) -> Schema {
         let mut attributes = self.attributes.clone();
@@ -307,15 +299,6 @@ mod tests {
             .with_attribute(Attribute::new("prov_shop_numempl", DataType::Int).as_provenance());
         assert_eq!(s.normal_indices(), vec![0, 1]);
         assert_eq!(s.provenance_indices(), vec![2, 3]);
-    }
-
-    #[test]
-    fn union_compatibility() {
-        let a = Schema::from_pairs(&[("x", DataType::Int), ("y", DataType::Text)]);
-        let b = Schema::from_pairs(&[("p", DataType::Float), ("q", DataType::Text)]);
-        let c = Schema::from_pairs(&[("p", DataType::Float)]);
-        assert!(a.union_compatible(&b));
-        assert!(!a.union_compatible(&c));
     }
 
     #[test]

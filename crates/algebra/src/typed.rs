@@ -7,6 +7,9 @@
 //! * selection / join predicates and `CASE WHEN` conditions must be boolean-typed,
 //! * comparison and arithmetic operands must share a [`DataType::common_type`],
 //! * set-operation inputs must be pairwise type-compatible, not just arity-compatible,
+//! * a column that takes one of several inputs — `CASE` arms, `COALESCE` arguments, the
+//!   branches of a set operation — has one type, an untyped NULL aside: the analyzer casts
+//!   each input to the inputs' common type,
 //! * aggregate inputs must fit the aggregate (`SUM` / `AVG` need numeric arguments),
 //! * outer joins force the null-supplying side's columns to nullable,
 //! * prepared-statement parameters must resolve to a concrete type from at least one
@@ -257,6 +260,15 @@ fn numericish(t: DataType) -> bool {
 /// Is the type usable where a date is required?
 fn dateish(t: DataType) -> bool {
     matches!(t, DataType::Date | DataType::Null)
+}
+
+/// The one type of a column whose inputs have types `a` and `b`: theirs when they agree, the
+/// other's when one is an untyped NULL. Inputs of two types need a cast to their common type.
+fn one_type(a: DataType, b: DataType) -> Option<DataType> {
+    match (a, b) {
+        (DataType::Null, t) | (t, DataType::Null) => Some(t),
+        (a, b) => (a == b).then_some(a),
+    }
 }
 
 /// Bottom-up type inference walker; tracks the operator path for error reporting and the
@@ -529,7 +541,7 @@ impl Verifier {
                     }
                     let mut columns = Vec::with_capacity(lt.arity());
                     for (i, (l, r)) in lt.columns.iter().zip(rt.columns.iter()).enumerate() {
-                        let Some(common) = l.data_type.common_type(r.data_type) else {
+                        let Some(common) = one_type(l.data_type, r.data_type) else {
                             return Err(v.mismatch(
                                 format!("{kind} column {i}"),
                                 l.data_type.to_string(),
@@ -703,6 +715,7 @@ impl Verifier {
             }
             ScalarExpr::Cast { expr: inner, data_type } => {
                 let i = self.verify_expr(inner, input, context)?;
+                self.bind_parameter(inner, *data_type, context)?;
                 Ok(ColumnType { data_type: *data_type, nullable: i.nullable, provenance: false })
             }
             ScalarExpr::InList { expr: operand, list, .. } => {
@@ -783,7 +796,7 @@ impl Verifier {
     ) -> Result<DataType, TypeError> {
         match acc {
             None => Ok(next),
-            Some(prev) => prev.common_type(next).ok_or_else(|| {
+            Some(prev) => one_type(prev, next).ok_or_else(|| {
                 self.mismatch(
                     format!("CASE result branches in {context}"),
                     prev.to_string(),
@@ -854,7 +867,9 @@ impl Verifier {
             Sub => {
                 let common = self.require_common(op, l, r, context)?;
                 self.require_family(op, common, true, context)?;
-                Ok(ColumnType { data_type: common, nullable, provenance: false })
+                let days_between = (l.data_type, r.data_type) == (DataType::Date, DataType::Date);
+                let data_type = if days_between { DataType::Int } else { common };
+                Ok(ColumnType { data_type, nullable, provenance: false })
             }
             Mul | Div | Mod => {
                 let common = self.require_common(op, l, r, context)?;
@@ -962,7 +977,7 @@ impl Verifier {
             Coalesce => {
                 let mut acc = DataType::Null;
                 for (i, t) in types.iter().enumerate() {
-                    match acc.common_type(*t) {
+                    match one_type(acc, *t) {
                         Some(merged) => acc = merged,
                         None => return Err(self.mismatch(fcx(i), acc.to_string(), t.to_string())),
                     }
@@ -1104,6 +1119,62 @@ mod tests {
             .build();
         let err = plan.verify().unwrap_err();
         assert!(err.to_string().contains("UNION column 0"), "{err}");
+    }
+
+    /// A column of several inputs holds one type: an INT input under a FLOAT column must carry
+    /// its cast, and does once the plan is built through the constructors that add them.
+    #[test]
+    fn rejects_an_input_not_cast_to_its_columns_common_type() {
+        let numempl = || ScalarExpr::column(1, "numempl");
+        let big =
+            ScalarExpr::binary(BinaryOperator::Gt, numempl(), ScalarExpr::Literal(Value::Int(2)));
+        let case = |then: ScalarExpr| ScalarExpr::Case {
+            operand: None,
+            branches: vec![(big.clone(), then)],
+            else_expr: Some(Box::new(ScalarExpr::Literal(Value::Float(0.5)))),
+        };
+        let cast = ScalarExpr::Cast { expr: Box::new(numempl()), data_type: DataType::Float };
+        let coalesce = |first: ScalarExpr| ScalarExpr::Function {
+            func: ScalarFunction::Coalesce,
+            args: vec![
+                ScalarExpr::Literal(Value::Null),
+                first,
+                ScalarExpr::Literal(Value::Float(0.5)),
+            ],
+        };
+        for (expr, rejected) in [
+            (case(numempl()), true),
+            (case(cast.clone()), false),
+            (case(ScalarExpr::Literal(Value::Null)), false),
+            (coalesce(numempl()), true),
+            (coalesce(cast), false),
+        ] {
+            let plan = scan().project(vec![(expr.clone(), "c".into())]).build();
+            match plan.verify() {
+                Ok(schema) => {
+                    assert!(!rejected, "{expr:?} verified");
+                    assert_eq!(schema.columns()[0].data_type, DataType::Float);
+                }
+                Err(err) => {
+                    assert!(rejected, "{expr:?}: {err}");
+                    assert!(err.to_string().contains("expected INT, got FLOAT"), "{err}");
+                }
+            }
+        }
+        let floats = || PlanBuilder::scan("f", Schema::from_pairs(&[("x", DataType::Float)]), 1);
+        let ints = || scan().project(vec![(numempl(), "numempl".into())]);
+        let (union, bag) = (crate::plan::SetOpKind::Union, crate::plan::SetSemantics::Bag);
+        let uncast = LogicalPlan::SetOp {
+            left: ints().build().into(),
+            right: floats().build().into(),
+            kind: union,
+            semantics: bag,
+        };
+        let err = uncast.verify().unwrap_err();
+        assert!(err.to_string().contains("UNION column 0: expected INT, got FLOAT"), "{err}");
+        let cast = ints().set_op(floats(), union, bag).build();
+        assert_eq!(cast.verify().unwrap().columns()[0].data_type, DataType::Float);
+        assert_eq!(cast.schema().attribute(0).unwrap().data_type, DataType::Float);
     }
 
     #[test]

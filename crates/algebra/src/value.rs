@@ -215,14 +215,7 @@ impl Value {
             (Date(a), Int(b)) => Date(checked_date_shift(*a, *b, "addition")?),
             (Int(a), Date(b)) => Date(checked_date_shift(*b, *a, "addition")?),
             (Text(a), Text(b)) => Text(format!("{a}{b}").into()),
-            (a, b) => {
-                return Err(AlgebraError::TypeMismatch {
-                    context: "addition".into(),
-                    expected: a.data_type().to_string(),
-                    actual: b.data_type().to_string(),
-                    path: vec![],
-                })
-            }
+            (a, b) => return Err(mismatch("addition", a, b)),
         })
     }
 
@@ -240,14 +233,7 @@ impl Value {
                 Date(checked_date_shift(*a, days, "subtraction")?)
             }
             (Date(a), Date(b)) => Int(*a as i64 - *b as i64),
-            (a, b) => {
-                return Err(AlgebraError::TypeMismatch {
-                    context: "subtraction".into(),
-                    expected: a.data_type().to_string(),
-                    actual: b.data_type().to_string(),
-                    path: vec![],
-                })
-            }
+            (a, b) => return Err(mismatch("subtraction", a, b)),
         })
     }
 
@@ -260,14 +246,7 @@ impl Value {
             (Float(a), Float(b)) => Float(a * b),
             (Int(a), Float(b)) => Float(*a as f64 * b),
             (Float(a), Int(b)) => Float(a * *b as f64),
-            (a, b) => {
-                return Err(AlgebraError::TypeMismatch {
-                    context: "multiplication".into(),
-                    expected: a.data_type().to_string(),
-                    actual: b.data_type().to_string(),
-                    path: vec![],
-                })
-            }
+            (a, b) => return Err(mismatch("multiplication", a, b)),
         })
     }
 
@@ -286,14 +265,7 @@ impl Value {
             (Float(a), Float(b)) => Float(a / b),
             (Int(a), Float(b)) => Float(*a as f64 / b),
             (Float(a), Int(b)) => Float(a / *b as f64),
-            (a, b) => {
-                return Err(AlgebraError::TypeMismatch {
-                    context: "division".into(),
-                    expected: a.data_type().to_string(),
-                    actual: b.data_type().to_string(),
-                    path: vec![],
-                })
-            }
+            (a, b) => return Err(mismatch("division", a, b)),
         })
     }
 
@@ -310,14 +282,7 @@ impl Value {
                 Int(a.checked_rem(*b).ok_or_else(|| overflow("modulo"))?)
             }
             (Float(a), Float(b)) => Float(a % b),
-            (a, b) => {
-                return Err(AlgebraError::TypeMismatch {
-                    context: "modulo".into(),
-                    expected: a.data_type().to_string(),
-                    actual: b.data_type().to_string(),
-                    path: vec![],
-                })
-            }
+            (a, b) => return Err(mismatch("modulo", a, b)),
         })
     }
 
@@ -327,12 +292,7 @@ impl Value {
             Value::Null => Ok(Value::Null),
             Value::Int(i) => Ok(Value::Int(i.checked_neg().ok_or_else(|| overflow("negation"))?)),
             Value::Float(f) => Ok(Value::Float(-f)),
-            other => Err(AlgebraError::TypeMismatch {
-                context: "negation".into(),
-                expected: other.data_type().to_string(),
-                actual: "numeric".into(),
-                path: vec![],
-            }),
+            other => Err(AlgebraError::type_mismatch("negation", other.data_type(), "numeric")),
         }
     }
 
@@ -395,6 +355,11 @@ impl Value {
     fn is_nan(&self) -> bool {
         matches!(self, Value::Float(f) if f.is_nan())
     }
+}
+
+/// An operation applied to values of types it does not take.
+fn mismatch(operation: &str, a: &Value, b: &Value) -> AlgebraError {
+    AlgebraError::type_mismatch(operation, a.data_type(), b.data_type())
 }
 
 /// Total ordering over floats for *sort keys*: `-0.0 == 0.0`, all NaNs compare equal and sort

@@ -26,6 +26,7 @@ fn array_of(model: &Model) -> Array {
         Some(text) => Value::text(text.as_str()),
         None => Value::Null,
     }))
+    .unwrap()
 }
 
 fn rows_of(array: &Array) -> Model {

@@ -494,7 +494,7 @@ impl Executor {
             }
             LogicalPlan::Values { rows, .. } => {
                 ctx.check_deadline()?;
-                Ok(rows_to_chunks(rows, plan.output_arity()))
+                rows_to_chunks(rows, plan.output_arity())
             }
             LogicalPlan::Selection { input, predicate } => {
                 let predicate = CompiledExpr::compile(predicate, self, ctx, pool)?;
@@ -540,7 +540,7 @@ impl Executor {
                     .collect::<Result<_, _>>()?;
                 let input = self.par_chunks(input, ctx, pool, None)?;
                 let rows = par_aggregate(pool, ctx, input, group_by, aggregates)?;
-                Ok(rows_to_chunks(&rows, plan.output_arity()))
+                rows_to_chunks(&rows, plan.output_arity())
             }
             LogicalPlan::SetOp { left, right, kind, semantics } => {
                 let left = self.par_chunks(left, ctx, pool, None)?;
@@ -876,8 +876,10 @@ fn pack_chunks(arity: usize, chunks: Vec<DataChunk>) -> Result<Vec<DataChunk>, E
 }
 
 /// Re-chunk materialized rows into `DEFAULT_CHUNK_SIZE` batches.
-fn rows_to_chunks(rows: &[Tuple], arity: usize) -> Vec<DataChunk> {
-    rows.chunks(DEFAULT_CHUNK_SIZE).map(|batch| DataChunk::from_tuples(arity, batch)).collect()
+fn rows_to_chunks(rows: &[Tuple], arity: usize) -> Result<Vec<DataChunk>, ExecError> {
+    let chunks =
+        rows.chunks(DEFAULT_CHUNK_SIZE).map(|batch| DataChunk::try_from_tuples(arity, batch));
+    Ok(chunks.collect::<Result<_, _>>()?)
 }
 
 /// Slice a materialized chunk list down to `LIMIT limit OFFSET offset`.
@@ -1720,7 +1722,9 @@ mod tests {
         // Two chunks each in key order: in order across the boundary too (ties included), they
         // come out as they went in, the very same buffers; out of order across it, sorted.
         let chunk = |keys: &[i64]| {
-            DataChunk::new(vec![Arc::new(Array::from_values(keys.iter().map(|&k| Value::Int(k))))])
+            DataChunk::new(vec![Arc::new(
+                Array::from_values(keys.iter().map(|&k| Value::Int(k))).unwrap(),
+            )])
         };
         let schema = Schema::from_pairs(&[("k", DataType::Int)]);
         for (chunks, in_order) in [
@@ -1758,7 +1762,7 @@ mod tests {
         use perm_algebra::Bitmap;
         let chunk = |k: i64| {
             DataChunk::new(vec![
-                Arc::new(Array::from_values([Value::Int(k)])),
+                Arc::new(Array::from_values([Value::Int(k)]).unwrap()),
                 Arc::new(Array::Text {
                     offsets: vec![0, 3 << 30],
                     bytes: Vec::new(),
@@ -1785,6 +1789,25 @@ mod tests {
                     "{error}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_literal_repeated_past_what_a_column_addresses_still_compares() {
+        // 4.5 MiB broadcast over a 1024-row chunk is more text than one column addresses: the
+        // literal stays a run-length view and the comparison goes row by row.
+        let big = "x".repeat(9 << 19);
+        let catalog = Catalog::new();
+        let schema = Schema::from_pairs(&[("name", DataType::Text)]);
+        let mut tuples: Vec<Tuple> = (0..1023).map(|i| tuple![format!("n{i}")]).collect();
+        tuples.push(tuple![big.clone()]);
+        catalog.create_table_with_data("names", Relation::from_parts(schema, tuples)).unwrap();
+        let cond = ScalarExpr::column(0, "name").eq(ScalarExpr::literal(big.as_str()));
+        let plan = scan(&catalog, "names", 0).filter(cond).build();
+        let executor = Executor::new(catalog);
+        for workers in [1, 2] {
+            let found = executor.execute_parallel(&plan, &WorkerPool::new(workers)).unwrap();
+            assert_eq!(found.num_rows(), 1, "degree {workers}");
         }
     }
 

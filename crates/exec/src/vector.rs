@@ -28,7 +28,8 @@ use std::sync::Arc;
 
 use perm_algebra::chunk::{text_row, text_str};
 use perm_algebra::{
-    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, ScalarExpr, UnaryOperator, Value,
+    Array, ArrayBuilder, BinaryOperator, Bitmap, DataChunk, DataType, ScalarExpr, UnaryOperator,
+    Value,
 };
 
 use crate::compile::{in_set_lookup, CompiledExpr};
@@ -234,7 +235,7 @@ fn map_rows(
 ) -> Result<Array, ExecError> {
     let mut builder = ArrayBuilder::with_capacity(rows);
     for i in 0..rows {
-        builder.push(f(i)?);
+        builder.push(f(i)?)?;
     }
     Ok(builder.finish())
 }
@@ -248,9 +249,9 @@ fn bool_view(a: &Array) -> Vec<Option<bool>> {
         Array::Int { values, validity } => {
             values.iter().enumerate().map(|(i, v)| validity.get(i).then_some(*v != 0)).collect()
         }
-        Array::Any { values } => values.iter().map(|v| v.as_bool()).collect(),
-        // Encoded views must be decoded, not treated as the untyped all-NULL fallback.
-        encoded if encoded.is_encoded() => bool_view(&encoded.to_plain()),
+        // Encoded views must be decoded, not treated as the untyped all-NULL fallback. Text, the
+        // one type a decoded view may stay encoded in, has no boolean view.
+        a if a.is_encoded() && a.data_type() != DataType::Text => bool_view(&a.to_plain()),
         other => vec![None; other.len()],
     }
 }
@@ -368,7 +369,7 @@ fn selective_case(
     if let Some(else_expr) = else_expr {
         scatter(&mut out, &undecided, &*eval_selected(else_expr, chunk, &undecided)?);
     }
-    Ok(Arc::new(Array::from_values(out)))
+    Ok(Arc::new(Array::from_values(out)?))
 }
 
 /// Selective `IN` over a list: a NULL needle is NULL and evaluates no candidate; every other
@@ -522,12 +523,22 @@ fn vectorized_binary(op: BinaryOperator, l: &Array, r: &Array) -> Result<Array, 
     use BinaryOperator::*;
     debug_assert_eq!(l.len(), r.len());
     // Encoded operands are decoded up front so the typed kernels below apply; computing on a
-    // factorized column pays the materialization the gather deferred, exactly once.
-    if l.is_encoded() {
-        return vectorized_binary(op, &l.to_plain(), r);
-    }
-    if r.is_encoded() {
-        return vectorized_binary(op, l, &r.to_plain());
+    // factorized column pays the materialization the gather deferred, exactly once. A view over
+    // more text than a column addresses stays encoded and goes row by row.
+    if l.is_encoded() || r.is_encoded() {
+        let (dl, dr) = (l.is_encoded().then(|| l.to_plain()), r.is_encoded().then(|| r.to_plain()));
+        let (l, r) = (dl.as_ref().unwrap_or(l), dr.as_ref().unwrap_or(r));
+        if !l.is_encoded() && !r.is_encoded() {
+            return vectorized_binary(op, l, r);
+        }
+        // Text compares where it lies, through the view.
+        if is_cmp(op) && (l.data_type(), r.data_type()) == (DataType::Text, DataType::Text) {
+            let validity: Bitmap = (0..l.len()).map(|i| !l.is_null(i) && !r.is_null(i)).collect();
+            let values =
+                (0..l.len()).map(|i| validity.get(i) && cmp_to_bool(op, l.compare(i, r, i)));
+            return Ok(Array::Bool { values: values.collect(), validity });
+        }
+        return map_rows(l.len(), |i| binary_op_values(op, &l.value(i), &r.value(i)));
     }
     // All-NULL operands: every row-wise result is NULL for the null-propagating operators.
     if !matches!(op, IsDistinctFrom | IsNotDistinctFrom)
@@ -688,4 +699,27 @@ fn float_array(values: Vec<f64>, validity: Bitmap) -> Array {
 
 fn date_array(values: Vec<i32>, validity: Bitmap) -> Array {
     Array::Date { values, validity }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_operand_that_stays_encoded_is_compared_row_by_row() {
+        // 4.5 MiB 1024 times over is more text than offsets address: decoding keeps the view.
+        let big = Value::text("x".repeat(9 << 19));
+        let repeated = Array::repeat(&big, 1024);
+        assert!(repeated.to_plain().is_encoded());
+        let names = Array::from_values((0..1024).map(|i| match i {
+            7 => big.clone(),
+            _ => Value::text(format!("n{i}")),
+        }))
+        .unwrap();
+        let eq = vectorized_binary(BinaryOperator::Eq, &repeated, &names).unwrap();
+        let hits: Vec<usize> =
+            (0..eq.len()).filter(|&i| eq.value(i) == Value::Bool(true)).collect();
+        assert_eq!(hits, [7]);
+        assert_eq!(bool_view(&repeated), vec![None; 1024]);
+    }
 }

@@ -38,18 +38,19 @@
 //!
 //! Plain payloads carry a validity bitmap (`ceil(len/8)` bytes, bit `i` of byte `i/8` set iff
 //! row `i` is non-NULL) followed by native values: bit-packed bools, 8-byte ints/floats,
-//! 4-byte dates, or `u32`-length-prefixed UTF-8 for text. `Null` columns have no payload and
-//! `Any` columns (mixed types) carry one tagged [`Value`] per row.
+//! 4-byte dates, or `u32`-length-prefixed UTF-8 for text. `Null` columns have no payload. Every
+//! column holds one type, so there is no per-value tag; type tag 6 (a boxed mixed column up to
+//! protocol v4) is a protocol error.
 
 use std::sync::Arc;
 
 use perm_algebra::chunk::text_row;
-use perm_algebra::{Array, Bitmap, DataChunk, DataType, Schema, Value};
+use perm_algebra::{Array, Bitmap, DataChunk, DataType, Schema};
 
 use crate::error::ServiceError;
 
 /// The protocol version this build speaks (negotiated by the `hello` handshake).
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Frame tag bytes.
 pub mod tag {
@@ -194,7 +195,7 @@ impl IndexForm {
 }
 
 /// The rows of a dictionary at `rows`, as a plain array.
-fn dictionary_rows(dict: &Array, rows: &[u32]) -> Array {
+fn dictionary_rows(dict: &Arc<Array>, rows: &[u32]) -> Array {
     let gathered = dict.take(rows);
     if gathered.is_encoded() {
         gathered.to_plain()
@@ -342,41 +343,7 @@ fn encode_plain(array: &Array, out: &mut Vec<u8>) {
             out.push(5);
             out.extend_from_slice(&len.to_be_bytes());
         }
-        Array::Any { values } => {
-            out.push(6);
-            out.extend_from_slice(&len.to_be_bytes());
-            for v in values {
-                encode_value(v, out);
-            }
-        }
         Array::Dict { .. } | Array::RunLength { .. } => unreachable!("encoded array"),
-    }
-}
-
-fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_be_bytes());
-        }
-        Value::Float(f) => {
-            out.push(3);
-            out.extend_from_slice(&f.to_bits().to_be_bytes());
-        }
-        Value::Text(s) => {
-            out.push(4);
-            out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Date(d) => {
-            out.push(5);
-            out.extend_from_slice(&d.to_be_bytes());
-        }
     }
 }
 
@@ -644,37 +611,14 @@ fn decode_plain(cur: &mut Cursor<'_>) -> Result<Array, ServiceError> {
             Array::Date { values, validity }
         }
         5 => Array::Null { len },
-        6 => {
-            let mut values = Vec::with_capacity(len.min(cur.remaining()));
-            for _ in 0..len {
-                values.push(decode_value(cur)?);
-            }
-            Array::Any { values }
-        }
         other => return Err(ServiceError::protocol(format!("unknown array type tag {other}"))),
-    })
-}
-
-fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, ServiceError> {
-    Ok(match cur.u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(cur.u8()? != 0),
-        2 => Value::Int(cur.i64()?),
-        3 => Value::Float(f64::from_bits(cur.u64()?)),
-        4 => {
-            let len = cur.u32()? as usize;
-            let text = std::str::from_utf8(cur.take(len)?)
-                .map_err(|_| ServiceError::protocol("text value is not valid UTF-8"))?;
-            Value::text(text)
-        }
-        5 => Value::Date(cur.i32()?),
-        other => return Err(ServiceError::protocol(format!("unknown value tag {other}"))),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perm_algebra::Value;
 
     fn round_trip(chunk: &DataChunk) -> DataChunk {
         let bytes = encode_chunk(chunk);
@@ -704,26 +648,36 @@ mod tests {
     #[test]
     fn plain_chunks_round_trip_bit_identically() {
         let chunk = DataChunk::new(vec![
-            Arc::new(Array::from_values([Value::Int(1), Value::Null, Value::Int(-7)].into_iter())),
-            Arc::new(Array::from_values(
-                [Value::text("a"), Value::text(""), Value::Null].into_iter(),
-            )),
-            Arc::new(Array::from_values(
-                [Value::Float(1.5), Value::Float(f64::NAN), Value::Null].into_iter(),
-            )),
-            Arc::new(Array::from_values(
-                [Value::Bool(true), Value::Null, Value::Bool(false)].into_iter(),
-            )),
-            Arc::new(Array::from_values(
-                [Value::Date(0), Value::Date(-400), Value::Null].into_iter(),
-            )),
+            Arc::new(
+                Array::from_values([Value::Int(1), Value::Null, Value::Int(-7)].into_iter())
+                    .unwrap(),
+            ),
+            Arc::new(
+                Array::from_values([Value::text("a"), Value::text(""), Value::Null].into_iter())
+                    .unwrap(),
+            ),
+            Arc::new(
+                Array::from_values(
+                    [Value::Float(1.5), Value::Float(f64::NAN), Value::Null].into_iter(),
+                )
+                .unwrap(),
+            ),
+            Arc::new(
+                Array::from_values(
+                    [Value::Bool(true), Value::Null, Value::Bool(false)].into_iter(),
+                )
+                .unwrap(),
+            ),
+            Arc::new(
+                Array::from_values([Value::Date(0), Value::Date(-400), Value::Null].into_iter())
+                    .unwrap(),
+            ),
             Arc::new(Array::Null { len: 3 }),
-            Arc::new(Array::Any { values: vec![Value::Int(1), Value::text("mixed"), Value::Null] }),
         ]);
         let decoded = round_trip(&chunk);
         // NaN defeats PartialEq; compare everything but the float column logically and the
         // float column bitwise.
-        for c in [0usize, 1, 3, 4, 5, 6] {
+        for c in [0usize, 1, 3, 4, 5] {
             assert_eq!(decoded.column(c), chunk.column(c), "column {c}");
         }
         match (decoded.column(2).as_ref(), chunk.column(2).as_ref()) {
@@ -743,9 +697,10 @@ mod tests {
     fn dict_views_ship_factorized_and_compacted() {
         // 6 rows over a 5-row dictionary of which only 2 rows are referenced: the frame must
         // stay dictionary-encoded and carry exactly the 2 referenced dictionary rows.
-        let dict = Arc::new(Array::from_values(
-            (0..5).map(|i| Value::text(format!("payload-{i}").as_str())),
-        ));
+        let dict = Arc::new(
+            Array::from_values((0..5).map(|i| Value::text(format!("payload-{i}").as_str())))
+                .unwrap(),
+        );
         let view = Array::Dict { indices: vec![3, 1, 3, 1, 1, 3].into(), dict };
         let chunk = DataChunk::new(vec![Arc::new(view.clone())]);
         let bytes = encode_chunk(&chunk);
@@ -760,7 +715,7 @@ mod tests {
     #[test]
     fn unique_dict_views_degrade_to_plain() {
         // Every row distinct: the dictionary saves nothing, so the wire form is plain.
-        let dict = Arc::new(Array::from_values((0..4).map(Value::Int)));
+        let dict = Arc::new(Array::from_values((0..4).map(Value::Int)).unwrap());
         let view = Array::Dict { indices: vec![2, 0, 3, 1].into(), dict };
         let chunk = DataChunk::new(vec![Arc::new(view.clone())]);
         let bytes = encode_chunk(&chunk);
@@ -771,7 +726,7 @@ mod tests {
 
     #[test]
     fn constant_columns_run_length_compress_on_the_wire() {
-        let array = Array::from_values(std::iter::repeat_n(Value::Int(42), 1000));
+        let array = Array::from_values(std::iter::repeat_n(Value::Int(42), 1000)).unwrap();
         let chunk = DataChunk::new(vec![Arc::new(array.clone())]);
         let bytes = encode_chunk(&chunk);
         assert!(bytes.len() < 100, "1000 constant ints must compress, got {} bytes", bytes.len());
@@ -786,7 +741,7 @@ mod tests {
         assert!(decode_schema(&[0, 3, 0, 1]).is_err());
         assert!(decode_done(&[1, 2, 3]).is_err());
         // Dict index out of bounds.
-        let dict = Arc::new(Array::from_values((0..2).map(Value::Int)));
+        let dict = Arc::new(Array::from_values((0..2).map(Value::Int)).unwrap());
         let chunk =
             DataChunk::new(vec![Arc::new(Array::Dict { indices: vec![0, 1, 0].into(), dict })]);
         let mut bytes = encode_chunk(&chunk);

@@ -1,7 +1,7 @@
 //! The `permd` TCP server: one thread per connection, each owning a [`Session`], with a
 //! graceful shutdown path (the `shutdown` wire command or [`ServerHandle::shutdown`]).
 //!
-//! Connections speak protocol version 4 (see [`crate::codec`] and `docs/PROTOCOL.md`): the
+//! Connections speak protocol version 5 (see [`crate::codec`] and `docs/PROTOCOL.md`): the
 //! first request must be the `hello <version>` handshake, and query results stream out as
 //! `S` / `R`* / `D` frames with nothing sent back but an optional `cancel`. A query executes on
 //! its connection's thread when the first chunk is pulled; the result is held once, as the

@@ -18,7 +18,7 @@
 //!
 //! Empty lines and `--` comments are skipped.
 //!
-//! The client speaks wire protocol version 4: [`Client::connect`] performs the `hello`
+//! The client speaks wire protocol version 5: [`Client::connect`] performs the `hello`
 //! handshake, and query results arrive as a schema frame plus a sequence of chunk frames that
 //! [`run_shell`] prints *incrementally* — rows appear as chunks arrive, and the client sends
 //! nothing back. A decoded chunk keeps the engine's shape: its views share one index buffer per
@@ -54,7 +54,7 @@ pub enum ResponseFrame {
     },
 }
 
-/// A connected wire-protocol client (protocol version 4, handshake already performed).
+/// A connected wire-protocol client (protocol version 5, handshake already performed).
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,

@@ -1,7 +1,6 @@
 //! Model-based property test of the `R` frame codec on chunks shaped like the engine's join
 //! output: one to three index buffers, each shared by several `Dict` views over plain, text,
-//! NULL-heavy, float and mixed-type (`Any`) dictionaries, beside run-length, all-NULL and plain
-//! columns. The model is the chunk's logical cells. Each case checks that
+//! NULL-heavy and float dictionaries, beside run-length, all-NULL and plain columns. The model is the chunk's logical cells. Each case checks that
 //!
 //! * decoding the encoded frame gives back every cell (floats compared by their bits);
 //! * views that shared an index buffer on the server share one again after decoding;
@@ -56,18 +55,11 @@ fn dictionary(kind: u8, len: usize, seed: u64) -> Array {
         1 => Value::text(format!("text-{}-é", rng.below(100)).as_str()),
         2 if rng.below(10) > 0 => Value::Null,
         2 => Value::Int(rng.below(10) as i64),
-        3 => [Value::Null, Value::Float(f64::NAN), Value::Float(-0.0), Value::Float(2.5)]
-            [rng.below(4) as usize]
-            .clone(),
-        _ => [Value::Null, Value::Int(7), Value::text("mixed"), Value::Bool(true)]
+        _ => [Value::Null, Value::Float(f64::NAN), Value::Float(-0.0), Value::Float(2.5)]
             [rng.below(4) as usize]
             .clone(),
     };
-    let values: Vec<Value> = (0..len).map(|_| value(&mut rng)).collect();
-    match kind {
-        4 => Array::Any { values },
-        _ => Array::from_values(values),
-    }
+    Array::from_values((0..len).map(|_| value(&mut rng))).unwrap()
 }
 
 /// A column that is no view: run-length, all-NULL or plain.
@@ -81,11 +73,12 @@ fn other_column(kind: u8, rows: usize, seed: u64) -> Array {
                 end = (end + 1 + rng.below(30) as usize).min(rows);
                 run_ends.push(end as u32);
             }
-            let values = Array::from_values((0..run_ends.len()).map(|i| Value::Int(i as i64 % 3)));
+            let values =
+                Array::from_values((0..run_ends.len()).map(|i| Value::Int(i as i64 % 3))).unwrap();
             Array::RunLength { values: Arc::new(values), run_ends }
         }
         1 => Array::Null { len: rows },
-        _ => Array::from_values((0..rows).map(|_| Value::Int(rng.below(5) as i64))),
+        _ => Array::from_values((0..rows).map(|_| Value::Int(rng.below(5) as i64))).unwrap(),
     }
 }
 
@@ -131,7 +124,7 @@ proptest! {
     fn shared_index_buffers_round_trip_once_and_shared(
         rows in 1usize..300,
         buffers in proptest::collection::vec((1u32..24, any::<bool>(), any::<u64>()), 1..4),
-        columns in proptest::collection::vec((0u8..8, 0usize..3, any::<u64>()), 1..12),
+        columns in proptest::collection::vec((0u8..7, 0usize..3, any::<u64>()), 1..12),
     ) {
         let buffers: Vec<(Arc<[u32]>, u32)> = buffers
             .iter()
@@ -141,12 +134,12 @@ proptest! {
             .iter()
             .map(|&(kind, buffer, seed)| {
                 Arc::new(match kind {
-                    0..=4 => {
+                    0..=3 => {
                         let (indices, source_len) = &buffers[buffer % buffers.len()];
                         let dict = dictionary(kind, *source_len as usize, seed);
                         Array::Dict { indices: indices.clone(), dict: Arc::new(dict) }
                     }
-                    kind => other_column(kind - 5, rows, seed),
+                    kind => other_column(kind - 4, rows, seed),
                 })
             })
             .collect();

@@ -24,25 +24,35 @@ fn sample_frames() -> Vec<Vec<u8>> {
         ("nothing", DataType::Null),
     ]);
     let plain = DataChunk::new(vec![
-        Arc::new(Array::from_values([Value::Int(1), Value::Null, Value::Int(-7)].into_iter())),
-        Arc::new(Array::from_values(
-            [Value::text("a"), Value::text("bc"), Value::Null].into_iter(),
-        )),
-        Arc::new(Array::from_values(
-            [Value::Float(1.5), Value::Float(-0.25), Value::Null].into_iter(),
-        )),
-        Arc::new(Array::from_values(
-            [Value::Bool(true), Value::Null, Value::Bool(false)].into_iter(),
-        )),
-        Arc::new(Array::from_values([Value::Date(1), Value::Date(-400), Value::Null].into_iter())),
+        Arc::new(
+            Array::from_values([Value::Int(1), Value::Null, Value::Int(-7)].into_iter()).unwrap(),
+        ),
+        Arc::new(
+            Array::from_values([Value::text("a"), Value::text("bc"), Value::Null].into_iter())
+                .unwrap(),
+        ),
+        Arc::new(
+            Array::from_values([Value::Float(1.5), Value::Float(-0.25), Value::Null].into_iter())
+                .unwrap(),
+        ),
+        Arc::new(
+            Array::from_values([Value::Bool(true), Value::Null, Value::Bool(false)].into_iter())
+                .unwrap(),
+        ),
+        Arc::new(
+            Array::from_values([Value::Date(1), Value::Date(-400), Value::Null].into_iter())
+                .unwrap(),
+        ),
         Arc::new(Array::Null { len: 3 }),
-        Arc::new(Array::Any { values: vec![Value::Int(1), Value::text("mixed"), Value::Null] }),
     ]);
-    let dict = Arc::new(Array::from_values((0..4).map(|i| Value::text(format!("v{i}").as_str()))));
+    let dict = Arc::new(
+        Array::from_values((0..4).map(|i| Value::text(format!("v{i}").as_str()))).unwrap(),
+    );
     let dict_chunk =
         DataChunk::new(vec![Arc::new(Array::Dict { indices: vec![1, 1, 3, 3, 1].into(), dict })]);
-    let rle_chunk =
-        DataChunk::new(vec![Arc::new(Array::from_values(std::iter::repeat_n(Value::Int(9), 300)))]);
+    let rle_chunk = DataChunk::new(vec![Arc::new(
+        Array::from_values(std::iter::repeat_n(Value::Int(9), 300)).unwrap(),
+    )]);
     vec![
         encode_schema(&schema),
         encode_chunk(&plain),
@@ -58,8 +68,11 @@ fn sample_frames() -> Vec<Vec<u8>> {
 /// through the one index buffer `rows`.
 fn join_batch(rows: &[u32]) -> DataChunk {
     let source = DataChunk::new(vec![
-        Arc::new(Array::from_values((0..3).map(|i| Value::Int(i * 100)))),
-        Arc::new(Array::from_values([Value::text("x"), Value::Null, Value::text("z")].into_iter())),
+        Arc::new(Array::from_values((0..3).map(|i| Value::Int(i * 100))).unwrap()),
+        Arc::new(
+            Array::from_values([Value::text("x"), Value::Null, Value::text("z")].into_iter())
+                .unwrap(),
+        ),
         Arc::new(Array::Null { len: 3 }),
     ]);
     source.take_dict(&Arc::from(rows))
@@ -125,7 +138,7 @@ fn views_sharing_an_index_buffer_round_trip() {
 /// trying to reserve 32 GiB.
 #[test]
 fn huge_claimed_plain_length_errors_without_allocating() {
-    for type_tag in [1u8, 2, 3, 4, 6] {
+    for type_tag in [1u8, 2, 3, 4] {
         let mut body = Vec::new();
         body.extend_from_slice(&3u32.to_be_bytes()); // rows
         body.extend_from_slice(&1u16.to_be_bytes()); // ncols
@@ -134,6 +147,20 @@ fn huge_claimed_plain_length_errors_without_allocating() {
         body.extend_from_slice(&u32::MAX.to_be_bytes()); // claimed len, no payload
         assert!(decode_chunk(&body).is_err(), "type tag {type_tag}");
     }
+}
+
+/// Type tag 6 carried a boxed mixed-type column up to protocol v4. Every column holds one type
+/// now: the tag is unknown, and a frame carrying it is a protocol error, never a panic.
+#[test]
+fn the_retired_mixed_type_tag_is_a_protocol_error() {
+    // Tag 6 as v4 framed it: three rows, one tagged value each (Int 1, Text "x", NULL).
+    let mut array = vec![0, 6];
+    array.extend_from_slice(&3u32.to_be_bytes());
+    array.push(2);
+    array.extend_from_slice(&1i64.to_be_bytes());
+    array.extend_from_slice(&[4, 0, 0, 0, 1, b'x', 0]);
+    let err = decode_chunk(&chunk_body(3, &[array])).unwrap_err();
+    assert!(err.to_string().contains("unknown array type tag 6"), "{err}");
 }
 
 /// Same for the encoded forms: dictionary index counts and run counts are wire-controlled.

@@ -46,8 +46,8 @@ fn bytes_streamed_counts_the_result_frames_written() {
         Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())).with_workers(1));
     let handle = serve(engine.clone(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 4");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
+    write_raw_frame(&mut stream, b"hello 5");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
 
     let values = |n: i64, f: fn(i64) -> String| (0..n).map(f).collect::<Vec<_>>().join(", ");
     for statement in [

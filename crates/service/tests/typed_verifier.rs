@@ -111,3 +111,19 @@ fn scripts_and_insert_select_reject_ill_typed_queries_as_execute_does() {
     let err = db.execute_script("SELECT name + 1 FROM e").unwrap_err().to_string();
     assert_eq!(err, expected);
 }
+
+#[test]
+fn set_operations_of_other_widths_or_types_are_rejected_before_execution() {
+    let engine = shop_engine();
+    let session = engine.session();
+    for (query, want) in [
+        ("SELECT name, numEmpl FROM shop UNION SELECT name FROM shop", "not union compatible"),
+        ("SELECT name FROM shop EXCEPT SELECT numEmpl FROM shop", "expected TEXT, got INT"),
+        ("SELECT PROVENANCE numEmpl FROM shop UNION SELECT name FROM shop", "expected INT"),
+    ] {
+        let msg = session.execute(query).unwrap_err().to_string();
+        assert!(msg.contains(want), "{query}: {msg}");
+    }
+    let widened = session.execute("SELECT numEmpl FROM shop UNION ALL SELECT 0.5 FROM shop");
+    assert_eq!(widened.unwrap().num_rows(), 4);
+}

@@ -115,8 +115,8 @@ fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
 fn slow_clients_do_not_desync_the_protocol() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 4");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
+    write_raw_frame(&mut stream, b"hello 5");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
 
     let payload = b"ping";
     stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
@@ -147,35 +147,35 @@ fn legacy_first_command_gets_a_versioned_error() {
     let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
     assert!(body.starts_with('-'), "v1-compatible error prefix: {body}");
     assert!(body.contains("hello"), "tells the client how to handshake: {body}");
-    assert!(body.contains("version 4"), "names the server's protocol version: {body}");
+    assert!(body.contains("version 5"), "names the server's protocol version: {body}");
 
     // The connection survives and can still handshake afterwards.
-    write_raw_frame(&mut stream, b"hello 4");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
+    write_raw_frame(&mut stream, b"hello 5");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
     write_raw_frame(&mut stream, b"ping");
     assert_eq!(read_raw_frame(&mut stream), b"+pong");
     handle.shutdown();
 }
 
-/// A client asking for a version the server does not speak — a future one, or version 3, which
-/// acknowledged every result frame — is refused by name, and the refusal states the version
-/// the server does speak.
+/// A client asking for a version the server does not speak — a future one, version 4, which
+/// could ship a column of mixed types, or version 3, which acknowledged every result frame — is
+/// refused by name, and the refusal states the version the server does speak.
 #[test]
 fn unsupported_hello_version_is_refused_with_the_supported_version() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
 
-    for version in ["99", "3"] {
+    for version in ["99", "4", "3"] {
         write_raw_frame(&mut stream, format!("hello {version}").as_bytes());
         let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
         assert!(body.starts_with('-'));
         assert!(body.contains(&format!("version {version};")), "names the rejected one: {body}");
-        assert!(body.contains("speaks version 4"), "names the supported version: {body}");
+        assert!(body.contains("speaks version 5"), "names the supported version: {body}");
     }
 
     // Retrying with the right version on the same connection works.
-    write_raw_frame(&mut stream, b"hello 4");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
+    write_raw_frame(&mut stream, b"hello 5");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
     handle.shutdown();
 }
 
@@ -203,7 +203,7 @@ fn mid_stream_errors_invalidate_partial_results() {
             let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
             stream.read_exact(&mut request).unwrap();
             if request.starts_with(b"hello") {
-                write_raw_frame(&mut stream, b"+hello 4");
+                write_raw_frame(&mut stream, b"+hello 5");
             } else if request.starts_with(b"query") {
                 write_raw_frame(&mut stream, &codec::encode_schema(&schema));
                 write_raw_frame(
@@ -247,8 +247,8 @@ fn mid_stream_errors_invalidate_partial_results() {
 /// Open a raw, negotiated connection.
 fn raw_connection(handle: &perm_service::ServerHandle) -> TcpStream {
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 4");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 4");
+    write_raw_frame(&mut stream, b"hello 5");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
     stream
 }
 
@@ -310,7 +310,7 @@ fn protocol_doc_lists_the_commands_the_server_knows() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let unknown =
         |answer: Result<String, String>| answer.unwrap_or_else(|e| e).contains("unknown command");
-    assert!(unknown(client.roundtrip("ack").unwrap()), "'ack' is not a command in version 4");
+    assert!(unknown(client.roundtrip("ack").unwrap()), "'ack' is not a command since version 4");
     for word in words {
         if word == "cancel" {
             // Outside a stream `cancel` has no answer; the next request reads its own.

@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use perm_algebra::{
-    AggregateExpr, AggregateFunction, Attribute, BinaryOperator, JoinKind, LogicalPlan, Name,
-    ProvenanceAnnotationKind, ScalarExpr, ScalarFunction, Schema, SetOpKind, SetSemantics, SortKey,
-    SublinkKind, Tuple, UnaryOperator, Value,
+    AggregateExpr, AggregateFunction, Attribute, BinaryOperator, DataType, JoinKind, LogicalPlan,
+    Name, PlanBuilder, ProvenanceAnnotationKind, ScalarExpr, ScalarFunction, Schema, SetOpKind,
+    SetSemantics, SortKey, SublinkKind, Tuple, UnaryOperator, Value,
 };
 use perm_storage::Catalog;
 
@@ -217,6 +217,9 @@ impl Analyzer {
                         schema.arity()
                     )));
                 }
+                let types: Vec<DataType> =
+                    schema.attributes().iter().map(|a| a.data_type).collect();
+                let plan = Arc::unwrap_or_clone(Arc::new(plan).cast_columns(&types));
                 Ok(AnalyzedStatement::InsertFromQuery { table, plan })
             }
             InsertSource::Values(rows) => {
@@ -238,10 +241,9 @@ impl Analyzer {
                         )));
                     }
                     let mut values = vec![Value::Null; schema.arity()];
+                    // The table casts each value to its column's type.
                     for (expr, &pos) in row.iter().zip(&positions) {
-                        let value = constant_value(expr)?;
-                        let target = schema.attribute(pos)?.data_type;
-                        values[pos] = if value.is_null() { value } else { value.cast(target)? };
+                        values[pos] = constant_value(expr)?;
                     }
                     tuples.push(Tuple::new(values));
                 }
@@ -331,25 +333,14 @@ impl Analyzer {
             SetExpr::SetOperation { left, right, op, all } => {
                 let (left_plan, left_prov) = self.analyze_set_expr(left, ctx)?;
                 let (right_plan, right_prov) = self.analyze_set_expr(right, ctx)?;
-                if !left_plan.schema().union_compatible(&right_plan.schema()) {
-                    return Err(SqlError::analyze(format!(
-                        "set operation inputs are not union compatible ({} vs {} columns)",
-                        left_plan.schema().arity(),
-                        right_plan.schema().arity()
-                    )));
-                }
                 let kind = match op {
                     SetOperator::Union => SetOpKind::Union,
                     SetOperator::Intersect => SetOpKind::Intersect,
                     SetOperator::Except => SetOpKind::Difference,
                 };
                 let semantics = if *all { SetSemantics::Bag } else { SetSemantics::Set };
-                let plan = LogicalPlan::SetOp {
-                    left: Arc::new(left_plan),
-                    right: Arc::new(right_plan),
-                    kind,
-                    semantics,
-                };
+                let right = PlanBuilder::from_plan(right_plan);
+                let plan = PlanBuilder::from_plan(left_plan).set_op(right, kind, semantics).build();
                 Ok((plan, left_prov || right_prov))
             }
         }
@@ -676,31 +667,30 @@ impl Analyzer {
                 }
                 let func = ScalarFunction::from_name(name)
                     .ok_or_else(|| SqlError::analyze(format!("unknown function '{name}'")))?;
-                let bound = args
+                let mut bound = args
                     .iter()
                     .map(|a| self.bind_expr(a, schema, ctx, agg))
                     .collect::<Result<Vec<_>, _>>()?;
+                if func == ScalarFunction::Coalesce {
+                    widen(bound.iter_mut(), schema);
+                }
                 ScalarExpr::Function { func, args: bound }
             }
-            Expr::Case { operand, branches, else_expr } => ScalarExpr::Case {
-                operand: operand
-                    .as_ref()
-                    .map(|o| self.bind_expr(o, schema, ctx, agg).map(Box::new))
-                    .transpose()?,
-                branches: branches
+            Expr::Case { operand, branches, else_expr } => {
+                let bind = |e: &Expr, ctx: &mut AnalyzeContext| self.bind_expr(e, schema, ctx, agg);
+                let operand = operand.as_ref().map(|o| bind(o, ctx).map(Box::new)).transpose()?;
+                let mut branches = branches
                     .iter()
-                    .map(|(w, t)| {
-                        Ok((
-                            self.bind_expr(w, schema, ctx, agg)?,
-                            self.bind_expr(t, schema, ctx, agg)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, SqlError>>()?,
-                else_expr: else_expr
-                    .as_ref()
-                    .map(|e| self.bind_expr(e, schema, ctx, agg).map(Box::new))
-                    .transpose()?,
-            },
+                    .map(|(w, t)| Ok((bind(w, ctx)?, bind(t, ctx)?)))
+                    .collect::<Result<Vec<_>, SqlError>>()?;
+                let mut else_expr =
+                    else_expr.as_ref().map(|e| bind(e, ctx).map(Box::new)).transpose()?;
+                widen(
+                    branches.iter_mut().map(|(_, then)| then).chain(else_expr.as_deref_mut()),
+                    schema,
+                );
+                ScalarExpr::Case { operand, branches, else_expr }
+            }
             Expr::Cast { expr, data_type } => ScalarExpr::Cast {
                 expr: Box::new(self.bind_expr(expr, schema, ctx, agg)?),
                 data_type: *data_type,
@@ -834,6 +824,28 @@ impl Analyzer {
                 "correlated sublinks are not supported (unresolved outer reference '{name}')"
             ))),
             Err(other) => Err(other),
+        }
+    }
+}
+
+/// Cast each of `exprs` — the arms of a `CASE`, the arguments of `COALESCE` — whose type is not
+/// their common type to it, so that the column they make holds one type (a literal is cast
+/// here, once). A bare `NULL` stays as it is; arms of no common type stay too, for the typed
+/// verifier to name.
+fn widen<'a>(exprs: impl Iterator<Item = &'a mut ScalarExpr>, schema: &Schema) {
+    let exprs: Vec<_> = exprs.filter(|e| !matches!(e, ScalarExpr::Literal(Value::Null))).collect();
+    let types: Vec<_> =
+        exprs.iter().map(|e| e.data_type(schema).unwrap_or(DataType::Null)).collect();
+    let common = types.iter().try_fold(DataType::Null, |acc, &t| acc.common_type(t));
+    for (expr, data_type) in exprs.into_iter().zip(types) {
+        if let Some(common) = common.filter(|&c| c != data_type) {
+            let inner = std::mem::replace(expr, ScalarExpr::Literal(Value::Null));
+            let literal = match &inner {
+                ScalarExpr::Literal(v) => v.cast(common).ok().map(ScalarExpr::Literal),
+                _ => None,
+            };
+            *expr = literal
+                .unwrap_or_else(|| ScalarExpr::Cast { expr: inner.into(), data_type: common });
         }
     }
 }

@@ -4,7 +4,7 @@
 //! SQL surface used by the TPC-H workload and the SQL-PLE extension.
 
 use perm_algebra::{DataType, Schema};
-use perm_sql::{parse_statement, Analyzer, SqlError};
+use perm_sql::{parse_statement, AnalyzedStatement, Analyzer, SqlError};
 use perm_storage::Catalog;
 
 fn tpch_like_catalog() -> Catalog {
@@ -194,5 +194,34 @@ fn analysis_is_deterministic_across_clones() {
             (Err(_), Err(_)) => {}
             other => panic!("divergent outcomes for {sql}: {other:?}"),
         }
+    }
+}
+
+/// Minimized texts that once gave a FLOAT column INT values (an INT `CASE` arm, `$n` arm and
+/// `COALESCE` argument, an INT set-operation branch, an INT `INSERT … SELECT` source): each now
+/// analyzes to a plan that casts the INT input, verifies, and declares the column FLOAT.
+#[test]
+fn widening_inputs_are_cast_to_their_columns_common_type() {
+    let catalog = Catalog::new();
+    for (table, column, data_type) in
+        [("f", "x", DataType::Float), ("i", "y", DataType::Int), ("g", "z", DataType::Float)]
+    {
+        catalog.create_table(table, Schema::from_pairs(&[(column, data_type)])).unwrap();
+    }
+    let analyzer = Analyzer::new(catalog);
+    let insert = match analyzer.analyze_sql("INSERT INTO g SELECT y FROM i").unwrap() {
+        AnalyzedStatement::InsertFromQuery { plan, .. } => plan,
+        other => panic!("expected an INSERT ... SELECT, got {other:?}"),
+    };
+    let queries = [
+        "SELECT CASE WHEN x > 2 THEN 7 ELSE 0.5 END / 2 FROM f",
+        "SELECT CASE WHEN x > 2 THEN $1 ELSE 0.5 END / 2 FROM f",
+        "SELECT coalesce(NULL, 7, 0.5) / 2 FROM f",
+        "SELECT c / 2 FROM (SELECT y AS c FROM i UNION ALL SELECT x FROM f) s",
+    ];
+    let plans = queries.iter().map(|sql| (*sql, analyzer.analyze_query_sql(sql).unwrap()));
+    for (sql, plan) in plans.chain([("INSERT INTO g SELECT y FROM i", insert)]) {
+        assert_eq!(plan.schema().attribute(0).unwrap().data_type, DataType::Float, "{sql}");
+        assert_eq!(plan.verify().unwrap().columns()[0].data_type, DataType::Float, "{sql}");
     }
 }

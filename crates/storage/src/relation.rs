@@ -4,7 +4,9 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use perm_algebra::{AlgebraError, DataChunk, Schema, Tuple, Value, DEFAULT_CHUNK_SIZE};
+use perm_algebra::{
+    AlgebraError, Attribute, DataChunk, DataType, Schema, Tuple, Value, DEFAULT_CHUNK_SIZE,
+};
 
 use crate::stats::TableStats;
 
@@ -37,14 +39,26 @@ impl PartialEq for Relation {
     }
 }
 
-/// Rows of one arity as chunks of up to [`DEFAULT_CHUNK_SIZE`] rows, each batch of rows dropped
-/// once it is converted.
-fn row_batches(arity: usize, rows: Vec<Tuple>) -> impl Iterator<Item = DataChunk> {
+/// Rows in batches of up to [`DEFAULT_CHUNK_SIZE`], each batch dropped once it is converted.
+fn row_batches(rows: Vec<Tuple>) -> impl Iterator<Item = Vec<Tuple>> {
     let mut rows = rows.into_iter();
     std::iter::from_fn(move || {
         let batch: Vec<Tuple> = rows.by_ref().take(DEFAULT_CHUNK_SIZE).collect();
-        (!batch.is_empty()).then(|| DataChunk::from_tuples(arity, &batch))
+        (!batch.is_empty()).then_some(batch)
     })
+}
+
+/// Does a value or column of type `actual` fit the column `attribute` declares? NULL fits
+/// every column; anything else is a [`AlgebraError::TypeMismatch`] naming the column.
+fn check_type(attribute: &Attribute, actual: DataType) -> Result<(), AlgebraError> {
+    if [actual, attribute.data_type].contains(&DataType::Null) || actual == attribute.data_type {
+        return Ok(());
+    }
+    Err(AlgebraError::type_mismatch(
+        format!("column '{}'", attribute.name),
+        attribute.data_type,
+        actual,
+    ))
 }
 
 fn arity_mismatch(got: usize, schema: &Schema) -> AlgebraError {
@@ -69,11 +83,13 @@ impl Relation {
         Ok(relation)
     }
 
-    /// Create a relation without checking tuple arities (used on rows the caller has produced
-    /// itself). The rows are consumed batch by batch, so a large input is never resident twice.
+    /// Create a relation without checking tuple arities or types (used on rows the caller has
+    /// produced itself, typed column by column: see [`DataChunk::from_tuples`]). The rows are
+    /// consumed batch by batch, so a large input is never resident twice.
     pub fn from_parts(schema: Schema, tuples: Vec<Tuple>) -> Relation {
-        let chunks = row_batches(schema.arity(), tuples).collect();
-        Relation::from_chunks(schema, chunks)
+        let arity = schema.arity();
+        let chunks = row_batches(tuples).map(|batch| DataChunk::from_tuples(arity, &batch));
+        Relation::from_chunks(schema, chunks.collect())
     }
 
     /// Create a relation directly from columnar chunks (what the engine returns).
@@ -132,11 +148,17 @@ impl Relation {
     /// [`DEFAULT_CHUNK_SIZE`] rows first and the rest is cut into chunks of at most that size;
     /// full chunks are never touched, so an append under a reader that holds
     /// [`Relation::chunks`] costs one refcount bump per stored column plus the tail. All or
-    /// nothing: a top-up that would lay more text end to end than one column can hold
-    /// ([`AlgebraError::ColumnTooLarge`]) leaves the relation as it was.
+    /// nothing: a column of another type than the schema declares, or a top-up that would lay
+    /// more text end to end than one column can hold ([`AlgebraError::ColumnTooLarge`]), leaves
+    /// the relation as it was.
     pub fn append_chunks(&mut self, new: &[DataChunk]) -> Result<(), AlgebraError> {
         if let Some(c) = new.iter().find(|c| c.num_columns() != self.schema.arity()) {
             return Err(arity_mismatch(c.num_columns(), &self.schema));
+        }
+        for chunk in new {
+            for (column, a) in chunk.columns().iter().zip(self.schema.attributes()) {
+                check_type(a, column.data_type())?;
+            }
         }
         let before = (self.chunks.len(), self.chunks.last().cloned(), self.rows);
         for chunk in new {
@@ -187,9 +209,21 @@ impl Relation {
         Ok(())
     }
 
-    /// Append rows of the right arity, converting them a chunk's worth at a time.
+    /// Append rows of the right arity, each value cast to its column's declared type
+    /// ([`Value::cast`]) where it does not fit it — the one place inserted values are coerced. A
+    /// value that casts to nothing refuses all the rows; they convert to chunks a chunk's worth
+    /// at a time.
     fn append_rows(&mut self, new: Vec<Tuple>) -> Result<(), AlgebraError> {
-        row_batches(self.schema.arity(), new).try_for_each(|batch| self.append_chunks(&[batch]))
+        let cast = |(v, a): (Value, &Attribute)| match check_type(a, v.data_type()) {
+            Ok(()) => Ok(v),
+            Err(e) => v.cast(a.data_type).map_err(|_| e),
+        };
+        let attributes = self.schema.attributes();
+        let typed = |t: Tuple| t.into_values().into_iter().zip(attributes).map(cast).collect();
+        let rows = new.into_iter().map(typed).collect::<Result<Vec<Tuple>, _>>()?;
+        let arity = self.schema.arity();
+        row_batches(rows)
+            .try_for_each(|batch| self.append_chunks(&[DataChunk::try_from_tuples(arity, &batch)?]))
     }
 
     /// Append a tuple.
@@ -359,7 +393,7 @@ mod tests {
                 bytes: Vec::new(),
                 validity: Bitmap::all_set(1),
             }),
-            Arc::new(Array::from_values([Value::Int(1)])),
+            Arc::new(Array::from_values([Value::Int(1)]).unwrap()),
         ])
     }
 

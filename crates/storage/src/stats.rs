@@ -93,14 +93,14 @@ impl TableStats {
 
 /// The rows of `column` that may hold its bounds. A natively typed column names its smallest
 /// and largest non-NULL rows ([`Array::compare`] is `sql_cmp` there, but for NaN, which it
-/// orders and `sql_cmp` cannot: NaN rows are passed over); any other column names every row.
+/// orders and `sql_cmp` cannot: NaN rows are passed over); an encoded column names every row.
 fn bound_rows(column: &Array) -> Vec<usize> {
     let orderable = |row: usize| match column {
         Array::Float { values, .. } => !values[row].is_nan(),
         _ => true,
     };
     let rows = (0..column.len()).filter(|&row| !column.is_null(row));
-    if matches!(column, Array::Any { .. }) || column.is_encoded() {
+    if column.is_encoded() {
         return rows.collect();
     }
     let mut bounds: Option<(usize, usize)> = None;

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use perm_algebra::{tuple, Array, DataChunk, DataType, Schema, Tuple, DEFAULT_CHUNK_SIZE};
+use perm_algebra::{tuple, AlgebraError, DataChunk, DataType, Schema, Tuple, DEFAULT_CHUNK_SIZE};
 use perm_storage::Relation;
 
 fn schema() -> Schema {
@@ -59,12 +59,26 @@ fn append_chunks_checks_arity_and_stores_plain_columns() {
 }
 
 #[test]
-fn mixed_type_columns_land_in_any_and_round_trip() {
-    let input = vec![tuple!["a", 1], tuple![2, "b"], Tuple::nulls(2)];
-    let mut r = Relation::new(schema(), input[..1].to_vec()).unwrap();
-    r.extend(input[1..].to_vec()).unwrap();
-    let chunks = r.chunks();
-    assert!(chunks[0].columns().iter().all(|c| matches!(c.as_ref(), Array::Any { .. })));
-    assert_eq!(r.tuples(), input);
-    assert_eq!(r, Relation::new(schema(), input).unwrap());
+fn appended_values_take_the_declared_column_types_or_are_refused() {
+    // A row's value casts to its column's type; a chunk's column must have it. What does not
+    // fit is refused whole, with an error naming the column.
+    let mut r = Relation::new(schema(), vec![tuple!["a", 1]]).unwrap();
+    r.extend(vec![tuple![2, "3"], Tuple::nulls(2)]).unwrap();
+    r.append_chunks(&[DataChunk::from_tuples(2, &[tuple!["d", 4]])]).unwrap();
+    let expected = vec![tuple!["a", 1], tuple!["2", 3], Tuple::nulls(2), tuple!["d", 4]];
+    assert_eq!(r.tuples(), expected);
+    let types = |c: &DataChunk| c.columns().iter().map(|a| a.data_type()).collect::<Vec<_>>();
+    assert!(r.chunks().iter().all(|c| types(c) == [DataType::Text, DataType::Int]));
+    let refused = |e: AlgebraError, want: &str| {
+        matches!(e, AlgebraError::TypeMismatch { ref context, ref expected, ref actual, .. }
+            if context == "column 'n'" && expected == "INT" && actual == want)
+    };
+    assert!(refused(r.extend(vec![tuple!["b", 6], tuple!["c", "seven"]]).unwrap_err(), "TEXT"));
+    let floats = DataChunk::from_tuples(2, &[tuple!["e", 5.0]]);
+    assert!(refused(r.append_chunks(&[DataChunk::empty(2), floats]).unwrap_err(), "FLOAT"));
+    // A value past the first chunk's worth of rows that casts to nothing refuses them all.
+    let mut many: Vec<Tuple> = (0..DEFAULT_CHUNK_SIZE as i64).map(|i| tuple!["m", i]).collect();
+    many.push(tuple!["z", "last"]);
+    assert!(refused(r.extend(many).unwrap_err(), "TEXT"));
+    assert_eq!(r.tuples(), expected, "nothing of a refused append lands");
 }

@@ -225,7 +225,7 @@ impl TableLoader {
                 (0..row.arity()).map(|_| ArrayBuilder::with_capacity(DEFAULT_CHUNK_SIZE)).collect();
         }
         for (column, value) in self.columns.iter_mut().zip(row.into_values()) {
-            column.push(value);
+            column.push(value).unwrap_or_else(|e| panic!("TPC-H table {}: {e}", self.table));
         }
         self.rows += 1;
         if self.rows == DEFAULT_CHUNK_SIZE {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Boots permd, drives it over the wire with perm-shell (DDL + INSERT + SELECT PROVENANCE +
-# prepared statements), and shuts it down. Used by the `service-smoke` CI job and runnable
-# locally: scripts/service_smoke.sh [PORT] [WORKERS] [FAILPOINTS]
+# prepared statements + a CASE whose INT arm the served plan casts to FLOAT), and shuts it
+# down. Used by the `service-smoke` CI job and runnable locally:
+# scripts/service_smoke.sh [PORT] [WORKERS] [FAILPOINTS]
 #
 # WORKERS (default 1) sizes the engine's worker pool for morsel-driven parallel execution;
 # CI drives the same script at 1 and 4 workers so the serving path is smoke-tested both
@@ -114,6 +115,10 @@ SELECT PROVENANCE name, sum(price) AS total FROM shop, sales, items WHERE name =
 \prepare pricey SELECT id FROM items WHERE price > $1 ORDER BY id
 \exec pricey (20)
 \exec pricey (99)
+-- a CASE of an INT and a FLOAT arm is FLOAT: the plan casts the INT arm, so 7 / 2 is 3.5
+CREATE TABLE f (x FLOAT)
+INSERT INTO f VALUES (1.5), (3.0)
+SELECT CASE WHEN x > 2 THEN 7 ELSE 0.5 END / 2 AS half FROM f WHERE x > 2
 -- no stream is in progress: the shell says so and reads nothing
 \cancel
 \stats
@@ -125,6 +130,7 @@ echo "$OUT"
 echo "$OUT" | grep -q "Joba	50	Joba	14" || { echo "FAIL: provenance row missing"; exit 1; }
 # The prepared statement found items 1 and 3 for $1 = 20, then only item 1 for $1 = 99.
 echo "$OUT" | grep -qx "3" || { echo "FAIL: prepared execution (20) wrong"; exit 1; }
+echo "$OUT" | grep -qx "3.5" || { echo "FAIL: the CASE's INT arm was not cast to FLOAT"; exit 1; }
 echo "$OUT" | grep -q "(no result stream to cancel)" \
     || { echo "FAIL: \\cancel between statements not reported"; exit 1; }
 echo "$OUT" | grep -q "^plan_cache .* deferred=[0-9]" \

@@ -39,7 +39,14 @@ fn run_at_every_degree(
     plan: &LogicalPlan,
     options: ExecOptions,
 ) -> Result<Relation, ExecError> {
-    let executor = Executor::with_options(catalog.clone(), options);
+    run_executor_at_every_degree(&Executor::with_options(catalog.clone(), options), plan)
+}
+
+/// [`run_at_every_degree`] on a configured executor (options, bound parameters).
+fn run_executor_at_every_degree(
+    executor: &Executor,
+    plan: &LogicalPlan,
+) -> Result<Relation, ExecError> {
     let sequential = executor.execute(plan);
     for pool in pools() {
         let workers = pool.workers();
@@ -923,6 +930,54 @@ fn set_operations_agree_with_reference_at_every_degree() {
         only(SetOpKind::Difference, SetSemantics::Bag),
         [Value::Int(2), Value::Int(1), Value::Int(4)]
     );
+}
+
+/// A column that takes one of several inputs holds their common type: the analyzer casts an
+/// INT `CASE` arm (a `$n` one included), `COALESCE` argument, set-operation branch or
+/// `INSERT … SELECT` source to FLOAT where the column is FLOAT, so it divides as a float — at
+/// every degree, and in the oracle, which runs the same casts.
+#[test]
+fn inputs_of_a_float_column_divide_as_floats_at_every_degree() {
+    let db = PermDb::new();
+    db.execute_script(
+        "CREATE TABLE f (x FLOAT); INSERT INTO f VALUES (1.5), (3.0); \
+         CREATE TABLE i (y INT); INSERT INTO i VALUES (3), (5); \
+         CREATE TABLE g (z FLOAT); INSERT INTO g SELECT y FROM i",
+    )
+    .unwrap();
+    let floats = |relation: &Relation| {
+        let values = relation.iter().map(|t| match t[0] {
+            Value::Float(f) => f,
+            ref other => panic!("{other:?} in a FLOAT column"),
+        });
+        let mut values: Vec<f64> = values.collect();
+        values.sort_by(f64::total_cmp);
+        values
+    };
+    let catalog = db.catalog();
+    for (sql, expected) in [
+        ("SELECT CASE WHEN x > 2 THEN 7 ELSE 0.5 END / 2 FROM f", &[0.25, 3.5][..]),
+        ("SELECT coalesce(NULL, 7, 0.5) / 2 FROM f", &[3.5, 3.5]),
+        (
+            "SELECT c / 2 FROM (SELECT y AS c FROM i UNION ALL SELECT x FROM f) s",
+            &[0.75, 1.5, 1.5, 2.5],
+        ),
+        ("SELECT z / 2 FROM g", &[1.5, 2.5]),
+    ] {
+        let plan = db.analyze_sql_plan(sql).unwrap();
+        assert_eq!(plan.schema().attribute(0).unwrap().data_type, DataType::Float, "{sql}");
+        let engine = run_at_every_degree(catalog, &plan, ExecOptions::default()).unwrap();
+        assert_eq!(floats(&engine), expected, "{sql}");
+        assert_eq!(floats(&execute_reference(catalog, &plan).unwrap()), expected, "{sql}");
+    }
+    let mut session = Session::new(db.engine().clone());
+    session.prepare("p", "SELECT CASE WHEN x > 2 THEN $1 ELSE 0.5 END / 2 FROM f").unwrap();
+    let plan = &session.prepared("p").unwrap().plan;
+    assert_eq!(plan.verify().unwrap().columns()[0].data_type, DataType::Float);
+    let executor = Executor::new(catalog.clone()).with_params(vec![Value::Int(7)]);
+    assert_eq!(floats(&run_executor_at_every_degree(&executor, plan).unwrap()), [0.25, 3.5]);
+    let executed = session.execute_prepared("p", vec![Value::Int(7)]).unwrap();
+    assert_eq!(floats(&executed), [0.25, 3.5]);
 }
 
 /// `CASE` and `IN` over a list evaluate an operand only on the rows whose result depends on it.
