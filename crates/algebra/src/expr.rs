@@ -9,7 +9,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::error::AlgebraError;
 use crate::plan::LogicalPlan;
 use crate::schema::{Name, Schema};
 use crate::value::{DataType, Value};
@@ -223,28 +222,39 @@ impl ScalarFunction {
         }
     }
 
-    /// Result type given the argument types.
-    pub fn result_type(self, args: &[DataType]) -> DataType {
+    /// Result type given the argument types; `None` for arguments that give it none.
+    pub fn result_type(self, args: &[DataType]) -> Option<DataType> {
         match self {
             ScalarFunction::Substring
             | ScalarFunction::Upper
             | ScalarFunction::Lower
-            | ScalarFunction::Concat => DataType::Text,
+            | ScalarFunction::Concat => Some(DataType::Text),
             ScalarFunction::Length
             | ScalarFunction::ExtractYear
             | ScalarFunction::ExtractMonth
-            | ScalarFunction::ExtractDay => DataType::Int,
-            ScalarFunction::Abs => args.first().copied().unwrap_or(DataType::Float),
-            ScalarFunction::Round | ScalarFunction::Floor | ScalarFunction::Ceil => DataType::Float,
-            // The common type of the arguments (the analyzer casts each to it).
+            | ScalarFunction::ExtractDay => Some(DataType::Int),
+            ScalarFunction::Abs => args.first().copied(),
+            ScalarFunction::Round | ScalarFunction::Floor | ScalarFunction::Ceil => {
+                Some(DataType::Float)
+            }
+            // The arguments' one type (the analyzer casts each to their common type).
             ScalarFunction::Coalesce => {
-                args.iter().fold(DataType::Null, |acc, &t| acc.common_type(t).unwrap_or(acc))
+                args.iter().try_fold(DataType::Null, |acc, &t| acc.one_type(t))
             }
             ScalarFunction::DateAddYears
             | ScalarFunction::DateAddMonths
-            | ScalarFunction::DateAddDays => DataType::Date,
+            | ScalarFunction::DateAddDays => Some(DataType::Date),
         }
     }
+}
+
+/// The type declared for what does not type: operands of no common type, `CASE` arms or
+/// set-operation branches of two types, a column index out of bounds, a scalar sublink without
+/// a column. It is `Null`, the type of an untyped NULL. [`LogicalPlan::verify`] rejects every
+/// plan that holds one, so a plan that verifies declares `Null` only for what is built from
+/// nothing but NULL literals and `$n`s (see [`ScalarExpr::type_with`]).
+pub(crate) fn or_untyped(data_type: Option<DataType>) -> DataType {
+    data_type.unwrap_or(DataType::Null)
 }
 
 /// A scalar expression over the input schema of an operator.
@@ -420,42 +430,38 @@ impl ScalarExpr {
         cols
     }
 
-    /// Visit every node of the expression tree.
-    pub fn visit<F: FnMut(&ScalarExpr)>(&self, f: &mut F) {
-        f(self);
-        match self {
-            ScalarExpr::Column { .. } | ScalarExpr::Literal(_) | ScalarExpr::Parameter { .. } => {}
-            ScalarExpr::BinaryOp { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
+    /// The direct operands of this expression, in a fixed order: a `CASE`'s operand, then each
+    /// WHEN and its THEN, then its ELSE. A sublink's plan is not an operand: it is uncorrelated,
+    /// so independent of the outer schema; only an `IN` sublink's left operand is.
+    pub fn operands(&self) -> impl Iterator<Item = &ScalarExpr> {
+        type Parts<'a> = (
+            Option<&'a ScalarExpr>,
+            &'a [ScalarExpr],
+            &'a [(ScalarExpr, ScalarExpr)],
+            Option<&'a ScalarExpr>,
+        );
+        let (first, list, pairs, last): Parts<'_> = match self {
+            ScalarExpr::Column { .. } | ScalarExpr::Literal(_) | ScalarExpr::Parameter { .. } => {
+                (None, &[], &[], None)
             }
-            ScalarExpr::UnaryOp { expr, .. } => expr.visit(f),
-            ScalarExpr::Function { args, .. } => args.iter().for_each(|a| a.visit(f)),
+            ScalarExpr::BinaryOp { left, right, .. } => (Some(&**left), &[], &[], Some(&**right)),
+            ScalarExpr::UnaryOp { expr, .. } | ScalarExpr::Cast { expr, .. } => {
+                (Some(&**expr), &[], &[], None)
+            }
+            ScalarExpr::Function { args, .. } => (None, args, &[], None),
             ScalarExpr::Case { operand, branches, else_expr } => {
-                if let Some(op) = operand {
-                    op.visit(f);
-                }
-                for (w, t) in branches {
-                    w.visit(f);
-                    t.visit(f);
-                }
-                if let Some(e) = else_expr {
-                    e.visit(f);
-                }
+                (operand.as_deref(), &[], branches, else_expr.as_deref())
             }
-            ScalarExpr::Cast { expr, .. } => expr.visit(f),
-            ScalarExpr::InList { expr, list, .. } => {
-                expr.visit(f);
-                list.iter().for_each(|e| e.visit(f));
-            }
-            ScalarExpr::Sublink { operand, .. } => {
-                // The subquery plan is independent of the outer schema (uncorrelated), so only
-                // the operand is visited.
-                if let Some(op) = operand {
-                    op.visit(f);
-                }
-            }
-        }
+            ScalarExpr::InList { expr, list, .. } => (Some(&**expr), list, &[], None),
+            ScalarExpr::Sublink { operand, .. } => (operand.as_deref(), &[], &[], None),
+        };
+        first.into_iter().chain(list).chain(pairs.iter().flat_map(|(w, t)| [w, t])).chain(last)
+    }
+
+    /// Visit every node of the expression tree, parents before their operands.
+    pub fn visit<'a, F: FnMut(&'a ScalarExpr)>(&'a self, f: &mut F) {
+        f(self);
+        self.operands().for_each(|operand| operand.visit(f));
     }
 
     /// Rewrite every column reference through `f` (old index → new index).
@@ -553,45 +559,12 @@ impl ScalarExpr {
 
     /// Collect all sublink expressions contained in this expression (outermost first).
     pub fn sublinks(&self) -> Vec<&ScalarExpr> {
-        fn walk<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
+        let mut out = Vec::new();
+        self.visit(&mut |e| {
             if matches!(e, ScalarExpr::Sublink { .. }) {
                 out.push(e);
             }
-            match e {
-                ScalarExpr::Column { .. }
-                | ScalarExpr::Literal(_)
-                | ScalarExpr::Parameter { .. } => {}
-                ScalarExpr::BinaryOp { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-                ScalarExpr::UnaryOp { expr, .. } | ScalarExpr::Cast { expr, .. } => walk(expr, out),
-                ScalarExpr::Function { args, .. } => args.iter().for_each(|a| walk(a, out)),
-                ScalarExpr::Case { operand, branches, else_expr } => {
-                    if let Some(op) = operand {
-                        walk(op, out);
-                    }
-                    for (w, t) in branches {
-                        walk(w, out);
-                        walk(t, out);
-                    }
-                    if let Some(el) = else_expr {
-                        walk(el, out);
-                    }
-                }
-                ScalarExpr::InList { expr, list, .. } => {
-                    walk(expr, out);
-                    list.iter().for_each(|e| walk(e, out));
-                }
-                ScalarExpr::Sublink { operand, .. } => {
-                    if let Some(op) = operand {
-                        walk(op, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
+        });
         out
     }
 
@@ -606,56 +579,62 @@ impl ScalarExpr {
         found
     }
 
-    /// The result type of the expression against an input schema.
-    pub fn data_type(&self, schema: &Schema) -> Result<DataType, AlgebraError> {
-        Ok(match self {
-            ScalarExpr::Column { index, .. } => schema.attribute(*index)?.data_type,
-            ScalarExpr::Literal(v) => v.data_type(),
-            // Parameters are untyped until bound; `Null` behaves as "unknown" under
-            // `DataType::common_type`.
-            ScalarExpr::Parameter { .. } => DataType::Null,
-            ScalarExpr::BinaryOp { op, left, right } => {
-                if op.is_comparison() || op.is_logical() {
-                    DataType::Bool
-                } else {
-                    let l = left.data_type(schema)?;
-                    let r = right.data_type(schema)?;
-                    if *op == BinaryOperator::Sub && (l, r) == (DataType::Date, DataType::Date) {
-                        return Ok(DataType::Int); // days between two dates
-                    }
-                    l.common_type(r).ok_or_else(|| {
-                        AlgebraError::type_mismatch(format!("operator {op}"), l, r)
-                    })?
-                }
+    /// The type of this expression over `schema`, given the types of its
+    /// [`operands`](ScalarExpr::operands) in their order: the one typing rule of each expression
+    /// node. [`ScalarExpr::data_type`] types the operands as the rule asks for them;
+    /// [`LogicalPlan::verify`] passes the types it has checked.
+    ///
+    /// A `$n` is typed only once it is bound at execution, so until then it is `Null`, like an
+    /// untyped NULL: `SELECT $1 AS x FROM t WHERE a = $1` declares `x` NULL. An expression over
+    /// a `$n` takes the type its typed operands give it, which the bound value can widen:
+    /// `$1 * 2` is INT, and FLOAT for `$1 = 1.5`. What does not type is [`or_untyped`].
+    pub fn type_with(
+        &self,
+        schema: &Schema,
+        mut operands: impl Iterator<Item = DataType>,
+    ) -> DataType {
+        let one_type = |acc: Option<DataType>, t: Option<DataType>| acc?.one_type(t?);
+        or_untyped(match self {
+            ScalarExpr::Column { index, .. } => schema.attribute(*index).ok().map(|a| a.data_type),
+            ScalarExpr::Literal(v) => Some(v.data_type()),
+            ScalarExpr::Parameter { .. } => Some(DataType::Null),
+            ScalarExpr::BinaryOp { op, .. } if op.is_comparison() || op.is_logical() => {
+                Some(DataType::Bool)
             }
-            ScalarExpr::UnaryOp { op, expr } => match op {
-                UnaryOperator::Not | UnaryOperator::IsNull | UnaryOperator::IsNotNull => {
-                    DataType::Bool
+            ScalarExpr::BinaryOp { op, .. } => match (operands.next(), operands.next()) {
+                // The days between two dates.
+                (Some(DataType::Date), Some(DataType::Date)) if *op == BinaryOperator::Sub => {
+                    Some(DataType::Int)
                 }
-                UnaryOperator::Neg => expr.data_type(schema)?,
+                (Some(l), Some(r)) => l.common_type(r),
+                _ => None,
             },
-            ScalarExpr::Function { func, args } => {
-                let arg_types =
-                    args.iter().map(|a| a.data_type(schema)).collect::<Result<Vec<_>, _>>()?;
-                func.result_type(&arg_types)
-            }
-            ScalarExpr::Case { branches, else_expr, .. } => {
-                let mut ty = DataType::Null;
-                for (_, then) in branches {
-                    ty = ty.common_type(then.data_type(schema)?).unwrap_or(DataType::Text);
+            ScalarExpr::UnaryOp { op: UnaryOperator::Neg, .. } => operands.next(),
+            ScalarExpr::UnaryOp { .. } | ScalarExpr::InList { .. } => Some(DataType::Bool),
+            ScalarExpr::Function { func, .. } => func.result_type(&operands.collect::<Vec<_>>()),
+            // The one type of the THEN and ELSE arms.
+            ScalarExpr::Case { operand, branches, else_expr } => {
+                let mut types = operands.skip(usize::from(operand.is_some()));
+                let mut t = Some(DataType::Null);
+                for _ in branches {
+                    t = one_type(t, types.nth(1));
                 }
-                if let Some(e) = else_expr {
-                    ty = ty.common_type(e.data_type(schema)?).unwrap_or(DataType::Text);
+                match else_expr {
+                    Some(_) => one_type(t, types.next()),
+                    None => t,
                 }
-                ty
             }
-            ScalarExpr::Cast { data_type, .. } => *data_type,
-            ScalarExpr::InList { .. } => DataType::Bool,
-            ScalarExpr::Sublink { kind, plan, .. } => match kind {
-                SublinkKind::Scalar => plan.schema().attribute(0)?.data_type,
-                SublinkKind::Exists | SublinkKind::InSubquery => DataType::Bool,
-            },
+            ScalarExpr::Cast { data_type, .. } => Some(*data_type),
+            ScalarExpr::Sublink { kind: SublinkKind::Scalar, plan, .. } => {
+                plan.schema().attributes().first().map(|a| a.data_type)
+            }
+            ScalarExpr::Sublink { .. } => Some(DataType::Bool),
         })
+    }
+
+    /// The type of the expression over an input schema ([`ScalarExpr::type_with`]).
+    pub fn data_type(&self, schema: &Schema) -> DataType {
+        self.type_with(schema, self.operands().map(|e| e.data_type(schema)))
     }
 
     /// A short display name used when no alias is given (mirrors PostgreSQL behaviour loosely).
@@ -840,12 +819,8 @@ impl AggregateExpr {
     }
 
     /// Result type against an input schema.
-    pub fn data_type(&self, schema: &Schema) -> Result<DataType, AlgebraError> {
-        let arg_type = match &self.arg {
-            Some(e) => e.data_type(schema)?,
-            None => DataType::Int,
-        };
-        Ok(self.func.result_type(arg_type))
+    pub fn data_type(&self, schema: &Schema) -> DataType {
+        self.func.result_type(self.arg.as_ref().map_or(DataType::Int, |e| e.data_type(schema)))
     }
 
     /// Display name when no alias is provided.
@@ -943,18 +918,18 @@ mod tests {
     fn data_type_inference() {
         let s = schema();
         let e = ScalarExpr::column(0, "id").eq(ScalarExpr::literal(3i64));
-        assert_eq!(e.data_type(&s).unwrap(), DataType::Bool);
+        assert_eq!(e.data_type(&s), DataType::Bool);
         let sum = ScalarExpr::binary(
             BinaryOperator::Add,
             ScalarExpr::column(0, "id"),
             ScalarExpr::column(1, "price"),
         );
-        assert_eq!(sum.data_type(&s).unwrap(), DataType::Float);
+        assert_eq!(sum.data_type(&s), DataType::Float);
         let f = ScalarExpr::Function {
             func: ScalarFunction::ExtractYear,
             args: vec![ScalarExpr::column(3, "d")],
         };
-        assert_eq!(f.data_type(&s).unwrap(), DataType::Int);
+        assert_eq!(f.data_type(&s), DataType::Int);
     }
 
     #[test]
@@ -994,13 +969,13 @@ mod tests {
     fn aggregate_types_and_names() {
         let s = schema();
         let sum = AggregateExpr::new(AggregateFunction::Sum, ScalarExpr::column(1, "price"));
-        assert_eq!(sum.data_type(&s).unwrap(), DataType::Float);
+        assert_eq!(sum.data_type(&s), DataType::Float);
         assert_eq!(sum.display_name(), "sum(price)");
         let cnt = AggregateExpr::count_star();
-        assert_eq!(cnt.data_type(&s).unwrap(), DataType::Int);
+        assert_eq!(cnt.data_type(&s), DataType::Int);
         assert_eq!(cnt.display_name(), "count(*)");
         let sum_int = AggregateExpr::new(AggregateFunction::Sum, ScalarExpr::column(0, "id"));
-        assert_eq!(sum_int.data_type(&s).unwrap(), DataType::Int);
+        assert_eq!(sum_int.data_type(&s), DataType::Int);
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   values, subquery alias).
 //! * [`builder::PlanBuilder`] — an ergonomic way to assemble plans in tests, baselines and
 //!   workload generators.
-//! * [`typed::TypedSchema`] / [`LogicalPlan::verify`](plan::LogicalPlan::verify) — static type
-//!   inference over plans (per-column type, nullability, provenance flag) with strict operator
-//!   typing rules; every plan boundary (SQL binding, provenance rewrite, optimizer passes)
-//!   verifies through it.
+//! * [`LogicalPlan::schema`](plan::LogicalPlan::schema) — the one typing of a plan: each
+//!   column's type and provenance flag, from [`ScalarExpr::type_with`](expr::ScalarExpr::type_with)
+//!   per expression node. [`LogicalPlan::verify`](plan::LogicalPlan::verify) checks the strict
+//!   operator typing rules over it (and derives nullability); every plan boundary (SQL binding,
+//!   provenance rewrite, optimizer passes) verifies through it.
 //!
 //! The algebra is deliberately engine-agnostic: execution lives in `perm-exec`, storage in
 //! `perm-storage`, SQL binding in `perm-sql`, and the provenance rewrite rules (the paper's
@@ -59,5 +60,5 @@ pub use keys::{hash_rows, rows_equal, RowTable};
 pub use plan::{JoinKind, LogicalPlan, ProvenanceAnnotationKind, SetOpKind, SetSemantics};
 pub use schema::{Attribute, Name, Schema};
 pub use tuple::Tuple;
-pub use typed::{ColumnType, TypeError, TypeErrorKind, TypedSchema};
+pub use typed::{TypeError, TypeErrorKind, Verified};
 pub use value::{total_float_cmp, DataType, Value};

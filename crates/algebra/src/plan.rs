@@ -9,7 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::AlgebraError;
-use crate::expr::{AggregateExpr, ScalarExpr, SortKey};
+use crate::expr::{or_untyped, AggregateExpr, ScalarExpr, SortKey};
 use crate::schema::{Attribute, Name, Schema};
 use crate::tuple::Tuple;
 use crate::value::DataType;
@@ -197,6 +197,18 @@ fn pop_child(children: &mut Vec<Arc<LogicalPlan>>) -> Result<Arc<LogicalPlan>, A
     children.pop().ok_or_else(|| AlgebraError::Internal("with_new_children: missing child".into()))
 }
 
+/// The column `e AS name` makes over `input`: a column reference keeps its source's qualifier
+/// and provenance flag.
+fn output_column(input: &Schema, e: &ScalarExpr, name: &Name) -> Attribute {
+    let source = e.as_column().and_then(|i| input.attribute(i).ok());
+    Attribute {
+        name: name.clone(),
+        data_type: e.data_type(input),
+        qualifier: source.and_then(|a| a.qualifier.clone()),
+        provenance: source.is_some_and(|a| a.provenance),
+    }
+}
+
 impl LogicalPlan {
     /// This plan with every column whose type is not `types[i]` cast to it: inside the plan's
     /// own expressions when it is a plain projection, else by one projection on top.
@@ -227,96 +239,87 @@ impl LogicalPlan {
         Arc::new(LogicalPlan::Projection { input, exprs: exprs.collect(), distinct: false })
     }
 
-    /// The output schema of this plan node.
+    /// The output schema of this plan node: [`LogicalPlan::schema_from`] over its children's.
     pub fn schema(&self) -> Schema {
+        self.schema_from(self.children().into_iter().map(|input| input.schema()))
+    }
+
+    /// The output schema of this node given its inputs' output schemas, in
+    /// [`LogicalPlan::children`] order: the one place a plan column's type and provenance flag
+    /// are decided. [`LogicalPlan::schema`] feeds it its children's schemas,
+    /// [`LogicalPlan::verify`] the schemas it has checked.
+    pub(crate) fn schema_from(&self, inputs: impl IntoIterator<Item = Schema>) -> Schema {
+        let mut inputs = inputs.into_iter();
+        let mut input = || inputs.next().unwrap_or_default();
         match self {
             LogicalPlan::BaseRelation { schema, .. } | LogicalPlan::Values { schema, .. } => {
                 schema.clone()
             }
-            LogicalPlan::Projection { input, exprs, .. } => {
-                let in_schema = input.schema();
-                Schema::new(
-                    exprs
-                        .iter()
-                        .map(|(e, name)| {
-                            let data_type = e.data_type(&in_schema).unwrap_or(DataType::Text);
-                            // Propagate the provenance flag and qualifier of direct column refs.
-                            let (provenance, qualifier) = match e.as_column() {
-                                Some(i) => in_schema
-                                    .attribute(i)
-                                    .map(|a| (a.provenance, a.qualifier.clone()))
-                                    .unwrap_or((false, None)),
-                                None => (false, None),
-                            };
-                            Attribute { name: name.clone(), data_type, qualifier, provenance }
-                        })
-                        .collect(),
-                )
+            LogicalPlan::Projection { exprs, .. } => {
+                let input = input();
+                Schema::new(exprs.iter().map(|(e, name)| output_column(&input, e, name)).collect())
             }
-            LogicalPlan::Selection { input, .. } => input.schema(),
-            LogicalPlan::Join { left, right, .. } => left.schema().concat(&right.schema()),
-            LogicalPlan::Aggregation { input, group_by, aggregates } => {
-                let in_schema = input.schema();
-                let mut attrs = Vec::with_capacity(group_by.len() + aggregates.len());
-                for (e, name) in group_by {
-                    let data_type = e.data_type(&in_schema).unwrap_or(DataType::Text);
-                    let (provenance, qualifier) = match e.as_column() {
-                        Some(i) => in_schema
-                            .attribute(i)
-                            .map(|a| (a.provenance, a.qualifier.clone()))
-                            .unwrap_or((false, None)),
-                        None => (false, None),
-                    };
-                    attrs.push(Attribute { name: name.clone(), data_type, qualifier, provenance });
-                }
-                for (a, name) in aggregates {
-                    let data_type = a.data_type(&in_schema).unwrap_or(DataType::Float);
-                    attrs.push(Attribute {
-                        name: name.clone(),
-                        data_type,
-                        qualifier: None,
-                        provenance: false,
-                    });
-                }
-                Schema::new(attrs)
+            LogicalPlan::Selection { .. }
+            | LogicalPlan::Sort { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::ProvenanceAnnotation {
+                kind: ProvenanceAnnotationKind::BaseRelation,
+                ..
+            } => input(),
+            LogicalPlan::Join { .. } => input().concat(input()),
+            LogicalPlan::Aggregation { group_by, aggregates, .. } => {
+                let input = input();
+                let groups = group_by.iter().map(|(e, name)| output_column(&input, e, name));
+                let aggregates = aggregates
+                    .iter()
+                    .map(|(a, name)| Attribute::new(name.clone(), a.data_type(&input)));
+                Schema::new(groups.chain(aggregates).collect())
             }
-            // The inputs' types are the common ones: see `PlanBuilder::set_op`.
-            LogicalPlan::SetOp { left, .. } => left.schema(),
-            LogicalPlan::Sort { input, .. } | LogicalPlan::Limit { input, .. } => input.schema(),
-            LogicalPlan::SubqueryAlias { input, alias } => {
-                input.schema().with_qualifier(alias.clone())
+            // A column's type is its branches' one type; its name and flags are the left's.
+            LogicalPlan::SetOp { .. } => {
+                let (left, right) = (input(), input());
+                let column = |(i, a): (usize, &Attribute)| {
+                    let right = right.attribute(i).ok().map(|b| b.data_type);
+                    let data_type = or_untyped(right.and_then(|b| a.data_type.one_type(b)));
+                    Attribute { data_type, ..a.clone() }
+                };
+                Schema::new(left.iter().map(column).collect())
             }
-            LogicalPlan::ProvenanceAnnotation { input, kind } => {
-                let schema = input.schema();
-                match kind {
-                    ProvenanceAnnotationKind::BaseRelation => schema,
-                    ProvenanceAnnotationKind::AlreadyRewritten(attrs) => Schema::new(
-                        schema
-                            .attributes()
-                            .iter()
-                            .map(|a| {
-                                let mut a = a.clone();
-                                if attrs.iter().any(|p| a.matches(p)) {
-                                    a.provenance = true;
-                                }
-                                a
-                            })
-                            .collect(),
-                    ),
+            LogicalPlan::SubqueryAlias { alias, .. } => input().with_qualifier(alias.clone()),
+            LogicalPlan::ProvenanceAnnotation {
+                kind: ProvenanceAnnotationKind::AlreadyRewritten(attrs),
+                ..
+            } => {
+                let mut schema = input().attributes().to_vec();
+                for a in &mut schema {
+                    a.provenance |= attrs.iter().any(|p| a.matches(p));
                 }
+                Schema::new(schema)
             }
         }
     }
 
     /// The number of output columns, computed without materialising the full [`Schema`]
     /// (which clones attribute names). Hot paths — the executor and optimizer — only need
-    /// arities to split join column spaces.
-    ///
-    /// Delegates to [`crate::typed::output_arity`], the single arity derivation shared with
-    /// the full type inference of [`LogicalPlan::verify`], which cross-checks the two at
-    /// every node so they cannot drift apart.
+    /// arities to split join column spaces; [`LogicalPlan::verify`] checks at every node that
+    /// the schema has this many columns.
     pub fn output_arity(&self) -> usize {
-        crate::typed::output_arity(self)
+        match self {
+            LogicalPlan::BaseRelation { schema, .. } | LogicalPlan::Values { schema, .. } => {
+                schema.arity()
+            }
+            LogicalPlan::Projection { exprs, .. } => exprs.len(),
+            LogicalPlan::Aggregation { group_by, aggregates, .. } => {
+                group_by.len() + aggregates.len()
+            }
+            LogicalPlan::Join { left, right, .. } => left.output_arity() + right.output_arity(),
+            LogicalPlan::SetOp { left, .. } => left.output_arity(),
+            LogicalPlan::Selection { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::SubqueryAlias { input, .. }
+            | LogicalPlan::ProvenanceAnnotation { input, .. } => input.output_arity(),
+        }
     }
 
     /// The direct children of this node.

@@ -196,10 +196,9 @@ impl Schema {
     }
 
     /// Concatenate two schemas (joins, cross products).
-    pub fn concat(&self, other: &Schema) -> Schema {
-        let mut attributes = self.attributes.clone();
-        attributes.extend(other.attributes.iter().cloned());
-        Schema { attributes }
+    pub fn concat(mut self, other: Schema) -> Schema {
+        self.attributes.extend(other.attributes);
+        self
     }
 
     /// Schema made of the attributes at the given positions.
@@ -276,7 +275,7 @@ mod tests {
         let s = shop_schema();
         assert!(matches!(s.resolve("zip"), Err(AlgebraError::UnknownAttribute { .. })));
         let joined =
-            s.concat(&Schema::new(vec![Attribute::qualified("sales", "name", DataType::Text)]));
+            s.concat(Schema::new(vec![Attribute::qualified("sales", "name", DataType::Text)]));
         assert!(matches!(joined.resolve("name"), Err(AlgebraError::AmbiguousAttribute { .. })));
         assert_eq!(joined.resolve("sales.name").unwrap(), 2);
         assert_eq!(joined.try_resolve("nothere").unwrap(), None);
@@ -286,7 +285,7 @@ mod tests {
     fn concat_and_project() {
         let s = shop_schema();
         let items = Schema::from_pairs(&[("id", DataType::Int), ("price", DataType::Int)]);
-        let both = s.concat(&items);
+        let both = s.concat(items);
         assert_eq!(both.arity(), 4);
         let proj = both.project(&[3, 0]);
         assert_eq!(proj.attribute_names(), vec!["price", "name"]);

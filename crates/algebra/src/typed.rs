@@ -1,28 +1,34 @@
-//! Typed plan inference and verification.
+//! Plan verification: [`LogicalPlan::verify`] checks a plan's typing rules.
 //!
-//! [`LogicalPlan::verify`] infers a [`TypedSchema`] — per-column [`DataType`], nullability and
-//! provenance flag — bottom-up over the plan and all its scalar expressions, checking arity and
-//! column bounds as it goes and *strictly* checking the operator typing rules:
+//! Types are decided once, outside this module: [`ScalarExpr::type_with`] types an expression
+//! node and [`LogicalPlan::schema`] a plan node, each from its inputs' types. The verifier walks
+//! the plan bottom-up once. Each node's schema comes from its inputs' through the per-node
+//! function that `schema()` calls, and the verifier checks what those types must satisfy:
 //!
-//! * selection / join predicates and `CASE WHEN` conditions must be boolean-typed,
-//! * comparison and arithmetic operands must share a [`DataType::common_type`],
-//! * set-operation inputs must be pairwise type-compatible, not just arity-compatible,
+//! * selection / join predicates and `CASE WHEN` conditions are boolean,
+//! * comparison and arithmetic operands share a [`DataType::common_type`] of the operator's
+//!   family (`LIKE` takes text, `*` numbers, `+` / `-` numbers or dates), and each function
+//!   argument has the type its function takes,
 //! * a column that takes one of several inputs — `CASE` arms, `COALESCE` arguments, the
-//!   branches of a set operation — has one type, an untyped NULL aside: the analyzer casts
-//!   each input to the inputs' common type,
-//! * aggregate inputs must fit the aggregate (`SUM` / `AVG` need numeric arguments),
-//! * outer joins force the null-supplying side's columns to nullable,
-//! * prepared-statement parameters must resolve to a concrete type from at least one
-//!   comparison / arithmetic context (`$1` used only as `$1 IS NULL` is rejected),
-//! * `VALUES` rows must match the declared schema in arity and type.
+//!   branches of a set operation — has one type ([`DataType::one_type`]), an untyped NULL
+//!   aside: the analyzer casts each input to the inputs' common type,
+//! * the inputs of a set operation have one width,
+//! * `SUM` / `AVG` take numeric arguments,
+//! * prepared-statement parameters resolve to a concrete type from at least one comparison /
+//!   arithmetic context (`$1` used only as `$1 IS NULL` is rejected), and that type satisfies
+//!   every rule a bare use of the parameter is under, whichever use the walk meets first
+//!   (`UPPER($1) … WHERE numempl = $1` is rejected),
+//! * `VALUES` rows match the declared schema in arity and type,
+//! * column references are in bounds, and every node's schema has
+//!   [`LogicalPlan::output_arity`] columns.
+//!
+//! It derives the one fact the schema does not carry: whether a column can hold NULL. Base
+//! columns can (the catalog stores no NOT NULL constraints), and outer joins force their
+//! null-supplying side; `EXPLAIN` prints it as `types=(TEXT?, INT?*)`.
 //!
 //! Errors come back as a structured [`TypeError`] carrying the *plan path* from the root to the
 //! offending operator (e.g. `Projection > Join(left) > Selection`), so a pass-ordering bug in
 //! the optimizer or a provenance-rewrite regression names the exact operator it broke.
-//!
-//! The same inference is the single source of truth for output arity: [`output_arity`] here is
-//! what [`LogicalPlan::output_arity`] delegates to, and `verify()` cross-checks the inferred
-//! column count against it at every node, so arity and typing can never drift apart.
 //!
 //! Verification runs at every plan boundary (after SQL binding, after the provenance rewrite,
 //! after each optimizer pass) in debug builds; release builds only verify at PREPARE time.
@@ -34,88 +40,31 @@ use crate::error::AlgebraError;
 use crate::expr::{
     AggregateFunction, BinaryOperator, ScalarExpr, ScalarFunction, SublinkKind, UnaryOperator,
 };
-use crate::plan::{JoinKind, LogicalPlan, ProvenanceAnnotationKind};
-use crate::value::{DataType, Value};
+use crate::plan::{JoinKind, LogicalPlan};
+use crate::schema::Schema;
+use crate::tuple::Tuple;
+use crate::value::DataType;
 
-/// The inferred type of one output column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColumnType {
-    /// The column's data type (`Null` = statically unknown, e.g. a bare NULL literal).
-    pub data_type: DataType,
-    /// Whether the column can contain NULL (base columns are assumed nullable — the catalog
-    /// stores no NOT NULL constraints — and outer joins force their null-supplying side).
-    pub nullable: bool,
-    /// Whether the column is a provenance attribute (set by the provenance rewrite or a
-    /// `PROVENANCE (...)` annotation and propagated through direct column references).
-    pub provenance: bool,
+/// A plan's declared schema as [`LogicalPlan::verify`] checked it, with whether each column can
+/// hold NULL.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verified {
+    /// The declared schema, [`LogicalPlan::schema`].
+    pub schema: Schema,
+    /// Whether each column can hold NULL.
+    pub nullable: Vec<bool>,
 }
 
-impl ColumnType {
-    /// A non-provenance, nullable column of the given type.
-    pub fn nullable(data_type: DataType) -> ColumnType {
-        ColumnType { data_type, nullable: true, provenance: false }
-    }
-}
-
-impl fmt::Display for ColumnType {
-    /// Renders as the type name plus `?` when nullable and `*` when a provenance column,
-    /// e.g. `INT`, `TEXT?`, `INT?*`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.data_type)?;
-        if self.nullable {
-            f.write_str("?")?;
-        }
-        if self.provenance {
-            f.write_str("*")?;
-        }
-        Ok(())
-    }
-}
-
-/// The inferred output type of a plan node: one [`ColumnType`] per output column.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TypedSchema {
-    columns: Vec<ColumnType>,
-}
-
-impl TypedSchema {
-    /// Build from a column list.
-    pub fn new(columns: Vec<ColumnType>) -> TypedSchema {
-        TypedSchema { columns }
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// The column types.
-    pub fn columns(&self) -> &[ColumnType] {
-        &self.columns
-    }
-
-    /// The type of column `i`, if in bounds.
-    pub fn column(&self, i: usize) -> Option<&ColumnType> {
-        self.columns.get(i)
-    }
-
-    /// Concatenate with another schema (join output).
-    fn concat(&self, other: &TypedSchema) -> TypedSchema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().copied());
-        TypedSchema { columns }
-    }
-}
-
-impl fmt::Display for TypedSchema {
-    /// Renders as `(INT, TEXT?, INT?*)` — see [`ColumnType`]'s `Display` for the suffixes.
+impl fmt::Display for Verified {
+    /// Renders as `(INT, TEXT?, INT?*)`: each column's type, then `?` when it can hold NULL and
+    /// `*` when it is a provenance column.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("(")?;
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "{c}")?;
+        for (i, (a, &nullable)) in self.schema.attributes().iter().zip(&self.nullable).enumerate() {
+            let separator = if i > 0 { ", " } else { "" };
+            let (null, provenance) =
+                (if nullable { "?" } else { "" }, if a.provenance { "*" } else { "" });
+            write!(f, "{separator}{}{null}{provenance}", a.data_type)?;
         }
         f.write_str(")")
     }
@@ -205,40 +154,627 @@ impl From<TypeError> for AlgebraError {
     }
 }
 
-/// The number of output columns of a plan node, computed without materialising the full
-/// [`crate::Schema`] (which clones attribute names).
-///
-/// This is the *single* authoritative arity derivation: [`LogicalPlan::output_arity`]
-/// delegates here, and [`LogicalPlan::verify`] cross-checks the length of the inferred
-/// [`TypedSchema`] against it at every node, so the cheap arity and the full type inference
-/// cannot silently drift apart.
-pub fn output_arity(plan: &LogicalPlan) -> usize {
-    match plan {
-        LogicalPlan::BaseRelation { schema, .. } | LogicalPlan::Values { schema, .. } => {
-            schema.arity()
-        }
-        LogicalPlan::Projection { exprs, .. } => exprs.len(),
-        LogicalPlan::Aggregation { group_by, aggregates, .. } => group_by.len() + aggregates.len(),
-        LogicalPlan::Join { left, right, .. } => output_arity(left) + output_arity(right),
-        LogicalPlan::SetOp { left, .. } => output_arity(left),
-        LogicalPlan::Selection { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::SubqueryAlias { input, .. }
-        | LogicalPlan::ProvenanceAnnotation { input, .. } => output_arity(input),
+impl LogicalPlan {
+    /// Check this plan's typing rules (see the [module documentation](self)).
+    ///
+    /// Returns the declared schema with each column's nullability on success and a
+    /// [`TypeError`] naming the operator path on failure.
+    pub fn verify(&self) -> Result<Verified, TypeError> {
+        let mut v = Verifier::default();
+        let verified = v.verify_plan(self)?;
+        v.check_parameters()?;
+        Ok(verified)
     }
 }
 
-impl LogicalPlan {
-    /// Infer this plan's [`TypedSchema`] while strictly checking operator typing rules.
-    ///
-    /// See the [module documentation](self) for the rule catalogue. Returns the root's typed
-    /// schema on success and a [`TypeError`] naming the operator path on failure.
-    pub fn verify(&self) -> Result<TypedSchema, TypeError> {
-        let mut v = Verifier::default();
-        let schema = v.verify_plan(self)?;
-        v.check_parameters_resolved()?;
-        Ok(schema)
+/// A type and whether it can hold NULL: what the verifier knows of an expression.
+type Checked = (DataType, bool);
+
+/// What a rule that takes one family of types requires of a bare `$n` operand (`UPPER($1)`
+/// takes TEXT). A parameter is untyped while the walk goes on, so the rule is checked once the
+/// whole plan is walked, against the type the parameter resolved to: whichever use of the
+/// parameter the walk meets first, a conflicting one is rejected.
+struct ParameterRule {
+    index: usize,
+    ok: fn(DataType) -> bool,
+    expected: &'static str,
+    context: String,
+    path: Vec<String>,
+}
+
+/// Bottom-up checking walker; tracks the operator path for error reporting and the types that
+/// prepared-statement parameters unify with.
+#[derive(Default)]
+struct Verifier {
+    path: Vec<String>,
+    /// Concrete type each parameter has unified with so far (absent = still unknown).
+    param_types: BTreeMap<usize, DataType>,
+    /// Operator path of the first occurrence of each parameter (for error reporting).
+    param_paths: BTreeMap<usize, Vec<String>>,
+    /// The rules bare parameter operands must satisfy once their types are known.
+    param_rules: Vec<ParameterRule>,
+    /// The checked operands of the expressions being checked, innermost last: one stack for
+    /// the walk rather than a vector per expression node, which made PREPARE's verify ~15 %
+    /// slower on the benchmark's `compile_cold` texts.
+    operands: Vec<Checked>,
+}
+
+impl Verifier {
+    fn mismatch(
+        &self,
+        context: impl fmt::Display,
+        expected: impl fmt::Display,
+        actual: impl fmt::Display,
+    ) -> TypeError {
+        TypeError {
+            context: context.to_string(),
+            kind: TypeErrorKind::Mismatch {
+                expected: expected.to_string(),
+                actual: actual.to_string(),
+            },
+            path: self.path.clone(),
+        }
+    }
+
+    fn structural(&self, context: impl fmt::Display, inner: AlgebraError) -> TypeError {
+        TypeError {
+            context: context.to_string(),
+            kind: TypeErrorKind::Structural(Box::new(inner)),
+            path: self.path.clone(),
+        }
+    }
+
+    fn scoped<T>(
+        &mut self,
+        label: String,
+        f: impl FnOnce(&mut Verifier) -> Result<T, TypeError>,
+    ) -> Result<T, TypeError> {
+        self.path.push(label);
+        let out = f(self);
+        self.path.pop();
+        out
+    }
+
+    /// After the whole plan has been walked: every parameter must have unified with a concrete
+    /// type somewhere, and that type must satisfy every rule a bare use of it is under.
+    fn check_parameters(&self) -> Result<(), TypeError> {
+        for (&index, first_path) in &self.param_paths {
+            let resolved = self.param_types.get(&index).is_some_and(|t| *t != DataType::Null);
+            if !resolved {
+                return Err(TypeError {
+                    context: format!("parameter ${}", index + 1),
+                    kind: TypeErrorKind::UnresolvedParameter { index },
+                    path: first_path.clone(),
+                });
+            }
+        }
+        for rule in &self.param_rules {
+            let t = self.param_types.get(&rule.index).copied().unwrap_or(DataType::Null);
+            if !(rule.ok)(t) {
+                return Err(TypeError {
+                    context: format!("parameter ${} in {}", rule.index + 1, rule.context),
+                    kind: TypeErrorKind::Mismatch {
+                        expected: rule.expected.to_string(),
+                        actual: t.to_string(),
+                    },
+                    path: rule.path.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// If `expr` is a bare parameter, unify it with the sibling type `t`.
+    fn bind_parameter(
+        &mut self,
+        expr: &ScalarExpr,
+        t: DataType,
+        context: &dyn fmt::Display,
+    ) -> Result<(), TypeError> {
+        let ScalarExpr::Parameter { index } = expr else { return Ok(()) };
+        if t == DataType::Null {
+            return Ok(());
+        }
+        let merged = match self.param_types.get(index).copied() {
+            None | Some(DataType::Null) => t,
+            Some(prev) => prev.common_type(t).ok_or_else(|| {
+                self.mismatch(format_args!("parameter ${} in {context}", index + 1), prev, t)
+            })?,
+        };
+        self.param_types.insert(*index, merged);
+        Ok(())
+    }
+
+    /// `operand`, of type `t`, is where a rule takes `expected` (the types `ok` accepts). A bare
+    /// parameter is checked once the walk is done (see [`ParameterRule`]).
+    fn require(
+        &mut self,
+        operand: &ScalarExpr,
+        t: DataType,
+        ok: fn(DataType) -> bool,
+        expected: &'static str,
+        context: impl fmt::Display,
+    ) -> Result<(), TypeError> {
+        if !ok(t) {
+            return Err(self.mismatch(context, expected, t));
+        }
+        if let ScalarExpr::Parameter { index } = operand {
+            let (context, path) = (context.to_string(), self.path.clone());
+            self.param_rules.push(ParameterRule { index: *index, ok, expected, context, path });
+        }
+        Ok(())
+    }
+
+    /// Check `plan`'s inputs, then the node itself, under the node's label in the path.
+    fn verify_plan(&mut self, plan: &LogicalPlan) -> Result<Verified, TypeError> {
+        let label = match plan {
+            LogicalPlan::BaseRelation { name, .. } => format!("BaseRelation({name})"),
+            LogicalPlan::Values { .. } => "Values".into(),
+            LogicalPlan::Projection { .. } => "Projection".into(),
+            LogicalPlan::Selection { .. } => "Selection".into(),
+            LogicalPlan::Join { .. } => "Join".into(),
+            LogicalPlan::Aggregation { .. } => "Aggregation".into(),
+            LogicalPlan::SetOp { kind, .. } => format!("SetOp[{kind}]"),
+            LogicalPlan::Sort { .. } => "Sort".into(),
+            LogicalPlan::Limit { .. } => "Limit".into(),
+            LogicalPlan::SubqueryAlias { alias, .. } => format!("SubqueryAlias({alias})"),
+            LogicalPlan::ProvenanceAnnotation { .. } => "ProvenanceAnnotation".into(),
+        };
+        let children = plan.children();
+        if let [left, right] = children[..] {
+            let left = self.scoped(format!("{label}(left)"), |v| v.verify_plan(left))?;
+            let right = self.scoped(format!("{label}(right)"), |v| v.verify_plan(right))?;
+            return self.scoped(label, |v| v.check_node(plan, Some(left), Some(right)));
+        }
+        self.scoped(label, |v| {
+            let input = children.first().map(|child| v.verify_plan(child)).transpose()?;
+            v.check_node(plan, input, None)
+        })
+    }
+
+    /// Check one node over its checked inputs; its schema is the one `schema()` declares.
+    fn check_node(
+        &mut self,
+        plan: &LogicalPlan,
+        left: Option<Verified>,
+        right: Option<Verified>,
+    ) -> Result<Verified, TypeError> {
+        let (left, left_null) = left.map(|v| (Some(v.schema), v.nullable)).unwrap_or_default();
+        let (right, right_null) = right.map(|v| (Some(v.schema), v.nullable)).unwrap_or_default();
+        let empty = Schema::empty();
+        let input = left.as_ref().unwrap_or(&empty);
+        let nullable = match plan {
+            LogicalPlan::BaseRelation { schema, .. } => vec![true; schema.arity()],
+            LogicalPlan::Values { schema, rows } => self.check_values(schema, rows)?,
+            LogicalPlan::Projection { exprs, .. } => exprs
+                .iter()
+                .map(|(e, name)| {
+                    let context = format_args!("projection expression '{name}'");
+                    Ok(self.check_expr(e, input, &left_null, &context)?.1)
+                })
+                .collect::<Result<_, TypeError>>()?,
+            LogicalPlan::Selection { predicate, .. } => {
+                self.check_predicate(predicate, input, &left_null, &"selection predicate")?;
+                left_null
+            }
+            LogicalPlan::Join { kind, condition, .. } => {
+                // Outer joins force the null-supplying side(s) to nullable.
+                let (null_left, null_right) = match kind {
+                    JoinKind::Cross | JoinKind::Inner => (false, false),
+                    JoinKind::LeftOuter => (false, true),
+                    JoinKind::RightOuter => (true, false),
+                    JoinKind::FullOuter => (true, true),
+                };
+                let nullable: Vec<bool> = (left_null.iter().map(|&n| n || null_left))
+                    .chain(right_null.iter().map(|&n| n || null_right))
+                    .collect();
+                // The condition is over the joined schema, which is the node's own.
+                let schema = plan.schema_from(left.into_iter().chain(right));
+                if let Some(condition) = condition {
+                    let context = format_args!("{kind} join condition");
+                    self.check_predicate(condition, &schema, &nullable, &context)?;
+                }
+                return self.arity_checked(plan, schema, nullable);
+            }
+            LogicalPlan::Aggregation { group_by, aggregates, .. } => {
+                let mut nullable = Vec::with_capacity(group_by.len() + aggregates.len());
+                for (e, name) in group_by {
+                    let context = format_args!("group-by expression '{name}'");
+                    nullable.push(self.check_expr(e, input, &left_null, &context)?.1);
+                }
+                for (agg, name) in aggregates {
+                    if let Some(arg) = &agg.arg {
+                        let context = format_args!("aggregate '{name}' argument");
+                        let (t, _) = self.check_expr(arg, input, &left_null, &context)?;
+                        if matches!(agg.func, AggregateFunction::Sum | AggregateFunction::Avg) {
+                            let context = format_args!("aggregate {}('{name}')", agg.func.name());
+                            self.require(arg, t, numericish, "a numeric argument", context)?;
+                        }
+                    }
+                    // COUNT over an empty group is 0, never NULL; every other aggregate returns
+                    // NULL for an empty group.
+                    nullable.push(agg.func != AggregateFunction::Count);
+                }
+                nullable
+            }
+            LogicalPlan::SetOp { kind, .. } => {
+                let right_schema = right.as_ref().unwrap_or(&empty);
+                let (left_width, right_width) = (input.arity(), right_schema.arity());
+                if left_width != right_width {
+                    return Err(self.structural(
+                        format_args!("{kind} inputs"),
+                        AlgebraError::NotUnionCompatible { left_width, right_width },
+                    ));
+                }
+                let columns = input.attributes().iter().zip(right_schema.attributes());
+                for (i, (l, r)) in columns.enumerate() {
+                    if l.data_type.one_type(r.data_type).is_none() {
+                        let context = format_args!("{kind} column {i}");
+                        return Err(self.mismatch(context, l.data_type, r.data_type));
+                    }
+                }
+                left_null.iter().zip(&right_null).map(|(&l, &r)| l || r).collect()
+            }
+            LogicalPlan::Sort { keys, .. } => {
+                for key in keys {
+                    self.check_expr(&key.expr, input, &left_null, &"sort key")?;
+                }
+                left_null
+            }
+            LogicalPlan::Limit { .. }
+            | LogicalPlan::SubqueryAlias { .. }
+            | LogicalPlan::ProvenanceAnnotation { .. } => left_null,
+        };
+        let schema = plan.schema_from(left.into_iter().chain(right));
+        self.arity_checked(plan, schema, nullable)
+    }
+
+    /// The arity tripwire: the cheap `output_arity` and the schema agree on the column count.
+    fn arity_checked(
+        &self,
+        plan: &LogicalPlan,
+        schema: Schema,
+        nullable: Vec<bool>,
+    ) -> Result<Verified, TypeError> {
+        if schema.arity() != plan.output_arity() || nullable.len() != schema.arity() {
+            return Err(self.structural(
+                "plan arity",
+                AlgebraError::Internal(format!(
+                    "the schema has {} columns but output_arity() reports {}",
+                    schema.arity(),
+                    plan.output_arity()
+                )),
+            ));
+        }
+        Ok(Verified { schema, nullable })
+    }
+
+    /// `VALUES` rows have the schema's width and types; a column can hold NULL iff a row does.
+    fn check_values(&self, schema: &Schema, rows: &[Tuple]) -> Result<Vec<bool>, TypeError> {
+        let mut nullable = vec![false; schema.arity()];
+        for (i, row) in rows.iter().enumerate() {
+            if row.arity() != schema.arity() {
+                return Err(self.structural(
+                    format_args!("VALUES row {i}"),
+                    AlgebraError::Internal(format!(
+                        "row has {} values for a schema of width {}",
+                        row.arity(),
+                        schema.arity()
+                    )),
+                ));
+            }
+            for ((j, value), column) in row.values().iter().enumerate().zip(schema.attributes()) {
+                if value.is_null() {
+                    nullable[j] = true;
+                } else if !value.data_type().coercible_to(column.data_type) {
+                    let context = format_args!("VALUES row {i}, column {j}");
+                    return Err(self.mismatch(context, column.data_type, value.data_type()));
+                }
+            }
+        }
+        Ok(nullable)
+    }
+
+    fn check_predicate(
+        &mut self,
+        predicate: &ScalarExpr,
+        schema: &Schema,
+        nullable: &[bool],
+        context: &dyn fmt::Display,
+    ) -> Result<(), TypeError> {
+        let (t, _) = self.check_expr(predicate, schema, nullable, context)?;
+        self.require(predicate, t, booleanish, "BOOL", context)
+    }
+
+    /// Check `expr`'s operands, then `expr` itself, over an input of `schema` whose columns can
+    /// hold NULL where `nullable` says. Its type is the one [`ScalarExpr::type_with`] gives it
+    /// over the checked operand types. `context` names where `expr` is in an error message; it
+    /// is formatted only when an error is raised (a string per checked expression made verify
+    /// ~30 % slower on the TPC-H texts).
+    fn check_expr(
+        &mut self,
+        expr: &ScalarExpr,
+        schema: &Schema,
+        nullable: &[bool],
+        context: &dyn fmt::Display,
+    ) -> Result<Checked, TypeError> {
+        let base = self.operands.len();
+        for operand in expr.operands() {
+            let checked = self.check_expr(operand, schema, nullable, context)?;
+            self.operands.push(checked);
+        }
+        // Taken while `expr`'s rule is checked; a sublink's plan starts a stack of its own.
+        let mut operands = std::mem::take(&mut self.operands);
+        let ops = &operands[base..];
+        let can_be_null = self.check_rule(expr, ops, schema, nullable, context)?;
+        let checked = (expr.type_with(schema, ops.iter().map(|&(t, _)| t)), can_be_null);
+        operands.truncate(base);
+        self.operands = operands;
+        Ok(checked)
+    }
+
+    /// Check the rule of `expr` whose operands checked as `ops` (in
+    /// [`ScalarExpr::operands`] order); returns whether `expr` can be NULL.
+    fn check_rule(
+        &mut self,
+        expr: &ScalarExpr,
+        ops: &[Checked],
+        schema: &Schema,
+        nullable: &[bool],
+        context: &dyn fmt::Display,
+    ) -> Result<bool, TypeError> {
+        let any_null = ops.iter().any(|&(_, n)| n);
+        match expr {
+            ScalarExpr::Column { index, name } => nullable.get(*index).copied().ok_or_else(|| {
+                self.structural(
+                    format_args!("column '{name}' in {context}"),
+                    AlgebraError::ColumnIndexOutOfBounds { index: *index, width: schema.arity() },
+                )
+            }),
+            ScalarExpr::Literal(v) => Ok(v.is_null()),
+            ScalarExpr::Parameter { index } => {
+                self.param_paths.entry(*index).or_insert_with(|| self.path.clone());
+                Ok(true)
+            }
+            ScalarExpr::BinaryOp { op, left, right } => {
+                let (l, r) = (ops[0].0, ops[1].0);
+                // A bare parameter takes its sibling's type (`price > $1` makes $1 an INT).
+                self.bind_parameter(left, r, context)?;
+                self.bind_parameter(right, l, context)?;
+                self.check_binary(*op, l, r, context)?;
+                // Null-safe comparisons never return NULL.
+                let null_safe = matches!(
+                    op,
+                    BinaryOperator::IsNotDistinctFrom | BinaryOperator::IsDistinctFrom
+                );
+                Ok(any_null && !null_safe)
+            }
+            ScalarExpr::UnaryOp { op, expr: operand } => {
+                let o = ops[0].0;
+                match op {
+                    UnaryOperator::Not => {
+                        let context = format_args!("NOT operand in {context}");
+                        self.require(operand, o, booleanish, "BOOL", context)?;
+                    }
+                    UnaryOperator::Neg => {
+                        let context = format_args!("unary '-' operand in {context}");
+                        self.require(operand, o, numericish, "a numeric operand", context)?;
+                    }
+                    UnaryOperator::IsNull | UnaryOperator::IsNotNull => return Ok(false),
+                }
+                Ok(any_null)
+            }
+            ScalarExpr::Function { func, args } => {
+                let types: Vec<DataType> = ops.iter().map(|&(t, _)| t).collect();
+                self.check_function(*func, args, &types, context)?;
+                // COALESCE is only NULL when every argument is; every other function propagates
+                // NULL from any argument.
+                Ok(match func {
+                    ScalarFunction::Coalesce => ops.iter().all(|&(_, n)| n),
+                    _ => any_null,
+                })
+            }
+            ScalarExpr::Case { operand, branches, else_expr } => {
+                let offset = usize::from(operand.is_some());
+                let (pairs, otherwise) = ops[offset..].split_at(2 * branches.len());
+                for ((when, _), pair) in branches.iter().zip(pairs.chunks(2)) {
+                    let w = pair[0].0;
+                    match operand {
+                        // Simple CASE: the operand is compared against each WHEN value.
+                        Some(_) if ops[0].0.common_type(w).is_none() => {
+                            let context = format_args!("CASE WHEN comparison in {context}");
+                            return Err(self.mismatch(context, ops[0].0, w));
+                        }
+                        // Searched CASE: each WHEN is a condition.
+                        None => {
+                            let context = format_args!("CASE WHEN condition in {context}");
+                            self.require(when, w, booleanish, "BOOL", context)?;
+                        }
+                        _ => {}
+                    }
+                }
+                let mut one = DataType::Null;
+                let mut nullable = else_expr.is_none();
+                for &(t, n) in pairs.chunks(2).map(|pair| &pair[1]).chain(otherwise) {
+                    one = one.one_type(t).ok_or_else(|| {
+                        self.mismatch(format_args!("CASE result branches in {context}"), one, t)
+                    })?;
+                    nullable |= n;
+                }
+                Ok(nullable)
+            }
+            ScalarExpr::Cast { expr: inner, data_type } => {
+                self.bind_parameter(inner, *data_type, context)?;
+                Ok(ops[0].1)
+            }
+            ScalarExpr::InList { expr: operand, list, .. } => {
+                let o = ops[0].0;
+                for (item, &(t, _)) in list.iter().zip(&ops[1..]) {
+                    self.bind_parameter(item, o, context)?;
+                    self.bind_parameter(operand, t, context)?;
+                    if o.common_type(t).is_none() {
+                        return Err(self.mismatch(format_args!("IN list in {context}"), o, t));
+                    }
+                }
+                Ok(any_null)
+            }
+            ScalarExpr::Sublink { kind, operand, plan, .. } => {
+                let sub = self.scoped(format!("Sublink[{kind:?}]"), |v| v.verify_plan(plan))?;
+                if *kind == SublinkKind::Exists {
+                    return Ok(false);
+                }
+                let (column, column_nullable) = match sub.schema.attributes() {
+                    [a] => (a.data_type, sub.nullable[0]),
+                    columns => {
+                        return Err(self.mismatch(
+                            format_args!("{kind:?} sublink in {context}"),
+                            "a subquery with exactly 1 output column",
+                            format_args!("{} columns", columns.len()),
+                        ))
+                    }
+                };
+                match operand {
+                    // An empty subquery result yields NULL.
+                    _ if *kind == SublinkKind::Scalar => Ok(true),
+                    None => Err(self.structural(
+                        format_args!("IN sublink in {context}"),
+                        AlgebraError::Internal("IN sublink is missing its left operand".into()),
+                    )),
+                    Some(operand) => {
+                        let o = ops[0].0;
+                        self.bind_parameter(operand, column, context)?;
+                        if o.common_type(column).is_none() {
+                            let context = format_args!("IN sublink in {context}");
+                            return Err(self.mismatch(context, o, column));
+                        }
+                        Ok(ops[0].1 || column_nullable)
+                    }
+                }
+            }
+        }
+    }
+
+    fn check_binary(
+        &self,
+        op: BinaryOperator,
+        l: DataType,
+        r: DataType,
+        context: &dyn fmt::Display,
+    ) -> Result<(), TypeError> {
+        use BinaryOperator::*;
+        let sides = |ok: fn(DataType) -> bool, expected: DataType| match [l, r]
+            .into_iter()
+            .find(|&side| !ok(side))
+        {
+            Some(side) => {
+                Err(self.mismatch(format_args!("operator {op} in {context}"), expected, side))
+            }
+            None => Ok(()),
+        };
+        match op {
+            And | Or => sides(booleanish, DataType::Bool),
+            Like | NotLike => sides(textish, DataType::Text),
+            IsNotDistinctFrom | IsDistinctFrom | Eq | NotEq | Lt | LtEq | Gt | GtEq => {
+                self.require_common(op, l, r, context).map(|_| ())
+            }
+            // `+` doubles as text concatenation (`Value::add`).
+            Add if (l, r) == (DataType::Text, DataType::Text) => Ok(()),
+            Add | Sub => {
+                let common = self.require_common(op, l, r, context)?;
+                self.require_family(op, common, true, context)
+            }
+            Mul | Div | Mod => {
+                let common = self.require_common(op, l, r, context)?;
+                self.require_family(op, common, false, context)
+            }
+        }
+    }
+
+    fn require_common(
+        &self,
+        op: BinaryOperator,
+        l: DataType,
+        r: DataType,
+        context: &dyn fmt::Display,
+    ) -> Result<DataType, TypeError> {
+        l.common_type(r)
+            .ok_or_else(|| self.mismatch(format_args!("operator {op} in {context}"), l, r))
+    }
+
+    /// Arithmetic operand family check: `+`/`-` also accept dates (date ± days), `*`/`/`/`%`
+    /// are numeric-only, matching `Value`'s checked arithmetic.
+    fn require_family(
+        &self,
+        op: BinaryOperator,
+        common: DataType,
+        dates_ok: bool,
+        context: &dyn fmt::Display,
+    ) -> Result<(), TypeError> {
+        if numericish(common) || (dates_ok && common == DataType::Date) {
+            return Ok(());
+        }
+        let expected = if dates_ok { "numeric or date operands" } else { "numeric operands" };
+        Err(self.mismatch(format_args!("operator {op} in {context}"), expected, common))
+    }
+
+    /// A function's arity and argument types (`COALESCE`'s arguments have one type).
+    fn check_function(
+        &mut self,
+        func: ScalarFunction,
+        args: &[ScalarExpr],
+        types: &[DataType],
+        context: &dyn fmt::Display,
+    ) -> Result<(), TypeError> {
+        use ScalarFunction::*;
+        let name = func.name();
+        let arity_ok = match func {
+            Substring => (2..=3).contains(&types.len()),
+            Round => (1..=2).contains(&types.len()),
+            Coalesce | Concat => !types.is_empty(),
+            Upper | Lower | Length | Abs | Floor | Ceil | ExtractYear | ExtractMonth
+            | ExtractDay => types.len() == 1,
+            DateAddYears | DateAddMonths | DateAddDays => types.len() == 2,
+        };
+        if !arity_ok {
+            return Err(self.structural(
+                format_args!("function {name} in {context}"),
+                AlgebraError::Internal(format!("{name} called with {} arguments", types.len())),
+            ));
+        }
+        let argument = |i: usize| format!("function {name} argument {} in {context}", i + 1);
+        let mut check = |i: usize, ok: fn(DataType) -> bool, expected: &'static str| {
+            let context = format_args!("function {name} argument {} in {context}", i + 1);
+            self.require(&args[i], types[i], ok, expected, context)
+        };
+        match func {
+            Substring => {
+                check(0, textish, "TEXT")?;
+                for i in 1..types.len() {
+                    check(i, intish, "INT")?;
+                }
+            }
+            Upper | Lower | Length => check(0, textish, "TEXT")?,
+            Abs | Floor | Ceil => check(0, numericish, "a numeric argument")?,
+            Round => {
+                check(0, numericish, "a numeric argument")?;
+                if types.len() == 2 {
+                    check(1, intish, "INT")?;
+                }
+            }
+            Coalesce => {
+                let mut one = DataType::Null;
+                for (i, &t) in types.iter().enumerate() {
+                    one = one.one_type(t).ok_or_else(|| self.mismatch(argument(i), one, t))?;
+                }
+            }
+            Concat => {} // concat stringifies anything
+            ExtractYear | ExtractMonth | ExtractDay => check(0, dateish, "DATE")?,
+            DateAddYears | DateAddMonths | DateAddDays => {
+                check(0, dateish, "DATE")?;
+                check(1, intish, "INT")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -257,741 +793,14 @@ fn numericish(t: DataType) -> bool {
     matches!(t, DataType::Int | DataType::Float | DataType::Null)
 }
 
+/// Is the type usable where an integer is required?
+fn intish(t: DataType) -> bool {
+    matches!(t, DataType::Int | DataType::Null)
+}
+
 /// Is the type usable where a date is required?
 fn dateish(t: DataType) -> bool {
     matches!(t, DataType::Date | DataType::Null)
-}
-
-/// The one type of a column whose inputs have types `a` and `b`: theirs when they agree, the
-/// other's when one is an untyped NULL. Inputs of two types need a cast to their common type.
-fn one_type(a: DataType, b: DataType) -> Option<DataType> {
-    match (a, b) {
-        (DataType::Null, t) | (t, DataType::Null) => Some(t),
-        (a, b) => (a == b).then_some(a),
-    }
-}
-
-/// Bottom-up type inference walker; tracks the operator path for error reporting and the
-/// types that prepared-statement parameters unify with.
-#[derive(Default)]
-struct Verifier {
-    path: Vec<String>,
-    /// Concrete type each parameter has unified with so far (absent = still unknown).
-    param_types: BTreeMap<usize, DataType>,
-    /// Operator path of the first occurrence of each parameter (for error reporting).
-    param_paths: BTreeMap<usize, Vec<String>>,
-}
-
-impl Verifier {
-    fn mismatch(
-        &self,
-        context: impl Into<String>,
-        expected: impl Into<String>,
-        actual: impl Into<String>,
-    ) -> TypeError {
-        TypeError {
-            context: context.into(),
-            kind: TypeErrorKind::Mismatch { expected: expected.into(), actual: actual.into() },
-            path: self.path.clone(),
-        }
-    }
-
-    fn structural(&self, context: impl Into<String>, inner: AlgebraError) -> TypeError {
-        TypeError {
-            context: context.into(),
-            kind: TypeErrorKind::Structural(Box::new(inner)),
-            path: self.path.clone(),
-        }
-    }
-
-    fn scoped<T>(
-        &mut self,
-        label: impl Into<String>,
-        f: impl FnOnce(&mut Verifier) -> Result<T, TypeError>,
-    ) -> Result<T, TypeError> {
-        self.path.push(label.into());
-        let out = f(self);
-        self.path.pop();
-        out
-    }
-
-    /// After the whole plan has been walked: every parameter must have unified with a concrete
-    /// type somewhere.
-    fn check_parameters_resolved(&self) -> Result<(), TypeError> {
-        for (&index, first_path) in &self.param_paths {
-            let resolved = self.param_types.get(&index).is_some_and(|t| *t != DataType::Null);
-            if !resolved {
-                return Err(TypeError {
-                    context: format!("parameter ${}", index + 1),
-                    kind: TypeErrorKind::UnresolvedParameter { index },
-                    path: first_path.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// If `expr` is a bare parameter, unify it with the sibling type `t`.
-    fn bind_parameter(
-        &mut self,
-        expr: &ScalarExpr,
-        t: DataType,
-        context: &str,
-    ) -> Result<(), TypeError> {
-        let ScalarExpr::Parameter { index } = expr else { return Ok(()) };
-        if t == DataType::Null {
-            return Ok(());
-        }
-        match self.param_types.get(index).copied() {
-            None | Some(DataType::Null) => {
-                self.param_types.insert(*index, t);
-                Ok(())
-            }
-            Some(prev) => match prev.common_type(t) {
-                Some(merged) => {
-                    self.param_types.insert(*index, merged);
-                    Ok(())
-                }
-                None => Err(self.mismatch(
-                    format!("parameter ${} in {context}", index + 1),
-                    prev.to_string(),
-                    t.to_string(),
-                )),
-            },
-        }
-    }
-
-    fn verify_plan(&mut self, plan: &LogicalPlan) -> Result<TypedSchema, TypeError> {
-        let out = match plan {
-            LogicalPlan::BaseRelation { name, schema, .. } => {
-                self.scoped(format!("BaseRelation({name})"), |_| {
-                    // The catalog stores no NOT NULL constraints, so every base column is
-                    // assumed nullable.
-                    Ok(TypedSchema::new(
-                        schema
-                            .attributes()
-                            .iter()
-                            .map(|a| ColumnType {
-                                data_type: a.data_type,
-                                nullable: true,
-                                provenance: a.provenance,
-                            })
-                            .collect(),
-                    ))
-                })?
-            }
-            LogicalPlan::Values { schema, rows } => self.scoped("Values", |v| {
-                let mut columns: Vec<ColumnType> = schema
-                    .attributes()
-                    .iter()
-                    .map(|a| ColumnType {
-                        data_type: a.data_type,
-                        nullable: false,
-                        provenance: a.provenance,
-                    })
-                    .collect();
-                for (i, row) in rows.iter().enumerate() {
-                    if row.arity() != schema.arity() {
-                        return Err(v.structural(
-                            format!("VALUES row {i}"),
-                            AlgebraError::Internal(format!(
-                                "row has {} values for a schema of width {}",
-                                row.arity(),
-                                schema.arity()
-                            )),
-                        ));
-                    }
-                    for (j, value) in row.values().iter().enumerate() {
-                        if matches!(value, Value::Null) {
-                            columns[j].nullable = true;
-                        } else if !value.data_type().coercible_to(columns[j].data_type) {
-                            return Err(v.mismatch(
-                                format!("VALUES row {i}, column {j}"),
-                                columns[j].data_type.to_string(),
-                                value.data_type().to_string(),
-                            ));
-                        }
-                    }
-                }
-                Ok(TypedSchema::new(columns))
-            })?,
-            LogicalPlan::Projection { input, exprs, .. } => {
-                self.scoped("Projection", |v| {
-                    let in_schema = v.verify_plan(input)?;
-                    let mut columns = Vec::with_capacity(exprs.len());
-                    for (e, name) in exprs {
-                        let mut c = v.verify_expr(
-                            e,
-                            &in_schema,
-                            &format!("projection expression '{name}'"),
-                        )?;
-                        // The provenance flag only survives direct column references, matching
-                        // `LogicalPlan::schema()`.
-                        c.provenance = e
-                            .as_column()
-                            .and_then(|i| in_schema.column(i))
-                            .is_some_and(|c| c.provenance);
-                        columns.push(c);
-                    }
-                    Ok(TypedSchema::new(columns))
-                })?
-            }
-            LogicalPlan::Selection { input, predicate } => self.scoped("Selection", |v| {
-                let in_schema = v.verify_plan(input)?;
-                let p = v.verify_expr(predicate, &in_schema, "selection predicate")?;
-                if !booleanish(p.data_type) {
-                    return Err(v.mismatch(
-                        "selection predicate",
-                        DataType::Bool.to_string(),
-                        p.data_type.to_string(),
-                    ));
-                }
-                Ok(in_schema)
-            })?,
-            LogicalPlan::Join { left, right, kind, condition } => {
-                let lt = self.scoped("Join(left)", |v| v.verify_plan(left))?;
-                let rt = self.scoped("Join(right)", |v| v.verify_plan(right))?;
-                self.scoped("Join", |v| {
-                    let mut out = lt.concat(&rt);
-                    if let Some(cond) = condition {
-                        let c = v.verify_expr(cond, &out, "join condition")?;
-                        if !booleanish(c.data_type) {
-                            return Err(v.mismatch(
-                                format!("{kind} join condition"),
-                                DataType::Bool.to_string(),
-                                c.data_type.to_string(),
-                            ));
-                        }
-                    }
-                    // Outer joins force the null-supplying side(s) to nullable.
-                    let (null_left, null_right) = match kind {
-                        JoinKind::Cross | JoinKind::Inner => (false, false),
-                        JoinKind::LeftOuter => (false, true),
-                        JoinKind::RightOuter => (true, false),
-                        JoinKind::FullOuter => (true, true),
-                    };
-                    let split = lt.arity();
-                    for (i, c) in out.columns.iter_mut().enumerate() {
-                        if (i < split && null_left) || (i >= split && null_right) {
-                            c.nullable = true;
-                        }
-                    }
-                    Ok(out)
-                })?
-            }
-            LogicalPlan::Aggregation { input, group_by, aggregates } => {
-                self.scoped("Aggregation", |v| {
-                    let in_schema = v.verify_plan(input)?;
-                    let mut columns = Vec::with_capacity(group_by.len() + aggregates.len());
-                    for (e, name) in group_by {
-                        let mut c =
-                            v.verify_expr(e, &in_schema, &format!("group-by expression '{name}'"))?;
-                        c.provenance = e
-                            .as_column()
-                            .and_then(|i| in_schema.column(i))
-                            .is_some_and(|c| c.provenance);
-                        columns.push(c);
-                    }
-                    for (agg, name) in aggregates {
-                        let arg_type = match &agg.arg {
-                            Some(arg) => {
-                                let a = v.verify_expr(
-                                    arg,
-                                    &in_schema,
-                                    &format!("aggregate '{name}' argument"),
-                                )?;
-                                if matches!(
-                                    agg.func,
-                                    AggregateFunction::Sum | AggregateFunction::Avg
-                                ) && !numericish(a.data_type)
-                                {
-                                    return Err(v.mismatch(
-                                        format!("aggregate {}('{name}')", agg.func.name()),
-                                        "a numeric argument".to_string(),
-                                        a.data_type.to_string(),
-                                    ));
-                                }
-                                a.data_type
-                            }
-                            None => DataType::Int, // COUNT(*)
-                        };
-                        columns.push(ColumnType {
-                            data_type: agg.func.result_type(arg_type),
-                            // COUNT over an empty group is 0, never NULL; every other
-                            // aggregate returns NULL for an empty group.
-                            nullable: agg.func != AggregateFunction::Count,
-                            provenance: false,
-                        });
-                    }
-                    Ok(TypedSchema::new(columns))
-                })?
-            }
-            LogicalPlan::SetOp { left, right, kind, .. } => {
-                let lt = self.scoped(format!("SetOp[{kind}](left)"), |v| v.verify_plan(left))?;
-                let rt = self.scoped(format!("SetOp[{kind}](right)"), |v| v.verify_plan(right))?;
-                self.scoped(format!("SetOp[{kind}]"), |v| {
-                    if lt.arity() != rt.arity() {
-                        return Err(v.structural(
-                            format!("{kind} inputs"),
-                            AlgebraError::NotUnionCompatible {
-                                left_width: lt.arity(),
-                                right_width: rt.arity(),
-                            },
-                        ));
-                    }
-                    let mut columns = Vec::with_capacity(lt.arity());
-                    for (i, (l, r)) in lt.columns.iter().zip(rt.columns.iter()).enumerate() {
-                        let Some(common) = one_type(l.data_type, r.data_type) else {
-                            return Err(v.mismatch(
-                                format!("{kind} column {i}"),
-                                l.data_type.to_string(),
-                                r.data_type.to_string(),
-                            ));
-                        };
-                        columns.push(ColumnType {
-                            data_type: common,
-                            nullable: l.nullable || r.nullable,
-                            // The output schema takes names/flags from the left input,
-                            // matching `LogicalPlan::schema()`.
-                            provenance: l.provenance,
-                        });
-                    }
-                    Ok(TypedSchema::new(columns))
-                })?
-            }
-            LogicalPlan::Sort { input, keys } => self.scoped("Sort", |v| {
-                let in_schema = v.verify_plan(input)?;
-                for key in keys {
-                    v.verify_expr(&key.expr, &in_schema, "sort key")?;
-                }
-                Ok(in_schema)
-            })?,
-            LogicalPlan::Limit { input, .. } => self.scoped("Limit", |v| v.verify_plan(input))?,
-            LogicalPlan::SubqueryAlias { input, alias } => {
-                self.scoped(format!("SubqueryAlias({alias})"), |v| v.verify_plan(input))?
-            }
-            LogicalPlan::ProvenanceAnnotation { input, kind } => {
-                self.scoped("ProvenanceAnnotation", |v| {
-                    let mut out = v.verify_plan(input)?;
-                    if let ProvenanceAnnotationKind::AlreadyRewritten(attrs) = kind {
-                        // Flag the listed attributes as provenance columns; name matching
-                        // needs the named schema, mirroring `LogicalPlan::schema()`.
-                        let named = input.schema();
-                        for (i, a) in named.attributes().iter().enumerate() {
-                            if attrs.iter().any(|p| a.matches(p)) {
-                                if let Some(c) = out.columns.get_mut(i) {
-                                    c.provenance = true;
-                                }
-                            }
-                        }
-                    }
-                    Ok(out)
-                })?
-            }
-        };
-        // Arity/typing drift tripwire: the cheap `output_arity` and the full inference must
-        // always agree on the column count.
-        if out.arity() != output_arity(plan) {
-            return Err(self.structural(
-                "plan arity",
-                AlgebraError::Internal(format!(
-                    "inferred {} columns but output_arity() reports {}",
-                    out.arity(),
-                    output_arity(plan)
-                )),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn verify_expr(
-        &mut self,
-        expr: &ScalarExpr,
-        input: &TypedSchema,
-        context: &str,
-    ) -> Result<ColumnType, TypeError> {
-        match expr {
-            ScalarExpr::Column { index, name } => match input.column(*index) {
-                Some(c) => Ok(*c),
-                None => Err(self.structural(
-                    format!("column '{name}' in {context}"),
-                    AlgebraError::ColumnIndexOutOfBounds { index: *index, width: input.arity() },
-                )),
-            },
-            ScalarExpr::Literal(v) => Ok(ColumnType {
-                data_type: v.data_type(),
-                nullable: matches!(v, Value::Null),
-                provenance: false,
-            }),
-            ScalarExpr::Parameter { index } => {
-                self.param_paths.entry(*index).or_insert_with(|| self.path.clone());
-                let data_type = self.param_types.get(index).copied().unwrap_or(DataType::Null);
-                Ok(ColumnType::nullable(data_type))
-            }
-            ScalarExpr::BinaryOp { op, left, right } => {
-                let l = self.verify_expr(left, input, context)?;
-                let r = self.verify_expr(right, input, context)?;
-                // A bare parameter takes its sibling's type (`price > $1` makes $1 an INT).
-                self.bind_parameter(left, r.data_type, context)?;
-                self.bind_parameter(right, l.data_type, context)?;
-                self.verify_binary(*op, l, r, context)
-            }
-            ScalarExpr::UnaryOp { op, expr: operand } => {
-                let o = self.verify_expr(operand, input, context)?;
-                match op {
-                    UnaryOperator::Not => {
-                        if !booleanish(o.data_type) {
-                            return Err(self.mismatch(
-                                format!("NOT operand in {context}"),
-                                DataType::Bool.to_string(),
-                                o.data_type.to_string(),
-                            ));
-                        }
-                        Ok(ColumnType { data_type: DataType::Bool, ..o })
-                    }
-                    UnaryOperator::Neg => {
-                        if !numericish(o.data_type) {
-                            return Err(self.mismatch(
-                                format!("unary '-' operand in {context}"),
-                                "a numeric operand".to_string(),
-                                o.data_type.to_string(),
-                            ));
-                        }
-                        Ok(o)
-                    }
-                    UnaryOperator::IsNull | UnaryOperator::IsNotNull => Ok(ColumnType {
-                        data_type: DataType::Bool,
-                        nullable: false,
-                        provenance: false,
-                    }),
-                }
-            }
-            ScalarExpr::Function { func, args } => {
-                self.verify_function(*func, args, input, context)
-            }
-            ScalarExpr::Case { operand, branches, else_expr } => {
-                let operand_type =
-                    operand.as_deref().map(|o| self.verify_expr(o, input, context)).transpose()?;
-                let mut result: Option<DataType> = None;
-                let mut nullable = else_expr.is_none();
-                for (when, then) in branches {
-                    let w = self.verify_expr(when, input, context)?;
-                    match operand_type {
-                        // Simple CASE: the operand is compared against each WHEN value.
-                        Some(o) => {
-                            if o.data_type.common_type(w.data_type).is_none() {
-                                return Err(self.mismatch(
-                                    format!("CASE WHEN comparison in {context}"),
-                                    o.data_type.to_string(),
-                                    w.data_type.to_string(),
-                                ));
-                            }
-                        }
-                        // Searched CASE: each WHEN is a condition.
-                        None => {
-                            if !booleanish(w.data_type) {
-                                return Err(self.mismatch(
-                                    format!("CASE WHEN condition in {context}"),
-                                    DataType::Bool.to_string(),
-                                    w.data_type.to_string(),
-                                ));
-                            }
-                        }
-                    }
-                    let t = self.verify_expr(then, input, context)?;
-                    nullable |= t.nullable;
-                    result = Some(self.merge_branch_type(result, t.data_type, context)?);
-                }
-                if let Some(e) = else_expr.as_deref() {
-                    let t = self.verify_expr(e, input, context)?;
-                    nullable |= t.nullable;
-                    result = Some(self.merge_branch_type(result, t.data_type, context)?);
-                }
-                Ok(ColumnType {
-                    data_type: result.unwrap_or(DataType::Null),
-                    nullable,
-                    provenance: false,
-                })
-            }
-            ScalarExpr::Cast { expr: inner, data_type } => {
-                let i = self.verify_expr(inner, input, context)?;
-                self.bind_parameter(inner, *data_type, context)?;
-                Ok(ColumnType { data_type: *data_type, nullable: i.nullable, provenance: false })
-            }
-            ScalarExpr::InList { expr: operand, list, .. } => {
-                let o = self.verify_expr(operand, input, context)?;
-                let mut nullable = o.nullable;
-                for item in list {
-                    let t = self.verify_expr(item, input, context)?;
-                    self.bind_parameter(item, o.data_type, context)?;
-                    self.bind_parameter(operand, t.data_type, context)?;
-                    if o.data_type.common_type(t.data_type).is_none() {
-                        return Err(self.mismatch(
-                            format!("IN list in {context}"),
-                            o.data_type.to_string(),
-                            t.data_type.to_string(),
-                        ));
-                    }
-                    nullable |= t.nullable;
-                }
-                Ok(ColumnType { data_type: DataType::Bool, nullable, provenance: false })
-            }
-            ScalarExpr::Sublink { kind, operand, plan, .. } => {
-                let sub = self.scoped(format!("Sublink[{kind:?}]"), |v| v.verify_plan(plan))?;
-                let single_column = |v: &Verifier| -> Result<ColumnType, TypeError> {
-                    match sub.columns() {
-                        [c] => Ok(*c),
-                        cols => Err(v.mismatch(
-                            format!("{kind:?} sublink in {context}"),
-                            "a subquery with exactly 1 output column".to_string(),
-                            format!("{} columns", cols.len()),
-                        )),
-                    }
-                };
-                match kind {
-                    SublinkKind::Exists => Ok(ColumnType {
-                        data_type: DataType::Bool,
-                        nullable: false,
-                        provenance: false,
-                    }),
-                    SublinkKind::Scalar => {
-                        // An empty subquery result yields NULL.
-                        Ok(ColumnType { nullable: true, ..single_column(self)? })
-                    }
-                    SublinkKind::InSubquery => {
-                        let col = single_column(self)?;
-                        let Some(op) = operand.as_deref() else {
-                            return Err(self.structural(
-                                format!("IN sublink in {context}"),
-                                AlgebraError::Internal(
-                                    "IN sublink is missing its left operand".into(),
-                                ),
-                            ));
-                        };
-                        let o = self.verify_expr(op, input, context)?;
-                        self.bind_parameter(op, col.data_type, context)?;
-                        if o.data_type.common_type(col.data_type).is_none() {
-                            return Err(self.mismatch(
-                                format!("IN sublink in {context}"),
-                                o.data_type.to_string(),
-                                col.data_type.to_string(),
-                            ));
-                        }
-                        Ok(ColumnType {
-                            data_type: DataType::Bool,
-                            nullable: o.nullable || col.nullable,
-                            provenance: false,
-                        })
-                    }
-                }
-            }
-        }
-    }
-
-    fn merge_branch_type(
-        &self,
-        acc: Option<DataType>,
-        next: DataType,
-        context: &str,
-    ) -> Result<DataType, TypeError> {
-        match acc {
-            None => Ok(next),
-            Some(prev) => one_type(prev, next).ok_or_else(|| {
-                self.mismatch(
-                    format!("CASE result branches in {context}"),
-                    prev.to_string(),
-                    next.to_string(),
-                )
-            }),
-        }
-    }
-
-    fn verify_binary(
-        &self,
-        op: BinaryOperator,
-        l: ColumnType,
-        r: ColumnType,
-        context: &str,
-    ) -> Result<ColumnType, TypeError> {
-        use BinaryOperator::*;
-        let nullable = l.nullable || r.nullable;
-        let boolean =
-            |nullable| ColumnType { data_type: DataType::Bool, nullable, provenance: false };
-        match op {
-            And | Or => {
-                for side in [l, r] {
-                    if !booleanish(side.data_type) {
-                        return Err(self.mismatch(
-                            format!("operator {op} in {context}"),
-                            DataType::Bool.to_string(),
-                            side.data_type.to_string(),
-                        ));
-                    }
-                }
-                Ok(boolean(nullable))
-            }
-            Like | NotLike => {
-                for side in [l, r] {
-                    if !textish(side.data_type) {
-                        return Err(self.mismatch(
-                            format!("operator {op} in {context}"),
-                            DataType::Text.to_string(),
-                            side.data_type.to_string(),
-                        ));
-                    }
-                }
-                Ok(boolean(nullable))
-            }
-            // Null-safe comparisons never return NULL.
-            IsNotDistinctFrom | IsDistinctFrom => {
-                self.require_common(op, l, r, context)?;
-                Ok(boolean(false))
-            }
-            Eq | NotEq | Lt | LtEq | Gt | GtEq => {
-                self.require_common(op, l, r, context)?;
-                Ok(boolean(nullable))
-            }
-            Add => {
-                // `+` doubles as text concatenation (`Value::add`).
-                if l.data_type == DataType::Text && r.data_type == DataType::Text {
-                    return Ok(ColumnType {
-                        data_type: DataType::Text,
-                        nullable,
-                        provenance: false,
-                    });
-                }
-                let common = self.require_common(op, l, r, context)?;
-                self.require_family(op, common, true, context)?;
-                Ok(ColumnType { data_type: common, nullable, provenance: false })
-            }
-            Sub => {
-                let common = self.require_common(op, l, r, context)?;
-                self.require_family(op, common, true, context)?;
-                let days_between = (l.data_type, r.data_type) == (DataType::Date, DataType::Date);
-                let data_type = if days_between { DataType::Int } else { common };
-                Ok(ColumnType { data_type, nullable, provenance: false })
-            }
-            Mul | Div | Mod => {
-                let common = self.require_common(op, l, r, context)?;
-                self.require_family(op, common, false, context)?;
-                Ok(ColumnType { data_type: common, nullable, provenance: false })
-            }
-        }
-    }
-
-    fn require_common(
-        &self,
-        op: BinaryOperator,
-        l: ColumnType,
-        r: ColumnType,
-        context: &str,
-    ) -> Result<DataType, TypeError> {
-        l.data_type.common_type(r.data_type).ok_or_else(|| {
-            self.mismatch(
-                format!("operator {op} in {context}"),
-                l.data_type.to_string(),
-                r.data_type.to_string(),
-            )
-        })
-    }
-
-    /// Arithmetic operand family check: `+`/`-` also accept dates (date ± days), `*`/`/`/`%`
-    /// are numeric-only, matching `Value`'s checked arithmetic.
-    fn require_family(
-        &self,
-        op: BinaryOperator,
-        common: DataType,
-        dates_ok: bool,
-        context: &str,
-    ) -> Result<(), TypeError> {
-        if numericish(common) || (dates_ok && common == DataType::Date) {
-            return Ok(());
-        }
-        Err(self.mismatch(
-            format!("operator {op} in {context}"),
-            if dates_ok { "numeric or date operands" } else { "numeric operands" }.to_string(),
-            common.to_string(),
-        ))
-    }
-
-    fn verify_function(
-        &mut self,
-        func: ScalarFunction,
-        args: &[ScalarExpr],
-        input: &TypedSchema,
-        context: &str,
-    ) -> Result<ColumnType, TypeError> {
-        use ScalarFunction::*;
-        let name = func.name();
-        let arity_ok = match func {
-            Substring => (2..=3).contains(&args.len()),
-            Round => (1..=2).contains(&args.len()),
-            Coalesce | Concat => !args.is_empty(),
-            Upper | Lower | Length | Abs | Floor | Ceil | ExtractYear | ExtractMonth
-            | ExtractDay => args.len() == 1,
-            DateAddYears | DateAddMonths | DateAddDays => args.len() == 2,
-        };
-        if !arity_ok {
-            return Err(self.structural(
-                format!("function {name} in {context}"),
-                AlgebraError::Internal(format!("{name} called with {} arguments", args.len())),
-            ));
-        }
-        let mut types = Vec::with_capacity(args.len());
-        let mut nullables = Vec::with_capacity(args.len());
-        for arg in args {
-            let t = self.verify_expr(arg, input, context)?;
-            nullables.push(t.nullable);
-            types.push(t.data_type);
-        }
-        // COALESCE is only NULL when every argument is; every other function propagates NULL
-        // from any argument.
-        let nullable = if func == Coalesce {
-            nullables.iter().all(|&n| n)
-        } else {
-            nullables.iter().any(|&n| n)
-        };
-        let fcx = |i: usize| format!("function {name} argument {} in {context}", i + 1);
-        let check = |v: &Verifier, i: usize, ok: bool, expected: &str| -> Result<(), TypeError> {
-            if ok {
-                Ok(())
-            } else {
-                Err(v.mismatch(fcx(i), expected.to_string(), types[i].to_string()))
-            }
-        };
-        match func {
-            Substring => {
-                check(self, 0, textish(types[0]), "TEXT")?;
-                for (i, t) in types.iter().enumerate().skip(1) {
-                    check(self, i, matches!(t, DataType::Int | DataType::Null), "INT")?;
-                }
-            }
-            Upper | Lower | Length => check(self, 0, textish(types[0]), "TEXT")?,
-            Abs | Floor | Ceil => check(self, 0, numericish(types[0]), "a numeric argument")?,
-            Round => {
-                check(self, 0, numericish(types[0]), "a numeric argument")?;
-                if args.len() == 2 {
-                    check(self, 1, matches!(types[1], DataType::Int | DataType::Null), "INT")?;
-                }
-            }
-            Coalesce => {
-                let mut acc = DataType::Null;
-                for (i, t) in types.iter().enumerate() {
-                    match one_type(acc, *t) {
-                        Some(merged) => acc = merged,
-                        None => return Err(self.mismatch(fcx(i), acc.to_string(), t.to_string())),
-                    }
-                }
-            }
-            Concat => {} // concat stringifies anything
-            ExtractYear | ExtractMonth | ExtractDay => check(self, 0, dateish(types[0]), "DATE")?,
-            DateAddYears | DateAddMonths | DateAddDays => {
-                check(self, 0, dateish(types[0]), "DATE")?;
-                check(self, 1, matches!(types[1], DataType::Int | DataType::Null), "INT")?;
-            }
-        }
-        Ok(ColumnType { data_type: func.result_type(&types), nullable, provenance: false })
-    }
 }
 
 #[cfg(test)]
@@ -999,8 +808,9 @@ mod tests {
     use super::*;
     use crate::builder::PlanBuilder;
     use crate::expr::AggregateExpr;
+    use crate::plan::ProvenanceAnnotationKind;
     use crate::schema::{Attribute, Schema};
-    use crate::tuple::Tuple;
+    use crate::value::Value;
 
     fn shop_schema() -> Schema {
         Schema::new(vec![
@@ -1017,9 +827,9 @@ mod tests {
     fn infers_base_relation_types() {
         let plan = scan().build();
         let t = plan.verify().unwrap();
-        assert_eq!(t.arity(), 2);
-        assert_eq!(t.column(0).unwrap().data_type, DataType::Text);
-        assert!(t.column(0).unwrap().nullable);
+        assert_eq!(t.schema, plan.schema());
+        assert_eq!(t.schema.attribute(0).unwrap().data_type, DataType::Text);
+        assert_eq!(t.nullable, [true, true]);
         assert_eq!(t.to_string(), "(TEXT?, INT?)");
     }
 
@@ -1037,10 +847,10 @@ mod tests {
             )
             .build();
         let t = plan.verify().unwrap();
-        assert_eq!(t.arity(), plan.output_arity());
+        assert_eq!(t.schema.arity(), plan.output_arity());
         // COUNT(*) is INT and never NULL.
-        assert_eq!(t.column(1).unwrap().data_type, DataType::Int);
-        assert!(!t.column(1).unwrap().nullable);
+        assert_eq!(t.schema.attribute(1).unwrap().data_type, DataType::Int);
+        assert!(!t.nullable[1]);
     }
 
     #[test]
@@ -1100,8 +910,8 @@ mod tests {
         let t = plan.verify().unwrap();
         // Values of literals are non-nullable; the left-outer join's right side becomes
         // nullable while the left side stays as inferred.
-        assert!(!t.column(0).unwrap().nullable);
-        assert!(t.column(2).unwrap().nullable);
+        assert!(!t.nullable[0]);
+        assert!(t.nullable[2]);
     }
 
     #[test]
@@ -1151,9 +961,9 @@ mod tests {
         ] {
             let plan = scan().project(vec![(expr.clone(), "c".into())]).build();
             match plan.verify() {
-                Ok(schema) => {
+                Ok(verified) => {
                     assert!(!rejected, "{expr:?} verified");
-                    assert_eq!(schema.columns()[0].data_type, DataType::Float);
+                    assert_eq!(verified.schema.attribute(0).unwrap().data_type, DataType::Float);
                 }
                 Err(err) => {
                     assert!(rejected, "{expr:?}: {err}");
@@ -1173,7 +983,7 @@ mod tests {
         let err = uncast.verify().unwrap_err();
         assert!(err.to_string().contains("UNION column 0: expected INT, got FLOAT"), "{err}");
         let cast = ints().set_op(floats(), union, bag).build();
-        assert_eq!(cast.verify().unwrap().columns()[0].data_type, DataType::Float);
+        assert_eq!(cast.verify().unwrap().schema.attribute(0).unwrap().data_type, DataType::Float);
         assert_eq!(cast.schema().attribute(0).unwrap().data_type, DataType::Float);
     }
 
@@ -1216,6 +1026,44 @@ mod tests {
         assert!(matches!(err.kind, TypeErrorKind::UnresolvedParameter { index: 0 }));
     }
 
+    /// A bare `$n` under a rule of one type family is checked against the type the parameter
+    /// resolves to, whether the use that binds it is walked before or after.
+    #[test]
+    fn rejects_a_parameter_bound_to_another_type_than_its_rule_takes() {
+        let p = || ScalarExpr::parameter(0);
+        let bind_int =
+            ScalarExpr::binary(BinaryOperator::Eq, ScalarExpr::column(1, "numempl"), p());
+        let bind_text = ScalarExpr::column(0, "name").eq(p());
+        let upper = ScalarExpr::Function { func: ScalarFunction::Upper, args: vec![p()] };
+        let not = ScalarExpr::UnaryOp { op: UnaryOperator::Not, expr: Box::new(p()) };
+        let neg = ScalarExpr::UnaryOp { op: UnaryOperator::Neg, expr: Box::new(p()) };
+        for (rule, binding, rejected) in [
+            (&upper, &bind_int, true),
+            (&upper, &bind_text, false),
+            (&not, &bind_int, true),
+            (&neg, &bind_text, true),
+            (&neg, &bind_int, false),
+        ] {
+            let projected = |e: &ScalarExpr| vec![(e.clone(), "x".into())];
+            // The rule above the binding, then below it.
+            let above = scan().filter(binding.clone()).project(projected(rule)).build();
+            let below = scan().filter(rule.clone().eq(rule.clone())).project(projected(binding));
+            for plan in [above, below.build()] {
+                match plan.verify() {
+                    Ok(_) => assert!(!rejected, "{plan}"),
+                    Err(err) => {
+                        assert!(rejected, "{plan}: {err}");
+                        assert!(err.to_string().contains("parameter $1 in"), "{err}");
+                    }
+                }
+            }
+        }
+        let sum = AggregateExpr::new(AggregateFunction::Sum, p());
+        let plan = scan().filter(bind_text).aggregate(vec![], vec![(sum, "s".into())]).build();
+        let err = plan.verify().unwrap_err();
+        assert!(err.to_string().contains("expected a numeric argument, got TEXT"), "{err}");
+    }
+
     #[test]
     fn rejects_values_row_type_mismatch() {
         let plan = PlanBuilder::values(
@@ -1234,8 +1082,8 @@ mod tests {
             kind: ProvenanceAnnotationKind::AlreadyRewritten(vec!["numempl".into()]),
         };
         let t = plan.verify().unwrap();
-        assert!(!t.column(0).unwrap().provenance);
-        assert!(t.column(1).unwrap().provenance);
-        assert_eq!(t.column(1).unwrap().to_string(), "INT?*");
+        assert!(!t.schema.attribute(0).unwrap().provenance);
+        assert!(t.schema.attribute(1).unwrap().provenance);
+        assert_eq!(t.to_string(), "(TEXT?, INT?*)");
     }
 }

@@ -57,6 +57,16 @@ impl DataType {
         }
     }
 
+    /// The one type of a column whose inputs have types `self` and `other`: theirs when they
+    /// agree, the other's when one is an untyped NULL. Inputs of two types have none: each needs
+    /// a cast to their [`DataType::common_type`] first.
+    pub fn one_type(self, other: DataType) -> Option<DataType> {
+        match (self, other) {
+            (DataType::Null, t) | (t, DataType::Null) => Some(t),
+            (a, b) => (a == b).then_some(a),
+        }
+    }
+
     /// Is this a numeric type?
     pub fn is_numeric(self) -> bool {
         matches!(self, DataType::Int | DataType::Float)

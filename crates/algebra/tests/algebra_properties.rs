@@ -99,7 +99,7 @@ proptest! {
         let right = Schema::new(
             (0..n_right).map(|i| Attribute::qualified("r", format!("b{i}"), DataType::Text)).collect(),
         );
-        let combined = left.concat(&right);
+        let combined = left.clone().concat(right.clone());
         prop_assert_eq!(combined.arity(), n_left + n_right);
         for i in 0..n_left {
             prop_assert_eq!(combined.resolve(&format!("l.a{i}")).unwrap(), i);

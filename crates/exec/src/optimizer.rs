@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use perm_algebra::{JoinKind, LogicalPlan, Name, ScalarExpr, Tuple, Value};
+use perm_algebra::{DataType, JoinKind, LogicalPlan, Name, ScalarExpr, Schema, Tuple, Value};
 
 use crate::error::ExecError;
 use crate::eval::evaluate;
@@ -602,7 +602,7 @@ fn normalize_filter_expr(expr: &ScalarExpr) -> ScalarExpr {
                 _ => factor_common_conjuncts(live),
             }
         }
-        // A null-propagating comparison against a NULL literal is NULL on every row.
+        // A null-propagating comparison against a NULL is NULL on every row.
         ScalarExpr::BinaryOp { op, left, right }
             if op.is_comparison()
                 && !matches!(
@@ -610,12 +610,24 @@ fn normalize_filter_expr(expr: &ScalarExpr) -> ScalarExpr {
                     perm_algebra::BinaryOperator::IsDistinctFrom
                         | perm_algebra::BinaryOperator::IsNotDistinctFrom
                 )
-                && (matches!(**left, ScalarExpr::Literal(Value::Null))
-                    || matches!(**right, ScalarExpr::Literal(Value::Null))) =>
+                && (is_null_constant(left) || is_null_constant(right)) =>
         {
             ScalarExpr::Literal(Value::Null)
         }
+        other if is_null_constant(other) => ScalarExpr::Literal(Value::Null),
         other => other.clone(),
+    }
+}
+
+/// Is `e` NULL on every row: a NULL literal, or a constant that evaluates to NULL? The folder
+/// keeps a typed NULL as written (`CAST(NULL AS INT)`, `1 + NULL`; see [`fold_expr_opt`]); in a
+/// filter its type does not matter.
+fn is_null_constant(e: &ScalarExpr) -> bool {
+    match e {
+        ScalarExpr::Literal(v) => v.is_null(),
+        _ => {
+            is_column_and_sublink_free(e) && matches!(evaluate(e, &Tuple::empty()), Ok(Value::Null))
+        }
     }
 }
 
@@ -738,10 +750,13 @@ fn fold_expr_opt(expr: &ScalarExpr) -> Option<ScalarExpr> {
     }
 
     // Evaluate fully-constant expressions once (sublinks are not constants: their plans are
-    // executed by the executor, not the folder).
+    // executed by the executor, not the folder). A typed NULL stays as written: an untyped NULL
+    // literal in its place would change the type the plan declares for its column.
     if !matches!(current, ScalarExpr::Literal(_)) && is_column_and_sublink_free(current) {
         if let Ok(v) = evaluate(current, &Tuple::empty()) {
-            return Some(ScalarExpr::Literal(v));
+            if !v.is_null() || current.data_type(&Schema::empty()) == DataType::Null {
+                return Some(ScalarExpr::Literal(v));
+            }
         }
     }
     rebuilt
@@ -1200,6 +1215,35 @@ mod tests {
         let never = ScalarExpr::column(2, "z").eq(ScalarExpr::literal(Value::Null));
         let cond = a.clone().and(b.clone()).or(a.clone().and(never));
         assert_eq!(fold_filter_opt(&cond), Some(a.and(b)));
+    }
+
+    /// A typed constant NULL stays typed in an expression, but a filter treats it as NULL: the
+    /// conjunction it is in never holds, and a selection of it sees no rows.
+    #[test]
+    fn filter_normalization_prunes_typed_null_constants() {
+        let int_null = || ScalarExpr::Cast {
+            expr: Box::new(ScalarExpr::literal(Value::Null)),
+            data_type: DataType::Int,
+        };
+        let add = perm_algebra::BinaryOperator::Add;
+        let gt = |l: ScalarExpr, r: i64| {
+            ScalarExpr::binary(perm_algebra::BinaryOperator::Gt, l, ScalarExpr::literal(r))
+        };
+        assert_eq!(fold_expr(&int_null()), int_null(), "a typed NULL keeps its type");
+        assert_eq!(fold_filter_opt(&gt(int_null(), 1)), Some(ScalarExpr::Literal(Value::Null)));
+        let one_plus_null = ScalarExpr::binary(add, ScalarExpr::literal(1i64), int_null());
+        let x = ScalarExpr::column(0, "x");
+        let cond = gt(x.clone(), 1).and(gt(one_plus_null, 2));
+        assert_eq!(fold_filter_opt(&cond), Some(ScalarExpr::Literal(Value::Bool(false))));
+        let cond = gt(x.clone(), 1).or(x.clone().eq(int_null()));
+        assert_eq!(fold_filter_opt(&cond), Some(gt(x, 1)));
+        let (a, _) = scans();
+        let plan = a.filter(gt(int_null(), 1)).build();
+        let optimized = Optimizer::new().optimize(&plan).unwrap();
+        let LogicalPlan::Selection { predicate, .. } = &optimized else {
+            panic!("expected a selection, got {optimized:?}")
+        };
+        assert_eq!(*predicate, ScalarExpr::Literal(Value::Null));
     }
 
     #[test]

@@ -194,9 +194,10 @@ impl Session {
         let estimator = Estimator::new(&stats);
         let text = prepared.plan.display_tree_with(&mut |node| {
             let rows = estimator.estimate(node).rows.round() as u64;
-            // Inferred types from the plan verifier (`INT?` = nullable, `*` = provenance
-            // column). A sub-plan can fail verification in isolation (e.g. a parameter whose
-            // typing context sits above this node); the line then simply omits its types.
+            // The node's declared types as the plan verifier checked them (`INT?` = nullable,
+            // `*` = provenance column). A sub-plan can fail verification in isolation (e.g. a
+            // parameter whose typing context sits above this node); the line then simply omits
+            // its types.
             match node.verify() {
                 Ok(typed) => format!("  (est_rows={rows})  types={typed}"),
                 Err(_) => format!("  (est_rows={rows})"),

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use perm_algebra::Value;
+use perm_algebra::{DataType, Value};
 use perm_core::{PermDb, ProvenanceRewriter};
 use perm_service::{Engine, SessionOptions};
 
@@ -57,6 +57,33 @@ fn prepare_rejects_parameter_without_concrete_type() {
 }
 
 #[test]
+fn prepare_rejects_a_parameter_whose_bound_type_a_function_does_not_take() {
+    let engine = shop_engine();
+    let mut session = engine.session();
+    for sql in [
+        "SELECT UPPER($1) FROM shop WHERE numEmpl = $1",
+        // The use that binds `$1` is walked after the one that needs TEXT.
+        "SELECT numEmpl = $1 FROM shop WHERE UPPER($1) = 'A'",
+        "SELECT SUM($1) FROM shop WHERE name = $1",
+        "SELECT name FROM shop WHERE NOT $1 AND numEmpl > $1",
+        "SELECT EXTRACT(YEAR FROM $1) FROM shop WHERE numEmpl = $1",
+    ] {
+        let err = session.prepare("bad", sql).unwrap_err().to_string();
+        assert!(err.contains("type mismatch in parameter $1"), "{sql}: {err}");
+    }
+    assert!(session.prepared("bad").is_none());
+    // Such a rule checks a parameter's type but does not give it one.
+    let err = session.prepare("bad", "SELECT UPPER($1) FROM shop").unwrap_err().to_string();
+    assert!(err.contains("unresolved"), "{err}");
+    session.prepare("ok", "SELECT UPPER($1) FROM shop WHERE name = $1").unwrap();
+    let r = session.execute_prepared("ok", vec![Value::Text("Joba".into())]).unwrap();
+    assert_eq!(
+        r.iter().map(|row| row[0].clone()).collect::<Vec<_>>(),
+        [Value::Text("JOBA".into())]
+    );
+}
+
+#[test]
 fn well_typed_provenance_query_still_prepares() {
     let engine = shop_engine();
     let mut session = engine.session();
@@ -83,6 +110,12 @@ fn explain_carries_inferred_types() {
     assert!(text.contains("types="), "operator lines carry inferred types:\n{text}");
     // The scan exposes both columns; base-table columns are nullable (no NOT NULL metadata).
     assert!(text.contains("types=(TEXT?, INT?)"), "scan line types:\n{text}");
+    // The root line's types are the plan's declared schema, with each column's nullability.
+    let plan = &engine.plan_query("SELECT name FROM shop WHERE numEmpl > 5", true).unwrap().plan;
+    assert_eq!(plan.schema().attribute(0).unwrap().data_type, DataType::Text);
+    let root = text.lines().next().unwrap();
+    assert!(root.ends_with(&format!("types={}", plan.verify().unwrap())), "{root}");
+    assert!(root.ends_with("types=(TEXT?)"), "{root}");
 }
 
 #[test]

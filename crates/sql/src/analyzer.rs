@@ -107,6 +107,9 @@ struct AnalyzeContext {
     ref_counter: usize,
     /// Stack of view names currently being unfolded, for cycle detection.
     view_stack: Vec<String>,
+    /// Where the query block being analyzed sits, when an `INTO` there would not be the
+    /// statement's: only the first SELECT of a statement names where its result goes.
+    nested_in: Option<&'static str>,
 }
 
 impl AnalyzeContext {
@@ -114,6 +117,14 @@ impl AnalyzeContext {
         let id = self.ref_counter;
         self.ref_counter += 1;
         id
+    }
+
+    /// Run `analyze` on a query block nested in `place`.
+    fn nested<T>(&mut self, place: &'static str, analyze: impl FnOnce(&mut Self) -> T) -> T {
+        let outer = self.nested_in.replace(place);
+        let out = analyze(self);
+        self.nested_in = outer;
+        out
     }
 }
 
@@ -173,7 +184,7 @@ impl Analyzer {
             Statement::CreateView { name, query, body_sql } => {
                 // Validate the view body now so that errors surface at creation time.
                 let mut ctx = AnalyzeContext::default();
-                self.analyze_query(query, &mut ctx)?;
+                ctx.nested("a view", |ctx| self.analyze_query(query, ctx))?;
                 Ok(AnalyzedStatement::CreateView {
                     name: name.to_ascii_lowercase(),
                     body_sql: body_sql.clone(),
@@ -183,9 +194,21 @@ impl Analyzer {
                 self.analyze_insert(table, columns.as_deref(), source)
             }
             Statement::Query(query) => {
-                let mut ctx = AnalyzeContext::default();
-                let into = extract_into(query);
-                let plan = self.analyze_query(query, &mut ctx)?;
+                let mut plan = self.analyze_query(query, &mut AnalyzeContext::default())?;
+                let into = first_select_into(&query.body);
+                if into.is_some() {
+                    // As in PostgreSQL, an untyped column of the table INTO creates is TEXT.
+                    let types: Vec<DataType> = plan
+                        .schema()
+                        .attributes()
+                        .iter()
+                        .map(|a| match a.data_type {
+                            DataType::Null => DataType::Text,
+                            t => t,
+                        })
+                        .collect();
+                    plan = Arc::unwrap_or_clone(Arc::new(plan).cast_columns(&types));
+                }
                 Ok(AnalyzedStatement::Query { plan, into })
             }
         }
@@ -209,7 +232,7 @@ impl Analyzer {
         match source {
             InsertSource::Query(query) => {
                 let mut ctx = AnalyzeContext::default();
-                let plan = self.analyze_query(query, &mut ctx)?;
+                let plan = ctx.nested("INSERT ... SELECT", |ctx| self.analyze_query(query, ctx))?;
                 if plan.schema().arity() != schema.arity() {
                     return Err(SqlError::analyze(format!(
                         "INSERT source has {} columns but table '{table}' has {}",
@@ -332,7 +355,10 @@ impl Analyzer {
             SetExpr::Query(query) => Ok((self.analyze_query(query, ctx)?, false)),
             SetExpr::SetOperation { left, right, op, all } => {
                 let (left_plan, left_prov) = self.analyze_set_expr(left, ctx)?;
-                let (right_plan, right_prov) = self.analyze_set_expr(right, ctx)?;
+                let (right_plan, right_prov) = ctx
+                    .nested("a later branch of a set operation", |ctx| {
+                        self.analyze_set_expr(right, ctx)
+                    })?;
                 let kind = match op {
                     SetOperator::Union => SetOpKind::Union,
                     SetOperator::Intersect => SetOpKind::Intersect,
@@ -351,6 +377,12 @@ impl Analyzer {
         select: &Select,
         ctx: &mut AnalyzeContext,
     ) -> Result<LogicalPlan, SqlError> {
+        if let (Some(target), Some(place)) = (&select.into, ctx.nested_in) {
+            return Err(SqlError::analyze(format!(
+                "SELECT ... INTO {target} is not allowed in {place}: only the first SELECT of a \
+                 statement can name the table its result goes into"
+            )));
+        }
         // 1. FROM clause.
         let mut plan: LogicalPlan = match select.from.split_first() {
             None => LogicalPlan::Values { schema: Schema::empty(), rows: vec![Tuple::empty()] },
@@ -522,7 +554,7 @@ impl Analyzer {
                     }
                     ctx.view_stack.push(lname.clone());
                     let query = parser::parse_query(&view.sql)?;
-                    let plan = self.analyze_query(&query, ctx)?;
+                    let plan = ctx.nested("a view", |ctx| self.analyze_query(&query, ctx))?;
                     ctx.view_stack.pop();
                     let qualifier = alias.as_deref().unwrap_or(&lname).to_ascii_lowercase();
                     LogicalPlan::SubqueryAlias { input: Arc::new(plan), alias: qualifier.into() }
@@ -532,7 +564,7 @@ impl Analyzer {
                 Ok(apply_annotation(base, annotation))
             }
             TableRef::Subquery { query, alias, annotation } => {
-                let plan = self.analyze_query(query, ctx)?;
+                let plan = ctx.nested("a derived table", |ctx| self.analyze_query(query, ctx))?;
                 let aliased = LogicalPlan::SubqueryAlias {
                     input: Arc::new(plan),
                     alias: alias.to_ascii_lowercase().into(),
@@ -542,7 +574,7 @@ impl Analyzer {
             TableRef::Join { left, right, kind, condition } => {
                 let left_plan = self.analyze_table_ref(left, ctx)?;
                 let right_plan = self.analyze_table_ref(right, ctx)?;
-                let combined_schema = left_plan.schema().concat(&right_plan.schema());
+                let combined_schema = left_plan.schema().concat(right_plan.schema());
                 let join_kind = match kind {
                     JoinOperator::Inner => JoinKind::Inner,
                     JoinOperator::LeftOuter => JoinKind::LeftOuter,
@@ -816,7 +848,7 @@ impl Analyzer {
         query: &Query,
         ctx: &mut AnalyzeContext,
     ) -> Result<LogicalPlan, SqlError> {
-        match self.analyze_query(query, ctx) {
+        match ctx.nested("a subquery expression", |ctx| self.analyze_query(query, ctx)) {
             Ok(plan) => Ok(plan),
             Err(SqlError::Algebra(perm_algebra::AlgebraError::UnknownAttribute {
                 name, ..
@@ -834,8 +866,7 @@ impl Analyzer {
 /// verifier to name.
 fn widen<'a>(exprs: impl Iterator<Item = &'a mut ScalarExpr>, schema: &Schema) {
     let exprs: Vec<_> = exprs.filter(|e| !matches!(e, ScalarExpr::Literal(Value::Null))).collect();
-    let types: Vec<_> =
-        exprs.iter().map(|e| e.data_type(schema).unwrap_or(DataType::Null)).collect();
+    let types: Vec<_> = exprs.iter().map(|e| e.data_type(schema)).collect();
     let common = types.iter().try_fold(DataType::Null, |acc, &t| acc.common_type(t));
     for (expr, data_type) in exprs.into_iter().zip(types) {
         if let Some(common) = common.filter(|&c| c != data_type) {
@@ -875,10 +906,13 @@ fn apply_annotation(plan: LogicalPlan, annotation: &Option<FromAnnotation>) -> L
     }
 }
 
-fn extract_into(query: &Query) -> Option<String> {
-    match &query.body {
+/// The `INTO` target of a query's first SELECT: as in PostgreSQL, it names the table the whole
+/// result goes into, a set operation's included.
+fn first_select_into(body: &SetExpr) -> Option<String> {
+    match body {
         SetExpr::Select(select) => select.into.as_ref().map(|s| s.to_ascii_lowercase()),
-        _ => None,
+        SetExpr::SetOperation { left, .. } => first_select_into(left),
+        SetExpr::Query(query) => first_select_into(&query.body),
     }
 }
 

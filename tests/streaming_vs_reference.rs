@@ -973,7 +973,7 @@ fn inputs_of_a_float_column_divide_as_floats_at_every_degree() {
     let mut session = Session::new(db.engine().clone());
     session.prepare("p", "SELECT CASE WHEN x > 2 THEN $1 ELSE 0.5 END / 2 FROM f").unwrap();
     let plan = &session.prepared("p").unwrap().plan;
-    assert_eq!(plan.verify().unwrap().columns()[0].data_type, DataType::Float);
+    assert_eq!(plan.verify().unwrap().schema.attribute(0).unwrap().data_type, DataType::Float);
     let executor = Executor::new(catalog.clone()).with_params(vec![Value::Int(7)]);
     assert_eq!(floats(&run_executor_at_every_degree(&executor, plan).unwrap()), [0.25, 3.5]);
     let executed = session.execute_prepared("p", vec![Value::Int(7)]).unwrap();
