@@ -2,10 +2,10 @@
 //!
 //! The executor moves data between operators as chunks of up to [`DEFAULT_CHUNK_SIZE`] rows,
 //! stored column-wise: one typed [`Array`] per attribute plus a validity bitmap marking NULLs.
-//! Predicates then evaluate into a filter bitmap that is applied by compacting whole columns,
-//! projections gather columns instead of building per-row `Vec<Value>`s, and joins probe on
-//! column slices — the per-row allocation and `clone()` traffic of tuple-at-a-time execution
-//! disappears from the hot path.
+//! Predicates then evaluate into a filter mask whose kept positions re-address every column
+//! through one index buffer, projections gather columns instead of building per-row
+//! `Vec<Value>`s, and joins probe on column slices — the per-row allocation and `clone()`
+//! traffic of tuple-at-a-time execution disappears from the hot path.
 //!
 //! Tuples still exist at the edges (SQL literals, INSERT values, client-visible rows) and the
 //! chunk layer converts losslessly in both directions: [`DataChunk::from_tuples`] /
@@ -116,16 +116,8 @@ impl Bitmap {
         self.len += 1;
     }
 
-    /// The bits of the rows whose mask bit is `true`. A no-NULL column skips the per-row
-    /// bookkeeping entirely — as do [`Bitmap::take`] and [`Bitmap::slice`].
-    fn filter(&self, mask: &[bool]) -> Bitmap {
-        if self.all_set_bits() {
-            return Bitmap::all_set(mask.iter().filter(|m| **m).count());
-        }
-        mask.iter().enumerate().filter(|(_, keep)| **keep).map(|(i, _)| self.get(i)).collect()
-    }
-
-    /// The bits of the rows at `indices`.
+    /// The bits of the rows at `indices`. A no-NULL column skips the per-row bookkeeping
+    /// entirely — as does [`Bitmap::slice`].
     fn take(&self, indices: &[u32]) -> Bitmap {
         if self.all_set_bits() {
             return Bitmap::all_set(indices.len());
@@ -321,13 +313,23 @@ fn rle_run_index(run_ends: &[u32], i: usize) -> usize {
 /// The index buffer of a dict view, shared by the columns that were gathered together.
 type IndexBuffer = Arc<[u32]>;
 
-/// Addresses of the shared buffers (forwarded columns, dictionaries, index buffers) one
-/// byte-size walk has charged so far.
-type Charged = std::collections::HashSet<usize>;
+/// One byte-size walk over shared buffers (forwarded columns, dictionaries, index buffers), by
+/// address: those it has charged so far, and the sorted addresses of those it leaves alone
+/// ([`DataChunk::byte_size_beside`]).
+struct Charged<'a> {
+    seen: std::collections::HashSet<usize>,
+    elsewhere: &'a [usize],
+}
 
-/// Is this the walk's first sight of `shared`? (Identity is the allocation's address.)
+/// The identity of a shared buffer: its allocation's address.
+fn address<T: ?Sized>(shared: &Arc<T>) -> usize {
+    Arc::as_ptr(shared) as *const () as usize
+}
+
+/// Is this the walk's first sight of `shared`, and is it the walk's to charge?
 fn first_charge<T: ?Sized>(shared: &Arc<T>, charged: &mut Charged) -> bool {
-    charged.insert(Arc::as_ptr(shared) as *const () as usize)
+    let address = address(shared);
+    charged.elsewhere.binary_search(&address).is_err() && charged.seen.insert(address)
 }
 
 /// The bytes of a shared array, or nothing when the walk has charged it already.
@@ -339,9 +341,17 @@ fn charge_shared(array: &Arc<Array>, charged: &mut Charged) -> usize {
     }
 }
 
-/// The index buffer of a dict view after keeping only the rows whose mask bit is set.
-fn filter_indices(indices: &[u32], mask: &[bool]) -> IndexBuffer {
-    indices.iter().zip(mask).filter(|(_, keep)| **keep).map(|(&i, _)| i).collect()
+/// The positions of the rows whose mask bit is set: a filter's one index buffer.
+fn kept_rows(mask: &[bool]) -> IndexBuffer {
+    // Branch-free: each row is written, the cursor passes kept rows only; no mispredictions.
+    let mut kept = vec![0; mask.len()];
+    let mut len = 0;
+    for (row, &keep) in mask.iter().enumerate() {
+        kept[len] = row as u32;
+        len += usize::from(keep);
+    }
+    kept.truncate(len);
+    kept.into()
 }
 
 /// The index buffer of a dict view over `inner` after gathering its rows at `outer`.
@@ -513,53 +523,10 @@ impl Array {
         }
     }
 
-    /// Keep only the rows whose mask bit is `true` (filter compaction).
-    pub fn filter(&self, mask: &[bool]) -> Array {
-        debug_assert_eq!(mask.len(), self.len());
-        fn compact<T: Copy>(values: &[T], mask: &[bool]) -> Vec<T> {
-            let mut out = Vec::with_capacity(mask.iter().filter(|m| **m).count());
-            out.extend(values.iter().zip(mask).filter(|(_, keep)| **keep).map(|(v, _)| *v));
-            out
-        }
-        match self {
-            Array::Bool { values, validity } => {
-                Array::Bool { values: compact(values, mask), validity: validity.filter(mask) }
-            }
-            Array::Int { values, validity } => {
-                Array::Int { values: compact(values, mask), validity: validity.filter(mask) }
-            }
-            Array::Float { values, validity } => {
-                Array::Float { values: compact(values, mask), validity: validity.filter(mask) }
-            }
-            Array::Text { offsets, bytes, validity } => {
-                // Kept rows are copied a run at a time.
-                let (mut out_offsets, mut out_bytes) = (vec![0], Vec::new());
-                let mut row = 0;
-                while row < mask.len() {
-                    let from = row;
-                    while row < mask.len() && mask[row] == mask[from] {
-                        row += 1;
-                    }
-                    if mask[from] {
-                        extend_text(&mut out_offsets, &mut out_bytes, offsets, bytes, from, row);
-                    }
-                }
-                Array::Text {
-                    offsets: out_offsets,
-                    bytes: out_bytes,
-                    validity: validity.filter(mask),
-                }
-            }
-            Array::Date { values, validity } => {
-                Array::Date { values: compact(values, mask), validity: validity.filter(mask) }
-            }
-            Array::Null { .. } => Array::Null { len: mask.iter().filter(|m| **m).count() },
-            // A dict view filters by compacting its indices; the dictionary is untouched.
-            Array::Dict { indices, dict } => {
-                Array::Dict { indices: filter_indices(indices, mask), dict: dict.clone() }
-            }
-            Array::RunLength { .. } => self.to_plain().filter(mask),
-        }
+    /// Keep only the rows whose mask bit is `true`, as a view: the kept rows' positions are its
+    /// index buffer ([`Array::take_dict`]). Nothing is copied.
+    pub fn filter(self: &Arc<Array>, mask: &[bool]) -> Array {
+        self.take_dict(&kept_rows(mask))
     }
 
     /// Gather the rows at `indices` (column gather; indices may repeat and reorder). Text that
@@ -853,11 +820,11 @@ impl Array {
 
     /// Heap footprint in bytes: the buffers' contents, exact for the native variants (text is
     /// offsets, bytes and validity — no per-value boxes). A view charges its index buffer and
-    /// its dictionary;
-    /// [`DataChunk::byte_size`] is the one to ask about several columns at once, because it
-    /// charges a buffer that several of them share only once.
+    /// its dictionary; [`DataChunk::byte_size`] is the one to ask about several columns at
+    /// once, because it charges a buffer that several of them share only once, and
+    /// [`DataChunk::byte_size_beside`] leaves out the dictionaries someone else owns.
     pub fn byte_size(&self) -> usize {
-        self.charge(&mut Charged::new())
+        self.charge(&mut Charged { seen: Default::default(), elsewhere: &[] })
     }
 
     /// [`Array::byte_size`] under a running set of already-charged shared buffers.
@@ -1278,18 +1245,16 @@ impl DataChunk {
         DataChunk { columns, rows }
     }
 
-    /// Keep only the rows whose mask bit is `true`.
+    /// Keep only the rows whose mask bit is `true`. A filter batch is one index buffer over its
+    /// source, as a join batch is two: the kept rows' positions are the buffer every plain
+    /// column's view shares, and a view composes its own through them
+    /// ([`DataChunk::take_dict`]). Nothing is copied until a kernel computes on a column.
     pub fn filter(&self, mask: &[bool]) -> DataChunk {
         debug_assert_eq!(mask.len(), self.rows);
-        let rows = mask.iter().filter(|m| **m).count();
-        if rows == self.rows {
+        if !mask.contains(&false) {
             return self.clone();
         }
-        self.map_columns(
-            rows,
-            |indices| filter_indices(indices, mask),
-            |column| column.filter(mask),
-        )
+        self.take_dict(&kept_rows(mask))
     }
 
     /// Gather the rows at `indices` as views: every column becomes (or stays) a dict view, and
@@ -1321,7 +1286,17 @@ impl DataChunk {
     /// [`DataChunk::byte_size`] of several chunks together: a buffer shared between chunks —
     /// the dictionary under every batch of one join — is charged once for all of them.
     pub fn byte_size_of<'a>(chunks: impl IntoIterator<Item = &'a DataChunk>) -> usize {
-        let mut charged = Charged::new();
+        DataChunk::byte_size_beside(chunks, &[])
+    }
+
+    /// [`DataChunk::byte_size_of`] beside the buffers at the sorted addresses `owned_elsewhere`,
+    /// which are not charged: a statement's stored columns ([`DataChunk::note_columns`]) belong
+    /// to the catalog, so a view over one costs the statement its index buffer only.
+    pub fn byte_size_beside<'a>(
+        chunks: impl IntoIterator<Item = &'a DataChunk>,
+        owned_elsewhere: &[usize],
+    ) -> usize {
+        let mut charged = Charged { seen: Default::default(), elsewhere: owned_elsewhere };
         let mut bytes = 0;
         for chunk in chunks {
             for column in &chunk.columns {
@@ -1329,6 +1304,11 @@ impl DataChunk {
             }
         }
         bytes
+    }
+
+    /// Append the addresses of this chunk's columns to `addresses`.
+    pub fn note_columns(&self, addresses: &mut Vec<usize>) {
+        addresses.extend(self.columns.iter().map(address));
     }
 
     /// Decode any encoded (dict / run-length) columns into plain arrays.
@@ -1662,10 +1642,11 @@ mod tests {
         }
         assert_eq!(Arc::new(view.clone()).take(&[4, 2]), taken);
 
-        // filter and slice stay views.
-        let filtered = view.filter(&[true, false, true, false, true]);
+        // filter and slice stay views; a filter of the plain form is a view too.
+        let mask = [true, false, true, false, true];
+        let filtered = Arc::new(view.clone()).filter(&mask);
         assert!(filtered.is_encoded());
-        assert_eq!(filtered.to_plain(), plain.filter(&[true, false, true, false, true]));
+        assert_eq!(filtered.to_plain(), Arc::new(plain.clone()).filter(&mask).to_plain());
         let sliced = view.slice(1, 3);
         assert!(sliced.is_encoded());
         assert_eq!(sliced.to_plain(), plain.slice(1, 3));

@@ -88,40 +88,6 @@ pub(crate) enum CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Mark the input columns the expression reads in `reads` (one flag per column; sublinks
-    /// were resolved at compile time, so the column references are all there is).
-    pub(crate) fn mark_columns(&self, reads: &mut [bool]) {
-        let mut mark = |e: &CompiledExpr| e.mark_columns(reads);
-        match self {
-            CompiledExpr::Column(index) => {
-                if let Some(read) = reads.get_mut(*index) {
-                    *read = true;
-                }
-            }
-            CompiledExpr::Literal(_) => {}
-            CompiledExpr::Binary { left, right, .. }
-            | CompiledExpr::Logical { left, right, .. } => {
-                mark(left);
-                mark(right);
-            }
-            CompiledExpr::Unary { expr, .. }
-            | CompiledExpr::Cast { expr, .. }
-            | CompiledExpr::InSet { expr, .. } => mark(expr),
-            CompiledExpr::Function { args, .. } => args.iter().for_each(mark),
-            CompiledExpr::Case { operand, branches, else_expr } => {
-                operand.iter().chain(else_expr).for_each(|e| mark(e));
-                branches.iter().for_each(|(when, then)| {
-                    mark(when);
-                    mark(then);
-                });
-            }
-            CompiledExpr::InList { expr, list, .. } => {
-                mark(expr);
-                list.iter().for_each(mark);
-            }
-        }
-    }
-
     /// Compile `expr`, resolving any uncorrelated sublinks by running their plans once through
     /// the engine — same `executor`, `pool` and `ctx` (resource limits) as the enclosing query.
     pub(crate) fn compile(

@@ -10,7 +10,7 @@
 //! rule and the [`crate::parallel`] module docs for the operators.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use perm_algebra::{BinaryOperator, DataChunk, LogicalPlan, ScalarExpr, Schema, Value};
@@ -150,6 +150,22 @@ pub(crate) struct ExecContext {
     cancel: Option<Arc<CancelToken>>,
     memory: Option<Arc<dyn QueryMemory>>,
     profile: Option<Arc<crate::profile::ProfileSink>>,
+    /// The executor's [`StoredColumns`].
+    stored: StoredColumns,
+}
+
+/// The addresses of the stored columns an executor's scans have read, sorted. The catalog owns
+/// them and the executor's snapshot keeps them alive, so a view over one is charged only its
+/// index buffer ([`Executor::bytes_held`]).
+type StoredColumns = Arc<Mutex<Vec<usize>>>;
+
+/// What `chunks` hold beside the `stored` columns: every buffer once, stored columns not at
+/// all ([`DataChunk::byte_size_beside`]).
+fn bytes_beside<'a>(
+    stored: &StoredColumns,
+    chunks: impl IntoIterator<Item = &'a DataChunk>,
+) -> usize {
+    DataChunk::byte_size_beside(chunks, &stored.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -159,7 +175,7 @@ struct Deadline {
 }
 
 impl ExecContext {
-    fn new(options: &ExecOptions) -> ExecContext {
+    fn new(options: &ExecOptions, stored: &StoredColumns) -> ExecContext {
         ExecContext {
             row_budget: options.row_budget,
             deadline: options
@@ -168,6 +184,7 @@ impl ExecContext {
             cancel: options.cancel.clone(),
             memory: options.memory.clone(),
             profile: options.profile.clone(),
+            stored: stored.clone(),
         }
     }
 
@@ -214,6 +231,19 @@ impl ExecContext {
         }
     }
 
+    /// Note the stored chunks a scan hands out ([`Self::bytes_held`] does not charge them).
+    pub(crate) fn note_stored(&self, chunks: &[DataChunk]) {
+        let mut stored = self.stored.lock().unwrap_or_else(PoisonError::into_inner);
+        chunks.iter().for_each(|chunk| chunk.note_columns(&mut stored));
+        stored.sort_unstable();
+        stored.dedup();
+    }
+
+    /// What `chunks` hold that this statement owns ([`Executor::bytes_held`]).
+    pub(crate) fn bytes_held<'a>(&self, chunks: impl IntoIterator<Item = &'a DataChunk>) -> usize {
+        bytes_beside(&self.stored, chunks)
+    }
+
     /// The profile slot for `plan`, when a sink is attached and knows this node. `None` (the
     /// common case) makes instrumentation a single `Option` check.
     pub(crate) fn profile_op(&self, plan: &LogicalPlan) -> Option<(ProfileHandle, usize)> {
@@ -248,6 +278,8 @@ pub struct Executor {
     options: ExecOptions,
     /// Bound values for the plan's `$n` parameter slots (resolved at expression-compile time).
     params: Arc<[Value]>,
+    /// The stored columns its scans have read.
+    stored: StoredColumns,
 }
 
 impl Executor {
@@ -259,7 +291,7 @@ impl Executor {
     /// Create an executor with resource limits.
     pub fn with_options(catalog: Catalog, options: ExecOptions) -> Executor {
         let snapshot = catalog.snapshot();
-        Executor { catalog, snapshot, options, params: Arc::from([]) }
+        Executor { catalog, snapshot, options, params: Arc::from([]), stored: Arc::default() }
     }
 
     /// Bind values for the plan's `$n` parameter slots (zero-based: `$1` reads `params[0]`).
@@ -285,7 +317,14 @@ impl Executor {
 
     /// Resolve this executor's options into a per-execution context.
     pub(crate) fn context(&self) -> ExecContext {
-        ExecContext::new(&self.options)
+        ExecContext::new(&self.options, &self.stored)
+    }
+
+    /// What `chunks` — a result of this executor, or a part of one — hold that the statement
+    /// owns: every buffer once, and none of the stored columns its scans read, which are the
+    /// catalog's (a view over one costs its index buffer).
+    pub fn bytes_held<'a>(&self, chunks: impl IntoIterator<Item = &'a DataChunk>) -> usize {
+        bytes_beside(&self.stored, chunks)
     }
 
     /// Execute a plan on the calling thread: the morsel engine at degree 1 (an inline pool

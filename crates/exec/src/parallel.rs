@@ -12,8 +12,11 @@
 //! Per operator:
 //!
 //! * **scan → filter → project** pipelines run one morsel per chunk: a base relation hands out
-//!   its stored chunks (an `Arc` bump each), every worker masks, compacts and projects its own
-//!   morsels, and results are stitched back together in morsel order.
+//!   its stored chunks (an `Arc` bump each), every worker masks and projects its own morsels,
+//!   and results are stitched back together in morsel order. A filter batch is *one index
+//!   buffer over its source*: the kept rows' positions, through which every column it passes
+//!   on is a view — no kept value is copied, text included. DISTINCT, `INTERSECT` and `EXCEPT`
+//!   keep their rows the same way.
 //! * **hash join** builds *partitioned*: build-side key hashes are computed per morsel, then
 //!   every worker builds the hash table of one key-hash partition (never more partitions than
 //!   build morsels); the probe phase runs one morsel per probe chunk, routing each probe key
@@ -82,7 +85,7 @@ use crate::error::ExecError;
 use crate::executor::{
     split_equi_join_condition, strip_transparent, Accumulator, EquiKey, ExecContext, Executor,
 };
-use crate::vector::{chunk_from_columns, filter_read_columns, project_chunk, JoinFilter};
+use crate::vector::{chunk_from_columns, project_chunk, JoinFilter};
 
 /// Sentinel terminating a hash-join bucket chain.
 const CHAIN_END: u32 = u32::MAX;
@@ -490,7 +493,9 @@ impl Executor {
                         schema.arity()
                     )));
                 }
-                Ok(rel.chunks().as_ref().clone())
+                let chunks = rel.chunks();
+                ctx.note_stored(&chunks);
+                Ok(chunks.as_ref().clone())
             }
             LogicalPlan::Values { rows, .. } => {
                 ctx.check_deadline()?;
@@ -545,7 +550,7 @@ impl Executor {
             LogicalPlan::SetOp { left, right, kind, semantics } => {
                 let left = self.par_chunks(left, ctx, pool, None)?;
                 let right = self.par_chunks(right, ctx, pool, None)?;
-                ctx.reserve_memory(DataChunk::byte_size_of(left.iter().chain(&right)))?;
+                ctx.reserve_memory(ctx.bytes_held(left.iter().chain(&right)))?;
                 let arity = plan.output_arity();
                 pack_chunks(arity, set_operation(ctx, arity, left, right, *kind, *semantics)?)
             }
@@ -599,7 +604,7 @@ impl Executor {
         let right_arity = right.output_arity();
         let build_chunks = Arc::new(self.par_chunks(right, ctx, pool, None)?);
         crate::faults::fire("join-build")?;
-        let input_bytes = DataChunk::byte_size_of(build_chunks.iter());
+        let input_bytes = ctx.bytes_held(build_chunks.iter());
         ctx.reserve_memory(input_bytes)?;
         let rows = build_chunks.iter().map(DataChunk::num_rows).sum();
         let (equi_keys, residual) = match condition {
@@ -625,7 +630,7 @@ impl Executor {
         let chunk = DataChunk::concat(right_arity, &build_chunks)?;
         // At its peak the join holds its input and the concatenation (views of the same
         // dictionaries, or a copy) together.
-        let held = DataChunk::byte_size_of(build_chunks.iter().chain([&chunk]));
+        let held = ctx.bytes_held(build_chunks.iter().chain([&chunk]));
         ctx.record_buffered(plan, held);
         ctx.reserve_memory(held - input_bytes)?;
         drop(build_chunks);
@@ -709,10 +714,9 @@ impl Executor {
     }
 }
 
-/// Parallel filter/project over a chunk list: one morsel per input chunk, each worker masking,
-/// compacting and projecting independently; empty outputs are dropped, order is morsel order.
-/// A filter under a projection compacts only the columns the projection reads
-/// ([`filter_read_columns`]).
+/// Parallel filter/project over a chunk list: one morsel per input chunk, each worker masking
+/// and projecting independently; empty outputs are dropped, order is morsel order. The kept
+/// rows leave the filter as views through one index buffer ([`DataChunk::filter`]).
 fn map_region(
     pool: &WorkerPool,
     ctx: &ExecContext,
@@ -727,13 +731,7 @@ fn map_region(
         ctx.check_deadline()?;
         let chunk = &task_source[i];
         let filtered = match &predicate {
-            Some(p) => {
-                let mask = p.eval_mask(chunk)?;
-                match &exprs {
-                    Some(exprs) => filter_read_columns(chunk, &mask, exprs),
-                    None => chunk.filter(&mask),
-                }
-            }
+            Some(p) => chunk.filter(&p.eval_mask(chunk)?),
             None => chunk.clone(),
         };
         let out = match &exprs {
@@ -804,8 +802,13 @@ fn set_operation(
     semantics: SetSemantics,
 ) -> Result<Vec<DataChunk>, ExecError> {
     let bag = semantics == SetSemantics::Bag;
+    if kind == SetOpKind::Union && bag {
+        return Ok(left.into_iter().chain(right).collect());
+    }
+    // A row table costs a hash, a slot and where a row first occurs (~32 B) per row it may hold.
+    let rows: usize = left.iter().chain(&right).map(DataChunk::num_rows).sum();
+    ctx.reserve_memory(rows.saturating_mul(32))?;
     let intersect = match kind {
-        SetOpKind::Union if bag => return Ok(left.into_iter().chain(right).collect()),
         SetOpKind::Union => return distinct_chunks(ctx, &[left, right].concat()),
         SetOpKind::Intersect => true,
         SetOpKind::Difference => false,
@@ -1254,10 +1257,12 @@ fn par_aggregate(
         return Ok(Vec::new());
     }
 
-    // Phase 1: evaluate key/argument columns and key hashes, morsel-parallel. The phase-1
-    // morsel buffers (key/argument arrays plus hashes) scale with the input, so charge the
-    // input size against the query's memory grant up front.
-    ctx.reserve_memory(input.iter().map(DataChunk::byte_size).sum())?;
+    // Phase 1: evaluate key/argument columns and key hashes, morsel-parallel. It holds its
+    // input and a hash per row, charged up front, and the arrays its expressions compute,
+    // charged once they are built (an array that only reads a column is the input's own).
+    let input_bytes = ctx.bytes_held(&input);
+    let rows: usize = input.iter().map(DataChunk::num_rows).sum();
+    ctx.reserve_memory(input_bytes + rows * std::mem::size_of::<u64>())?;
     // Never more partitions than input morsels: a small input is not worth a fan-out.
     let nparts = pool.workers().min(input.len());
     let grouping = vec![true; group_by.len()];
@@ -1280,6 +1285,11 @@ fn par_aggregate(
         Ok((AggMorsel { keys, args, hashes, rows: chunk.num_rows() }, 0))
     });
     let morsels = Arc::new(collect_region(slots, None, |_| 0)?);
+    let built: Vec<DataChunk> = morsels
+        .iter()
+        .map(|m| DataChunk::new(m.keys.iter().chain(m.args.iter().flatten()).cloned().collect()))
+        .collect();
+    ctx.reserve_memory(ctx.bytes_held(source.iter().chain(&built)).saturating_sub(input_bytes))?;
 
     // Phase 2: one worker per key-hash partition, folding rows in global order.
     struct PartGroups {
@@ -1333,6 +1343,10 @@ fn par_aggregate(
     {
         return Err(e.clone());
     }
+    // Each group holds a table slot, its first position and its accumulators.
+    let group_bytes = std::mem::size_of::<(u64, u32, u64, Vec<Accumulator>)>()
+        + task_aggregates.len() * std::mem::size_of::<Accumulator>();
+    ctx.reserve_memory(parts.iter().map(|p| p.groups.len()).sum::<usize>() * group_bytes)?;
 
     // Merge partitions back into global first-seen order; a group's key is boxed here, once,
     // from the row it was first seen at.
@@ -1375,7 +1389,7 @@ fn par_sort(
     crate::faults::fire("sort")?;
     let chunks: Vec<DataChunk> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
     let rows: usize = chunks.iter().map(DataChunk::num_rows).sum();
-    let input_bytes = DataChunk::byte_size_of(&chunks);
+    let input_bytes = ctx.bytes_held(&chunks);
     let order_bytes = rows * std::mem::size_of::<SortPos>();
     ctx.record_buffered(plan, input_bytes + order_bytes);
     ctx.reserve_memory(input_bytes + order_bytes)?;
@@ -1449,8 +1463,8 @@ fn par_sort(
     let order = runs.pop().unwrap_or_default();
 
     let flat = DataChunk::concat(plan.output_arity(), &chunks)?;
-    let flat_bytes = flat.byte_size();
-    let held = DataChunk::byte_size_of(chunks.iter().chain([&flat]));
+    let flat_bytes = ctx.bytes_held([&flat]);
+    let held = ctx.bytes_held(chunks.iter().chain([&flat]));
     ctx.record_buffered(plan, held + order_bytes);
     ctx.reserve_memory(held - input_bytes)?;
     // Flat row number of each chunk's first row.
@@ -1468,8 +1482,7 @@ fn par_sort(
         if out.is_empty() {
             // A batch is one index buffer per buffer of `flat` (its dictionaries are `flat`'s),
             // so the first batch prices all of them before the rest are gathered.
-            let row_bytes =
-                (DataChunk::byte_size_of([&flat, &gathered]) - flat_bytes) / batch.len();
+            let row_bytes = (ctx.bytes_held([&flat, &gathered]) - flat_bytes) / batch.len();
             ctx.record_buffered(plan, flat_bytes + order_bytes + row_bytes * rows);
             ctx.reserve_memory(row_bytes * rows)?;
         }

@@ -13,16 +13,19 @@
 //! touching only the columns the condition reads.
 //!
 //! The kernels sit under one rule about data movement, which [`crate::parallel`] applies: *a
-//! join batch is two index buffers over its sources; operators above keep views while the
-//! dictionary is shared.* A join never copies a source value into its output — every output
-//! column is an [`Array::Dict`] view of the probe or build column it came from, and all columns
-//! of one side share that side's index buffer. Filters, limits, further joins and `ORDER BY`
-//! re-address those buffers (once per shared buffer, not once per column) and leave the
-//! dictionaries alone — but for an outer join, which copies the dictionaries of a build side
-//! of views once to put the NULL row its pads address behind them. A kernel that *computes* on
-//! a view ([`vectorized_binary`]) decodes it first: that is the only place the engine pays for
-//! a repeated value, and only for the columns an expression actually reads (a join condition
-//! decodes those of its build side once per join, [`JoinFilter::new`]).
+//! filter batch is one index buffer over its source; a join batch is two; operators above keep
+//! views while the dictionary is shared.* A filter never copies a kept row — every column it
+//! passes on is an [`Array::Dict`] view of its source column through the kept positions, one
+//! buffer for the whole batch ([`DataChunk::filter`]); the selective step does the same. A join
+//! never copies a source value into its output — every output column is a view of the probe or
+//! build column it came from, and all columns of one side share that side's index buffer.
+//! Further filters, limits, joins and `ORDER BY` re-address those buffers (once per shared
+//! buffer, not once per column) and leave the dictionaries alone — but for an outer join,
+//! which copies the dictionaries of a build side of views once to put the NULL row its pads
+//! address behind them. A kernel that *computes* on a view ([`vectorized_binary`]) decodes it
+//! first: that is the only place the engine pays for a repeated value, and only for the columns
+//! an expression actually reads (a join condition decodes those of its build side once per
+//! join, [`JoinFilter::new`]).
 
 use std::sync::Arc;
 
@@ -59,27 +62,6 @@ pub(crate) fn project_chunk(
         columns.push(e.eval_array(chunk)?);
     }
     Ok(chunk_from_columns(columns, chunk.num_rows()))
-}
-
-/// The rows of `chunk` that `mask` keeps, for `exprs` to be evaluated on: only the columns they
-/// read are compacted, every other column is a NULL placeholder. A column nobody reads is not
-/// worth a copy — least of all a text column, whose bytes a filter moves.
-pub(crate) fn filter_read_columns<'a>(
-    chunk: &DataChunk,
-    mask: &[bool],
-    exprs: impl IntoIterator<Item = &'a CompiledExpr>,
-) -> DataChunk {
-    let mut reads = vec![false; chunk.num_columns()];
-    for expr in exprs {
-        expr.mark_columns(&mut reads);
-    }
-    let unread = Arc::new(Array::Null { len: chunk.num_rows() });
-    let column = |(c, read): (usize, &bool)| match read {
-        true => chunk.column(c).clone(),
-        false => unread.clone(),
-    };
-    let columns = reads.iter().enumerate().map(column).collect();
-    chunk_from_columns(columns, chunk.num_rows()).filter(mask)
 }
 
 /// A compiled join condition (a nested loop's full condition or a hash join's residual) over
@@ -276,13 +258,13 @@ fn eval_selected(
     if !selected.contains(&true) {
         return Ok(Arc::new(Array::Null { len: 0 }));
     }
-    expr.eval_array(&filter_read_columns(chunk, selected, [expr]))
+    expr.eval_array(&chunk.filter(selected))
 }
 
 /// `lhs = rhs` in three-valued logic (`sql_eq`), where `rhs` holds one row per `selected` row
 /// of `lhs` — what a simple `CASE` asks of its operand and `IN` of its needle.
 fn eq_selected(
-    lhs: &Array,
+    lhs: &Arc<Array>,
     selected: &[bool],
     rhs: &Array,
 ) -> Result<Vec<Option<bool>>, ExecError> {

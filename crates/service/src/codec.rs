@@ -235,7 +235,7 @@ fn encode_array<'a>(
             // rows plainly — only keep the factorized form when rows repeat.
             if let IndexForm::Compacted { indices, rows } = form {
                 if rows.len() >= indices.len() {
-                    return encode_plain(&array.to_plain(), out);
+                    return encode_values(&array.to_plain(), written, out);
                 }
             }
             let dictionary = dictionary_rows(dict, form.rows());
@@ -258,12 +258,17 @@ fn encode_array<'a>(
         Array::RunLength { values, run_ends } => {
             encode_indexed(2, run_ends, &values.to_plain(), written, out);
         }
-        plain => match plain.rle_compress() {
-            Some(Array::RunLength { values, run_ends }) => {
-                encode_indexed(2, &run_ends, &values, written, out);
-            }
-            _ => encode_plain(plain, out),
-        },
+        plain => encode_values(plain, written, out),
+    }
+}
+
+/// Write a plain array, run-length compressed where that pays.
+fn encode_values(plain: &Array, written: &mut u32, out: &mut Vec<u8>) {
+    match plain.rle_compress() {
+        Some(Array::RunLength { values, run_ends }) => {
+            encode_indexed(2, &run_ends, &values, written, out);
+        }
+        _ => encode_plain(plain, out),
     }
 }
 
@@ -733,6 +738,10 @@ mod tests {
         let decoded = decode_chunk(&bytes[1..]).unwrap();
         assert!(matches!(decoded.column(0).as_ref(), Array::RunLength { .. }));
         assert_eq!(decoded.column(0).as_ref(), &array);
+        // A filter's view of it, every index distinct, goes out as its decoded rows do.
+        let filtered = chunk.filter(&(0..1000).map(|i| i % 3 != 0).collect::<Vec<_>>());
+        assert!(filtered.column(0).is_encoded());
+        assert_eq!(encode_chunk(&filtered), encode_chunk(&filtered.to_plain()));
     }
 
     #[test]

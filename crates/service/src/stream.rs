@@ -9,9 +9,9 @@
 //! materialized once, by the engine, and then handed out chunk by chunk; a consumer that
 //! forwards chunks as it pulls them (the wire server) is paced by whatever it writes to.
 //!
-//! What "materialized" costs is set by the engine's one rule about data movement — *a join
-//! batch is two index buffers over its sources; operators above keep views while the
-//! dictionary is shared* (see `perm_exec::vector`): a provenance result of tens of thousands
+//! What "materialized" costs is set by the engine's one rule about data movement — *a filter
+//! batch is one index buffer over its source; a join batch is two; operators above keep views
+//! while the dictionary is shared* (see `perm_exec::vector`): a provenance result of tens of thousands
 //! of wide rows arrives here as a few index buffers per chunk over the columns of its source
 //! tuples. The stream takes the chunk list by value and *moves* each chunk out, so a chunk is
 //! freed when the consumer drops it, not when the last frame has gone; [`crate::codec`] ships
@@ -53,12 +53,13 @@ enum State {
     /// Planned but not started; holds everything needed to execute.
     Pending { executor: Executor, prepared: Arc<PreparedPlan>, pool: Arc<WorkerPool> },
     /// The result, handed out chunk by chunk. `unsent` is what the chunks still here count on
-    /// the gauge; the executor — and the memory grant riding in it — lives until the stream
-    /// ends (`None` for results materialized elsewhere: DDL/DML, `SELECT ... INTO`).
+    /// the gauge: what they hold beside the stored columns the executor's scans read. The
+    /// executor — and the memory grant riding in it — lives until the stream ends (`None` for
+    /// results materialized elsewhere: DDL/DML, `SELECT ... INTO`).
     Materialized {
         chunks: std::vec::IntoIter<DataChunk>,
         unsent: usize,
-        _executor: Option<Executor>,
+        executor: Option<Executor>,
     },
     /// Exhausted or failed.
     Done,
@@ -167,10 +168,10 @@ impl QueryStream {
                 Err(e) => return Some(Err(e)),
             }
         }
-        let State::Materialized { chunks, unsent, .. } = &mut self.state else { return None };
+        let State::Materialized { chunks, unsent, executor } = &mut self.state else { return None };
         if !self.cancelled.load(Ordering::Relaxed) {
             if let Some(chunk) = chunks.next() {
-                let bytes = chunk.byte_size();
+                let bytes = held(executor, &chunk);
                 *unsent -= bytes;
                 self.buffered.fetch_sub(bytes, Ordering::Relaxed);
                 self.rows += chunk.num_rows() as u64;
@@ -221,10 +222,9 @@ impl QueryStream {
     fn materialize(&mut self, relation: Relation, executor: Option<Executor>) {
         let chunks: Vec<DataChunk> =
             relation.into_chunks().into_iter().filter(|c| !c.is_empty()).collect();
-        let unsent = chunks.iter().map(DataChunk::byte_size).sum();
+        let unsent = chunks.iter().map(|chunk| held(&executor, chunk)).sum();
         self.buffered.fetch_add(unsent, Ordering::Relaxed);
-        self.state =
-            State::Materialized { chunks: chunks.into_iter(), unsent, _executor: executor };
+        self.state = State::Materialized { chunks: chunks.into_iter(), unsent, executor };
     }
 
     /// End the stream: take its chunks not handed out off the gauge and drop them together with
@@ -270,5 +270,15 @@ impl Drop for QueryStream {
         // A stream abandoned before its terminal outcome was observed counts as cancelled
         // (idempotent: a finished ticket keeps its recorded outcome).
         self.finish_ticket(QueryOutcome::Cancelled);
+    }
+}
+
+/// What `chunk` holds that its stream owns: all of it beside the stored columns `executor`'s
+/// scans read (a filtered scan's result is its index buffers), or all of it for a result
+/// materialized elsewhere.
+fn held(executor: &Option<Executor>, chunk: &DataChunk) -> usize {
+    match executor {
+        Some(executor) => executor.bytes_held([chunk]),
+        None => chunk.byte_size(),
     }
 }

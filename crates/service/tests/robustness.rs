@@ -88,6 +88,30 @@ fn dropped_stream_mid_iteration_releases_gauge_and_reservations() {
     assert_eq!(relation.num_rows(), 3);
 }
 
+/// The stream gauge counts what a result holds beside the catalog. A scan's result is the
+/// stored chunks themselves and counts nothing; a filter's result is one index buffer over
+/// each stored chunk, 4 B per kept row, not the chunk it reads.
+#[test]
+fn the_stream_gauge_counts_what_a_result_holds_beside_the_stored_columns() {
+    let engine = big_engine();
+    let session = engine.session();
+    let mut stream = session.execute_streaming("SELECT * FROM big").unwrap();
+    stream.next_chunk().unwrap().unwrap();
+    assert_eq!(engine.stream_buffered_bytes(), 0, "a scan's result is the catalog's chunks");
+    drop(stream);
+
+    let mut stream = session.execute_streaming("SELECT * FROM big WHERE id % 100 = 0").unwrap();
+    let first = stream.next_chunk().unwrap().unwrap();
+    let unsent_rows = BIG_ROWS.div_ceil(100) - first.num_rows();
+    let gauge = engine.stream_buffered_bytes();
+    assert!(
+        gauge > 0 && gauge <= unsent_rows * 8,
+        "{gauge} B buffered for {unsent_rows} unsent rows of a filtered scan"
+    );
+    assert_eq!(stream.map(|chunk| chunk.unwrap().num_rows()).sum::<usize>(), unsent_rows);
+    assert_quiescent(&engine);
+}
+
 /// In-process cancellation: `QueryStream::cancel` trips the executor token, the stream ends
 /// early (never delivering the full result), and every gauge returns to zero.
 #[test]
@@ -191,14 +215,27 @@ fn per_query_memory_limit_rejects_cleanly() {
         ));
     let session = engine.session();
 
-    let err = session.execute("SELECT * FROM big ORDER BY id DESC").unwrap_err();
-    assert!(err.to_string().contains("resource exhausted"), "got: {err}");
-    assert_quiescent(&engine);
+    // The sort, the aggregation and the set operation read the catalog's columns, and are
+    // charged what they build over them: the sort's order, the hashes and groups, the row tables.
+    for sql in [
+        "SELECT * FROM big ORDER BY id DESC",
+        "SELECT id, count(*) FROM big GROUP BY id",
+        "SELECT id FROM big EXCEPT SELECT id FROM tiny",
+    ] {
+        let err = session.execute(sql).unwrap_err();
+        assert!(err.to_string().contains("resource exhausted"), "{sql}: got {err}");
+        assert_quiescent(&engine);
+    }
 
     // Queries under the limit still run, on the same session.
-    let relation = session.execute("SELECT * FROM tiny ORDER BY id").unwrap();
-    assert_eq!(relation.num_rows(), 3);
-    assert_quiescent(&engine);
+    for sql in [
+        "SELECT * FROM tiny ORDER BY id",
+        "SELECT id, count(*) FROM tiny GROUP BY id",
+        "SELECT id FROM tiny EXCEPT SELECT id FROM tiny WHERE id > 2",
+    ] {
+        assert_eq!(session.execute(sql).unwrap().num_rows(), 3, "{sql}");
+        assert_quiescent(&engine);
+    }
 
     // The failure is visible in the governor's shed counter via server stats.
     let handle = serve(engine.clone(), "127.0.0.1:0").unwrap();

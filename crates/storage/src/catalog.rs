@@ -315,10 +315,13 @@ impl Catalog {
     }
 
     /// Replace the full contents of a table (used by `SELECT INTO` style provenance storage).
+    /// Stored data is plain: a result's views are decoded, as a view would pin its whole source
+    /// column.
     pub fn overwrite(&self, name: &str, relation: Relation) -> Result<(), CatalogError> {
+        let chunks = relation.chunks().iter().map(DataChunk::to_plain).collect();
+        let relation = Arc::new(Relation::from_chunks(relation.schema().clone(), chunks));
         let key = Self::normalize(name);
         let mut inner = self.inner.write();
-        let relation = Arc::new(relation);
         inner.version += 1;
         let version = inner.version;
         match inner.tables.get_mut(&key) {

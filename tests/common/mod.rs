@@ -1,6 +1,6 @@
 //! A counting global allocator for the memory-bound tests (`factorized_memory`,
-//! `catalog_memory`, `plan_memory`). Each of them installs it with `#[global_allocator]` and holds one
-//! `#[test]`: the counters cover the whole process, and cargo runs the tests of one file on
+//! `catalog_memory`, `plan_memory`, `filter_memory`). Each of them installs it with
+//! `#[global_allocator]` and holds one `#[test]`: the counters cover the whole process, and cargo runs the tests of one file on
 //! parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
