@@ -218,8 +218,9 @@ pub enum Array {
     ///
     /// Joins produce this instead of materializing the repeated source tuples: the dictionary
     /// is the (already materialized) source column shared by refcount, and the index buffer is
-    /// shared too — every column a join batch takes from one side points at the same buffer,
-    /// so a batch of any width costs two buffers of 4-byte indices. NULLs live in the
+    /// shared too — the columns a join batch takes from one side through one source buffer
+    /// point at one composed buffer, so a batch of any width costs one buffer of 4-byte indices
+    /// per source buffer its sides carry (two over plain sides). NULLs live in the
     /// dictionary (`dict.is_null(indices[i])`), so there is no separate validity map.
     Dict {
         /// One dictionary row index per output row; columns gathered together share it.
@@ -1214,8 +1215,8 @@ impl DataChunk {
 
     /// Re-address every column: a dict view has `on_indices` applied to its index buffer, any
     /// other column goes through `on_array`. Views that shared an index buffer share the
-    /// derived one — the rule that keeps a join batch at two buffers however many filters,
-    /// limits and joins sit above it.
+    /// derived one — the rule that keeps a join batch at one buffer per source buffer however
+    /// many filters, limits and joins sit above it.
     fn map_columns(
         &self,
         rows: usize,
@@ -1246,8 +1247,8 @@ impl DataChunk {
     }
 
     /// Keep only the rows whose mask bit is `true`. A filter batch is one index buffer over its
-    /// source, as a join batch is two: the kept rows' positions are the buffer every plain
-    /// column's view shares, and a view composes its own through them
+    /// source, as a join batch is one per source buffer: the kept rows' positions are the buffer
+    /// every plain column's view shares, and a view composes its own through them
     /// ([`DataChunk::take_dict`]). Nothing is copied until a kernel computes on a column.
     pub fn filter(&self, mask: &[bool]) -> DataChunk {
         debug_assert_eq!(mask.len(), self.rows);

@@ -23,10 +23,11 @@
 //!   to its partition. Keys are hashed and compared in their columns ([`hash_rows`] once per
 //!   morsel, [`rows_equal`] against a chain's head) — no key is boxed, on either side.
 //!   Bucket chains preserve build-row order, so each probe row sees
-//!   candidates in exactly the nested-loop order. A probe batch is *two index buffers over its
-//!   sources*: every output column is a dictionary view of the probe or build column it came
-//!   from, all columns of a side sharing that side's buffer — no source value is copied, and an
-//!   outer join's pads address a NULL slot behind the build rows.
+//!   candidates in exactly the nested-loop order. A probe batch is *one index buffer per source
+//!   buffer its sides carry* (two over plain sides): every output column is a dictionary view of
+//!   the probe or build column it came from, the columns of a side that shared a buffer sharing
+//!   one composed buffer — no source value is copied, and an outer join's pads address a NULL
+//!   slot behind the build rows.
 //! * **hash aggregation** also partitions by key hash (at most one partition per input
 //!   morsel): group-key and argument columns are evaluated per morsel, then every worker owns
 //!   the groups of one partition and folds *all* morsels' rows of that partition **in global
@@ -920,7 +921,7 @@ fn apply_limit(chunks: Vec<DataChunk>, limit: Option<usize>, offset: usize) -> V
 
 /// The materialized build side of a join: `rows` build rows in one chunk. A join that pads
 /// unmatched probe rows (left / full outer) keeps one all-NULL row behind them — the slot every
-/// pad addresses — so a padded batch is two index buffers over its sources like any other.
+/// pad addresses — so a padded batch is views over its sources like any other.
 /// Nothing that *matches* rows may look past `rows`.
 struct BuildSide {
     chunk: DataChunk,
@@ -1056,8 +1057,9 @@ impl ParHashTable {
 }
 
 /// Probe one morsel (one probe chunk) against the shared build side. Every output batch is
-/// two index buffers — the probe rows and the build rows of its pairs — and every output column
-/// a view of its source column through its side's buffer (see [`DataChunk::take_dict`]); a
+/// the probe rows and the build rows of its pairs, composed through each buffer a side carries
+/// — two index buffers over plain sides — and every output column a view of its source column
+/// through its buffer (see [`DataChunk::take_dict`]); a
 /// pad addresses the build side's NULL slot. Candidate pairs are generated one way — each
 /// probe row with its bucket chain or with every build row, in build-row order, so the output
 /// row sequence equals a nested loop's — and a join condition decides them

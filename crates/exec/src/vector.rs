@@ -13,19 +13,20 @@
 //! touching only the columns the condition reads.
 //!
 //! The kernels sit under one rule about data movement, which [`crate::parallel`] applies: *a
-//! filter batch is one index buffer over its source; a join batch is two; operators above keep
-//! views while the dictionary is shared.* A filter never copies a kept row — every column it
-//! passes on is an [`Array::Dict`] view of its source column through the kept positions, one
-//! buffer for the whole batch ([`DataChunk::filter`]); the selective step does the same. A join
-//! never copies a source value into its output — every output column is a view of the probe or
-//! build column it came from, and all columns of one side share that side's index buffer.
-//! Further filters, limits, joins and `ORDER BY` re-address those buffers (once per shared
-//! buffer, not once per column) and leave the dictionaries alone — but for an outer join,
-//! which copies the dictionaries of a build side of views once to put the NULL row its pads
-//! address behind them. A kernel that *computes* on a view ([`vectorized_binary`]) decodes it
-//! first: that is the only place the engine pays for a repeated value, and only for the columns
-//! an expression actually reads (a join condition decodes those of its build side once per
-//! join, [`JoinFilter::new`]).
+//! filter batch is one index buffer over its source; a join batch is one per source buffer its
+//! sides carry; operators above keep views while the dictionary is shared.* A filter never copies
+//! a kept row — every column it passes on is an [`Array::Dict`] view of its source column through
+//! the kept positions, one buffer for the whole batch ([`DataChunk::filter`]); the selective step
+//! does the same. A join never copies a source value into its output — every output column is a
+//! view of the probe or build column it came from, and the columns of a side that shared a buffer
+//! share one composed buffer: two per batch over plain sides, one per source buffer over a side of
+//! views. Further filters, limits, joins and `ORDER BY` re-address those buffers (once per shared
+//! buffer, not once per column) and leave the dictionaries alone — but for an outer join, which
+//! copies the dictionaries of a build side of views once to put the NULL row its pads address
+//! behind them. A kernel that *computes* on a view ([`vectorized_binary`]) decodes it first: that
+//! is the only place the engine pays for a repeated value, and only for the columns an expression
+//! actually reads (a join condition decodes those of its build side once per join,
+//! [`JoinFilter::new`]).
 
 use std::sync::Arc;
 

@@ -16,25 +16,36 @@
 //! *factorized* form: a dictionary view keeps its 4-byte indices and sends each distinct
 //! dictionary row once (after compacting away unreferenced rows) — or, when its indices form
 //! long runs, one row per run — and long constant stretches of a plain column are run-length
-//! compressed at encode time. The engine hands over join output as views that share one index
-//! buffer per side (see `perm_exec::parallel`); a shared buffer is analysed *and written* once
-//! per frame: the first view over it carries its indices (or run ends), every later one refers
-//! back to them by ordinal, and the decoder hands all of those views one shared buffer again.
-//! Array encoding:
+//! compressed at encode time. The engine hands over join output as views that share a few index
+//! buffers (see `perm_exec::parallel`); a shared buffer is analysed *and written* once per frame:
+//! the first view over it carries its indices (or run ends), every later one refers back to them
+//! by ordinal, and the decoder hands all of those views one shared buffer again. Array encoding:
 //!
 //! ```text
-//! array     := enc-tag:u8 body
-//! enc-tag   := 0 (plain) | 1 (dict) | 2 (run-length) | 3 (shared dict)
-//! plain     := type-tag:u8 len:u32 payload            ; type-specific, see below
-//! dict      := count:u32 index:u32{count} 0 plain     ; indices, then the dictionary
-//! rle       := runs:u32 run-end:u32{runs} 0 plain     ; one representative row per run
-//! shared    := ordinal:u32 0 plain                    ; over the k-th dict / rle of the frame
+//! array      := enc-tag:u8 body
+//! enc-tag    := 0 (plain) | 1 (dict) | 2 (run-length) | 3 (shared dict)
+//!             | 4 (remembered dict) | 5 (shared remembered dict)
+//! plain      := type-tag:u8 len:u32 payload           ; type-specific, see below
+//! dict       := count:u32 index:u32{count} 0 plain    ; indices, then the dictionary
+//! rle        := runs:u32 run-end:u32{runs} 0 plain    ; one representative row per run
+//! shared     := ordinal:u32 0 plain                   ; over the k-th dict / rle of the frame
+//! remembered := count:u32 index:u32{count}            ; into the column's remembered dictionary
+//! shared-rem := ordinal:u32                           ; the k-th remembered's indices
 //! ```
 //!
-//! The arrays of encodings 1 and 2 are numbered from 0 in frame order; an encoding-3 array is
-//! a dictionary (one row per run, for a run-length buffer) over the indices of the one its
-//! ordinal names, which must come earlier in the frame. The inner array of encodings 1–3 is
-//! always plain; any other inner encoding is a protocol error.
+//! The arrays of encodings 1, 2 and 4 are numbered from 0 in frame order; an encoding-3 array is
+//! a dictionary (one row per run, for a run-length buffer) over the indices of the 1 or 2 its
+//! ordinal names, and an encoding-5 array indexes its own column's remembered dictionary with
+//! the indices of the 4 its ordinal names; either must come earlier in the frame. The inner
+//! array of encodings 1–3 is always plain; any other inner encoding is a protocol error.
+//!
+//! A result stream (`S` … `D`/`-`) has a dictionary memory per column position, kept alike by
+//! [`ResultEncoder`] and [`ResultDecoder`]: the dictionary of the column's last encoding 1 (or 3
+//! over a 1) replaces it, and encodings 4 and 5 index it, so a dictionary row crosses the wire
+//! once per result while later frames only reference it. A 4 or 5 whose column remembers
+//! nothing, or with an index past what it remembers, is a protocol error. [`encode_chunk`] and
+//! [`decode_chunk`] are a result of one frame: a frame alone never writes a 4 or 5, and the
+//! stateless decoder rejects one.
 //!
 //! Plain payloads carry a validity bitmap (`ceil(len/8)` bytes, bit `i` of byte `i/8` set iff
 //! row `i` is non-NULL) followed by native values: bit-packed bools, 8-byte ints/floats,
@@ -42,6 +53,7 @@
 //! column holds one type, so there is no per-value tag; type tag 6 (a boxed mixed column up to
 //! protocol v4) is a protocol error.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use perm_algebra::chunk::text_row;
@@ -50,7 +62,7 @@ use perm_algebra::{Array, Bitmap, DataChunk, DataType, Schema};
 use crate::error::ServiceError;
 
 /// The protocol version this build speaks (negotiated by the `hello` handshake).
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Frame tag bytes.
 pub mod tag {
@@ -87,19 +99,153 @@ pub fn encode_schema(schema: &Schema) -> Vec<u8> {
     out
 }
 
-/// Encode a result-chunk frame (`R`), factorizing each column: dict views go out run-length
-/// encoded or compacted to their referenced rows — each shared index buffer once — and plain
-/// columns with long constant stretches are run-length compressed.
+/// Encode a result-chunk frame (`R`) as a result of this one frame: each column factorized as
+/// [`ResultEncoder::encode_chunk`] describes, with nothing remembered from earlier frames.
 pub fn encode_chunk(chunk: &DataChunk) -> Vec<u8> {
-    let mut out = vec![tag::RESULT];
-    out.extend_from_slice(&(chunk.num_rows() as u32).to_be_bytes());
-    out.extend_from_slice(&(chunk.num_columns() as u16).to_be_bytes());
-    let mut forms = Vec::new();
-    let mut written = 0;
-    for c in 0..chunk.num_columns() {
-        encode_array(chunk.column(c), &mut forms, &mut written, &mut out);
+    ResultEncoder::default().encode_chunk(chunk)
+}
+
+/// The encoder of one result stream: each column position's dictionary memory (see the module
+/// docs). A fresh encoder's first frame is [`encode_chunk`]'s, byte for byte.
+#[derive(Default)]
+pub struct ResultEncoder {
+    memory: Vec<Option<Remembered>>,
+}
+
+/// The dictionary a column last sent: the source it was gathered from — held, so no other
+/// array can take its address while the stream runs — and where each source row sits in it.
+/// The columns whose dictionaries went out over one index buffer share `sent`.
+struct Remembered {
+    source: Arc<Array>,
+    sent: Arc<Remap>,
+}
+
+impl ResultEncoder {
+    /// Encode a result-chunk frame (`R`), factorizing each column: dict views go out run-length
+    /// encoded or compacted to their referenced rows — each shared index buffer once — or, where
+    /// every view over a buffer remembers a dictionary that holds all its rows, as indices into
+    /// it; plain columns with long constant stretches are run-length compressed.
+    pub fn encode_chunk(&mut self, chunk: &DataChunk) -> Vec<u8> {
+        let mut out = vec![tag::RESULT];
+        out.extend_from_slice(&(chunk.num_rows() as u32).to_be_bytes());
+        out.extend_from_slice(&(chunk.num_columns() as u16).to_be_bytes());
+        self.memory.resize_with(chunk.num_columns(), || None);
+        let mut frame = Frame { buffers: Vec::new(), written: 0 };
+        for c in 0..chunk.num_columns() {
+            self.encode_column(chunk, c, &mut frame, &mut out);
+        }
+        out
     }
-    out
+
+    /// Encode column `c` in its most compact wire form.
+    fn encode_column<'a>(
+        &mut self,
+        chunk: &'a DataChunk,
+        c: usize,
+        frame: &mut Frame<'a>,
+        out: &mut Vec<u8>,
+    ) {
+        let Frame { buffers, written } = frame;
+        let array = chunk.column(c);
+        let (indices, dict) = match array.as_ref() {
+            Array::Dict { indices, dict } => (indices, dict),
+            Array::RunLength { values, run_ends } => {
+                return encode_indexed(2, run_ends, &values.to_plain(), written, out);
+            }
+            plain => return encode_values(plain, written, out),
+        };
+        let known = buffers.iter().position(|seen| Arc::ptr_eq(seen.buffer, indices));
+        let known = known.unwrap_or_else(|| {
+            let form = self.form_of(chunk, c, indices, dict);
+            buffers.push(Seen { buffer: indices, form, ordinal: None });
+            buffers.len() - 1
+        });
+        let Seen { form, ordinal, .. } = &mut buffers[known];
+        let form = match form {
+            BufferForm::Remembered(renumbered) => {
+                match *ordinal {
+                    Some(k) => {
+                        out.push(5);
+                        out.extend_from_slice(&k.to_be_bytes());
+                    }
+                    None => {
+                        *ordinal = Some(*written);
+                        *written += 1;
+                        out.push(4);
+                        encode_u32s(renumbered, out);
+                    }
+                }
+                return;
+            }
+            BufferForm::Fresh(form) => form,
+        };
+        if let IndexForm::Compacted { indices, rows, remap } = form {
+            // A dictionary that is (almost) as long as the chunk saves nothing over sending the
+            // rows plainly — only keep the factorized form when rows repeat.
+            if rows.len() >= indices.len() {
+                return encode_values(&array.to_plain(), written, out);
+            }
+            self.memory[c] = Some(Remembered { source: dict.clone(), sent: remap.clone() });
+        }
+        let dictionary = dictionary_rows(dict, form.rows());
+        match (*ordinal, &*form) {
+            (Some(k), _) => {
+                out.push(3);
+                out.extend_from_slice(&k.to_be_bytes());
+                encode_plain(&dictionary, out);
+            }
+            (None, form) => {
+                *ordinal = Some(*written);
+                let (tag, indices) = match form {
+                    IndexForm::Runs { run_ends, .. } => (2, run_ends),
+                    IndexForm::Compacted { indices, .. } => (1, indices),
+                };
+                encode_indexed(tag, indices, &dictionary, written, out);
+            }
+        }
+    }
+
+    /// The wire form of `buffer`, met first in its frame under column `c`, a view over `dict`.
+    /// The buffer goes out as indices into remembered dictionaries where a frame alone would send
+    /// its compacted dictionary, every view over it remembers a dictionary of its own source from
+    /// one compaction, and that compaction holds every row the buffer references.
+    fn form_of(
+        &self,
+        chunk: &DataChunk,
+        c: usize,
+        buffer: &Arc<[u32]>,
+        dict: &Array,
+    ) -> BufferForm {
+        let form = IndexForm::of(buffer, dict.len());
+        let IndexForm::Compacted { indices, rows, .. } = &form else {
+            return BufferForm::Fresh(form);
+        };
+        if rows.len() >= indices.len() {
+            return BufferForm::Fresh(form);
+        }
+        let mut sent: Option<&Arc<Remap>> = None;
+        for (column, memory) in chunk.columns()[c..].iter().zip(&self.memory[c..]) {
+            let Array::Dict { indices: other, dict } = column.as_ref() else { continue };
+            if !Arc::ptr_eq(other, buffer) {
+                continue;
+            }
+            match memory {
+                Some(memory)
+                    if Arc::ptr_eq(&memory.source, dict)
+                        && sent.is_none_or(|sent| Arc::ptr_eq(sent, &memory.sent)) =>
+                {
+                    sent = Some(&memory.sent);
+                }
+                _ => return BufferForm::Fresh(form),
+            }
+        }
+        let renumbered: Option<Vec<u32>> =
+            sent.and_then(|sent| rows.iter().map(|&row| sent.get(row)).collect());
+        match renumbered {
+            Some(at) => BufferForm::Remembered(indices.iter().map(|&i| at[i as usize]).collect()),
+            None => BufferForm::Fresh(form),
+        }
+    }
 }
 
 /// Encode a done trailer (`D`) carrying the stream's total row count.
@@ -139,14 +285,53 @@ fn type_from_tag(tag: u8) -> Result<DataType, ServiceError> {
     })
 }
 
+/// Where each referenced source row sits in a compacted dictionary: a dense table or, past
+/// [`DENSE_REMAP_LIMIT`] source rows, a hash map.
+enum Remap {
+    Dense(Vec<u32>),
+    Sparse(HashMap<u32, u32>),
+}
+
+impl Remap {
+    fn for_source(len: usize) -> Remap {
+        if len <= DENSE_REMAP_LIMIT {
+            Remap::Dense(vec![u32::MAX; len])
+        } else {
+            Remap::Sparse(HashMap::new())
+        }
+    }
+
+    /// The position of source row `row`, which takes position `next` if it has none yet.
+    fn number(&mut self, row: u32, next: u32) -> u32 {
+        match self {
+            Remap::Dense(table) => {
+                let slot = &mut table[row as usize];
+                if *slot == u32::MAX {
+                    *slot = next;
+                }
+                *slot
+            }
+            Remap::Sparse(map) => *map.entry(row).or_insert(next),
+        }
+    }
+
+    fn get(&self, row: u32) -> Option<u32> {
+        match self {
+            Remap::Dense(table) => table.get(row as usize).copied().filter(|&at| at != u32::MAX),
+            Remap::Sparse(map) => map.get(&row).copied(),
+        }
+    }
+}
+
 /// The wire form of one index buffer, worked out once per frame for all the views sharing it.
 enum IndexForm {
     /// Long runs of one index ([`Array::run_length_pays`], the threshold plain columns
     /// compress at): the cumulative run ends and the dictionary row of each run.
     Runs { run_ends: Vec<u32>, rows: Vec<u32> },
     /// Otherwise: indices renumbered densely over `rows`, the referenced dictionary rows in
-    /// first-use order — a frame never ships a dictionary row its chunk does not use.
-    Compacted { indices: Vec<u32>, rows: Vec<u32> },
+    /// first-use order — a frame never ships a dictionary row its chunk does not use — and the
+    /// renumbering itself.
+    Compacted { indices: Vec<u32>, rows: Vec<u32>, remap: Arc<Remap> },
 }
 
 impl IndexForm {
@@ -159,31 +344,18 @@ impl IndexForm {
             return IndexForm::Runs { run_ends, rows };
         }
         let mut rows: Vec<u32> = Vec::new();
-        let indices = if dict_len <= DENSE_REMAP_LIMIT {
-            let mut remap = vec![u32::MAX; dict_len];
-            indices
-                .iter()
-                .map(|&i| {
-                    if remap[i as usize] == u32::MAX {
-                        remap[i as usize] = rows.len() as u32;
-                        rows.push(i);
-                    }
-                    remap[i as usize]
-                })
-                .collect()
-        } else {
-            let mut remap = std::collections::HashMap::new();
-            indices
-                .iter()
-                .map(|&i| {
-                    *remap.entry(i).or_insert_with(|| {
-                        rows.push(i);
-                        rows.len() as u32 - 1
-                    })
-                })
-                .collect()
-        };
-        IndexForm::Compacted { indices, rows }
+        let mut remap = Remap::for_source(dict_len);
+        let indices = indices
+            .iter()
+            .map(|&i| {
+                let at = remap.number(i, rows.len() as u32);
+                if at as usize == rows.len() {
+                    rows.push(i);
+                }
+                at
+            })
+            .collect();
+        IndexForm::Compacted { indices, rows, remap: Arc::new(remap) }
     }
 
     /// The dictionary row each run (or each compacted index) stands for.
@@ -192,6 +364,29 @@ impl IndexForm {
             IndexForm::Runs { rows, .. } | IndexForm::Compacted { rows, .. } => rows,
         }
     }
+}
+
+/// The wire form of an index buffer in one frame of a result.
+enum BufferForm {
+    /// Every view over the buffer remembers a dictionary of one earlier compaction that holds
+    /// all its rows: the indices renumbered into it (encodings 4 and 5).
+    Remembered(Vec<u32>),
+    /// As a frame alone writes it (encodings 1 and 3, 2 and 3, or plain).
+    Fresh(IndexForm),
+}
+
+/// An index buffer met in a frame, by identity: its wire form and, once written, its ordinal.
+struct Seen<'a> {
+    buffer: &'a Arc<[u32]>,
+    form: BufferForm,
+    ordinal: Option<u32>,
+}
+
+/// What a frame has written so far: every index buffer it met, and how many arrays took an
+/// ordinal (encodings 1, 2 and 4) — the ordinal the next one takes.
+struct Frame<'a> {
+    buffers: Vec<Seen<'a>>,
+    written: u32,
 }
 
 /// The rows of a dictionary at `rows`, as a plain array.
@@ -208,57 +403,6 @@ fn encode_u32s(values: &[u32], out: &mut Vec<u8>) {
     out.extend_from_slice(&(values.len() as u32).to_be_bytes());
     for v in values {
         out.extend_from_slice(&v.to_be_bytes());
-    }
-}
-
-/// An index buffer seen in a frame, by identity: its wire form and, once written, its ordinal.
-type SeenBuffer<'a> = (&'a Arc<[u32]>, IndexForm, Option<u32>);
-
-/// Encode one array in its most compact wire form. `forms` remembers every index buffer seen in
-/// this frame; `written` counts the frame's arrays of encodings 1 and 2 — the ordinal the next
-/// one takes.
-fn encode_array<'a>(
-    array: &'a Array,
-    forms: &mut Vec<SeenBuffer<'a>>,
-    written: &mut u32,
-    out: &mut Vec<u8>,
-) {
-    match array {
-        Array::Dict { indices, dict } => {
-            let known = forms.iter().position(|(buffer, ..)| Arc::ptr_eq(buffer, indices));
-            let known = known.unwrap_or_else(|| {
-                forms.push((indices, IndexForm::of(indices, dict.len()), None));
-                forms.len() - 1
-            });
-            let (_, form, ordinal) = &mut forms[known];
-            // A dictionary that is (almost) as long as the chunk saves nothing over sending the
-            // rows plainly — only keep the factorized form when rows repeat.
-            if let IndexForm::Compacted { indices, rows } = form {
-                if rows.len() >= indices.len() {
-                    return encode_values(&array.to_plain(), written, out);
-                }
-            }
-            let dictionary = dictionary_rows(dict, form.rows());
-            match (*ordinal, &*form) {
-                (Some(k), _) => {
-                    out.push(3);
-                    out.extend_from_slice(&k.to_be_bytes());
-                    encode_plain(&dictionary, out);
-                }
-                (None, form) => {
-                    *ordinal = Some(*written);
-                    let (tag, indices) = match form {
-                        IndexForm::Runs { run_ends, .. } => (2, run_ends),
-                        IndexForm::Compacted { indices, .. } => (1, indices),
-                    };
-                    encode_indexed(tag, indices, &dictionary, written, out);
-                }
-            }
-        }
-        Array::RunLength { values, run_ends } => {
-            encode_indexed(2, run_ends, &values.to_plain(), written, out);
-        }
-        plain => encode_values(plain, written, out),
     }
 }
 
@@ -453,25 +597,51 @@ pub fn decode_schema(body: &[u8]) -> Result<Schema, ServiceError> {
     Ok(Schema::from_pairs(&refs))
 }
 
-/// Decode a result-chunk frame body (the payload after the `R` tag byte).
+/// Decode a result-chunk frame body (the payload after the `R` tag byte) as a result of this one
+/// frame: an array indexing a remembered dictionary (encoding 4 or 5) is a protocol error.
 pub fn decode_chunk(body: &[u8]) -> Result<DataChunk, ServiceError> {
-    let mut cur = Cursor::new(body);
-    let rows = cur.u32()? as usize;
-    let ncols = cur.u16()? as usize;
-    let mut columns = Vec::with_capacity(ncols.min(cur.remaining()));
-    let mut written = Vec::new();
-    for _ in 0..ncols {
-        let array = decode_array(&mut cur, &mut written)?;
-        if array.len() != rows {
-            return Err(ServiceError::protocol("chunk column length mismatch"));
+    ResultDecoder::default().decode_chunk(body)
+}
+
+/// The decoder of one result stream: the mirror of [`ResultEncoder`]'s memory, each column
+/// position's last decoded dictionary, which every chunk indexing it shares. A result starts
+/// from a fresh one.
+#[derive(Default)]
+pub struct ResultDecoder {
+    memory: Vec<Option<Arc<Array>>>,
+}
+
+impl ResultDecoder {
+    /// Decode a result-chunk frame body (the payload after the `R` tag byte). A dictionary the
+    /// frame sends replaces its column's memory once the whole frame has decoded.
+    pub fn decode_chunk(&mut self, body: &[u8]) -> Result<DataChunk, ServiceError> {
+        let mut cur = Cursor::new(body);
+        let rows = cur.u32()? as usize;
+        let ncols = cur.u16()? as usize;
+        let mut columns = Vec::with_capacity(ncols.min(cur.remaining()));
+        let mut written = Vec::new();
+        let mut sent = Vec::new();
+        for c in 0..ncols {
+            let remembered = self.memory.get(c).and_then(Option::as_ref);
+            let (array, dictionary) = decode_array(&mut cur, &mut written, remembered)?;
+            if array.len() != rows {
+                return Err(ServiceError::protocol("chunk column length mismatch"));
+            }
+            sent.extend(dictionary.map(|dictionary| (c, dictionary)));
+            columns.push(array);
         }
-        columns.push(array);
-    }
-    cur.finish()?;
-    if columns.is_empty() {
-        Ok(DataChunk::zero_width(rows))
-    } else {
-        Ok(DataChunk::new(columns))
+        cur.finish()?;
+        for (c, dictionary) in sent {
+            if self.memory.len() <= c {
+                self.memory.resize(c + 1, None);
+            }
+            self.memory[c] = Some(dictionary);
+        }
+        if columns.is_empty() {
+            Ok(DataChunk::zero_width(rows))
+        } else {
+            Ok(DataChunk::new(columns))
+        }
     }
 }
 
@@ -483,23 +653,46 @@ pub fn decode_done(body: &[u8]) -> Result<u64, ServiceError> {
     Ok(rows)
 }
 
-/// Decode one top-level array. `written` holds the frame's arrays of encodings 1 and 2 so far,
-/// each with the length its dictionary or values must have (at least one past the largest
-/// index; exactly the run count): an encoding-3 array shares the indices of one of them.
+/// An array of encoding 1, 2 or 4, which a later array of its frame may name by ordinal.
+enum Written {
+    /// Encoding 1, or 4 (`remembered`): the indices, and the length a dictionary over them must
+    /// have (one past the largest index).
+    Indices { indices: Arc<[u32]>, needs: usize, remembered: bool },
+    /// Encoding 2: the run ends; values over them hold exactly one row per run.
+    Runs(Vec<u32>),
+}
+
+/// The length a dictionary over `indices` must have.
+fn needs(indices: &[u32]) -> usize {
+    indices.iter().max().map_or(0, |&i| i as usize + 1)
+}
+
+/// Decode one top-level array of a column that remembers `remembered`; also returns the
+/// dictionary the array sends (encoding 1, or 3 over a 1), which the column remembers next.
+/// `written` holds the frame's arrays of encodings 1, 2 and 4 so far.
 fn decode_array(
     cur: &mut Cursor<'_>,
-    written: &mut Vec<(Arc<Array>, usize)>,
-) -> Result<Arc<Array>, ServiceError> {
-    let (array, needs) = match cur.u8()? {
-        0 => return Ok(Arc::new(decode_plain(cur)?)),
+    written: &mut Vec<Written>,
+    remembered: Option<&Arc<Array>>,
+) -> Result<(Arc<Array>, Option<Arc<Array>>), ServiceError> {
+    let remembered_dict = |tag: u8, needs: usize| match remembered {
+        Some(dict) if needs <= dict.len() => Ok(dict.clone()),
+        Some(_) => Err(ServiceError::protocol("index past the remembered dictionary")),
+        None => Err(ServiceError::protocol(format!(
+            "encoding {tag} in a column that remembers no dictionary"
+        ))),
+    };
+    let (array, sent) = match cur.u8()? {
+        0 => (decode_plain(cur)?, None),
         1 => {
             let indices: Arc<[u32]> = cur.u32s()?.into();
-            let needs = indices.iter().max().map_or(0, |&i| i as usize + 1);
-            let dict = decode_inner(cur)?;
+            let needs = needs(&indices);
+            let dict = Arc::new(decode_inner(cur)?);
             if needs > dict.len() {
                 return Err(ServiceError::protocol("dictionary index out of bounds"));
             }
-            (Array::Dict { indices, dict: Arc::new(dict) }, needs)
+            written.push(Written::Indices { indices: indices.clone(), needs, remembered: false });
+            (Array::Dict { indices, dict: dict.clone() }, Some(dict))
         }
         2 => {
             let run_ends = cur.u32s()?;
@@ -510,32 +703,49 @@ fn decode_array(
             if values.len() != run_ends.len() {
                 return Err(ServiceError::protocol("run values length mismatch"));
             }
-            let runs = run_ends.len();
-            (Array::RunLength { values: Arc::new(values), run_ends }, runs)
+            written.push(Written::Runs(run_ends.clone()));
+            (Array::RunLength { values: Arc::new(values), run_ends }, None)
         }
         3 => {
             let ordinal = cur.u32()? as usize;
-            let (earlier, needs) = written.get(ordinal).ok_or_else(|| {
+            let earlier = written.get(ordinal).ok_or_else(|| {
                 ServiceError::protocol(format!(
                     "shared array refers to unwritten ordinal {ordinal}"
                 ))
             })?;
             let values = Arc::new(decode_inner(cur)?);
-            return match earlier.as_ref() {
-                Array::Dict { indices, .. } if values.len() >= *needs => {
-                    Ok(Arc::new(Array::Dict { indices: indices.clone(), dict: values }))
+            match earlier {
+                Written::Indices { indices, needs, remembered: false }
+                    if values.len() >= *needs =>
+                {
+                    (Array::Dict { indices: indices.clone(), dict: values.clone() }, Some(values))
                 }
-                Array::RunLength { run_ends, .. } if values.len() == *needs => {
-                    Ok(Arc::new(Array::RunLength { values, run_ends: run_ends.clone() }))
+                Written::Runs(run_ends) if values.len() == run_ends.len() => {
+                    (Array::RunLength { values, run_ends: run_ends.clone() }, None)
                 }
-                _ => Err(ServiceError::protocol("shared array does not cover its indices")),
+                _ => return Err(ServiceError::protocol("shared array does not cover its indices")),
+            }
+        }
+        4 => {
+            let indices: Arc<[u32]> = cur.u32s()?.into();
+            let needs = needs(&indices);
+            let dict = remembered_dict(4, needs)?;
+            written.push(Written::Indices { indices: indices.clone(), needs, remembered: true });
+            (Array::Dict { indices, dict }, None)
+        }
+        5 => {
+            let ordinal = cur.u32()? as usize;
+            let Some(Written::Indices { indices, needs, remembered: true }) = written.get(ordinal)
+            else {
+                return Err(ServiceError::protocol(format!(
+                    "shared remembered array refers to ordinal {ordinal}, which is no encoding 4"
+                )));
             };
+            (Array::Dict { indices: indices.clone(), dict: remembered_dict(5, *needs)? }, None)
         }
         other => return Err(ServiceError::protocol(format!("unknown array encoding tag {other}"))),
     };
-    let array = Arc::new(array);
-    written.push((array.clone(), needs));
-    Ok(array)
+    Ok((Arc::new(array), sent))
 }
 
 /// The dictionary or run values inside an encoded array: always plain, so a frame cannot nest

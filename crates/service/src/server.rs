@@ -1,12 +1,12 @@
 //! The `permd` TCP server: one thread per connection, each owning a [`Session`], with a
 //! graceful shutdown path (the `shutdown` wire command or [`ServerHandle::shutdown`]).
 //!
-//! Connections speak protocol version 5 (see [`crate::codec`] and `docs/PROTOCOL.md`): the
-//! first request must be the `hello <version>` handshake, and query results stream out as
-//! `S` / `R`* / `D` frames with nothing sent back but an optional `cancel`. A query executes on
-//! its connection's thread when the first chunk is pulled; the result is held once, as the
-//! engine materialized it, and each chunk is freed once its frame is written. TCP flow control
-//! paces a slow reader.
+//! Connections speak protocol version [`PROTOCOL_VERSION`] (see [`crate::codec`] and
+//! `docs/PROTOCOL.md`): the first request must be the `hello <version>` handshake, and query
+//! results stream out as `S` / `R`* / `D` frames with nothing sent back but an optional
+//! `cancel`. A query executes on its connection's thread when the first chunk is pulled; the
+//! result is held once, as the engine materialized it, and each chunk is freed once its frame is
+//! written. TCP flow control paces a slow reader.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -263,7 +263,8 @@ pub(crate) fn is_cancel(request: &str) -> bool {
 }
 
 /// Stream one query result: `S`, then the `R` frames, then `D` — or a `-` error frame, which
-/// invalidates every `R` frame sent before it.
+/// invalidates every `R` frame sent before it. One [`codec::ResultEncoder`] writes the `R`
+/// frames, so each column's dictionary rows go out once per result.
 ///
 /// The client sends nothing while the stream runs except, perhaps, `cancel`. Before each `R`
 /// frame the server polls the socket without blocking; a `cancel` found there ends the stream
@@ -277,6 +278,7 @@ fn stream_result(
     // Tag this thread's log lines (socket errors, cancellations) with the streaming query.
     let _qid_guard = perm_exec::QueryIdGuard::new(stream.query_id());
     send_frame(writer, &codec::encode_schema(stream.schema()))?;
+    let mut encoder = codec::ResultEncoder::default();
     let trailer = loop {
         match stream.next_chunk() {
             Some(Ok(chunk)) => {
@@ -284,7 +286,7 @@ fn stream_result(
                     let message = ServiceError::Exec(ExecError::Cancelled).to_string();
                     break codec::encode_text(tag::ERROR, &message);
                 }
-                let frame = codec::encode_chunk(&chunk);
+                let frame = encoder.encode_chunk(&chunk);
                 send_frame(writer, &frame)?;
                 metrics.rows_streamed.add(chunk.num_rows() as u64);
                 metrics.bytes_streamed.add(frame.len() as u64);
@@ -294,9 +296,10 @@ fn stream_result(
         }
     };
     // Drop the stream before the trailer goes out: the chunks not sent (the engine-wide gauge
-    // returns to zero) and the statement's memory grant are released by the time the client
-    // reads it, and a stream dropped before its end settles its query as cancelled.
-    drop(stream);
+    // returns to zero), the sources the encoder remembers and the statement's memory grant are
+    // released by the time the client reads it, and a stream dropped before its end settles its
+    // query as cancelled.
+    drop((stream, encoder));
     send_frame(writer, &trailer)
 }
 

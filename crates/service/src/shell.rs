@@ -18,13 +18,15 @@
 //!
 //! Empty lines and `--` comments are skipped.
 //!
-//! The client speaks wire protocol version 5: [`Client::connect`] performs the `hello`
-//! handshake, and query results arrive as a schema frame plus a sequence of chunk frames that
-//! [`run_shell`] prints *incrementally* — rows appear as chunks arrive, and the client sends
-//! nothing back. A decoded chunk keeps the engine's shape: its views share one index buffer per
-//! join side. A mid-stream error frame invalidates everything already printed for that
-//! statement; the shell says so explicitly (no silent truncated tables), and the buffering
-//! [`Client::roundtrip`] discards the partial rows entirely.
+//! The client speaks wire protocol version [`PROTOCOL_VERSION`]: [`Client::connect`] performs
+//! the `hello` handshake, and query results arrive as a schema frame plus a sequence of chunk
+//! frames that [`run_shell`] prints *incrementally* — rows appear as chunks arrive, and the
+//! client sends nothing back. A decoded chunk keeps the engine's shape: views that shared an
+//! index buffer share one again, and every chunk of a result indexing a column's remembered
+//! dictionary shares that one decoded dictionary. A mid-stream error frame invalidates
+//! everything already printed for that statement; the shell says so explicitly (no silent
+//! truncated tables), and the buffering [`Client::roundtrip`] discards the partial rows
+//! entirely.
 
 use std::io::{self, BufRead, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -32,7 +34,7 @@ use std::time::Duration;
 
 use perm_algebra::{DataChunk, Schema};
 
-use crate::codec::{self, tag, PROTOCOL_VERSION};
+use crate::codec::{self, tag, ResultDecoder, PROTOCOL_VERSION};
 use crate::server::is_cancel;
 use crate::wire::{read_bytes_frame, write_frame};
 
@@ -54,10 +56,14 @@ pub enum ResponseFrame {
     },
 }
 
-/// A connected wire-protocol client (protocol version 5, handshake already performed).
+/// A connected wire-protocol client (protocol version [`PROTOCOL_VERSION`], handshake already
+/// performed).
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
+    /// The decoder of the result being read, from its `S` to its `D` or `-`; `None` between
+    /// results, where an `R` or `D` is a protocol error.
+    result: Option<ResultDecoder>,
 }
 
 /// First delay of [`Client::connect_with_retry`]'s backoff; doubles after every failed
@@ -95,7 +101,7 @@ impl Client {
     /// Perform the protocol handshake over a freshly connected socket.
     fn handshake(writer: TcpStream) -> io::Result<Client> {
         let reader = writer.try_clone()?;
-        let mut client = Client { reader, writer };
+        let mut client = Client { reader, writer, result: None };
         client.send(&format!("hello {PROTOCOL_VERSION}"))?;
         match client.read_response()? {
             ResponseFrame::Ok(_) => Ok(client),
@@ -114,7 +120,8 @@ impl Client {
         write_frame(&mut self.writer, command)
     }
 
-    /// Read and decode one response frame.
+    /// Read and decode one response frame. An `R` or `D` frame outside a result (before its `S`,
+    /// or after its `D` or `-`) is [`io::ErrorKind::InvalidData`].
     pub fn read_response(&mut self) -> io::Result<ResponseFrame> {
         // A clean EOF at a frame boundary is the server closing the connection; an EOF *inside*
         // a frame means it went away mid-response (crash, kill, network drop) — report that as
@@ -140,12 +147,26 @@ impl Client {
         let invalid = |e: crate::error::ServiceError| {
             io::Error::new(io::ErrorKind::InvalidData, e.to_string())
         };
+        let outside = |frame: char| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("'{frame}' frame outside a result"))
+        };
         match tag_byte {
             tag::TEXT => Ok(ResponseFrame::Ok(decode_utf8(body)?)),
-            tag::ERROR => Ok(ResponseFrame::Err(decode_utf8(body)?)),
-            tag::SCHEMA => Ok(ResponseFrame::Schema(codec::decode_schema(body).map_err(invalid)?)),
-            tag::RESULT => Ok(ResponseFrame::Chunk(codec::decode_chunk(body).map_err(invalid)?)),
+            tag::ERROR => {
+                self.result = None;
+                Ok(ResponseFrame::Err(decode_utf8(body)?))
+            }
+            tag::SCHEMA => {
+                let schema = codec::decode_schema(body).map_err(invalid)?;
+                self.result = Some(ResultDecoder::default());
+                Ok(ResponseFrame::Schema(schema))
+            }
+            tag::RESULT => {
+                let decoder = self.result.as_mut().ok_or_else(|| outside('R'))?;
+                Ok(ResponseFrame::Chunk(decoder.decode_chunk(body).map_err(invalid)?))
+            }
             tag::DONE => {
+                self.result.take().ok_or_else(|| outside('D'))?;
                 Ok(ResponseFrame::Done { rows: codec::decode_done(body).map_err(invalid)? })
             }
             other => Err(io::Error::new(

@@ -10,12 +10,13 @@
 //! forwards chunks as it pulls them (the wire server) is paced by whatever it writes to.
 //!
 //! What "materialized" costs is set by the engine's one rule about data movement — *a filter
-//! batch is one index buffer over its source; a join batch is two; operators above keep views
-//! while the dictionary is shared* (see `perm_exec::vector`): a provenance result of tens of thousands
-//! of wide rows arrives here as a few index buffers per chunk over the columns of its source
-//! tuples. The stream takes the chunk list by value and *moves* each chunk out, so a chunk is
-//! freed when the consumer drops it, not when the last frame has gone; [`crate::codec`] ships
-//! the views as they are, each shared index buffer once per frame.
+//! batch is one index buffer over its source; a join batch is one per source buffer its sides
+//! carry; operators above keep views while the dictionary is shared* (see `perm_exec::vector`):
+//! a provenance result of tens of thousands of wide rows arrives here as a few index buffers per
+//! chunk over the columns of its source tuples. The stream takes the chunk list by value and
+//! *moves* each chunk out, so a chunk is freed when the consumer drops it, not when the last
+//! frame has gone; [`crate::codec`] ships the views as they are, each shared index buffer once
+//! per frame and each dictionary row once per result.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

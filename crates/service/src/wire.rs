@@ -1,4 +1,5 @@
-//! The `permd` wire protocol (version 5): length-prefixed frames over TCP.
+//! The `permd` wire protocol (version [`crate::PROTOCOL_VERSION`]): length-prefixed frames over
+//! TCP.
 //!
 //! Every message — request or response — is one frame: a 4-byte big-endian payload length
 //! followed by that many payload bytes. Requests are single-line UTF-8 commands; a connection

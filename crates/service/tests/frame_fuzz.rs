@@ -10,6 +10,7 @@ use std::sync::Arc;
 use perm_algebra::{Array, DataChunk, DataType, Schema, Value};
 use perm_service::codec::{
     decode_chunk, decode_done, decode_schema, encode_chunk, encode_done, encode_schema,
+    ResultDecoder, ResultEncoder,
 };
 use proptest::prelude::*;
 
@@ -67,19 +68,51 @@ fn sample_frames() -> Vec<Vec<u8>> {
 /// A join batch as the engine emits it: every column a view of its source column, all of them
 /// through the one index buffer `rows`.
 fn join_batch(rows: &[u32]) -> DataChunk {
-    let source = DataChunk::new(vec![
+    join_source().take_dict(&Arc::from(rows))
+}
+
+/// The source of [`join_batch`]: three rows of an int, a text and an all-NULL column.
+fn join_source() -> DataChunk {
+    DataChunk::new(vec![
         Arc::new(Array::from_values((0..3).map(|i| Value::Int(i * 100))).unwrap()),
         Arc::new(
             Array::from_values([Value::text("x"), Value::Null, Value::text("z")].into_iter())
                 .unwrap(),
         ),
         Arc::new(Array::Null { len: 3 }),
-    ]);
-    source.take_dict(&Arc::from(rows))
+    ])
+}
+
+/// The first two frames of a result over one join source: the second references only rows the
+/// first sent, so its two views go out as a `4` and a `5`.
+fn result_frames() -> [Vec<u8>; 2] {
+    let source = join_source();
+    let mut encoder = ResultEncoder::default();
+    let first = encoder.encode_chunk(&source.take_dict(&Arc::from(&[0u32, 2, 1, 2, 0, 1][..])));
+    let second = encoder.encode_chunk(&source.take_dict(&Arc::from(&[1u32, 1, 0, 2][..])));
+    assert!(decode_chunk(&second[1..]).is_err(), "the second frame refers back");
+    [first, second]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn mutated_result_frames_decode_or_error_but_never_panic(
+        mutations in proptest::collection::vec((0usize..4096, 0u16..256), 1..8),
+        truncate in 0usize..4096,
+    ) {
+        let [first, mut bytes] = result_frames();
+        for &(pos, val) in &mutations {
+            let len = bytes.len();
+            bytes[pos % len] = val as u8;
+        }
+        bytes.truncate(1 + truncate % bytes.len());
+        let mut decoder = ResultDecoder::default();
+        decoder.decode_chunk(&first[1..]).unwrap();
+        let _ = decoder.decode_chunk(&bytes[1..]);
+        let _ = decode_chunk(&bytes[1..]);
+    }
+
     #[test]
     fn mutated_frames_decode_or_error_but_never_panic(
         which in 0usize..7,
@@ -275,4 +308,69 @@ fn shared_arrays_must_refer_back_to_indices_they_cover() {
     let rle = [&[2, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4][..], &plain_ints(&[1, 2])].concat();
     assert!(decode_chunk(&chunk_body(4, &[rle.clone(), shared(0, &[7, 8])])).is_ok());
     assert!(decode_chunk(&chunk_body(4, &[rle, shared(0, &[7, 8, 9])])).is_err());
+}
+
+/// A remembered dictionary array (encoding 4): indices into the column's remembered dictionary.
+fn remembered(indices: &[u32]) -> Vec<u8> {
+    let mut array = vec![4];
+    array.extend_from_slice(&(indices.len() as u32).to_be_bytes());
+    indices.iter().for_each(|i| array.extend_from_slice(&i.to_be_bytes()));
+    array
+}
+
+/// A shared remembered array (encoding 5) over the frame's `ordinal`-th array.
+fn shared_remembered(ordinal: u32) -> Vec<u8> {
+    [&[5][..], &ordinal.to_be_bytes()].concat()
+}
+
+/// Encodings 4 and 5 index what their column remembers, and only a result decoder remembers: a
+/// frame alone, a column that remembers nothing, an index past the remembered dictionary, a 5
+/// naming anything but an earlier 4, a 3 naming a 4, and corrupt lengths are clean errors.
+#[test]
+fn remembered_arrays_must_index_what_their_column_remembers() {
+    // A result decoder whose two columns remember three rows each.
+    let primed = || {
+        let mut decoder = ResultDecoder::default();
+        let first = chunk_body(4, &[dict(&[0, 2, 2, 1], &[10, 11, 12]), shared(0, &[20, 21, 22])]);
+        decoder.decode_chunk(&first).unwrap();
+        decoder
+    };
+    let valid = chunk_body(3, &[remembered(&[2, 0, 2]), shared_remembered(0)]);
+    let decoded = primed().decode_chunk(&valid).unwrap();
+    assert_eq!(decoded.column(0).value(0), Value::Int(12));
+    assert_eq!(decoded.column(1).value(1), Value::Int(20));
+    match (decoded.column(0).as_ref(), decoded.column(1).as_ref()) {
+        (Array::Dict { indices: a, .. }, Array::Dict { indices: b, .. }) => {
+            assert!(Arc::ptr_eq(a, b), "one index buffer for both columns");
+        }
+        other => panic!("expected two dict columns, got {other:?}"),
+    }
+    assert!(decode_chunk(&valid).is_err(), "a frame alone remembers nothing");
+
+    for (case, body) in [
+        ("a third column remembers nothing", {
+            chunk_body(3, &[remembered(&[2, 0, 2]), shared_remembered(0), remembered(&[0; 3])])
+        }),
+        ("index 3 past a 3-row dictionary", chunk_body(1, &[remembered(&[3])])),
+        ("index u32::MAX", chunk_body(1, &[remembered(&[u32::MAX])])),
+        ("a 5 naming no array", chunk_body(1, &[shared_remembered(0)])),
+        ("a 5 naming a later 4", { chunk_body(1, &[shared_remembered(1), remembered(&[0])]) }),
+        ("a 5 naming a 1", chunk_body(1, &[dict(&[0], &[5]), shared_remembered(0)])),
+        ("a 3 naming a 4", chunk_body(1, &[remembered(&[0]), shared(0, &[5])])),
+        ("a truncated ordinal", chunk_body(1, &[remembered(&[0]), vec![5, 0, 0]])),
+        ("a count of u32::MAX with no indices", {
+            chunk_body(1, &[[&[4][..], &u32::MAX.to_be_bytes()].concat()])
+        }),
+        ("a count past the row count", chunk_body(1, &[remembered(&[0, 1])])),
+    ] {
+        assert!(primed().decode_chunk(&body).is_err(), "{case}");
+    }
+
+    // A 5 over a 4 whose indices reach past the second column's shorter memory.
+    let mut decoder = ResultDecoder::default();
+    decoder
+        .decode_chunk(&chunk_body(2, &[dict(&[2, 2], &[1, 2, 3]), dict(&[0, 0], &[4])]))
+        .unwrap();
+    let body = chunk_body(1, &[remembered(&[2]), shared_remembered(0)]);
+    assert!(decoder.decode_chunk(&body).is_err(), "index 2 past the second column's one row");
 }

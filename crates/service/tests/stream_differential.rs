@@ -1,8 +1,9 @@
 //! Differential test for the streaming result path: the concatenation of the chunks a
-//! `QueryStream` delivers — after a full round-trip through the wire codec's factorized
-//! (dict/RLE) encoding — must be bit-identical to the materialized `Relation` the engine
-//! returns at degrees 1 and 4 and to the reference evaluator, at result sizes straddling the
-//! chunk-size boundary (1, 1023, 1024, 1025 rows).
+//! `QueryStream` delivers — after a full round-trip through the wire codec's result encoder and
+//! decoder (dict/RLE frames, later ones indexing dictionaries earlier ones sent) — must be
+//! bit-identical to the materialized `Relation` the engine returns at degrees 1 and 4 and to the
+//! reference evaluator, at result sizes straddling the chunk-size boundary (1, 1023, 1024, 1025
+//! rows).
 
 use perm_algebra::{
     BinaryOperator, DataType, JoinKind, PlanBuilder, ScalarExpr, Schema, Tuple, Value,
@@ -119,11 +120,13 @@ fn streamed_chunks_match_the_materialized_result_at_every_degree() {
             let mut decoded_chunks = Vec::new();
             let mut streamed_rows = 0usize;
             let mut encoded_on_wire = false;
+            let mut encoder = codec::ResultEncoder::default();
+            let mut decoder = codec::ResultDecoder::default();
             for chunk in stream {
                 let chunk = chunk.unwrap();
                 assert!(chunk.num_rows() <= DEFAULT_CHUNK_SIZE, "chunks respect the chunk size");
-                let frame = codec::encode_chunk(&chunk);
-                let decoded = codec::decode_chunk(&frame[1..]).unwrap();
+                let frame = encoder.encode_chunk(&chunk);
+                let decoded = decoder.decode_chunk(&frame[1..]).unwrap();
                 streamed_rows += decoded.num_rows();
                 encoded_on_wire |=
                     (0..decoded.num_columns()).any(|c| decoded.column(c).is_encoded());

@@ -2,12 +2,15 @@
 //! provenance result off a raw connection and compare their payload lengths with the counter.
 //! A provenance join's chunks are views over shared dictionaries, and what such a chunk keeps
 //! alive in memory is not what its frame carries, so a counter fed by memory sizes fails here.
+//! Nor is what one frame carries what it would carry alone: after the first frame of a result,
+//! a frame indexes the dictionaries earlier frames sent instead of resending them.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use perm_core::ProvenanceRewriter;
+use perm_service::codec::{decode_chunk, ResultDecoder};
 use perm_service::{serve, Engine};
 
 fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
@@ -24,17 +27,17 @@ fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
     stream.flush().unwrap();
 }
 
-/// Send one statement and read its stream to the end; returns the summed payload lengths of the
-/// `R` frames and the rows the `D` trailer reports.
-fn stream_statement(stream: &mut TcpStream, statement: &str) -> (u64, u64) {
+/// Send one statement and read its stream to the end; returns its `R` frames and the rows the
+/// `D` trailer reports.
+fn stream_statement(stream: &mut TcpStream, statement: &str) -> (Vec<Vec<u8>>, u64) {
     write_raw_frame(stream, statement.as_bytes());
     assert_eq!(read_raw_frame(stream)[0], b'S', "{statement}");
-    let mut payload_bytes = 0u64;
+    let mut frames = Vec::new();
     loop {
         let frame = read_raw_frame(stream);
         match frame[0] {
-            b'R' => payload_bytes += frame.len() as u64,
-            b'D' => return (payload_bytes, u64::from_be_bytes(frame[1..9].try_into().unwrap())),
+            b'R' => frames.push(frame),
+            b'D' => return (frames, u64::from_be_bytes(frame[1..9].try_into().unwrap())),
             other => panic!("unexpected frame {:?} in {statement}", char::from(other)),
         }
     }
@@ -46,8 +49,8 @@ fn bytes_streamed_counts_the_result_frames_written() {
         Arc::new(Engine::new().with_rewriter(Arc::new(ProvenanceRewriter::new())).with_workers(1));
     let handle = serve(engine.clone(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 5");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
+    write_raw_frame(&mut stream, b"hello 6");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 6");
 
     let values = |n: i64, f: fn(i64) -> String| (0..n).map(f).collect::<Vec<_>>().join(", ");
     for statement in [
@@ -69,9 +72,21 @@ fn bytes_streamed_counts_the_result_frames_written() {
          WHERE item.grp = grp.grp GROUP BY grp.label",
     ] {
         let before = bytes_streamed();
-        let (payload_bytes, rows) = stream_statement(&mut stream, statement);
+        let (frames, rows) = stream_statement(&mut stream, statement);
         assert_eq!(rows, 3000, "{statement}");
-        assert_eq!(bytes_streamed() - before, payload_bytes, "{statement}");
+        let payload_bytes: usize = frames.iter().map(Vec::len).sum();
+        assert_eq!(bytes_streamed() - before, payload_bytes as u64, "{statement}");
+        // The label column's four rows went out in the first frame; later frames refer back to
+        // them, so they decode only as part of their result.
+        let mut decoder = ResultDecoder::default();
+        let decoded: usize =
+            frames.iter().map(|frame| decoder.decode_chunk(&frame[1..]).unwrap().num_rows()).sum();
+        assert_eq!(decoded, 3000, "{statement}");
+        assert!(decode_chunk(&frames[0][1..]).is_ok(), "{statement}");
+        assert!(
+            frames[1..].iter().all(|frame| decode_chunk(&frame[1..]).is_err()),
+            "{statement}: a later frame resent its dictionaries"
+        );
     }
 
     write_raw_frame(&mut stream, b"shutdown");

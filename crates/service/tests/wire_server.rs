@@ -8,6 +8,7 @@ use std::thread;
 use std::time::Duration;
 
 use perm_core::ProvenanceRewriter;
+use perm_service::shell::ResponseFrame;
 use perm_service::{serve, Client, Engine};
 
 fn provenance_engine() -> Arc<Engine> {
@@ -115,8 +116,8 @@ fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
 fn slow_clients_do_not_desync_the_protocol() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 5");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
+    write_raw_frame(&mut stream, b"hello 6");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 6");
 
     let payload = b"ping";
     stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
@@ -147,35 +148,36 @@ fn legacy_first_command_gets_a_versioned_error() {
     let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
     assert!(body.starts_with('-'), "v1-compatible error prefix: {body}");
     assert!(body.contains("hello"), "tells the client how to handshake: {body}");
-    assert!(body.contains("version 5"), "names the server's protocol version: {body}");
+    assert!(body.contains("version 6"), "names the server's protocol version: {body}");
 
     // The connection survives and can still handshake afterwards.
-    write_raw_frame(&mut stream, b"hello 5");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
+    write_raw_frame(&mut stream, b"hello 6");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 6");
     write_raw_frame(&mut stream, b"ping");
     assert_eq!(read_raw_frame(&mut stream), b"+pong");
     handle.shutdown();
 }
 
-/// A client asking for a version the server does not speak — a future one, version 4, which
-/// could ship a column of mixed types, or version 3, which acknowledged every result frame — is
+/// A client asking for a version the server does not speak — a future one; version 5, whose
+/// frames each carried their own dictionaries; version 4, which could ship a column of mixed
+/// types; or version 3, which acknowledged every result frame — is
 /// refused by name, and the refusal states the version the server does speak.
 #[test]
 fn unsupported_hello_version_is_refused_with_the_supported_version() {
     let handle = serve(provenance_engine(), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
 
-    for version in ["99", "4", "3"] {
+    for version in ["99", "5", "4", "3"] {
         write_raw_frame(&mut stream, format!("hello {version}").as_bytes());
         let body = String::from_utf8(read_raw_frame(&mut stream)).unwrap();
         assert!(body.starts_with('-'));
         assert!(body.contains(&format!("version {version};")), "names the rejected one: {body}");
-        assert!(body.contains("speaks version 5"), "names the supported version: {body}");
+        assert!(body.contains("speaks version 6"), "names the supported version: {body}");
     }
 
     // Retrying with the right version on the same connection works.
-    write_raw_frame(&mut stream, b"hello 5");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
+    write_raw_frame(&mut stream, b"hello 6");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 6");
     handle.shutdown();
 }
 
@@ -203,7 +205,7 @@ fn mid_stream_errors_invalidate_partial_results() {
             let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
             stream.read_exact(&mut request).unwrap();
             if request.starts_with(b"hello") {
-                write_raw_frame(&mut stream, b"+hello 5");
+                write_raw_frame(&mut stream, b"+hello 6");
             } else if request.starts_with(b"query") {
                 write_raw_frame(&mut stream, &codec::encode_schema(&schema));
                 write_raw_frame(
@@ -244,11 +246,89 @@ fn mid_stream_errors_invalidate_partial_results() {
     server.join().unwrap();
 }
 
+/// A result's dictionary memory lives from its `S` to its `D` or `-`, and the client decodes no
+/// result frame outside one: an `R` before any `S` and a `D` after its result's `D` are
+/// `InvalidData`, and so is a frame indexing a
+/// remembered dictionary (encoding 4) at the start of a second result, although the same frame
+/// decodes as the second frame of the first. A scripted server stands in to send them.
+#[test]
+fn result_frames_decode_only_inside_their_result() {
+    use perm_algebra::{Array, DataChunk, DataType, Schema, Value};
+    use perm_service::codec;
+
+    // Two rows indexing rows 1 and 0 of the column's remembered dictionary.
+    let mut remembered = vec![b'R'];
+    remembered.extend_from_slice(&2u32.to_be_bytes());
+    remembered.extend_from_slice(&1u16.to_be_bytes());
+    remembered.push(4);
+    for u32 in [2u32, 1, 0] {
+        remembered.extend_from_slice(&u32.to_be_bytes()); // count, then the indices
+    }
+    // A first frame that sends a two-row dictionary: "a" and "b", each used twice.
+    let dict = Arc::new(Array::from_values([Value::text("a"), Value::text("b")]).unwrap());
+    let first = codec::encode_chunk(&DataChunk::new(vec![Arc::new(Array::Dict {
+        indices: vec![0, 1, 1, 0].into(),
+        dict,
+    })]));
+    let schema = codec::encode_schema(&Schema::from_pairs(&[("x", DataType::Text)]));
+    let done = codec::encode_done(6);
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let (first, remembered) = (first.clone(), remembered.clone());
+        thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            loop {
+                let mut len = [0u8; 4];
+                if stream.read_exact(&mut len).is_err() {
+                    return; // client hung up
+                }
+                let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
+                stream.read_exact(&mut request).unwrap();
+                let frames: Vec<&[u8]> = match &request[..] {
+                    b"hello 6" => vec![b"+hello 6"],
+                    b"query stray" => vec![&first],
+                    b"query first" => vec![&schema, &first, &remembered, &done],
+                    b"query late" => vec![&done],
+                    b"query second" => vec![&schema, &remembered],
+                    _ => vec![b"+pong"],
+                };
+                for frame in frames {
+                    write_raw_frame(&mut stream, frame);
+                }
+            }
+        })
+    };
+    let mut client = Client::connect(addr).unwrap();
+
+    client.send("query stray").unwrap();
+    let stray = client.read_response().unwrap_err();
+    assert_eq!(stray.kind(), std::io::ErrorKind::InvalidData, "{stray}");
+    assert!(stray.to_string().contains("outside a result"), "{stray}");
+
+    let body = client.roundtrip("query first").unwrap().unwrap();
+    assert_eq!(body, "x\na\nb\nb\na\nb\na", "the second frame indexes the first's dictionary");
+    client.send("query late").unwrap();
+    let late = client.read_response().unwrap_err();
+    assert_eq!(late.kind(), std::io::ErrorKind::InvalidData, "{late}");
+
+    client.send("query second").unwrap();
+    assert!(matches!(client.read_response().unwrap(), ResponseFrame::Schema(_)));
+    let stale = client.read_response().unwrap_err();
+    assert_eq!(stale.kind(), std::io::ErrorKind::InvalidData, "{stale}");
+    assert!(stale.to_string().contains("remembers no dictionary"), "{stale}");
+
+    assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong");
+    drop(client);
+    server.join().unwrap();
+}
+
 /// Open a raw, negotiated connection.
 fn raw_connection(handle: &perm_service::ServerHandle) -> TcpStream {
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    write_raw_frame(&mut stream, b"hello 5");
-    assert_eq!(read_raw_frame(&mut stream), b"+hello 5");
+    write_raw_frame(&mut stream, b"hello 6");
+    assert_eq!(read_raw_frame(&mut stream), b"+hello 6");
     stream
 }
 

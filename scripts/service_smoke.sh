@@ -197,6 +197,16 @@ echo "$IDLE" | grep -q '^perm_queries_total{outcome="ok"} [1-9]' \
     || { echo "FAIL: idle scrape shows no completed queries"; exit 1; }
 echo "$IDLE" | grep -q '^perm_rows_streamed_total 10[0-9]\{5\}' \
     || { echo "FAIL: idle scrape rows_streamed_total missing the 1M-row stream"; exit 1; }
+# The 1M-row stream's 1000 build rows cross the wire in its first frame; every later frame
+# indexes the dictionary that frame sent instead of resending it (145 MB on the wire when each
+# frame carried its own dictionary).
+BYTES_STREAMED="$(echo "$IDLE" | tr -d '\r' | awk '/^perm_bytes_streamed_total / {print $2}')"
+BYTES_STREAMED_CAP=16000000
+awk -v bytes="${BYTES_STREAMED:-x}" -v cap="$BYTES_STREAMED_CAP" \
+    'BEGIN { exit !(bytes ~ /^[0-9.e+]+$/ && bytes + 0 <= cap) }' \
+    || { echo "FAIL: perm_bytes_streamed_total ${BYTES_STREAMED:-missing} over $BYTES_STREAMED_CAP"
+         exit 1; }
+echo "streamed bytes ${BYTES_STREAMED} B (cap ${BYTES_STREAMED_CAP} B)"
 # Resident table data is exported per table, next to the row counts (compare with VmHWM below).
 for TABLE in big_probe big_build; do
     echo "$IDLE" | grep -q "^perm_table_rows{table=\"$TABLE\"} [1-9][0-9]*\r*$" \

@@ -2,15 +2,16 @@
 //!
 //! Perm's representation repeats every contributing base tuple inside the result row, so a
 //! provenance result is mostly repetition: TPC-H Q11+ turns 156 rows into 24 960 × 34 columns,
-//! Q15+ one row into 13 340 × 44. The engine carries that result as views — a join batch is two
-//! index buffers over its sources, and the operators above keep views while the dictionary is
-//! shared — and the stream lets go of every chunk it has handed out. Their `ORDER BY`s order
-//! q's rows, not the expanded result: Q11+ sorts its 156 aggregate rows below the join-back,
-//! and Q15+'s rows, tied on the sort key, pass its sort as they are. This test drains both
-//! results, and a stack of outer joins whose build side is such views, in process under a
-//! counting allocator and bounds what the engine held at once. Both results then go through the
-//! wire codec: each shared index buffer is written once per frame and decodes shared, which
-//! bounds the bytes on the wire and what a client holds.
+//! Q15+ one row into 13 340 × 44. The engine carries that result as views — a join batch is one
+//! index buffer per source buffer its sides carry, and the operators above keep views while the
+//! dictionary is shared — and the stream lets go of every chunk it has handed out. Their
+//! `ORDER BY`s order q's rows, not the expanded result: Q11+ sorts its 156 aggregate rows below
+//! the join-back, and Q15+'s rows, tied on the sort key, pass its sort as they are. This test
+//! drains both results, and a stack of outer joins whose build side is such views, in process
+//! under a counting allocator and bounds what the engine held at once. Both results then go
+//! through the wire codec's result encoder and decoder: each shared index buffer is written once
+//! per frame and decodes shared, and each dictionary row once per result, which bounds the bytes
+//! on the wire and what a client holds.
 //!
 //! One `#[test]` on purpose: the allocator counts the whole process, and cargo runs the tests of
 //! one file on parallel threads.
@@ -19,7 +20,7 @@ use std::sync::Arc;
 
 use perm::algebra::DataChunk;
 use perm::prelude::*;
-use perm::service::codec::{decode_chunk, encode_chunk};
+use perm::service::codec::{ResultDecoder, ResultEncoder};
 use perm::tpch::queries::{add_provenance_keyword, tpch_query, variant_rng};
 
 mod common;
@@ -41,11 +42,12 @@ fn drain(session: &Session, sql: &str) -> usize {
 /// The bytes of `sql`'s `R` frames, and what its decoded chunks hold together.
 fn over_the_wire(session: &Session, sql: &str) -> (usize, usize) {
     let mut stream = session.execute_streaming(sql).unwrap();
+    let (mut encoder, mut decoder) = (ResultEncoder::default(), ResultDecoder::default());
     let (mut wire_bytes, mut decoded) = (0, Vec::new());
     while let Some(chunk) = stream.next_chunk() {
-        let frame = encode_chunk(&chunk.unwrap());
+        let frame = encoder.encode_chunk(&chunk.unwrap());
         wire_bytes += frame.len();
-        decoded.push(decode_chunk(&frame[1..]).unwrap());
+        decoded.push(decoder.decode_chunk(&frame[1..]).unwrap());
     }
     (wire_bytes, DataChunk::byte_size_of(&decoded))
 }
@@ -81,9 +83,11 @@ fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
     const STACKED_CAP_BYTES: usize = 600 << 10;
     let catalog = generate_catalog(TpchScale::small(), 42);
     catalog.analyze();
-    /// Caps on the encoded frames and on the decoded chunks a client holds, at 1 and 4 workers:
-    /// 1.77 / 1.03 MB on the wire and 1.77 MB held (Q11+) when every view wrote its own indices.
-    const WIRE_CAPS: [(usize, Option<usize>); 2] = [(850_000, Some(900_000)), (250_000, None)];
+    /// Caps on the encoded frames and on the decoded chunks a client holds, at 1 and 4 workers.
+    /// Measured: 275 104 B on the wire and 278 954 B held (Q11+), 146 405 B and 171 563 B (Q15+).
+    /// When every frame resent its dictionaries: 768 088 / 772 346 B and 227 567 / 252 509 B;
+    /// when every view also wrote its own indices: 1.77 / 1.77 MB (Q11+) and 1.03 MB on the wire.
+    const WIRE_CAPS: [(usize, usize); 2] = [(400_000, 400_000), (190_000, 200_000)];
     let mut texts: Vec<(String, usize, usize, String)> = CAPS
         .into_iter()
         .map(|(id, rows, cap)| {
@@ -129,12 +133,13 @@ fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
                 assert!(
                     wire_bytes <= wire_cap,
                     "{text} at {workers} workers: {wire_bytes} B on the wire (cap {wire_cap} B): \
-                     a shared index buffer went out more than once per frame"
+                     a shared index buffer went out more than once per frame, or a dictionary \
+                     row more than once per result"
                 );
                 assert!(
-                    held <= held_cap.unwrap_or(usize::MAX),
-                    "{text} at {workers} workers: the client holds {held} B (cap {held_cap:?}): \
-                     decoded views do not share their index buffers"
+                    held <= held_cap,
+                    "{text} at {workers} workers: the client holds {held} B (cap {held_cap} B): \
+                     decoded views do not share their index buffers or remembered dictionaries"
                 );
             }
             // Identical rows in identical order at every degree.

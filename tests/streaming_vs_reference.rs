@@ -401,7 +401,8 @@ fn chunk_boundary_row_counts_agree_at_every_degree() {
     }
 }
 
-/// Join output is views — two index buffers per batch over the probe and build columns — and
+/// Join output is views — index buffers over the probe and build columns, one per source buffer
+/// a side carries — and
 /// everything above a join re-addresses those views instead of copying rows. The cases here are
 /// the ones where that could go wrong: outer-join pads (which address a NULL slot behind the
 /// build rows) in hash and nested-loop joins, alone and underneath a second outer join whose
