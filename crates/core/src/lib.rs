@@ -42,6 +42,6 @@ pub mod rewrite;
 
 pub use db::PermDb;
 pub use error::PermError;
-pub use naming::{is_provenance_attribute_name, ProvenanceNaming};
+pub use naming::ProvenanceNaming;
 pub use perm_service::SessionOptions;
 pub use rewrite::ProvenanceRewriter;

@@ -70,11 +70,6 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Does `name` follow the provenance attribute naming scheme?
-pub fn is_provenance_attribute_name(name: &str) -> bool {
-    name.to_ascii_lowercase().starts_with("prov_")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,8 +100,6 @@ mod tests {
             ["prov_sales_sname", "prov_sales_itemid"]
         );
         assert_eq!(ProvenanceNaming::attribute_name("prov_sales", "sName"), "prov_sales_sname");
-        assert!(is_provenance_attribute_name("prov_sales_sname"));
-        assert!(!is_provenance_attribute_name("sname"));
     }
 
     #[test]

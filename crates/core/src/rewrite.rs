@@ -10,7 +10,7 @@
 //!
 //! | rule | operator | strategy |
 //! |------|----------|----------|
-//! | R1 | base relation | duplicate all attributes under `prov_<rel>_<attr>` names |
+//! | R1 | base relation | the relation itself: each attribute is also a provenance attribute `prov_<rel>_<attr>` |
 //! | R2 | projection | append the input's provenance attributes to the projection list |
 //! | R3 | selection | apply the unmodified selection to the rewritten input |
 //! | R4 | cross product / joins | join the rewritten inputs (`(T1 ⋈ T2)+ = T1+ ⋈ T2+`) |
@@ -18,9 +18,11 @@
 //! | R6/R7 | union / intersection | join the original set operation with both rewritten inputs on the original attributes |
 //! | R8/R9 | set difference | left input joined on equality; all (differing) right tuples attached |
 //!
-//! Invariant maintained by every rule: the rewritten plan's schema starts with the original
-//! schema (same attributes, same positions) so that expressions of enclosing operators remain
-//! valid without rebinding, followed by the provenance attributes (the *P-list*).
+//! Each rule records where its node's original attributes and its provenance attributes (the
+//! *P-list*) sit in the rewritten plan, and an enclosing rule reads its input's columns through
+//! those positions. No rule projects only to put them in order, so a rewritten join stack is
+//! one region of joins the optimizer's join reordering can order. [`ProvenanceRewriter::rewrite`]
+//! projects once, at the top, onto the original attributes followed by the P-list.
 //!
 //! Uncorrelated sublinks in selection predicates are handled as described in §IV-E: the
 //! rewritten sublink query is pulled into the range table via a join whose condition accepts a
@@ -32,7 +34,7 @@ use std::sync::Arc;
 
 use perm_algebra::{
     BinaryOperator, JoinKind, LogicalPlan, Name, ProvenanceAnnotationKind, ScalarExpr, Schema,
-    SetOpKind, SetSemantics, SublinkKind, UnaryOperator, Value,
+    SetOpKind, SetSemantics, SortKey, SublinkKind, UnaryOperator, Value,
 };
 
 use crate::error::PermError;
@@ -43,16 +45,16 @@ use crate::naming::ProvenanceNaming;
 pub struct ProvenanceRewriter;
 
 /// The result of rewriting one plan node.
+///
+/// Names travel up with the rewrite, so a rule reads them here instead of deriving a schema,
+/// which would walk the whole subtree below it.
 #[derive(Debug, Clone)]
 struct Rewritten {
-    /// The rewritten plan. Its schema starts with the node's original attributes.
+    /// The rewritten plan.
     plan: Arc<LogicalPlan>,
-    /// Names of the original (pre-rewrite) node's attributes, which `plan`'s schema starts with.
-    names: Vec<Name>,
-    /// The P-list: position within `plan`'s schema and name of each provenance attribute.
-    ///
-    /// Names travel up with the rewrite, so a rule reads them here instead of deriving a schema,
-    /// which would walk the whole subtree below it.
+    /// Position within `plan`'s output and name of each of the original node's attributes.
+    orig: Vec<(usize, Name)>,
+    /// The P-list: position within `plan`'s output and name of each provenance attribute.
     prov: Vec<(usize, Name)>,
 }
 
@@ -61,9 +63,10 @@ impl Rewritten {
         self.plan.output_arity()
     }
 
-    /// Arity of the original (pre-rewrite) node.
-    fn original_arity(&self) -> usize {
-        self.names.len()
+    /// `e`, an expression over the original node's columns, reading the same attributes of
+    /// `plan`.
+    fn remap(&self, e: &ScalarExpr) -> ScalarExpr {
+        e.map_columns(&mut |i| self.orig[i].0)
     }
 
     /// `(expression, name)` pairs referencing this node's provenance attributes, for use in an
@@ -83,22 +86,31 @@ fn passthrough(i: usize, name: &Name) -> (ScalarExpr, Name) {
     (ScalarExpr::column(i, name.clone()), name.clone())
 }
 
+/// `names` as columns that sit one after another from position `start`.
+fn numbered(start: usize, names: impl IntoIterator<Item = Name>) -> Vec<(usize, Name)> {
+    names.into_iter().enumerate().map(|(k, name)| (start + k, name)).collect()
+}
+
+/// `columns` moved right by `offset`: where they sit once `offset` columns are joined in front.
+fn shifted(columns: Vec<(usize, Name)>, offset: usize) -> impl Iterator<Item = (usize, Name)> {
+    columns.into_iter().map(move |(p, name)| (offset + p, name))
+}
+
 /// `Π_{T→T̂, P(T+)}(T+)` of the rule R6–R9 join-backs: `side`'s original attributes renamed
 /// `<prefix>_<i>_<name>`, then its P-list. Returns the projection and the hatted names.
 fn hatted(side: &Rewritten, prefix: &str) -> (LogicalPlan, Vec<Name>) {
     let hats: Vec<Name> = side
-        .names
+        .orig
         .iter()
         .enumerate()
-        .map(|(i, name)| format!("{prefix}_{i}_{name}").into())
+        .map(|(i, (_, name))| format!("{prefix}_{i}_{name}").into())
         .collect();
     let mut exprs = Vec::with_capacity(hats.len() + side.prov.len());
     exprs.extend(
-        side.names
+        side.orig
             .iter()
             .zip(&hats)
-            .enumerate()
-            .map(|(i, (name, hat))| (ScalarExpr::column(i, name.clone()), hat.clone())),
+            .map(|((p, name), hat)| (ScalarExpr::column(*p, name.clone()), hat.clone())),
     );
     exprs.extend(side.prov_exprs());
     (LogicalPlan::Projection { input: side.plan.clone(), exprs, distinct: false }, hats)
@@ -138,11 +150,27 @@ impl ProvenanceRewriter {
     /// partition the result via [`perm_algebra::Schema::provenance_indices`].
     pub fn rewrite(&self, plan: &LogicalPlan) -> Result<LogicalPlan, PermError> {
         let mut naming = ProvenanceNaming::new();
-        let rewritten = self.rewrite_node(&Arc::new(plan.clone()), &mut naming)?;
-        let prov_names = rewritten.prov_names().collect();
+        let Rewritten { plan, orig, prov } =
+            self.rewrite_node(&Arc::new(plan.clone()), &mut naming)?;
+        // The original attributes, then the P-list; a provenance attribute that is also an
+        // original one (a `PROVENANCE (attrs)` input's) is not repeated. One projection puts
+        // them there unless the rules already left them in that order, under those names.
+        let columns: Vec<&(usize, Name)> =
+            orig.iter().chain(prov.iter().filter(|c| !orig.contains(c))).collect();
+        let in_place = columns.len() == plan.output_arity()
+            && columns.iter().enumerate().all(|(i, (p, _))| *p == i)
+            && names_of(&plan.schema()).iter().zip(&columns).all(|(a, (_, name))| a == name);
+        let input = if in_place {
+            plan
+        } else {
+            let exprs = columns.iter().map(|(p, name)| passthrough(*p, name)).collect();
+            Arc::new(LogicalPlan::Projection { input: plan, exprs, distinct: false })
+        };
         let plan = LogicalPlan::ProvenanceAnnotation {
-            input: rewritten.plan,
-            kind: ProvenanceAnnotationKind::AlreadyRewritten(prov_names),
+            input,
+            kind: ProvenanceAnnotationKind::AlreadyRewritten(
+                prov.into_iter().map(|(_, name)| name).collect(),
+            ),
         };
         // Plan-boundary type verification (debug builds): a rewrite rule that mis-types a plan
         // must fail here, at its source, not as a runtime wire error.
@@ -153,18 +181,6 @@ impl ProvenanceRewriter {
             }
         }
         Ok(plan)
-    }
-
-    /// The names of the provenance attributes the rewrite of `plan` produces (used for
-    /// reporting).
-    pub fn provenance_attribute_names(&self, plan: &LogicalPlan) -> Result<Vec<String>, PermError> {
-        let rewritten = self.rewrite(plan)?;
-        let schema = rewritten.schema();
-        Ok(schema
-            .provenance_indices()
-            .into_iter()
-            .map(|i| schema.attributes()[i].name.to_string())
-            .collect())
     }
 
     fn rewrite_node(
@@ -197,22 +213,29 @@ impl ProvenanceRewriter {
                         prov.push((pos, schema.attributes()[pos].name.clone()));
                     }
                     naming.reserve(prov.iter().map(|(_, name)| name.clone()));
-                    Ok(Rewritten { plan: input.clone(), names: names_of(&schema), prov })
+                    Ok(Rewritten {
+                        plan: input.clone(),
+                        orig: numbered(0, names_of(&schema)),
+                        prov,
+                    })
                 }
             },
             LogicalPlan::Projection { input, exprs, distinct } => {
                 // R2: append the input's provenance attributes to the projection list.
                 let child = self.rewrite_node(input, naming)?;
                 let mut new_exprs = Vec::with_capacity(exprs.len() + child.prov.len());
-                new_exprs.extend(exprs.iter().cloned());
+                new_exprs.extend(exprs.iter().map(|(e, name)| (child.remap(e), name.clone())));
                 new_exprs.extend(child.prov_exprs());
                 let plan = LogicalPlan::Projection {
                     input: child.plan.clone(),
                     exprs: new_exprs,
                     distinct: *distinct,
                 };
-                let names = exprs.iter().map(|(_, name)| name.clone()).collect();
-                Ok(suffix_rewritten(plan, names, child.prov_names()))
+                Ok(Rewritten {
+                    plan: Arc::new(plan),
+                    orig: numbered(0, exprs.iter().map(|(_, name)| name.clone())),
+                    prov: numbered(exprs.len(), child.prov_names()),
+                })
             }
             LogicalPlan::Selection { input, predicate } => {
                 let child = self.rewrite_node(input, naming)?;
@@ -220,47 +243,23 @@ impl ProvenanceRewriter {
                     self.rewrite_selection_with_sublinks(child, predicate, naming)
                 } else {
                     // R3: the unmodified selection applies to the rewritten input.
-                    Ok(Rewritten {
-                        plan: Arc::new(LogicalPlan::Selection {
-                            input: child.plan,
-                            predicate: predicate.clone(),
-                        }),
-                        names: child.names,
-                        prov: child.prov,
-                    })
+                    let predicate = child.remap(predicate);
+                    let plan = LogicalPlan::Selection { input: child.plan, predicate };
+                    Ok(Rewritten { plan: Arc::new(plan), ..child })
                 }
             }
             LogicalPlan::Join { left, right, kind, condition } => {
                 // R4 (and its join-type generalisations): (T1 ⋈ T2)+ = T1+ ⋈ T2+.
                 let l = self.rewrite_node(left, naming)?;
                 let r = self.rewrite_node(right, naming)?;
-                let l_orig = l.original_arity();
-                let r_orig = r.original_arity();
                 let l_arity = l.arity();
-                // The original join condition refers to (T1 ++ T2); in (T1+ ++ T2+) the right
-                // side's original attributes moved right by the width of T1's P-list.
-                let remapped = condition.as_ref().map(|c| {
-                    c.map_columns(&mut |i| if i < l_orig { i } else { i - l_orig + l_arity })
-                });
-                let join = LogicalPlan::Join {
-                    left: l.plan.clone(),
-                    right: r.plan.clone(),
-                    kind: *kind,
-                    condition: remapped,
-                };
-                // Restore the prefix invariant: original attributes of both inputs first, then
-                // both P-lists.
-                let mut exprs = Vec::with_capacity(l_orig + r_orig + l.prov.len() + r.prov.len());
-                exprs.extend(l.names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
-                exprs.extend(
-                    r.names.iter().enumerate().map(|(i, name)| passthrough(l_arity + i, name)),
-                );
-                exprs.extend(l.prov_exprs());
-                exprs.extend(r.prov.iter().map(|(p, name)| passthrough(l_arity + p, name)));
+                let orig: Vec<(usize, Name)> =
+                    l.orig.into_iter().chain(shifted(r.orig, l_arity)).collect();
+                let prov = l.prov.into_iter().chain(shifted(r.prov, l_arity)).collect();
+                let condition = condition.as_ref().map(|c| c.map_columns(&mut |i| orig[i].0));
                 let plan =
-                    LogicalPlan::Projection { input: Arc::new(join), exprs, distinct: false };
-                let names = l.names.iter().chain(&r.names).cloned().collect();
-                Ok(suffix_rewritten(plan, names, l.prov_names().chain(r.prov_names())))
+                    LogicalPlan::Join { left: l.plan, right: r.plan, kind: *kind, condition };
+                Ok(Rewritten { plan: Arc::new(plan), orig, prov })
             }
             LogicalPlan::Aggregation { input, group_by, aggregates } => {
                 // R5: join the original aggregation with the rewritten input on the grouping
@@ -282,7 +281,7 @@ impl ProvenanceRewriter {
                     .collect();
                 let mut right_exprs = Vec::with_capacity(group_by.len() + child.prov.len());
                 right_exprs.extend(
-                    group_by.iter().zip(&hats).map(|((g, _), hat)| (g.clone(), hat.clone())),
+                    group_by.iter().zip(&hats).map(|((g, _), hat)| (child.remap(g), hat.clone())),
                 );
                 right_exprs.extend(child.prov_exprs());
                 let right = LogicalPlan::Projection {
@@ -305,64 +304,43 @@ impl ProvenanceRewriter {
                     kind: join_kind,
                     condition,
                 };
-
-                // Top projection: original aggregation output followed by the P-list.
-                let right_offset = agg_arity + group_by.len();
-                let mut exprs = Vec::with_capacity(agg_arity + child.prov.len());
-                exprs.extend(names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
-                exprs.extend(
-                    child
-                        .prov
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (_, name))| passthrough(right_offset + k, name)),
-                );
-                let plan =
-                    LogicalPlan::Projection { input: Arc::new(join), exprs, distinct: false };
-                Ok(suffix_rewritten(plan, names, child.prov_names()))
+                // The aggregation's output, then Ĝ, then the P-list.
+                Ok(Rewritten {
+                    plan: Arc::new(join),
+                    prov: numbered(agg_arity + group_by.len(), child.prov_names()),
+                    orig: numbered(0, names),
+                })
             }
             LogicalPlan::SetOp { left, right, kind, .. } => {
                 self.rewrite_set_operation(plan, left, right, *kind, naming)
             }
             LogicalPlan::Sort { input, keys } => {
                 let child = self.rewrite_node(input, naming)?;
-                Ok(Rewritten {
-                    plan: Arc::new(LogicalPlan::Sort { input: child.plan, keys: keys.clone() }),
-                    names: child.names,
-                    prov: child.prov,
-                })
+                let keys = keys
+                    .iter()
+                    .map(|k| SortKey { expr: child.remap(&k.expr), order: k.order })
+                    .collect();
+                let plan = LogicalPlan::Sort { input: child.plan, keys };
+                Ok(Rewritten { plan: Arc::new(plan), ..child })
             }
             LogicalPlan::Limit { input, limit, offset } => {
                 // LIMIT is not part of the paper's algebra; we pass it through, which bounds the
                 // number of provenance rows rather than the number of original rows. Queries that
                 // need exact LIMIT semantics should place the LIMIT outside the PROVENANCE block.
                 let child = self.rewrite_node(input, naming)?;
-                Ok(Rewritten {
-                    plan: Arc::new(LogicalPlan::Limit {
-                        input: child.plan,
-                        limit: *limit,
-                        offset: *offset,
-                    }),
-                    names: child.names,
-                    prov: child.prov,
-                })
+                let plan = LogicalPlan::Limit { input: child.plan, limit: *limit, offset: *offset };
+                Ok(Rewritten { plan: Arc::new(plan), ..child })
             }
             LogicalPlan::SubqueryAlias { input, alias } => {
                 let child = self.rewrite_node(input, naming)?;
-                Ok(Rewritten {
-                    plan: Arc::new(LogicalPlan::SubqueryAlias {
-                        input: child.plan,
-                        alias: alias.clone(),
-                    }),
-                    names: child.names,
-                    prov: child.prov,
-                })
+                let plan = LogicalPlan::SubqueryAlias { input: child.plan, alias: alias.clone() };
+                Ok(Rewritten { plan: Arc::new(plan), ..child })
             }
         }
     }
 
     /// Rule R1 (also used for the `BASERELATION` annotation and literal `VALUES` relations):
-    /// duplicate every attribute of `plan` under a provenance attribute name.
+    /// `plan` itself, each of whose attributes is also a provenance attribute.
     fn rewrite_as_base_relation(
         &self,
         plan: &Arc<LogicalPlan>,
@@ -370,18 +348,8 @@ impl ProvenanceRewriter {
         naming: &mut ProvenanceNaming,
     ) -> Rewritten {
         let names = names_of(&plan.schema());
-        let prov_names = naming.next_names(relation_name, &names);
-        let mut exprs = Vec::with_capacity(names.len() * 2);
-        exprs.extend(names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
-        exprs.extend(
-            names
-                .iter()
-                .zip(&prov_names)
-                .enumerate()
-                .map(|(i, (name, prov))| (ScalarExpr::column(i, name.clone()), prov.clone())),
-        );
-        let rewritten = LogicalPlan::Projection { input: plan.clone(), exprs, distinct: false };
-        suffix_rewritten(rewritten, names, prov_names)
+        let prov = numbered(0, naming.next_names(relation_name, &names));
+        Rewritten { plan: plan.clone(), orig: numbered(0, names), prov }
     }
 
     /// Rules R6–R9: set operations.
@@ -396,12 +364,11 @@ impl ProvenanceRewriter {
         let l = self.rewrite_node(left, naming)?;
         let r = self.rewrite_node(right, naming)?;
         // A set operation's attributes are its left input's; the right input names its own.
-        let names = &l.names;
+        let names: Vec<Name> = l.orig.iter().map(|(_, name)| name.clone()).collect();
         let n = names.len();
 
         // Left provenance side: Π_{T1→T̂1, P(T1+)}(T1+), joined on the original attributes.
         let (left_side, lhats) = hatted(&l, "lhat");
-        let p1 = l.prov.len();
 
         // The join kind on the left side: union tuples may stem from only one input (left outer
         // join); intersection tuples exist in both (inner join); difference tuples always stem
@@ -414,12 +381,13 @@ impl ProvenanceRewriter {
             left: original.clone(),
             right: Arc::new(left_side),
             kind: left_join_kind,
-            condition: Some(null_safe_equal(names, n, &lhats)),
+            condition: Some(null_safe_equal(&names, n, &lhats)),
         };
-        let join1_arity = n + n + p1;
+        let join1_arity = n + n + l.prov.len();
 
-        // Right provenance side.
-        let (right_side, right_condition, right_join_kind) = match kind {
+        // Right provenance side. Its P-list follows the n hatted columns (union, intersection)
+        // or sits where T2+ put it (difference).
+        let (right_side, right_condition, right_join_kind, right_prov) = match kind {
             SetOpKind::Union | SetOpKind::Intersect => {
                 let (side, rhats) = hatted(&r, "rhat");
                 let join_kind = if kind == SetOpKind::Intersect {
@@ -427,7 +395,8 @@ impl ProvenanceRewriter {
                 } else {
                     JoinKind::LeftOuter
                 };
-                (Arc::new(side), null_safe_equal(names, join1_arity, &rhats), join_kind)
+                let prov = numbered(join1_arity + n, r.prov_names());
+                (Arc::new(side), null_safe_equal(&names, join1_arity, &rhats), join_kind, prov)
             }
             SetOpKind::Difference => {
                 // R8 (set semantics) / R9 (bag semantics): the provenance of a difference result
@@ -443,20 +412,21 @@ impl ProvenanceRewriter {
                         // "differs in at least one attribute"
                         names
                             .iter()
-                            .zip(&r.names)
+                            .zip(&r.orig)
                             .enumerate()
-                            .map(|(i, (name, right_name))| {
+                            .map(|(i, (name, (p, right_name)))| {
                                 ScalarExpr::binary(
                                     BinaryOperator::IsDistinctFrom,
                                     ScalarExpr::column(i, name.clone()),
-                                    ScalarExpr::column(join1_arity + i, right_name.clone()),
+                                    ScalarExpr::column(join1_arity + p, right_name.clone()),
                                 )
                             })
                             .reduce(|a, b| a.or(b))
                             .unwrap_or(ScalarExpr::Literal(Value::Bool(true)))
                     }
                 };
-                (r.plan.clone(), condition, JoinKind::LeftOuter)
+                let prov = shifted(r.prov, join1_arity).collect();
+                (r.plan, condition, JoinKind::LeftOuter, prov)
             }
         };
         let join2 = LogicalPlan::Join {
@@ -465,26 +435,10 @@ impl ProvenanceRewriter {
             kind: right_join_kind,
             condition: Some(right_condition),
         };
-
-        // Top projection: the original result attributes, then P(T1+), then P(T2+). On the
-        // right, P(T2+) follows the n hatted columns (union, intersection) or sits where T2+
-        // put it (difference).
-        let mut exprs = Vec::with_capacity(n + p1 + r.prov.len());
-        exprs.extend(names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
-        exprs.extend(l.prov.iter().enumerate().map(|(k, (_, name))| passthrough(n + n + k, name)));
-        match kind {
-            SetOpKind::Union | SetOpKind::Intersect => exprs.extend(
-                r.prov
-                    .iter()
-                    .enumerate()
-                    .map(|(k, (_, name))| passthrough(join1_arity + n + k, name)),
-            ),
-            SetOpKind::Difference => {
-                exprs.extend(r.prov.iter().map(|(p, name)| passthrough(join1_arity + p, name)))
-            }
-        }
-        let plan = LogicalPlan::Projection { input: Arc::new(join2), exprs, distinct: false };
-        Ok(suffix_rewritten(plan, names.clone(), l.prov_names().chain(r.prov_names())))
+        // The original result attributes, then P(T1+) after the n hatted columns, then P(T2+).
+        let mut prov = numbered(n + n, l.prov_names());
+        prov.extend(right_prov);
+        Ok(Rewritten { plan: Arc::new(join2), orig: numbered(0, names), prov })
     }
 
     /// §IV-E: rewrite a selection whose predicate contains uncorrelated sublinks.
@@ -500,11 +454,13 @@ impl ProvenanceRewriter {
         predicate: &ScalarExpr,
         naming: &mut ProvenanceNaming,
     ) -> Result<Rewritten, PermError> {
+        // The predicate over the rewritten input's columns (sublink plans are left as they are).
+        let predicate = child.remap(predicate);
         let sublinks: Vec<ScalarExpr> = predicate.sublinks().into_iter().cloned().collect();
 
         let mut current: Arc<LogicalPlan> = child.plan.clone();
         let mut current_arity = child.arity();
-        let mut sublink_prov: Vec<(usize, Name)> = Vec::new();
+        let mut prov = child.prov;
 
         for sublink in &sublinks {
             let ScalarExpr::Sublink { kind, operand, negated, plan: sub_plan } = sublink else {
@@ -512,8 +468,9 @@ impl ProvenanceRewriter {
             };
             let sub = self.rewrite_node(sub_plan, naming)?;
             let offset = current_arity;
-            let first_col_name = sub.names.first().cloned().unwrap_or_else(|| Name::from("sub"));
-            let sub_first_col = ScalarExpr::column(offset, first_col_name);
+            let (first_col, first_col_name) =
+                sub.orig.first().cloned().unwrap_or_else(|| (0, Name::from("sub")));
+            let sub_first_col = ScalarExpr::column(offset + first_col, first_col_name);
 
             // The comparison that replaces the sublink when joined with one of its tuples.
             let cmp_join = match kind {
@@ -538,12 +495,12 @@ impl ProvenanceRewriter {
             // the sublink's tuples contribute). Other sublinks are left in place: they are
             // uncorrelated, so the executor resolves them to their actual values when it
             // evaluates the join condition.
-            let c_prime = replace_sublink(predicate, sublink, &cmp_join);
+            let c_prime = replace_sublink(&predicate, sublink, &cmp_join);
             let unsatisfied = match kind {
                 SublinkKind::Scalar => ScalarExpr::Literal(Value::Null),
                 _ => ScalarExpr::Literal(Value::Bool(false)),
             };
-            let c_dprime = replace_sublink(predicate, sublink, &unsatisfied);
+            let c_dprime = replace_sublink(&predicate, sublink, &unsatisfied);
             let join_condition = c_prime.or(c_dprime);
 
             current_arity += sub.arity();
@@ -553,38 +510,16 @@ impl ProvenanceRewriter {
                 kind: JoinKind::LeftOuter,
                 condition: Some(join_condition),
             });
-            sublink_prov.extend(sub.prov.into_iter().map(|(p, name)| (offset + p, name)));
+            prov.extend(shifted(sub.prov, offset));
         }
 
         // The final selection re-applies the *original* predicate (sublinks included — they are
         // uncorrelated and resolved once by the executor), so exactly the original result tuples
         // survive; the joins above only determine which provenance tuples are attached to them.
-        let selected = LogicalPlan::Selection { input: current, predicate: predicate.clone() };
-
-        // Restore the prefix invariant: original attributes, then the input's P-list, then the
-        // provenance attributes contributed by the sublinks.
-        let mut exprs =
-            Vec::with_capacity(child.names.len() + child.prov.len() + sublink_prov.len());
-        exprs.extend(child.names.iter().enumerate().map(|(i, name)| passthrough(i, name)));
-        exprs.extend(child.prov_exprs());
-        exprs.extend(sublink_prov.iter().map(|(p, name)| passthrough(*p, name)));
-        let prov_names = child.prov_names().chain(sublink_prov.into_iter().map(|(_, name)| name));
-        let plan = LogicalPlan::Projection { input: Arc::new(selected), exprs, distinct: false };
-        Ok(suffix_rewritten(plan, child.names.clone(), prov_names))
+        // The input's P-list is followed by the provenance attributes the sublinks contribute.
+        let plan = LogicalPlan::Selection { input: current, predicate };
+        Ok(Rewritten { plan: Arc::new(plan), orig: child.orig, prov })
     }
-}
-
-/// Wrap a rewritten plan whose schema is the original attributes `names` followed by the
-/// provenance attributes `prov_names`.
-fn suffix_rewritten(
-    plan: LogicalPlan,
-    names: Vec<Name>,
-    prov_names: impl IntoIterator<Item = Name>,
-) -> Rewritten {
-    let prov: Vec<(usize, Name)> =
-        prov_names.into_iter().enumerate().map(|(k, name)| (names.len() + k, name)).collect();
-    debug_assert_eq!(names.len() + prov.len(), plan.output_arity());
-    Rewritten { plan: Arc::new(plan), names, prov }
 }
 
 /// A human-readable relation label for R1-style rewrites of non-relation sub-plans.
@@ -981,6 +916,37 @@ mod tests {
         // Joba only qualifies through the IN condition: its provenance are the matching tuples.
         assert_eq!(joba.len(), 2);
         assert!(joba.iter().all(|t| t[3] == perm_algebra::Value::text("Joba")));
+    }
+
+    #[test]
+    fn provenance_attributes_of_a_bare_sublink_relation_are_named() {
+        // σ_{EXISTS sales}(Π_name(shop)): the rules leave every column where q⁺ wants it, but
+        // the sublink's provenance attributes under `sales`' own names, so the top projection
+        // must still name them.
+        let catalog = paper_catalog();
+        let shop = scan(&catalog, "shop", 0).project_columns(&["name"]).unwrap();
+        let exists = ScalarExpr::Sublink {
+            kind: SublinkKind::Exists,
+            operand: None,
+            negated: false,
+            plan: scan(&catalog, "sales", 1).build_arc(),
+        };
+        let plan = shop.filter(exists).build();
+        let rewritten = ProvenanceRewriter::new().rewrite(&plan).unwrap();
+        let schema = rewritten.schema();
+        assert_eq!(
+            schema.attribute_names(),
+            vec![
+                "name",
+                "prov_shop_name",
+                "prov_shop_numempl",
+                "prov_sales_sname",
+                "prov_sales_itemid"
+            ]
+        );
+        assert_eq!(schema.provenance_indices(), vec![1, 2, 3, 4]);
+        // Every sales tuple contributes to each shop.
+        assert_eq!(execute_plan(&catalog, &rewritten).unwrap().num_rows(), 10);
     }
 
     #[test]

@@ -93,6 +93,43 @@ fn rewriting_twice_reuses_the_first_rewrite() {
     assert!(once_result.bag_eq(&twice_result));
 }
 
+/// q⁺ holds the projections its rules need and no more: R1 is the relation itself and R4 the
+/// bare join, so the SPJ query keeps only its own projection (R2), and the aggregation adds
+/// only R5's Π_{G→Ĝ,P} — the paper's Figure 4 shape.
+#[test]
+fn rewritten_plans_project_only_where_a_rule_needs_it() {
+    fn projections(plan: &perm_algebra::LogicalPlan) -> usize {
+        let own = usize::from(matches!(plan, perm_algebra::LogicalPlan::Projection { .. }));
+        own + plan.children().iter().map(|c| projections(c)).sum::<usize>()
+    }
+    let db = db();
+    for (sql, expected) in [
+        (
+            "SELECT PROVENANCE name, price FROM shop, sales, items \
+             WHERE name = sName AND itemId = id",
+            1,
+        ),
+        (
+            "SELECT PROVENANCE name, sum(price) FROM shop, sales, items \
+             WHERE name = sName AND itemId = id GROUP BY name",
+            2,
+        ),
+    ] {
+        let plan = db.analyze_sql_plan(sql).unwrap();
+        assert_eq!(projections(&plan), expected, "{sql}:\n{plan}");
+        let unoptimized = PermDb::with_catalog(
+            db.catalog().clone(),
+            SessionOptions::default().without_optimizer(),
+        );
+        let rows = db.execute_sql(sql).unwrap();
+        assert!(rows.bag_eq(&unoptimized.execute_sql(sql).unwrap()), "{sql}");
+        assert_eq!(
+            rows.schema().provenance_indices(),
+            (rows.arity() - 6..rows.arity()).collect::<Vec<_>>()
+        );
+    }
+}
+
 #[test]
 fn multiple_sublinks_in_one_predicate() {
     let db = db();
@@ -214,9 +251,9 @@ fn column_pruning_narrows_r3_r4_rewritten_joins_without_changing_results() {
         ]
     );
 
-    // The optimized plan's join must carry only the surviving attributes: 1 original + 4
-    // provenance + the right side's join key — 6 columns, not the raw rewrite's 8 (which
-    // duplicates numEmpl and itemId once more through the R1 copies).
+    // The optimized plan's join must carry only the surviving attributes: R1 adds no copies,
+    // so `shop`'s and `sales`' own columns are both the original and the provenance
+    // attributes — 4 columns (name, numEmpl, sName, itemId), not the raw rewrite's 4 + 4.
     let plan = db.plan_sql(sql).unwrap();
     fn max_join_width(plan: &perm_algebra::LogicalPlan) -> usize {
         let own = match plan {
@@ -227,8 +264,8 @@ fn column_pruning_narrows_r3_r4_rewritten_joins_without_changing_results() {
     }
     assert_eq!(
         max_join_width(&plan),
-        6,
-        "pruned provenance join should carry exactly 6 columns:\n{plan}"
+        4,
+        "pruned provenance join should carry exactly 4 columns:\n{plan}"
     );
 }
 

@@ -15,13 +15,14 @@
 //! * **Constant folding** — constant sub-expressions are evaluated once; trivially-true
 //!   selections are removed.
 //! * **Projection merging** — adjacent projections collapse into one by substituting the inner
-//!   expressions into the outer ones. The provenance rewriter stacks projections (rule R2 over
-//!   the attribute-duplicating rule R1), which would otherwise materialize a doubly-wide
-//!   intermediate tuple per row and block the executor's scan fusion.
+//!   expressions into the outer ones: a view's or subquery's projection under the query's own,
+//!   and — in one more pass after column pruning — the permutation projections that join
+//!   reordering and build-side selection insert over those that pruning leaves.
 //! * **Projection pushdown (column pruning)** — operators carry only the attributes their
-//!   ancestors actually consume. Provenance rewriting (rules R3/R4 and especially R5–R9)
-//!   duplicates base-relation attributes through joins, so without pruning every intermediate
-//!   tuple of a rewritten query is as wide as the union of all referenced relations.
+//!   ancestors actually consume. A provenance rewrite carries every base-relation attribute
+//!   through the joins above it (and R5–R9 join the original result back to them), so without
+//!   pruning every intermediate tuple of a rewritten query is as wide as the union of all
+//!   referenced relations.
 //!
 //! Optimization itself sits on the compile path the paper measures in Figure 9, so the passes
 //! are written to be cheap: they report changes as `Option` (sharing unchanged sub-plans via
@@ -91,7 +92,7 @@ impl Optimizer {
 
     /// Optimize a plan with table statistics: the rule-based normalization fixpoint, then
     /// cost-based join reordering and build-side selection, then sorts moved below joins, then
-    /// column pruning.
+    /// column pruning and projection merging.
     pub fn optimize_with_stats(
         &self,
         plan: &LogicalPlan,
@@ -151,6 +152,10 @@ impl Optimizer {
         };
         let pruned = prune_columns(&current)?;
         verify_after_pass("prune_columns", &pruned)?;
+        // The permutation projections of the cost-based passes, and pruning's own, stack on
+        // projections the fixpoint already merged.
+        let pruned = merge_projections(&pruned)?.unwrap_or(pruned);
+        verify_after_pass("merge_projections", &pruned)?;
         // Sub-plans of uncorrelated sublinks run as independent queries; give each the full
         // treatment exactly once (the fixpoint loop above deliberately skips them so that it
         // does not re-optimize them every pass).
@@ -1427,8 +1432,8 @@ mod tests {
 
     #[test]
     fn pruning_emulates_r4_provenance_join_shape() {
-        // The shape rule R4 produces: join of two R1-rewritten scans (every base attribute
-        // duplicated as a provenance attribute), with the final projection keeping the original
+        // The shape rules R1, R4 and R2 produce: the bare join of two scans (every base
+        // attribute is also a provenance attribute), under a projection that keeps the original
         // output plus all prov_* attributes of one side only. The other side's payload columns
         // must be pruned out of the join.
         let (a, b) = wide_scans();

@@ -1,9 +1,10 @@
 //! Cost-based join reordering, build-side selection and sort placement.
 //!
-//! The provenance rewrite rules R3/R4 of the paper mechanically emit deep join stacks (every
-//! rewritten operator joins its input with the rewritten provenance side), so join order and
-//! build/probe roles are whatever the rewrite happened to produce. This module is the
-//! cost-based repair step: it runs *after* the rule-based normalization fixpoint (selections
+//! Joins arrive in the order the query text lists them, and the provenance rewrite keeps that
+//! order: R4 rewrites a join into the bare join of its rewritten inputs, so a rewritten join
+//! stack is one region like the plain query's, while R5–R9 add join-backs of their own. Join
+//! order and build/probe roles are therefore whatever the text happened to say. This module is
+//! the cost-based repair step: it runs *after* the rule-based normalization fixpoint (selections
 //! pushed down, cross products converted to inner joins) and *before* column pruning.
 //!
 //! Three passes, in this order:
