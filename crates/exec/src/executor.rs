@@ -4,8 +4,10 @@
 //!
 //! There is one engine. [`Executor::execute`] runs the morsel executor at degree 1 on the
 //! calling thread; [`Executor::execute_parallel`] runs the same code on a shared
-//! [`crate::WorkerPool`]. Every operator materializes its output as a chunk list, results and
-//! errors are identical at every degree, and [`ExecOptions`] bounds an execution by rows,
+//! [`crate::WorkerPool`]; [`Executor::open`] hands out the same execution as a
+//! [`crate::ResultCursor`] whose top region is pulled. A pipeline breaker materializes its
+//! output as a chunk list, results and errors are identical at every degree and however a
+//! result is pulled, and [`ExecOptions`] bounds an execution by rows,
 //! wall-clock time, cancellation and memory — see [`ExecOptions::row_budget`] for the budget
 //! rule and the [`crate::parallel`] module docs for the operators.
 
@@ -85,9 +87,10 @@ pub trait QueryMemory: Send + Sync + std::fmt::Debug {
 /// Resource limits applied to a single plan execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// No operator may materialize more than this many output rows. Each operator's output is
-    /// charged in morsel-index order — the rule `LIMIT` uses — so a plan under a budget ends in
-    /// the same `Ok` or [`ExecError::RowBudgetExceeded`] at every parallelism degree. A join
+    /// No operator may produce more than this many output rows. Each operator's output is
+    /// charged in morsel-index order — the rule `LIMIT` uses, and as it is pulled — so a plan
+    /// under a budget ends in the same `Ok` or [`ExecError::RowBudgetExceeded`] at every
+    /// parallelism degree; a pulled result may have handed out chunks before the error. A join
     /// stops probing as soon as it is over budget, and a `LIMIT` directly above a join or
     /// filter stops it once satisfied; everything below a materializing operator (sort,
     /// aggregation, set operation, DISTINCT, a join's inputs) is produced and charged in full.
@@ -191,9 +194,15 @@ impl ExecContext {
     /// Charge one operator's materialized output against the row budget.
     pub(crate) fn charge_rows(&self, output: &[DataChunk]) -> Result<(), ExecError> {
         match self.row_budget {
-            Some(budget) if output.iter().map(DataChunk::num_rows).sum::<usize>() > budget => {
-                Err(ExecError::RowBudgetExceeded { budget })
-            }
+            Some(_) => self.charge_count(output.iter().map(DataChunk::num_rows).sum()),
+            None => Ok(()),
+        }
+    }
+
+    /// Charge `rows` of one operator's output, pulled so far, against the row budget.
+    pub(crate) fn charge_count(&self, rows: usize) -> Result<(), ExecError> {
+        match self.row_budget {
+            Some(budget) if rows > budget => Err(ExecError::RowBudgetExceeded { budget }),
             _ => Ok(()),
         }
     }
@@ -249,6 +258,11 @@ impl ExecContext {
     pub(crate) fn profile_op(&self, plan: &LogicalPlan) -> Option<(ProfileHandle, usize)> {
         let sink = self.profile.as_ref()?;
         sink.op(plan).map(|idx| (sink.clone(), idx))
+    }
+
+    /// The attached profile sink, if any.
+    pub(crate) fn profile(&self) -> Option<&ProfileHandle> {
+        self.profile.as_ref()
     }
 
     /// Record that the operator owning slot `idx` holds `bytes` materialized (no-op without a

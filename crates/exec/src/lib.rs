@@ -40,6 +40,7 @@ pub mod log;
 pub mod optimizer;
 pub mod parallel;
 pub mod profile;
+mod pull;
 pub mod reference;
 pub mod reorder;
 pub mod stats;
@@ -54,6 +55,7 @@ pub use log::{Level, QueryIdGuard};
 pub use optimizer::{fold_expr, Optimizer, OptimizerReport};
 pub use parallel::{panic_message, WorkerPool};
 pub use profile::{ProfileSink, QueryProfile};
+pub use pull::ResultCursor;
 pub use reference::execute_reference;
 pub use reorder::{ReorderPolicy, ReorderReport};
 pub use stats::{ColumnEstimate, Estimator, PlanEstimate, TableStatsView};

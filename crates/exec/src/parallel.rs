@@ -2,25 +2,31 @@
 //!
 //! [`Executor::execute_parallel`] evaluates a plan on a shared [`WorkerPool`]; sequential
 //! execution ([`Executor::execute`]) is the same code on a degree-1 pool, which runs every
-//! morsel inline on the calling thread. Each operator materializes its output as a chunk list;
-//! the chunk lists flowing between operators are split into *morsels* (one chunk each, up to
-//! [`DEFAULT_CHUNK_SIZE`] rows) that idle workers pull from a shared claim counter — the
-//! scheduling model of Leis et al.'s morsel-driven HyPer executor, applied to the provenance
-//! workload of this reproduction (rewrite rules R5–R9 produce wide, join-heavy plans that do a
-//! multiple of the original query's work).
+//! morsel inline on the calling thread. A pipeline breaker (sort, aggregation, set operation,
+//! DISTINCT, a join's build side) materializes its output as a chunk list; the region above
+//! one — projections, filters, aliases, a LIMIT, over at most one join probe — is a
+//! [`ResultCursor`] (`pull.rs`) that [`Executor::open`] hands out to be pulled and that the
+//! engine drains wherever it needs the region's output. The chunk lists are split into
+//! *morsels* (one chunk each, up to [`DEFAULT_CHUNK_SIZE`] rows; one probe chunk each for a
+//! join) that idle workers pull from a shared claim counter — the scheduling model of Leis et
+//! al.'s morsel-driven HyPer executor, applied to the provenance workload of this reproduction
+//! (rewrite rules R5–R9 produce wide, join-heavy plans that do a multiple of the original
+//! query's work).
 //!
 //! Per operator:
 //!
 //! * **scan → filter → project** pipelines run one morsel per chunk: a base relation hands out
-//!   its stored chunks (an `Arc` bump each), every worker masks and projects its own morsels,
-//!   and results are stitched back together in morsel order. A filter batch is *one index
+//!   its stored chunks (an `Arc` bump each), every worker masks and projects its own morsels —
+//!   every filter and projection of the region in one task — and results are handed out in
+//!   morsel order. A filter batch is *one index
 //!   buffer over its source*: the kept rows' positions, through which every column it passes
 //!   on is a view — no kept value is copied, text included. DISTINCT, `INTERSECT` and `EXCEPT`
 //!   keep their rows the same way.
 //! * **hash join** builds *partitioned*: build-side key hashes are computed per morsel, then
 //!   every worker builds the hash table of one key-hash partition (never more partitions than
 //!   build morsels); the probe phase runs one morsel per probe chunk, routing each probe key
-//!   to its partition. Keys are hashed and compared in their columns ([`hash_rows`] once per
+//!   to its partition, and a probe morsel is a resumable `ProbeCursor` that emits one batch
+//!   per step. Keys are hashed and compared in their columns ([`hash_rows`] once per
 //!   morsel, [`rows_equal`] against a chain's head) — no key is boxed, on either side.
 //!   Bucket chains preserve build-row order, so each probe row sees
 //!   candidates in exactly the nested-loop order. A probe batch is *one index buffer per source
@@ -50,11 +56,11 @@
 //!   one right occurrence spent per left row under `ALL` — no row is boxed. Runs of small
 //!   output chunks are laid end to end up to one morsel, so the operators above do not pay a
 //!   dispatch per fragment.
-//! * **LIMIT** hands its row target to the region directly feeding it (a join probe or a
-//!   filter/projection; a projection without a filter hands it on to its input): workers
-//!   claim morsels in index order and stop claiming once the completed prefix covers the
-//!   target, and the coordinator replays the morsels in index order — output and errors
-//!   behind the morsel that satisfies the limit are never observed.
+//! * **LIMIT** ends its region: it hands its row target to the level directly below it (a
+//!   join probe or a filter/projection; a projection without a filter hands it on to its
+//!   input), whose morsels are claimed in index order until the completed prefix covers the
+//!   target, and replayed in index order — output and errors behind the morsel that satisfies
+//!   the limit are never observed.
 //!   Everything *below* a materializing operator (sort, aggregation, set operation, DISTINCT,
 //!   a join's inputs) is evaluated in full, so a runtime error there surfaces even when the
 //!   `LIMIT` would have discarded the offending row — as it does in [`crate::reference`],
@@ -83,10 +89,9 @@ use perm_storage::Relation;
 
 use crate::compile::{CompiledAggregate, CompiledExpr};
 use crate::error::ExecError;
-use crate::executor::{
-    split_equi_join_condition, strip_transparent, Accumulator, EquiKey, ExecContext, Executor,
-};
-use crate::vector::{chunk_from_columns, project_chunk, JoinFilter};
+use crate::executor::{split_equi_join_condition, Accumulator, EquiKey, ExecContext, Executor};
+use crate::pull::ResultCursor;
+use crate::vector::{chunk_from_columns, JoinFilter};
 
 /// Sentinel terminating a hash-join bucket chain.
 const CHAIN_END: u32 = u32::MAX;
@@ -174,7 +179,7 @@ impl WorkerPool {
     /// thread claims morsels too. Each task returns its result plus its *output row count*
     /// (used for the shared LIMIT counter). Returns one slot per morsel; unclaimed morsels
     /// (cut off by `stop_rows` or an earlier error) stay `None` and are always a suffix.
-    fn run_region<T, F>(
+    pub(crate) fn run_region<T, F>(
         &self,
         total: usize,
         stop_rows: Option<usize>,
@@ -373,7 +378,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Lock a mutex, recovering from poison: with the panic fence above, a poisoned lock can only
 /// mean a panic struck between guard acquisition and release in bookkeeping code that performs
 /// no fallible work while holding the guard, so the data is consistent and safe to reuse.
-fn lock_recovered<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock_recovered<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -437,16 +442,23 @@ impl Executor {
         plan: &LogicalPlan,
         pool: &WorkerPool,
     ) -> Result<Relation, ExecError> {
-        let ctx = self.context();
-        let schema = plan.schema();
-        let chunks = self.par_chunks(plan, &ctx, pool, None)?;
-        Ok(Relation::from_chunks(schema, chunks))
+        let chunks = self.open(plan, pool)?.drain(pool)?;
+        Ok(Relation::from_chunks(plan.schema(), chunks))
+    }
+
+    /// Open `plan` for pulling: everything below its top region runs now, and the region
+    /// above the last pipeline breaker — projection, filter, alias, LIMIT, over at most one
+    /// join probe or over the breaker's chunk list — runs as the [`ResultCursor`] is pulled.
+    /// Draining the cursor is [`Executor::execute_parallel`].
+    pub fn open(&self, plan: &LogicalPlan, pool: &WorkerPool) -> Result<ResultCursor, ExecError> {
+        ResultCursor::open(self, plan, &self.context(), pool, None, false)
     }
 
     /// Evaluate `plan` to a materialized chunk list, charged against the row budget. `limit`
     /// carries a downstream LIMIT's row target (or a sublink's decisive row count) into the
     /// directly-feeding morsel region so it can stop claiming morsels early (shared atomic
-    /// counter; see [`Region`]).
+    /// counter; see [`Region`]). A region-shaped node (projection, filter, alias, LIMIT, join)
+    /// is a [`ResultCursor`] drained; a pipeline breaker is evaluated here.
     ///
     /// With a profile sink attached (`EXPLAIN ANALYZE`) each operator records its inclusive
     /// wall time and materialized output — one timestamp pair and two relaxed increments per
@@ -458,8 +470,11 @@ impl Executor {
         pool: &WorkerPool,
         limit: Option<usize>,
     ) -> Result<Vec<DataChunk>, ExecError> {
+        if crate::pull::is_pulled(plan) {
+            return ResultCursor::open(self, plan, ctx, pool, limit, false)?.drain(pool);
+        }
         let run = || {
-            let chunks = self.par_chunks_inner(plan, ctx, pool, limit)?;
+            let chunks = self.par_chunks_inner(plan, ctx, pool)?;
             ctx.charge_rows(&chunks)?;
             Ok(chunks)
         };
@@ -481,7 +496,6 @@ impl Executor {
         plan: &LogicalPlan,
         ctx: &ExecContext,
         pool: &WorkerPool,
-        limit: Option<usize>,
     ) -> Result<Vec<DataChunk>, ExecError> {
         match plan {
             LogicalPlan::BaseRelation { name, schema, .. } => {
@@ -502,38 +516,12 @@ impl Executor {
                 ctx.check_deadline()?;
                 rows_to_chunks(rows, plan.output_arity())
             }
-            LogicalPlan::Selection { input, predicate } => {
-                let predicate = CompiledExpr::compile(predicate, self, ctx, pool)?;
-                let source = self.par_source(input, ctx, pool)?;
-                map_region(pool, ctx, source, Some(predicate), None, limit)
-            }
-            LogicalPlan::Projection { input, exprs, distinct } => {
-                let exprs: Vec<CompiledExpr> = exprs
-                    .iter()
-                    .map(|(e, _)| CompiledExpr::compile(e, self, ctx, pool))
-                    .collect::<Result<_, _>>()?;
-                // DISTINCT consumes the whole input (its output count says nothing about how
-                // many input morsels are needed), so the limit hint stops at it.
-                let hint = if *distinct { None } else { limit };
-                // Fuse a selection below the projection into the same morsel task. Without
-                // one the projection maps row for row, so its input (a join probe, say) needs
-                // no more rows than the hint either.
-                let (source, predicate) = match strip_transparent(input) {
-                    LogicalPlan::Selection { input: sel_input, predicate } => {
-                        let predicate = CompiledExpr::compile(predicate, self, ctx, pool)?;
-                        (self.par_source(sel_input, ctx, pool)?, Some(predicate))
-                    }
-                    _ => (Arc::new(self.par_chunks(input, ctx, pool, hint)?), None),
-                };
-                let projected = map_region(pool, ctx, source, predicate, Some(exprs), hint)?;
-                if *distinct {
-                    distinct_chunks(ctx, &projected)
-                } else {
-                    Ok(projected)
-                }
-            }
-            LogicalPlan::Join { left, right, kind, condition } => {
-                self.par_join(plan, left, right, *kind, condition.as_ref(), ctx, pool, limit)
+            LogicalPlan::Projection { distinct: true, .. } => {
+                // DISTINCT consumes its whole input: the projection below it is a region of
+                // its own, drained, and only the distinct rows are charged.
+                let projected =
+                    ResultCursor::open(self, plan, ctx, pool, None, true)?.drain(pool)?;
+                distinct_chunks(ctx, &projected)
             }
             LogicalPlan::Aggregation { input, group_by, aggregates } => {
                 let group_by: Vec<CompiledExpr> = group_by
@@ -563,34 +551,19 @@ impl Executor {
                 let chunks = self.par_chunks(input, ctx, pool, None)?;
                 par_sort(pool, ctx, plan, chunks, compiled)
             }
-            LogicalPlan::Limit { input, limit: n, offset } => {
-                let needed = n.map(|n| n.saturating_add(*offset));
-                let chunks = self.par_chunks(input, ctx, pool, needed)?;
-                Ok(apply_limit(chunks, *n, *offset))
-            }
-            LogicalPlan::SubqueryAlias { input, .. }
-            | LogicalPlan::ProvenanceAnnotation { input, .. } => {
-                self.par_chunks(input, ctx, pool, limit)
+            _ => {
+                Err(ExecError::Internal(format!("{} is pulled, not materialized", plan.describe())))
             }
         }
     }
 
-    /// The input chunk list of a morsel region: base relations hand out their cached storage
-    /// chunks directly (an `Arc` bump per chunk — the fused-scan fast path), everything else
-    /// materializes recursively.
-    fn par_source(
-        &self,
-        input: &LogicalPlan,
-        ctx: &ExecContext,
-        pool: &WorkerPool,
-    ) -> Result<Arc<Vec<DataChunk>>, ExecError> {
-        Ok(Arc::new(self.par_chunks(input, ctx, pool, None)?))
-    }
-
-    /// Parallel join: recursive build + partitioned hash table + morsel-parallel probe.
-    /// `plan` is the `Join` node itself, used to attribute the build side's buffered bytes.
+    /// Open a join for probing: build its right input into a partitioned hash table (or a
+    /// nested loop's build chunk) and evaluate its left input, the probe morsels; the probe
+    /// itself is pulled ([`ProbeCursor`]). `plan` is the `Join` node itself, used to attribute
+    /// the build side's buffered bytes. A probe morsel stops at `stop` output rows (see
+    /// [`ExecContext::region_stop`]).
     #[allow(clippy::too_many_arguments)]
-    fn par_join(
+    pub(crate) fn open_join(
         &self,
         plan: &LogicalPlan,
         left: &LogicalPlan,
@@ -599,8 +572,8 @@ impl Executor {
         condition: Option<&ScalarExpr>,
         ctx: &ExecContext,
         pool: &WorkerPool,
-        limit: Option<usize>,
-    ) -> Result<Vec<DataChunk>, ExecError> {
+        stop: Option<usize>,
+    ) -> Result<Probe, ExecError> {
         let left_arity = left.output_arity();
         let right_arity = right.output_arity();
         let build_chunks = Arc::new(self.par_chunks(right, ctx, pool, None)?);
@@ -635,7 +608,7 @@ impl Executor {
         ctx.record_buffered(plan, held);
         ctx.reserve_memory(held - input_bytes)?;
         drop(build_chunks);
-        let build = Arc::new(BuildSide { chunk, rows });
+        let build = BuildSide { chunk, rows };
         // A nested loop checks the whole condition, a hash join what its keys leave over.
         let residual = match condition {
             Some(c) if keys.is_empty() => Some(c.clone()),
@@ -657,93 +630,21 @@ impl Executor {
             }
             None => ParJoinMode::Loop,
         };
-        let probe_chunks = Arc::new(self.par_chunks(left, ctx, pool, None)?);
+        let morsels = self.par_chunks(left, ctx, pool, None)?;
         // Matched-build-row flags, shared across probe workers (right/full outer only).
-        let matched: Option<Arc<Vec<AtomicBool>>> =
-            matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter)
-                .then(|| Arc::new((0..build.rows).map(|_| AtomicBool::new(false)).collect()));
-
-        // The probe stops — across morsels and inside one — at the LIMIT target or one row
-        // over budget, whichever is lower.
-        let stop = ctx.region_stop(limit);
-        let task_probe = probe_chunks.clone();
-        let task_build = build.clone();
-        let task_mode = mode;
-        let task_matched = matched.clone();
-        let task_ctx = ctx.clone();
-        let slots = pool.run_region(probe_chunks.len(), stop, move |i| {
-            let out = probe_morsel(
-                &task_probe[i],
-                &task_build,
-                &task_mode,
-                filter.as_ref(),
-                kind,
-                task_matched.as_deref().map(|v| &**v),
-                stop.unwrap_or(usize::MAX),
-                &task_ctx,
-            )?;
-            let rows = out.iter().map(DataChunk::num_rows).sum();
-            Ok((out, rows))
-        });
-        let batches = collect_region(slots, stop, |b: &Vec<DataChunk>| {
-            b.iter().map(DataChunk::num_rows).sum()
-        })?;
-        let mut out: Vec<DataChunk> = batches.into_iter().flatten().collect();
-
-        // Drain null-padded unmatched build rows — unless the probe phase alone already
-        // covered the stop target (a truncated probe has not seen every match).
-        if let Some(matched) = matched {
-            let probe_rows: usize = out.iter().map(DataChunk::num_rows).sum();
-            if stop.is_none_or(|needed| probe_rows < needed) {
-                let mut indices: Vec<u32> = Vec::new();
-                for (i, flag) in matched.iter().enumerate() {
-                    if !flag.load(AtomicOrdering::Relaxed) {
-                        indices.push(i as u32);
-                    }
-                }
-                for batch in indices.chunks(DEFAULT_CHUNK_SIZE) {
-                    ctx.check_deadline()?;
-                    let nulls = (0..left_arity)
-                        .map(|_| Arc::new(Array::Null { len: batch.len() }))
-                        .collect();
-                    let left = chunk_from_columns(nulls, batch.len());
-                    out.push(left.hstack(build.chunk.take_dict(&Arc::from(batch))));
-                }
-            }
-        }
-        Ok(out)
+        let matched = matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter)
+            .then(|| (0..build.rows).map(|_| AtomicBool::new(false)).collect());
+        Ok(Probe {
+            morsels,
+            build,
+            mode,
+            filter,
+            pads: matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter),
+            matched,
+            stop_rows: stop.unwrap_or(usize::MAX),
+            left_arity,
+        })
     }
-}
-
-/// Parallel filter/project over a chunk list: one morsel per input chunk, each worker masking
-/// and projecting independently; empty outputs are dropped, order is morsel order. The kept
-/// rows leave the filter as views through one index buffer ([`DataChunk::filter`]).
-fn map_region(
-    pool: &WorkerPool,
-    ctx: &ExecContext,
-    source: Arc<Vec<DataChunk>>,
-    predicate: Option<CompiledExpr>,
-    exprs: Option<Vec<CompiledExpr>>,
-    limit: Option<usize>,
-) -> Result<Vec<DataChunk>, ExecError> {
-    let task_source = source.clone();
-    let ctx = ctx.clone();
-    let slots = pool.run_region(source.len(), limit, move |i| {
-        ctx.check_deadline()?;
-        let chunk = &task_source[i];
-        let filtered = match &predicate {
-            Some(p) => chunk.filter(&p.eval_mask(chunk)?),
-            None => chunk.clone(),
-        };
-        let out = match &exprs {
-            Some(exprs) => project_chunk(exprs, &filtered)?,
-            None => filtered,
-        };
-        let rows = out.num_rows();
-        Ok((out, rows))
-    });
-    let chunks = collect_region(slots, limit, DataChunk::num_rows)?;
-    Ok(chunks.into_iter().filter(|c| !c.is_empty()).collect())
 }
 
 /// Keep the rows of `chunks` that `keep` accepts, asked in input order with the chunk's index,
@@ -886,35 +787,6 @@ fn rows_to_chunks(rows: &[Tuple], arity: usize) -> Result<Vec<DataChunk>, ExecEr
     Ok(chunks.collect::<Result<_, _>>()?)
 }
 
-/// Slice a materialized chunk list down to `LIMIT limit OFFSET offset`.
-fn apply_limit(chunks: Vec<DataChunk>, limit: Option<usize>, offset: usize) -> Vec<DataChunk> {
-    let mut to_skip = offset;
-    let mut remaining = limit.unwrap_or(usize::MAX);
-    let mut out = Vec::new();
-    for chunk in chunks {
-        if remaining == 0 {
-            break;
-        }
-        let mut chunk = chunk;
-        if to_skip > 0 {
-            if to_skip >= chunk.num_rows() {
-                to_skip -= chunk.num_rows();
-                continue;
-            }
-            chunk = chunk.slice(to_skip, chunk.num_rows() - to_skip);
-            to_skip = 0;
-        }
-        if chunk.num_rows() > remaining {
-            chunk = chunk.slice(0, remaining);
-        }
-        remaining -= chunk.num_rows();
-        if !chunk.is_empty() {
-            out.push(chunk);
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Partitioned hash join.
 // ---------------------------------------------------------------------------
@@ -981,7 +853,7 @@ fn build_partitioned_table(
     pool: &WorkerPool,
     ctx: &ExecContext,
     state: RandomState,
-    build: &Arc<BuildSide>,
+    build: &BuildSide,
     keys: &[EquiKey],
     hashes: Vec<u64>,
 ) -> Result<ParHashTable, ExecError> {
@@ -1056,158 +928,228 @@ impl ParHashTable {
     }
 }
 
-/// Probe one morsel (one probe chunk) against the shared build side. Every output batch is
-/// the probe rows and the build rows of its pairs, composed through each buffer a side carries
-/// — two index buffers over plain sides — and every output column a view of its source column
-/// through its buffer (see [`DataChunk::take_dict`]); a
-/// pad addresses the build side's NULL slot. Candidate pairs are generated one way — each
-/// probe row with its bucket chain or with every build row, in build-row order, so the output
-/// row sequence equals a nested loop's — and a join condition decides them
-/// [`DEFAULT_CHUNK_SIZE`] at a time ([`ProbeOutput::decide`]). The morsel stops once it has
-/// emitted `stop_rows` rows: on its own it then covers the region's stop target. The join
-/// condition has been evaluated on the whole candidate batch that reached the target and on
-/// nothing behind it, so an error among that batch's later pairs is observed — identically at
-/// every degree, a morsel being probed the same way whichever worker claims it.
-#[allow(clippy::too_many_arguments)]
-fn probe_morsel(
-    probe: &DataChunk,
-    build: &BuildSide,
-    mode: &ParJoinMode,
-    filter: Option<&JoinFilter>,
-    kind: JoinKind,
-    matched: Option<&[AtomicBool]>,
-    stop_rows: usize,
-    ctx: &ExecContext,
-) -> Result<Vec<DataChunk>, ExecError> {
-    let mut output = ProbeOutput {
-        probe,
-        build,
-        pads: matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter),
-        matched,
-        stop_rows,
-        pairs: Default::default(),
-        pad_from: 0,
-        emitted: 0,
-        batches: Vec::new(),
-    };
-    let mut candidates: (Vec<u32>, Vec<u32>) = Default::default();
-    let mut generated = 0usize;
-    let probe_keys = match mode {
-        ParJoinMode::Hash(table) => table.keys_of(probe),
-        ParJoinMode::Loop => Default::default(),
-    };
-    // A nested loop's "chain" is every build row.
-    let build_row = |i: u32| if (i as usize) < build.rows { i } else { CHAIN_END };
-    for row in 0..probe.num_rows() as u32 {
-        let mut candidate = match mode {
-            ParJoinMode::Hash(table) => table.chain_start(&probe_keys, row as usize),
-            ParJoinMode::Loop => build_row(0),
-        };
-        while candidate != CHAIN_END && output.emitted < stop_rows {
-            if generated & 0x3FF == 0 {
-                ctx.check_deadline()?;
-            }
-            generated += 1;
-            match filter {
-                // Without a condition every candidate is a match.
-                None => output.accept(row, candidate),
-                Some(filter) => {
-                    candidates.0.push(row);
-                    candidates.1.push(candidate);
-                    if candidates.0.len() >= DEFAULT_CHUNK_SIZE {
-                        output.decide(filter, &mut candidates)?;
-                    }
-                }
-            }
-            candidate = match mode {
-                ParJoinMode::Hash(table) => table.next[candidate as usize],
-                ParJoinMode::Loop => build_row(candidate + 1),
-            };
-        }
-    }
-    if let Some(filter) = filter {
-        output.decide(filter, &mut candidates)?;
-    }
-    output.pad_before(probe.num_rows() as u32);
-    output.flush();
-    Ok(output.batches)
-}
-
-/// What one morsel's probe has emitted so far: the matching pairs and an outer join's pads,
-/// in nested-loop order.
-struct ProbeOutput<'a> {
-    probe: &'a DataChunk,
-    build: &'a BuildSide,
+/// An opened join: its build side and table, its probe morsels (one per probe chunk) and what
+/// every [`ProbeCursor`] over them shares.
+pub(crate) struct Probe {
+    morsels: Vec<DataChunk>,
+    build: BuildSide,
+    mode: ParJoinMode,
+    filter: Option<JoinFilter>,
     /// Does an unmatched probe row get a pad (left / full outer)?
     pads: bool,
     /// Matched-build-row flags (right / full outer).
-    matched: Option<&'a [AtomicBool]>,
+    matched: Option<Vec<AtomicBool>>,
+    /// The output rows at which one morsel stops: on its own it then covers the region's stop
+    /// target.
     stop_rows: usize,
+    left_arity: usize,
+}
+
+impl Probe {
+    /// The number of probe morsels.
+    pub(crate) fn morsels(&self) -> usize {
+        self.morsels.len()
+    }
+
+    /// The build rows no probe row matched, once every morsel has been probed — a right or
+    /// full outer join's pads — or `None` for a join that pads no build row.
+    pub(crate) fn unmatched(&self) -> Option<Vec<u32>> {
+        let matched = self.matched.as_ref()?;
+        let unmatched =
+            matched.iter().enumerate().filter(|(_, f)| !f.load(AtomicOrdering::Relaxed));
+        Some(unmatched.map(|(i, _)| i as u32).collect())
+    }
+
+    /// The output batch padding build rows `rows` with a NULL probe side.
+    pub(crate) fn pad_build_rows(&self, rows: &[u32]) -> DataChunk {
+        let nulls = (0..self.left_arity).map(|_| Arc::new(Array::Null { len: rows.len() }));
+        let left = chunk_from_columns(nulls.collect(), rows.len());
+        left.hstack(self.build.chunk.take_dict(&Arc::from(rows)))
+    }
+}
+
+/// The probe of one morsel (one probe chunk) against the shared build side, resumable: each
+/// [`ProbeCursor::step`] emits the next batch. Every output batch is the probe rows and the
+/// build rows of its pairs, composed through each buffer a side carries — two index buffers
+/// over plain sides — and every output column a view of its source column through its buffer
+/// (see [`DataChunk::take_dict`]); a pad addresses the build side's NULL slot. Candidate pairs
+/// are generated one way — each probe row with its bucket chain or with every build row, in
+/// build-row order, so the output row sequence equals a nested loop's — and a join condition
+/// decides them [`DEFAULT_CHUNK_SIZE`] at a time ([`ProbeCursor::decide`]). The morsel stops
+/// once it has emitted [`Probe::stop_rows`] rows. The join condition has been evaluated on the
+/// whole candidate batch that reached the target and on nothing behind it, so an error among
+/// that batch's later pairs is observed — identically at every degree and however the morsel
+/// is pulled, a morsel being probed the same way whichever worker steps it.
+pub(crate) struct ProbeCursor {
+    morsel: usize,
+    /// The probe chunk's key columns and row hashes (hash joins).
+    keys: (Vec<Arc<Array>>, Vec<u64>),
+    /// The next probe row to start, and the one whose candidates are being generated.
+    next_row: u32,
+    row: u32,
+    /// The next candidate build row of `row`, or [`CHAIN_END`].
+    candidate: u32,
+    generated: usize,
+    /// Candidate pairs waiting for the join condition.
+    candidates: (Vec<u32>, Vec<u32>),
     /// The open batch: probe rows and build rows of the emitted pairs.
     pairs: (Vec<u32>, Vec<u32>),
     /// The first probe row that has neither a match nor a pad yet.
     pad_from: u32,
     emitted: usize,
+    /// Batches emitted and not yet returned.
     batches: Vec<DataChunk>,
+    done: bool,
 }
 
-impl ProbeOutput<'_> {
-    /// Apply the join condition to a whole batch of candidate pairs and accept the survivors.
-    fn decide(
+impl ProbeCursor {
+    /// A cursor at the start of probe morsel `morsel`.
+    pub(crate) fn new(probe: &Probe, morsel: usize) -> ProbeCursor {
+        let keys = match &probe.mode {
+            ParJoinMode::Hash(table) => table.keys_of(&probe.morsels[morsel]),
+            ParJoinMode::Loop => Default::default(),
+        };
+        ProbeCursor {
+            morsel,
+            keys,
+            next_row: 0,
+            row: 0,
+            candidate: CHAIN_END,
+            generated: 0,
+            candidates: Default::default(),
+            pairs: Default::default(),
+            pad_from: 0,
+            emitted: 0,
+            batches: Vec::new(),
+            done: false,
+        }
+    }
+
+    /// Has the morsel emitted everything?
+    pub(crate) fn done(&self) -> bool {
+        self.done
+    }
+
+    /// Probe on until at least one batch is emitted or the morsel ends, and return what was
+    /// emitted (nothing only at the end). A cursor that returned an error is spent.
+    pub(crate) fn step(
         &mut self,
-        filter: &JoinFilter,
-        candidates: &mut (Vec<u32>, Vec<u32>),
-    ) -> Result<(), ExecError> {
-        if !candidates.0.is_empty() {
-            let keep = filter.eval_pairs(self.probe, &candidates.0, &candidates.1)?;
+        probe: &Probe,
+        ctx: &ExecContext,
+    ) -> Result<Vec<DataChunk>, ExecError> {
+        let chunk = &probe.morsels[self.morsel];
+        let rows = chunk.num_rows() as u32;
+        // A nested loop's "chain" is every build row.
+        let build_row = |i: u32| if (i as usize) < probe.build.rows { i } else { CHAIN_END };
+        while self.batches.is_empty() && !self.done {
+            if self.candidate == CHAIN_END {
+                if self.next_row < rows && self.emitted < probe.stop_rows {
+                    self.row = self.next_row;
+                    self.next_row += 1;
+                    self.candidate = match &probe.mode {
+                        ParJoinMode::Hash(table) => {
+                            table.chain_start(&self.keys, self.row as usize)
+                        }
+                        ParJoinMode::Loop => build_row(0),
+                    };
+                    continue;
+                }
+                if let Some(filter) = &probe.filter {
+                    self.decide(probe, filter)?;
+                }
+                self.pad_before(probe, rows);
+                self.flush(probe);
+                self.done = true;
+                break;
+            }
+            // The candidates of one probe row, until its chain ends, the morsel reaches its stop
+            // target or a batch is emitted.
+            let (row, mut candidate, mut generated) = (self.row, self.candidate, self.generated);
+            while candidate != CHAIN_END
+                && self.emitted < probe.stop_rows
+                && self.batches.is_empty()
+            {
+                if generated & 0x3FF == 0 {
+                    ctx.check_deadline()?;
+                }
+                generated += 1;
+                match &probe.filter {
+                    // Without a condition every candidate is a match.
+                    None => self.accept(probe, row, candidate),
+                    Some(filter) => {
+                        self.candidates.0.push(row);
+                        self.candidates.1.push(candidate);
+                        if self.candidates.0.len() >= DEFAULT_CHUNK_SIZE {
+                            self.decide(probe, filter)?;
+                        }
+                    }
+                }
+                candidate = match &probe.mode {
+                    ParJoinMode::Hash(table) => table.next[candidate as usize],
+                    ParJoinMode::Loop => build_row(candidate + 1),
+                };
+            }
+            // A morsel at its stop target generates no more candidates.
+            self.candidate = if self.emitted < probe.stop_rows { candidate } else { CHAIN_END };
+            self.generated = generated;
+        }
+        Ok(std::mem::take(&mut self.batches))
+    }
+
+    /// Apply the join condition to the whole batch of candidate pairs and accept the survivors.
+    fn decide(&mut self, probe: &Probe, filter: &JoinFilter) -> Result<(), ExecError> {
+        if !self.candidates.0.is_empty() {
+            let (mut rows, mut build_rows) = std::mem::take(&mut self.candidates);
+            let keep = filter.eval_pairs(&probe.morsels[self.morsel], &rows, &build_rows)?;
             for (i, keep) in keep.into_iter().enumerate() {
                 if keep {
-                    self.accept(candidates.0[i], candidates.1[i]);
+                    self.accept(probe, rows[i], build_rows[i]);
                 }
             }
-            candidates.0.clear();
-            candidates.1.clear();
+            rows.clear();
+            build_rows.clear();
+            self.candidates = (rows, build_rows);
         }
         Ok(())
     }
 
     /// A matching pair: emitted behind the pads of the probe rows passed over on the way.
-    fn accept(&mut self, row: u32, build_row: u32) {
-        self.pad_before(row);
+    fn accept(&mut self, probe: &Probe, row: u32, build_row: u32) {
+        self.pad_before(probe, row);
         self.pad_from = row + 1;
-        if let Some(flags) = self.matched {
+        if let Some(flags) = &probe.matched {
             flags[build_row as usize].store(true, AtomicOrdering::Relaxed);
         }
-        self.emit(row, build_row);
+        self.emit(probe, row, build_row);
     }
 
     /// Pad the probe rows before `row` that found no match.
-    fn pad_before(&mut self, row: u32) {
-        while self.pads && self.pad_from < row {
-            self.emit(self.pad_from, self.build.rows as u32);
+    fn pad_before(&mut self, probe: &Probe, row: u32) {
+        while probe.pads && self.pad_from < row {
+            self.emit(probe, self.pad_from, probe.build.rows as u32);
             self.pad_from += 1;
         }
     }
 
     /// One more output row, unless the morsel has reached its stop target.
-    fn emit(&mut self, probe_row: u32, build_row: u32) {
-        if self.emitted >= self.stop_rows {
+    fn emit(&mut self, probe: &Probe, probe_row: u32, build_row: u32) {
+        if self.emitted >= probe.stop_rows {
             return;
         }
         self.emitted += 1;
         self.pairs.0.push(probe_row);
         self.pairs.1.push(build_row);
         if self.pairs.0.len() >= DEFAULT_CHUNK_SIZE {
-            self.flush();
+            self.flush(probe);
         }
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, probe: &Probe) {
         if self.pairs.0.is_empty() {
             return;
         }
-        let left = self.probe.take_dict(&Arc::from(self.pairs.0.as_slice()));
-        let right = self.build.chunk.take_dict(&Arc::from(self.pairs.1.as_slice()));
+        let left = probe.morsels[self.morsel].take_dict(&Arc::from(self.pairs.0.as_slice()));
+        let right = probe.build.chunk.take_dict(&Arc::from(self.pairs.1.as_slice()));
         self.pairs.0.clear();
         self.pairs.1.clear();
         self.batches.push(left.hstack(right));

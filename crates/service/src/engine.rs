@@ -47,8 +47,8 @@ pub struct Engine {
     /// The shared pool, spawned lazily on first use so builder-style reconfiguration
     /// (`Engine::new().with_workers(n)`) never spawns and immediately discards threads.
     pool: std::sync::OnceLock<Arc<WorkerPool>>,
-    /// Bytes of materialized query results not yet handed to a consumer, across all sessions
-    /// (a gauge: a stream adds its result when it executes, takes each chunk off as it goes).
+    /// Bytes of pulled result chunks not yet handed to a consumer, across all sessions (a gauge:
+    /// a stream adds each pull's chunks and takes each chunk off as it hands it out).
     stream_buffered: Arc<std::sync::atomic::AtomicUsize>,
     /// Memory governor: every statement is admitted here and charged for its
     /// materializations; see [`Governor`].
@@ -278,7 +278,10 @@ impl Engine {
         Ok(PreparedPlan { plan, into, param_count, sql: sql.to_string() })
     }
 
-    /// Bytes of materialized query results not yet handed to a consumer, across all sessions.
+    /// Bytes of result chunks that open streams hold between pulls, across all sessions: the
+    /// chunks of each stream's last pull not yet handed out, beside the stored columns their
+    /// scans read. A stream whose top region is pulled holds at most one pull's `workers`
+    /// morsels, not its whole result.
     pub fn stream_buffered_bytes(&self) -> usize {
         self.stream_buffered.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -290,8 +293,8 @@ impl Engine {
     /// target is written back to the shared catalog after execution.
     ///
     /// This is the materializing convenience wrapper over
-    /// [`run_plan_streaming`](Engine::run_plan_streaming): it collects the stream before it
-    /// starts, which runs the engine inline.
+    /// [`run_plan_streaming`](Engine::run_plan_streaming): it drains the stream's cursor, every
+    /// morsel of the top region at once.
     pub fn execute_prepared_plan(
         &self,
         prepared: &PreparedPlan,
@@ -309,8 +312,9 @@ impl Engine {
     /// Execute an already-planned query as a [`QueryStream`] of result chunks.
     ///
     /// The stream is lazy: no execution work happens until the first chunk is pulled (or the
-    /// stream is collected). Pulling runs the engine on the calling thread and the worker pool,
-    /// then hands the result out chunk by chunk.
+    /// stream is collected). The first pull runs everything below the plan's top region on the
+    /// calling thread and the worker pool; every pull that finds no chunk waiting runs the next
+    /// `workers` morsels of the region and hands their chunks out one by one.
     /// **`SELECT ... INTO` is not handled here** — callers that support it materialize first
     /// (see [`Session::execute_streaming`]).
     pub fn run_plan_streaming(

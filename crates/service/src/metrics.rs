@@ -515,7 +515,7 @@ pub struct StatsSnapshot {
     pub cache: CacheStats,
     /// Governor gauges and counters.
     pub governor: GovernorStats,
-    /// Bytes of materialized query results not yet handed to the consumer.
+    /// Bytes of pulled result chunks a stream holds and has not handed to the consumer.
     pub stream_buffered: usize,
     /// The metrics registry.
     pub metrics: MetricsSnapshot,
@@ -579,7 +579,7 @@ const FAMILIES: &[Family] = &[
         read: |s| Reading::Scalar(s.cache.entries as u64) },
     Family { name: "perm_stream_buffered_bytes", kind: "gauge",
         stats: ("streams", "buffered_bytes"),
-        help: "Bytes of materialized query results not yet handed to the consumer.",
+        help: "Bytes of pulled result chunks a stream holds and has not handed to the consumer.",
         read: |s| Reading::Scalar(s.stream_buffered as u64) },
     Family { name: "perm_governor_active_queries", kind: "gauge",
         stats: ("governor", "active_queries"),

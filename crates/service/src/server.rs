@@ -4,9 +4,10 @@
 //! Connections speak protocol version [`PROTOCOL_VERSION`] (see [`crate::codec`] and
 //! `docs/PROTOCOL.md`): the first request must be the `hello <version>` handshake, and query
 //! results stream out as `S` / `R`* / `D` frames with nothing sent back but an optional
-//! `cancel`. A query executes on its connection's thread when the first chunk is pulled; the
-//! result is held once, as the engine materialized it, and each chunk is freed once its frame is
-//! written. TCP flow control paces a slow reader.
+//! `cancel`. A query executes on its connection's thread: the first pull runs everything below
+//! its plan's last pipeline breaker, and each later pull the next morsels of the region above it,
+//! between frames. The server holds at most one pull's chunks and frees each once its frame is
+//! written; TCP flow control paces a slow reader, and the execution behind it.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -268,7 +269,9 @@ pub(crate) fn is_cancel(request: &str) -> bool {
 ///
 /// The client sends nothing while the stream runs except, perhaps, `cancel`. Before each `R`
 /// frame the server polls the socket without blocking; a `cancel` found there ends the stream
-/// with a `-` frame carrying the `Cancelled` error instead of the rest of the result.
+/// with a `-` frame carrying the `Cancelled` error instead of the rest of the result, and no
+/// further morsel of the statement runs. Any execution error a later pull meets ends the stream
+/// the same way, with its own message.
 fn stream_result(
     reader: &mut TcpStream,
     writer: &mut TcpStream,

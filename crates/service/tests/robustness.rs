@@ -88,9 +88,10 @@ fn dropped_stream_mid_iteration_releases_gauge_and_reservations() {
     assert_eq!(relation.num_rows(), 3);
 }
 
-/// The stream gauge counts what a result holds beside the catalog. A scan's result is the
-/// stored chunks themselves and counts nothing; a filter's result is one index buffer over
-/// each stored chunk, 4 B per kept row, not the chunk it reads.
+/// The stream gauge counts what a stream holds between pulls beside the catalog: the chunks of
+/// its last pull not yet handed out. A scan's result is the stored chunks themselves and counts
+/// nothing; a filter's result is one index buffer over each stored chunk, 4 B per kept row, not
+/// the chunk it reads — and never more than one pull's `workers` morsels of it at once.
 #[test]
 fn the_stream_gauge_counts_what_a_result_holds_beside_the_stored_columns() {
     let engine = big_engine();
@@ -100,15 +101,22 @@ fn the_stream_gauge_counts_what_a_result_holds_beside_the_stored_columns() {
     assert_eq!(engine.stream_buffered_bytes(), 0, "a scan's result is the catalog's chunks");
     drop(stream);
 
+    // A pull runs `workers` morsels: the one chunk handed out leaves the others of its pull,
+    // each ~11 kept rows of its 1024.
+    let pull_bytes = engine.workers() * (DEFAULT_CHUNK_SIZE / 100 + 1) * 4;
     let mut stream = session.execute_streaming("SELECT * FROM big WHERE id % 100 = 0").unwrap();
-    let first = stream.next_chunk().unwrap().unwrap();
-    let unsent_rows = BIG_ROWS.div_ceil(100) - first.num_rows();
-    let gauge = engine.stream_buffered_bytes();
+    let mut delivered = 0;
+    let mut held = Vec::new();
+    while let Some(chunk) = stream.next_chunk() {
+        delivered += chunk.unwrap().num_rows();
+        held.push(engine.stream_buffered_bytes());
+    }
+    assert_eq!(delivered, BIG_ROWS.div_ceil(100));
+    assert!(held[0] > 0, "the first pull's other morsels are held: {held:?}");
     assert!(
-        gauge > 0 && gauge <= unsent_rows * 8,
-        "{gauge} B buffered for {unsent_rows} unsent rows of a filtered scan"
+        held.iter().all(|&gauge| gauge < pull_bytes),
+        "more than one pull's morsels held at once (cap {pull_bytes} B): {held:?}"
     );
-    assert_eq!(stream.map(|chunk| chunk.unwrap().num_rows()).sum::<usize>(), unsent_rows);
     assert_quiescent(&engine);
 }
 
@@ -138,33 +146,42 @@ fn cancelled_stream_stops_early_and_frees_memory() {
     assert_quiescent(&engine);
 }
 
-/// Rows of the `wide` table: ~24 MB of text, more than loopback socket buffers hold, so a
-/// server streaming it is still writing frames when the client's `cancel` arrives.
-const WIDE_ROWS: usize = 24 * DEFAULT_CHUNK_SIZE;
+/// Rows on each side of the `pairs` join: every row matches every row of the other side, so the
+/// join's output — 1 000 000 rows from two tables of a few kilobytes — is a stream the server is
+/// still producing when the client's `cancel` arrives.
+const PAIR_ROWS: usize = 1000;
 
 /// Wire-level mid-stream cancel: the client sends `cancel` after the first result frame and
 /// reads on; the frames already written still arrive, then the server answers with a
 /// terminal `cancelled` error — never `Done` — and serves the next request as if nothing
-/// happened.
+/// happened. The statement's top region is a join probe, pulled between frames, so the cancel
+/// stops execution: a row budget one row short of the join's output never trips, because the
+/// join stopped producing rows long before its end.
 #[test]
 fn wire_cancel_mid_stream_stops_promptly_and_session_survives() {
     let engine = big_engine();
-    let schema = Schema::from_pairs(&[("id", DataType::Int), ("payload", DataType::Text)]);
-    let rows = (0..WIDE_ROWS as i64)
-        .map(|i| Tuple::new(vec![Value::Int(i), Value::text(format!("{i:0>1000}"))]))
-        .collect::<Vec<_>>();
-    engine.catalog().create_table_with_data("wide", Relation::from_parts(schema, rows)).unwrap();
+    let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+    for table in ["pairs_left", "pairs_right"] {
+        let rows = (0..PAIR_ROWS).map(|_| Tuple::new(vec![Value::Int(7)])).collect();
+        let relation = Relation::from_parts(schema.clone(), rows);
+        engine.catalog().create_table_with_data(table, relation).unwrap();
+    }
     let handle = serve(engine.clone(), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
+    let full = PAIR_ROWS * PAIR_ROWS;
+    assert_eq!(
+        client.roundtrip(&format!("set budget {}", full - 1)).unwrap().unwrap(),
+        "set budget"
+    );
 
-    client.send("query SELECT * FROM wide").unwrap();
+    client.send("query SELECT * FROM pairs_left l JOIN pairs_right r ON l.k = r.k").unwrap();
     match client.read_response().unwrap() {
         ResponseFrame::Schema(schema) => assert_eq!(schema.arity(), 2),
         other => panic!("expected schema frame, got {other:?}"),
     }
     let mut delivered = match client.read_response().unwrap() {
         ResponseFrame::Chunk(chunk) => chunk.num_rows(),
-        other => panic!("expected a result chunk, got {other:?}"),
+        other => panic!("expected a result chunk before the join's end, got {other:?}"),
     };
 
     client.send("cancel").unwrap();
@@ -178,11 +195,12 @@ fn wire_cancel_mid_stream_stops_promptly_and_session_survives() {
             other => panic!("stream must end in a cancelled error, got {other:?}"),
         }
     }
-    assert!(delivered < WIDE_ROWS, "cancel must cut the stream short, got all {delivered} rows");
+    assert!(delivered < full, "cancel must cut the stream short, got all {delivered} rows");
 
     // The connection is back in request/response sync and the engine is clean.
     assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong");
     assert_quiescent(&engine);
+    assert_eq!(client.roundtrip("set budget none").unwrap().unwrap(), "set budget");
     let body = client.roundtrip("query SELECT * FROM tiny").unwrap().unwrap();
     assert_eq!(body.lines().count(), 4, "header plus three rows");
 

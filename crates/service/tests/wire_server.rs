@@ -183,52 +183,52 @@ fn unsupported_hello_version_is_refused_with_the_supported_version() {
 
 /// An error frame after partial RESULT frames must invalidate the partial result: the
 /// buffering client discards the rows, and the incremental shell prints an explicit
-/// invalidation notice. The engine reports execution errors before its first chunk, so only a
-/// cancellation can fail a real stream midway; a scripted server stands in here to put the
-/// error frame at a fixed point behind one chunk.
+/// invalidation notice. The engine pulls a result's top region between frames, so an execution
+/// error can land after the first frame: here a row budget below a join's output, which the
+/// join crosses in its second batch.
 #[test]
 fn mid_stream_errors_invalidate_partial_results() {
-    use perm_algebra::{DataChunk, DataType, Schema, Tuple, Value};
-    use perm_service::codec;
+    use perm_algebra::{DataType, Schema, Tuple, Value, DEFAULT_CHUNK_SIZE};
+    use perm_storage::Relation;
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let schema = Schema::from_pairs(&[("x", DataType::Int)]);
-        let rows: Vec<Tuple> = (0..3).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
-        loop {
-            let mut len = [0u8; 4];
-            if stream.read_exact(&mut len).is_err() {
-                return; // client hung up
+    // 2 probe rows of one key against 1 500 build rows of it: 3 000 joined rows, one batch of
+    // 1 024 inside a budget of 2 000 and the next one past it.
+    let engine = provenance_engine();
+    let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+    for (table, rows) in [("few", 2), ("many", 1500)] {
+        let tuples = (0..rows).map(|_| Tuple::new(vec![Value::Int(7)])).collect();
+        let relation = Relation::from_parts(schema.clone(), tuples);
+        engine.catalog().create_table_with_data(table, relation).unwrap();
+    }
+    let handle = serve(engine, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.roundtrip("set budget 2000").unwrap().unwrap(), "set budget");
+    let sql = "SELECT f.k FROM few f JOIN many m ON f.k = m.k";
+
+    // The frames arrive before the error does.
+    client.send(&format!("query {sql}")).unwrap();
+    assert!(matches!(client.read_response().unwrap(), ResponseFrame::Schema(_)));
+    match client.read_response().unwrap() {
+        ResponseFrame::Chunk(chunk) => assert_eq!(chunk.num_rows(), DEFAULT_CHUNK_SIZE),
+        other => panic!("expected a result frame before the error, got {other:?}"),
+    }
+    loop {
+        match client.read_response().unwrap() {
+            ResponseFrame::Chunk(_) => {}
+            ResponseFrame::Err(message) => {
+                assert!(message.contains("row budget of 2000"), "mid-stream error: {message}");
+                break;
             }
-            let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
-            stream.read_exact(&mut request).unwrap();
-            if request.starts_with(b"hello") {
-                write_raw_frame(&mut stream, b"+hello 6");
-            } else if request.starts_with(b"query") {
-                write_raw_frame(&mut stream, &codec::encode_schema(&schema));
-                write_raw_frame(
-                    &mut stream,
-                    &codec::encode_chunk(&DataChunk::from_tuples(1, &rows)),
-                );
-                write_raw_frame(
-                    &mut stream,
-                    b"-execution aborted: result exceeded row budget of 2",
-                );
-            } else {
-                write_raw_frame(&mut stream, b"+pong");
-            }
+            other => panic!("the stream must end in its error, got {other:?}"),
         }
-    });
-    let mut client = Client::connect(addr).unwrap();
+    }
 
-    let err = client.roundtrip("query SELECT x FROM big").unwrap().unwrap_err();
+    let err = client.roundtrip(&format!("query {sql}")).unwrap().unwrap_err();
     assert!(err.contains("row budget"), "mid-stream error surfaces: {err}");
 
     // The same statement through the shell prints rows incrementally, then an explicit
     // invalidation notice (no silent truncated table).
-    let script = "SELECT x FROM big\n\\q\n";
+    let script = format!("{sql}\n\\q\n");
     let mut output = Vec::new();
     let errors =
         perm_service::shell::run_shell(&mut client, Cursor::new(script), &mut output).unwrap();
@@ -236,14 +236,14 @@ fn mid_stream_errors_invalidate_partial_results() {
     let text = String::from_utf8(output).unwrap();
     assert!(text.contains("row budget"), "error message printed: {text}");
     assert!(
-        text.contains("result invalid") && text.contains("disregard the 3 row(s)"),
+        text.contains("result invalid") && text.contains("disregard the 1024 row(s)"),
         "explicit invalidation notice: {text}"
     );
 
     // The connection stays usable after both shapes of failed stream.
     assert_eq!(client.roundtrip("ping").unwrap().unwrap(), "pong");
     drop(client);
-    server.join().unwrap();
+    handle.shutdown();
 }
 
 /// A result's dictionary memory lives from its `S` to its `D` or `-`, and the client decodes no

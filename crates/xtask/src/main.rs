@@ -77,6 +77,7 @@ mod lint {
         "crates/exec/src/executor.rs",
         "crates/exec/src/eval.rs",
         "crates/exec/src/parallel.rs",
+        "crates/exec/src/pull.rs",
         "crates/algebra/src/chunk.rs",
         "crates/algebra/src/keys.rs",
     ];
@@ -97,7 +98,7 @@ mod lint {
     /// The engine's operators: keys are hashed and compared in their columns, so inside a
     /// `for`/`while`/`loop` body — a per-row loop — these files must not box a value or a row
     /// (`.value(` / `Tuple::new(`).
-    const ENGINE_FILES: &[&str] = &["crates/exec/src/parallel.rs"];
+    const ENGINE_FILES: &[&str] = &["crates/exec/src/parallel.rs", "crates/exec/src/pull.rs"];
 
     /// Where a statement is planned and its result streamed: a query runs on the thread that
     /// pulls its stream and on the engine's worker pool, so these files must not start a

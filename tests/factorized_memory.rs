@@ -4,10 +4,12 @@
 //! provenance result is mostly repetition: TPC-H Q11+ turns 156 rows into 24 960 × 34 columns,
 //! Q15+ one row into 13 340 × 44. The engine carries that result as views — a join batch is one
 //! index buffer per source buffer its sides carry, and the operators above keep views while the
-//! dictionary is shared — and the stream lets go of every chunk it has handed out. Their
+//! dictionary is shared — a result whose top is a join is pulled from its probe a batch at a
+//! time, and the stream lets go of every chunk it has handed out. Their
 //! `ORDER BY`s order q's rows, not the expanded result: Q11+ sorts its 156 aggregate rows below
 //! the join-back, and Q15+'s rows, tied on the sort key, pass its sort as they are. This test
-//! drains both results, and a stack of outer joins whose build side is such views, in process
+//! drains both results, a stack of outer joins whose build side is such views, and the service
+//! smoke's 1 000 000-row constant-key join in process
 //! under a counting allocator and bounds what the engine held at once. Both results then go
 //! through the wire codec's result encoder and decoder: each shared index buffer is written once
 //! per frame and decodes shared, and each dictionary row once per result, which bounds the bytes
@@ -65,11 +67,13 @@ fn rows_in_order(session: &Session, sql: &str) -> Vec<String> {
 #[test]
 fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
     /// Heap high-water allowed over base while draining, per text. The flat results are 6.2 MB
-    /// (Q11+) and 5.0 MB (Q15+); the engine that copied them held 17.3 MB and 13.5 MB, and the
-    /// one that sorted all of a result after its join-back 1.89 MB and 0.89 MB. Measured: 1.01 MB
-    /// (Q11+ sorts its 156 aggregate rows below the join-back) and 0.57–0.59 MB (Q15+'s rows,
-    /// all tied on the sort key, pass its sort as they are).
-    const CAPS: [(u32, usize, usize); 2] = [(11, 24_960, 1_200_000), (15, 13_340, 700_000)];
+    /// (Q11+) and 5.0 MB (Q15+); the engine that copied them held 17.3 MB and 13.5 MB, the one
+    /// that sorted all of a result after its join-back 1.89 MB and 0.89 MB, and the one that
+    /// held a result whole before handing it out 1.01 MB for Q11+. Measured: 0.07–0.26 MB (Q11+
+    /// sorts its 156 aggregate rows below the join-back, and its join-back is pulled a batch at
+    /// a time) and 0.04–0.65 MB (Q15+'s rows, all tied on the sort key, pass its sort as they
+    /// are; the sort stays on top, so its result is still held whole).
+    const CAPS: [(u32, usize, usize); 2] = [(11, 24_960, 310_000), (15, 13_340, 700_000)];
     /// Every line item beside the supplier, nation and region it came from: 5.2 MB flat. The
     /// outer join's build side is itself a stack of outer joins — views with pads in them, each
     /// supplier repeated eighty times — and has to stay views when the NULL slot goes behind it.
@@ -149,5 +153,42 @@ fn provenance_results_drain_within_a_fraction_of_their_flat_size() {
                 None => *reference = Some(rows),
             }
         }
+    }
+    // The service smoke's stream: 1 000 probe rows against 1 000 build rows of one key, each
+    // carrying a 64-byte payload — 1 000 000 provenance rows out of one probe morsel. The region
+    // above the join is pulled one batch at a time, so what is held at once is the build side
+    // and a pull's index buffers, not the 8 MB of index buffers the whole result is.
+    const PAIRS: &str = "SELECT PROVENANCE b.payload FROM big_probe a, big_build b WHERE a.k = b.k";
+    /// Measured: 36 389 B at every degree — the 1 000-row build side, its hash table and one
+    /// batch's index buffers. The engine that held the whole result: ~8 MB.
+    const PAIRS_CAP_BYTES: usize = 45_000;
+    let pairs = Catalog::new();
+    let repeated = |values: Vec<Value>| (0..1000).map(|_| Tuple::new(values.clone())).collect();
+    let probe = Schema::from_pairs(&[("k", DataType::Int)]);
+    let probe = Relation::from_parts(probe, repeated(vec![Value::Int(7)]));
+    pairs.create_table_with_data("big_probe", probe).unwrap();
+    let build = Schema::from_pairs(&[("k", DataType::Int), ("payload", DataType::Text)]);
+    let build =
+        Relation::from_parts(build, repeated(vec![Value::Int(7), Value::text("p".repeat(64))]));
+    pairs.create_table_with_data("big_build", build).unwrap();
+    // Degrees 1, 2 and 4, then the engine's own default (`PERM_WORKERS`, else one per CPU).
+    for degree in [Some(1), Some(2), Some(4), None] {
+        let engine =
+            Engine::with_catalog(pairs.clone()).with_rewriter(Arc::new(ProvenanceRewriter::new()));
+        let engine = Arc::new(match degree {
+            Some(workers) => engine.with_workers(workers),
+            None => engine,
+        });
+        let workers = engine.workers();
+        let session = engine.session();
+        assert_eq!(drain(&session, PAIRS), 1_000_000);
+        let (rows, high_water) = high_water_over_base(|| drain(&session, PAIRS));
+        assert_eq!(rows, 1_000_000);
+        println!("1M-row join workers={workers}: heap high-water over base {high_water} B");
+        assert!(
+            high_water <= PAIRS_CAP_BYTES,
+            "the 1M-row join at {workers} workers held {high_water} B over base (cap \
+             {PAIRS_CAP_BYTES} B): its result is held whole, not pulled a batch at a time"
+        );
     }
 }

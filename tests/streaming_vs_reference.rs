@@ -1683,3 +1683,58 @@ fn sorts_moved_below_joins_keep_the_order_of_a_sort_above() {
         }
     }
 }
+
+/// A pulled region hands out its drained result batch by batch. One probe morsel that emits
+/// nine batches comes out one batch per pull, rows and order as drained, at every degree; and a
+/// `LIMIT` over a join ends the pulls once it is covered: the join's recorded output stops at
+/// the limit, however many probe morsels are left.
+#[test]
+fn a_pulled_region_matches_its_drained_result() {
+    use perm_algebra::{PlanBuilder, DEFAULT_CHUNK_SIZE};
+    use perm_exec::ProfileSink;
+
+    // 3 probe rows of one key against 3 000 build rows of it: 9 000 rows from one morsel.
+    let r: Vec<(i64, i64)> = (0..3).map(|i| (1, i)).collect();
+    let s: Vec<(i64, i64)> = (0..3000).map(|i| (1, i)).collect();
+    let catalog = catalog_with(&r, &s);
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    let on_k = || Some(ScalarExpr::column(0, "k").eq(ScalarExpr::column(2, "k")));
+    let join = || scan("r", 0).join(scan("s", 1), JoinKind::Inner, on_k());
+    let plan = join().project(vec![(ScalarExpr::column(3, "v"), "v".into())]).build();
+    let executor = Executor::new(catalog.clone());
+    for pool in pools() {
+        let drained = executor.execute_parallel(&plan, pool).unwrap().tuples();
+        let mut cursor = executor.open(&plan, pool).unwrap();
+        let mut pulled = Vec::new();
+        while let Some(batch) = cursor.next_batch(pool).unwrap() {
+            assert_eq!(batch.len(), 1, "one step of the one morsel per pull");
+            pulled.extend(batch.iter().flat_map(|chunk| chunk.iter_tuples()));
+        }
+        assert_eq!(pulled.len(), 9000);
+        assert_eq!(pulled, drained, "pulled != drained at degree {}", pool.workers());
+    }
+
+    // 4 096 probe rows in four morsels, each matching one build row; LIMIT 100.
+    let r: Vec<(i64, i64)> = (0..4 * DEFAULT_CHUNK_SIZE as i64).map(|i| (1, i)).collect();
+    let catalog = catalog_with(&r, &[(1, 0)]);
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    let limited =
+        scan("r", 0).join(scan("s", 1), JoinKind::Inner, on_k()).limit(Some(100), 0).build();
+    for pool in pools() {
+        let sink = std::sync::Arc::new(ProfileSink::new(&limited));
+        let options = ExecOptions::default().with_profile(sink.clone());
+        let executor = Executor::with_options(catalog.clone(), options);
+        let mut cursor = executor.open(&limited, pool).unwrap();
+        let mut rows = 0;
+        while let Some(batch) = cursor.next_batch(pool).unwrap() {
+            rows += batch.iter().map(|chunk| chunk.num_rows()).sum::<usize>();
+        }
+        assert_eq!(rows, 100);
+        let join_rows = sink.snapshot().ops[1].rows_out;
+        assert_eq!(join_rows, 100, "the join ran past the LIMIT at degree {}", pool.workers());
+    }
+}
