@@ -87,13 +87,13 @@ pub trait QueryMemory: Send + Sync + std::fmt::Debug {
 /// Resource limits applied to a single plan execution.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// No operator may produce more than this many output rows. Each operator's output is
-    /// charged in morsel-index order — the rule `LIMIT` uses, and as it is pulled — so a plan
-    /// under a budget ends in the same `Ok` or [`ExecError::RowBudgetExceeded`] at every
-    /// parallelism degree; a pulled result may have handed out chunks before the error. A join
-    /// stops probing as soon as it is over budget, and a `LIMIT` directly above a join or
-    /// filter stops it once satisfied; everything below a materializing operator (sort,
-    /// aggregation, set operation, DISTINCT, a join's inputs) is produced and charged in full.
+    /// No operator may produce more than this many output rows. The row that takes an operator
+    /// past the budget is an error met in plan order, like any other (see [`crate::reference`]
+    /// for the rule), so a plan under a budget ends in the same `Ok` or
+    /// [`ExecError::RowBudgetExceeded`] at every parallelism degree; a pulled result may have
+    /// handed out chunks before the error. A streaming operator is charged only for the rows
+    /// the output needs; everything below a materializing operator (sort, aggregation, set
+    /// operation, DISTINCT, a join's inputs) is produced and charged in full.
     pub row_budget: Option<usize>,
     /// Wall-clock timeout.
     pub timeout: Option<Duration>,
@@ -205,14 +205,6 @@ impl ExecContext {
             Some(budget) if rows > budget => Err(ExecError::RowBudgetExceeded { budget }),
             _ => Ok(()),
         }
-    }
-
-    /// The output-row count at which a row-creating morsel region may stop: a downstream
-    /// `LIMIT`'s target, or one row past the budget (enough for [`Self::charge_rows`] to fail
-    /// the operator), whichever comes first.
-    pub(crate) fn region_stop(&self, limit: Option<usize>) -> Option<usize> {
-        let over_budget = self.row_budget.map(|budget| budget.saturating_add(1));
-        limit.into_iter().chain(over_budget).min()
     }
 
     /// Check the wall-clock deadline *and* the cancellation token: every deadline checkpoint
@@ -347,7 +339,7 @@ impl Executor {
         self.execute_parallel(plan, &crate::parallel::WorkerPool::new(1))
     }
 
-    /// Execute a plan with the naive materializing reference evaluator (the executable
+    /// Execute a plan with the naive, pulled reference evaluator (the executable
     /// specification of operator semantics; ignores resource limits). Exposed for differential
     /// tests.
     pub fn execute_reference(&self, plan: &LogicalPlan) -> Result<Relation, ExecError> {

@@ -12,8 +12,9 @@
 //!   `Executor::execute` is degree 1 of it — the same code on an inline pool — and
 //!   `Executor::execute_parallel` runs it on a shared [`WorkerPool`]; results and errors are
 //!   identical at every degree.
-//! * the **oracle** ([`mod@reference`]): a naive, fully materializing evaluator kept as the
-//!   executable specification that differential tests compare the engine against.
+//! * the **oracle** ([`mod@reference`]): a naive, pulled evaluator kept as the executable
+//!   specification — of operator semantics and of when a query fails — that differential
+//!   tests compare the engine against.
 //!
 //! And exactly two things evaluate an expression: the engine's one compiled, columnar
 //! evaluator (`compile.rs` + `vector.rs`: expressions and join conditions alike) and the

@@ -56,19 +56,16 @@
 //!   one right occurrence spent per left row under `ALL` — no row is boxed. Runs of small
 //!   output chunks are laid end to end up to one morsel, so the operators above do not pay a
 //!   dispatch per fragment.
-//! * **LIMIT** ends its region: it hands its row target to the level directly below it (a
-//!   join probe or a filter/projection; a projection without a filter hands it on to its
-//!   input), whose morsels are claimed in index order until the completed prefix covers the
-//!   target, and replayed in index order — output and errors behind the morsel that satisfies
-//!   the limit are never observed.
-//!   Everything *below* a materializing operator (sort, aggregation, set operation, DISTINCT,
-//!   a join's inputs) is evaluated in full, so a runtime error there surfaces even when the
-//!   `LIMIT` would have discarded the offending row — as it does in [`crate::reference`],
-//!   which evaluates everything.
-//! * **row budgets** ([`crate::ExecOptions::row_budget`]) use the same replay: every
-//!   operator's output is charged against the budget, and a join — the one operator that can
-//!   multiply rows — treats "one row over budget" as a stop target, both across morsels and
-//!   inside one, so a runaway join fails after producing about a budget's worth of rows
+//! * **LIMIT** ends its region: the region's morsels are claimed in index order until the
+//!   completed ones cover the rows it wants, through filters and probes alike, and replayed in
+//!   index order. Everything *below* a breaker (sort, aggregation, set operation, DISTINCT, a
+//!   join's inputs) is evaluated in full, so a runtime error there surfaces even when the
+//!   `LIMIT` would have discarded the offending row; within the region, only the rows the
+//!   `LIMIT` needs are evaluated — the pull rule of [`crate::reference`] (see `pull.rs`).
+//! * **row budgets** ([`crate::ExecOptions::row_budget`]) follow the same rule: an operator's
+//!   output is charged as it is replayed, and the row that takes it past the budget is one
+//!   more error met in plan order. A drained join morsel stops once its output alone passes
+//!   the budget, so a runaway join fails after about a budget's worth of rows per morsel
 //!   instead of materializing its whole output first.
 //!
 //! Results and errors do not depend on the degree: a failing region reports the error of the
@@ -390,33 +387,11 @@ fn finish_morsel<T>(region: &Region<T>) {
     }
 }
 
-/// Replay a region's slots in morsel-index order — the rule that makes results independent of
-/// the degree: stop once `stop_rows` output rows are covered (anything after is unobservable,
-/// whether or not some worker got to it), and surface the first error. Unclaimed (`None`) slots
-/// are always behind either the stop point or an earlier error, so hitting one is unreachable
-/// once neither applies.
-fn collect_region<T>(
-    slots: Vec<Option<Result<T, ExecError>>>,
-    stop_rows: Option<usize>,
-    rows_of: impl Fn(&T) -> usize,
-) -> Result<Vec<T>, ExecError> {
-    let stop = stop_rows.unwrap_or(usize::MAX);
-    let mut out = Vec::with_capacity(slots.len());
-    let mut rows = 0usize;
-    for slot in slots {
-        if rows >= stop {
-            break;
-        }
-        match slot {
-            Some(Ok(value)) => {
-                rows = rows.saturating_add(rows_of(&value));
-                out.push(value);
-            }
-            Some(Err(e)) => return Err(e),
-            None => break,
-        }
-    }
-    Ok(out)
+/// Gather a region's slots in morsel-index order and surface the first error — the rule that
+/// makes errors independent of the degree. A slot no worker claimed lies behind an earlier
+/// error, so it is never reached.
+fn collect_region<T>(slots: Vec<Option<Result<T, ExecError>>>) -> Result<Vec<T>, ExecError> {
+    slots.into_iter().map_while(|slot| slot).collect()
 }
 
 /// One hash per row of a batch of keys, under the hasher `state` of the operator they meet in
@@ -455,10 +430,9 @@ impl Executor {
     }
 
     /// Evaluate `plan` to a materialized chunk list, charged against the row budget. `limit`
-    /// carries a downstream LIMIT's row target (or a sublink's decisive row count) into the
-    /// directly-feeding morsel region so it can stop claiming morsels early (shared atomic
-    /// counter; see [`Region`]). A region-shaped node (projection, filter, alias, LIMIT, join)
-    /// is a [`ResultCursor`] drained; a pipeline breaker is evaluated here.
+    /// is how many rows the caller takes (a sublink's decisive row count, or a LIMIT's through
+    /// a projection): a region-shaped node (projection, filter, alias, LIMIT, join) is a
+    /// [`ResultCursor`] drained to that many rows; a pipeline breaker is evaluated here.
     ///
     /// With a profile sink attached (`EXPLAIN ANALYZE`) each operator records its inclusive
     /// wall time and materialized output — one timestamp pair and two relaxed increments per
@@ -560,8 +534,7 @@ impl Executor {
     /// Open a join for probing: build its right input into a partitioned hash table (or a
     /// nested loop's build chunk) and evaluate its left input, the probe morsels; the probe
     /// itself is pulled ([`ProbeCursor`]). `plan` is the `Join` node itself, used to attribute
-    /// the build side's buffered bytes. A probe morsel stops at `stop` output rows (see
-    /// [`ExecContext::region_stop`]).
+    /// the build side's buffered bytes.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn open_join(
         &self,
@@ -572,7 +545,6 @@ impl Executor {
         condition: Option<&ScalarExpr>,
         ctx: &ExecContext,
         pool: &WorkerPool,
-        stop: Option<usize>,
     ) -> Result<Probe, ExecError> {
         let left_arity = left.output_arity();
         let right_arity = right.output_arity();
@@ -641,7 +613,6 @@ impl Executor {
             filter,
             pads: matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter),
             matched,
-            stop_rows: stop.unwrap_or(usize::MAX),
             left_arity,
         })
     }
@@ -843,7 +814,7 @@ fn build_key_hashes(
         let keys: Vec<Arc<Array>> = columns.iter().map(|&c| chunk.column(c).clone()).collect();
         Ok((key_hashes(&state, &keys, chunk.num_rows()), 0))
     });
-    let parts = collect_region(slots, None, |_| 0)?;
+    let parts = collect_region(slots)?;
     Ok(parts.into_iter().flatten().collect())
 }
 
@@ -899,7 +870,7 @@ fn build_partitioned_table(
     });
     let mut next = vec![CHAIN_END; rows];
     let mut parts = Vec::with_capacity(nparts);
-    for (table, links) in collect_region(slots, None, |_| 0)? {
+    for (table, links) in collect_region(slots)? {
         for (i, following) in links {
             next[i as usize] = following;
         }
@@ -939,9 +910,6 @@ pub(crate) struct Probe {
     pads: bool,
     /// Matched-build-row flags (right / full outer).
     matched: Option<Vec<AtomicBool>>,
-    /// The output rows at which one morsel stops: on its own it then covers the region's stop
-    /// target.
-    stop_rows: usize,
     left_arity: usize,
 }
 
@@ -975,11 +943,13 @@ impl Probe {
 /// (see [`DataChunk::take_dict`]); a pad addresses the build side's NULL slot. Candidate pairs
 /// are generated one way — each probe row with its bucket chain or with every build row, in
 /// build-row order, so the output row sequence equals a nested loop's — and a join condition
-/// decides them [`DEFAULT_CHUNK_SIZE`] at a time ([`ProbeCursor::decide`]). The morsel stops
-/// once it has emitted [`Probe::stop_rows`] rows. The join condition has been evaluated on the
-/// whole candidate batch that reached the target and on nothing behind it, so an error among
-/// that batch's later pairs is observed — identically at every degree and however the morsel
-/// is pulled, a morsel being probed the same way whichever worker steps it.
+/// decides them [`DEFAULT_CHUNK_SIZE`] at a time ([`ProbeCursor::decide`]).
+///
+/// A failing condition is met where a nested loop meets it: the cursor emits the pairs and pads
+/// before the first failing pair, then the error. The batch is decided again pair by pair to
+/// find that pair, on the error path only. Which rows of the morsel's output are wanted, and
+/// so whether the error is observed, is the region's to decide (see `pull.rs`); a morsel is
+/// probed the same way whichever worker steps it.
 pub(crate) struct ProbeCursor {
     morsel: usize,
     /// The probe chunk's key columns and row hashes (hash joins).
@@ -996,9 +966,10 @@ pub(crate) struct ProbeCursor {
     pairs: (Vec<u32>, Vec<u32>),
     /// The first probe row that has neither a match nor a pad yet.
     pad_from: u32,
-    emitted: usize,
     /// Batches emitted and not yet returned.
     batches: Vec<DataChunk>,
+    /// The error met behind the batches not yet returned.
+    failed: Option<ExecError>,
     done: bool,
 }
 
@@ -1019,8 +990,8 @@ impl ProbeCursor {
             candidates: Default::default(),
             pairs: Default::default(),
             pad_from: 0,
-            emitted: 0,
             batches: Vec::new(),
+            failed: None,
             done: false,
         }
     }
@@ -1031,19 +1002,34 @@ impl ProbeCursor {
     }
 
     /// Probe on until at least one batch is emitted or the morsel ends, and return what was
-    /// emitted (nothing only at the end). A cursor that returned an error is spent.
+    /// emitted (nothing only at the end). An error comes after the batches emitted before it,
+    /// and a cursor that returned one is spent.
     pub(crate) fn step(
         &mut self,
         probe: &Probe,
         ctx: &ExecContext,
     ) -> Result<Vec<DataChunk>, ExecError> {
+        if let Some(error) = self.failed.take() {
+            return Err(error);
+        }
+        if let Err(error) = self.advance(probe, ctx) {
+            self.flush(probe);
+            if self.batches.is_empty() {
+                return Err(error);
+            }
+            self.failed = Some(error);
+        }
+        Ok(std::mem::take(&mut self.batches))
+    }
+
+    fn advance(&mut self, probe: &Probe, ctx: &ExecContext) -> Result<(), ExecError> {
         let chunk = &probe.morsels[self.morsel];
         let rows = chunk.num_rows() as u32;
         // A nested loop's "chain" is every build row.
         let build_row = |i: u32| if (i as usize) < probe.build.rows { i } else { CHAIN_END };
         while self.batches.is_empty() && !self.done {
             if self.candidate == CHAIN_END {
-                if self.next_row < rows && self.emitted < probe.stop_rows {
+                if self.next_row < rows {
                     self.row = self.next_row;
                     self.next_row += 1;
                     self.candidate = match &probe.mode {
@@ -1062,13 +1048,9 @@ impl ProbeCursor {
                 self.done = true;
                 break;
             }
-            // The candidates of one probe row, until its chain ends, the morsel reaches its stop
-            // target or a batch is emitted.
+            // The candidates of one probe row, until its chain ends or a batch is emitted.
             let (row, mut candidate, mut generated) = (self.row, self.candidate, self.generated);
-            while candidate != CHAIN_END
-                && self.emitted < probe.stop_rows
-                && self.batches.is_empty()
-            {
+            while candidate != CHAIN_END && self.batches.is_empty() {
                 if generated & 0x3FF == 0 {
                     ctx.check_deadline()?;
                 }
@@ -1089,27 +1071,46 @@ impl ProbeCursor {
                     ParJoinMode::Loop => build_row(candidate + 1),
                 };
             }
-            // A morsel at its stop target generates no more candidates.
-            self.candidate = if self.emitted < probe.stop_rows { candidate } else { CHAIN_END };
+            self.candidate = candidate;
             self.generated = generated;
         }
-        Ok(std::mem::take(&mut self.batches))
+        Ok(())
     }
 
     /// Apply the join condition to the whole batch of candidate pairs and accept the survivors.
+    /// When it fails, the pairs are decided one by one up to the first failing pair, whose
+    /// error is returned after the pairs and pads before it are emitted.
     fn decide(&mut self, probe: &Probe, filter: &JoinFilter) -> Result<(), ExecError> {
-        if !self.candidates.0.is_empty() {
-            let (mut rows, mut build_rows) = std::mem::take(&mut self.candidates);
-            let keep = filter.eval_pairs(&probe.morsels[self.morsel], &rows, &build_rows)?;
-            for (i, keep) in keep.into_iter().enumerate() {
-                if keep {
-                    self.accept(probe, rows[i], build_rows[i]);
+        if self.candidates.0.is_empty() {
+            return Ok(());
+        }
+        let (mut rows, mut build_rows) = std::mem::take(&mut self.candidates);
+        let chunk = &probe.morsels[self.morsel];
+        match filter.eval_pairs(chunk, &rows, &build_rows) {
+            Ok(keep) => {
+                for (i, keep) in keep.into_iter().enumerate() {
+                    if keep {
+                        self.accept(probe, rows[i], build_rows[i]);
+                    }
                 }
             }
-            rows.clear();
-            build_rows.clear();
-            self.candidates = (rows, build_rows);
+            Err(_) => {
+                for i in 0..rows.len() {
+                    let pair = i..i + 1;
+                    match filter.eval_pairs(chunk, &rows[pair.clone()], &build_rows[pair]) {
+                        Ok(keep) if keep[0] => self.accept(probe, rows[i], build_rows[i]),
+                        Ok(_) => {}
+                        Err(error) => {
+                            self.pad_before(probe, rows[i]);
+                            return Err(error);
+                        }
+                    }
+                }
+            }
         }
+        rows.clear();
+        build_rows.clear();
+        self.candidates = (rows, build_rows);
         Ok(())
     }
 
@@ -1131,12 +1132,8 @@ impl ProbeCursor {
         }
     }
 
-    /// One more output row, unless the morsel has reached its stop target.
+    /// One more output row.
     fn emit(&mut self, probe: &Probe, probe_row: u32, build_row: u32) {
-        if self.emitted >= probe.stop_rows {
-            return;
-        }
-        self.emitted += 1;
         self.pairs.0.push(probe_row);
         self.pairs.1.push(build_row);
         if self.pairs.0.len() >= DEFAULT_CHUNK_SIZE {
@@ -1228,7 +1225,7 @@ fn par_aggregate(
         let hashes = key_hashes(&state, &keys, chunk.num_rows());
         Ok((AggMorsel { keys, args, hashes, rows: chunk.num_rows() }, 0))
     });
-    let morsels = Arc::new(collect_region(slots, None, |_| 0)?);
+    let morsels = Arc::new(collect_region(slots)?);
     let built: Vec<DataChunk> = morsels
         .iter()
         .map(|m| DataChunk::new(m.keys.iter().chain(m.args.iter().flatten()).cloned().collect()))
@@ -1280,7 +1277,7 @@ fn par_aggregate(
         }
         Ok((PartGroups { groups, error: None }, 0))
     });
-    let parts = collect_region(slots, None, |_| 0)?;
+    let parts = collect_region(slots)?;
 
     // Surface the globally first failing row's error (what sequential execution reports).
     if let Some((_, e)) = parts.iter().filter_map(|p| p.error.as_ref()).min_by_key(|(pos, _)| *pos)
@@ -1365,7 +1362,7 @@ fn par_sort(
         let run: Vec<SortPos> = order.into_iter().map(|row| (m as u32, row)).collect();
         Ok(((key_cols, Some(run)), 0))
     });
-    let extracted = collect_region(slots, None, |_| 0)?;
+    let extracted = collect_region(slots)?;
     let (run_keys, runs): (Vec<_>, Vec<_>) = extracted.into_iter().unzip();
 
     // Global comparator: a position names its chunk's key columns and the row in them.

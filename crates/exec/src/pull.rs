@@ -10,15 +10,15 @@
 //! batch at a time, so the result is never held whole. Draining the cursor pulls every morsel
 //! in one region, and is how the engine materializes a region ([`Executor::par_chunks`]).
 //!
-//! **One outcome, however it is pulled.** Every level of the region keeps the rule the
-//! engine's materializing regions had: its output is taken in morsel order, chunk by chunk (a
-//! join's morsel by morsel) until it covers the level's stop target — a `LIMIT`'s, carried down
-//! as far as nothing filters — and it is charged against the row budget as it goes. An error
-//! is the one a level-by-level evaluation meets first: the lowest level's, and within a level
-//! the earliest morsel's. A level whose output is no longer wanted — the `LIMIT` is satisfied,
-//! or a level above failed — is therefore still run to its stop target (its output dropped as
-//! it comes), so that its own errors and budget are settled as if it had run first. Rows, row
-//! order and errors do not depend on the degree or on how many rows each pull hands out.
+//! **When a query fails.** The oracle's rule ([`crate::reference`]): a query fails if and only
+//! if evaluating, in plan order, the rows its output needs meets an error, and then with the
+//! first such error. A level's output passing the row budget is one more such error. Morsels
+//! run ahead of the consumer a batch at a time, and their batches are replayed in morsel order.
+//! The one batch that ends the region — it fails, takes a level past the budget, or covers what
+//! the consumer still wants — is *cut*: lifted again from the shortest prefix of its source
+//! rows that still ends it ([`ResultCursor::cut`]). Nothing behind that row is charged,
+//! profiled or handed out, and an error behind it is not observed. Rows, row order and errors
+//! do not depend on the degree or on how many rows each pull hands out.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -80,29 +80,26 @@ struct Shared {
     ctx: ExecContext,
 }
 
-/// The bookkeeping of one level's output: level 0 is the source, level `i` is stage `i - 1`.
+/// One level's output: level 0 is the source, level `i` is stage `i - 1`.
 struct Level {
-    /// The output rows that satisfy the level (a `LIMIT`'s target, or one row over budget for a
-    /// join).
-    stop: Option<usize>,
     /// Is the output charged against the row budget here? (A breaker's chunk list was charged
     /// when it was built; the projection under a DISTINCT is charged as the distinct rows.)
     charged: bool,
     produced: usize,
-    /// A join's output of the morsels it has finished: a join stops at morsel boundaries.
-    closed: usize,
     /// The profile slots of the operators whose output this level is.
     nodes: Vec<usize>,
 }
 
 impl Level {
-    fn new(stop: Option<usize>, charged: bool, nodes: Vec<usize>) -> Level {
-        Level { stop, charged, produced: 0, closed: 0, nodes }
+    fn new(charged: bool, nodes: Vec<usize>) -> Level {
+        Level { charged, produced: 0, nodes }
     }
 }
 
-/// What one source chunk became on its way up the region.
+/// What one source batch became on its way up the region.
 struct Lift {
+    /// The batch (none when the source itself failed), kept for [`ResultCursor::cut`].
+    source: Option<DataChunk>,
     /// Its rows at each level it reached, from the source up.
     rows: Vec<usize>,
     /// Its output at the top level, when it reached it.
@@ -111,7 +108,18 @@ struct Lift {
     error: Option<ExecError>,
 }
 
+impl Lift {
+    fn failed(error: ExecError) -> Lift {
+        Lift { source: None, rows: Vec::new(), top: None, error: Some(error) }
+    }
+
+    fn top_rows(&self) -> usize {
+        self.top.as_ref().map_or(0, DataChunk::num_rows)
+    }
+}
+
 /// A morsel claimed and not yet replayed to its end.
+#[derive(Default)]
 struct Morsel {
     index: usize,
     /// A join morsel's cursor between steps (`None` before its first step).
@@ -120,9 +128,8 @@ struct Morsel {
     done: bool,
 }
 
-/// One task of a pull: a morsel and its cursor (none before its first step), stepped once or
-/// to its end. A task that is not claimed leaves the cursor where it was.
-type Work = (usize, Mutex<Option<ProbeCursor>>);
+/// A morsel after a step: its cursor to resume (unless done), its lifts, and whether it is done.
+type Stepped = (Option<ProbeCursor>, Vec<Lift>, bool);
 
 /// The unmatched build rows a right or full outer join pads once every morsel is probed.
 enum Pads {
@@ -134,10 +141,10 @@ enum Pads {
 /// A plan's top region, pulled on demand ([`Executor::open`]).
 ///
 /// [`ResultCursor::next_batch`] runs the next `workers` morsels — one step of each join morsel
-/// — and returns their output in morsel order; [`ResultCursor::drain`] runs everything. The
-/// cursor owns what its region reads (the join's build side and probe morsels, the breaker's
-/// chunk list, the compiled expressions) and the statement's context: its row budget, deadline,
-/// cancellation token, memory grant and profile sink.
+/// — and returns their output in morsel order; [`ResultCursor::drain`] runs everything the
+/// consumer wants. The cursor owns what its region reads (the join's build side and probe
+/// morsels, the breaker's chunk list, the compiled expressions) and the statement's context:
+/// its row budget, deadline, cancellation token, memory grant and profile sink.
 pub struct ResultCursor {
     shared: Arc<Shared>,
     levels: Vec<Level>,
@@ -146,8 +153,6 @@ pub struct ResultCursor {
     next: usize,
     total: usize,
     pads: Pads,
-    /// The levels whose output is still wanted: an error at level `l` leaves `l`.
-    live: usize,
     error: Option<ExecError>,
     /// `LIMIT`: rows still to skip and rows still wanted; the operators it stands for.
     skip: usize,
@@ -155,8 +160,6 @@ pub struct ResultCursor {
     consumer: Vec<usize>,
     /// Chunks replayed to the consumer and not yet returned.
     ready: Vec<DataChunk>,
-    /// When every morsel is claimed in one region, the level whose stop target ends it.
-    gate: Option<usize>,
     finished: bool,
 }
 
@@ -172,9 +175,9 @@ impl std::fmt::Debug for ResultCursor {
 }
 
 impl ResultCursor {
-    /// Open the region at the top of `plan`, evaluating everything below it. `limit` is a row
-    /// target from above (a sublink's decisive row count, say). With `distinct`, `plan` is a
-    /// DISTINCT projection whose projection is the region's top level, uncharged.
+    /// Open the region at the top of `plan`, evaluating everything below it. `limit` is how
+    /// many rows the caller takes (a sublink's decisive row count, say). With `distinct`,
+    /// `plan` is a DISTINCT projection whose projection is the region's top level, uncharged.
     pub(crate) fn open(
         exec: &Executor,
         plan: &LogicalPlan,
@@ -190,6 +193,8 @@ impl ResultCursor {
         let mut stages: Vec<(Stage, Level)> = Vec::new();
         let mut consumer = None;
         let mut node = plan;
+        // The rows the level being opened must deliver, as long as no filter intervenes: a
+        // `LIMIT` below a projection is a region of its own, drained to this many rows.
         let mut hint = limit;
         let (source, level0) = loop {
             match node {
@@ -202,8 +207,9 @@ impl ResultCursor {
                     if consumer.is_none() && stages.is_empty() =>
                 {
                     nodes.extend(ctx.profile_op(node).map(|(_, slot)| slot));
-                    consumer = Some((*offset, *n, std::mem::take(&mut nodes)));
-                    hint = n.map(|n| n.saturating_add(*offset));
+                    let wanted = n.iter().chain(&limit).copied().min();
+                    consumer = Some((*offset, wanted, std::mem::take(&mut nodes)));
+                    hint = wanted.map(|n| n.saturating_add(*offset));
                     node = input;
                 }
                 LogicalPlan::Projection { input, exprs, distinct: d }
@@ -216,84 +222,60 @@ impl ResultCursor {
                     } else {
                         nodes.extend(ctx.profile_op(node).map(|(_, slot)| slot));
                     }
-                    let level = Level::new(hint, !*d, std::mem::take(&mut nodes));
+                    let level = Level::new(!*d, std::mem::take(&mut nodes));
                     // A selection right below (aliases between are not executed) is the same
-                    // stage; without one the projection maps row for row, so its input needs
-                    // no more rows than its own target either.
-                    match strip_transparent(input) {
+                    // stage.
+                    let (input, predicate) = match strip_transparent(input) {
                         LogicalPlan::Selection { input, predicate } => {
-                            let predicate = Some(compile(predicate)?);
-                            stages.push((Stage { predicate, exprs: Some(exprs) }, level));
-                            hint = None;
-                            node = input;
+                            (input, Some(compile(predicate)?))
                         }
-                        _ => {
-                            stages.push((Stage { predicate: None, exprs: Some(exprs) }, level));
-                            node = input;
-                        }
-                    }
+                        _ => (input, None),
+                    };
+                    hint = hint.filter(|_| predicate.is_none());
+                    stages.push((Stage { predicate, exprs: Some(exprs) }, level));
+                    node = input;
                 }
                 LogicalPlan::Selection { input, predicate } => {
                     let predicate = Some(compile(predicate)?);
                     nodes.extend(ctx.profile_op(node).map(|(_, slot)| slot));
-                    let level = Level::new(hint, true, std::mem::take(&mut nodes));
+                    let level = Level::new(true, std::mem::take(&mut nodes));
                     stages.push((Stage { predicate, exprs: None }, level));
                     hint = None;
                     node = input;
                 }
                 LogicalPlan::Join { left, right, kind, condition } => {
-                    let stop = ctx.region_stop(hint);
-                    let probe = exec.open_join(
-                        node,
-                        left,
-                        right,
-                        *kind,
-                        condition.as_ref(),
-                        ctx,
-                        pool,
-                        stop,
-                    )?;
+                    let probe =
+                        exec.open_join(node, left, right, *kind, condition.as_ref(), ctx, pool)?;
                     nodes.extend(ctx.profile_op(node).map(|(_, slot)| slot));
-                    break (Source::Probe(Box::new(probe)), Level::new(stop, true, nodes));
+                    break (Source::Probe(Box::new(probe)), Level::new(true, nodes));
                 }
                 _ => {
                     let chunks = exec.par_chunks(node, ctx, pool, hint)?;
-                    break (Source::Chunks(chunks), Level::new(None, false, nodes));
+                    break (Source::Chunks(chunks), Level::new(false, nodes));
                 }
             }
         };
-        let total = match &source {
-            Source::Chunks(chunks) => chunks.len(),
-            Source::Probe(probe) => probe.morsels(),
+        let (total, pads) = match &source {
+            Source::Chunks(chunks) => (chunks.len(), Pads::Done),
+            Source::Probe(probe) => (probe.morsels(), Pads::Pending),
         };
-        let probing = matches!(source, Source::Probe(_));
         let (stages, upper): (Vec<Stage>, Vec<Level>) = stages.into_iter().rev().unzip();
-        let levels: Vec<Level> = std::iter::once(level0).chain(upper).collect();
-        // Claiming every morsel in one region may stop at a level's target only when no level
-        // below it must run to its end: each stage has a target, and so does a join source.
-        let gate = match levels[1..].iter().all(|l| l.stop.is_some()) {
-            true if probing => levels[0].stop.map(|_| 0),
-            true => (levels.len() > 1).then_some(1),
-            false => None,
-        };
-        let (skip, remaining, consumer) = consumer.unwrap_or((0, None, Vec::new()));
+        let (skip, remaining, consumer) = consumer.unwrap_or((0, limit, Vec::new()));
         let mut cursor = ResultCursor {
             shared: Arc::new(Shared { source, stages, ctx: ctx.clone() }),
-            live: levels.len(),
-            levels,
+            levels: std::iter::once(level0).chain(upper).collect(),
             open: VecDeque::new(),
             next: 0,
             total,
-            pads: if probing { Pads::Pending } else { Pads::Done },
+            pads,
             error: None,
             skip,
             remaining,
             consumer,
             ready: Vec::new(),
-            gate,
             finished: false,
         };
-        cursor.finished = !cursor.wants_more();
+        cursor.settle();
         cursor.record_time(started);
         Ok(cursor)
     }
@@ -314,17 +296,14 @@ impl ResultCursor {
     }
 
     /// Run the rest of the region and return its output: every remaining morsel is claimed in
-    /// one region, as far as the stop targets allow.
+    /// one region, until the consumer has what it wants.
     pub fn drain(mut self, pool: &WorkerPool) -> Result<Vec<DataChunk>, ExecError> {
         let mut out = std::mem::take(&mut self.ready);
         while !self.finished {
             self.pull(pool, true);
             out.append(&mut self.ready);
         }
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        self.error.take().map_or(Ok(out), Err)
     }
 
     /// One pull: step the open morsels that have nothing waiting and claim new ones — `workers`
@@ -337,85 +316,70 @@ impl ResultCursor {
             self.step(pool, whole);
         }
         self.replay_open();
-        self.finished = !self.wants_more();
-        if self.finished {
-            self.open.clear();
-        }
+        self.settle();
         self.record_time(started);
     }
 
     fn step(&mut self, pool: &WorkerPool, whole: bool) {
-        // A join that has met its target once the morsel being replayed ends needs no other.
-        let level0 = &self.levels[0];
-        let last = level0.stop.is_some_and(|stop| level0.produced >= stop);
-        let width = match (last, whole) {
-            (true, _) => 1,
-            (false, true) => usize::MAX,
-            (false, false) => pool.workers(),
-        };
-        let mut work: Vec<Work> = Vec::new();
-        for morsel in self.open.iter_mut().filter(|m| !m.done && m.lifts.is_empty()) {
-            if work.len() == width {
-                break;
-            }
-            work.push((morsel.index, Mutex::new(morsel.cursor.take())));
-        }
-        while work.len() < width && self.next < self.total && !last && !self.level_stopped(0) {
+        let width = if whole { usize::MAX } else { pool.workers() };
+        let waiting = self.open.iter_mut().filter(|m| !m.done && m.lifts.is_empty());
+        let mut work: Vec<(usize, Option<ProbeCursor>)> =
+            waiting.take(width).map(|m| (m.index, m.cursor.take())).collect();
+        while work.len() < width && self.next < self.total {
             let index = self.next;
-            self.open.push_back(Morsel {
-                index,
-                cursor: None,
-                lifts: VecDeque::new(),
-                done: false,
-            });
-            work.push((index, Mutex::new(None)));
+            self.open.push_back(Morsel { index, ..Morsel::default() });
+            work.push((index, None));
             self.next += 1;
         }
-        let work = Arc::new(work);
-        let shared = self.shared.clone();
-        let (live, gate) = (self.live, self.gate.filter(|_| whole));
-        let stop_rows = gate.and_then(|g| {
-            let level = &self.levels[g];
-            let produced = if g == 0 { level.closed } else { level.produced };
-            level.stop.map(|stop| stop.saturating_sub(produced))
-        });
-        let task_work = work.clone();
-        let task = move |i: usize| {
+        // The consumer's rows are the only stop counter: morsels are claimed in index order
+        // until the completed ones cover what it wants.
+        let wanted = self.wanted();
+        let inline = work.len() == 1
+            || pool.workers() == 1
+            || matches!((&self.shared.source, self.shared.stages.len()), (Source::Chunks(_), 0));
+        if inline {
+            let mut top = 0;
+            for (index, cursor) in work {
+                if wanted.is_some_and(|wanted| top >= wanted) {
+                    self.morsel(index).cursor = cursor;
+                    continue;
+                }
+                let stepped = run_morsel(&self.shared, index, cursor, whole, wanted);
+                top += stepped.1.iter().map(Lift::top_rows).sum::<usize>();
+                self.settle_morsel(index, Ok(stepped));
+            }
+            return;
+        }
+        let work: Arc<Vec<(usize, Mutex<Option<ProbeCursor>>)>> =
+            Arc::new(work.into_iter().map(|(index, cursor)| (index, Mutex::new(cursor))).collect());
+        let (shared, task_work) = (self.shared.clone(), work.clone());
+        let slots = pool.run_region(work.len(), wanted, move |i| {
             let (index, cursor) = &task_work[i];
             let cursor = lock_recovered(cursor).take();
-            let (cursor, lifts, done) = run_morsel(&shared, *index, cursor, live, whole);
-            let rows = gate.map_or(0, |g| lifts.iter().filter_map(|l| l.rows.get(g)).sum());
-            Ok(((cursor, lifts, done), rows))
-        };
-        // A breaker's chunk list with nothing above it has nothing to compute.
-        let slots: Vec<_> = match (&self.shared.source, self.shared.stages.is_empty()) {
-            (Source::Chunks(_), true) => {
-                (0..work.len()).map(|i| Some(task(i).map(|(stepped, _)| stepped))).collect()
-            }
-            _ => pool.run_region(work.len(), stop_rows, task),
-        };
-        let first = self.open.front().map_or(0, |m| m.index);
+            let stepped = run_morsel(&shared, *index, cursor, whole, wanted);
+            let top = stepped.1.iter().map(Lift::top_rows).sum();
+            Ok((stepped, top))
+        });
         for ((index, unclaimed), slot) in work.iter().zip(slots) {
-            let morsel = &mut self.open[index - first];
             match slot {
-                Some(Ok((cursor, lifts, done))) => {
-                    morsel.cursor = cursor;
-                    morsel.lifts.extend(lifts);
-                    morsel.done = done;
-                }
-                // A panic the pool's fence caught: the morsel fails where its source does.
-                Some(Err(error)) => {
-                    morsel.lifts.push_back(Lift {
-                        rows: Vec::new(),
-                        top: None,
-                        error: Some(error),
-                    });
-                    morsel.done = true;
-                }
+                Some(stepped) => self.settle_morsel(*index, stepped),
                 // Not claimed: the region stopped before it.
-                None => morsel.cursor = lock_recovered(unclaimed).take(),
+                None => self.morsel(*index).cursor = lock_recovered(unclaimed).take(),
             }
         }
+    }
+
+    fn morsel(&mut self, index: usize) -> &mut Morsel {
+        let first = self.open.front().map_or(0, |m| m.index);
+        &mut self.open[index - first]
+    }
+
+    /// Record a morsel's step. A panic the pool's fence caught fails it where its source does.
+    fn settle_morsel(&mut self, index: usize, stepped: Result<Stepped, ExecError>) {
+        let stepped = stepped.unwrap_or_else(|error| (None, vec![Lift::failed(error)], true));
+        let morsel = self.morsel(index);
+        (morsel.cursor, morsel.done) = (stepped.0, stepped.2);
+        morsel.lifts.extend(stepped.1);
     }
 
     /// A right or full outer join's unmatched build rows, padded once every morsel is probed:
@@ -427,10 +391,7 @@ impl ResultCursor {
             return;
         };
         if matches!(self.pads, Pads::Pending) {
-            self.pads = match probe.unmatched() {
-                Some(rows) if !self.level_stopped(0) => Pads::Rows(rows, 0),
-                _ => Pads::Done,
-            };
+            self.pads = probe.unmatched().map_or(Pads::Done, |rows| Pads::Rows(rows, 0));
         }
         loop {
             let batch = match &mut self.pads {
@@ -446,76 +407,104 @@ impl ResultCursor {
                 }
             };
             let lift = match shared.ctx.check_deadline() {
-                Ok(()) => lift(&shared, probe.pad_build_rows(&batch), self.live),
-                Err(error) => Lift { rows: Vec::new(), top: None, error: Some(error) },
+                Ok(()) => lift_batch(&shared, probe.pad_build_rows(&batch)),
+                Err(error) => Lift::failed(error),
             };
             self.replay(lift);
-            if !whole || self.live == 0 {
+            if !whole || self.ended() {
                 return;
             }
         }
     }
 
-    /// Replay the claimed morsels' output in morsel order, as far as it is complete.
+    /// Replay the claimed morsels' output in morsel order, as far as it is complete and wanted.
     fn replay_open(&mut self) {
-        while let Some(front) = self.open.front_mut() {
-            if let Some(lift) = front.lifts.pop_front() {
-                self.replay(lift);
-                continue;
-            }
-            if !front.done {
-                break;
-            }
-            self.open.pop_front();
-            self.levels[0].closed = self.levels[0].produced;
-            if self.live == 0 || self.level_stopped(0) {
-                self.open.clear();
-                break;
+        while !self.ended() {
+            let Some(front) = self.open.front_mut() else { return };
+            match front.lifts.pop_front() {
+                Some(lift) => self.replay(lift),
+                None if front.done => drop(self.open.pop_front()),
+                None => return,
             }
         }
     }
 
-    /// Take one source chunk's way up the region into the bookkeeping: each level it reaches
-    /// takes it unless the level has already met its target, and is charged for it; the consumer
-    /// gets what reaches the top while every level is wanted.
+    /// Take one source batch's way up the region into the bookkeeping, cut where it ends the
+    /// region: each level is charged for it and profiled, and the consumer gets its top rows.
     fn replay(&mut self, lift: Lift) {
-        let mut level = 0;
-        for &rows in &lift.rows {
-            if level >= self.live || (level > 0 && self.level_stopped(level)) {
-                return;
+        let lift = self.cut(lift);
+        let ctx = &self.shared.ctx;
+        for (level, &rows) in self.levels.iter_mut().zip(&lift.rows) {
+            level.produced += rows;
+            if let (true, Some(sink)) = (rows > 0, ctx.profile()) {
+                level.nodes.iter().for_each(|&slot| sink.add_output(slot, rows as u64, 1));
             }
-            let l = &mut self.levels[level];
-            l.produced += rows;
-            if rows > 0 {
-                if let Some(sink) = self.shared.ctx.profile() {
-                    l.nodes.iter().for_each(|&slot| sink.add_output(slot, rows as u64, 1));
+            if level.charged {
+                if let Err(error) = ctx.charge_count(level.produced) {
+                    self.error = Some(error);
+                    return;
                 }
             }
-            if l.charged {
-                if let Err(error) = self.shared.ctx.charge_count(l.produced) {
-                    return self.fail(level, error);
-                }
-            }
-            level += 1;
         }
-        if let Some(error) = lift.error {
-            if level < self.live && !(level > 0 && self.level_stopped(level)) {
-                self.fail(level, error);
-            }
-            return;
+        self.error = lift.error;
+        if let (None, Some(top)) = (&self.error, lift.top) {
+            self.consume(top);
         }
-        if self.live == self.levels.len() {
-            if let Some(top) = lift.top {
-                self.consume(top);
+    }
+
+    /// The one cut. A lift that ends the region — it fails, takes a charged level past the
+    /// budget, or covers what the consumer still wants — is lifted again from the shortest
+    /// prefix of its source batch that still ends it: the failing row, the row over budget or
+    /// the last row wanted is the prefix's last. Whether a prefix ends the region grows with the
+    /// prefix, so a binary search finds it in a logarithmic number of lifts.
+    fn cut(&self, lift: Lift) -> Lift {
+        let source = match &lift.source {
+            Some(source) if self.ends(&lift) => source.clone(),
+            _ => return lift,
+        };
+        let (mut shorter, mut cut, mut best) = (0, source.num_rows(), lift);
+        while cut - shorter > 1 {
+            let mid = shorter + (cut - shorter) / 2;
+            let prefix = lift_batch(&self.shared, source.slice(0, mid));
+            match self.ends(&prefix) {
+                true => (cut, best) = (mid, prefix),
+                false => shorter = mid,
             }
+        }
+        best
+    }
+
+    /// Does `lift`, replayed next, end the region?
+    fn ends(&self, lift: &Lift) -> bool {
+        let ctx = &self.shared.ctx;
+        let over = (self.levels.iter().zip(&lift.rows)).any(|(level, &rows)| {
+            level.charged && ctx.charge_count(level.produced + rows).is_err()
+        });
+        lift.error.is_some() || over || self.wanted().is_some_and(|w| lift.top_rows() >= w)
+    }
+
+    /// The top rows the consumer still takes, skipped ones included, if it takes a number.
+    fn wanted(&self) -> Option<usize> {
+        self.remaining.map(|remaining| remaining.saturating_add(self.skip))
+    }
+
+    /// Has the region ended: it failed, or the consumer has what it wants?
+    fn ended(&self) -> bool {
+        self.error.is_some() || self.remaining == Some(0)
+    }
+
+    /// Finish once the region has ended or has nothing left to run.
+    fn settle(&mut self) {
+        let exhausted =
+            self.next == self.total && self.open.is_empty() && matches!(self.pads, Pads::Done);
+        self.finished = self.ended() || exhausted;
+        if self.finished {
+            self.open.clear();
         }
     }
 
     /// Hand a top-level chunk to the consumer, through the `LIMIT` if there is one.
     fn consume(&mut self, mut chunk: DataChunk) {
-        if self.remaining == Some(0) {
-            return;
-        }
         if self.skip > 0 {
             if self.skip >= chunk.num_rows() {
                 self.skip -= chunk.num_rows();
@@ -539,37 +528,6 @@ impl ResultCursor {
         }
     }
 
-    /// A level failed: the levels from it up are wanted no more, and the lowest failure wins.
-    fn fail(&mut self, level: usize, error: ExecError) {
-        if level < self.live {
-            self.live = level;
-            self.error = Some(error);
-        }
-    }
-
-    /// Has `level` met its stop target? A join meets it at the end of a morsel.
-    fn level_stopped(&self, level: usize) -> bool {
-        let l = &self.levels[level];
-        let produced = if level == 0 { l.closed } else { l.produced };
-        l.stop.is_some_and(|stop| produced >= stop)
-    }
-
-    /// Is there a morsel left whose output some level still takes — for the consumer, or to
-    /// settle a level's own errors and budget?
-    fn wants_more(&self) -> bool {
-        let exhausted =
-            self.next == self.total && self.open.is_empty() && matches!(self.pads, Pads::Done);
-        if self.live == 0 || exhausted || self.level_stopped(0) {
-            return false;
-        }
-        // Levels below the lowest one that has met its target still take input.
-        let frontier = (1..self.live).find(|&l| self.level_stopped(l)).unwrap_or(self.live);
-        let consumer =
-            self.live == self.levels.len() && frontier == self.live && self.remaining != Some(0);
-        let probing = matches!(self.shared.source, Source::Probe(_));
-        consumer || frontier > 1 || probing
-    }
-
     /// Add the wall time since `started` to every operator of the region (times are inclusive).
     fn record_time(&self, started: Option<Instant>) {
         let (Some(started), Some(sink)) = (started, self.shared.ctx.profile()) else { return };
@@ -579,57 +537,69 @@ impl ResultCursor {
     }
 }
 
-/// Run one morsel of a region: its chunk up the region, or its join probe one step — to the
-/// morsel's end with `whole` — each batch up the region. Returns the cursor to resume (unless
-/// the morsel is done), the lifts, and whether the morsel is done.
+/// Run one morsel of a region: its chunk up the region, or its join probe one step — with
+/// `whole`, on to the morsel's end — each batch up the region. A drained join morsel also stops
+/// on its own once its top rows cover what the consumer `wanted`, a batch fails, or its join
+/// output alone passes the row budget: the region ends at or before that batch.
 fn run_morsel(
     shared: &Shared,
     index: usize,
     cursor: Option<ProbeCursor>,
-    live: usize,
     whole: bool,
-) -> (Option<ProbeCursor>, Vec<Lift>, bool) {
+    wanted: Option<usize>,
+) -> Stepped {
     let probe = match &shared.source {
         Source::Chunks(chunks) => {
-            return (None, vec![lift(shared, chunks[index].clone(), live)], true)
+            return (None, vec![lift_batch(shared, chunks[index].clone())], true)
         }
         Source::Probe(probe) => probe,
     };
     let mut cursor = cursor.unwrap_or_else(|| ProbeCursor::new(probe, index));
-    let mut lifts = Vec::new();
+    let (mut lifts, mut emitted, mut top, mut failed) = (Vec::new(), 0, 0, false);
     loop {
         match cursor.step(probe, &shared.ctx) {
-            Ok(batches) => lifts.extend(batches.into_iter().map(|b| lift(shared, b, live))),
+            Ok(batches) => {
+                for batch in batches {
+                    emitted += batch.num_rows();
+                    let lift = lift_batch(shared, batch);
+                    (top, failed) = (top + lift.top_rows(), failed || lift.error.is_some());
+                    lifts.push(lift);
+                }
+            }
             Err(error) => {
-                lifts.push(Lift { rows: Vec::new(), top: None, error: Some(error) });
+                lifts.push(Lift::failed(error));
                 return (None, lifts, true);
             }
         }
         if cursor.done() {
             return (None, lifts, true);
         }
-        if !whole && !lifts.is_empty() {
+        let stops = failed
+            || wanted.is_some_and(|wanted| top >= wanted)
+            || shared.ctx.charge_count(emitted).is_err();
+        if !whole || stops {
             return (Some(cursor), lifts, false);
         }
     }
 }
 
-/// Take `chunk` from the source up the stages below level `live`. An empty output stops it.
-fn lift(shared: &Shared, mut chunk: DataChunk, live: usize) -> Lift {
-    let mut rows = Vec::with_capacity(shared.stages.len() + 1);
-    rows.push(chunk.num_rows());
-    for stage in shared.stages.iter().take(live.saturating_sub(1)) {
-        if chunk.is_empty() {
-            return Lift { rows, top: None, error: None };
-        }
+/// Take a source batch up the stages. An empty output stops it.
+fn lift_batch(shared: &Shared, source: DataChunk) -> Lift {
+    let (rows, top) = (vec![source.num_rows()], Some(source.clone()));
+    let mut lift = Lift { source: Some(source), rows, top, error: None };
+    for stage in &shared.stages {
+        let Some(chunk) = lift.top.take().filter(|chunk| !chunk.is_empty()) else { break };
         match stage.apply(&chunk, &shared.ctx) {
             Ok(out) => {
-                rows.push(out.num_rows());
-                chunk = out;
+                lift.rows.push(out.num_rows());
+                lift.top = Some(out);
             }
-            Err(error) => return Lift { rows, top: None, error: Some(error) },
+            Err(error) => {
+                lift.error = Some(error);
+                break;
+            }
         }
     }
-    let top = (rows.len() == shared.stages.len() + 1 && !chunk.is_empty()).then_some(chunk);
-    Lift { rows, top, error: None }
+    lift.top = lift.top.filter(|chunk| !chunk.is_empty());
+    lift
 }

@@ -195,11 +195,22 @@ fn serve_metrics(listener: TcpListener, engine: Arc<Engine>, stop: Arc<AtomicBoo
     }
 }
 
+/// The most of a request head the metrics endpoint reads before it answers.
+const MAX_REQUEST_BYTES: usize = 8 << 10;
+
 fn answer_metrics_request(stream: &mut TcpStream, engine: &Engine) -> std::io::Result<()> {
-    // Only the request line matters; whatever headers fit in one read are discarded with it.
+    // Only the request line matters, but the head is read through its blank line: a client may
+    // send it a line per write, and closing with request bytes unread resets the connection.
+    let mut head = Vec::new();
     let mut buf = [0u8; 1024];
-    let n = stream.read(&mut buf)?;
-    let head = String::from_utf8_lossy(&buf[..n]);
+    while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < MAX_REQUEST_BYTES {
+        let n = stream.read(&mut buf)?;
+        if n == 0 {
+            break;
+        }
+        head.extend_from_slice(&buf[..n]);
+    }
+    let head = String::from_utf8_lossy(&head);
     let mut parts = head.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -418,6 +429,30 @@ mod tests {
         let mut response = String::new();
         conn.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.0 404"), "{response}");
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn metrics_endpoint_answers_once_the_request_head_ends() {
+        // A client that writes the request line and the blank line apart (a shell's `printf`)
+        // gets nothing before the blank line, then the whole response and a clean close.
+        let engine = Arc::new(Config::default().engine());
+        let endpoint = MetricsEndpoint::spawn("127.0.0.1:0", engine).unwrap();
+        let mut conn = TcpStream::connect(endpoint.addr).unwrap();
+        conn.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        let early = conn.read(&mut [0u8; 1]);
+        assert!(
+            matches!(&early, Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+            "answered before the blank line: {early:?}"
+        );
+        conn.write_all(b"\r\n").unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut response = Vec::new();
+        conn.read_to_end(&mut response).unwrap();
+        let response = String::from_utf8(response).unwrap();
+        assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
+        assert!(response.contains("perm_queries_active 0"), "{response}");
         endpoint.shutdown();
     }
 

@@ -1,7 +1,7 @@
 //! Differential property tests: the engine — `Executor::execute` (degree 1) and
 //! `Executor::execute_parallel` on pools of 1, 2 and 8 workers — must return bit-identical
 //! relations (and identical errors) at every degree, and agree as bags with the naive
-//! materializing **reference** evaluator, on arbitrary plans: plain and provenance-rewritten,
+//! pulled **reference** evaluator, on arbitrary plans: plain and provenance-rewritten,
 //! optimized and unoptimized.
 //!
 //! Random plans cover the operator space the provenance rewriter emits: selections,
@@ -15,7 +15,8 @@
 //! plans never hold (text, NULL, NaN, Int against Float, a join's views), the lazily evaluated
 //! expression forms (`CASE`, `IN` over a list), join conditions decided in batches of
 //! candidate pairs, and `ORDER BY`s the optimizer moves below a join (in the order a sort
-//! above the join gives).
+//! above the join gives). A random family puts one poisoned row under a `LIMIT`: a query
+//! fails exactly when the oracle, pulling, meets it.
 
 use proptest::prelude::*;
 
@@ -282,7 +283,7 @@ proptest! {
         );
     }
 
-    /// A LIMIT must agree with the reference (which materializes everything first) on
+    /// A LIMIT must agree with the reference (whose sort materializes its input) on
     /// deterministically ordered inputs.
     #[test]
     fn limit_agrees_with_reference_after_sort(
@@ -1143,10 +1144,10 @@ fn join_conditions_are_decided_in_pair_batches() {
     }
 }
 
-/// A join condition that fails behind a `LIMIT`: one outcome at every degree. The condition is
-/// evaluated on the whole candidate batch that reaches the target and on nothing behind it, so
-/// a failing pair in that batch fails the query (as it does in the reference, which evaluates
-/// everything) and a failing pair a batch later is never seen.
+/// A join condition that fails behind a `LIMIT`: one outcome at every degree, the reference's.
+/// A nested loop decides the pairs in order and stops once the `LIMIT` has its rows, so a
+/// failing pair fails the query only when the `LIMIT` still wants a row when that pair comes —
+/// also when it sits in the same candidate batch as the last row wanted.
 #[test]
 fn a_failing_join_condition_behind_a_limit_has_one_outcome() {
     use perm_algebra::{BinaryOperator as Op, PlanBuilder};
@@ -1168,24 +1169,32 @@ fn a_failing_join_condition_behind_a_limit_has_one_outcome() {
     let scan = |name: &str, ref_id: usize| {
         PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
     };
-    // `a.v / b.v >= 0` holds for the first pair and divides by zero at the build row that is 0.
+    // `a.v / b.v >= 0` holds for every pair but the one whose build row is 0, where it divides
+    // by zero: the 6th pair with `near`, the 2 001st with `far`.
     let condition = || {
         let quotient =
             ScalarExpr::binary(Op::Div, ScalarExpr::column(0, "v"), ScalarExpr::column(1, "v"));
         ScalarExpr::binary(Op::GtEq, quotient, ScalarExpr::literal(0i64))
     };
-    let limited = |build: &str| {
-        scan("a", 0).join(scan(build, 1), JoinKind::Inner, Some(condition())).limit(Some(1), 0)
+    let limited = |build: &str, limit: usize| {
+        let join = scan("a", 0).join(scan(build, 1), JoinKind::Inner, Some(condition()));
+        join.limit(Some(limit), 0).build()
     };
-
-    let near = limited("near").build();
-    let error = run_at_every_degree(&catalog, &near, ExecOptions::default()).unwrap_err();
-    assert_eq!(error, execute_reference(&catalog, &near).unwrap_err());
-
-    let far = limited("far").build();
-    let rows = run_at_every_degree(&catalog, &far, ExecOptions::default()).unwrap();
-    assert_eq!(rows.tuples(), vec![Tuple::new(vec![Value::Int(1), Value::Int(1)])]);
-    assert!(execute_reference(&catalog, &far).is_err());
+    for (build, limit, fails) in [("near", 5, false), ("near", 6, true), ("far", 1, false)] {
+        let plan = limited(build, limit);
+        let engine = run_at_every_degree(&catalog, &plan, ExecOptions::default());
+        let reference = execute_reference(&catalog, &plan);
+        assert_eq!(engine.is_err(), fails, "{build} under LIMIT {limit}");
+        match (engine, reference) {
+            (Ok(engine), Ok(reference)) => {
+                let pairs =
+                    (1..=limit as i64).map(|v| Tuple::new(vec![Value::Int(1), Value::Int(v)]));
+                assert_eq!(engine.tuples(), pairs.collect::<Vec<_>>(), "{build} {limit}");
+                assert_eq!(engine.tuples(), reference.tuples(), "{build} {limit}");
+            }
+            (engine, reference) => assert_eq!(engine.unwrap_err(), reference.unwrap_err()),
+        }
+    }
 }
 
 /// Wrap a sub-plan as an uncorrelated sublink expression.
@@ -1366,12 +1375,12 @@ fn row_budget_outcome_is_identical_at_every_degree() {
     // Under a LIMIT the first probe morsel alone covers: the join stops at 2000 rows, so that
     // is all it is charged for (its inputs, 1500 and 60 rows, fit as well).
     check(&join().limit(Some(2000), 0).build(), 2000, 2000, "join under LIMIT");
-    // A LIMIT reached only in the second morsel: the join is charged for the morsels it
-    // completed, whatever the degree.
+    // A LIMIT reached only in the second morsel: the join is charged for the rows the LIMIT
+    // needs, whatever the degree.
     let spanning = join().limit(Some(25_000), 0).build();
     for budget in [24_999, 25_000, 29_999, 30_000] {
         let expected =
-            if budget < 30_000 { Err(ExecError::RowBudgetExceeded { budget }) } else { Ok(25_000) };
+            if budget < 25_000 { Err(ExecError::RowBudgetExceeded { budget }) } else { Ok(25_000) };
         assert_eq!(outcome(&spanning, budget), expected, "join under a spanning LIMIT");
     }
 
@@ -1736,5 +1745,171 @@ fn a_pulled_region_matches_its_drained_result() {
         assert_eq!(rows, 100);
         let join_rows = sink.snapshot().ops[1].rows_out;
         assert_eq!(join_rows, 100, "the join ran past the LIMIT at degree {}", pool.workers());
+    }
+}
+
+/// Where a poisoned value is evaluated under a `LIMIT k OFFSET m`.
+#[derive(Debug, Clone)]
+enum Poisoned {
+    /// `SELECT k, poison(v) FROM p`, over a filter on `k` or not.
+    Projection { filtered: bool },
+    /// `SELECT * FROM p WHERE poison(v) > 1`.
+    Filter,
+    /// `p JOIN q ON p.k = q.k AND poison(p.v) > 0`, `p` probed or built.
+    JoinCondition { kind: u8, p_probed: bool },
+    /// `SELECT p.k, poison(p.v) FROM p JOIN q ON p.k = q.k`, `p` probed or built.
+    JoinProjection { kind: u8, p_probed: bool },
+    /// `SELECT * FROM q WHERE [NOT] EXISTS (SELECT * FROM p WHERE poison(v) > 1 AND k = key)`.
+    Exists { negated: bool, key: i64 },
+    /// `SELECT * FROM q WHERE v = (SELECT poison(v) FROM p WHERE k = q_key)`.
+    Scalar { key: i64 },
+    /// `SELECT * FROM q WHERE v IN (SELECT poison(v) FROM p)`.
+    In,
+}
+
+fn poisoned_strategy() -> impl Strategy<Value = Poisoned> {
+    (0u8..7, 0u8..5, any::<bool>(), 0i64..8).prop_map(|(shape, kind, flag, key)| match shape {
+        0 => Poisoned::Projection { filtered: flag },
+        1 => Poisoned::Filter,
+        2 => Poisoned::JoinCondition { kind, p_probed: flag },
+        3 => Poisoned::JoinProjection { kind, p_probed: flag },
+        4 => Poisoned::Exists { negated: flag, key },
+        5 => Poisoned::Scalar { key },
+        _ => Poisoned::In,
+    })
+}
+
+/// The plan of `shape` over `p` (`(k, v)`, one row poisoned) and `q` (`(k, v)`, clean), under
+/// `LIMIT limit OFFSET offset`. `poison(v)` is `(v + 1) / v`: it overflows when `v` is
+/// `i64::MAX` and divides by zero when `v` is 0, and is at least 1 on every clean row.
+fn poisoned_plan(catalog: &Catalog, shape: &Poisoned, limit: usize, offset: usize) -> LogicalPlan {
+    use perm_algebra::{BinaryOperator as Op, PlanBuilder, SublinkKind};
+
+    let scan = |name: &str, ref_id: usize| {
+        PlanBuilder::scan(name, catalog.table_schema(name).unwrap(), ref_id)
+    };
+    let col = |index: usize| ScalarExpr::column(index, "c");
+    let lit = |value: i64| ScalarExpr::literal(value);
+    let poison = |v: ScalarExpr| {
+        ScalarExpr::binary(Op::Div, ScalarExpr::binary(Op::Add, v.clone(), lit(1)), v)
+    };
+    let kind_of = |kind: u8| match kind {
+        0 => JoinKind::Inner,
+        1 => JoinKind::LeftOuter,
+        2 => JoinKind::RightOuter,
+        3 => JoinKind::FullOuter,
+        _ => JoinKind::Inner,
+    };
+    // `p` joined with `q` on `k`: the columns of `p` start at `p_at`.
+    let join = |kind: u8, p_probed: bool, poisoned_condition: bool| {
+        let (left, right, p_at) = match p_probed {
+            true => (scan("p", 0), scan("q", 1), 0),
+            false => (scan("q", 1), scan("p", 0), 2),
+        };
+        let mut condition = col(0).eq(col(2));
+        if poisoned_condition {
+            // After the equi-key: a hash join decides it on key-matching pairs only.
+            condition = condition.and(ScalarExpr::binary(Op::Gt, poison(col(p_at + 1)), lit(0)));
+        }
+        (left.join(right, kind_of(kind), Some(condition)), p_at)
+    };
+    let where_q = |predicate: ScalarExpr| scan("q", 1).filter(predicate);
+    let sublink = |kind: SublinkKind, operand: Option<ScalarExpr>, negated, plan: PlanBuilder| {
+        ScalarExpr::Sublink {
+            kind,
+            operand: operand.map(Box::new),
+            negated,
+            plan: std::sync::Arc::new(plan.build()),
+        }
+    };
+    let body = match shape {
+        Poisoned::Projection { filtered } => {
+            let p = scan("p", 0);
+            let p = match filtered {
+                true => p.filter(ScalarExpr::binary(Op::Mod, col(0), lit(3)).eq(lit(1))),
+                false => p,
+            };
+            p.project(vec![(col(0), "k".into()), (poison(col(1)), "x".into())])
+        }
+        Poisoned::Filter => scan("p", 0).filter(ScalarExpr::binary(Op::Gt, poison(col(1)), lit(1))),
+        Poisoned::JoinCondition { kind, p_probed } => join(*kind, *p_probed, true).0,
+        Poisoned::JoinProjection { kind, p_probed } => {
+            let (joined, p_at) = join(*kind, *p_probed, false);
+            joined.project(vec![(col(p_at), "k".into()), (poison(col(p_at + 1)), "x".into())])
+        }
+        Poisoned::Exists { negated, key } => {
+            // Pulled up to the first row with `v = 1` and `k = key` — none when `key` is 7.
+            let passing =
+                ScalarExpr::binary(Op::Gt, poison(col(1)), lit(1)).and(col(0).eq(lit(*key)));
+            let plan = scan("p", 0).filter(passing);
+            where_q(sublink(SublinkKind::Exists, None, *negated, plan))
+        }
+        Poisoned::Scalar { key } => {
+            let values = scan("p", 0).filter(col(0).eq(lit(*key)));
+            let values = values.project(vec![(poison(col(1)), "x".into())]);
+            where_q(col(1).eq(sublink(SublinkKind::Scalar, None, false, values)))
+        }
+        Poisoned::In => {
+            let values = scan("p", 0).project(vec![(poison(col(1)), "x".into())]);
+            where_q(sublink(SublinkKind::InSubquery, Some(col(1)), false, values))
+        }
+    };
+    body.limit(Some(limit), offset).build()
+}
+
+/// The engine's outcome for `plan` pulled one batch at a time, at every degree: the drained
+/// outcome of [`run_at_every_degree`], rows in the same order or the same error.
+fn pulled_matches_drained(catalog: &Catalog, plan: &LogicalPlan) -> Result<Vec<Tuple>, ExecError> {
+    let drained = run_at_every_degree(catalog, plan, ExecOptions::default()).map(|r| r.tuples());
+    let executor = Executor::new(catalog.clone());
+    for pool in pools() {
+        let pulled = executor.open(plan, pool).and_then(|mut cursor| {
+            let mut rows = Vec::new();
+            while let Some(batch) = cursor.next_batch(pool)? {
+                rows.extend(batch.iter().flat_map(|chunk| chunk.iter_tuples()));
+            }
+            Ok(rows)
+        });
+        assert_eq!(pulled, drained, "pulled != drained at degree {}\n{plan}", pool.workers());
+    }
+    drained
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One poisoned row — a division by zero or an overflow — at a random position, under a
+    /// `LIMIT k OFFSET m`, in a scan's projection, a filter, a join condition or a projection
+    /// over a join, or a sublink's plan: the engine's outcome is the pulled oracle's, the same
+    /// rows in the same order or the same error, at degrees 1, 2 and 8, drained or pulled a
+    /// batch at a time. A query fails exactly when a row its output needs meets the poison.
+    #[test]
+    fn a_poisoned_row_behind_a_limit_has_the_oracles_outcome(
+        shape in poisoned_strategy(),
+        p_rows in 0usize..2600,
+        at in 0usize..2600,
+        overflow in any::<bool>(),
+        q_rows in 1usize..24,
+        limit in 0usize..1500,
+        offset in 0usize..40,
+    ) {
+        let poisoned = if overflow { i64::MAX } else { 0 };
+        let p: Vec<(i64, i64)> = (0..p_rows as i64)
+            .map(|i| (i % 7, if i as usize == at { poisoned } else { 1 + i % 5 }))
+            .collect();
+        let q: Vec<(i64, i64)> = (0..q_rows as i64).map(|i| (i % 9, 1 + i % 3)).collect();
+        let catalog = Catalog::new();
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+        for (name, rows) in [("p", &p), ("q", &q)] {
+            let tuples =
+                rows.iter().map(|(k, v)| Tuple::new(vec![Value::Int(*k), Value::Int(*v)])).collect();
+            let relation = Relation::from_parts(schema.clone(), tuples);
+            catalog.create_table_with_data(name, relation).unwrap();
+        }
+        let plan = poisoned_plan(&catalog, &shape, limit, offset);
+        plan.verify().unwrap();
+        let engine = pulled_matches_drained(&catalog, &plan);
+        let reference = execute_reference(&catalog, &plan).map(|r| r.tuples());
+        prop_assert_eq!(engine, reference, "{:?} under LIMIT {} OFFSET {}\n{}", shape, limit, offset, plan);
     }
 }
