@@ -64,9 +64,9 @@
 //!   `LIMIT` needs are evaluated — the pull rule of [`crate::reference`] (see `pull.rs`).
 //! * **row budgets** ([`crate::ExecOptions::row_budget`]) follow the same rule: an operator's
 //!   output is charged as it is replayed, and the row that takes it past the budget is one
-//!   more error met in plan order. A drained join morsel stops once its output alone passes
-//!   the budget, so a runaway join fails after about a budget's worth of rows per morsel
-//!   instead of materializing its whole output first.
+//!   more error met in plan order. A region stops running morsels ahead of its replay once the
+//!   rows it has run, over all its morsels, pass the budget, so a runaway join fails after
+//!   about a budget's worth of rows instead of materializing its whole output first.
 //!
 //! Results and errors do not depend on the degree: a failing region reports the error of the
 //! *lowest* morsel index, and partitioned aggregation reports the error of the globally first
@@ -173,13 +173,13 @@ impl WorkerPool {
     }
 
     /// Run `task` over morsel indices `0..total`, fanning out across the pool while the calling
-    /// thread claims morsels too. Each task returns its result plus its *output row count*
-    /// (used for the shared LIMIT counter). Returns one slot per morsel; unclaimed morsels
-    /// (cut off by `stop_rows` or an earlier error) stay `None` and are always a suffix.
+    /// thread claims morsels too. Each task returns its result plus its *output row count*; no
+    /// morsel is claimed once the completed ones count `stop_rows` (`usize::MAX` always stops).
+    /// One slot per morsel; unclaimed ones (cut off that way or by an error) stay `None`, a suffix.
     pub(crate) fn run_region<T, F>(
         &self,
         total: usize,
-        stop_rows: Option<usize>,
+        stop_rows: usize,
         task: F,
     ) -> Vec<Option<Result<T, ExecError>>>
     where
@@ -192,11 +192,10 @@ impl WorkerPool {
         // Degree-1 (or single-morsel) regions run inline with no shared state: same morsel
         // order, same stop/error semantics, none of the synchronization.
         if self.workers == 1 || total == 1 {
-            let stop = stop_rows.unwrap_or(usize::MAX);
             let mut slots: Vec<Option<Result<T, ExecError>>> = (0..total).map(|_| None).collect();
             let mut produced = 0usize;
             for (i, slot) in slots.iter_mut().enumerate() {
-                if produced >= stop {
+                if produced >= stop_rows {
                     break;
                 }
                 match task(i) {
@@ -216,7 +215,7 @@ impl WorkerPool {
             next: AtomicUsize::new(0),
             produced: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
-            stop_rows: stop_rows.unwrap_or(usize::MAX),
+            stop_rows,
             total,
             slots: Mutex::new((0..total).map(|_| None).collect()),
             in_flight: Mutex::new(0),
@@ -297,7 +296,7 @@ struct Region<T> {
     /// claimed set is a prefix — the invariant the LIMIT early-stop and the deterministic
     /// error selection below both rely on.
     next: AtomicUsize,
-    /// Output rows of all *completed* morsels (the shared LIMIT counter).
+    /// Output rows of all *completed* morsels (the shared stop counter), saturating.
     produced: AtomicUsize,
     abort: AtomicBool,
     stop_rows: usize,
@@ -316,6 +315,7 @@ fn claim_loop<T, F>(region: &Region<T>, task: &F)
 where
     F: Fn(usize) -> Result<(T, usize), ExecError>,
 {
+    use AtomicOrdering::Relaxed;
     let _qid_guard = crate::log::QueryIdGuard::new(region.qid);
     loop {
         // Register as in-flight *before* checking the exit conditions: the dispatcher declares
@@ -326,13 +326,11 @@ where
         // before registering would let a straggler claim a morsel after the dispatcher already
         // harvested the result slots.
         *region.in_flight.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-        if region.abort.load(AtomicOrdering::Relaxed)
-            || region.produced.load(AtomicOrdering::Relaxed) >= region.stop_rows
-        {
+        if region.abort.load(Relaxed) || region.produced.load(Relaxed) >= region.stop_rows {
             finish_morsel(region);
             return;
         }
-        let i = region.next.fetch_add(1, AtomicOrdering::Relaxed);
+        let i = region.next.fetch_add(1, Relaxed);
         if i >= region.total {
             finish_morsel(region);
             return;
@@ -348,11 +346,12 @@ where
             });
         let slot = match outcome {
             Ok((value, rows)) => {
-                region.produced.fetch_add(rows, AtomicOrdering::Relaxed);
+                let add = |produced: usize| Some(produced.saturating_add(rows));
+                let _ = region.produced.fetch_update(Relaxed, Relaxed, add);
                 Ok(value)
             }
             Err(e) => {
-                region.abort.store(true, AtomicOrdering::Relaxed);
+                region.abort.store(true, Relaxed);
                 Err(e)
             }
         };
@@ -808,7 +807,7 @@ fn build_key_hashes(
     let chunks = build_chunks.clone();
     let columns: Vec<usize> = keys.iter().map(|k| k.right).collect();
     let ctx = ctx.clone();
-    let slots = pool.run_region(build_chunks.len(), None, move |m| {
+    let slots = pool.run_region(build_chunks.len(), usize::MAX, move |m| {
         ctx.check_deadline()?;
         let chunk = &chunks[m];
         let keys: Vec<Arc<Array>> = columns.iter().map(|&c| chunk.column(c).clone()).collect();
@@ -843,7 +842,7 @@ fn build_partitioned_table(
     let task_keys = build_keys.clone();
     let task_null_safe = null_safe.clone();
     let ctx = ctx.clone();
-    let slots = pool.run_region(nparts, None, move |p| {
+    let slots = pool.run_region(nparts, usize::MAX, move |p| {
         ctx.check_deadline()?;
         let mut table: RowTable<u32> = RowTable::new();
         let mut links: Vec<(u32, u32)> = Vec::new();
@@ -1213,7 +1212,7 @@ fn par_aggregate(
     let task_aggregates = Arc::new(aggregates);
     let phase1_aggregates = task_aggregates.clone();
     let phase1_ctx = ctx.clone();
-    let slots = pool.run_region(source.len(), None, move |m| {
+    let slots = pool.run_region(source.len(), usize::MAX, move |m| {
         phase1_ctx.check_deadline()?;
         let chunk = &task_source[m];
         let keys: Vec<Arc<Array>> =
@@ -1242,7 +1241,7 @@ fn par_aggregate(
     let task_morsels = morsels.clone();
     let phase2_aggregates = task_aggregates.clone();
     let phase2_ctx = ctx.clone();
-    let slots = pool.run_region(nparts, None, move |p| {
+    let slots = pool.run_region(nparts, usize::MAX, move |p| {
         phase2_ctx.check_deadline()?;
         let mut index: RowTable<u32> = RowTable::new();
         let mut groups: Vec<(u64, Vec<Accumulator>)> = Vec::new();
@@ -1342,7 +1341,7 @@ fn par_sort(
     let task_chunks = chunks.clone();
     let task_keys = keys.clone();
     let task_ctx = ctx.clone();
-    let slots = pool.run_region(chunks.len(), None, move |m| {
+    let slots = pool.run_region(chunks.len(), usize::MAX, move |m| {
         task_ctx.check_deadline()?;
         let chunk = &task_chunks[m];
         let key_cols: Vec<Arc<Array>> =

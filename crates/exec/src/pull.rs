@@ -21,6 +21,7 @@
 //! do not depend on the degree or on how many rows each pull hands out.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -78,6 +79,27 @@ struct Shared {
     /// Bottom-up: stage `i` is level `i + 1`.
     stages: Vec<Stage>,
     ctx: ExecContext,
+    /// Rows each charged level has produced in the morsels run so far, replayed or not (`None`
+    /// for an uncharged level, and for every level without a row budget).
+    ran: Vec<Option<AtomicUsize>>,
+}
+
+impl Shared {
+    /// Count `lift`'s rows as run.
+    fn run(&self, lift: &Lift) {
+        for (ran, &rows) in self.ran.iter().zip(&lift.rows) {
+            if let Some(ran) = ran {
+                ran.fetch_add(rows, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Has a charged level run past the row budget? Then the region is sure to end at or before
+    /// the last row run, within the morsels claimed so far.
+    fn over(&self) -> bool {
+        let mut ran = self.ran.iter().flatten().map(|ran| ran.load(Ordering::Relaxed));
+        ran.any(|ran| self.ctx.charge_count(ran).is_err())
+    }
 }
 
 /// One level's output: level 0 is the source, level `i` is stage `i - 1`.
@@ -209,7 +231,8 @@ impl ResultCursor {
                     nodes.extend(ctx.profile_op(node).map(|(_, slot)| slot));
                     let wanted = n.iter().chain(&limit).copied().min();
                     consumer = Some((*offset, wanted, std::mem::take(&mut nodes)));
-                    hint = wanted.map(|n| n.saturating_add(*offset));
+                    // `LIMIT 0` pulls nothing, not even the rows it would skip.
+                    hint = wanted.map(|n| if n == 0 { 0 } else { n.saturating_add(*offset) });
                     node = input;
                 }
                 LogicalPlan::Projection { input, exprs, distinct: d }
@@ -260,10 +283,14 @@ impl ResultCursor {
             Source::Probe(probe) => (probe.morsels(), Pads::Pending),
         };
         let (stages, upper): (Vec<Stage>, Vec<Level>) = stages.into_iter().rev().unzip();
+        let levels: Vec<Level> = std::iter::once(level0).chain(upper).collect();
+        // Does the statement have a row budget? (Every budget is below `usize::MAX` rows.)
+        let budgeted = ctx.charge_count(usize::MAX).is_err();
+        let ran = levels.iter().map(|l| (l.charged && budgeted).then(AtomicUsize::default));
         let (skip, remaining, consumer) = consumer.unwrap_or((0, limit, Vec::new()));
         let mut cursor = ResultCursor {
-            shared: Arc::new(Shared { source, stages, ctx: ctx.clone() }),
-            levels: std::iter::once(level0).chain(upper).collect(),
+            shared: Arc::new(Shared { source, stages, ctx: ctx.clone(), ran: ran.collect() }),
+            levels,
             open: VecDeque::new(),
             next: 0,
             total,
@@ -322,44 +349,35 @@ impl ResultCursor {
 
     fn step(&mut self, pool: &WorkerPool, whole: bool) {
         let width = if whole { usize::MAX } else { pool.workers() };
+        // Past the budget, only the morsel being replayed is needed to find where it ends.
+        let width = if self.shared.over() { 1 } else { width };
         let waiting = self.open.iter_mut().filter(|m| !m.done && m.lifts.is_empty());
-        let mut work: Vec<(usize, Option<ProbeCursor>)> =
-            waiting.take(width).map(|m| (m.index, m.cursor.take())).collect();
+        let mut work: Vec<(usize, Mutex<Option<ProbeCursor>>)> =
+            waiting.take(width).map(|m| (m.index, Mutex::new(m.cursor.take()))).collect();
         while work.len() < width && self.next < self.total {
-            let index = self.next;
-            self.open.push_back(Morsel { index, ..Morsel::default() });
-            work.push((index, None));
+            self.open.push_back(Morsel { index: self.next, ..Morsel::default() });
+            work.push((self.next, Mutex::new(None)));
             self.next += 1;
         }
-        // The consumer's rows are the only stop counter: morsels are claimed in index order
-        // until the completed ones cover what it wants.
+        // The consumer's rows are the one stop counter: morsels are claimed in index order until
+        // the completed ones cover what it wants, or one of them is sure to end the region.
         let wanted = self.wanted();
-        let inline = work.len() == 1
-            || pool.workers() == 1
-            || matches!((&self.shared.source, self.shared.stages.len()), (Source::Chunks(_), 0));
-        if inline {
-            let mut top = 0;
-            for (index, cursor) in work {
-                if wanted.is_some_and(|wanted| top >= wanted) {
-                    self.morsel(index).cursor = cursor;
-                    continue;
-                }
-                let stepped = run_morsel(&self.shared, index, cursor, whole, wanted);
-                top += stepped.1.iter().map(Lift::top_rows).sum::<usize>();
-                self.settle_morsel(index, Ok(stepped));
-            }
-            return;
-        }
-        let work: Arc<Vec<(usize, Mutex<Option<ProbeCursor>>)>> =
-            Arc::new(work.into_iter().map(|(index, cursor)| (index, Mutex::new(cursor))).collect());
-        let (shared, task_work) = (self.shared.clone(), work.clone());
-        let slots = pool.run_region(work.len(), wanted, move |i| {
+        let (shared, work) = (self.shared.clone(), Arc::new(work));
+        let task_work = work.clone();
+        let task = move |i: usize| {
             let (index, cursor) = &task_work[i];
             let cursor = lock_recovered(cursor).take();
-            let stepped = run_morsel(&shared, *index, cursor, whole, wanted);
-            let top = stepped.1.iter().map(Lift::top_rows).sum();
+            let (stepped, ends) = run_morsel(&shared, *index, cursor, whole, wanted);
+            let top = if ends { usize::MAX } else { stepped.1.iter().map(Lift::top_rows).sum() };
             Ok((stepped, top))
-        });
+        };
+        // A breaker's chunk list with nothing above it has nothing to compute.
+        let slots: Vec<_> = match (&self.shared.source, self.shared.stages.is_empty()) {
+            (Source::Chunks(_), true) => {
+                (0..work.len()).map(|i| Some(task(i).map(|(stepped, _)| stepped))).collect()
+            }
+            _ => pool.run_region(work.len(), wanted.unwrap_or(usize::MAX), task),
+        };
         for ((index, unclaimed), slot) in work.iter().zip(slots) {
             match slot {
                 Some(stepped) => self.settle_morsel(*index, stepped),
@@ -538,47 +556,52 @@ impl ResultCursor {
 }
 
 /// Run one morsel of a region: its chunk up the region, or its join probe one step — with
-/// `whole`, on to the morsel's end — each batch up the region. A drained join morsel also stops
-/// on its own once its top rows cover what the consumer `wanted`, a batch fails, or its join
-/// output alone passes the row budget: the region ends at or before that batch.
+/// `whole`, on to the morsel's end — each batch up the region. Also say whether the region is
+/// sure to end within the morsels claimed so far: a lift failed, the morsel's top rows cover what
+/// the consumer `wanted`, or the rows run pass the row budget ([`Shared::over`]). A drained join
+/// morsel then stops, and the region claims no more morsels.
 fn run_morsel(
     shared: &Shared,
     index: usize,
     cursor: Option<ProbeCursor>,
     whole: bool,
     wanted: Option<usize>,
-) -> Stepped {
+) -> (Stepped, bool) {
+    // Is the region sure to end, once `lift` is run and the morsel has `top` top rows?
+    let ends = |lift: &Lift, top: usize| {
+        shared.run(lift);
+        lift.error.is_some() || shared.over() || wanted.is_some_and(|wanted| top >= wanted)
+    };
     let probe = match &shared.source {
         Source::Chunks(chunks) => {
-            return (None, vec![lift_batch(shared, chunks[index].clone())], true)
+            let lift = lift_batch(shared, chunks[index].clone());
+            let ended = ends(&lift, lift.top_rows());
+            return ((None, vec![lift], true), ended);
         }
         Source::Probe(probe) => probe,
     };
     let mut cursor = cursor.unwrap_or_else(|| ProbeCursor::new(probe, index));
-    let (mut lifts, mut emitted, mut top, mut failed) = (Vec::new(), 0, 0, false);
+    let (mut lifts, mut top, mut ended) = (Vec::new(), 0, false);
     loop {
         match cursor.step(probe, &shared.ctx) {
             Ok(batches) => {
                 for batch in batches {
-                    emitted += batch.num_rows();
                     let lift = lift_batch(shared, batch);
-                    (top, failed) = (top + lift.top_rows(), failed || lift.error.is_some());
+                    top += lift.top_rows();
+                    ended |= ends(&lift, top);
                     lifts.push(lift);
                 }
             }
             Err(error) => {
                 lifts.push(Lift::failed(error));
-                return (None, lifts, true);
+                return ((None, lifts, true), true);
             }
         }
         if cursor.done() {
-            return (None, lifts, true);
+            return ((None, lifts, true), ended);
         }
-        let stops = failed
-            || wanted.is_some_and(|wanted| top >= wanted)
-            || shared.ctx.charge_count(emitted).is_err();
-        if !whole || stops {
-            return (Some(cursor), lifts, false);
+        if !whole || ended {
+            return ((Some(cursor), lifts, false), ended);
         }
     }
 }
@@ -602,4 +625,51 @@ fn lift_batch(shared: &Shared, source: DataChunk) -> Lift {
     }
     lift.top = lift.top.filter(|chunk| !chunk.is_empty());
     lift
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::ExecOptions;
+    use perm_algebra::{tuple, DataType, JoinKind, PlanBuilder, Schema, Tuple};
+    use perm_storage::{Catalog, Relation};
+
+    /// A drained join past the row budget runs about a budget's worth of join rows over all of
+    /// its probe morsels — the rows up to the one over budget, and what other workers ran ahead
+    /// meanwhile. Under a budget of 25 000, 20 probe morsels of 102 400 join rows each would run
+    /// 20 budgets' worth if each morsel stopped only on its own output, and 20 of 10 240 rows
+    /// each would run whole if the region stopped only on a morsel past the budget alone.
+    #[test]
+    fn a_join_past_the_budget_runs_about_a_budget_of_rows() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+        let scan = |name: &str, ref_id| PlanBuilder::scan(name, schema.clone(), ref_id);
+        let key = |index| ScalarExpr::column(index, "k");
+        let plan =
+            scan("probe", 0).join(scan("build", 1), JoinKind::Inner, Some(key(0).eq(key(1))));
+        let budget = 25_000;
+        for build_rows in [100, 10] {
+            let catalog = Catalog::new();
+            for (name, rows) in [("probe", 20 * DEFAULT_CHUNK_SIZE), ("build", build_rows)] {
+                let tuples: Vec<Tuple> = (0..rows).map(|_| tuple![1i64]).collect();
+                let relation = Relation::from_parts(schema.clone(), tuples);
+                catalog.create_table_with_data(name, relation).unwrap();
+            }
+            let options = ExecOptions::default().with_row_budget(budget);
+            let executor = Executor::with_options(catalog, options);
+            for workers in [1, 2, 4] {
+                let pool = WorkerPool::new(workers);
+                let mut cursor = executor.open(&plan.clone().build(), &pool).unwrap();
+                while !cursor.finished {
+                    cursor.pull(&pool, true);
+                }
+                assert!(matches!(cursor.error, Some(ExecError::RowBudgetExceeded { .. })));
+                let ran = cursor.shared.ran[0].as_ref().unwrap().load(Ordering::Relaxed);
+                let bound = 2 * budget + workers * DEFAULT_CHUNK_SIZE;
+                assert!(
+                    ran <= bound,
+                    "{ran} join rows ran at degree {workers}, {build_rows} built"
+                );
+            }
+        }
+    }
 }

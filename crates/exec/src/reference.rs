@@ -148,9 +148,9 @@ fn open<'a>(catalog: &'a Catalog, plan: &'a LogicalPlan) -> Result<Rows<'a>, Exe
             Box::new(decorated.into_iter().map(|(_, row)| Ok(row)))
         }
         LogicalPlan::Limit { input, limit, offset } => {
-            // Pull `offset + limit` rows and no more; a skipped row is evaluated all the same.
-            let (offset, wanted) =
-                (*offset, limit.map_or(usize::MAX, |n| n.saturating_add(*offset)));
+            // Pull `offset + limit` rows, none under `LIMIT 0`; a skipped row is evaluated too.
+            let wanted = |n: usize| if n == 0 { 0 } else { n.saturating_add(*offset) };
+            let (offset, wanted) = (*offset, limit.map_or(usize::MAX, wanted));
             let rows = open(catalog, input)?.take(wanted).enumerate();
             Box::new(rows.filter(move |(i, row)| *i >= offset || row.is_err()).map(|(_, row)| row))
         }

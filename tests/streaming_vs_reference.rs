@@ -1875,6 +1875,68 @@ fn pulled_matches_drained(catalog: &Catalog, plan: &LogicalPlan) -> Result<Vec<T
     drained
 }
 
+/// The engine's outcome on the plan `plan_of` builds, with `p`'s row `at` poisoned, pulled and
+/// drained at every degree; returns it beside the pulled oracle's.
+#[allow(clippy::type_complexity)]
+fn poisoned_outcomes(
+    plan_of: impl Fn(&Catalog) -> LogicalPlan,
+    (p_rows, at, overflow, q_rows): (usize, usize, bool, usize),
+) -> (LogicalPlan, Result<Vec<Tuple>, ExecError>, Result<Vec<Tuple>, ExecError>) {
+    let poisoned = if overflow { i64::MAX } else { 0 };
+    let p: Vec<(i64, i64)> = (0..p_rows as i64)
+        .map(|i| (i % 7, if i as usize == at { poisoned } else { 1 + i % 5 }))
+        .collect();
+    let q: Vec<(i64, i64)> = (0..q_rows as i64).map(|i| (i % 9, 1 + i % 3)).collect();
+    let catalog = Catalog::new();
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
+    for (name, rows) in [("p", &p), ("q", &q)] {
+        let tuples =
+            rows.iter().map(|(k, v)| Tuple::new(vec![Value::Int(*k), Value::Int(*v)])).collect();
+        let relation = Relation::from_parts(schema.clone(), tuples);
+        catalog.create_table_with_data(name, relation).unwrap();
+    }
+    let plan = plan_of(&catalog);
+    plan.verify().unwrap();
+    let engine = pulled_matches_drained(&catalog, &plan);
+    let reference = execute_reference(&catalog, &plan).map(|r| r.tuples());
+    (plan, engine, reference)
+}
+
+/// `LIMIT 0` needs no row, not even the ones its `OFFSET` skips: a poisoned row among those
+/// fails no scan, filter or join, in the engine or the oracle, nor a `LIMIT` below it. (A
+/// sublink is decided when its operator opens, so its poisoned row fails both.)
+#[test]
+fn a_poisoned_row_behind_limit_0_fails_nothing() {
+    let tables = (20, 2, false, 12);
+    let nested = |catalog: &Catalog| {
+        let inner = poisoned_plan(catalog, &Poisoned::Projection { filtered: false }, 10, 0);
+        perm_algebra::PlanBuilder::from_plan(inner).alias("s").limit(Some(0), 5).build()
+    };
+    let (plan, engine, reference) = poisoned_outcomes(nested, tables);
+    assert_eq!((&engine, &reference), (&Ok(Vec::new()), &Ok(Vec::new())), "\n{plan}");
+    let joins = (0..4).flat_map(|kind| {
+        let p_probed = true;
+        [Poisoned::JoinCondition { kind, p_probed }, Poisoned::JoinProjection { kind, p_probed }]
+    });
+    let shapes = [
+        Poisoned::Projection { filtered: false },
+        Poisoned::Projection { filtered: true },
+        Poisoned::Filter,
+        Poisoned::Exists { negated: false, key: 2 },
+        Poisoned::Exists { negated: true, key: 2 },
+        Poisoned::Scalar { key: 2 },
+        Poisoned::In,
+    ];
+    for shape in shapes.into_iter().chain(joins) {
+        let (plan, engine, reference) =
+            poisoned_outcomes(|catalog| poisoned_plan(catalog, &shape, 0, 5), tables);
+        assert_eq!(engine, reference, "{shape:?}\n{plan}");
+        let sublink =
+            matches!(shape, Poisoned::Exists { .. } | Poisoned::Scalar { .. } | Poisoned::In);
+        assert!(sublink || engine == Ok(Vec::new()), "{shape:?}\n{plan}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1893,23 +1955,9 @@ proptest! {
         limit in 0usize..1500,
         offset in 0usize..40,
     ) {
-        let poisoned = if overflow { i64::MAX } else { 0 };
-        let p: Vec<(i64, i64)> = (0..p_rows as i64)
-            .map(|i| (i % 7, if i as usize == at { poisoned } else { 1 + i % 5 }))
-            .collect();
-        let q: Vec<(i64, i64)> = (0..q_rows as i64).map(|i| (i % 9, 1 + i % 3)).collect();
-        let catalog = Catalog::new();
-        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
-        for (name, rows) in [("p", &p), ("q", &q)] {
-            let tuples =
-                rows.iter().map(|(k, v)| Tuple::new(vec![Value::Int(*k), Value::Int(*v)])).collect();
-            let relation = Relation::from_parts(schema.clone(), tuples);
-            catalog.create_table_with_data(name, relation).unwrap();
-        }
-        let plan = poisoned_plan(&catalog, &shape, limit, offset);
-        plan.verify().unwrap();
-        let engine = pulled_matches_drained(&catalog, &plan);
-        let reference = execute_reference(&catalog, &plan).map(|r| r.tuples());
+        let tables = (p_rows, at, overflow, q_rows);
+        let (plan, engine, reference) =
+            poisoned_outcomes(|catalog| poisoned_plan(catalog, &shape, limit, offset), tables);
         prop_assert_eq!(engine, reference, "{:?} under LIMIT {} OFFSET {}\n{}", shape, limit, offset, plan);
     }
 }
